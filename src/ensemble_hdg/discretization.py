@@ -21,6 +21,21 @@ from .mesh import batched_geometry
 _REF_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
+def reference_face_points(s):
+    """Reference-triangle coordinates of edge parameters s on each face.
+
+    Returns shape (3, 2, len(s), 2) indexed [local face, aligned]: an element
+    aligned with the face's canonical orientation runs from its local vertex
+    lf to lf+1 as s goes from 0 to 1, a misaligned one the other way.
+    """
+    ra = _REF_CORNERS
+    rb = _REF_CORNERS[[1, 2, 0]]
+    pa = np.stack([rb, ra], axis=1)
+    pb = np.stack([ra, rb], axis=1)
+    return pa[:, :, None, :] + s[None, None, :, None] * \
+        (pb - pa)[:, :, None, :]
+
+
 class Discretization:
     """Tables for degree-k HDG spaces on a triangulation.
 
@@ -82,20 +97,14 @@ class Discretization:
             setattr(self, f"x_{tag}_flat", np.ascontiguousarray(X[..., 0]).reshape(-1))
             setattr(self, f"y_{tag}_flat", np.ascontiguousarray(X[..., 1]).reshape(-1))
             setattr(self, f"w_{tag}", rule.weights)
-            # weighted transposed tables and flattened gradient layouts give
-            # the hot loops straight BLAS matmul shapes
+            # weighted transposed values: moments are one BLAS matmul
             setattr(self, f"VwT_{tag}", (V * rule.weights).T.copy())
             nq = len(rule.weights)
-            G_flat = np.ascontiguousarray(
-                getattr(self, f"G_{tag}").reshape(-1, V.shape[0], 2 * nq))
-            setattr(self, f"Gflat_{tag}", G_flat)
-            setattr(self, f"GflatT_{tag}",
-                    np.ascontiguousarray(np.swapaxes(G_flat, 1, 2)))
-            Gh_flat = np.ascontiguousarray(
-                getattr(self, f"G_hi_{tag}").reshape(-1, Vh.shape[0], 2 * nq))
-            setattr(self, f"Gflat_hi_{tag}", Gh_flat)
-            setattr(self, f"GflatT_hi_{tag}",
-                    np.ascontiguousarray(np.swapaxes(Gh_flat, 1, 2)))
+            setattr(self, f"Gflat_{tag}", np.ascontiguousarray(
+                getattr(self, f"G_{tag}").reshape(-1, V.shape[0], 2 * nq)))
+            setattr(self, f"Gflat_hi_{tag}", np.ascontiguousarray(
+                getattr(self, f"G_hi_{tag}").reshape(-1, Vh.shape[0],
+                                                     2 * nq)))
 
     # -- face tables ---------------------------------------------------------
 
@@ -127,31 +136,14 @@ class Discretization:
                                     np.array([0, 1, 2])[None, :]]
             aligned = aligned == mesh.faces[mesh.elem_faces][:, :, 0]
             self.face_aligned = aligned
-            ra = _REF_CORNERS[[0, 1, 2]]
-            rb = _REF_CORNERS[[1, 2, 0]]
-            # endpoints per (element, local face), swapped when misaligned
-            pa = np.where(aligned[..., None], ra[None], rb[None])
-            pb = np.where(aligned[..., None], rb[None], ra[None])
-            ref = pa[:, :, None, :] + s[None, None, :, None] * \
-                (pb - pa)[:, :, None, :]
+            ref = reference_face_points(s)[np.arange(3)[None, :],
+                                           aligned.astype(int)]
             flat = ref.reshape(-1, 2)
             Vf = self.elem_basis.eval(flat).reshape(self.ndof_u, ne, 3, nq)
             Vfh = self.elem_basis_hi.eval(flat).reshape(
                 self.ndof_u_hi, ne, 3, nq)
             setattr(self, f"Vf_{tag}", np.moveaxis(Vf, 0, 2).copy())
             setattr(self, f"Vf_hi_{tag}", np.moveaxis(Vfh, 0, 2).copy())
-            Vf_flat = np.ascontiguousarray(
-                np.moveaxis(Vf, 0, 1).reshape(ne, self.ndof_u, 3 * nq))
-            Vfh_flat = np.ascontiguousarray(
-                np.moveaxis(Vfh, 0, 1).reshape(ne, self.ndof_u_hi, 3 * nq))
-            setattr(self, f"Vfflat_{tag}", Vf_flat)
-            setattr(self, f"Vfflat_hi_{tag}", Vfh_flat)
-            setattr(self, f"VfflatT_{tag}",
-                    np.ascontiguousarray(np.swapaxes(Vf_flat, 1, 2)))
-            setattr(self, f"VfflatT_hi_{tag}",
-                    np.ascontiguousarray(np.swapaxes(Vfh_flat, 1, 2)))
-            setattr(self, f"PsiwT_{tag}",
-                    (getattr(self, f"Psi_{tag}") * rule.weights).T.copy())
 
     # -- global trace DOF map -------------------------------------------------
 

@@ -8,7 +8,10 @@ errors accumulate over the trajectory,
     Eu*  = sqrt( dt * sum_n ||u_j^n  - u_jh^n*||^2 )
 
 with all norms computed by elementwise quadrature at the data rule
-(order 2k+4).
+(order 2k+4) of the pointwise differences, for all members at once.  The
+postprocessed field comes from the Postprocessor's cached linear map of
+[q | u]; it is keyed on the inverse-diffusion samples, which are taken
+once for autonomous coefficients and at every step otherwise.
 """
 
 import numpy as np
@@ -23,11 +26,13 @@ def l2_norm_squared(disc, vals):
     vals may be (..., ne, nq) for scalars or (..., ne, nq, 2) for vectors;
     leading axes are preserved.
     """
-    if vals.shape[-1] == 2 and vals.ndim >= 3 and \
-            vals.shape[-2] == len(disc.w_data):
-        per = (vals ** 2).sum(-1) @ disc.w_data
-        return per @ disc.geom.det
-    return ((vals ** 2) @ disc.w_data) @ disc.geom.det
+    w = disc.w_data
+    sq = vals ** 2
+    if vals.shape[-1] == 2 and vals.ndim >= 3 and vals.shape[-2] == len(w):
+        # components innermost: one product with the repeated weights
+        sq = sq.reshape(vals.shape[:-2] + (-1,))
+        w = np.repeat(w, 2)
+    return (sq @ w) @ disc.geom.det
 
 
 def exact_field_values(disc, fn, t, vector=False):
@@ -106,37 +111,28 @@ class ErrorAccumulator:
 
     def __call__(self, n, t, state):
         disc, spec = self.disc, self.spec
-        s = state_samples(disc, state, need_lag=False)
+        s = state_samples(disc, state)
         X = disc.X_data
-        x, y = disc.x_data_flat, disc.y_data_flat
-        if self.with_post:
-            c_vals = self._c_vals if spec.autonomous else self._sample_c(t)
-            star = self.post.apply(state.u, state.q, c_vals)
-            star_vals = star @ self.V_hi
-        want_final = self.final_step is None or n == self.final_step
         J = spec.J
         if self._exact_stack is not None:
             ex = self._exact_stack(t)
-            ue_all = ex[:J].reshape(J, *X.shape[:2])
-            qe_all = np.stack([ex[J::2], ex[J + 1::2]],
-                              axis=-1).reshape(J, *X.shape[:2], 2)
-        for j, m in enumerate(spec.members):
-            if self._exact_stack is not None:
-                ue, qe = ue_all[j], qe_all[j]
-            else:
-                ue = np.broadcast_to(
-                    np.asarray(m.exact_u(x, y, t), dtype=float),
-                    x.shape).reshape(X.shape[:2])
-                qe = np.asarray(m.exact_q(x, y, t),
-                                dtype=float).reshape(X.shape[:2] + (2,))
-            dq = s["q"][j] - qe
-            self.eq_sq[j] += self.dt * l2_norm_squared(disc, dq)
-            if self.with_post:
-                self.eustar_sq[j] += self.dt * l2_norm_squared(
-                    disc, star_vals[j] - ue)
-            if want_final:
-                du = s["u"][j] - ue
-                self.eu_final[j] = np.sqrt(l2_norm_squared(disc, du))
+            ue = ex[:J].reshape(J, *X.shape[:2])
+            qe = np.stack([ex[J::2], ex[J + 1::2]],
+                          axis=-1).reshape(J, *X.shape[:2], 2)
+        else:
+            ue = np.stack([exact_field_values(disc, m.exact_u, t)
+                           for m in spec.members])
+            qe = np.stack([exact_field_values(disc, m.exact_q, t,
+                                              vector=True)
+                           for m in spec.members])
+        self.eq_sq += self.dt * l2_norm_squared(disc, s["q"] - qe)
+        if self.with_post:
+            c_vals = self._c_vals if spec.autonomous else self._sample_c(t)
+            star = self.post.apply(state.u, state.q, c_vals)
+            self.eustar_sq += self.dt * l2_norm_squared(
+                disc, star @ self.V_hi - ue)
+        if self.final_step is None or n == self.final_step:
+            self.eu_final = np.sqrt(l2_norm_squared(disc, s["u"] - ue))
 
     def results(self):
         out = {"Eu": self.eu_final.copy(), "Eq": np.sqrt(self.eq_sq)}

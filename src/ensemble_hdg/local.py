@@ -7,13 +7,20 @@ leaving a dense Schur complement on the trace DOFs; boundary faces carry no
 unknowns and their rows/columns are dropped at scatter time (their trace
 values are identically zero, Dirichlet data enters only through the RHS).
 
-Two code paths cover the same contracts: per-element functions written as
-plain quadrature sums (the readable reference) and `*_all` batched versions
-used by the time stepper.  Tests pin them against each other and against an
-independent monomial-basis oracle.
+The matrices come in two forms: per-element functions written as plain
+quadrature sums (the readable reference) and `*_all` batched versions used
+by the time stepper.  The step's right-hand side has a single batched form:
+its previous-state terms, the (1/dt) mass and the lagged deviations
+(c̄ - c_j) q, (β̄ - β_j)·∇u and -<(β̄ - β_j)·n u, v̂>, are a linear map of
+the previous [q | u] coefficients per (member, element).  `rhs_operators`
+builds those maps from the deviation samples by GEMMs against the
+coefficient-free tables of `RHSTables`; `assemble_all_rhs` applies them and
+adds the sampled source and boundary data.
 """
 
 import numpy as np
+
+from .discretization import reference_face_points
 
 
 class CoefficientError(ValueError):
@@ -187,57 +194,6 @@ def condense(blocks):
     return CondensedElement(blocks.ie, A_TT - G @ A_IT, W, W @ A_IT, G)
 
 
-def local_rhs(disc, ie, tau, dt, f_vals, g_vals, u_prev, gu_prev, q_prev,
-              u_prev_face, c_dev, b_dev, b_dev_face):
-    """One element's RHS vector (q-rows, u-rows, uhat-rows) for one member.
-
-    All field inputs are sample arrays at this element's data-rule points:
-    f_vals (nq,), u_prev (nq,), gu_prev (nq, 2), q_prev (nq, 2), c_dev (nq,)
-    the mean-minus-member deviation of the inverse diffusion, b_dev (nq, 2)
-    the velocity deviation; face samples u_prev_face (3, nqf),
-    b_dev_face (3, nqf, 2); g_vals (3, nqf) is the Dirichlet datum on the
-    element's boundary faces (rows of interior faces are ignored).
-    """
-    d = disc.ndof_u
-    nfd = disc.ndof_face
-    w = disc.w_data
-    V = disc.V_data
-    detJ = disc.geom.det[ie]
-    lens = disc.geom.edge_lengths[ie]
-    nrm = disc.geom.normals[ie]
-    Vf = disc.Vf_fdata[ie]
-    Psi = disc.Psi_fdata
-    wf = disc.w_fdata
-    on_boundary = disc.mesh.boundary[disc.mesh.elem_faces[ie]]
-
-    rhs = np.zeros(3 * d + 3 * nfd)
-    # q-rows: ((cbar - c_j) q_prev, r) - <g, r.n> on boundary faces
-    for comp in range(2):
-        rows = slice(comp * d, (comp + 1) * d)
-        rhs[rows] = detJ * np.einsum(
-            "q,q,q,iq->i", w, c_dev, q_prev[:, comp], V)
-    # u-rows: (f, v) + (1/dt)(u_prev, v) + ((bdev) . grad u_prev, v)
-    lag_conv = np.einsum("qc,qc->q", b_dev, gu_prev)
-    rhs[2 * d:3 * d] = detJ * np.einsum(
-        "q,q,iq->i", w, f_vals + u_prev / dt + lag_conv, V)
-    for lf in range(3):
-        ln = lens[lf]
-        if on_boundary[lf]:
-            # boundary data: -<g, r.n> and <tau g, v>
-            gmom = ln * np.einsum("q,q,iq->i", wf, g_vals[lf], Vf[lf])
-            for comp in range(2):
-                rows = slice(comp * d, (comp + 1) * d)
-                rhs[rows] -= nrm[lf, comp] * gmom
-            rhs[2 * d:3 * d] += tau * gmom
-        else:
-            # uhat-rows: -<(bdev . n) u_prev, vhat>
-            rows = slice(3 * d + lf * nfd, 3 * d + (lf + 1) * nfd)
-            bn = b_dev_face[lf] @ nrm[lf]
-            rhs[rows] = -ln * np.einsum(
-                "q,q,q,mq->m", wf, bn, u_prev_face[lf], Psi)
-    return rhs
-
-
 def recover_interior(cond, trace_values, rhs_interior):
     """Back-substitute face traces into one element's (q, u) coefficients.
 
@@ -348,17 +304,17 @@ def _boundary_data_operator(disc, tau):
     """Linear map from boundary samples g (J, nbf, nqf) to b_int updates.
 
     Returns (op (nbf, 3d, nqf), scatter (ne, nbf) sparse); cached on the
-    discretization per tau array.
+    discretization per tau (a scalar or one value per element).
     """
     import scipy.sparse as sp
 
-    tau = np.broadcast_to(np.asarray(tau, dtype=float),
-                          (disc.mesh.n_elements,))
+    tau = np.asarray(tau, dtype=float)
     cache = disc.__dict__.setdefault("_bnd_op_cache", {})
     key = tau.tobytes()
     hit = cache.get(key)
     if hit is not None:
         return hit
+    tau = np.broadcast_to(tau, (disc.mesh.n_elements,))
     be, bl = disc.boundary_face_sides()
     d = disc.ndof_u
     ln = disc.geom.edge_lengths[be, bl]
@@ -379,52 +335,122 @@ def _boundary_data_operator(disc, tau):
     return op, scatter
 
 
-def assemble_all_rhs(disc, tau, dt, f_vals, g_face_vals, u_prev, gu_prev,
-                     q_prev, u_prev_face, c_dev, b_dev, b_dev_face,
-                     b_dev_face_normal=None):
+class RHSTables:
+    """Coefficient-free basis-product tables of the step's lag operators.
+
+    Built for one degree of the previous u (k for step states, k+1 for the
+    initial projection); q and the test functions are always degree k.
+    Each table folds the data-rule weights into products of reference basis
+    values, so that an operator is one GEMM of coefficient samples against
+    it:
+
+    mass   (d, din)          (v_i, u_l) on the reference element
+    mass_q (nq, d*d)         w_q v_i v_l, against (c̄ - c_j) samples
+    conv   (2nq, d*din)      w_q v_i ∂_r u_l, against (β̄ - β_j) B^-T
+    face   [lf][aligned]     (nqf, nfd*din) w_q ψ_m u_l on local face lf
+    """
+
+    def __init__(self, disc, degree):
+        if degree not in (disc.k, disc.k + 1):
+            raise ValueError(f"no lag tables for degree {degree}")
+        basis = disc.elem_basis if degree == disc.k else disc.elem_basis_hi
+        pts, w = disc.rule_data.points, disc.rule_data.weights
+        V = disc.V_data
+        Vin = basis.eval(pts)
+        Gin = basis.eval_grad(pts)
+        d, din, nq = V.shape[0], Vin.shape[0], len(w)
+        self.mass = (V * w) @ Vin.T
+        self.mass_q = np.einsum("q,iq,lq->qil", w, V, V).reshape(nq, d * d)
+        self.conv = np.einsum("q,iq,lqr->qril", w, V, Gin).reshape(
+            2 * nq, d * din)
+        s, wf = disc.rule_face_data.points, disc.rule_face_data.weights
+        Psi = disc.Psi_fdata
+        refs = reference_face_points(s)
+        self.face = [[np.einsum("q,mq,lq->qml", wf, Psi,
+                                basis.eval(refs[lf, a])).reshape(
+                                    len(s), Psi.shape[0] * din)
+                      for a in (0, 1)] for lf in range(3)]
+
+
+class RHSOperators:
+    """Per-(member, element) maps from previous coefficients to the RHS.
+
+    mass_c (J, ne, d, d) is the (c̄ - c_j) mass applied to each component
+    of q, None when there are no deviations (J = 1).  u_op (J, ne,
+    d + 3nfd, din) maps the previous u to the u-rows ((1/dt) mass plus
+    (β̄ - β_j)·∇) and to the trace rows (-<(β̄ - β_j)·n u, v̂> on interior
+    faces, zero on boundary faces).
+    """
+
+    def __init__(self, mass_c, u_op):
+        self.mass_c = mass_c
+        self.u_op = u_op
+
+
+def rhs_operators(disc, tables, dt, J, c_dev, b_dev, b_dev_face):
+    """Build the RHS operators of J members from their deviation samples.
+
+    c_dev (J,ne,nq) and b_dev (J,ne,nq,2) are mean-minus-member samples at
+    the data rule, b_dev_face (J,ne,3,nqf,2) at the face data rule; all
+    three are None when the deviations vanish.  The input degree of u is
+    that of `tables`.
+    """
+    ne = disc.mesh.n_elements
+    d, nfd = disc.ndof_u, disc.ndof_face
+    din = tables.mass.shape[1]
+    detJ = disc.geom.det[None, :, None, None]
+    u_op = np.zeros((J, ne, d + 3 * nfd, din))
+    u_op[:, :, :d] = detJ / dt * tables.mass
+    if c_dev is None:
+        return RHSOperators(None, u_op)
+    nq = c_dev.shape[2]
+    mass_c = (c_dev.reshape(J * ne, nq) @ tables.mass_q).reshape(
+        J, ne, d, d) * detJ
+    # (β̄ - β_j)·∇u_l = Σ_r [(β̄ - β_j) B^-T]_r ∂_r u_l on the reference
+    inv_t = disc.geom.inv_t
+    bt = b_dev[..., :1] * inv_t[:, None, 0] + \
+        b_dev[..., 1:] * inv_t[:, None, 1]
+    u_op[:, :, :d] += (bt.reshape(J * ne, 2 * nq) @ tables.conv).reshape(
+        J, ne, d, din) * detJ
+    mesh = disc.mesh
+    scale = np.where(mesh.boundary[mesh.elem_faces], 0.0,
+                     -disc.geom.edge_lengths)
+    nrm = disc.geom.normals
+    bn = b_dev_face[..., 0] * nrm[:, :, None, 0] + \
+        b_dev_face[..., 1] * nrm[:, :, None, 1]
+    for lf in range(3):
+        rows = slice(d + lf * nfd, d + (lf + 1) * nfd)
+        misaligned, aligned = tables.face[lf]
+        blk = np.where(disc.face_aligned[:, lf, None],
+                       bn[:, :, lf] @ aligned, bn[:, :, lf] @ misaligned)
+        u_op[:, :, rows] = (blk * scale[:, lf, None]).reshape(
+            J, ne, nfd, din)
+    return RHSOperators(mass_c, u_op)
+
+
+def assemble_all_rhs(disc, tau, ops, f_vals, g_face_vals, u_prev, q_prev):
     """Batched member RHS: returns (b_int (J,ne,3d), b_tr (J,ne,3nfd)).
 
-    Sample shapes (J members leading): f_vals (J,ne,nq); u_prev (J,ne,nq);
-    gu_prev (J,ne,nq,2); q_prev (J,ne,nq,2); u_prev_face (J,ne,3,nqf).
-    Deviations c_dev (J,ne,nq) and b_dev (J,ne,nq,2), b_dev_face
-    (J,ne,3,nqf,2) may be None when all lag terms vanish (J = 1).
-    g_face_vals (J,nbf,nqf) holds Dirichlet data on boundary faces.
-    b_dev_face_normal (J,ne,3,nqf) may carry the precomputed deviation
-    normal components (autonomous coefficients reuse them every step).
+    ops holds the RHSOperators of the members for the degree of u_prev
+    (J,ne,din); q_prev is (J,ne,2d) as [qx | qy].  f_vals (J,ne,nq) samples
+    the sources at the data rule; g_face_vals (J,nbf,nqf) holds Dirichlet
+    data on boundary faces (None when there are none).
     """
-    mesh = disc.mesh
-    J, ne = f_vals.shape[:2]
-    d, nfd = disc.ndof_u, disc.ndof_face
-    VwT = disc.VwT_data                  # (nq, d), weights folded in
-    PsiwT = disc.PsiwT_fdata             # (nqf, nfd)
+    J, ne = u_prev.shape[:2]
+    d = disc.ndof_u
     detJ = disc.geom.det[None, :, None]
 
+    lag = np.matmul(ops.u_op, u_prev[..., None])[..., 0]
     b_int = np.empty((J, ne, 3 * d))
-    b_tr = np.zeros((J, ne, 3 * nfd))
-
-    u_part = u_prev / dt
-    u_part += f_vals
-    if b_dev is not None:
-        u_part += np.einsum("jeqc,jeqc->jeq", b_dev, gu_prev)
-    b_int[:, :, 2 * d:] = (u_part @ VwT) * detJ
-    if c_dev is not None:
-        b_int[:, :, :d] = ((c_dev * q_prev[..., 0]) @ VwT) * detJ
-        b_int[:, :, d:2 * d] = ((c_dev * q_prev[..., 1]) @ VwT) * detJ
-        # uhat-rows: -<(bdev.n) u_prev, vhat> from each element side
-        bn_dev = b_dev_face_normal
-        if bn_dev is None:
-            bn_dev = (b_dev_face *
-                      disc.geom.normals[None, :, :, None, :]).sum(-1)
-        lag = (bn_dev * u_prev_face) @ PsiwT
-        interior = getattr(disc, "_interior_side_scale", None)
-        if interior is None:
-            interior = np.where(mesh.boundary[mesh.elem_faces], 0.0,
-                                -disc.geom.edge_lengths)
-            disc._interior_side_scale = interior
-        lag *= interior[None, :, :, None]
-        b_tr[:] = lag.reshape(J, ne, 3 * nfd)
-    else:
+    b_int[:, :, 2 * d:] = (f_vals @ disc.VwT_data) * detJ
+    b_int[:, :, 2 * d:] += lag[:, :, :d]
+    b_tr = np.ascontiguousarray(lag[:, :, d:])
+    if ops.mass_c is None:
         b_int[:, :, :2 * d] = 0.0
+    else:
+        # the (c̄ - c_j) mass is symmetric: apply it to the rows [qx; qy]
+        b_int[:, :, :2 * d] = np.matmul(
+            q_prev.reshape(J, ne, 2, d), ops.mass_c).reshape(J, ne, 2 * d)
 
     # Dirichlet terms on boundary faces: -<g, r.n> and <tau g, v>
     if g_face_vals is not None and g_face_vals.size:

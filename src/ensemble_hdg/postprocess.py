@@ -7,6 +7,11 @@ problem is solved as a saddle/KKT system with one Lagrange multiplier for
 the mean constraint; the KKT matrix depends only on geometry, so its inverse
 is precomputed once and reused for every member and time level.
 
+For fixed inverse-diffusion samples c_j the reconstruction is a linear map
+of the element's [q | u] coefficients.  Postprocessor keeps that map,
+(J, ne, d_hi, 3d), for the last samples it was given, and rebuilds it by
+GEMMs against a coefficient-free table when the samples change.
+
 Purely element-local: changing inputs on one element cannot affect any
 other element's output.
 """
@@ -37,8 +42,46 @@ class Postprocessor:
             raise RuntimeError(
                 f"singular postprocessing system on element {bad} "
                 "(degenerate triangle?)") from None
-        self._mean_weights = np.einsum("e,q,iq->ei", detJ, disc.w_data,
-                                       disc.V_data)
+        mean_weights = np.einsum("e,q,iq->ei", detJ, disc.w_data,
+                                 disc.V_data)
+        # u enters only through the mean constraint: a coefficient-free map
+        self._u_map = self.kkt_inv[:, :dh, dh, None] * mean_weights[:, None]
+        # w_q grad_r phi_i(x_q) v_l(x_q) on the reference element
+        nq = len(disc.w_data)
+        self._flux_table = np.einsum(
+            "q,iqr,lq->qril", disc.w_data, disc.Gref_hi_data,
+            disc.V_data).reshape(nq, 2 * dh * disc.ndof_u)
+        self._c_key = None
+        self._op = None
+
+    def operator(self, c_vals):
+        """The linear map (J, ne, d_hi, 3d) from [q | u] to u*.
+
+        c_vals (J, ne, nq) samples each member's own inverse diffusion at
+        the data-rule points.  Cached for the last samples seen.
+        """
+        key = self._c_key
+        if key is not None and key.shape == c_vals.shape and \
+                np.array_equal(key, c_vals):
+            return self._op
+        disc = self.disc
+        d, dh = disc.ndof_u, disc.ndof_u_hi
+        J, ne, nq = c_vals.shape
+        geom = disc.geom
+        A = (c_vals.reshape(J * ne, nq) @ self._flux_table).reshape(
+            J, ne, 2, dh * d)
+        # -(c q, grad z): physical gradients are B^-T times reference ones
+        R = np.matmul(geom.inv_t, A)
+        R *= -geom.det[None, :, None, None]
+        K = self.kkt_inv[None, :, :dh, :dh]
+        op = np.empty((J, ne, dh, 3 * d))
+        for comp in range(2):
+            op[..., comp * d:(comp + 1) * d] = np.matmul(
+                K, R[:, :, comp].reshape(J, ne, dh, d))
+        op[..., 2 * d:] = self._u_map
+        self._c_key = np.array(c_vals, dtype=float)
+        self._op = op
+        return op
 
     def apply(self, u_coeffs, q_coeffs, c_vals):
         """Reconstruct u* for all members and elements.
@@ -47,23 +90,8 @@ class Postprocessor:
         fields; c_vals (J, ne, nq) samples each member's own inverse
         diffusion at the data-rule points.  Returns (J, ne, d_hi).
         """
-        disc = self.disc
-        d = disc.ndof_u
-        dh = disc.ndof_u_hi
-        J, ne = u_coeffs.shape[:2]
-        nq = disc.V_data.shape[1]
-        wc = disc.w_data * c_vals                       # (J, ne, nq)
-        scaled = np.empty((J, ne, nq, 2))
-        scaled[..., 0] = wc * (q_coeffs[:, :, :d] @ disc.V_data)
-        scaled[..., 1] = wc * (q_coeffs[:, :, d:] @ disc.V_data)
-        rhs = np.empty((J, ne, dh + 1))
-        # flattened (point, component) layout matches GflatT tables
-        rhs[..., :dh] = np.matmul(scaled.reshape(J, ne, 1, 2 * nq),
-                                  disc.GflatT_hi_data)[:, :, 0, :]
-        rhs[..., :dh] *= -disc.geom.det[None, :, None]
-        rhs[..., dh] = np.einsum("jed,ed->je", u_coeffs, self._mean_weights)
-        sol = np.matmul(self.kkt_inv, rhs[..., None])[..., 0]
-        return sol[..., :dh]
+        x = np.concatenate([q_coeffs, u_coeffs], axis=-1)
+        return np.matmul(self.operator(c_vals), x[..., None])[..., 0]
 
 
 def postprocess_element(disc, ie, q_coeffs, u_coeffs, c_vals):

@@ -3,9 +3,18 @@
 Each implicit backward-Euler step assembles a single trace matrix from the
 ensemble-mean coefficients and J right-hand sides carrying the per-member
 data and the lagged deviation terms; all members are advanced with the same
-factorization.  For autonomous coefficients the factorization is built once
-and reused across every step (fingerprint-checked); time-dependent
-coefficients trigger refactorization whenever the sampled means change.
+factorization.
+
+Everything a step builds from the coefficients is cached with the
+coefficient samples it was built from.  The trace factorization is keyed
+on the fingerprint of the mean samples.  The RHS operators (the per-member,
+per-element linear maps from the previous [q | u] coefficients to the RHS,
+see `local.rhs_operators`) are built from the deviation samples and live in
+the same sample set.  Autonomous coefficients are sampled once, so both are
+built once.  Time-dependent coefficients are re-sampled every step: the
+operators are rebuilt every step, and the factorization whenever the mean
+fingerprint changes.  Step 1 reads the degree-(k+1) initial projection; its
+operators are built from their own tables for that step and not kept.
 
 States are immutable: step() returns a fresh state, the previous one is
 never written to, so observers may safely keep references.
@@ -190,6 +199,7 @@ class EnsembleState:
         self.q = q
         self.uhat = uhat
         self.u_degree = u_degree
+        self._samples = None
 
 
 def initialize(spec, disc):
@@ -220,41 +230,25 @@ def initialize(spec, disc):
     return EnsembleState(0, 0.0, u, q, None, disc.k + 1)
 
 
-def state_samples(disc, state, need_lag=True):
+def state_samples(disc, state):
     """Field samples of a state at the data-rule points.
 
-    Returns dict with u (J,ne,nq) and q (J,ne,nq,2); with need_lag also
-    grad_u (J,ne,nq,2) and u_face (J,ne,3,nqf), the fields the lag terms
-    consume (skipped for single-member runs).  Works for both the
-    degree-(k+1) initial state and degree-k step states.  Memoized per
-    (state, discretization): the time loop and the error observers share
-    one evaluation.
+    Returns dict with u (J,ne,nq) and q (J,ne,nq,2), for both the
+    degree-(k+1) initial state and degree-k step states.  Memoized on the
+    state for the discretization it was last called with, which the state
+    holds by reference: the error observers share one evaluation.
     """
-    cache = state.__dict__.setdefault("_sample_cache", {})
-    out = cache.get(id(disc))
-    hi = state.u_degree == disc.k + 1
+    cached = state._samples
+    if cached is not None and cached[0] is disc:
+        return cached[1]
+    V = disc.V_hi_data if state.u_degree == disc.k + 1 else disc.V_data
     d = disc.ndof_u
     J, ne = state.u.shape[:2]
-    if out is None:
-        V = disc.V_hi_data if hi else disc.V_data
-        u_vals = state.u @ V
-        q_vals = np.empty((J, ne, V.shape[1], 2))
-        q_vals[..., 0] = state.q[:, :, :d] @ disc.V_data
-        q_vals[..., 1] = state.q[:, :, d:] @ disc.V_data
-        out = {"u": u_vals, "q": q_vals}
-        cache[id(disc)] = out
-    if need_lag and "grad_u" not in out:
-        GflatT = disc.GflatT_hi_data if hi else disc.GflatT_data
-        VfflatT = disc.VfflatT_hi_fdata if hi else disc.VfflatT_fdata
-        nq = out["u"].shape[2]
-        nqf = disc.Psi_fdata.shape[1]
-        # per-element tables: batch over elements with the members as GEMM
-        # columns instead of broadcasting J*ne tiny products
-        uT = np.ascontiguousarray(np.moveaxis(state.u, 0, 2))  # (ne, d, J)
-        gu = np.matmul(GflatT, uT)                             # (ne,2nq,J)
-        out["grad_u"] = np.moveaxis(gu.reshape(ne, nq, 2, J), 3, 0)
-        uf = np.matmul(VfflatT, uT)                            # (ne,3nqf,J)
-        out["u_face"] = np.moveaxis(uf.reshape(ne, 3, nqf, J), 3, 0)
+    q_vals = np.empty((J, ne, V.shape[1], 2))
+    q_vals[..., 0] = state.q[:, :, :d] @ disc.V_data
+    q_vals[..., 1] = state.q[:, :, d:] @ disc.V_data
+    out = {"u": state.u @ V, "q": q_vals}
+    state._samples = (disc, out)
     return out
 
 
@@ -295,6 +289,7 @@ class EnsembleSolver:
         self.cond = None
         self._fp = None
         self._padded = None
+        self._tables = local.RHSTables(disc, disc.k)
 
         ne = disc.mesh.n_elements
         n = disc.n_trace_dofs
@@ -352,12 +347,27 @@ class EnsembleSolver:
             out["c_dev"] = c_data.mean(0)[None] - c_data
             out["b_dev"] = b_data.mean(0)[None] - b_data
             out["b_dev_face"] = bf_data.mean(0)[None] - bf_data
-            out["b_dev_face_normal"] = np.einsum(
-                "jefqc,efc->jefq", out["b_dev_face"], disc.geom.normals)
         else:
             out["c_dev"] = out["b_dev"] = out["b_dev_face"] = None
-            out["b_dev_face_normal"] = None
         return out
+
+    def _rhs_operators(self, coeffs, degree):
+        """RHS operators for a previous u of the given degree.
+
+        The degree-k ones are built on first use and kept in `coeffs`, the
+        sample set they are built from; the degree-(k+1) ones are built
+        with their own tables and dropped after use.
+        """
+        if degree == self.disc.k and "rhs_ops" in coeffs:
+            return coeffs["rhs_ops"]
+        tables = self._tables if degree == self.disc.k \
+            else local.RHSTables(self.disc, degree)
+        ops = local.rhs_operators(
+            self.disc, tables, self.dt, self.spec.J, coeffs["c_dev"],
+            coeffs["b_dev"], coeffs["b_dev_face"])
+        if degree == self.disc.k:
+            coeffs["rhs_ops"] = ops
+        return ops
 
     def _ensure_system(self, coeffs):
         fp = coeffs["fingerprint"]
@@ -405,13 +415,9 @@ class EnsembleSolver:
         else:
             g_vals = None
 
-        lag = spec.J > 1
-        prev = state_samples(disc, state, need_lag=lag)
+        ops = self._rhs_operators(coeffs, state.u_degree)
         b_int, b_tr = local.assemble_all_rhs(
-            disc, self.tau, self.dt, f_vals, g_vals,
-            prev["u"], prev.get("grad_u"), prev["q"], prev.get("u_face"),
-            coeffs["c_dev"], coeffs["b_dev"], coeffs["b_dev_face"],
-            coeffs["b_dev_face_normal"])
+            disc, self.tau, ops, f_vals, g_vals, state.u, state.q)
 
         # element-batched layout (ne, ., J): one small GEMM per element
         # covering all members at once

@@ -2,14 +2,17 @@
 
 These deliberately avoid the library's assembly paths: local matrices are
 built by brute-force quadrature in a raw monomial basis and mapped over by
-explicit change-of-basis, and the global stepper assembles the full
-uncondensed saddle system densely and solves it with numpy.
+explicit change-of-basis, the step RHS is a per-element quadrature sum of
+point samples of the previous state, the global stepper assembles the full
+uncondensed saddle system densely and solves it with numpy, and the error
+observer is the per-member quadrature loop.
 """
 
 import numpy as np
 
 from ensemble_hdg.basis import monomial_exponents
-from ensemble_hdg.solver import EnsembleState, state_samples
+from ensemble_hdg.errors import exact_field_values, l2_norm_squared
+from ensemble_hdg.solver import EnsembleState
 
 
 def monomial_full_local_matrix(disc, ie, cbar, bbar, bbar_face, tau, dt):
@@ -103,6 +106,57 @@ def monomial_full_local_matrix(disc, ie, cbar, bbar, bbar_face, tau, dt):
     return T @ A @ T.T
 
 
+def local_rhs(disc, ie, tau, dt, f_vals, g_vals, u_prev, gu_prev, q_prev,
+              u_prev_face, c_dev, b_dev, b_dev_face):
+    """One element's RHS vector (q-rows, u-rows, uhat-rows) for one member.
+
+    All field inputs are sample arrays at this element's data-rule points:
+    f_vals (nq,), u_prev (nq,), gu_prev (nq, 2), q_prev (nq, 2), c_dev (nq,)
+    the mean-minus-member deviation of the inverse diffusion, b_dev (nq, 2)
+    the velocity deviation; face samples u_prev_face (3, nqf),
+    b_dev_face (3, nqf, 2); g_vals (3, nqf) is the Dirichlet datum on the
+    element's boundary faces (rows of interior faces are ignored).
+    """
+    d = disc.ndof_u
+    nfd = disc.ndof_face
+    w = disc.w_data
+    V = disc.V_data
+    detJ = disc.geom.det[ie]
+    lens = disc.geom.edge_lengths[ie]
+    nrm = disc.geom.normals[ie]
+    Vf = disc.Vf_fdata[ie]
+    Psi = disc.Psi_fdata
+    wf = disc.w_fdata
+    on_boundary = disc.mesh.boundary[disc.mesh.elem_faces[ie]]
+
+    rhs = np.zeros(3 * d + 3 * nfd)
+    # q-rows: ((cbar - c_j) q_prev, r) - <g, r.n> on boundary faces
+    for comp in range(2):
+        rows = slice(comp * d, (comp + 1) * d)
+        rhs[rows] = detJ * np.einsum(
+            "q,q,q,iq->i", w, c_dev, q_prev[:, comp], V)
+    # u-rows: (f, v) + (1/dt)(u_prev, v) + ((bdev) . grad u_prev, v)
+    lag_conv = np.einsum("qc,qc->q", b_dev, gu_prev)
+    rhs[2 * d:3 * d] = detJ * np.einsum(
+        "q,q,iq->i", w, f_vals + u_prev / dt + lag_conv, V)
+    for lf in range(3):
+        ln = lens[lf]
+        if on_boundary[lf]:
+            # boundary data: -<g, r.n> and <tau g, v>
+            gmom = ln * np.einsum("q,q,iq->i", wf, g_vals[lf], Vf[lf])
+            for comp in range(2):
+                rows = slice(comp * d, (comp + 1) * d)
+                rhs[rows] -= nrm[lf, comp] * gmom
+            rhs[2 * d:3 * d] += tau * gmom
+        else:
+            # uhat-rows: -<(bdev . n) u_prev, vhat>
+            rows = slice(3 * d + lf * nfd, 3 * d + (lf + 1) * nfd)
+            bn = b_dev_face[lf] @ nrm[lf]
+            rhs[rows] = -ln * np.einsum(
+                "q,q,q,mq->m", wf, bn, u_prev_face[lf], Psi)
+    return rhs
+
+
 def dense_global_matrix(disc, cbar, bbar, bbar_face, tau, dt,
                         assemble_local):
     """Scatter per-element full local matrices into one dense system.
@@ -132,6 +186,26 @@ def dense_global_matrix(disc, cbar, bbar, bbar_face, tau, dt,
     return A
 
 
+def lag_samples(disc, state):
+    """Point samples of a state, by direct evaluation of the basis tables.
+
+    Returns dict with u (J,ne,nq), grad_u (J,ne,nq,2) and q (J,ne,nq,2) at
+    the data rule and u_face (J,ne,3,nqf) at the face data rule, for both
+    the degree-(k+1) initial state and degree-k step states.
+    """
+    hi = state.u_degree == disc.k + 1
+    V = disc.V_hi_data if hi else disc.V_data
+    G = disc.G_hi_data if hi else disc.G_data
+    Vf = disc.Vf_hi_fdata if hi else disc.Vf_fdata
+    d = disc.ndof_u
+    q = np.stack([state.q[:, :, :d] @ disc.V_data,
+                  state.q[:, :, d:] @ disc.V_data], axis=-1)
+    return {"u": state.u @ V,
+            "grad_u": np.einsum("jel,elqc->jeqc", state.u, G),
+            "q": q,
+            "u_face": np.einsum("jel,eflq->jefq", state.u, Vf)}
+
+
 def dense_step(disc, spec, tau, dt, state, lag=True):
     """One monolithic implicit step of the ensemble scheme, solved densely.
 
@@ -139,7 +213,7 @@ def dense_step(disc, spec, tau, dt, state, lag=True):
     single-system reference; for J = 1 they vanish anyway).
     Returns the next EnsembleState.
     """
-    from ensemble_hdg.local import assemble_local_blocks, local_rhs
+    from ensemble_hdg.local import assemble_local_blocks
 
     mesh = disc.mesh
     ne = mesh.n_elements
@@ -181,7 +255,7 @@ def dense_step(disc, spec, tau, dt, state, lag=True):
         b_dev = np.zeros(zc.shape + (2,))
         bf_dev = np.zeros((J, ne, 3, len(disc.w_fdata), 2))
 
-    prev = state_samples(disc, state)
+    prev = lag_samples(disc, state)
     X = disc.X_data
     x, y = X[..., 0].ravel(), X[..., 1].ravel()
     Xf = disc.Xf_fdata
@@ -221,3 +295,60 @@ def dense_run(disc, spec, tau, dt, steps, state, lag=True):
     for _ in range(steps):
         state = dense_step(disc, spec, tau, dt, state, lag=lag)
     return state
+
+
+def quadrature_postprocess(disc, post, u_coeffs, q_coeffs, c_vals):
+    """u* of all members by quadrature of the KKT right-hand side.
+
+    Samples c q at the data rule and integrates it against the physical
+    gradients of the degree-(k+1) basis, then solves with the
+    Postprocessor's KKT inverses.  Returns (J, ne, d_hi).
+    """
+    d, dh = disc.ndof_u, disc.ndof_u_hi
+    J, ne = u_coeffs.shape[:2]
+    wc = disc.w_data * c_vals
+    cq = np.stack([wc * (q_coeffs[:, :, :d] @ disc.V_data),
+                   wc * (q_coeffs[:, :, d:] @ disc.V_data)], axis=-1)
+    rhs = np.empty((J, ne, dh + 1))
+    rhs[..., :dh] = -disc.geom.det[None, :, None] * np.einsum(
+        "jeqc,eiqc->jei", cq, disc.G_hi_data)
+    rhs[..., dh] = np.einsum("e,q,jel,lq->je", disc.geom.det, disc.w_data,
+                             u_coeffs, disc.V_data)
+    return np.matmul(post.kkt_inv, rhs[..., None])[..., :dh, 0]
+
+
+class LoopErrorAccumulator:
+    """Per-member reference of ErrorAccumulator: every step samples the
+    state, the exact fields and c_j, postprocesses by quadrature and sums
+    each member's norms in its own loop iteration."""
+
+    def __init__(self, disc, spec, dt, final_step=None):
+        from ensemble_hdg.postprocess import Postprocessor
+
+        self.disc, self.spec, self.dt = disc, spec, dt
+        self.final_step = final_step
+        self.post = Postprocessor(disc)
+        self.eq_sq = np.zeros(spec.J)
+        self.eustar_sq = np.zeros(spec.J)
+        self.eu_final = np.zeros(spec.J)
+
+    def __call__(self, n, t, state):
+        disc = self.disc
+        s = lag_samples(disc, state)
+        c_vals = np.stack([disc.sample_scalar(m.c, t, "data")
+                           for m in self.spec.members])
+        star = quadrature_postprocess(disc, self.post, state.u, state.q,
+                                      c_vals) @ disc.V_hi_data
+        for j, m in enumerate(self.spec.members):
+            ue = exact_field_values(disc, m.exact_u, t)
+            qe = exact_field_values(disc, m.exact_q, t, vector=True)
+            self.eq_sq[j] += self.dt * l2_norm_squared(disc, s["q"][j] - qe)
+            self.eustar_sq[j] += self.dt * l2_norm_squared(
+                disc, star[j] - ue)
+            if self.final_step is None or n == self.final_step:
+                self.eu_final[j] = np.sqrt(
+                    l2_norm_squared(disc, s["u"][j] - ue))
+
+    def results(self):
+        return {"Eu": self.eu_final.copy(), "Eq": np.sqrt(self.eq_sq),
+                "Eustar": np.sqrt(self.eustar_sq)}

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from ensemble_hdg.discretization import Discretization
-from ensemble_hdg.local import (CoefficientError, assemble_all_blocks,
-                                assemble_all_rhs, assemble_local_blocks,
-                                condense, condense_all, local_rhs,
-                                recover_all, recover_interior)
+from ensemble_hdg.local import (CoefficientError, RHSTables,
+                                assemble_all_blocks, assemble_all_rhs,
+                                assemble_local_blocks, condense, condense_all,
+                                recover_all, recover_interior, rhs_operators)
+from ensemble_hdg.solver import EnsembleState
 
-from oracles import monomial_full_local_matrix
+from oracles import lag_samples, local_rhs, monomial_full_local_matrix
 
 
 def const_samples(disc, cval=1.0, bvec=(0.0, 0.0)):
@@ -240,38 +241,43 @@ def test_local_rhs_boundary_data_k0(single_cell_mesh):
 
 @pytest.mark.parametrize("k", [0, 1])
 def test_batched_rhs_matches_per_element(mesh4, rng, k):
+    """The operator RHS against per-element quadrature, for a previous u
+    of degree k (step states) and k+1 (the initial projection)."""
     disc = Discretization(mesh4, k)
     ne = mesh4.n_elements
     nq, nqf = len(disc.w_data), len(disc.w_fdata)
+    d, nfd = disc.ndof_u, disc.ndof_face
     J = 3
     tau, dt = 2.0, 0.3
     f_vals = rng.normal(size=(J, ne, nq))
-    u_prev = rng.normal(size=(J, ne, nq))
-    gu_prev = rng.normal(size=(J, ne, nq, 2))
-    q_prev = rng.normal(size=(J, ne, nq, 2))
-    uf_prev = rng.normal(size=(J, ne, 3, nqf))
     c_dev = rng.normal(size=(J, ne, nq))
     b_dev = rng.normal(size=(J, ne, nq, 2))
     bf_dev = rng.normal(size=(J, ne, 3, nqf, 2))
     be, bl = disc.boundary_face_sides()
     g_vals = rng.normal(size=(J, len(be), nqf))
-
-    b_int, b_tr = assemble_all_rhs(disc, tau, dt, f_vals, g_vals, u_prev,
-                                   gu_prev, q_prev, uf_prev, c_dev, b_dev,
-                                   bf_dev)
     # scatter the boundary samples back to (elem, local face) layout
     g_by_elem = np.zeros((J, ne, 3, nqf))
     for idx, (e, lf) in enumerate(zip(be, bl)):
         g_by_elem[:, e, lf] = g_vals[:, idx]
-    d, nfd = disc.ndof_u, disc.ndof_face
-    for j in range(J):
-        for ie in (0, 5, 17, ne - 1):
-            loc = local_rhs(disc, ie, tau, dt, f_vals[j, ie],
-                            g_by_elem[j, ie], u_prev[j, ie],
-                            gu_prev[j, ie], q_prev[j, ie], uf_prev[j, ie],
-                            c_dev[j, ie], b_dev[j, ie], bf_dev[j, ie])
-            assert np.abs(b_int[j, ie] - loc[:3 * d]).max() < 1e-12
-            assert np.abs(b_tr[j, ie] - loc[3 * d:]).max() < 1e-12
+
+    for degree, din in ((k, d), (k + 1, disc.ndof_u_hi)):
+        prev = EnsembleState(0, 0.0, rng.normal(size=(J, ne, din)),
+                             rng.normal(size=(J, ne, 2 * d)), None, degree)
+        ops = rhs_operators(disc, RHSTables(disc, degree), dt, J, c_dev,
+                            b_dev, bf_dev)
+        b_int, b_tr = assemble_all_rhs(disc, tau, ops, f_vals, g_vals,
+                                       prev.u, prev.q)
+        s = lag_samples(disc, prev)
+        for j in range(J):
+            for ie in (0, 5, 17, ne - 1):
+                loc = local_rhs(disc, ie, tau, dt, f_vals[j, ie],
+                                g_by_elem[j, ie], s["u"][j, ie],
+                                s["grad_u"][j, ie], s["q"][j, ie],
+                                s["u_face"][j, ie], c_dev[j, ie],
+                                b_dev[j, ie], bf_dev[j, ie])
+                assert np.abs(b_int[j, ie] - loc[:3 * d]).max() < 1e-12
+                assert np.abs(b_tr[j, ie] - loc[3 * d:]).max() < 1e-12
+        assert b_tr.shape == (J, ne, 3 * nfd)
 
 
 def test_condense_all_matches_condense(mesh2, rng):

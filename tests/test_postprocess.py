@@ -83,6 +83,24 @@ def test_locality(mesh4, rng):
     assert not np.allclose(base[0, 7], bumped[0, 7])
 
 
+def test_cached_map_follows_changed_samples(mesh2, rng):
+    """The u* map is rebuilt when the c samples change, also in place."""
+    disc = Discretization(mesh2, 1)
+    ne = mesh2.n_elements
+    u = rng.normal(size=(2, ne, disc.ndof_u))
+    q = rng.normal(size=(2, ne, 2 * disc.ndof_u))
+    c = 1.0 + rng.random((2, ne, len(disc.w_data)))
+    post = Postprocessor(disc)
+    first = post.apply(u, q, c)
+    assert post.operator(c) is post.operator(c.copy())
+    c[1, 3] *= 2.0
+    again = post.apply(u, q, c)
+    fresh = Postprocessor(disc).apply(u, q, c)
+    assert np.array_equal(again, fresh)
+    assert np.array_equal(again[0], first[0])
+    assert not np.allclose(again[1, 3], first[1, 3])
+
+
 def test_batched_matches_per_element(mesh2, rng):
     disc = Discretization(mesh2, 1)
     ne = mesh2.n_elements

@@ -199,6 +199,56 @@ def test_step_matches_dense_oracle_with_lag(k, rng):
         assert np.abs(a - b).max() < 1e-10 * scale, name
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_three_steps_match_dense_run_with_lag(k, rng):
+    """Three steps from a nonzero degree-(k+1) start: step 1 runs the
+    degree-(k+1) RHS operators, steps 2 and 3 the cached degree-k ones."""
+    spec = example1()
+    disc = Discretization(build_uniform_square_mesh(2), k)
+    dt = 0.1
+    tau = 2.6797
+    state = initialize(spec, disc)
+    state.u = rng.normal(size=state.u.shape)
+    state.q = rng.normal(size=state.q.shape)
+    assert state.u_degree == k + 1
+
+    solver = EnsembleSolver(disc, spec, dt=dt, tau=tau)
+    got = state
+    for _ in range(3):
+        got = solver.step(got)
+    want = dense_run(disc, spec, tau, dt, 3, state, lag=True)
+    for name in ("u", "q", "uhat"):
+        a, b = getattr(got, name), getattr(want, name)
+        scale = max(1.0, np.abs(b).max())
+        assert np.abs(a - b).max() < 1e-10 * scale, name
+
+
+def test_constant_mean_changing_deviations_match_dense_steps(mesh2, rng):
+    """c = {1 + t/2, 3 - t/2}: the mean, and so the trace matrix, never
+    changes while the deviations do.  One factorization serves every step,
+    and the lag operators follow the deviations."""
+    members = constant_members([1.0, 3.0], [(0.5, 0.2), (-0.3, 0.4)])
+    members[0].c = lambda x, y, t: np.full_like(x, 1.0 + 0.5 * t)
+    members[1].c = lambda x, y, t: np.full_like(x, 3.0 - 0.5 * t)
+    spec = ProblemSpec(members, autonomous=False)
+    disc = Discretization(mesh2, 1)
+    dt = 0.25
+    tau = 1.5
+    solver = EnsembleSolver(disc, spec, dt=dt, tau=tau)
+    state = initialize(spec, disc)
+    state.u = rng.normal(size=state.u.shape)
+    state.q = rng.normal(size=state.q.shape)
+    for _ in range(4):
+        got = solver.step(state)
+        want = dense_step(disc, spec, tau, dt, state)
+        for name in ("u", "q", "uhat"):
+            a, b = getattr(got, name), getattr(want, name)
+            scale = max(1.0, np.abs(b).max())
+            assert np.abs(a - b).max() < 1e-10 * scale, (got.n, name)
+        state = got
+    assert solver.n_factorizations == 1
+
+
 def test_j1_matches_lag_free_reference(mesh4):
     """Criterion-5 style check at module scale: J = 1 over 10 steps."""
     spec = example1()

@@ -88,6 +88,42 @@ def test_error_accumulator_exact_discrete_solution(mesh2):
     assert res["Eustar"][0] < 1e-11
 
 
+def time_dependent_example1():
+    """Example 1's members with inverse diffusion c_j (1 + t/2)."""
+    import sympy
+
+    from ensemble_hdg.problems import (EXAMPLE1_BETA_SCALE, EXAMPLE1_C,
+                                       manufactured_member)
+    from ensemble_hdg.solver import ProblemSpec
+
+    x, y, t = sympy.symbols("x y t")
+    members = []
+    for j, (cj, aj) in enumerate(zip(EXAMPLE1_C, EXAMPLE1_BETA_SCALE), 1):
+        u = sympy.sin(t) * sympy.sin(x) * sympy.sin(y) / j
+        members.append(manufactured_member(cj * (1 + t / 2), (aj * y, aj * x),
+                                           u))
+    return ProblemSpec(members, autonomous=False)
+
+
+@pytest.mark.parametrize("make_spec", [example1, time_dependent_example1],
+                         ids=["autonomous", "time-dependent"])
+def test_error_accumulator_matches_per_member_loop(mesh4, make_spec):
+    """The vectorised observer with the cached u* map against the
+    per-member quadrature loop, on the same trajectory."""
+    from oracles import LoopErrorAccumulator
+
+    spec = make_spec()
+    disc = Discretization(mesh4, 1)
+    dt = 0.125
+    acc = ErrorAccumulator(disc, spec, dt, final_step=4)
+    ref = LoopErrorAccumulator(disc, spec, dt, final_step=4)
+    EnsembleSolver(disc, spec, dt=dt).run(0.5, observers=[acc, ref])
+    got, want = acc.results(), ref.results()
+    for key in ("Eu", "Eq", "Eustar"):
+        assert np.all(want[key] > 0)
+        assert np.all(np.abs(got[key] - want[key]) < 1e-12 * want[key])
+
+
 def test_error_norm_quadrature_convergence():
     """The data-rule norm converges fast to an order-raised reference."""
     from ensemble_hdg.basis import triangle_quadrature
