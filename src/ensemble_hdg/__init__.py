@@ -7,40 +7,24 @@ plus element-by-element superconvergent postprocessing and a convergence
 study harness.
 """
 
-from .basis import (ElementBasis, FaceBasis, QuadratureRule, edge_quadrature,
-                    eval_element_basis, eval_face_basis, triangle_quadrature)
 from .discretization import Discretization
-from .errors import ErrorAccumulator, l2_norm_squared, state_errors
-from .mesh import (Mesh, build_uniform_square_mesh, element_geometry,
-                   read_mesh_text, write_mesh_text)
-from .postprocess import Postprocessor, postprocess_element
-from .problems import (constant_ensemble, example1, example2, example3,
-                       get_example, manufactured_member)
-from .projections import (ProjectedField, hdg_project, l2_project_element,
-                          l2_project_face, projected_values)
-from .solver import (EnsembleSolver, EnsembleState, Member, ProblemSpec,
-                     check_admissibility, choose_tau, ensemble_means,
-                     initialize, state_samples)
-from .study import (ConvergenceTable, benchmark_ensemble_vs_separate,
-                    convergence_study, observed_rates, run_level, snap_dt)
-from .trace_system import (TraceSystem, assemble_trace_matrix,
-                           coefficient_fingerprint, factorize, solve_multi)
+from .errors import ErrorAccumulator
+from .io import (load_config, problem_from_config, write_convergence_csv,
+                 write_snapshot_csv, write_snapshot_vtk)
+from .mesh import build_uniform_square_mesh, read_mesh_text
+from .postprocess import Postprocessor
+from .problems import get_example
+from .solver import EnsembleSolver, Member, ProblemSpec, check_admissibility
+from .study import (benchmark_ensemble_vs_separate, convergence_study,
+                    resolve_dt_rule, snap_dt)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ElementBasis", "FaceBasis", "QuadratureRule", "edge_quadrature",
-    "eval_element_basis", "eval_face_basis", "triangle_quadrature",
-    "Discretization", "ErrorAccumulator", "l2_norm_squared", "state_errors",
-    "Mesh", "build_uniform_square_mesh", "element_geometry",
-    "read_mesh_text", "write_mesh_text", "Postprocessor",
-    "postprocess_element", "constant_ensemble", "example1", "example2",
-    "example3", "get_example", "manufactured_member", "ProjectedField",
-    "hdg_project", "l2_project_element", "l2_project_face",
-    "projected_values", "EnsembleSolver", "EnsembleState", "Member",
-    "ProblemSpec", "check_admissibility", "choose_tau", "ensemble_means",
-    "initialize", "state_samples", "ConvergenceTable",
-    "benchmark_ensemble_vs_separate", "convergence_study", "observed_rates",
-    "run_level", "snap_dt", "TraceSystem", "assemble_trace_matrix",
-    "coefficient_fingerprint", "factorize", "solve_multi",
+    "Discretization", "ErrorAccumulator", "load_config",
+    "problem_from_config", "write_convergence_csv", "write_snapshot_csv",
+    "write_snapshot_vtk", "build_uniform_square_mesh", "read_mesh_text",
+    "Postprocessor", "get_example", "EnsembleSolver", "Member",
+    "ProblemSpec", "check_admissibility", "benchmark_ensemble_vs_separate",
+    "convergence_study", "resolve_dt_rule", "snap_dt",
 ]

@@ -144,13 +144,3 @@ class FaceBasis:
         mono = s[None, :] ** np.arange(self.dim)[:, None]
         return self.coeffs @ mono
 
-
-def eval_element_basis(degree, points):
-    """Value and reference-gradient tables for P^k on the triangle."""
-    basis = ElementBasis(degree)
-    return basis.eval(points), basis.eval_grad(points)
-
-
-def eval_face_basis(degree, points):
-    """Value table for P^k on the reference edge."""
-    return FaceBasis(degree).eval(points)

@@ -74,76 +74,84 @@ class Discretization:
 
     def _build_element_tables(self):
         geom = self.geom
-        for tag, rule in (("elem", self.rule_elem), ("data", self.rule_data)):
-            pts = rule.points
-            V = self.elem_basis.eval(pts)
-            G = self.elem_basis.eval_grad(pts)
-            Vh = self.elem_basis_hi.eval(pts)
-            Gh = self.elem_basis_hi.eval_grad(pts)
-            setattr(self, f"V_{tag}", V)
-            setattr(self, f"V_hi_{tag}", Vh)
-            setattr(self, f"Gref_{tag}", G)
-            setattr(self, f"Gref_hi_{tag}", Gh)
-            # physical gradients: grad_x phi = B^{-T} grad_ref phi
-            setattr(self, f"G_{tag}",
-                    np.einsum("eij,dqj->edqi", geom.inv_t, G))
-            setattr(self, f"G_hi_{tag}",
-                    np.einsum("eij,dqj->edqi", geom.inv_t, Gh))
-            X = np.einsum("eij,qj->eqi", geom.jacobian, pts)
-            X += geom.corners[:, None, 0, :]
-            setattr(self, f"X_{tag}", X)
-            # stable flat coordinate arrays: reused identically every step so
-            # field implementations may cache spatial factors by identity
-            setattr(self, f"x_{tag}_flat", np.ascontiguousarray(X[..., 0]).reshape(-1))
-            setattr(self, f"y_{tag}_flat", np.ascontiguousarray(X[..., 1]).reshape(-1))
-            setattr(self, f"w_{tag}", rule.weights)
-            # weighted transposed values: moments are one BLAS matmul
-            setattr(self, f"VwT_{tag}", (V * rule.weights).T.copy())
-            nq = len(rule.weights)
-            setattr(self, f"Gflat_{tag}", np.ascontiguousarray(
-                getattr(self, f"G_{tag}").reshape(-1, V.shape[0], 2 * nq)))
-            setattr(self, f"Gflat_hi_{tag}", np.ascontiguousarray(
-                getattr(self, f"G_hi_{tag}").reshape(-1, Vh.shape[0],
-                                                     2 * nq)))
+        basis, basis_hi = self.elem_basis, self.elem_basis_hi
+        pe, pd = self.rule_elem.points, self.rule_data.points
+        self.w_elem = self.rule_elem.weights
+        self.w_data = self.rule_data.weights
+        self.V_elem = basis.eval(pe)
+        self.V_data = basis.eval(pd)
+        self.V_hi_elem = basis_hi.eval(pe)
+        self.V_hi_data = basis_hi.eval(pd)
+        self.Gref_hi_data = basis_hi.eval_grad(pd)
+        # physical gradients: grad_x phi = B^{-T} grad_ref phi
+        self.G_elem = np.einsum("eij,dqj->edqi", geom.inv_t,
+                                basis.eval_grad(pe))
+        self.G_hi_elem = np.einsum("eij,dqj->edqi", geom.inv_t,
+                                   basis_hi.eval_grad(pe))
+        self.G_hi_data = np.einsum("eij,dqj->edqi", geom.inv_t,
+                                   self.Gref_hi_data)
+        # weighted transposed values: moments are one BLAS matmul
+        self.VwT_data = (self.V_data * self.w_data).T.copy()
+        self.X_elem, self.x_elem_flat, self.y_elem_flat = \
+            self._element_points(pe)
+        self.X_data, self.x_data_flat, self.y_data_flat = \
+            self._element_points(pd)
+
+    def _element_points(self, pts):
+        """Physical points (ne, nq, 2) and their flat x and y arrays.
+
+        The flat arrays are reused identically every step, so field
+        implementations may cache spatial factors by identity.
+        """
+        geom = self.geom
+        X = np.einsum("eij,qj->eqi", geom.jacobian, pts)
+        X += geom.corners[:, None, 0, :]
+        return (X, np.ascontiguousarray(X[..., 0]).reshape(-1),
+                np.ascontiguousarray(X[..., 1]).reshape(-1))
 
     # -- face tables ---------------------------------------------------------
 
     def _build_face_tables(self):
         mesh = self.mesh
         ne = mesh.n_elements
-        for tag, rule in (("face", self.rule_face),
-                          ("fdata", self.rule_face_data)):
-            s = rule.points
-            nq = len(s)
-            setattr(self, f"Psi_{tag}", self.face_basis.eval(s))
-            setattr(self, f"w_{tag}", rule.weights)
+        sf, sd = self.rule_face.points, self.rule_face_data.points
+        self.w_face = self.rule_face.weights
+        self.w_fdata = self.rule_face_data.weights
+        self.Psi_face = self.face_basis.eval(sf)
+        self.Psi_fdata = self.face_basis.eval(sd)
+        self.Xf_face, self.xf_face_flat, self.yf_face_flat = \
+            self._face_points(sf)
+        self.Xf_fdata, self.xf_fdata_flat, self.yf_fdata_flat = \
+            self._face_points(sd)
+        # an element traverses a face against its canonical orientation
+        # when its local vertex lf is not the face's first vertex
+        aligned = mesh.elements[np.arange(ne)[:, None],
+                                np.array([0, 1, 2])[None, :]]
+        self.face_aligned = aligned == mesh.faces[mesh.elem_faces][:, :, 0]
+        self.Vf_face = self._face_values(sf)
+        self.Vf_fdata = self._face_values(sd)
 
-            # physical quadrature points per face, canonical parametrization
-            va = mesh.vertices[mesh.faces[:, 0]]
-            vb = mesh.vertices[mesh.faces[:, 1]]
-            xf = va[:, None, :] + s[None, :, None] * (vb - va)[:, None, :]
-            Xf = xf[mesh.elem_faces]  # (ne, 3, nq, 2)
-            setattr(self, f"Xf_{tag}", Xf)
-            setattr(self, f"xf_{tag}_flat",
-                    np.ascontiguousarray(Xf[..., 0]).reshape(-1))
-            setattr(self, f"yf_{tag}_flat",
-                    np.ascontiguousarray(Xf[..., 1]).reshape(-1))
+    def _face_points(self, s):
+        """Physical points (ne, 3, nq, 2) of every element's faces, in the
+        canonical parametrization, and their flat x and y arrays."""
+        mesh = self.mesh
+        va = mesh.vertices[mesh.faces[:, 0]]
+        vb = mesh.vertices[mesh.faces[:, 1]]
+        xf = va[:, None, :] + s[None, :, None] * (vb - va)[:, None, :]
+        Xf = xf[mesh.elem_faces]
+        return (Xf, np.ascontiguousarray(Xf[..., 0]).reshape(-1),
+                np.ascontiguousarray(Xf[..., 1]).reshape(-1))
 
-            # element-basis values at the canonical face points: map s to the
-            # element's reference coordinates, flipping when the element
-            # traverses the face against its canonical orientation
-            aligned = mesh.elements[np.arange(ne)[:, None],
-                                    np.array([0, 1, 2])[None, :]]
-            aligned = aligned == mesh.faces[mesh.elem_faces][:, :, 0]
-            self.face_aligned = aligned
-            ref = reference_face_points(s)[np.arange(3)[None, :],
-                                           aligned.astype(int)]
-            flat = ref.reshape(-1, 2)
-            Vf = self.elem_basis.eval(flat).reshape(self.ndof_u, ne, 3, nq)
-            Vfh = self.elem_basis_hi.eval(flat).reshape(
-                self.ndof_u_hi, ne, 3, nq)
-            setattr(self, f"Vf_{tag}", np.moveaxis(Vf, 0, 2).copy())
-            setattr(self, f"Vf_hi_{tag}", np.moveaxis(Vfh, 0, 2).copy())
+    def _face_values(self, s):
+        """Element-basis values (ne, 3, d, nq) at the canonical face points:
+        s maps to the element's reference coordinates, flipped where the
+        element traverses the face against its canonical orientation."""
+        ne = self.mesh.n_elements
+        ref = reference_face_points(s)[np.arange(3)[None, :],
+                                       self.face_aligned.astype(int)]
+        Vf = self.elem_basis.eval(ref.reshape(-1, 2)).reshape(
+            self.ndof_u, ne, 3, len(s))
+        return np.moveaxis(Vf, 0, 2).copy()
 
     # -- global trace DOF map -------------------------------------------------
 
@@ -152,7 +160,6 @@ class Discretization:
         nfd = self.ndof_face
         pos = np.cumsum(~mesh.boundary) - 1
         pos[mesh.boundary] = -1
-        self.interior_face_pos = pos
         self.n_trace_dofs = mesh.n_interior_faces * nfd
         fpos = pos[mesh.elem_faces]  # (ne, 3)
         dof = fpos[..., None] * nfd + np.arange(nfd)

@@ -45,33 +45,6 @@ def exact_field_values(disc, fn, t, vector=False):
     return np.broadcast_to(out, x.shape).reshape(X.shape[:2])
 
 
-def evaluate_at_points(disc, coeffs, points, degree=None):
-    """Point-evaluate per-element coefficient fields (uniform meshes only).
-
-    coeffs is (..., ne, dim); returns (..., npts) sampled at the given
-    physical points via structured point location.
-    """
-    elem, ref = disc.mesh.locate_points(points)
-    degree = disc.k if degree is None else degree
-    basis = disc.elem_basis_hi if degree == disc.k + 1 else disc.elem_basis
-    V = basis.eval(ref)  # (dim, npts)
-    return np.einsum("...pd,dp->...p", coeffs[..., elem, :], V)
-
-
-def state_errors(disc, spec, state):
-    """Instantaneous per-member L2 errors (u, q) of a state."""
-    s = state_samples(disc, state)
-    eu = np.empty(spec.J)
-    eq = np.empty(spec.J)
-    for j, m in enumerate(spec.members):
-        du = s["u"][j] - exact_field_values(disc, m.exact_u, state.t)
-        dq = s["q"][j] - exact_field_values(disc, m.exact_q, state.t,
-                                            vector=True)
-        eu[j] = np.sqrt(l2_norm_squared(disc, du))
-        eq[j] = np.sqrt(l2_norm_squared(disc, dq))
-    return eu, eq
-
-
 class ErrorAccumulator:
     """Observer collecting Eu (final time), Eq and Eu* (time-accumulated).
 

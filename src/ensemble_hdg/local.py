@@ -7,15 +7,14 @@ leaving a dense Schur complement on the trace DOFs; boundary faces carry no
 unknowns and their rows/columns are dropped at scatter time (their trace
 values are identically zero, Dirichlet data enters only through the RHS).
 
-The matrices come in two forms: per-element functions written as plain
-quadrature sums (the readable reference) and `*_all` batched versions used
-by the time stepper.  The step's right-hand side has a single batched form:
-its previous-state terms, the (1/dt) mass and the lagged deviations
-(c̄ - c_j) q, (β̄ - β_j)·∇u and -<(β̄ - β_j)·n u, v̂>, are a linear map of
-the previous [q | u] coefficients per (member, element).  `rhs_operators`
-builds those maps from the deviation samples by GEMMs against the
-coefficient-free tables of `RHSTables`; `assemble_all_rhs` applies them and
-adds the sampled source and boundary data.
+All kernels work on every element at once, with the element as the
+leading array axis.  The step's right-hand side, its previous-state terms,
+the (1/dt) mass and the lagged deviations (c̄ - c_j) q, (β̄ - β_j)·∇u and
+-<(β̄ - β_j)·n u, v̂>, is a linear map of the previous [q | u] coefficients
+per (member, element).  `rhs_operators` builds those maps from the
+deviation samples by GEMMs against the coefficient-free tables of
+`RHSTables`; `assemble_all_rhs` applies them and adds the sampled source
+and boundary data.
 """
 
 import numpy as np
@@ -26,189 +25,6 @@ from .discretization import reference_face_points
 class CoefficientError(ValueError):
     """A sampled coefficient violates a positivity requirement."""
 
-
-class LocalBlocks:
-    """Dense blocks of one element's contribution to the scheme.
-
-    Blocks are named by (test row, trial column): q/u are interior,
-    'hat' is the face-trace space stacked over the element's three faces.
-    """
-
-    def __init__(self, ie, a_qq, b_qu, c_qhat, d_uq, conv_uu, time_uu,
-                 stab_uu, stab_uhat, flux_hatq, conv_hatu, stab_hatu,
-                 stab_hathat):
-        self.ie = ie
-        self.a_qq = a_qq
-        self.b_qu = b_qu
-        self.c_qhat = c_qhat
-        self.d_uq = d_uq
-        self.conv_uu = conv_uu
-        self.time_uu = time_uu
-        self.stab_uu = stab_uu
-        self.stab_uhat = stab_uhat
-        self.flux_hatq = flux_hatq
-        self.conv_hatu = conv_hatu
-        self.stab_hatu = stab_hatu
-        self.stab_hathat = stab_hathat
-
-    @property
-    def interior_matrix(self):
-        """The (q, u) x (q, u) sub-matrix including the 1/dt mass term."""
-        top = np.hstack([self.a_qq, self.b_qu])
-        bot = np.hstack([self.d_uq, self.time_uu + self.conv_uu + self.stab_uu])
-        return np.vstack([top, bot])
-
-    @property
-    def coupling(self):
-        """Interior-row, trace-column block."""
-        return np.vstack([self.c_qhat, self.stab_uhat])
-
-    @property
-    def trace_rows(self):
-        """Trace-row, interior-column block."""
-        return np.hstack([self.flux_hatq, self.conv_hatu + self.stab_hatu])
-
-    @property
-    def trace_block(self):
-        return self.stab_hathat
-
-    def full_matrix(self):
-        return np.block([[self.interior_matrix, self.coupling],
-                         [self.trace_rows, self.trace_block]])
-
-
-def assemble_local_blocks(disc, ie, cbar, bbar, bbar_face, tau, dt):
-    """Assemble one element's blocks from sampled mean coefficients.
-
-    Parameters
-    ----------
-    disc : Discretization
-    ie : int
-        Element index.
-    cbar : (nq,) array
-        Ensemble-mean inverse diffusion at the element-rule points.
-    bbar : (nq, 2) array
-        Ensemble-mean velocity at the element-rule points.
-    bbar_face : (3, nqf, 2) array
-        Mean velocity at the face-rule points of the three faces.
-    tau : float
-        Positive stabilization constant on this element.
-    dt : float
-        Positive time step.
-    """
-    if tau <= 0:
-        raise ValueError(f"element {ie}: tau must be positive, got {tau}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    cbar = np.asarray(cbar, dtype=float)
-    if np.any(cbar <= 0):
-        raise CoefficientError(
-            f"element {ie}: mean inverse-diffusion sample <= 0 "
-            f"(min {cbar.min():.3e})")
-
-    d = disc.ndof_u
-    nfd = disc.ndof_face
-    w = disc.w_elem
-    V = disc.V_elem                     # (d, nq)
-    G = disc.G_elem[ie]                 # (d, nq, 2) physical gradients
-    detJ = disc.geom.det[ie]
-    lens = disc.geom.edge_lengths[ie]
-    nrm = disc.geom.normals[ie]
-    Vf = disc.Vf_face[ie]               # (3, d, nqf)
-    Psi = disc.Psi_face                 # (nfd, nqf)
-    wf = disc.w_face
-
-    mass_c = detJ * np.einsum("q,q,iq,jq->ij", w, cbar, V, V)
-    a_qq = np.zeros((2 * d, 2 * d))
-    a_qq[:d, :d] = mass_c
-    a_qq[d:, d:] = mass_c
-
-    b_qu = np.zeros((2 * d, d))
-    d_uq = np.zeros((d, 2 * d))
-    for comp in range(2):
-        div = detJ * np.einsum("q,iq,jq->ij", w, G[..., comp], V)
-        b_qu[comp * d:(comp + 1) * d, :] = -div
-        d_uq[:, comp * d:(comp + 1) * d] = div.T
-
-    conv_uu = detJ * np.einsum("q,qc,jqc,iq->ij", w, bbar, G, V)
-    time_uu = (detJ / dt) * np.einsum("q,iq,jq->ij", w, V, V)
-
-    c_qhat = np.zeros((2 * d, 3 * nfd))
-    stab_uu = np.zeros((d, d))
-    stab_uhat = np.zeros((d, 3 * nfd))
-    flux_hatq = np.zeros((3 * nfd, 2 * d))
-    conv_hatu = np.zeros((3 * nfd, d))
-    stab_hatu = np.zeros((3 * nfd, d))
-    stab_hathat = np.zeros((3 * nfd, 3 * nfd))
-    for lf in range(3):
-        cols = slice(lf * nfd, (lf + 1) * nfd)
-        ln = lens[lf]
-        phiphi = ln * np.einsum("q,iq,jq->ij", wf, Vf[lf], Vf[lf])
-        psiphi = ln * np.einsum("q,mq,jq->mj", wf, Psi, Vf[lf])
-        psipsi = ln * np.einsum("q,mq,lq->ml", wf, Psi, Psi)
-        stab_uu += tau * phiphi
-        stab_uhat[:, cols] = -tau * psiphi.T
-        stab_hatu[cols, :] = -tau * psiphi
-        stab_hathat[cols, cols] = tau * psipsi
-        bn = bbar_face[lf] @ nrm[lf]
-        conv_hatu[cols, :] = -ln * np.einsum("q,q,mq,jq->mj", wf, bn, Psi, Vf[lf])
-        for comp in range(2):
-            c_qhat[comp * d:(comp + 1) * d, cols] = nrm[lf, comp] * psiphi.T
-            flux_hatq[cols, comp * d:(comp + 1) * d] = \
-                -nrm[lf, comp] * psiphi
-
-    return LocalBlocks(ie, a_qq, b_qu, c_qhat, d_uq, conv_uu, time_uu,
-                       stab_uu, stab_uhat, flux_hatq, conv_hatu, stab_hatu,
-                       stab_hathat)
-
-
-class CondensedElement:
-    """Schur complement and lifting maps of one condensed element.
-
-    schur       : trace x trace block  A_TT - A_TI A_II^-1 A_IT
-    solve_int   : A_II^-1
-    lift        : A_II^-1 A_IT  (trace -> interior)
-    reduce_rhs  : A_TI A_II^-1  (interior RHS -> trace RHS correction)
-    """
-
-    def __init__(self, ie, schur, solve_int, lift, reduce_rhs):
-        self.ie = ie
-        self.schur = schur
-        self.solve_int = solve_int
-        self.lift = lift
-        self.reduce_rhs = reduce_rhs
-
-
-def condense(blocks):
-    """Eliminate an element's interior unknowns onto its face traces."""
-    A_II = blocks.interior_matrix
-    A_IT = blocks.coupling
-    A_TI = blocks.trace_rows
-    A_TT = blocks.trace_block
-    try:
-        W = np.linalg.inv(A_II)
-    except np.linalg.LinAlgError:
-        raise RuntimeError(
-            f"singular interior block on element {blocks.ie}") from None
-    G = A_TI @ W
-    return CondensedElement(blocks.ie, A_TT - G @ A_IT, W, W @ A_IT, G)
-
-
-def recover_interior(cond, trace_values, rhs_interior):
-    """Back-substitute face traces into one element's (q, u) coefficients.
-
-    trace_values holds the element's three face-trace blocks with zeros on
-    boundary faces; returns (q_coeffs (2d,), u_coeffs (d,)).
-    """
-    x = cond.solve_int @ rhs_interior - cond.lift @ trace_values
-    nint = len(x)
-    d = nint // 3
-    return x[:2 * d], x[2 * d:]
-
-
-# --------------------------------------------------------------------------
-# batched versions over all elements (the solver's hot path)
-# --------------------------------------------------------------------------
 
 def assemble_all_blocks(disc, cbar, bbar, bbar_face, tau, dt):
     """Batched local matrices: (A_II, A_IT, A_TI, A_TT) over all elements.
@@ -279,7 +95,16 @@ def assemble_all_blocks(disc, cbar, bbar, bbar_face, tau, dt):
 
 
 class BatchedCondensed:
-    """Condensation arrays for all elements: see CondensedElement."""
+    """Schur complements and lifting maps of all condensed elements.
+
+    schur       : (ne, T, T) trace block  A_TT - A_TI A_II^-1 A_IT
+    solve_int   : A_II^-1
+    lift        : A_II^-1 A_IT  (trace -> interior)
+    reduce_rhs  : A_TI A_II^-1  (interior RHS -> trace RHS correction)
+
+    The interior unknowns of an element are recovered from its traces t
+    and interior RHS b as solve_int b - lift t.
+    """
 
     def __init__(self, schur, solve_int, lift, reduce_rhs):
         self.schur = schur
@@ -289,6 +114,7 @@ class BatchedCondensed:
 
 
 def condense_all(A_II, A_IT, A_TI, A_TT):
+    """Eliminate the interior unknowns of every element onto its traces."""
     try:
         W = np.linalg.inv(A_II)
     except np.linalg.LinAlgError:
@@ -459,10 +285,3 @@ def assemble_all_rhs(disc, tau, ops, f_vals, g_face_vals, u_prev, q_prev):
         upd = scatter @ contrib.reshape(len(contrib), -1)
         b_int += np.moveaxis(upd.reshape(ne, J, 3 * d), 1, 0)
     return b_int, b_tr
-
-
-def recover_all(cond, trace_values, b_int):
-    """Batched back-substitution: (J,ne,3nfd) traces -> (J,ne,3d) interior."""
-    out = np.matmul(cond.solve_int, b_int[..., None])
-    out -= np.matmul(cond.lift, trace_values[..., None])
-    return out[..., 0]

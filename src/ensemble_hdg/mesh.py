@@ -41,6 +41,13 @@ class Mesh:
             raise ValueError("vertices must be (nv, 2)")
         if self.elements.ndim != 2 or self.elements.shape[1] != 3:
             raise ValueError("elements must be (ne, 3)")
+        nv = len(self.vertices)
+        outside = (self.elements < 0) | (self.elements >= nv)
+        if outside.any():
+            bad = int(np.argmax(outside.any(axis=1)))
+            raise ValueError(
+                f"element {bad} has vertex indices "
+                f"{self.elements[bad].tolist()} outside [0, {nv})")
         v = self.vertices[self.elements]
         e1 = v[:, 1] - v[:, 0]
         e2 = v[:, 2] - v[:, 0]
@@ -48,7 +55,6 @@ class Mesh:
         if np.any(signed <= 0):
             bad = int(np.argmax(signed <= 0))
             raise ValueError(f"element {bad} is not counter-clockwise")
-        self._signed_areas = 0.5 * signed
         self.uniform_n = uniform_n
         self._build_faces()
         edges = v - np.roll(v, -1, axis=1)
@@ -118,9 +124,6 @@ class Mesh:
     def n_interior_faces(self):
         return int((~self.boundary).sum())
 
-    def element_areas(self):
-        return self._signed_areas.copy()
-
     def content_token(self):
         """Hashable token identifying the mesh content (for fingerprints)."""
         import hashlib
@@ -129,29 +132,6 @@ class Mesh:
         h.update(self.vertices.tobytes())
         h.update(self.elements.tobytes())
         return h.hexdigest()
-
-    def locate_points(self, points):
-        """Map physical points to (element index, reference coords).
-
-        Only available for meshes built by `build_uniform_square_mesh`;
-        points must lie in [0, 1]^2.
-        """
-        if self.uniform_n is None:
-            raise NotImplementedError("point location needs a uniform mesh")
-        n = self.uniform_n
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        ix = np.clip((pts[:, 0] * n).astype(int), 0, n - 1)
-        iy = np.clip((pts[:, 1] * n).astype(int), 0, n - 1)
-        fx = pts[:, 0] * n - ix
-        fy = pts[:, 1] * n - iy
-        # cells split along the (0,0)->(1,1) diagonal: lower means fy <= fx
-        lower = fy <= fx
-        elem = 2 * (iy * n + ix) + np.where(lower, 0, 1)
-        # lower triangle (ll, lr, ur): xi = fx - fy, eta = fy
-        # upper triangle (ll, ur, ul): xi = fx, eta = fy - fx
-        xi = np.where(lower, fx - fy, fx)
-        eta = np.where(lower, fy, fy - fx)
-        return elem, np.column_stack([xi, eta])
 
 
 def build_uniform_square_mesh(n):
@@ -179,39 +159,12 @@ def build_uniform_square_mesh(n):
     return Mesh(vertices, elements, uniform_n=n)
 
 
-class ElementGeometry:
-    """Affine map data for one element.
+class BatchedGeometry:
+    """Affine map data of all elements, indexed by element first.
 
     jacobian columns are the edge vectors from vertex 0; det = 2 * area;
-    normals[i] is the outward unit normal of local face i.
+    normals[:, i] is the outward unit normal of local face i.
     """
-
-    def __init__(self, vertices, jacobian, det, inv_t, normals, edge_lengths):
-        self.vertices = vertices
-        self.jacobian = jacobian
-        self.det = det
-        self.inv_t = inv_t
-        self.normals = normals
-        self.edge_lengths = edge_lengths
-
-    @property
-    def area(self):
-        return 0.5 * self.det
-
-
-def element_geometry(mesh, ie):
-    """Affine map, normals and edge lengths of element `ie`."""
-    if not 0 <= ie < mesh.n_elements:
-        raise IndexError(f"element index {ie} out of range")
-    g = batched_geometry(mesh)
-    return ElementGeometry(
-        mesh.vertices[mesh.elements[ie]], g.jacobian[ie], g.det[ie],
-        g.inv_t[ie], g.normals[ie], g.edge_lengths[ie],
-    )
-
-
-class BatchedGeometry:
-    """Geometry arrays for all elements at once (see ElementGeometry)."""
 
     def __init__(self, mesh):
         v = mesh.vertices[mesh.elements]

@@ -93,37 +93,3 @@ class Postprocessor:
         x = np.concatenate([q_coeffs, u_coeffs], axis=-1)
         return np.matmul(self.operator(c_vals), x[..., None])[..., 0]
 
-
-def postprocess_element(disc, ie, q_coeffs, u_coeffs, c_vals):
-    """Reference per-element reconstruction (plain dense KKT solve).
-
-    q_coeffs (2d,), u_coeffs (d,) are one element's fields; c_vals (nq,)
-    samples the member's inverse diffusion at the element's data points.
-    Returns the (d_hi,) coefficients of u*.
-    """
-    d = disc.ndof_u
-    dh = disc.ndof_u_hi
-    detJ = disc.geom.det[ie]
-    w, wd = disc.w_elem, disc.w_data
-    Ghi = disc.G_hi_elem[ie]
-    Ghi_d = disc.G_hi_data[ie]
-
-    K = detJ * np.einsum("q,iqc,jqc->ij", w, Ghi, Ghi)
-    m = detJ * np.einsum("q,iq->i", w, disc.V_hi_elem)
-    kkt = np.zeros((dh + 1, dh + 1))
-    kkt[:dh, :dh] = K
-    kkt[:dh, dh] = m
-    kkt[dh, :dh] = m
-
-    qvals = np.stack([disc.V_data.T @ q_coeffs[:d],
-                      disc.V_data.T @ q_coeffs[d:]], axis=-1)
-    uvals = disc.V_data.T @ u_coeffs
-    rhs = np.empty(dh + 1)
-    rhs[:dh] = -detJ * np.einsum("q,q,qc,iqc->i", wd, c_vals, qvals, Ghi_d)
-    rhs[dh] = detJ * np.einsum("q,q->", wd, uvals)
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        raise RuntimeError(
-            f"singular postprocessing system on element {ie}") from None
-    return sol[:dh]

@@ -74,19 +74,6 @@ class ProblemSpec:
                            name=f"{self.name}[member {j}]")
 
 
-def ensemble_means(spec, t, points):
-    """Pointwise ensemble means (cbar, bbar) at given (npts, 2) points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    x, y = pts[:, 0], pts[:, 1]
-    cbar = np.zeros(len(pts))
-    bbar = np.zeros((len(pts), 2))
-    for m in spec.members:
-        cbar += np.broadcast_to(np.asarray(m.c(x, y, t), dtype=float),
-                                x.shape)
-        bbar += np.asarray(m.beta(x, y, t), dtype=float).reshape(-1, 2)
-    return cbar / spec.J, bbar / spec.J
-
-
 class AdmissibilityReport:
     """Outcome of the ensemble-mean condition check.
 
@@ -102,11 +89,19 @@ class AdmissibilityReport:
         self.c_min = np.inf
         self.max_records = 100
 
-    def record(self, j, n, x, y):
+    def record(self, n, bad, x, y):
+        """Count the violations bad (J, npts) of level n at points (x, y)
+        and keep the first ones, ordered by member, then point."""
+        count = int(bad.sum())
+        if not count:
+            return
         self.ok = False
-        self.n_violations += 1
-        if len(self.violations) < self.max_records:
-            self.violations.append((int(j), int(n), float(x), float(y)))
+        self.n_violations += count
+        room = self.max_records - len(self.violations)
+        if room > 0:
+            js, ps = np.nonzero(bad)
+            self.violations += [(int(j), n, float(x[p]), float(y[p]))
+                                for j, p in zip(js[:room], ps[:room])]
 
     def __repr__(self):
         status = "pass" if self.ok else f"FAIL ({self.n_violations} points)"
@@ -146,9 +141,7 @@ def check_admissibility(spec, mesh, times, quad_order=6):
             continue
         bound = np.minimum(cbar, prev_cbar)
         bad = (np.abs(cbar[None] - cvals) >= bound[None]) | (cvals <= 0)
-        if bad.any():
-            for j, p in zip(*np.nonzero(bad)):
-                report.record(j, n, x[p], y[p])
+        report.record(n, bad, x, y)
         prev_cbar = cbar
     return report
 
@@ -263,7 +256,6 @@ class EnsembleSolver:
         Time step (the caller is responsible for T/dt being integral).
     tau : float, optional
         Stabilization constant; chosen via choose_tau when omitted.
-    backend : {"splu", "gmres"}
     strict_admissibility : bool
         Raise instead of warn when the sampled mean condition fails.
     check_residuals : bool
@@ -271,8 +263,8 @@ class EnsembleSolver:
         solve; debugging aid, off in production runs.
     """
 
-    def __init__(self, disc, spec, dt, tau=None, backend="splu",
-                 strict_admissibility=False, check_residuals=False):
+    def __init__(self, disc, spec, dt, tau=None, strict_admissibility=False,
+                 check_residuals=False):
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.disc = disc
@@ -280,7 +272,6 @@ class EnsembleSolver:
         self.dt = float(dt)
         self.tau = float(tau) if tau is not None else \
             choose_tau(spec, disc.mesh)
-        self.backend = backend
         self.strict_admissibility = strict_admissibility
         self.check_residuals = check_residuals
         self.n_factorizations = 0
@@ -378,7 +369,7 @@ class EnsembleSolver:
             coeffs["bbar_face"], self.tau, self.dt)
         self.cond = local.condense_all(*blocks)
         self.system = assemble_trace_matrix(
-            self.disc, self.cond.schur, fp).factorize(self.backend)
+            self.disc, self.cond.schur, fp).factorize()
         self.n_factorizations += 1
         self._fp = fp
 

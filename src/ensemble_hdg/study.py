@@ -11,8 +11,6 @@ error per member, plus observed log2 rates between consecutive levels.
 import math
 import time
 
-import numpy as np
-
 from .discretization import Discretization
 from .errors import ErrorAccumulator
 from .mesh import build_uniform_square_mesh
@@ -39,12 +37,6 @@ def resolve_dt_rule(rule, h, T):
     if isinstance(rule, str) and rule.startswith("fixed="):
         return snap_dt(T, float(rule.split("=", 1)[1]))
     raise ValueError(f"unknown dt rule {rule!r}")
-
-
-def observed_rates(errors):
-    """log2 ratios of a refinement error sequence (h halves per level)."""
-    e = np.asarray(errors, dtype=float)
-    return np.log2(e[:-1] / e[1:])
 
 
 class ConvergenceTable:
@@ -117,11 +109,11 @@ class ConvergenceTable:
 
 
 def run_level(problem, n, degree, dt, T, postprocess=True, tau=None,
-              backend="splu", strict_admissibility=False):
+              strict_admissibility=False):
     """Solve one mesh level and return per-member errors plus run info."""
     mesh = build_uniform_square_mesh(n)
     disc = Discretization(mesh, degree)
-    solver = EnsembleSolver(disc, problem, dt=dt, tau=tau, backend=backend,
+    solver = EnsembleSolver(disc, problem, dt=dt, tau=tau,
                             strict_admissibility=strict_admissibility)
     N = int(round(T / dt))
     acc = ErrorAccumulator(disc, problem, dt, postprocess=postprocess,

@@ -4,13 +4,14 @@ These deliberately avoid the library's assembly paths: local matrices are
 built by brute-force quadrature in a raw monomial basis and mapped over by
 explicit change-of-basis, the step RHS is a per-element quadrature sum of
 point samples of the previous state, the global stepper assembles the full
-uncondensed saddle system densely and solves it with numpy, and the error
-observer is the per-member quadrature loop.
+uncondensed saddle system densely and solves it with numpy, the u*
+reconstruction is a dense constrained solve in a raw monomial basis, and
+the error observer is the per-member quadrature loop.
 """
 
 import numpy as np
 
-from ensemble_hdg.basis import monomial_exponents
+from ensemble_hdg.basis import ElementBasis, monomial_exponents
 from ensemble_hdg.errors import exact_field_values, l2_norm_squared
 from ensemble_hdg.solver import EnsembleState
 
@@ -20,8 +21,8 @@ def monomial_full_local_matrix(disc, ie, cbar, bbar, bbar_face, tau, dt):
 
     Every bilinear term is integrated against raw reference monomials
     (element) and raw edge monomials (faces), then converted with the
-    orthonormalization matrices.  Row/column order matches LocalBlocks:
-    [qx | qy | u | f0 | f1 | f2].
+    orthonormalization matrices.  Row/column order is that of the blocks
+    of `local.assemble_all_blocks`: [qx | qy | u | f0 | f1 | f2].
     """
     k = disc.k
     exps = monomial_exponents(k)
@@ -163,7 +164,7 @@ def dense_global_matrix(disc, cbar, bbar, bbar_face, tau, dt,
 
     Unknown order: all interior DOFs element-by-element, then the global
     trace DOFs.  assemble_local(ie) must return the (3d+3nfd) square local
-    matrix in LocalBlocks order.
+    matrix in the order of `monomial_full_local_matrix`.
     """
     mesh = disc.mesh
     ne = mesh.n_elements
@@ -186,17 +187,32 @@ def dense_global_matrix(disc, cbar, bbar, bbar_face, tau, dt,
     return A
 
 
+def basis_tables(disc, degree):
+    """Data-rule tables of the degree-`degree` element basis, built here.
+
+    Returns values (d, nq) and physical gradients (ne, d, nq, 2) at the
+    data rule, and values (ne, 3, d, nq) at each element's face data
+    points, found by mapping the physical face points back to the
+    element's reference coordinates.
+    """
+    basis = ElementBasis(degree)
+    geom = disc.geom
+    pts = disc.rule_data.points
+    G = np.einsum("eij,dqj->edqi", geom.inv_t, basis.eval_grad(pts))
+    ref = np.einsum("eij,efqj->efqi", geom.inv,
+                    disc.Xf_fdata - geom.corners[:, None, None, 0])
+    Vf = basis.eval(ref.reshape(-1, 2)).reshape((basis.dim,) + ref.shape[:3])
+    return basis.eval(pts), G, np.moveaxis(Vf, 0, 2)
+
+
 def lag_samples(disc, state):
-    """Point samples of a state, by direct evaluation of the basis tables.
+    """Point samples of a state, by direct evaluation of the basis.
 
     Returns dict with u (J,ne,nq), grad_u (J,ne,nq,2) and q (J,ne,nq,2) at
     the data rule and u_face (J,ne,3,nqf) at the face data rule, for both
     the degree-(k+1) initial state and degree-k step states.
     """
-    hi = state.u_degree == disc.k + 1
-    V = disc.V_hi_data if hi else disc.V_data
-    G = disc.G_hi_data if hi else disc.G_data
-    Vf = disc.Vf_hi_fdata if hi else disc.Vf_fdata
+    V, G, Vf = basis_tables(disc, state.u_degree)
     d = disc.ndof_u
     q = np.stack([state.q[:, :, :d] @ disc.V_data,
                   state.q[:, :, d:] @ disc.V_data], axis=-1)
@@ -213,8 +229,6 @@ def dense_step(disc, spec, tau, dt, state, lag=True):
     single-system reference; for J = 1 they vanish anyway).
     Returns the next EnsembleState.
     """
-    from ensemble_hdg.local import assemble_local_blocks
-
     mesh = disc.mesh
     ne = mesh.n_elements
     d = disc.ndof_u
@@ -231,8 +245,8 @@ def dense_step(disc, spec, tau, dt, state, lag=True):
                        for m in spec.members]).mean(0)
 
     def assemble_local(ie):
-        return assemble_local_blocks(disc, ie, cbar[ie], bbar[ie],
-                                     bbar_f[ie], tau, dt).full_matrix()
+        return monomial_full_local_matrix(disc, ie, cbar[ie], bbar[ie],
+                                          bbar_f[ie], tau, dt)
 
     A = dense_global_matrix(disc, cbar, bbar, bbar_f, tau, dt,
                             assemble_local)
@@ -295,6 +309,55 @@ def dense_run(disc, spec, tau, dt, steps, state, lag=True):
     for _ in range(steps):
         state = dense_step(disc, spec, tau, dt, state, lag=lag)
     return state
+
+
+def monomial_postprocess(disc, ie, q_coeffs, u_coeffs, c_vals):
+    """One element's u* by a dense constrained solve in raw monomials.
+
+    Solves (grad u*, grad z) = -(c q, grad z) for all z in P^(k+1), with
+    the element mean of u* held to that of u_h by a Lagrange multiplier,
+    integrating against raw reference monomials mapped to the element.
+    q_coeffs (2d,), u_coeffs (d,) are the element's fields; c_vals (nq,)
+    samples the member's inverse diffusion at the data rule.  Returns the
+    monomial coefficients of u*; the orthonormal coefficients x of the
+    library map to them as ElementBasis(k+1).coeffs.T @ x.
+    """
+    exps = monomial_exponents(disc.k + 1)
+    dh = len(exps)
+    d = disc.ndof_u
+    pts, w = disc.rule_elem.points, disc.rule_elem.weights
+    ptsd, wd = disc.rule_data.points, disc.rule_data.weights
+    BinvT = disc.geom.inv_t[ie]
+    detJ = disc.geom.det[ie]
+
+    def mono_grads(p):
+        Gx = np.array([a * p[:, 0] ** max(a - 1, 0) * p[:, 1] ** b
+                       if a else 0 * p[:, 0] for a, b in exps])
+        Gy = np.array([b * p[:, 0] ** a * p[:, 1] ** max(b - 1, 0)
+                       if b else 0 * p[:, 0] for a, b in exps])
+        return BinvT[0, 0] * Gx + BinvT[0, 1] * Gy, \
+            BinvT[1, 0] * Gx + BinvT[1, 1] * Gy
+
+    GX, GY = mono_grads(pts)
+    M = np.array([pts[:, 0] ** a * pts[:, 1] ** b for a, b in exps])
+    K = detJ * (np.einsum("q,iq,jq->ij", w, GX, GX) +
+                np.einsum("q,iq,jq->ij", w, GY, GY))
+    mvec = detJ * np.einsum("q,iq->i", w, M)
+    kkt = np.zeros((dh + 1, dh + 1))
+    kkt[:dh, :dh] = K
+    kkt[:dh, dh] = mvec
+    kkt[dh, :dh] = mvec
+
+    V = disc.V_data
+    qx = V.T @ q_coeffs[:d]
+    qy = V.T @ q_coeffs[d:]
+    uu = V.T @ u_coeffs
+    GXd, GYd = mono_grads(ptsd)
+    rhs = np.zeros(dh + 1)
+    rhs[:dh] = -detJ * (np.einsum("q,q,iq->i", wd, c_vals * qx, GXd) +
+                        np.einsum("q,q,iq->i", wd, c_vals * qy, GYd))
+    rhs[dh] = detJ * np.einsum("q,q->", wd, uu)
+    return np.linalg.solve(kkt, rhs)[:dh]
 
 
 def quadrature_postprocess(disc, post, u_coeffs, q_coeffs, c_vals):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ensemble_hdg.basis import (ElementBasis, FaceBasis, edge_quadrature,
-                                eval_element_basis, eval_face_basis,
                                 monomial_exponents, tri_monomial_integral,
                                 triangle_quadrature)
 
@@ -145,9 +144,10 @@ def test_face_basis_spans_pk(k):
 
 def test_eval_helpers_shapes():
     pts = triangle_quadrature(4).points
-    V, G = eval_element_basis(2, pts)
+    basis = ElementBasis(2)
+    V, G = basis.eval(pts), basis.eval_grad(pts)
     assert V.shape == (6, len(pts)) and G.shape == (6, len(pts), 2)
     s = edge_quadrature(4).points
-    assert eval_face_basis(2, s).shape == (3, len(s))
+    assert FaceBasis(2).eval(s).shape == (3, len(s))
     with pytest.raises(ValueError):
         ElementBasis(-1)

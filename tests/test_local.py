@@ -4,8 +4,7 @@ import pytest
 from ensemble_hdg.discretization import Discretization
 from ensemble_hdg.local import (CoefficientError, RHSTables,
                                 assemble_all_blocks, assemble_all_rhs,
-                                assemble_local_blocks, condense, condense_all,
-                                recover_all, recover_interior, rhs_operators)
+                                condense_all, rhs_operators)
 from ensemble_hdg.solver import EnsembleState
 
 from oracles import lag_samples, local_rhs, monomial_full_local_matrix
@@ -21,171 +20,186 @@ def const_samples(disc, cval=1.0, bvec=(0.0, 0.0)):
     return cbar, bbar, bbar_f
 
 
+def random_samples(disc, rng):
+    ne = disc.mesh.n_elements
+    nq, nqf = len(disc.w_elem), len(disc.w_face)
+    return (1.0 + rng.random((ne, nq)), rng.normal(size=(ne, nq, 2)),
+            rng.normal(size=(ne, 3, nqf, 2)))
+
+
+def transpose(a):
+    return np.swapaxes(a, -1, -2)
+
+
 def test_reference_triangle_identities(reference_triangle_mesh):
     """k=0, c=1, beta=0, tau=1, dt=1 on the reference triangle."""
     disc = Discretization(reference_triangle_mesh, 0)
-    cbar, bbar, bbar_f = const_samples(disc)
-    blocks = assemble_local_blocks(disc, 0, cbar[0], bbar[0], bbar_f[0],
-                                   1.0, 1.0)
+    A_II, A_IT, A_TI, A_TT = assemble_all_blocks(
+        disc, *const_samples(disc), 1.0, 1.0)
     # orthonormal reference basis: coefficient-1 mass is the identity
-    assert np.abs(blocks.a_qq - np.eye(2)).max() < 1e-13
-    assert np.abs(blocks.b_qu).max() < 1e-14  # div r = 0 for constants
-    assert np.abs(blocks.conv_uu).max() == 0.0
-    assert np.abs(blocks.conv_hatu).max() == 0.0
+    assert np.abs(A_II[0, :2, :2] - np.eye(2)).max() < 1e-13
+    assert np.abs(A_II[0, :2, 2:]).max() < 1e-14  # div r = 0 for constants
+    # u-u: the 1/dt mass plus tau <u, v> on the perimeter 2 + sqrt(2) of
+    # the constant basis function sqrt(2), and no convection
+    assert abs(A_II[0, 2, 2] - (1.0 + 2.0 * (2.0 + np.sqrt(2.0)))) < 1e-13
+    # no convective flux: the trace rows' u-block is the coupling's
+    # transpose, -tau <u, v_hat>
+    assert np.array_equal(A_TI[0, :, 2:], transpose(A_IT[0, 2:, :]))
 
 
 def test_convection_blocks_vanish_for_zero_velocity(mesh2):
     disc = Discretization(mesh2, 1)
+    d = disc.ndof_u
     cbar, bbar, bbar_f = const_samples(disc, cval=2.5)
-    blocks = assemble_local_blocks(disc, 3, cbar[0], bbar[0], bbar_f[0],
-                                   2.0, 0.5)
-    assert np.abs(blocks.conv_uu).max() == 0.0
-    assert np.abs(blocks.conv_hatu).max() == 0.0
+    A_II, A_IT, A_TI, _ = assemble_all_blocks(disc, cbar, bbar, bbar_f,
+                                              2.0, 0.5)
+    # without convection the u-u block is a sum of symmetric mass terms,
+    # and the trace rows' u-block is the transpose of the coupling's
+    uu = A_II[:, 2 * d:, 2 * d:]
+    assert np.abs(uu - transpose(uu)).max() < 1e-14 * np.abs(uu).max()
+    assert np.array_equal(A_TI[:, :, 2 * d:], transpose(A_IT[:, 2 * d:, :]))
+    # a velocity breaks both
+    A_II, A_IT, A_TI, _ = assemble_all_blocks(disc, cbar, bbar + 0.3,
+                                              bbar_f + 0.3, 2.0, 0.5)
+    uu = A_II[:, 2 * d:, 2 * d:]
+    assert np.abs(uu - transpose(uu)).max() > 1e-3
+    assert not np.allclose(A_TI[:, :, 2 * d:],
+                           transpose(A_IT[:, 2 * d:, :]))
 
 
 def test_coefficient_violation_names_element(mesh2):
     disc = Discretization(mesh2, 0)
     cbar, bbar, bbar_f = const_samples(disc)
-    bad = cbar[0].copy()
-    bad[0] = -1.0
+    bad = cbar.copy()
+    bad[5, 0] = -1.0
     with pytest.raises(CoefficientError, match="element 5"):
-        assemble_local_blocks(disc, 5, bad, bbar[0], bbar_f[0], 1.0, 1.0)
+        assemble_all_blocks(disc, bad, bbar, bbar_f, 1.0, 1.0)
     with pytest.raises(ValueError):
-        assemble_local_blocks(disc, 0, cbar[0], bbar[0], bbar_f[0], 0.0, 1.0)
+        assemble_all_blocks(disc, cbar, bbar, bbar_f, 0.0, 1.0)
     with pytest.raises(ValueError):
-        assemble_local_blocks(disc, 0, cbar[0], bbar[0], bbar_f[0], 1.0, 0.0)
+        assemble_all_blocks(disc, cbar, bbar, bbar_f, 1.0, 0.0)
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
-def test_full_local_matrix_against_monomial_oracle(mesh2, rng, k):
-    """Entry-wise agreement with brute-force quadrature in a raw monomial
-    basis plus change of basis."""
-    disc = Discretization(mesh2, k)
-    nq, nqf = len(disc.w_elem), len(disc.w_face)
-    tau, dt = 2.0, 0.25
-    for ie in (0, 3, 6):
-        cbar = 1.0 + 0.5 * rng.random(nq)
-        bbar = rng.normal(size=(nq, 2))
-        bbar_f = rng.normal(size=(3, nqf, 2))
-        blocks = assemble_local_blocks(disc, ie, cbar, bbar, bbar_f, tau, dt)
-        oracle = monomial_full_local_matrix(disc, ie, cbar, bbar, bbar_f,
-                                            tau, dt)
-        scale = np.abs(oracle).max()
-        assert np.abs(blocks.full_matrix() - oracle).max() < 1e-12 * scale
-
-
-@pytest.mark.parametrize("k", [0, 1])
-def test_batched_blocks_match_per_element(mesh4, rng, k):
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_full_local_matrix_against_monomial_oracle(mesh4, rng, k):
+    """Every element's batched blocks against brute-force quadrature in a
+    raw monomial basis plus change of basis, entry-wise."""
     disc = Discretization(mesh4, k)
-    ne = mesh4.n_elements
-    nq, nqf = len(disc.w_elem), len(disc.w_face)
-    cbar = 1.0 + rng.random((ne, nq))
-    bbar = rng.normal(size=(ne, nq, 2))
-    bbar_f = rng.normal(size=(ne, 3, nqf, 2))
-    tau, dt = 1.5, 0.1
+    cbar, bbar, bbar_f = random_samples(disc, rng)
+    tau, dt = 2.0, 0.25
     A_II, A_IT, A_TI, A_TT = assemble_all_blocks(disc, cbar, bbar, bbar_f,
                                                  tau, dt)
-    for ie in (0, 7, 20, ne - 1):
-        blocks = assemble_local_blocks(disc, ie, cbar[ie], bbar[ie],
-                                       bbar_f[ie], tau, dt)
-        assert np.abs(A_II[ie] - blocks.interior_matrix).max() < 1e-13
-        assert np.abs(A_IT[ie] - blocks.coupling).max() < 1e-13
-        assert np.abs(A_TI[ie] - blocks.trace_rows).max() < 1e-13
-        assert np.abs(A_TT[ie] - blocks.trace_block).max() < 1e-13
+    full = np.block([[A_II, A_IT], [A_TI, A_TT]])
+    for ie in range(mesh4.n_elements):
+        oracle = monomial_full_local_matrix(disc, ie, cbar[ie], bbar[ie],
+                                            bbar_f[ie], tau, dt)
+        # the monomial Gram matrices grow ill-conditioned with k
+        tol = 1e-13 if k <= 1 else 1e-12 * np.abs(oracle).max()
+        assert np.abs(full[ie] - oracle).max() < tol, ie
 
 
 def test_schur_symmetry_without_convection(mesh2):
     disc = Discretization(mesh2, 1)
-    cbar, bbar, bbar_f = const_samples(disc, cval=0.7)
-    blocks = assemble_local_blocks(disc, 0, cbar[0], bbar[0], bbar_f[0],
-                                   3.0, 0.5)
-    cond = condense(blocks)
-    assert np.abs(cond.schur - cond.schur.T).max() < 1e-12
+    cond = condense_all(*assemble_all_blocks(
+        disc, *const_samples(disc, cval=0.7), 3.0, 0.5))
+    assert np.abs(cond.schur - transpose(cond.schur)).max() < 1e-12
 
 
 def test_mass_scaling_in_cbar(mesh2):
     # scale by a power of two so the comparison is exact in floating point
     disc = Discretization(mesh2, 1)
+    d = disc.ndof_u
     cbar, bbar, bbar_f = const_samples(disc, cval=1.3)
-    b1 = assemble_local_blocks(disc, 0, cbar[0], bbar[0], bbar_f[0], 1.0,
-                               1.0)
-    b2 = assemble_local_blocks(disc, 0, 2.0 * cbar[0], bbar[0], bbar_f[0],
-                               1.0, 1.0)
-    assert np.abs(b2.a_qq - 2.0 * b1.a_qq).max() == 0.0
+    a1 = assemble_all_blocks(disc, cbar, bbar, bbar_f, 1.0, 1.0)[0]
+    a2 = assemble_all_blocks(disc, 2.0 * cbar, bbar, bbar_f, 1.0, 1.0)[0]
+    assert np.abs(a2[:, :2 * d, :2 * d] - 2.0 * a1[:, :2 * d, :2 * d]).max() \
+        == 0.0
 
 
-def test_condense_zero_coupling_returns_trace_block(mesh2, rng):
+def test_condense_zero_coupling_returns_trace_block(mesh2):
     disc = Discretization(mesh2, 0)
-    cbar, bbar, bbar_f = const_samples(disc)
-    blocks = assemble_local_blocks(disc, 0, cbar[0], bbar[0], bbar_f[0],
-                                   1.0, 1.0)
-    blocks.c_qhat[:] = 0.0
-    blocks.stab_uhat[:] = 0.0
-    blocks.flux_hatq[:] = 0.0
-    blocks.conv_hatu[:] = 0.0
-    blocks.stab_hatu[:] = 0.0
-    cond = condense(blocks)
-    assert np.abs(cond.schur - blocks.trace_block).max() == 0.0
+    A_II, A_IT, A_TI, A_TT = assemble_all_blocks(
+        disc, *const_samples(disc), 1.0, 1.0)
+    cond = condense_all(A_II, np.zeros_like(A_IT), np.zeros_like(A_TI),
+                        A_TT)
+    assert np.abs(cond.schur - A_TT).max() == 0.0
 
 
 def test_condense_matches_generic_elimination(rng):
-    """Random well-conditioned synthetic blocks vs direct elimination."""
-
-    class Fake:
-        ie = 0
-
-        def __init__(self):
-            n, t = 6, 4
-            self._a = np.eye(n) * 4 + rng.normal(size=(n, n)) * 0.3
-            self._b = rng.normal(size=(n, t)) * 0.5
-            self._c = rng.normal(size=(t, n)) * 0.5
-            self._d = np.eye(t) * 3 + rng.normal(size=(t, t)) * 0.2
-
-        interior_matrix = property(lambda s: s._a)
-        coupling = property(lambda s: s._b)
-        trace_rows = property(lambda s: s._c)
-        trace_block = property(lambda s: s._d)
-
-    fake = Fake()
-    cond = condense(fake)
-    want = fake._d - fake._c @ np.linalg.solve(fake._a, fake._b)
+    """A batch of random well-conditioned synthetic blocks vs direct
+    elimination."""
+    n, t, batch = 6, 4, 5
+    A_II = np.eye(n) * 4 + rng.normal(size=(batch, n, n)) * 0.3
+    A_IT = rng.normal(size=(batch, n, t)) * 0.5
+    A_TI = rng.normal(size=(batch, t, n)) * 0.5
+    A_TT = np.eye(t) * 3 + rng.normal(size=(batch, t, t)) * 0.2
+    cond = condense_all(A_II, A_IT, A_TI, A_TT)
+    want = A_TT - A_TI @ np.linalg.solve(A_II, A_IT)
     assert np.abs(cond.schur - want).max() < 1e-12
 
 
 def test_condensation_reconstructs_full_solution(mesh2, rng):
-    """Condensed solve + back-substitution satisfies the uncondensed local
-    equations."""
+    """Condensed maps + back-substitution satisfy the uncondensed local
+    equations of every element, for two right-hand sides each."""
     disc = Discretization(mesh2, 1)
-    cbar, bbar, bbar_f = const_samples(disc, cval=1.3, bvec=(0.4, -0.2))
-    blocks = assemble_local_blocks(disc, 0, cbar[0], bbar[0], bbar_f[0],
-                                   2.0, 0.5)
-    cond = condense(blocks)
-    full = blocks.full_matrix()
-    nint = blocks.interior_matrix.shape[0]
-    rhs = rng.normal(size=full.shape[0])
+    blocks = assemble_all_blocks(
+        disc, *const_samples(disc, cval=1.3, bvec=(0.4, -0.2)), 2.0, 0.5)
+    cond = condense_all(*blocks)
+    A_II, A_IT, A_TI, A_TT = blocks
+    full = np.block([[A_II, A_IT], [A_TI, A_TT]])
+    nint = A_II.shape[1]
+    rhs = rng.normal(size=(mesh2.n_elements, full.shape[1], 2))
     sol = np.linalg.solve(full, rhs)
     # back-substitute the exact trace part through the condensed maps
-    q, u = recover_interior(cond, sol[nint:], rhs[:nint])
-    assert np.abs(np.concatenate([q, u]) - sol[:nint]).max() < 1e-11
+    got = cond.solve_int @ rhs[:, :nint] - cond.lift @ sol[:, nint:]
+    assert np.abs(got - sol[:, :nint]).max() < 1e-11
 
 
 def test_recover_interior_zero_and_linearity(mesh2, rng):
+    """The recovery solve_int b - lift t of every element maps zero to
+    zero and is a superposition in the trace input."""
     disc = Discretization(mesh2, 1)
-    cbar, bbar, bbar_f = const_samples(disc)
-    cond = condense(assemble_local_blocks(disc, 0, cbar[0], bbar[0],
-                                          bbar_f[0], 1.0, 1.0))
-    ntr = cond.schur.shape[0]
-    nint = cond.solve_int.shape[0]
-    q, u = recover_interior(cond, np.zeros(ntr), np.zeros(nint))
-    assert np.abs(q).max() == 0.0 and np.abs(u).max() == 0.0
-    # superposition in the trace input
-    t1, t2 = rng.normal(size=ntr), rng.normal(size=ntr)
-    b = rng.normal(size=nint)
-    q12, u12 = recover_interior(cond, t1 + t2, b)
-    qa, ua = recover_interior(cond, t1, b)
-    qb, ub = recover_interior(cond, t2, np.zeros(nint))
-    assert np.abs(q12 - (qa + qb)).max() < 1e-12
-    assert np.abs(u12 - (ua + ub)).max() < 1e-12
+    cond = condense_all(*assemble_all_blocks(
+        disc, *const_samples(disc), 1.0, 1.0))
+    ne, nint, ntr = cond.lift.shape
+
+    def recover(t, b):
+        return cond.solve_int @ b[..., None] - cond.lift @ t[..., None]
+
+    assert np.abs(recover(np.zeros((ne, ntr)), np.zeros((ne, nint)))).max() \
+        == 0.0
+    t1, t2 = rng.normal(size=(2, ne, ntr))
+    b = rng.normal(size=(ne, nint))
+    both = recover(t1 + t2, b)
+    apart = recover(t1, b) + recover(t2, np.zeros((ne, nint)))
+    assert np.abs(both - apart).max() < 1e-12
+
+
+def test_condense_all_matches_condense(mesh2, rng):
+    """Assembled blocks of every element: Schur complements against direct
+    elimination, and the recovered interior against a dense solve of the
+    uncondensed local system."""
+    disc = Discretization(mesh2, 1)
+    A_II, A_IT, A_TI, A_TT = assemble_all_blocks(
+        disc, *random_samples(disc, rng), 1.0, 1.0)
+    cond = condense_all(A_II, A_IT, A_TI, A_TT)
+    want = A_TT - A_TI @ np.linalg.solve(A_II, A_IT)
+    assert np.abs(cond.schur - want).max() < 5e-12
+    # given traces t, the interior solves A_II x = b - A_IT t
+    J = 2
+    tr = rng.normal(size=(mesh2.n_elements, A_IT.shape[2], J))
+    bi = rng.normal(size=(mesh2.n_elements, A_II.shape[1], J))
+    got = cond.solve_int @ bi - cond.lift @ tr
+    assert np.abs(got - np.linalg.solve(A_II, bi - A_IT @ tr)).max() < 1e-11
+
+
+def test_condense_all_names_singular_element(mesh2):
+    disc = Discretization(mesh2, 1)
+    A_II, A_IT, A_TI, A_TT = assemble_all_blocks(
+        disc, *const_samples(disc), 1.0, 1.0)
+    A_II[3] = 0.0
+    with pytest.raises(RuntimeError, match="element 3"):
+        condense_all(A_II, A_IT, A_TI, A_TT)
 
 
 def test_local_rhs_reduces_to_time_term(mesh2, rng):
@@ -278,29 +292,3 @@ def test_batched_rhs_matches_per_element(mesh4, rng, k):
                 assert np.abs(b_int[j, ie] - loc[:3 * d]).max() < 1e-12
                 assert np.abs(b_tr[j, ie] - loc[3 * d:]).max() < 1e-12
         assert b_tr.shape == (J, ne, 3 * nfd)
-
-
-def test_condense_all_matches_condense(mesh2, rng):
-    disc = Discretization(mesh2, 1)
-    ne = mesh2.n_elements
-    nq, nqf = len(disc.w_elem), len(disc.w_face)
-    cbar = 1.0 + rng.random((ne, nq))
-    bbar = rng.normal(size=(ne, nq, 2))
-    bbar_f = rng.normal(size=(ne, 3, nqf, 2))
-    batched = assemble_all_blocks(disc, cbar, bbar, bbar_f, 1.0, 1.0)
-    cond = condense_all(*batched)
-    for ie in range(ne):
-        single = condense(assemble_local_blocks(
-            disc, ie, cbar[ie], bbar[ie], bbar_f[ie], 1.0, 1.0))
-        assert np.abs(cond.schur[ie] - single.schur).max() < 5e-12
-    # batched recovery agrees with the per-element one
-    J = 2
-    tr = rng.normal(size=(J, ne, cond.schur.shape[1]))
-    bi = rng.normal(size=(J, ne, cond.solve_int.shape[1]))
-    out = recover_all(cond, tr, bi)
-    for j in range(J):
-        for ie in (0, 3):
-            single = condense(assemble_local_blocks(
-                disc, ie, cbar[ie], bbar[ie], bbar_f[ie], 1.0, 1.0))
-            q, u = recover_interior(single, tr[j, ie], bi[j, ie])
-            assert np.abs(out[j, ie] - np.concatenate([q, u])).max() < 1e-11

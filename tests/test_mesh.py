@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ensemble_hdg.mesh import (Mesh, batched_geometry,
-                               build_uniform_square_mesh, element_geometry,
-                               read_mesh_text, write_mesh_text)
+                               build_uniform_square_mesh, read_mesh_text,
+                               write_mesh_text)
 
 
 def test_single_cell_split():
@@ -32,7 +32,7 @@ def test_structured_counts_and_euler():
 def test_mesh_invariants(n):
     m = build_uniform_square_mesh(n)
     assert abs(m.h_max - np.sqrt(2) / n) < 1e-15
-    assert abs(m.element_areas().sum() - 1.0) < 1e-14
+    assert abs(0.5 * batched_geometry(m).det.sum() - 1.0) < 1e-14
     # interior faces have two elements, boundary faces one
     interior = ~m.boundary
     assert np.all(m.face_elements[interior, 1] >= 0)
@@ -76,21 +76,20 @@ def test_canonical_orientation_matches_owner(mesh4):
 
 
 def test_element_geometry_reference_triangle(reference_triangle_mesh):
-    geo = element_geometry(reference_triangle_mesh, 0)
-    assert abs(geo.area - 0.5) < 1e-15
-    assert abs(geo.det - 1.0) < 1e-15
+    g = batched_geometry(reference_triangle_mesh)
+    assert abs(0.5 * g.det[0] - 0.5) < 1e-15
+    assert abs(g.det[0] - 1.0) < 1e-15
     # hypotenuse (local face 1) normal
     s = 1 / np.sqrt(2.0)
-    assert np.abs(geo.normals[1] - [s, s]).max() < 1e-15
-    lengths = np.linalg.norm(geo.normals, axis=1)
+    assert np.abs(g.normals[0, 1] - [s, s]).max() < 1e-15
+    lengths = np.linalg.norm(g.normals[0], axis=1)
     assert np.abs(lengths - 1.0).max() < 1e-14
 
 
 def test_element_geometry_uniform_areas(mesh2):
-    for ie in range(mesh2.n_elements):
-        assert abs(element_geometry(mesh2, ie).area - 1 / 8) < 1e-15
-    with pytest.raises(IndexError):
-        element_geometry(mesh2, mesh2.n_elements)
+    g = batched_geometry(mesh2)
+    assert len(g.det) == mesh2.n_elements
+    assert np.abs(0.5 * g.det - 1 / 8).max() < 1e-15
 
 
 def test_mesh_text_roundtrip(tmp_path, mesh4):
@@ -115,11 +114,19 @@ def test_mesh_text_validates_faces(tmp_path, mesh2):
         read_mesh_text(path)
 
 
-def test_locate_points_roundtrip(mesh4, rng):
-    pts = rng.random((200, 2))
-    elem, ref = mesh4.locate_points(pts)
-    g = batched_geometry(mesh4)
-    back = g.corners[elem, 0] + np.einsum("eij,ej->ei", g.jacobian[elem], ref)
-    assert np.abs(back - pts).max() < 1e-13
-    assert np.all(ref >= -1e-12)
-    assert np.all(ref.sum(axis=1) <= 1 + 1e-12)
+@pytest.mark.parametrize("ie, index", [(6, -1), (2, 99)])
+def test_rejects_out_of_range_vertex_index(tmp_path, mesh2, ie, index):
+    """-1 would wrap to the last vertex and 99 index past the end: both
+    name the element, through the constructor and the text format."""
+    elements = mesh2.elements.copy()
+    elements[ie, 2] = index
+    with pytest.raises(ValueError, match=f"element {ie} "):
+        Mesh(mesh2.vertices, elements)
+    path = tmp_path / "bad.mesh"
+    write_mesh_text(mesh2, path)
+    lines = path.read_text().splitlines()
+    row = 1 + mesh2.n_vertices + ie
+    lines[row] = " ".join(lines[row].split()[:2] + [str(index)])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"element {ie} "):
+        read_mesh_text(path)

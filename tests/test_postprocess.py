@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from ensemble_hdg.basis import ElementBasis, monomial_exponents
+from ensemble_hdg.basis import ElementBasis
 from ensemble_hdg.discretization import Discretization
-from ensemble_hdg.postprocess import Postprocessor, postprocess_element
+from ensemble_hdg.postprocess import Postprocessor
+
+from oracles import monomial_postprocess
 
 
 def test_constant_state_preserved(mesh2):
@@ -28,8 +30,7 @@ def test_exact_reproduction_of_hi_degree_pairs(mesh2, rng, k):
     cval = 0.7
     hi_coeffs = rng.normal(size=(1, ne, disc.ndof_u_hi))
     u_vals = hi_coeffs @ disc.V_hi_data
-    grad = np.matmul(hi_coeffs[:, :, None, :],
-                     disc.Gflat_hi_data).reshape(1, ne, -1, 2)
+    grad = np.einsum("jel,elqc->jeqc", hi_coeffs, disc.G_hi_data)
 
     # project u_h and q_h = -grad/c into the degree-k state layout
     V, w = disc.V_data, disc.w_data
@@ -101,67 +102,21 @@ def test_cached_map_follows_changed_samples(mesh2, rng):
     assert not np.allclose(again[1, 3], first[1, 3])
 
 
-def test_batched_matches_per_element(mesh2, rng):
-    disc = Discretization(mesh2, 1)
-    ne = mesh2.n_elements
-    u = rng.normal(size=(2, ne, disc.ndof_u))
-    q = rng.normal(size=(2, ne, 2 * disc.ndof_u))
-    c = 1.0 + rng.random((2, ne, len(disc.w_data)))
-    star = Postprocessor(disc).apply(u, q, c)
-    for j in range(2):
-        for ie in range(ne):
-            single = postprocess_element(disc, ie, q[j, ie], u[j, ie],
-                                         c[j, ie])
-            assert np.abs(star[j, ie] - single).max() < 1e-11
-
-
 def test_against_monomial_kkt_oracle(mesh2, rng):
-    """Random (q, u) at k=1 vs a dense constrained solve assembled in the
-    raw monomial basis."""
-    k = 1
-    disc = Discretization(mesh2, k)
-    ie = 2
-    u = rng.normal(size=disc.ndof_u)
-    q = rng.normal(size=2 * disc.ndof_u)
-    c = 1.0 + rng.random(len(disc.w_data))
-    got = postprocess_element(disc, ie, q, u, c)
-
-    exps = monomial_exponents(k + 1)
-    dh = len(exps)
-    pts, w = disc.rule_elem.points, disc.rule_elem.weights
-    ptsd, wd = disc.rule_data.points, disc.rule_data.weights
-    BinvT = disc.geom.inv_t[ie]
-    detJ = disc.geom.det[ie]
-
-    def mono_grads(p):
-        Gx = np.array([a * p[:, 0] ** max(a - 1, 0) * p[:, 1] ** b
-                       if a else 0 * p[:, 0] for a, b in exps])
-        Gy = np.array([b * p[:, 0] ** a * p[:, 1] ** max(b - 1, 0)
-                       if b else 0 * p[:, 0] for a, b in exps])
-        return BinvT[0, 0] * Gx + BinvT[0, 1] * Gy, \
-            BinvT[1, 0] * Gx + BinvT[1, 1] * Gy
-
-    GX, GY = mono_grads(pts)
-    M = np.array([pts[:, 0] ** a * pts[:, 1] ** b for a, b in exps])
-    K = detJ * (np.einsum("q,iq,jq->ij", w, GX, GX) +
-                np.einsum("q,iq,jq->ij", w, GY, GY))
-    mvec = detJ * np.einsum("q,iq->i", w, M)
-    kkt = np.zeros((dh + 1, dh + 1))
-    kkt[:dh, :dh] = K
-    kkt[:dh, dh] = mvec
-    kkt[dh, :dh] = mvec
-
-    V = disc.V_data
-    qx = V.T @ q[:disc.ndof_u]
-    qy = V.T @ q[disc.ndof_u:]
-    uu = V.T @ u
-    GXd, GYd = mono_grads(ptsd)
-    rhs = np.zeros(dh + 1)
-    rhs[:dh] = -detJ * (np.einsum("q,q,iq->i", wd, c * qx, GXd) +
-                        np.einsum("q,q,iq->i", wd, c * qy, GYd))
-    rhs[dh] = detJ * np.einsum("q,q->", wd, uu)
-    mono_sol = np.linalg.solve(kkt, rhs)[:dh]
-    # convert the library's orthonormal-basis answer to monomial form
-    C = ElementBasis(k + 1).coeffs
-    got_mono = C.T @ got
-    assert np.abs(got_mono - mono_sol).max() < 1e-10
+    """Random (q, u) of two members at k=0..2 vs a dense constrained solve
+    assembled in the raw monomial basis, on every element."""
+    ne = mesh2.n_elements
+    for k in (0, 1, 2):
+        disc = Discretization(mesh2, k)
+        u = rng.normal(size=(2, ne, disc.ndof_u))
+        q = rng.normal(size=(2, ne, 2 * disc.ndof_u))
+        c = 1.0 + rng.random((2, ne, len(disc.w_data)))
+        star = Postprocessor(disc).apply(u, q, c)
+        # the oracle answers in monomials: convert to the orthonormal basis
+        C = ElementBasis(k + 1).coeffs
+        for j in range(2):
+            for ie in range(ne):
+                mono = monomial_postprocess(disc, ie, q[j, ie], u[j, ie],
+                                            c[j, ie])
+                want = np.linalg.solve(C.T, mono)
+                assert np.abs(star[j, ie] - want).max() < 1e-11, (k, j, ie)

@@ -1,11 +1,25 @@
+"""The solver's initial projections: u = Pi_(k+1) u0, q = Pi_k(-grad u / c).
+
+`initialize` projects element by element in the data-rule inner product.
+"""
+
 import numpy as np
 import pytest
 
-from ensemble_hdg.basis import (ElementBasis, FaceBasis, edge_quadrature,
-                                triangle_quadrature)
+from ensemble_hdg.basis import ElementBasis, triangle_quadrature
+from ensemble_hdg.discretization import Discretization
 from ensemble_hdg.mesh import batched_geometry, build_uniform_square_mesh
-from ensemble_hdg.projections import (hdg_project, l2_project_element,
-                                      l2_project_face, projected_values)
+from ensemble_hdg.solver import Member, ProblemSpec, initialize
+
+
+def initial_state(u0, mesh, k, c=1.0):
+    """The projected initial state of one member with data u0 and c."""
+    zero = lambda x, y, t: np.zeros_like(x)
+    member = Member(c=lambda x, y, t: np.full_like(x, c),
+                    beta=lambda x, y, t: np.zeros(x.shape + (2,)),
+                    f=zero, g=zero, u0=u0)
+    disc = Discretization(mesh, k)
+    return disc, initialize(ProblemSpec([member]), disc)
 
 
 def element_points(mesh, rule):
@@ -14,37 +28,70 @@ def element_points(mesh, rule):
         g.corners[:, None, 0, :]
 
 
+def values(coeffs, degree, rule):
+    """Per-element expansions (..., ne, dim) at the points of rule."""
+    return coeffs @ ElementBasis(degree).eval(rule.points)
+
+
+def q_values(disc, state, rule):
+    d = disc.ndof_u
+    return np.stack([values(state.q[0, :, :d], disc.k, rule),
+                     values(state.q[0, :, d:], disc.k, rule)], axis=-1)
+
+
 def l2_norm(mesh, rule, vals):
     g = batched_geometry(mesh)
-    return np.sqrt(np.einsum("e,q,eq->", g.det, rule.weights, vals ** 2))
+    sq = vals ** 2 if vals.ndim == 2 else (vals ** 2).sum(-1)
+    return np.sqrt(np.einsum("e,q,eq->", g.det, rule.weights, sq))
+
+
+def discrete_field(mesh, degree, coeffs):
+    """u0(x, y) evaluating per-element coefficients, located by a search
+    over all elements for the one holding each point."""
+    g = batched_geometry(mesh)
+    basis = ElementBasis(degree)
+
+    def u0(x, y):
+        pts = np.column_stack([x, y])
+        ref = np.einsum("eij,epj->epi", g.inv,
+                        pts[None] - g.corners[:, None, 0])
+        inside = (ref >= -1e-12).all(-1) & (ref.sum(-1) <= 1 + 1e-12)
+        assert inside.any(axis=0).all()
+        elem = np.argmax(inside, axis=0)
+        ref = ref[elem, np.arange(len(x))]
+        return np.einsum("pd,dp->p", coeffs[elem], basis.eval(ref))
+
+    return u0
 
 
 def test_constant_projection_exact(mesh4):
-    pf = l2_project_element(lambda x, y: np.full_like(x, 3.0), mesh4, 0)
+    disc, state = initial_state(lambda x, y: np.full_like(x, 3.0), mesh4, 0)
     rule = triangle_quadrature(4)
-    vals = projected_values(pf, mesh4, rule.points)
-    assert np.abs(vals - 3.0).max() < 1e-13
+    assert np.abs(values(state.u[0], 1, rule) - 3.0).max() < 1e-13
+    assert np.abs(q_values(disc, state, rule)).max() < 1e-13
 
 
 def test_linear_projection_exact(mesh4):
     f = lambda x, y: x + 2 * y
-    pf = l2_project_element(f, mesh4, 1)
+    disc, state = initial_state(f, mesh4, 0)
     rule = triangle_quadrature(4)
     X = element_points(mesh4, rule)
-    vals = projected_values(pf, mesh4, rule.points)
-    assert np.abs(vals - f(X[..., 0], X[..., 1])).max() < 1e-13
+    assert np.abs(values(state.u[0], 1, rule) -
+                  f(X[..., 0], X[..., 1])).max() < 1e-13
+    # q = -grad u / c = (-1, -2) lies in P^0
+    assert np.abs(q_values(disc, state, rule) - [-1.0, -2.0]).max() < 1e-13
 
 
 def test_projection_orthogonality_residual(mesh4):
-    """(f - Pf, v) = 0 for all v in the projection space."""
+    """(u0 - Pi u0, v) = 0 for all v in P^(k+1), in the data-rule inner
+    product the projection is defined by."""
     f = lambda x, y: np.sin(3 * x) * np.cos(y)
-    for deg in (0, 1, 2):
-        pf = l2_project_element(f, mesh4, deg)
-        rule = triangle_quadrature(2 * deg + 4)
+    for k in (0, 1, 2):
+        disc, state = initial_state(f, mesh4, k)
+        rule = disc.rule_data
         X = element_points(mesh4, rule)
-        diff = f(X[..., 0], X[..., 1]) - projected_values(
-            pf, mesh4, rule.points)
-        V = ElementBasis(deg).eval(rule.points)
+        diff = f(X[..., 0], X[..., 1]) - values(state.u[0], k + 1, rule)
+        V = ElementBasis(k + 1).eval(rule.points)
         g = batched_geometry(mesh4)
         resid = np.einsum("e,q,eq,dq->ed", g.det, rule.weights, diff, V)
         fnorm = l2_norm(mesh4, rule, f(X[..., 0], X[..., 1]))
@@ -53,44 +100,45 @@ def test_projection_orthogonality_residual(mesh4):
 
 @pytest.mark.parametrize("deg", [0, 1, 2])
 def test_projection_rates(deg):
-    """Refinement rate deg+1 for sin(x) sin(y), levels n = 4..32."""
-    f = lambda x, y: np.sin(x) * np.sin(y)
-    errs = []
+    """Refinement rates for sin(x) sin(y), levels n = 4..32: deg+1 for the
+    flux projected onto P^deg, deg+2 for u projected onto P^(deg+1)."""
+    u = lambda x, y: np.sin(x) * np.sin(y)
+    q = lambda x, y: np.stack([-np.cos(x) * np.sin(y),
+                               -np.sin(x) * np.cos(y)], -1)
+    errs_q, errs_u = [], []
     for n in (4, 8, 16, 32):
         mesh = build_uniform_square_mesh(n)
-        pf = l2_project_element(f, mesh, deg)
+        disc, state = initial_state(u, mesh, deg)
         rule = triangle_quadrature(2 * deg + 6)
         X = element_points(mesh, rule)
-        diff = projected_values(pf, mesh, rule.points) - \
-            f(X[..., 0], X[..., 1])
-        errs.append(l2_norm(mesh, rule, diff))
-    rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-    slope = np.polyfit(np.arange(4), -np.log2(errs), 1)[0]
-    assert abs(slope - (deg + 1)) < 0.1
-    assert np.all(np.abs(rates - (deg + 1)) < 0.1)
+        errs_q.append(l2_norm(mesh, rule, q_values(disc, state, rule) -
+                              q(X[..., 0], X[..., 1])))
+        errs_u.append(l2_norm(mesh, rule, values(state.u[0], deg + 1, rule)
+                              - u(X[..., 0], X[..., 1])))
+    for errs, want in ((errs_q, deg + 1), (errs_u, deg + 2)):
+        rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        slope = np.polyfit(np.arange(4), -np.log2(errs), 1)[0]
+        assert abs(slope - want) < 0.1
+        assert np.all(np.abs(rates - want) < 0.1)
 
 
 def test_vector_projection(mesh4):
-    f = lambda x, y: np.stack([x * y, 1 - y], axis=-1)
-    pf = l2_project_element(f, mesh4, 2)
-    assert pf.is_vector
+    """The flux -grad u0 / c of a u0 in P^3 lies in [P^2]^2 and is
+    projected exactly."""
+    u0 = lambda x, y: x ** 2 * y - y ** 3 / 3 + x
+    disc, state = initial_state(u0, mesh4, 2, c=2.0)
     rule = triangle_quadrature(6)
     X = element_points(mesh4, rule)
-    vals = projected_values(pf, mesh4, rule.points)
-    assert np.abs(vals - f(X[..., 0], X[..., 1])).max() < 1e-12
+    x, y = X[..., 0], X[..., 1]
+    want = -np.stack([2 * x * y + 1, x ** 2 - y ** 2], -1) / 2.0
+    assert np.abs(q_values(disc, state, rule) - want).max() < 1e-12
 
 
 def test_projection_idempotent(mesh4):
-    f = lambda x, y: np.sin(x + y)
-    pf = l2_project_element(f, mesh4, 2)
-
-    def discrete(x, y):
-        elem, ref = mesh4.locate_points(np.column_stack([x, y]))
-        V = ElementBasis(2).eval(ref)
-        return np.einsum("pd,dp->p", pf.coeffs[elem], V)
-
-    pf2 = l2_project_element(discrete, mesh4, 2)
-    assert np.abs(pf2.coeffs - pf.coeffs).max() < 1e-13
+    disc, first = initial_state(lambda x, y: np.sin(x + y), mesh4, 2)
+    again = initial_state(discrete_field(mesh4, 3, first.u[0]), mesh4, 2)[1]
+    assert np.abs(again.u - first.u).max() < 1e-13
+    assert np.abs(again.q - first.q).max() < 1e-13
 
 
 def test_projection_linearity(mesh4, rng):
@@ -98,187 +146,8 @@ def test_projection_linearity(mesh4, rng):
     f = lambda x, y: np.sin(x) + y ** 3
     g = lambda x, y: np.exp(x - y)
     combo = lambda x, y: alpha * f(x, y) + g(x, y)
-    pa = l2_project_element(combo, mesh4, 1).coeffs
-    pb = alpha * l2_project_element(f, mesh4, 1).coeffs + \
-        l2_project_element(g, mesh4, 1).coeffs
-    assert np.abs(pa - pb).max() < 1e-12
-
-
-def test_face_projection_polynomials(mesh4):
-    co = l2_project_face(lambda x, y: np.full_like(x, 5.0), mesh4, 0)
-    fb = FaceBasis(0)
-    rule = edge_quadrature(3)
-    vals = np.einsum("fd,dq->fq", co, fb.eval(rule.points))
-    assert np.abs(vals - 5.0).max() < 1e-13
-
-    co = l2_project_face(lambda x, y: 2 * x - y, mesh4, 1)
-    fb = FaceBasis(1)
-    Psi = fb.eval(rule.points)
-    va, vb = mesh4.vertices[mesh4.faces[:, 0]], mesh4.vertices[
-        mesh4.faces[:, 1]]
-    X = va[:, None, :] + rule.points[None, :, None] * (vb - va)[:, None, :]
-    vals = np.einsum("fd,dq->fq", co, Psi)
-    assert np.abs(vals - (2 * X[..., 0] - X[..., 1])).max() < 1e-13
-
-
-def test_face_projection_rate():
-    """Aggregated boundary-norm rate ~ k + 1/2 for a smooth trace."""
-    f = lambda x, y: np.sin(2 * x + y)
-    k = 1
-    errs = []
-    for n in (4, 8, 16, 32):
-        mesh = build_uniform_square_mesh(n)
-        co = l2_project_face(f, mesh, k, quad_order=12)
-        rule = edge_quadrature(12)
-        Psi = FaceBasis(k).eval(rule.points)
-        va, vb = mesh.vertices[mesh.faces[:, 0]], mesh.vertices[
-            mesh.faces[:, 1]]
-        X = va[:, None, :] + rule.points[None, :, None] * \
-            (vb - va)[:, None, :]
-        lens = np.linalg.norm(vb - va, axis=1)
-        diff = np.einsum("fd,dq->fq", co, Psi) - f(X[..., 0], X[..., 1])
-        # count interior faces twice: the norm runs over element boundaries
-        mult = np.where(mesh.boundary, 1.0, 2.0)
-        e2 = np.einsum("f,q,fq->", lens * mult, rule.weights, diff ** 2)
-        errs.append(np.sqrt(e2))
-    slope = np.polyfit(np.arange(4), -np.log2(errs), 1)[0]
-    assert abs(slope - (k + 0.5)) < 0.1
-
-
-@pytest.mark.parametrize("k", [0, 1, 2])
-def test_hdg_projection_reproduces_polynomials(mesh4, k):
-    coef = {"qx": [0.5, -1.0, 2.0], "qy": [1.5, 0.25, -0.75],
-            "u": [2.0, -0.5, 1.0]}
-
-    def poly(c):
-        # degree-k truncation of c0 + c1 x + c2 y
-        def fn(x, y):
-            out = np.full_like(x, c[0])
-            if k >= 1:
-                out = out + c[1] * x + c[2] * y
-            return out
-        return fn
-
-    q_fn = lambda x, y: np.stack([poly(coef["qx"])(x, y),
-                                  poly(coef["qy"])(x, y)], -1)
-    u_fn = poly(coef["u"])
-    beta = lambda x, y: np.stack([y, x], -1)
-    Pq, Pu = hdg_project(q_fn, u_fn, mesh4, beta, 1.5, k)
-    rule = triangle_quadrature(4)
-    X = element_points(mesh4, rule)
-    vq = projected_values(Pq, mesh4, rule.points)
-    vu = projected_values(Pu, mesh4, rule.points)
-    assert np.abs(vq - q_fn(X[..., 0], X[..., 1])).max() < 1e-11
-    assert np.abs(vu - u_fn(X[..., 0], X[..., 1])).max() < 1e-11
-
-
-def test_hdg_projection_rejects_bad_tau(mesh4):
-    z = lambda x, y: np.zeros_like(x)
-    zv = lambda x, y: np.zeros(x.shape + (2,))
-    with pytest.raises(ValueError):
-        hdg_project(zv, z, mesh4, zv, 0.0, 1)
-
-
-@pytest.mark.parametrize("k", [1, 2])
-def test_hdg_projection_rates(k):
-    """Flux-projection error decays at rate k+1 on sin(x) sin(y) data."""
-    u = lambda x, y: np.sin(x) * np.sin(y)
-    q = lambda x, y: np.stack([-np.cos(x) * np.sin(y),
-                               -np.sin(x) * np.cos(y)], -1)
-    z = lambda x, y: np.zeros(x.shape + (2,))
-    errs = []
-    for n in (4, 8, 16, 32):
-        mesh = build_uniform_square_mesh(n)
-        Pq, Pu = hdg_project(q, u, mesh, z, 1.0, k)
-        rule = triangle_quadrature(2 * k + 6)
-        X = element_points(mesh, rule)
-        dq = projected_values(Pq, mesh, rule.points) - \
-            q(X[..., 0], X[..., 1])
-        g = batched_geometry(mesh)
-        errs.append(np.sqrt(np.einsum("e,q,eqi->", g.det, rule.weights,
-                                      dq ** 2)))
-    slope = np.polyfit(np.arange(4), -np.log2(errs), 1)[0]
-    assert abs(slope - (k + 1)) < 0.15
-
-
-def test_hdg_projection_matches_dense_least_squares(rng,
-                                                    reference_triangle_mesh):
-    """Random degree-(k+1) data on one element vs an lstsq solve of the
-    same moment system."""
-    mesh = reference_triangle_mesh
-    k = 1
-    hi = ElementBasis(k + 1)
-    cq = rng.normal(size=(2, hi.dim))
-    cu = rng.normal(size=hi.dim)
-
-    def q_fn(x, y):
-        V = hi.eval(np.column_stack([x, y]))
-        return np.stack([cq[0] @ V, cq[1] @ V], -1)
-
-    def u_fn(x, y):
-        return cu @ hi.eval(np.column_stack([x, y]))
-
-    beta = lambda x, y: np.stack([0.3 + y, 0.7 * x], -1)
-    tau = 2.0
-    Pq, Pu = hdg_project(q_fn, u_fn, mesh, beta, tau, k)
-
-    # independent dense solve: build the same moment equations row by row
-    # with explicit quadrature, unknowns in the orthonormal basis
-    basis = ElementBasis(k)
-    d = basis.dim
-    rule = triangle_quadrature(2 * k + 4)
-    frule = edge_quadrature(2 * k + 4)
-    V = basis.eval(rule.points)
-    Vlo = V[:1]  # P^0 block of the graded basis
-    X = rule.points
-    qv = q_fn(X[:, 0], X[:, 1])
-    uv = u_fn(X[:, 0], X[:, 1])
-    bv = beta(X[:, 0], X[:, 1])
-    rows = []
-    rhs = []
-    w = rule.weights
-    for comp in range(2):
-        for i in range(1):
-            row = np.zeros(3 * d)
-            row[comp * d:(comp + 1) * d] = np.einsum(
-                "q,q,jq->j", w, Vlo[i], V)
-            row[2 * d:] = np.einsum("q,q,q,jq->j", w, bv[:, comp], Vlo[i], V)
-            rows.append(row)
-            rhs.append(np.einsum("q,q,q->", w, qv[:, comp] +
-                                 bv[:, comp] * uv, Vlo[i]))
-    for i in range(1):
-        row = np.zeros(3 * d)
-        row[2 * d:] = np.einsum("q,q,jq->j", w, Vlo[i], V)
-        rows.append(row)
-        rhs.append(np.einsum("q,q,q->", w, uv, Vlo[i]))
-    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    fb = FaceBasis(k)
-    from ensemble_hdg.mesh import batched_geometry as bg
-    geom = bg(mesh)
-    for lf in range(3):
-        ra, rb = corners[lf], corners[(lf + 1) % 3]
-        ref = ra[None] + frule.points[:, None] * (rb - ra)[None]
-        Vf = basis.eval(ref)
-        Psi = fb.eval(frule.points)
-        n = geom.normals[0, lf]
-        ln = geom.edge_lengths[0, lf]
-        qf = q_fn(ref[:, 0], ref[:, 1])
-        uf = u_fn(ref[:, 0], ref[:, 1])
-        bf = beta(ref[:, 0], ref[:, 1])
-        wgt = bf @ n + tau
-        for m in range(k + 1):
-            row = np.zeros(3 * d)
-            row[:d] = ln * n[0] * np.einsum("q,q,jq->j", frule.weights,
-                                            Psi[m], Vf)
-            row[d:2 * d] = ln * n[1] * np.einsum(
-                "q,q,jq->j", frule.weights, Psi[m], Vf)
-            row[2 * d:] = ln * np.einsum("q,q,q,jq->j", frule.weights, wgt,
-                                         Psi[m], Vf)
-            rows.append(row)
-            rhs.append(ln * np.einsum("q,q,q->", frule.weights,
-                                      qf @ n + wgt * uf, Psi[m]))
-    A = np.array(rows)
-    b = np.array(rhs)
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    got = np.concatenate([Pq.coeffs[0, 0], Pq.coeffs[0, 1], Pu.coeffs[0]])
-    assert np.abs(got - sol).max() < 1e-10
+    both = initial_state(combo, mesh4, 1)[1]
+    sf = initial_state(f, mesh4, 1)[1]
+    sg = initial_state(g, mesh4, 1)[1]
+    assert np.abs(both.u - (alpha * sf.u + sg.u)).max() < 1e-12
+    assert np.abs(both.q - (alpha * sf.q + sg.q)).max() < 1e-12

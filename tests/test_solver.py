@@ -7,9 +7,11 @@ import pytest
 from ensemble_hdg.discretization import Discretization
 from ensemble_hdg.mesh import build_uniform_square_mesh
 from ensemble_hdg.problems import EXAMPLE1_C, example1, example2, example3
+from ensemble_hdg.basis import triangle_quadrature
+from ensemble_hdg.mesh import batched_geometry
 from ensemble_hdg.solver import (EnsembleSolver, Member, ProblemSpec,
                                  check_admissibility, choose_tau,
-                                 ensemble_means, initialize, state_samples)
+                                 initialize, state_samples)
 
 from oracles import dense_run, dense_step
 
@@ -27,33 +29,39 @@ def constant_members(cs, betas):
     return members
 
 
-def test_ensemble_means_single_member(mesh2, rng):
+def mean_samples(spec, mesh, t):
+    """The ensemble-mean samples the solver builds its trace matrix from."""
+    solver = EnsembleSolver(Discretization(mesh, 1), spec, dt=0.1, tau=1.0)
+    return solver._coefficient_samples(t)
+
+
+def test_ensemble_means_single_member(mesh2):
     spec = ProblemSpec(constant_members([2.5], [(1.0, -1.0)]))
-    pts = rng.random((40, 2))
-    cbar, bbar = ensemble_means(spec, 0.3, pts)
-    assert np.abs(cbar - 2.5).max() == 0.0
-    assert np.abs(bbar - [1.0, -1.0]).max() == 0.0
+    means = mean_samples(spec, mesh2, 0.3)
+    assert np.abs(means["cbar_elem"] - 2.5).max() == 0.0
+    assert np.abs(means["bbar_elem"] - [1.0, -1.0]).max() == 0.0
+    assert np.abs(means["bbar_face"] - [1.0, -1.0]).max() == 0.0
 
 
-def test_ensemble_means_example1_constants(rng):
-    spec = example1()
-    pts = rng.random((10, 2))
-    cbar, _ = ensemble_means(spec, 0.0, pts)
-    assert np.abs(cbar - sum(EXAMPLE1_C) / 3).max() < 1e-15
+def test_ensemble_means_example1_constants(mesh2):
+    means = mean_samples(example1(), mesh2, 0.0)
+    assert np.abs(means["cbar_elem"] - sum(EXAMPLE1_C) / 3).max() < 1e-15
 
 
-def test_ensemble_means_random_fields(rng):
+def test_ensemble_means_random_fields(mesh2):
     fields = [lambda x, y, t: np.sin(x) + t, lambda x, y, t: x * y + 1.0,
               lambda x, y, t: np.exp(-x) + y]
-    members = [Member(c=f,
-                      beta=lambda x, y, t: np.stack([y, x], -1),
-                      f=None, g=None, u0=None) for f in fields]
-    spec = ProblemSpec(members)
-    pts = rng.random((25, 2))
+    members = constant_members([1.0] * 3, [(0, 0)] * 3)
+    for m, f in zip(members, fields):
+        m.c = f
+        m.beta = lambda x, y, t: np.stack([y, x], -1)
+    spec = ProblemSpec(members, autonomous=False)
     t = 0.7
-    cbar, bbar = ensemble_means(spec, t, pts)
-    direct = sum(f(pts[:, 0], pts[:, 1], t) for f in fields) / 3
-    assert np.abs(cbar - direct).max() < 1e-15
+    means = mean_samples(spec, mesh2, t)
+    X = Discretization(mesh2, 1).X_elem
+    direct = sum(f(X[..., 0], X[..., 1], t) for f in fields) / 3
+    assert np.abs(means["cbar_elem"] - direct).max() < 1e-15
+    assert np.abs(means["bbar_elem"] - X[..., ::-1]).max() < 1e-15
 
 
 def test_admissibility_example1(mesh2):
@@ -78,6 +86,40 @@ def test_admissibility_detects_violation(mesh2):
     # c = {1, 100}: |50.5 - 1| = 49.5 < 50.5 -> the mean condition holds
     spec2 = ProblemSpec(constant_members([1.0, 100.0], [(0, 0)] * 2))
     assert check_admissibility(spec2, mesh2, [0.0]).ok
+
+
+def test_admissibility_report_counts_every_violation(mesh2):
+    """More violations than the report keeps, over several levels, from
+    both conditions: the counts and the kept records against a per-point
+    loop over the same sample points."""
+    members = constant_members([1.0, 3.0, 1.0], [(0, 0)] * 3)
+    # member 3 dominates the mean where x is large and is negative near x=0
+    members[2].c = lambda x, y, t: 20.0 * x * (1.0 + t) - 1.0
+    spec = ProblemSpec(members, autonomous=False)
+    times = [0.0, 0.25, 0.5, 0.75, 1.0]
+    report = check_admissibility(spec, mesh2, times)
+
+    g = batched_geometry(mesh2)
+    X = np.einsum("eij,qj->eqi", g.jacobian, triangle_quadrature(6).points)
+    X += g.corners[:, None, 0, :]
+    x, y = X[..., 0].ravel(), X[..., 1].ravel()
+    c = [[np.broadcast_to(m.c(x, y, t), x.shape) for m in members]
+         for t in times]
+    records, count = [], 0
+    for n in range(1, len(times)):
+        for j in range(3):
+            for p in range(len(x)):
+                now = sum(c[n][i][p] for i in range(3)) / 3
+                before = sum(c[n - 1][i][p] for i in range(3)) / 3
+                cj = c[n][j][p]
+                if abs(now - cj) >= min(now, before) or cj <= 0:
+                    count += 1
+                    records.append((j, n, float(x[p]), float(y[p])))
+    assert count > report.max_records
+    assert not report.ok
+    assert report.n_violations == count
+    assert report.violations == records[:report.max_records]
+    assert report.c_min == min(float(np.min(ct)) for ct in c)
 
 
 def test_choose_tau_zero_velocity(mesh2):

@@ -5,11 +5,10 @@ import scipy.sparse as sp
 from ensemble_hdg.discretization import Discretization
 from ensemble_hdg.local import assemble_all_blocks, condense_all
 from ensemble_hdg.trace_system import (assemble_trace_matrix,
-                                       coefficient_fingerprint, factorize,
-                                       solve_multi)
+                                       coefficient_fingerprint)
 
 
-def build_system(mesh, k, rng=None, backend="splu"):
+def build_system(mesh, k, rng=None):
     disc = Discretization(mesh, k)
     ne = mesh.n_elements
     nq, nqf = len(disc.w_elem), len(disc.w_face)
@@ -59,9 +58,9 @@ def test_matrix_matches_elementwise_application(mesh4, rng):
 
 def test_factorize_and_residual(mesh4, rng):
     disc, cond, system = build_system(mesh4, 1, rng)
-    factorize(system)
+    system.factorize()
     b = rng.normal(size=system.n_dofs)
-    x = system.solve(b)
+    x = system.solve_multi(b)
     assert system.residual(x, b).max() < 1e-11
 
 
@@ -69,13 +68,13 @@ def test_multi_rhs_matches_sequential(mesh4, rng):
     disc, cond, system = build_system(mesh4, 0, rng)
     system.factorize()
     B = rng.normal(size=(system.n_dofs, 3))
-    X = solve_multi(system, B)
+    X = system.solve_multi(B)
     for j in range(3):
-        xj = system.solve(B[:, j])
+        xj = system.solve_multi(B[:, j])
         assert np.abs(X[:, j] - xj).max() < 1e-13
     # single-column block solves bitwise like the 1-D path
     x0 = system.solve_multi(B[:, :1])
-    assert np.array_equal(x0[:, 0], system.solve(B[:, 0]))
+    assert np.array_equal(x0[:, 0], system.solve_multi(B[:, 0]))
     # zero RHS -> zero solution
     z = system.solve_multi(np.zeros((system.n_dofs, 2)))
     assert np.abs(z).max() == 0.0
@@ -85,47 +84,25 @@ def test_factorization_reuse_is_deterministic(mesh2, rng):
     disc, cond, system = build_system(mesh2, 1, rng)
     system.factorize()
     b = rng.normal(size=system.n_dofs)
-    assert np.array_equal(system.solve(b), system.solve(b))
+    assert np.array_equal(system.solve_multi(b), system.solve_multi(b))
 
 
 def test_fingerprint_mismatch_rejected(mesh2):
     disc, cond, system = build_system(mesh2, 0)
     system.factorize()
     b = np.ones(system.n_dofs)
-    system.solve(b, fingerprint="probe")
+    system.solve_multi(b, fingerprint="probe")
     with pytest.raises(ValueError, match="fingerprint"):
-        system.solve(b, fingerprint="stale")
+        system.solve_multi(b, fingerprint="stale")
 
 
 def test_solve_requires_factorization(mesh2):
     disc, cond, system = build_system(mesh2, 0)
     with pytest.raises(RuntimeError):
-        system.solve(np.ones(system.n_dofs))
+        system.solve_multi(np.ones(system.n_dofs))
     system.factorize()
     with pytest.raises(ValueError):
-        system.solve(np.ones(system.n_dofs + 1))
-
-
-def test_gmres_backend_equivalent(mesh4, rng):
-    disc, cond, system = build_system(mesh4, 1, rng)
-    system.factorize()
-    sys2 = assemble_trace_matrix(disc, cond.schur).factorize("gmres")
-    b = rng.normal(size=(system.n_dofs, 2))
-    x_direct = system.solve_multi(b)
-    x_iter = sys2.solve_multi(b)
-    assert sys2.residual(x_iter, b).max() < 1e-10
-    scale = np.abs(x_direct).max()
-    assert np.abs(x_direct - x_iter).max() < 1e-8 * scale
-
-
-def test_matrix_market_dump(tmp_path, mesh2):
-    disc, cond, system = build_system(mesh2, 0)
-    path = tmp_path / "trace.mtx"
-    system.dump_matrix_market(path)
-    from scipy.io import mmread
-
-    back = mmread(path)
-    assert np.abs((back - system.matrix).toarray()).max() < 1e-15
+        system.solve_multi(np.ones(system.n_dofs + 1))
 
 
 def test_fingerprint_sensitivity():
