@@ -81,21 +81,41 @@ def test_coefficient_violation_names_element(mesh2):
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_full_local_matrix_against_monomial_oracle(mesh4, rng, k):
-    """Every element's batched blocks against brute-force quadrature in a
-    raw monomial basis plus change of basis, entry-wise."""
-    disc = Discretization(mesh4, k)
+def test_full_local_matrix_against_monomial_oracle(mesh2, rng, k):
+    """Entry-wise agreement with brute-force quadrature in a raw monomial
+    basis plus change of basis, each element with its own coefficients."""
+    disc = Discretization(mesh2, k)
     cbar, bbar, bbar_f = random_samples(disc, rng)
     tau, dt = 2.0, 0.25
     A_II, A_IT, A_TI, A_TT = assemble_all_blocks(disc, cbar, bbar, bbar_f,
                                                  tau, dt)
     full = np.block([[A_II, A_IT], [A_TI, A_TT]])
+    for ie in (0, 3, 6):
+        oracle = monomial_full_local_matrix(disc, ie, cbar[ie], bbar[ie],
+                                            bbar_f[ie], tau, dt)
+        scale = np.abs(oracle).max()
+        assert np.abs(full[ie] - oracle).max() < 1e-12 * scale, ie
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_batched_blocks_match_per_element(mesh4, rng, k):
+    """Every element's four batched blocks against that element's monomial
+    oracle matrix, split at the interior/trace boundary."""
+    disc = Discretization(mesh4, k)
+    cbar, bbar, bbar_f = random_samples(disc, rng)
+    tau, dt = 1.5, 0.1
+    blocks = assemble_all_blocks(disc, cbar, bbar, bbar_f, tau, dt)
+    ni = blocks[0].shape[-1]
     for ie in range(mesh4.n_elements):
         oracle = monomial_full_local_matrix(disc, ie, cbar[ie], bbar[ie],
                                             bbar_f[ie], tau, dt)
         # the monomial Gram matrices grow ill-conditioned with k
         tol = 1e-13 if k <= 1 else 1e-12 * np.abs(oracle).max()
-        assert np.abs(full[ie] - oracle).max() < tol, ie
+        want = (oracle[:ni, :ni], oracle[:ni, ni:], oracle[ni:, :ni],
+                oracle[ni:, ni:])
+        for name, got, ref in zip(("A_II", "A_IT", "A_TI", "A_TT"), blocks,
+                                  want):
+            assert np.abs(got[ie] - ref).max() < tol, (name, ie)
 
 
 def test_schur_symmetry_without_convection(mesh2):

@@ -102,9 +102,10 @@ def test_cached_map_follows_changed_samples(mesh2, rng):
     assert not np.allclose(again[1, 3], first[1, 3])
 
 
-def test_against_monomial_kkt_oracle(mesh2, rng):
-    """Random (q, u) of two members at k=0..2 vs a dense constrained solve
-    assembled in the raw monomial basis, on every element."""
+def test_batched_matches_per_element(mesh2, rng):
+    """Random (q, u) of two members at k=0..2: the batched Postprocessor
+    against the per-element monomial KKT solve, on every element, in
+    orthonormal coefficients."""
     ne = mesh2.n_elements
     for k in (0, 1, 2):
         disc = Discretization(mesh2, k)
@@ -120,3 +121,21 @@ def test_against_monomial_kkt_oracle(mesh2, rng):
                                             c[j, ie])
                 want = np.linalg.solve(C.T, mono)
                 assert np.abs(star[j, ie] - want).max() < 1e-11, (k, j, ie)
+
+
+def test_against_monomial_kkt_oracle(mesh2, rng):
+    """Random (q, u) at k=1 vs a dense constrained solve assembled in the
+    raw monomial basis, compared in monomial coefficients."""
+    k = 1
+    disc = Discretization(mesh2, k)
+    ie = 2
+    ne = mesh2.n_elements
+    u = rng.normal(size=(1, ne, disc.ndof_u))
+    q = rng.normal(size=(1, ne, 2 * disc.ndof_u))
+    c = 1.0 + rng.random((1, ne, len(disc.w_data)))
+    got = Postprocessor(disc).apply(u, q, c)[0, ie]
+    mono_sol = monomial_postprocess(disc, ie, q[0, ie], u[0, ie], c[0, ie])
+    # convert the library's orthonormal-basis answer to monomial form
+    C = ElementBasis(k + 1).coeffs
+    got_mono = C.T @ got
+    assert np.abs(got_mono - mono_sol).max() < 1e-10
