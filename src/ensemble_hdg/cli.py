@@ -15,7 +15,7 @@ from .postprocess import Postprocessor
 from .problems import get_example
 from .solver import EnsembleSolver, check_admissibility
 from .study import (benchmark_ensemble_vs_separate, convergence_study,
-                    resolve_dt_rule, snap_dt)
+                    resolve_dt_rule)
 
 
 def _parse_levels(text):

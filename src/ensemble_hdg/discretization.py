@@ -84,8 +84,6 @@ class Discretization:
         self.V_hi_data = basis_hi.eval(pd)
         self.Gref_hi_data = basis_hi.eval_grad(pd)
         # physical gradients: grad_x phi = B^{-T} grad_ref phi
-        self.G_elem = np.einsum("eij,dqj->edqi", geom.inv_t,
-                                basis.eval_grad(pe))
         self.G_hi_elem = np.einsum("eij,dqj->edqi", geom.inv_t,
                                    basis_hi.eval_grad(pe))
         self.G_hi_data = np.einsum("eij,dqj->edqi", geom.inv_t,
@@ -128,7 +126,6 @@ class Discretization:
         aligned = mesh.elements[np.arange(ne)[:, None],
                                 np.array([0, 1, 2])[None, :]]
         self.face_aligned = aligned == mesh.faces[mesh.elem_faces][:, :, 0]
-        self.Vf_face = self._face_values(sf)
         self.Vf_fdata = self._face_values(sd)
 
     def _face_points(self, s):

@@ -8,8 +8,19 @@ unknowns and their rows/columns are dropped at scatter time (their trace
 values are identically zero, Dirichlet data enters only through the RHS).
 
 All kernels work on every element at once, with the element as the
-leading array axis.  The step's right-hand side, its previous-state terms,
-the (1/dt) mass and the lagged deviations (c̄ - c_j) q, (β̄ - β_j)·∇u and
+leading array axis, and every coefficient enters as one GEMM of its
+samples against a table that holds no coefficient.
+
+The local blocks are linear in the mean samples c̄ and β̄.  `BlockTables`
+holds, once per (discretization, tau, dt), what no coefficient touches:
+the div blocks, the (1/dt) mass and tau face terms, the q-trace coupling,
+and the trace-trace block; and reference tables for the c̄ mass, the
+β̄·∇ convection and the -<β̄·n u, v̂> face terms.  `assemble_all_blocks`
+adds the GEMMs of the current means to copies of the constant blocks, so
+a time-dependent mean costs a few small GEMMs per step.
+
+The step's right-hand side, its previous-state terms, the (1/dt) mass and
+the lagged deviations (c̄ - c_j) q, (β̄ - β_j)·∇u and
 -<(β̄ - β_j)·n u, v̂>, is a linear map of the previous [q | u] coefficients
 per (member, element).  `rhs_operators` builds those maps from the
 deviation samples by GEMMs against the coefficient-free tables of
@@ -26,72 +37,114 @@ class CoefficientError(ValueError):
     """A sampled coefficient violates a positivity requirement."""
 
 
-def assemble_all_blocks(disc, cbar, bbar, bbar_face, tau, dt):
+class BlockTables:
+    """The parts of the local blocks that no coefficient touches.
+
+    Built once per (discretization, tau, dt); every array is read-only, as
+    `assemble_all_blocks` hands A_IT and A_TT out by reference.
+
+    A_II   (ne, 3d, 3d)      the div blocks and the u-u block's (1/dt)
+                             mass plus tau face terms
+    A_IT   (ne, 3d, 3nfd)    all of it
+    A_TI   (ne, 3nfd, 3d)    the tau and normal-component parts
+    A_TT   (ne, 3nfd, 3nfd)  all of it
+    mass   (nq, d*d)         w_q v_i v_j, against c̄ samples
+    conv   (2nq, d*d)        w_q v_i ∂_r v_j, against β̄ B^-T samples
+    face   [lf][aligned]     (nqf, nfd*d) w_q ψ_m v_j on local face lf
+
+    The reference tables are evaluated at the element and face rules.
+    """
+
+    def __init__(self, disc, tau, dt):
+        ne = disc.mesh.n_elements
+        tau = np.broadcast_to(np.asarray(tau, dtype=float), (ne,))
+        if np.any(tau <= 0):
+            raise ValueError("tau must be positive on every element")
+        if dt <= 0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        basis = disc.elem_basis
+        d, nfd = disc.ndof_u, disc.ndof_face
+        w, V = disc.w_elem, disc.V_elem
+        detJ = disc.geom.det[:, None, None]
+        lens, nrm = disc.geom.edge_lengths, disc.geom.normals
+        self.mass, self.conv, self.face = _product_tables(
+            disc, basis, disc.rule_elem, disc.rule_face, disc.Psi_face)
+
+        A_II = np.zeros((ne, 3 * d, 3 * d))
+        A_IT = np.zeros((ne, 3 * d, 3 * nfd))
+        A_TI = np.zeros((ne, 3 * nfd, 3 * d))
+        A_TT = np.zeros((ne, 3 * nfd, 3 * nfd))
+        # (∂_x_c v_i, v_j) = Σ_r B^-T_cr (∂_r v_i, v_j) on the reference
+        dref = np.einsum("q,iqr,jq->rij", w, basis.eval_grad(
+            disc.rule_elem.points), V)
+        div = (disc.geom.inv_t.reshape(ne * 2, 2) @ dref.reshape(2, d * d)
+               ).reshape(ne, 2, d, d) * detJ[:, None]
+        for comp in range(2):
+            A_II[:, comp * d:(comp + 1) * d, 2 * d:] = -div[:, comp]
+            A_II[:, 2 * d:, comp * d:(comp + 1) * d] = \
+                np.swapaxes(div[:, comp], 1, 2)
+        A_II[:, 2 * d:, 2 * d:] = detJ / dt * ((V * w) @ V.T)
+
+        wf, Psi = disc.w_face, disc.Psi_face
+        psipsi = (Psi * wf) @ Psi.T
+        refs = reference_face_points(disc.rule_face.points)
+        for lf in range(3):
+            cols = slice(lf * nfd, (lf + 1) * nfd)
+            vals = [basis.eval(refs[lf, a]) for a in (0, 1)]
+            aligned = disc.face_aligned[:, lf].astype(int)
+            psiphi = np.stack([(Psi * wf) @ v.T for v in vals])[aligned]
+            phiphi = np.stack([(v * wf) @ v.T for v in vals])[aligned]
+            tl = (tau * lens[:, lf])[:, None, None]
+            A_II[:, 2 * d:, 2 * d:] += tl * phiphi
+            A_TI[:, cols, 2 * d:] = -tl * psiphi
+            A_TT[:, cols, cols] = tl * psipsi
+            for comp in range(2):
+                A_TI[:, cols, comp * d:(comp + 1) * d] = \
+                    -(lens[:, lf] * nrm[:, lf, comp])[:, None, None] * psiphi
+        # the coupling is the trace rows' negated transpose on the q-blocks
+        # and their transpose on the u-block
+        A_IT[:, :2 * d] = -np.swapaxes(A_TI[:, :, :2 * d], 1, 2)
+        A_IT[:, 2 * d:] = np.swapaxes(A_TI[:, :, 2 * d:], 1, 2)
+        self.A_II, self.A_IT, self.A_TI, self.A_TT = A_II, A_IT, A_TI, A_TT
+        for table in (A_II, A_IT, A_TI, A_TT, self.mass, self.conv,
+                      *(t for pair in self.face for t in pair)):
+            table.flags.writeable = False
+
+
+def assemble_all_blocks(disc, tables, cbar, bbar, bbar_face):
     """Batched local matrices: (A_II, A_IT, A_TI, A_TT) over all elements.
 
-    cbar (ne, nq), bbar (ne, nq, 2) at the element rule; bbar_face
-    (ne, 3, nqf, 2) at the face rule; tau (ne,) positive per element.
+    tables are the `BlockTables` of the discretization; cbar (ne, nq),
+    bbar (ne, nq, 2) sample the means at the element rule, bbar_face
+    (ne, 3, nqf, 2) at the face rule.  A_IT and A_TT hold no coefficient:
+    they are the read-only arrays of `tables`, shared by every call.
     """
-    if np.any(np.asarray(tau) <= 0):
-        raise ValueError("tau must be positive on every element")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
     if np.any(cbar <= 0):
         bad = int(np.argmax((cbar <= 0).any(axis=1)))
         raise CoefficientError(
             f"element {bad}: mean inverse-diffusion sample <= 0")
-    mesh = disc.mesh
-    ne = mesh.n_elements
-    d = disc.ndof_u
-    nfd = disc.ndof_face
-    nint, ntr = 3 * d, 3 * nfd
-    w, V, G = disc.w_elem, disc.V_elem, disc.G_elem
-    detJ = disc.geom.det
-    lens = disc.geom.edge_lengths
-    nrm = disc.geom.normals
-    Vf, Psi, wf = disc.Vf_face, disc.Psi_face, disc.w_face
-    tau = np.broadcast_to(np.asarray(tau, dtype=float), (ne,))
-
-    A_II = np.zeros((ne, nint, nint))
-    A_IT = np.zeros((ne, nint, ntr))
-    A_TI = np.zeros((ne, ntr, nint))
-    A_TT = np.zeros((ne, ntr, ntr))
-
-    mass_c = np.einsum("e,q,eq,iq,jq->eij", detJ, w, cbar, V, V)
-    A_II[:, :d, :d] = mass_c
-    A_II[:, d:2 * d, d:2 * d] = mass_c
-    for comp in range(2):
-        div = np.einsum("e,q,eiqc,jq->eij", detJ, w, G[:, :, :, comp:comp + 1],
-                        V)
-        A_II[:, comp * d:(comp + 1) * d, 2 * d:] = -div
-        A_II[:, 2 * d:, comp * d:(comp + 1) * d] = np.swapaxes(div, 1, 2)
-    A_II[:, 2 * d:, 2 * d:] = np.einsum(
-        "e,q,eqc,ejqc,iq->eij", detJ, w, bbar, G, V)
-    A_II[:, 2 * d:, 2 * d:] += np.einsum(
-        "e,q,iq,jq->eij", detJ / dt, w, V, V)
-
+    ne, nq = cbar.shape
+    d, nfd = disc.ndof_u, disc.ndof_face
+    detJ = disc.geom.det[:, None, None]
+    A_II = tables.A_II.copy()
+    A_TI = tables.A_TI.copy()
+    mass_c = (cbar @ tables.mass).reshape(ne, d, d) * detJ
+    A_II[:, :d, :d] += mass_c
+    A_II[:, d:2 * d, d:2 * d] += mass_c
+    bt = _reference_velocity(disc, bbar)
+    A_II[:, 2 * d:, 2 * d:] += (bt.reshape(ne, 2 * nq) @ tables.conv
+                                ).reshape(ne, d, d) * detJ
+    lens, nrm = disc.geom.edge_lengths, disc.geom.normals
+    bn = bbar_face[..., 0] * nrm[:, :, None, 0] + \
+        bbar_face[..., 1] * nrm[:, :, None, 1]
     for lf in range(3):
-        cols = slice(lf * nfd, (lf + 1) * nfd)
-        ln = lens[:, lf]
-        phiphi = np.einsum("e,q,eiq,ejq->eij", ln, wf, Vf[:, lf], Vf[:, lf])
-        psiphi = np.einsum("e,q,mq,ejq->emj", ln, wf, Psi, Vf[:, lf])
-        psipsi = np.einsum("e,q,mq,lq->eml", ln, wf, Psi, Psi)
-        A_II[:, 2 * d:, 2 * d:] += tau[:, None, None] * phiphi
-        A_IT[:, 2 * d:, cols] = -tau[:, None, None] * \
-            np.swapaxes(psiphi, 1, 2)
-        A_TI[:, cols, 2 * d:] = -tau[:, None, None] * psiphi
-        A_TT[:, cols, cols] = tau[:, None, None] * psipsi
-        bn = np.einsum("eqc,ec->eq", bbar_face[:, lf], nrm[:, lf])
-        A_TI[:, cols, 2 * d:] += -np.einsum(
-            "e,q,eq,mq,ejq->emj", ln, wf, bn, Psi, Vf[:, lf])
-        for comp in range(2):
-            ccols = slice(comp * d, (comp + 1) * d)
-            scaled = ln * nrm[:, lf, comp]
-            A_IT[:, ccols, cols] = np.swapaxes(np.einsum(
-                "e,q,mq,ejq->emj", scaled, wf, Psi, Vf[:, lf]), 1, 2)
-            A_TI[:, cols, ccols] = -np.einsum(
-                "e,q,mq,ejq->emj", scaled, wf, Psi, Vf[:, lf])
-    return A_II, A_IT, A_TI, A_TT
+        rows = slice(lf * nfd, (lf + 1) * nfd)
+        misaligned, aligned = tables.face[lf]
+        blk = np.where(disc.face_aligned[:, lf, None],
+                       bn[:, lf] @ aligned, bn[:, lf] @ misaligned)
+        A_TI[:, rows, 2 * d:] -= (blk * lens[:, lf, None]).reshape(
+            ne, nfd, d)
+    return A_II, tables.A_IT, A_TI, tables.A_TT
 
 
 class BatchedCondensed:
@@ -180,22 +233,40 @@ class RHSTables:
         if degree not in (disc.k, disc.k + 1):
             raise ValueError(f"no lag tables for degree {degree}")
         basis = disc.elem_basis if degree == disc.k else disc.elem_basis_hi
-        pts, w = disc.rule_data.points, disc.rule_data.weights
-        V = disc.V_data
-        Vin = basis.eval(pts)
-        Gin = basis.eval_grad(pts)
-        d, din, nq = V.shape[0], Vin.shape[0], len(w)
-        self.mass = (V * w) @ Vin.T
-        self.mass_q = np.einsum("q,iq,lq->qil", w, V, V).reshape(nq, d * d)
-        self.conv = np.einsum("q,iq,lqr->qril", w, V, Gin).reshape(
-            2 * nq, d * din)
-        s, wf = disc.rule_face_data.points, disc.rule_face_data.weights
-        Psi = disc.Psi_fdata
-        refs = reference_face_points(s)
-        self.face = [[np.einsum("q,mq,lq->qml", wf, Psi,
-                                basis.eval(refs[lf, a])).reshape(
-                                    len(s), Psi.shape[0] * din)
-                      for a in (0, 1)] for lf in range(3)]
+        self.mass = (disc.V_data * disc.w_data) @ basis.eval(
+            disc.rule_data.points).T
+        self.mass_q, self.conv, self.face = _product_tables(
+            disc, basis, disc.rule_data, disc.rule_face_data,
+            disc.Psi_fdata)
+
+
+def _product_tables(disc, basis, rule, face_rule, Psi):
+    """Reference basis products at an element rule and a face rule.
+
+    Returns (mass, conv, face): w_q v_i v_l (nq, d*d) of the degree-k
+    test functions, w_q v_i ∂_r u_l (2nq, d*din) and, per local face and
+    [misaligned, aligned], w_q ψ_m u_l (nqf, nfd*din), where u are the
+    functions of `basis` and ψ are the face-basis values Psi at face_rule.
+    """
+    pts, w = rule.points, rule.weights
+    V = disc.elem_basis.eval(pts)
+    nq, d, din = len(w), V.shape[0], basis.dim
+    mass = np.einsum("q,iq,lq->qil", w, V, V).reshape(nq, d * d)
+    conv = np.einsum("q,iq,lqr->qril", w, V, basis.eval_grad(pts)).reshape(
+        2 * nq, d * din)
+    s, wf = face_rule.points, face_rule.weights
+    refs = reference_face_points(s)
+    face = [[np.einsum("q,mq,lq->qml", wf, Psi,
+                       basis.eval(refs[lf, a])).reshape(
+                           len(s), Psi.shape[0] * din)
+             for a in (0, 1)] for lf in range(3)]
+    return mass, conv, face
+
+
+def _reference_velocity(disc, b):
+    """Velocity samples b (..., ne, nq, 2) times B^-T: b·∇u = Σ_r
+    [b B^-T]_r ∂_r u in the reference coordinates of each element."""
+    return np.matmul(b, disc.geom.inv_t)
 
 
 class RHSOperators:
@@ -232,10 +303,7 @@ def rhs_operators(disc, tables, dt, J, c_dev, b_dev, b_dev_face):
     nq = c_dev.shape[2]
     mass_c = (c_dev.reshape(J * ne, nq) @ tables.mass_q).reshape(
         J, ne, d, d) * detJ
-    # (β̄ - β_j)·∇u_l = Σ_r [(β̄ - β_j) B^-T]_r ∂_r u_l on the reference
-    inv_t = disc.geom.inv_t
-    bt = b_dev[..., :1] * inv_t[:, None, 0] + \
-        b_dev[..., 1:] * inv_t[:, None, 1]
+    bt = _reference_velocity(disc, b_dev)
     u_op[:, :, :d] += (bt.reshape(J * ne, 2 * nq) @ tables.conv).reshape(
         J, ne, d, din) * detJ
     mesh = disc.mesh

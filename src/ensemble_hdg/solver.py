@@ -7,7 +7,10 @@ factorization.
 
 Everything a step builds from the coefficients is cached with the
 coefficient samples it was built from.  The trace factorization is keyed
-on the fingerprint of the mean samples.  The RHS operators (the per-member,
+on the fingerprint of the mean samples, at the element rule and on the
+faces.  The solver holds the `local.BlockTables` of its (tau, dt): the
+blocks are rebuilt from them by a few GEMMs of the mean samples whenever
+the fingerprint changes.  The RHS operators (the per-member,
 per-element linear maps from the previous [q | u] coefficients to the RHS,
 see `local.rhs_operators`) are built from the deviation samples and live in
 the same sample set.  Autonomous coefficients are sampled once, so both are
@@ -281,6 +284,7 @@ class EnsembleSolver:
         self._fp = None
         self._padded = None
         self._tables = local.RHSTables(disc, disc.k)
+        self._block_tables = local.BlockTables(disc, self.tau, self.dt)
 
         ne = disc.mesh.n_elements
         n = disc.n_trace_dofs
@@ -326,7 +330,7 @@ class EnsembleSolver:
             "cbar_elem": cbar, "bbar_elem": bbar, "bbar_face": bbar_f,
             "fingerprint": coefficient_fingerprint(
                 disc.mesh.content_token(), disc.k, self.dt,
-                np.atleast_1d(self.tau), cbar, bbar_f),
+                np.atleast_1d(self.tau), cbar, bbar, bbar_f),
         }
         if spec.J > 1:
             c_data = np.stack([disc.sample_scalar(m.c, t, "data")
@@ -365,8 +369,8 @@ class EnsembleSolver:
         if self.system is not None and fp == self._fp:
             return
         blocks = local.assemble_all_blocks(
-            self.disc, coeffs["cbar_elem"], coeffs["bbar_elem"],
-            coeffs["bbar_face"], self.tau, self.dt)
+            self.disc, self._block_tables, coeffs["cbar_elem"],
+            coeffs["bbar_elem"], coeffs["bbar_face"])
         self.cond = local.condense_all(*blocks)
         self.system = assemble_trace_matrix(
             self.disc, self.cond.schur, fp).factorize()

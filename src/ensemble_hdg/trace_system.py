@@ -73,34 +73,65 @@ class TraceSystem:
         return num / np.where(den > 0, den, 1.0)
 
 
+def _trace_pattern(disc):
+    """CSC structure of the trace matrix and the map that fills it.
+
+    Returns (take, slot, indices, indptr): the flat schur entries at
+    `take` lie on interior-face DOFs, and entry i of them adds into
+    nonzero slot[i] of the sorted, duplicate-free CSC arrays.  Cached on
+    the discretization.
+    """
+    cached = getattr(disc, "_trace_pattern", None)
+    if cached is not None:
+        return cached
+    dof = disc.trace_dof
+    ne, T = dof.shape
+    n = disc.n_trace_dofs
+    rows = np.broadcast_to(dof[:, :, None], (ne, T, T)).ravel()
+    cols = np.broadcast_to(dof[:, None, :], (ne, T, T)).ravel()
+    take = np.flatnonzero((rows >= 0) & (cols >= 0))
+    keys, slot = np.unique(cols[take].astype(np.int64) * n + rows[take],
+                           return_inverse=True)
+    # SuperLU takes C-int indices
+    indices = (keys % n).astype(np.intc)
+    indptr = np.zeros(n + 1, dtype=np.intc)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    cached = (take, slot, indices, indptr)
+    for arr in cached:
+        arr.flags.writeable = False
+    disc._trace_pattern = cached
+    return cached
+
+
 def assemble_trace_matrix(disc, schur, fingerprint=None):
     """Scatter batched element Schur blocks into the global trace matrix.
 
     schur has shape (ne, T, T) with T = 3 * (k+1); rows/columns mapped to
-    boundary faces are dropped.
+    boundary faces are dropped.  The matrix is CSC, the format the LU
+    reads.
     """
     ne, T, T2 = schur.shape
     if ne != disc.mesh.n_elements or T != T2 or \
             T != disc.trace_dof.shape[1]:
         raise ValueError("schur block shape does not match the mesh/degree")
-    dof = disc.trace_dof
-    rows = np.broadcast_to(dof[:, :, None], (ne, T, T))
-    cols = np.broadcast_to(dof[:, None, :], (ne, T, T))
-    keep = (rows >= 0) & (cols >= 0)
+    take, slot, indices, indptr = _trace_pattern(disc)
+    data = np.bincount(slot, weights=schur.reshape(-1)[take],
+                       minlength=len(indices))
     n = disc.n_trace_dofs
-    mat = sp.coo_matrix(
-        (schur[keep], (rows[keep], cols[keep])), shape=(n, n)
-    ).tocsr()
+    mat = sp.csc_matrix((data, indices, indptr), shape=(n, n))
     return TraceSystem(disc, mat, fingerprint)
 
 
-def coefficient_fingerprint(mesh_token, degree, dt, tau, cbar, bbar_face):
-    """Stable hash of everything the trace matrix is built from."""
+def coefficient_fingerprint(mesh_token, degree, dt, tau, cbar, bbar,
+                            bbar_face):
+    """Stable hash of everything the trace matrix is built from: the mean
+    samples cbar and bbar at the element rule and bbar_face at the face
+    rule, with the mesh, degree, dt and tau."""
     h = hashlib.sha256()
     h.update(mesh_token.encode())
     h.update(np.int64(degree).tobytes())
     h.update(np.float64(dt).tobytes())
     h.update(np.ascontiguousarray(tau, dtype=float).tobytes())
-    h.update(np.ascontiguousarray(cbar, dtype=float).tobytes())
-    h.update(np.ascontiguousarray(bbar_face, dtype=float).tobytes())
+    for samples in (cbar, bbar, bbar_face):
+        h.update(np.ascontiguousarray(samples, dtype=float).tobytes())
     return h.hexdigest()

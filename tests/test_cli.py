@@ -1,8 +1,4 @@
 import json
-import os
-
-import numpy as np
-import pytest
 
 from ensemble_hdg.cli import main
 from ensemble_hdg.io import read_convergence_csv

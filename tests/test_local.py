@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ensemble_hdg.discretization import Discretization
-from ensemble_hdg.local import (CoefficientError, RHSTables,
+from ensemble_hdg.local import (BlockTables, CoefficientError, RHSTables,
                                 assemble_all_blocks, assemble_all_rhs,
                                 condense_all, rhs_operators)
 from ensemble_hdg.solver import EnsembleState
@@ -35,7 +35,7 @@ def test_reference_triangle_identities(reference_triangle_mesh):
     """k=0, c=1, beta=0, tau=1, dt=1 on the reference triangle."""
     disc = Discretization(reference_triangle_mesh, 0)
     A_II, A_IT, A_TI, A_TT = assemble_all_blocks(
-        disc, *const_samples(disc), 1.0, 1.0)
+        disc, BlockTables(disc, 1.0, 1.0), *const_samples(disc))
     # orthonormal reference basis: coefficient-1 mass is the identity
     assert np.abs(A_II[0, :2, :2] - np.eye(2)).max() < 1e-13
     assert np.abs(A_II[0, :2, 2:]).max() < 1e-14  # div r = 0 for constants
@@ -51,16 +51,17 @@ def test_convection_blocks_vanish_for_zero_velocity(mesh2):
     disc = Discretization(mesh2, 1)
     d = disc.ndof_u
     cbar, bbar, bbar_f = const_samples(disc, cval=2.5)
-    A_II, A_IT, A_TI, _ = assemble_all_blocks(disc, cbar, bbar, bbar_f,
-                                              2.0, 0.5)
+    tables = BlockTables(disc, 2.0, 0.5)
+    A_II, A_IT, A_TI, _ = assemble_all_blocks(disc, tables, cbar, bbar,
+                                              bbar_f)
     # without convection the u-u block is a sum of symmetric mass terms,
     # and the trace rows' u-block is the transpose of the coupling's
     uu = A_II[:, 2 * d:, 2 * d:]
     assert np.abs(uu - transpose(uu)).max() < 1e-14 * np.abs(uu).max()
     assert np.array_equal(A_TI[:, :, 2 * d:], transpose(A_IT[:, 2 * d:, :]))
     # a velocity breaks both
-    A_II, A_IT, A_TI, _ = assemble_all_blocks(disc, cbar, bbar + 0.3,
-                                              bbar_f + 0.3, 2.0, 0.5)
+    A_II, A_IT, A_TI, _ = assemble_all_blocks(disc, tables, cbar,
+                                              bbar + 0.3, bbar_f + 0.3)
     uu = A_II[:, 2 * d:, 2 * d:]
     assert np.abs(uu - transpose(uu)).max() > 1e-3
     assert not np.allclose(A_TI[:, :, 2 * d:],
@@ -73,11 +74,12 @@ def test_coefficient_violation_names_element(mesh2):
     bad = cbar.copy()
     bad[5, 0] = -1.0
     with pytest.raises(CoefficientError, match="element 5"):
-        assemble_all_blocks(disc, bad, bbar, bbar_f, 1.0, 1.0)
+        assemble_all_blocks(disc, BlockTables(disc, 1.0, 1.0), bad, bbar,
+                            bbar_f)
     with pytest.raises(ValueError):
-        assemble_all_blocks(disc, cbar, bbar, bbar_f, 0.0, 1.0)
+        BlockTables(disc, 0.0, 1.0)
     with pytest.raises(ValueError):
-        assemble_all_blocks(disc, cbar, bbar, bbar_f, 1.0, 0.0)
+        BlockTables(disc, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -87,8 +89,8 @@ def test_full_local_matrix_against_monomial_oracle(mesh2, rng, k):
     disc = Discretization(mesh2, k)
     cbar, bbar, bbar_f = random_samples(disc, rng)
     tau, dt = 2.0, 0.25
-    A_II, A_IT, A_TI, A_TT = assemble_all_blocks(disc, cbar, bbar, bbar_f,
-                                                 tau, dt)
+    A_II, A_IT, A_TI, A_TT = assemble_all_blocks(
+        disc, BlockTables(disc, tau, dt), cbar, bbar, bbar_f)
     full = np.block([[A_II, A_IT], [A_TI, A_TT]])
     for ie in (0, 3, 6):
         oracle = monomial_full_local_matrix(disc, ie, cbar[ie], bbar[ie],
@@ -104,7 +106,8 @@ def test_batched_blocks_match_per_element(mesh4, rng, k):
     disc = Discretization(mesh4, k)
     cbar, bbar, bbar_f = random_samples(disc, rng)
     tau, dt = 1.5, 0.1
-    blocks = assemble_all_blocks(disc, cbar, bbar, bbar_f, tau, dt)
+    blocks = assemble_all_blocks(disc, BlockTables(disc, tau, dt), cbar,
+                                 bbar, bbar_f)
     ni = blocks[0].shape[-1]
     for ie in range(mesh4.n_elements):
         oracle = monomial_full_local_matrix(disc, ie, cbar[ie], bbar[ie],
@@ -118,10 +121,32 @@ def test_batched_blocks_match_per_element(mesh4, rng, k):
             assert np.abs(got[ie] - ref).max() < tol, (name, ie)
 
 
+def test_block_tables_are_shared_read_only(mesh2, rng):
+    """The coefficient-free blocks are handed out by reference: they
+    cannot be written to, and calls with other coefficients leave the
+    tables as a fresh build has them."""
+    disc = Discretization(mesh2, 1)
+    tables = BlockTables(disc, 2.0, 0.5)
+    held = [tables.A_II, tables.A_IT, tables.A_TI, tables.A_TT,
+            tables.mass, tables.conv] + [t for pair in tables.face
+                                         for t in pair]
+    assert not any(t.flags.writeable for t in held)
+    cbar, bbar, bbar_f = random_samples(disc, rng)
+    first = assemble_all_blocks(disc, tables, cbar, bbar, bbar_f)
+    with pytest.raises(ValueError, match="read-only"):
+        first[1][0, 0, 0] = 1.0
+    second = assemble_all_blocks(disc, tables, 2.0 * cbar, bbar, bbar_f)
+    fresh = BlockTables(disc, 2.0, 0.5)
+    for got, cval in ((first, cbar), (second, 2.0 * cbar)):
+        want = assemble_all_blocks(disc, fresh, cval, bbar, bbar_f)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
 def test_schur_symmetry_without_convection(mesh2):
     disc = Discretization(mesh2, 1)
     cond = condense_all(*assemble_all_blocks(
-        disc, *const_samples(disc, cval=0.7), 3.0, 0.5))
+        disc, BlockTables(disc, 3.0, 0.5), *const_samples(disc, cval=0.7)))
     assert np.abs(cond.schur - transpose(cond.schur)).max() < 1e-12
 
 
@@ -130,8 +155,9 @@ def test_mass_scaling_in_cbar(mesh2):
     disc = Discretization(mesh2, 1)
     d = disc.ndof_u
     cbar, bbar, bbar_f = const_samples(disc, cval=1.3)
-    a1 = assemble_all_blocks(disc, cbar, bbar, bbar_f, 1.0, 1.0)[0]
-    a2 = assemble_all_blocks(disc, 2.0 * cbar, bbar, bbar_f, 1.0, 1.0)[0]
+    tables = BlockTables(disc, 1.0, 1.0)
+    a1 = assemble_all_blocks(disc, tables, cbar, bbar, bbar_f)[0]
+    a2 = assemble_all_blocks(disc, tables, 2.0 * cbar, bbar, bbar_f)[0]
     assert np.abs(a2[:, :2 * d, :2 * d] - 2.0 * a1[:, :2 * d, :2 * d]).max() \
         == 0.0
 
@@ -139,7 +165,7 @@ def test_mass_scaling_in_cbar(mesh2):
 def test_condense_zero_coupling_returns_trace_block(mesh2):
     disc = Discretization(mesh2, 0)
     A_II, A_IT, A_TI, A_TT = assemble_all_blocks(
-        disc, *const_samples(disc), 1.0, 1.0)
+        disc, BlockTables(disc, 1.0, 1.0), *const_samples(disc))
     cond = condense_all(A_II, np.zeros_like(A_IT), np.zeros_like(A_TI),
                         A_TT)
     assert np.abs(cond.schur - A_TT).max() == 0.0
@@ -163,7 +189,8 @@ def test_condensation_reconstructs_full_solution(mesh2, rng):
     equations of every element, for two right-hand sides each."""
     disc = Discretization(mesh2, 1)
     blocks = assemble_all_blocks(
-        disc, *const_samples(disc, cval=1.3, bvec=(0.4, -0.2)), 2.0, 0.5)
+        disc, BlockTables(disc, 2.0, 0.5),
+        *const_samples(disc, cval=1.3, bvec=(0.4, -0.2)))
     cond = condense_all(*blocks)
     A_II, A_IT, A_TI, A_TT = blocks
     full = np.block([[A_II, A_IT], [A_TI, A_TT]])
@@ -180,7 +207,7 @@ def test_recover_interior_zero_and_linearity(mesh2, rng):
     zero and is a superposition in the trace input."""
     disc = Discretization(mesh2, 1)
     cond = condense_all(*assemble_all_blocks(
-        disc, *const_samples(disc), 1.0, 1.0))
+        disc, BlockTables(disc, 1.0, 1.0), *const_samples(disc)))
     ne, nint, ntr = cond.lift.shape
 
     def recover(t, b):
@@ -201,7 +228,7 @@ def test_condense_all_matches_condense(mesh2, rng):
     uncondensed local system."""
     disc = Discretization(mesh2, 1)
     A_II, A_IT, A_TI, A_TT = assemble_all_blocks(
-        disc, *random_samples(disc, rng), 1.0, 1.0)
+        disc, BlockTables(disc, 1.0, 1.0), *random_samples(disc, rng))
     cond = condense_all(A_II, A_IT, A_TI, A_TT)
     want = A_TT - A_TI @ np.linalg.solve(A_II, A_IT)
     assert np.abs(cond.schur - want).max() < 5e-12
@@ -216,7 +243,7 @@ def test_condense_all_matches_condense(mesh2, rng):
 def test_condense_all_names_singular_element(mesh2):
     disc = Discretization(mesh2, 1)
     A_II, A_IT, A_TI, A_TT = assemble_all_blocks(
-        disc, *const_samples(disc), 1.0, 1.0)
+        disc, BlockTables(disc, 1.0, 1.0), *const_samples(disc))
     A_II[3] = 0.0
     with pytest.raises(RuntimeError, match="element 3"):
         condense_all(A_II, A_IT, A_TI, A_TT)

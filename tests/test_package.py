@@ -1,9 +1,12 @@
-"""The package keeps no public code that only tests reach.
+"""The package keeps no public code that only tests reach, and no module
+imports a name it never uses.
 
-No linter is installed, so this test parses the sources instead: every
+No linter is installed, so these tests parse the sources instead: every
 public top-level function or class of ensemble_hdg must be referenced by
 some module of the library or of the benchmark, other than by its own
-definition and the package's re-exports.
+definition and the package's re-exports; and every name a module of the
+library, the tests or the benchmark imports must be used in that module
+or listed in its __all__.
 """
 
 import ast
@@ -60,6 +63,34 @@ def test_every_public_definition_is_used():
 def test_allowlist_names_exist():
     defined = {name for _, name in public_definitions()}
     assert ALLOWED <= defined
+
+
+def unused_imports(path):
+    """Names imported by the module at path that it never reads."""
+    tree = ast.parse(path.read_text())
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # `import a.b` binds a; `import a.b as c` and
+                # `from a import b as c` bind c
+                bound = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(bound, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    paths = [p for folder in ("src", "tests", "bench")
+             for p in sorted((ROOT / folder).rglob("*.py"))]
+    unused = [entry for path in paths for entry in unused_imports(path)]
+    assert not unused, f"imported but never used: {unused}"
 
 
 def test_all_names_resolve():

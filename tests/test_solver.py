@@ -1,4 +1,3 @@
-import math
 import warnings
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 
 from ensemble_hdg.discretization import Discretization
 from ensemble_hdg.mesh import build_uniform_square_mesh
-from ensemble_hdg.problems import EXAMPLE1_C, example1, example2, example3
+from ensemble_hdg.problems import EXAMPLE1_C, example1, example2
 from ensemble_hdg.basis import triangle_quadrature
 from ensemble_hdg.mesh import batched_geometry
 from ensemble_hdg.solver import (EnsembleSolver, Member, ProblemSpec,
@@ -382,3 +381,57 @@ def test_stability_no_blowup_small(mesh2, rng):
     for _ in range(10):
         state = solver.step(state)
         assert np.abs(state.u).max() < 5 * norm0
+
+
+def assert_steps_match_dense(solver, spec, tau, dt, state, steps):
+    """Step the solver and the dense oracle from the same state each
+    step, and compare u, q and uhat."""
+    for _ in range(steps):
+        got = solver.step(state)
+        want = dense_step(solver.disc, spec, tau, dt, state)
+        for name in ("u", "q", "uhat"):
+            a, b = getattr(got, name), getattr(want, name)
+            scale = max(1.0, np.abs(b).max())
+            assert np.abs(a - b).max() < 1e-10 * scale, (got.n, name)
+        state = got
+
+
+def test_element_velocity_change_refactorizes(single_cell_mesh):
+    """beta = 5t b(x, y) (1, -1) with b zero on every edge of the 2-element
+    mesh: the face samples of the mean velocity never change, the element
+    samples do, and each step needs its own factorization."""
+    def bubble(x, y):
+        return x * y * (1 - x) * (1 - y) * (x - y) * (x + y - 1)
+
+    member = constant_members([1.0], [(0.0, 0.0)])[0]
+    member.beta = lambda x, y, t: 5.0 * t * bubble(x, y)[..., None] * \
+        np.array([1.0, -1.0])
+    member.f = lambda x, y, t: np.ones_like(x)
+    spec = ProblemSpec([member], autonomous=False)
+    disc = Discretization(single_cell_mesh, 1)
+    dt, tau = 0.25, 2.0
+    solver = EnsembleSolver(disc, spec, dt=dt, tau=tau)
+    assert_steps_match_dense(solver, spec, tau, dt, initialize(spec, disc),
+                             4)
+    assert solver.n_factorizations == 4
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_changing_mean_matches_dense_steps(mesh2, rng, k):
+    """c_j = c0_j (1 + t/2)(1 + x/4) and beta_j = (1 + t)(a_j y, a_j x)
+    vary in space and time: every step rebuilds the blocks from the one
+    BlockTables of the solver and refactorizes, and matches the dense
+    solve of that step."""
+    members = constant_members([1.0, 2.0], [(0.0, 0.0)] * 2)
+    for m, c0, a in zip(members, (1.0, 2.0), (0.5, -0.3)):
+        m.c = lambda x, y, t, c0=c0: c0 * (1 + 0.5 * t) * (1 + 0.25 * x)
+        m.beta = lambda x, y, t, a=a: (1 + t) * np.stack([a * y, a * x], -1)
+    spec = ProblemSpec(members, autonomous=False)
+    disc = Discretization(mesh2, k)
+    dt, tau = 0.25, 1.5
+    solver = EnsembleSolver(disc, spec, dt=dt, tau=tau)
+    state = initialize(spec, disc)
+    state.u = rng.normal(size=state.u.shape)
+    state.q = rng.normal(size=state.q.shape)
+    assert_steps_match_dense(solver, spec, tau, dt, state, 4)
+    assert solver.n_factorizations == 4

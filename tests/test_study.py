@@ -11,7 +11,7 @@ from ensemble_hdg.io import (load_config, problem_from_config,
                              write_snapshot_vtk)
 from ensemble_hdg.mesh import build_uniform_square_mesh
 from ensemble_hdg.problems import example1, example3
-from ensemble_hdg.solver import EnsembleSolver, initialize
+from ensemble_hdg.solver import EnsembleSolver
 from ensemble_hdg.study import (ConvergenceTable, convergence_study,
                                 resolve_dt_rule, run_level, snap_dt)
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from ensemble_hdg.discretization import Discretization
-from ensemble_hdg.local import assemble_all_blocks, condense_all
+from ensemble_hdg.local import BlockTables, assemble_all_blocks, condense_all
 from ensemble_hdg.trace_system import (assemble_trace_matrix,
                                        coefficient_fingerprint)
 
@@ -20,8 +19,8 @@ def build_system(mesh, k, rng=None):
         cbar = 1.0 + rng.random((ne, nq))
         bbar = rng.normal(size=(ne, nq, 2))
         bbar_f = rng.normal(size=(ne, 3, nqf, 2))
-    cond = condense_all(*assemble_all_blocks(disc, cbar, bbar, bbar_f,
-                                             2.0, 0.5))
+    cond = condense_all(*assemble_all_blocks(
+        disc, BlockTables(disc, 2.0, 0.5), cbar, bbar, bbar_f))
     system = assemble_trace_matrix(disc, cond.schur, fingerprint="probe")
     return disc, cond, system
 
@@ -106,14 +105,19 @@ def test_solve_requires_factorization(mesh2):
 
 
 def test_fingerprint_sensitivity():
-    a = coefficient_fingerprint("token", 1, 0.1, np.array([2.0]),
-                                np.ones(5), np.ones(6))
-    b = coefficient_fingerprint("token", 1, 0.1, np.array([2.0]),
-                                np.ones(5) + 1e-15, np.ones(6))
-    c = coefficient_fingerprint("token", 1, 0.1, np.array([2.0]),
-                                np.ones(5), np.ones(6))
+    def fingerprint(cbar=np.ones(5), bbar=np.ones(4), bbar_face=np.ones(6)):
+        return coefficient_fingerprint("token", 1, 0.1, np.array([2.0]),
+                                       cbar, bbar, bbar_face)
+
+    a = fingerprint()
+    b = fingerprint(cbar=np.ones(5) + 1e-15)
+    c = fingerprint()
     assert a != b
     assert a == c
+    # the element samples of the mean velocity feed the u-u convection
+    # block, the face samples the trace rows: both must change the hash
+    assert fingerprint(bbar=np.ones(4) + 1e-15) != a
+    assert fingerprint(bbar_face=np.ones(6) + 1e-15) != a
 
 
 def test_shape_mismatch_rejected(mesh2):
