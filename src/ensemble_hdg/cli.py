@@ -6,6 +6,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .discretization import Discretization
 from .errors import ErrorAccumulator
 from .io import (load_config, problem_from_config, write_convergence_csv,
@@ -125,8 +127,6 @@ def cmd_run(args):
     post = Postprocessor(disc)
 
     def write_snap(state, tag):
-        c_vals = None
-        import numpy as np
         c_vals = np.stack([disc.sample_scalar(m.c, state.t, "data")
                            for m in problem.members])
         star = post.apply(state.u, state.q, c_vals)
@@ -158,13 +158,10 @@ def cmd_bench(args):
     merged = _merge(args)
     problem = _problem(merged)
     level = _levels(merged, default="4")[-1]
-    dt = None
-    if merged.get("dt_rule") and merged["dt_rule"] != "h3":
-        h = math.sqrt(2.0) / 2 ** level
-        dt = resolve_dt_rule(merged["dt_rule"], h,
-                             merged.get("T") or problem.default_T)
-    report = benchmark_ensemble_vs_separate(
-        problem, merged["degree"], level, dt=dt, T=merged.get("T"))
+    T = merged.get("T") or problem.default_T
+    dt = resolve_dt_rule(merged["dt_rule"], math.sqrt(2.0) / 2 ** level, T)
+    report = benchmark_ensemble_vs_separate(problem, merged["degree"], level,
+                                            dt, T)
     os.makedirs(merged["out"], exist_ok=True)
     path = os.path.join(merged["out"], f"bench_{problem.name}.json")
     with open(path, "w") as fh:

@@ -17,6 +17,7 @@ once for autonomous coefficients and at every step otherwise.
 import numpy as np
 
 from .postprocess import Postprocessor
+from .problems import stack_separable_fields, vector_components
 from .solver import state_samples
 
 
@@ -35,48 +36,33 @@ def l2_norm_squared(disc, vals):
     return (sq @ w) @ disc.geom.det
 
 
-def exact_field_values(disc, fn, t, vector=False):
-    """Sample an exact field at the data-rule points of every element."""
-    X = disc.X_data
-    x, y = disc.x_data_flat, disc.y_data_flat
-    out = np.asarray(fn(x, y, t), dtype=float)
-    if vector:
-        return out.reshape(X.shape[:2] + (2,))
-    return np.broadcast_to(out, x.shape).reshape(X.shape[:2])
-
-
 class ErrorAccumulator:
     """Observer collecting Eu (final time), Eq and Eu* (time-accumulated).
 
     Postprocessing runs at every accepted step; each member's own inverse
     diffusion weights its flux (re-sampled per step only for
-    non-autonomous coefficients).
+    non-autonomous coefficients).  Eu is taken at step `final_step`.
     """
 
-    def __init__(self, disc, spec, dt, postprocess=True, final_step=None):
+    def __init__(self, disc, spec, dt, final_step):
+        for j, m in enumerate(spec.members, 1):
+            if m.exact_u is None or m.exact_q is None:
+                raise ValueError(f"member {j} has no exact solution")
         self.disc = disc
         self.spec = spec
         self.dt = dt
-        self.with_post = postprocess
         self.final_step = final_step
         self.eq_sq = np.zeros(spec.J)
         self.eustar_sq = np.zeros(spec.J)
         self.eu_final = np.zeros(spec.J)
-        if postprocess:
-            self.post = Postprocessor(disc)
-            self._c_vals = self._sample_c(0.0) if spec.autonomous else None
+        self.post = Postprocessor(disc)
+        self._c_vals = self._sample_c(0.0) if spec.autonomous else None
         self.V_hi = disc.V_hi_data
-        # joint evaluation of the exact fields when they are separable
-        from .problems import VectorField, stack_separable_fields
-
         fields = [m.exact_u for m in spec.members]
         for m in spec.members:
-            if isinstance(m.exact_q, VectorField):
-                fields += [m.exact_q.fx, m.exact_q.fy]
-        self._exact_stack = None
-        if len(fields) == 3 * spec.J:
-            self._exact_stack = stack_separable_fields(
-                fields, disc.x_data_flat, disc.y_data_flat)
+            fields += vector_components(m.exact_q)
+        self._exact = stack_separable_fields(
+            fields, disc.x_data_flat, disc.y_data_flat)
 
     def _sample_c(self, t):
         return np.stack([self.disc.sample_scalar(m.c, t, "data")
@@ -87,28 +73,18 @@ class ErrorAccumulator:
         s = state_samples(disc, state)
         X = disc.X_data
         J = spec.J
-        if self._exact_stack is not None:
-            ex = self._exact_stack(t)
-            ue = ex[:J].reshape(J, *X.shape[:2])
-            qe = np.stack([ex[J::2], ex[J + 1::2]],
-                          axis=-1).reshape(J, *X.shape[:2], 2)
-        else:
-            ue = np.stack([exact_field_values(disc, m.exact_u, t)
-                           for m in spec.members])
-            qe = np.stack([exact_field_values(disc, m.exact_q, t,
-                                              vector=True)
-                           for m in spec.members])
+        ex = self._exact(t)
+        ue = ex[:J].reshape(J, *X.shape[:2])
+        qe = np.stack([ex[J::2], ex[J + 1::2]],
+                      axis=-1).reshape(J, *X.shape[:2], 2)
         self.eq_sq += self.dt * l2_norm_squared(disc, s["q"] - qe)
-        if self.with_post:
-            c_vals = self._c_vals if spec.autonomous else self._sample_c(t)
-            star = self.post.apply(state.u, state.q, c_vals)
-            self.eustar_sq += self.dt * l2_norm_squared(
-                disc, star @ self.V_hi - ue)
-        if self.final_step is None or n == self.final_step:
+        c_vals = self._c_vals if spec.autonomous else self._sample_c(t)
+        star = self.post.apply(state.u, state.q, c_vals)
+        self.eustar_sq += self.dt * l2_norm_squared(
+            disc, star @ self.V_hi - ue)
+        if n == self.final_step:
             self.eu_final = np.sqrt(l2_norm_squared(disc, s["u"] - ue))
 
     def results(self):
-        out = {"Eu": self.eu_final.copy(), "Eq": np.sqrt(self.eq_sq)}
-        if self.with_post:
-            out["Eustar"] = np.sqrt(self.eustar_sq)
-        return out
+        return {"Eu": self.eu_final.copy(), "Eq": np.sqrt(self.eq_sq),
+                "Eustar": np.sqrt(self.eustar_sq)}

@@ -179,21 +179,16 @@ def condense_all(A_II, A_IT, A_TI, A_TT):
     return BatchedCondensed(A_TT - G @ A_IT, W, W @ A_IT, G)
 
 
-def _boundary_data_operator(disc, tau):
+def boundary_data_operator(disc, tau):
     """Linear map from boundary samples g (J, nbf, nqf) to b_int updates.
 
-    Returns (op (nbf, 3d, nqf), scatter (ne, nbf) sparse); cached on the
-    discretization per tau (a scalar or one value per element).
+    tau is a scalar or one value per element.  Returns (op (nbf, 3d, nqf),
+    scatter (ne, nbf) sparse), the `bnd_op` of `assemble_all_rhs`.
     """
     import scipy.sparse as sp
 
-    tau = np.asarray(tau, dtype=float)
-    cache = disc.__dict__.setdefault("_bnd_op_cache", {})
-    key = tau.tobytes()
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    tau = np.broadcast_to(tau, (disc.mesh.n_elements,))
+    ne = disc.mesh.n_elements
+    tau = np.broadcast_to(np.asarray(tau, dtype=float), (ne,))
     be, bl = disc.boundary_face_sides()
     d = disc.ndof_u
     ln = disc.geom.edge_lengths[be, bl]
@@ -207,10 +202,7 @@ def _boundary_data_operator(disc, tau):
     op[:, 2 * d:] = tau[be, None, None] * mom    # <tau g, v>
     scatter = sp.csr_matrix(
         (np.ones(len(be)), (be, np.arange(len(be)))),
-        shape=(disc.mesh.n_elements, len(be)))
-    if len(cache) > 4:
-        cache.clear()
-    cache[key] = (op, scatter)
+        shape=(ne, len(be)))
     return op, scatter
 
 
@@ -322,13 +314,15 @@ def rhs_operators(disc, tables, dt, J, c_dev, b_dev, b_dev_face):
     return RHSOperators(mass_c, u_op)
 
 
-def assemble_all_rhs(disc, tau, ops, f_vals, g_face_vals, u_prev, q_prev):
+def assemble_all_rhs(disc, bnd_op, ops, f_vals, g_face_vals, u_prev,
+                     q_prev):
     """Batched member RHS: returns (b_int (J,ne,3d), b_tr (J,ne,3nfd)).
 
     ops holds the RHSOperators of the members for the degree of u_prev
     (J,ne,din); q_prev is (J,ne,2d) as [qx | qy].  f_vals (J,ne,nq) samples
     the sources at the data rule; g_face_vals (J,nbf,nqf) holds Dirichlet
-    data on boundary faces (None when there are none).
+    data on the boundary faces, which `bnd_op`, the result of
+    `boundary_data_operator`, maps into the element rows.
     """
     J, ne = u_prev.shape[:2]
     d = disc.ndof_u
@@ -347,9 +341,8 @@ def assemble_all_rhs(disc, tau, ops, f_vals, g_face_vals, u_prev, q_prev):
             q_prev.reshape(J, ne, 2, d), ops.mass_c).reshape(J, ne, 2 * d)
 
     # Dirichlet terms on boundary faces: -<g, r.n> and <tau g, v>
-    if g_face_vals is not None and g_face_vals.size:
-        op, scatter = _boundary_data_operator(disc, tau)
-        contrib = np.einsum("bif,jbf->bji", op, g_face_vals)
-        upd = scatter @ contrib.reshape(len(contrib), -1)
-        b_int += np.moveaxis(upd.reshape(ne, J, 3 * d), 1, 0)
+    op, scatter = bnd_op
+    contrib = np.einsum("bif,jbf->bji", op, g_face_vals)
+    upd = scatter @ contrib.reshape(len(contrib), -1)
+    b_int += np.moveaxis(upd.reshape(ne, J, 3 * d), 1, 0)
     return b_int, b_tr

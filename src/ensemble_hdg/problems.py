@@ -106,14 +106,16 @@ def _vector_fn(expr_x, expr_y):
 
 
 def stack_separable_fields(fields, x, y):
-    """Joint evaluator for several time-separable fields at fixed points.
+    """Joint evaluator for several fields at fixed points.
 
-    Returns a callable t -> (len(fields), npts) built from one einsum, or
-    None when any field is not a SeparableField.  The coordinate arrays
-    are bound at stacking time and treated as immutable.
+    Returns a callable t -> (len(fields), npts): one einsum when every
+    field is a SeparableField, one call per field otherwise.  The
+    coordinate arrays are bound at stacking time and treated as immutable.
     """
     if not all(isinstance(f, SeparableField) for f in fields):
-        return None
+        return lambda t: np.stack([
+            np.broadcast_to(np.asarray(f(x, y, t), dtype=float), np.shape(x))
+            for f in fields])
     nterm = max(len(f._t_fns) for f in fields)
     npts = np.shape(x)[0]
     S = np.zeros((len(fields), nterm, npts))
@@ -132,6 +134,13 @@ def stack_separable_fields(fields, x, y):
         return np.einsum("jk,jkp->jp", C, S)
 
     return evaluate
+
+
+def vector_components(field):
+    """The x and y components of a vector field, as scalar fields."""
+    if isinstance(field, VectorField):
+        return [field.fx, field.fy]
+    return [lambda x, y, t, i=i: field(x, y, t)[..., i] for i in (0, 1)]
 
 
 def _no_time(fn):

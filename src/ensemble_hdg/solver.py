@@ -112,7 +112,7 @@ class AdmissibilityReport:
                 f"{self.c_min:.4g})")
 
 
-def check_admissibility(spec, mesh, times, quad_order=6):
+def check_admissibility(spec, mesh, times):
     """Sample the ensemble-mean condition over elements and time levels.
 
     times are the discrete levels t_1..t_N (t_0 is prepended for the
@@ -122,7 +122,7 @@ def check_admissibility(spec, mesh, times, quad_order=6):
     from .basis import triangle_quadrature
     from .mesh import batched_geometry
 
-    rule = triangle_quadrature(quad_order)
+    rule = triangle_quadrature(6)
     geom = batched_geometry(mesh)
     X = np.einsum("eij,qj->eqi", geom.jacobian, rule.points)
     X += geom.corners[:, None, 0, :]
@@ -195,7 +195,6 @@ class EnsembleState:
         self.q = q
         self.uhat = uhat
         self.u_degree = u_degree
-        self._samples = None
 
 
 def initialize(spec, disc):
@@ -230,22 +229,15 @@ def state_samples(disc, state):
     """Field samples of a state at the data-rule points.
 
     Returns dict with u (J,ne,nq) and q (J,ne,nq,2), for both the
-    degree-(k+1) initial state and degree-k step states.  Memoized on the
-    state for the discretization it was last called with, which the state
-    holds by reference: the error observers share one evaluation.
+    degree-(k+1) initial state and degree-k step states.
     """
-    cached = state._samples
-    if cached is not None and cached[0] is disc:
-        return cached[1]
     V = disc.V_hi_data if state.u_degree == disc.k + 1 else disc.V_data
     d = disc.ndof_u
     J, ne = state.u.shape[:2]
     q_vals = np.empty((J, ne, V.shape[1], 2))
     q_vals[..., 0] = state.q[:, :, :d] @ disc.V_data
     q_vals[..., 1] = state.q[:, :, d:] @ disc.V_data
-    out = {"u": state.u @ V, "q": q_vals}
-    state._samples = (disc, out)
-    return out
+    return {"u": state.u @ V, "q": q_vals}
 
 
 class EnsembleSolver:
@@ -258,7 +250,8 @@ class EnsembleSolver:
     dt : float
         Time step (the caller is responsible for T/dt being integral).
     tau : float, optional
-        Stabilization constant; chosen via choose_tau when omitted.
+        Stabilization constant; chosen via choose_tau when omitted.  The
+        local blocks and the boundary-data operator are built for it once.
     strict_admissibility : bool
         Raise instead of warn when the sampled mean condition fails.
     check_residuals : bool
@@ -282,14 +275,14 @@ class EnsembleSolver:
         self.system = None
         self.cond = None
         self._fp = None
-        self._padded = None
         self._tables = local.RHSTables(disc, disc.k)
         self._block_tables = local.BlockTables(disc, self.tau, self.dt)
 
-        ne = disc.mesh.n_elements
         n = disc.n_trace_dofs
         flat = disc.trace_dof.ravel()
         self._scatter_ids = np.where(flat < 0, n, flat)
+        # the trace solution with a zero row for the boundary-face DOFs
+        self._padded = np.zeros((n + 1, spec.J))
         # one sparse scatter matrix replaces per-member bincounts
         import scipy.sparse as sp
 
@@ -297,20 +290,17 @@ class EnsembleSolver:
         self._scatter_mat = sp.csr_matrix(
             (np.ones(keep.sum()), (flat[keep], np.nonzero(keep)[0])),
             shape=(n, flat.size))
-        be, bl = disc.boundary_face_sides()
-        self._bnd_elem, self._bnd_local = be, bl
-        Xb = disc.Xf_fdata[be, bl]
-        self._xb, self._yb = Xb[..., 0].ravel(), Xb[..., 1].ravel()
+        self._bnd_op = local.boundary_data_operator(disc, self.tau)
+        Xb = disc.Xf_fdata[disc.boundary_face_sides()]
         self._bshape = Xb.shape[:2]
-        # joint evaluators for time-separable member data (None -> fall
-        # back to per-member calls)
+        # joint evaluators of the member data at fixed points
         from .problems import stack_separable_fields
 
-        self._f_stack = stack_separable_fields(
+        self._f_vals = stack_separable_fields(
             [m.f for m in spec.members], disc.x_data_flat, disc.y_data_flat)
-        self._g_stack = stack_separable_fields(
-            [m.g for m in spec.members], self._xb, self._yb) \
-            if len(be) else None
+        self._g_vals = stack_separable_fields(
+            [m.g for m in spec.members], Xb[..., 0].ravel(),
+            Xb[..., 1].ravel())
         if spec.autonomous:
             self._coeff_cache = self._coefficient_samples(0.0)
             self._ensure_system(self._coeff_cache)
@@ -391,28 +381,11 @@ class EnsembleSolver:
             else self._coefficient_samples(t1)
         self._ensure_system(coeffs)
 
-        x, y = disc.x_data_flat, disc.y_data_flat
-        if self._f_stack is not None:
-            f_vals = self._f_stack(t1).reshape(J, ne, -1)
-        else:
-            f_vals = np.stack([
-                np.broadcast_to(np.asarray(m.f(x, y, t1), dtype=float),
-                                x.shape).reshape(ne, -1)
-                for m in spec.members])
-        if self._g_stack is not None:
-            g_vals = self._g_stack(t1).reshape((J,) + self._bshape)
-        elif len(self._bnd_elem):
-            g_vals = np.stack([
-                np.broadcast_to(
-                    np.asarray(m.g(self._xb, self._yb, t1), dtype=float),
-                    self._xb.shape).reshape(self._bshape)
-                for m in spec.members])
-        else:
-            g_vals = None
-
+        f_vals = self._f_vals(t1).reshape(J, ne, -1)
+        g_vals = self._g_vals(t1).reshape((J,) + self._bshape)
         ops = self._rhs_operators(coeffs, state.u_degree)
         b_int, b_tr = local.assemble_all_rhs(
-            disc, self.tau, ops, f_vals, g_vals, state.u, state.q)
+            disc, self._bnd_op, ops, f_vals, g_vals, state.u, state.q)
 
         # element-batched layout (ne, ., J): one small GEMM per element
         # covering all members at once
@@ -430,11 +403,8 @@ class EnsembleSolver:
                 raise RuntimeError(
                     f"trace residual {res.max():.2e} exceeds 1e-10 "
                     f"at step {state.n + 1}")
-        padded = self._padded
-        if padded is None or padded.shape != (n + 1, J):
-            padded = self._padded = np.zeros((n + 1, J))
-        padded[:n] = uhat
-        uhat_eT = padded[self._scatter_ids].reshape(ne, 3 * nfd, J)
+        self._padded[:n] = uhat
+        uhat_eT = self._padded[self._scatter_ids].reshape(ne, 3 * nfd, J)
         x_int_T = np.matmul(self.cond.solve_int, b_int_T)
         x_int_T -= np.matmul(self.cond.lift, uhat_eT)
         x_int = np.ascontiguousarray(np.moveaxis(x_int_T, 2, 0))

@@ -5,7 +5,8 @@ n = 2^level, with the time step tied to the mesh via a rule ("h", "h3" or a
 fixed value, h being the element diameter sqrt(2)/n) and snapped so that
 T / dt is an integer.  Each level fills one table block with the final-time
 scalar error, the trajectory flux error and the trajectory postprocessed
-error per member, plus observed log2 rates between consecutive levels.
+error per member, plus observed rates against the previous level: log2 of
+the error ratio over the level gap.
 """
 
 import math
@@ -43,8 +44,9 @@ class ConvergenceTable:
     """Per-level, per-member error and rate records of one study.
 
     Rows are dicts with keys level, h_over_sqrt2, member (1-based), Eq,
-    Eq_rate, Eu, Eu_rate, Eustar, Eustar_rate; rate cells are None on the
-    first level.
+    Eq_rate, Eu, Eu_rate, Eustar, Eustar_rate.  A rate compares a level
+    with the last other level added before it, over the level gap; rate
+    cells are None on the first level.
     """
 
     COLUMNS = ("level", "h_over_sqrt2", "member", "Eq", "Eq_rate",
@@ -60,18 +62,20 @@ class ConvergenceTable:
     def add_level(self, level, errors, meta=None):
         """Append one level's error dict {Eq, Eu, Eustar: (J,) arrays}."""
         J = len(errors["Eu"])
+        prev_level = next((r["level"] for r in reversed(self.rows)
+                           if r["level"] != level), None)
         prev = {r["member"]: r for r in self.rows
-                if r["level"] == level - 1}
+                if r["level"] == prev_level}
         for j in range(1, J + 1):
             row = {"level": level, "h_over_sqrt2": 2.0 ** -level,
                    "member": j}
             for key in ("Eq", "Eu", "Eustar"):
-                val = float(errors[key][j - 1]) if key in errors else None
+                val = float(errors[key][j - 1])
                 row[key] = val
                 last = prev.get(j)
-                if last is not None and val is not None and \
-                        last[key] not in (None, 0.0) and val > 0.0:
-                    row[f"{key}_rate"] = math.log2(last[key] / val)
+                if last is not None and last[key] != 0.0 and val > 0.0:
+                    rate = math.log2(last[key] / val)
+                    row[f"{key}_rate"] = rate / (level - prev_level)
                 else:
                     row[f"{key}_rate"] = None
             self.rows.append(row)
@@ -108,16 +112,14 @@ class ConvergenceTable:
         return "\n".join(lines)
 
 
-def run_level(problem, n, degree, dt, T, postprocess=True, tau=None,
-              strict_admissibility=False):
+def run_level(problem, n, degree, dt, T, strict_admissibility=False):
     """Solve one mesh level and return per-member errors plus run info."""
     mesh = build_uniform_square_mesh(n)
     disc = Discretization(mesh, degree)
-    solver = EnsembleSolver(disc, problem, dt=dt, tau=tau,
+    solver = EnsembleSolver(disc, problem, dt=dt,
                             strict_admissibility=strict_admissibility)
     N = int(round(T / dt))
-    acc = ErrorAccumulator(disc, problem, dt, postprocess=postprocess,
-                           final_step=N)
+    acc = ErrorAccumulator(disc, problem, dt, final_step=N)
     t0 = time.perf_counter()
     state = solver.run(T, observers=[acc])
     elapsed = time.perf_counter() - t0
@@ -129,7 +131,6 @@ def run_level(problem, n, degree, dt, T, postprocess=True, tau=None,
 
 
 def convergence_study(problem, degree, levels, dt_rule, T=None,
-                      postprocess=True, tau=None,
                       strict_admissibility=False):
     """Run levels n = 2^level and tabulate errors with observed rates."""
     if not problem.has_exact:
@@ -141,15 +142,13 @@ def convergence_study(problem, degree, levels, dt_rule, T=None,
         h = math.sqrt(2.0) / n
         dt = resolve_dt_rule(dt_rule, h, T)
         errors, info, _ = run_level(problem, n, degree, dt, T,
-                                    postprocess=postprocess, tau=tau,
-                                    strict_admissibility=strict_admissibility)
+                                    strict_admissibility)
         info["level"] = level
         table.add_level(level, errors, meta=info)
     return table
 
 
-def benchmark_ensemble_vs_separate(problem, degree, level, dt=None, T=None,
-                                   repeat=1):
+def benchmark_ensemble_vs_separate(problem, degree, level, dt, T):
     """Wall-clock one shared-factorization ensemble run against J
     independent single-member runs, each building and factorizing its own
     trace matrix.
@@ -158,10 +157,7 @@ def benchmark_ensemble_vs_separate(problem, degree, level, dt=None, T=None,
     the time ratio ensemble / (sum of separate) and the factorization
     counts, which for autonomous coefficients are exactly 1 and J.
     """
-    T = problem.default_T if T is None else T
     n = 2 ** level
-    h = math.sqrt(2.0) / n
-    dt = snap_dt(T, dt if dt is not None else h ** 3)
 
     def one_ensemble_run(spec):
         t0 = time.perf_counter()
@@ -171,19 +167,12 @@ def benchmark_ensemble_vs_separate(problem, degree, level, dt=None, T=None,
         solver.run(T)
         return time.perf_counter() - t0, solver.n_factorizations
 
-    t_ens = math.inf
-    for _ in range(repeat):
-        elapsed, fact_ens = one_ensemble_run(problem)
-        t_ens = min(t_ens, elapsed)
-
+    t_ens, fact_ens = one_ensemble_run(problem)
     t_sep = []
     fact_sep = []
     for j in range(problem.J):
-        best = math.inf
-        for _ in range(repeat):
-            elapsed, nf = one_ensemble_run(problem.single_member(j))
-            best = min(best, elapsed)
-        t_sep.append(best)
+        elapsed, nf = one_ensemble_run(problem.single_member(j))
+        t_sep.append(elapsed)
         fact_sep.append(nf)
     total_sep = sum(t_sep)
     return {

@@ -18,7 +18,7 @@ import scipy.sparse.linalg as spla
 class TraceSystem:
     """Assembled trace matrix plus its factorization and fingerprint."""
 
-    def __init__(self, disc, matrix, fingerprint=None):
+    def __init__(self, disc, matrix, fingerprint):
         self.matrix = matrix
         self.fingerprint = fingerprint
         self.n_dofs = disc.n_trace_dofs
@@ -41,33 +41,27 @@ class TraceSystem:
         self.backend = "splu"
         return self
 
-    def solve_multi(self, rhs, fingerprint=None):
+    def solve_multi(self, rhs, fingerprint):
         """Solve against a block of RHS columns, shape (n_dofs, J).
 
-        Columns are independent; passing the coefficient fingerprint the
-        caller believes current rejects solves against a stale matrix.
+        Columns are independent.  fingerprint is the coefficient
+        fingerprint the caller believes current: a solve against a matrix
+        built from other coefficients is rejected.
         """
         if self._solver is None:
             raise RuntimeError("factorize() must be called before solving")
-        if fingerprint is not None and self.fingerprint is not None \
-                and fingerprint != self.fingerprint:
+        if fingerprint != self.fingerprint:
             raise ValueError(
                 "trace-system fingerprint mismatch: the factorization was "
                 "built from different coefficients")
         rhs = np.asarray(rhs, dtype=float)
-        squeeze = rhs.ndim == 1
-        if squeeze:
-            rhs = rhs[:, None]
         if rhs.shape[0] != self.n_dofs:
             raise ValueError(
                 f"rhs has {rhs.shape[0]} rows, system has {self.n_dofs}")
-        out = self._solver.solve(rhs)
-        return out[:, 0] if squeeze else out
+        return self._solver.solve(rhs)
 
     def residual(self, x, rhs):
         """Relative residual ||Ax - b|| / ||b|| column-wise."""
-        x = np.atleast_2d(np.asarray(x, dtype=float).T).T
-        rhs = np.atleast_2d(np.asarray(rhs, dtype=float).T).T
         num = np.linalg.norm(self.matrix @ x - rhs, axis=0)
         den = np.linalg.norm(rhs, axis=0)
         return num / np.where(den > 0, den, 1.0)
@@ -103,12 +97,12 @@ def _trace_pattern(disc):
     return cached
 
 
-def assemble_trace_matrix(disc, schur, fingerprint=None):
+def assemble_trace_matrix(disc, schur, fingerprint):
     """Scatter batched element Schur blocks into the global trace matrix.
 
     schur has shape (ne, T, T) with T = 3 * (k+1); rows/columns mapped to
     boundary faces are dropped.  The matrix is CSC, the format the LU
-    reads.
+    reads; fingerprint is that of the coefficients schur is built from.
     """
     ne, T, T2 = schur.shape
     if ne != disc.mesh.n_elements or T != T2 or \

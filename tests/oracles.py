@@ -12,7 +12,7 @@ the error observer is the per-member quadrature loop.
 import numpy as np
 
 from ensemble_hdg.basis import ElementBasis, monomial_exponents
-from ensemble_hdg.errors import exact_field_values, l2_norm_squared
+from ensemble_hdg.errors import l2_norm_squared
 from ensemble_hdg.solver import EnsembleState
 
 
@@ -403,8 +403,8 @@ class LoopErrorAccumulator:
         star = quadrature_postprocess(disc, self.post, state.u, state.q,
                                       c_vals) @ disc.V_hi_data
         for j, m in enumerate(self.spec.members):
-            ue = exact_field_values(disc, m.exact_u, t)
-            qe = exact_field_values(disc, m.exact_q, t, vector=True)
+            ue = disc.sample_scalar(m.exact_u, t, "data")
+            qe = disc.sample_vector(m.exact_q, t, "data")
             self.eq_sq[j] += self.dt * l2_norm_squared(disc, s["q"][j] - qe)
             self.eustar_sq[j] += self.dt * l2_norm_squared(
                 disc, star[j] - ue)

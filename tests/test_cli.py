@@ -1,8 +1,10 @@
 import json
+import math
 
 from ensemble_hdg.cli import main
 from ensemble_hdg.io import read_convergence_csv
 from ensemble_hdg.mesh import build_uniform_square_mesh, write_mesh_text
+from ensemble_hdg.study import resolve_dt_rule
 
 
 def test_converge_writes_csv(tmp_path, capsys):
@@ -46,14 +48,17 @@ def test_run_from_mesh_file(tmp_path, capsys):
 
 
 def test_bench_reports_ratio(tmp_path, capsys):
-    rc = main(["bench", "--example", "1", "--degree", "0", "--levels", "2",
-               "--dt-rule", "fixed=0.25", "--out", str(tmp_path)])
-    assert rc == 0
-    with open(tmp_path / "bench_example1.json") as fh:
-        report = json.load(fh)
-    assert report["factorizations_ensemble"] == 1
-    assert report["factorizations_separate"] == 3
-    assert "ratio" in capsys.readouterr().out
+    for rule in ("fixed=0.25", "h3"):
+        out = tmp_path / rule
+        rc = main(["bench", "--example", "1", "--degree", "0", "--levels",
+                   "2", "--dt-rule", rule, "--out", str(out)])
+        assert rc == 0
+        with open(out / "bench_example1.json") as fh:
+            report = json.load(fh)
+        assert report["dt"] == resolve_dt_rule(rule, math.sqrt(2) / 4, 1.0)
+        assert report["factorizations_ensemble"] == 1
+        assert report["factorizations_separate"] == 3
+        assert "ratio" in capsys.readouterr().out
 
 
 def test_check_admissibility_pass_and_fail(tmp_path, capsys):

@@ -4,7 +4,8 @@ import pytest
 from ensemble_hdg.discretization import Discretization
 from ensemble_hdg.local import (BlockTables, CoefficientError, RHSTables,
                                 assemble_all_blocks, assemble_all_rhs,
-                                condense_all, rhs_operators)
+                                boundary_data_operator, condense_all,
+                                rhs_operators)
 from ensemble_hdg.solver import EnsembleState
 
 from oracles import lag_samples, local_rhs, monomial_full_local_matrix
@@ -326,8 +327,9 @@ def test_batched_rhs_matches_per_element(mesh4, rng, k):
                              rng.normal(size=(J, ne, 2 * d)), None, degree)
         ops = rhs_operators(disc, RHSTables(disc, degree), dt, J, c_dev,
                             b_dev, bf_dev)
-        b_int, b_tr = assemble_all_rhs(disc, tau, ops, f_vals, g_vals,
-                                       prev.u, prev.q)
+        b_int, b_tr = assemble_all_rhs(
+            disc, boundary_data_operator(disc, tau), ops, f_vals, g_vals,
+            prev.u, prev.q)
         s = lag_samples(disc, prev)
         for j in range(J):
             for ie in (0, 5, 17, ne - 1):

@@ -17,16 +17,19 @@ from ensemble_hdg.study import (ConvergenceTable, convergence_study,
 
 
 def test_observed_rates_synthetic():
-    """E_l = 2^(-p l) must give the rate exactly p."""
-    for p in (1.0, 2.0, 3.0):
-        table = ConvergenceTable(0, "h", 1.0)
-        for level in range(1, 6):
-            err = np.array([2.0 ** (-p * level)])
-            table.add_level(level, {"Eq": err, "Eu": err, "Eustar": err})
-        for key in ("Eq", "Eu", "Eustar"):
-            rates = np.array(table.column(1, f"{key}_rate")[1:])
-            assert len(rates) == 4
-            assert np.abs(rates - p).max() < 1e-13
+    """E_l = 2^(-p l) must give the rate exactly p, also across a gap in
+    the levels or a repeated level, where the rate is taken against the
+    last other level."""
+    for levels in (range(1, 6), (1, 3, 4), (1, 3, 3, 4)):
+        for p in (1.0, 2.0, 3.0):
+            table = ConvergenceTable(0, "h", 1.0)
+            for level in levels:
+                err = np.array([2.0 ** (-p * level)])
+                table.add_level(level, {"Eq": err, "Eu": err, "Eustar": err})
+            for key in ("Eq", "Eu", "Eustar"):
+                rates = np.array(table.column(1, f"{key}_rate")[1:])
+                assert len(rates) == len(levels) - 1
+                assert np.abs(rates - p).max() < 1e-13
 
 
 def test_snap_dt_properties():
@@ -109,8 +112,23 @@ def time_dependent_example1():
     return ProblemSpec(members, autonomous=False)
 
 
-@pytest.mark.parametrize("make_spec", [example1, time_dependent_example1],
-                         ids=["autonomous", "time-dependent"])
+def plain_callable_example1():
+    """Example 1 with f, g, exact_u and exact_q behind plain lambdas, so
+    that no data field is a SeparableField or a VectorField."""
+    from ensemble_hdg.solver import Member, ProblemSpec
+
+    def plain(fn):
+        return lambda x, y, t: fn(x, y, t)
+
+    return ProblemSpec([Member(m.c, m.beta, plain(m.f), plain(m.g), m.u0,
+                               plain(m.exact_u), plain(m.exact_q))
+                        for m in example1().members])
+
+
+@pytest.mark.parametrize("make_spec", [example1, time_dependent_example1,
+                                       plain_callable_example1],
+                         ids=["autonomous", "time-dependent",
+                              "plain-callables"])
 def test_error_accumulator_matches_per_member_loop(mesh4, make_spec):
     """The vectorised observer with the cached u* map against the
     per-member quadrature loop, on the same trajectory."""
@@ -126,6 +144,18 @@ def test_error_accumulator_matches_per_member_loop(mesh4, make_spec):
     for key in ("Eu", "Eq", "Eustar"):
         assert np.all(want[key] > 0)
         assert np.all(np.abs(got[key] - want[key]) < 1e-12 * want[key])
+
+
+def test_error_accumulator_requires_exact_solutions(mesh2):
+    """A member without an exact solution is named at construction."""
+    from ensemble_hdg.solver import ProblemSpec
+
+    disc = Discretization(mesh2, 0)
+    with pytest.raises(ValueError, match="member 1 "):
+        ErrorAccumulator(disc, example3(), 0.1, final_step=1)
+    mixed = ProblemSpec([example1().members[0], example3().members[1]])
+    with pytest.raises(ValueError, match="member 2 "):
+        ErrorAccumulator(disc, mixed, 0.1, final_step=1)
 
 
 def test_error_norm_quadrature_convergence():

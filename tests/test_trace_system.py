@@ -58,8 +58,8 @@ def test_matrix_matches_elementwise_application(mesh4, rng):
 def test_factorize_and_residual(mesh4, rng):
     disc, cond, system = build_system(mesh4, 1, rng)
     system.factorize()
-    b = rng.normal(size=system.n_dofs)
-    x = system.solve_multi(b)
+    b = rng.normal(size=(system.n_dofs, 1))
+    x = system.solve_multi(b, "probe")
     assert system.residual(x, b).max() < 1e-11
 
 
@@ -67,29 +67,27 @@ def test_multi_rhs_matches_sequential(mesh4, rng):
     disc, cond, system = build_system(mesh4, 0, rng)
     system.factorize()
     B = rng.normal(size=(system.n_dofs, 3))
-    X = system.solve_multi(B)
+    X = system.solve_multi(B, "probe")
     for j in range(3):
-        xj = system.solve_multi(B[:, j])
+        xj = system.solve_multi(B[:, j:j + 1], "probe")[:, 0]
         assert np.abs(X[:, j] - xj).max() < 1e-13
-    # single-column block solves bitwise like the 1-D path
-    x0 = system.solve_multi(B[:, :1])
-    assert np.array_equal(x0[:, 0], system.solve_multi(B[:, 0]))
     # zero RHS -> zero solution
-    z = system.solve_multi(np.zeros((system.n_dofs, 2)))
+    z = system.solve_multi(np.zeros((system.n_dofs, 2)), "probe")
     assert np.abs(z).max() == 0.0
 
 
 def test_factorization_reuse_is_deterministic(mesh2, rng):
     disc, cond, system = build_system(mesh2, 1, rng)
     system.factorize()
-    b = rng.normal(size=system.n_dofs)
-    assert np.array_equal(system.solve_multi(b), system.solve_multi(b))
+    b = rng.normal(size=(system.n_dofs, 1))
+    assert np.array_equal(system.solve_multi(b, "probe"),
+                          system.solve_multi(b, "probe"))
 
 
 def test_fingerprint_mismatch_rejected(mesh2):
     disc, cond, system = build_system(mesh2, 0)
     system.factorize()
-    b = np.ones(system.n_dofs)
+    b = np.ones((system.n_dofs, 1))
     system.solve_multi(b, fingerprint="probe")
     with pytest.raises(ValueError, match="fingerprint"):
         system.solve_multi(b, fingerprint="stale")
@@ -98,10 +96,10 @@ def test_fingerprint_mismatch_rejected(mesh2):
 def test_solve_requires_factorization(mesh2):
     disc, cond, system = build_system(mesh2, 0)
     with pytest.raises(RuntimeError):
-        system.solve_multi(np.ones(system.n_dofs))
+        system.solve_multi(np.ones((system.n_dofs, 1)), "probe")
     system.factorize()
     with pytest.raises(ValueError):
-        system.solve_multi(np.ones(system.n_dofs + 1))
+        system.solve_multi(np.ones((system.n_dofs + 1, 1)), "probe")
 
 
 def test_fingerprint_sensitivity():
@@ -123,4 +121,4 @@ def test_fingerprint_sensitivity():
 def test_shape_mismatch_rejected(mesh2):
     disc = Discretization(mesh2, 0)
     with pytest.raises(ValueError):
-        assemble_trace_matrix(disc, np.zeros((3, 3, 3)))
+        assemble_trace_matrix(disc, np.zeros((3, 3, 3)), "probe")
