@@ -23,8 +23,13 @@ from .study import (benchmark_ensemble_vs_separate, convergence_study,
 def _parse_levels(text):
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in text.split(",")]
+        levels = list(range(int(lo), int(hi) + 1))
+    else:
+        levels = [int(v) for v in text.split(",")]
+    if not levels or levels != sorted(levels) or levels[0] < 0:
+        raise ValueError(f"levels {text!r}: give ascending levels >= 0, "
+                         "e.g. 1..4 or 2,3")
+    return levels
 
 
 def _add_common(p):
@@ -127,7 +132,7 @@ def cmd_run(args):
     post = Postprocessor(disc)
 
     def write_snap(state, tag):
-        c_vals = np.stack([disc.sample_scalar(m.c, state.t, "data")
+        c_vals = np.stack([disc.sample_scalar(m.c, state.t)
                            for m in problem.members])
         star = post.apply(state.u, state.q, c_vals)
         base = os.path.join(merged["out"],

@@ -56,17 +56,17 @@ class ErrorAccumulator:
         self.eustar_sq = np.zeros(spec.J)
         self.eu_final = np.zeros(spec.J)
         self.post = Postprocessor(disc)
-        self._c_vals = self._sample_c(0.0) if spec.autonomous else None
         self.V_hi = disc.V_hi_data
+        x, y = disc.x_data_flat, disc.y_data_flat
         fields = [m.exact_u for m in spec.members]
         for m in spec.members:
             fields += vector_components(m.exact_q)
-        self._exact = stack_separable_fields(
-            fields, disc.x_data_flat, disc.y_data_flat)
+        self._exact = stack_separable_fields(fields, x, y)
+        self._c = stack_separable_fields([m.c for m in spec.members], x, y)
+        self._c_vals = self._sample_c(0.0) if spec.autonomous else None
 
     def _sample_c(self, t):
-        return np.stack([self.disc.sample_scalar(m.c, t, "data")
-                         for m in self.spec.members])
+        return self._c(t).reshape(self.spec.J, self.disc.mesh.n_elements, -1)
 
     def __call__(self, n, t, state):
         disc, spec = self.disc, self.spec

@@ -160,8 +160,11 @@ def load_config(path):
                 "strict_admissibility")
     if parser.has_section("custom"):
         sec = parser["custom"]
-        vals = {k: [float(s) for s in sec.get(k).split(",")]
-                for k in ("c", "beta_x", "beta_y", "f")}
+        vals = {}
+        for key in ("c", "beta_x", "beta_y", "f"):
+            if key not in sec:
+                raise ValueError(f"config section [custom] has no {key!r}")
+            vals[key] = [float(s) for s in sec[key].split(",")]
         J = sec.getint("J", len(vals["c"]))
         if any(len(v) != J for v in vals.values()):
             raise ValueError("custom problem member lists disagree with J")

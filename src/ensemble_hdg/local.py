@@ -19,6 +19,11 @@ and the trace-trace block; and reference tables for the c̄ mass, the
 adds the GEMMs of the current means to copies of the constant blocks, so
 a time-dependent mean costs a few small GEMMs per step.
 
+Every integral is taken with the Discretization's data rules, the only
+rules it has.  The mean blocks and the lagged deviations therefore share
+one set of degree-k reference tables, and at a fixed point they add up to
+each member's own operator.
+
 The step's right-hand side, its previous-state terms, the (1/dt) mass and
 the lagged deviations (c̄ - c_j) q, (β̄ - β_j)·∇u and
 -<(β̄ - β_j)·n u, v̂>, is a linear map of the previous [q | u] coefficients
@@ -52,7 +57,8 @@ class BlockTables:
     conv   (2nq, d*d)        w_q v_i ∂_r v_j, against β̄ B^-T samples
     face   [lf][aligned]     (nqf, nfd*d) w_q ψ_m v_j on local face lf
 
-    The reference tables are evaluated at the element and face rules.
+    The reference tables are those of the degree-k `RHSTables`, held as
+    `lag`: the lag operators integrate the deviations with the same rules.
     """
 
     def __init__(self, disc, tau, dt):
@@ -64,11 +70,12 @@ class BlockTables:
             raise ValueError(f"dt must be positive, got {dt}")
         basis = disc.elem_basis
         d, nfd = disc.ndof_u, disc.ndof_face
-        w, V = disc.w_elem, disc.V_elem
+        w, V = disc.w_data, disc.V_data
         detJ = disc.geom.det[:, None, None]
         lens, nrm = disc.geom.edge_lengths, disc.geom.normals
-        self.mass, self.conv, self.face = _product_tables(
-            disc, basis, disc.rule_elem, disc.rule_face, disc.Psi_face)
+        self.lag = RHSTables(disc, disc.k)
+        self.mass, self.conv, self.face = (self.lag.mass_q, self.lag.conv,
+                                           self.lag.face)
 
         A_II = np.zeros((ne, 3 * d, 3 * d))
         A_IT = np.zeros((ne, 3 * d, 3 * nfd))
@@ -76,18 +83,18 @@ class BlockTables:
         A_TT = np.zeros((ne, 3 * nfd, 3 * nfd))
         # (∂_x_c v_i, v_j) = Σ_r B^-T_cr (∂_r v_i, v_j) on the reference
         dref = np.einsum("q,iqr,jq->rij", w, basis.eval_grad(
-            disc.rule_elem.points), V)
+            disc.rule_data.points), V)
         div = (disc.geom.inv_t.reshape(ne * 2, 2) @ dref.reshape(2, d * d)
                ).reshape(ne, 2, d, d) * detJ[:, None]
         for comp in range(2):
             A_II[:, comp * d:(comp + 1) * d, 2 * d:] = -div[:, comp]
             A_II[:, 2 * d:, comp * d:(comp + 1) * d] = \
                 np.swapaxes(div[:, comp], 1, 2)
-        A_II[:, 2 * d:, 2 * d:] = detJ / dt * ((V * w) @ V.T)
+        A_II[:, 2 * d:, 2 * d:] = detJ / dt * self.lag.mass
 
-        wf, Psi = disc.w_face, disc.Psi_face
+        wf, Psi = disc.w_fdata, disc.Psi_fdata
         psipsi = (Psi * wf) @ Psi.T
-        refs = reference_face_points(disc.rule_face.points)
+        refs = reference_face_points(disc.rule_face_data.points)
         for lf in range(3):
             cols = slice(lf * nfd, (lf + 1) * nfd)
             vals = [basis.eval(refs[lf, a]) for a in (0, 1)]
@@ -115,8 +122,8 @@ def assemble_all_blocks(disc, tables, cbar, bbar, bbar_face):
     """Batched local matrices: (A_II, A_IT, A_TI, A_TT) over all elements.
 
     tables are the `BlockTables` of the discretization; cbar (ne, nq),
-    bbar (ne, nq, 2) sample the means at the element rule, bbar_face
-    (ne, 3, nqf, 2) at the face rule.  A_IT and A_TT hold no coefficient:
+    bbar (ne, nq, 2) sample the means at the element data rule, bbar_face
+    (ne, 3, nqf, 2) at the face data rule.  A_IT and A_TT hold no coefficient:
     they are the read-only arrays of `tables`, shared by every call.
     """
     if np.any(cbar <= 0):
@@ -227,26 +234,23 @@ class RHSTables:
         basis = disc.elem_basis if degree == disc.k else disc.elem_basis_hi
         self.mass = (disc.V_data * disc.w_data) @ basis.eval(
             disc.rule_data.points).T
-        self.mass_q, self.conv, self.face = _product_tables(
-            disc, basis, disc.rule_data, disc.rule_face_data,
-            disc.Psi_fdata)
+        self.mass_q, self.conv, self.face = _product_tables(disc, basis)
 
 
-def _product_tables(disc, basis, rule, face_rule, Psi):
-    """Reference basis products at an element rule and a face rule.
+def _product_tables(disc, basis):
+    """Reference basis products at the element and face data rules.
 
     Returns (mass, conv, face): w_q v_i v_l (nq, d*d) of the degree-k
     test functions, w_q v_i ∂_r u_l (2nq, d*din) and, per local face and
     [misaligned, aligned], w_q ψ_m u_l (nqf, nfd*din), where u are the
-    functions of `basis` and ψ are the face-basis values Psi at face_rule.
+    functions of `basis` and ψ the face basis.
     """
-    pts, w = rule.points, rule.weights
-    V = disc.elem_basis.eval(pts)
+    pts, w, V = disc.rule_data.points, disc.w_data, disc.V_data
     nq, d, din = len(w), V.shape[0], basis.dim
     mass = np.einsum("q,iq,lq->qil", w, V, V).reshape(nq, d * d)
     conv = np.einsum("q,iq,lqr->qril", w, V, basis.eval_grad(pts)).reshape(
         2 * nq, d * din)
-    s, wf = face_rule.points, face_rule.weights
+    s, wf, Psi = disc.rule_face_data.points, disc.w_fdata, disc.Psi_fdata
     refs = reference_face_points(s)
     face = [[np.einsum("q,mq,lq->qml", wf, Psi,
                        basis.eval(refs[lf, a])).reshape(

@@ -27,9 +27,9 @@ class Postprocessor:
         dh = disc.ndof_u_hi
         detJ = disc.geom.det
         # stiffness of the degree-(k+1) basis and its element integrals
-        K = np.einsum("e,q,eiqc,ejqc->eij", detJ, disc.w_elem,
-                      disc.G_hi_elem, disc.G_hi_elem)
-        m = np.einsum("e,q,iq->ei", detJ, disc.w_elem, disc.V_hi_elem)
+        K = np.einsum("e,q,eiqc,ejqc->eij", detJ, disc.w_data,
+                      disc.G_hi_data, disc.G_hi_data)
+        m = np.einsum("e,q,iq->ei", detJ, disc.w_data, disc.V_hi_data)
         kkt = np.zeros((disc.mesh.n_elements, dh + 1, dh + 1))
         kkt[:, :dh, :dh] = K
         kkt[:, :dh, dh] = m

@@ -17,33 +17,22 @@ _X, _Y, _T = sympy.symbols("x y t")
 
 
 class SeparableField:
-    """A field sum_i T_i(t) S_i(x, y) with cached spatial factors.
+    """A field sum_i T_i(t) S_i(x, y).
 
-    Time loops evaluate data at the same quadrature-point arrays every
-    step; splitting off the time dependence makes each call a handful of
-    scalar-times-array updates.  Spatial values are cached by the identity
-    of the coordinate arrays, which are treated as immutable.
+    Time loops evaluate data at the same quadrature points every step;
+    `stack_separable_fields` evaluates the spatial factors S_i there once
+    and each step only the scalars T_i(t).  A direct call evaluates both
+    and keeps nothing.
     """
-
-    MAX_CACHED_GRIDS = 8
 
     def __init__(self, t_fns, s_fns):
         self._t_fns = t_fns
         self._s_fns = s_fns
-        self._cache = {}
 
     def _spatial(self, x, y):
-        key = (id(x), id(y))
-        hit = self._cache.get(key)
-        if hit is not None and hit[0] is x and hit[1] is y:
-            return hit[2]
         shape = np.shape(x)
-        svals = [np.broadcast_to(np.asarray(s(x, y), dtype=float), shape)
-                 for s in self._s_fns]
-        if len(self._cache) >= self.MAX_CACHED_GRIDS:
-            self._cache.clear()
-        self._cache[key] = (x, y, svals)
-        return svals
+        return [np.broadcast_to(np.asarray(s(x, y), dtype=float), shape)
+                for s in self._s_fns]
 
     def __call__(self, x, y, t):
         svals = self._spatial(x, y)

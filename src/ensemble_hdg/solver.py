@@ -6,13 +6,17 @@ data and the lagged deviation terms; all members are advanced with the same
 factorization.
 
 Everything a step builds from the coefficients is cached with the
-coefficient samples it was built from.  The trace factorization is keyed
-on the fingerprint of the mean samples, at the element rule and on the
-faces.  The solver holds the `local.BlockTables` of its (tau, dt): the
-blocks are rebuilt from them by a few GEMMs of the mean samples whenever
-the fingerprint changes.  The RHS operators (the per-member,
-per-element linear maps from the previous [q | u] coefficients to the RHS,
-see `local.rhs_operators`) are built from the deviation samples and live in
+coefficient samples it was built from.  c and β are sampled once per time
+level, as one (J, ...) set at the element and face data points, through
+joint evaluators bound to those points at construction.  Their means feed
+the blocks and the fingerprint, their deviations the lag operators: both
+parts of the split see the same samples and the same quadrature rules.
+The trace factorization is keyed on the fingerprint of the mean samples.
+The solver holds the `local.BlockTables` of its (tau, dt): the blocks are
+rebuilt from them by a few GEMMs of the mean samples whenever the
+fingerprint changes.  The RHS operators (the per-member, per-element
+linear maps from the previous [q | u] coefficients to the RHS, see
+`local.rhs_operators`) are built from the deviation samples and live in
 the same sample set.  Autonomous coefficients are sampled once, so both are
 built once.  Time-dependent coefficients are re-sampled every step: the
 operators are rebuilt every step, and the factorization whenever the mean
@@ -115,28 +119,29 @@ class AdmissibilityReport:
 def check_admissibility(spec, mesh, times):
     """Sample the ensemble-mean condition over elements and time levels.
 
-    times are the discrete levels t_1..t_N (t_0 is prepended for the
-    cbar^(n-1) side); autonomous problems may pass a single level.
-    Returns a report instead of raising; callers enforce strictness.
+    times are the discrete levels t_0..t_N: level n is checked against
+    the mean of level n-1.  Autonomous problems may pass the single level
+    t_0, which is then checked against itself.  The members' c are
+    sampled through one joint evaluator.  Returns a report instead of
+    raising; callers enforce strictness.
     """
     from .basis import triangle_quadrature
     from .mesh import batched_geometry
+    from .problems import stack_separable_fields
 
     rule = triangle_quadrature(6)
     geom = batched_geometry(mesh)
     X = np.einsum("eij,qj->eqi", geom.jacobian, rule.points)
     X += geom.corners[:, None, 0, :]
     x, y = X[..., 0].ravel(), X[..., 1].ravel()
+    c_at = stack_separable_fields([m.c for m in spec.members], x, y)
 
     report = AdmissibilityReport()
     times = list(times)
     grid = [times[0]] + times if len(times) == 1 else times
     prev_cbar = None
     for n, t in enumerate(grid):
-        cvals = np.stack([
-            np.broadcast_to(np.asarray(m.c(x, y, t), dtype=float), x.shape)
-            for m in spec.members
-        ])
+        cvals = c_at(t)
         cbar = cvals.mean(axis=0)
         report.c_min = min(report.c_min, float(cvals.min()))
         if prev_cbar is None:
@@ -203,8 +208,7 @@ def initialize(spec, disc):
     ne = disc.mesh.n_elements
     d, dh = disc.ndof_u, disc.ndof_u_hi
     w, V, Vh = disc.w_data, disc.V_data, disc.V_hi_data
-    X = disc.X_data
-    x, y = X[..., 0].ravel(), X[..., 1].ravel()
+    x, y = disc.x_data_flat, disc.y_data_flat
     mass = (V * w) @ V.T
     mass_hi = (Vh * w) @ Vh.T
 
@@ -275,7 +279,6 @@ class EnsembleSolver:
         self.system = None
         self.cond = None
         self._fp = None
-        self._tables = local.RHSTables(disc, disc.k)
         self._block_tables = local.BlockTables(disc, self.tau, self.dt)
 
         n = disc.n_trace_dofs
@@ -294,10 +297,17 @@ class EnsembleSolver:
         Xb = disc.Xf_fdata[disc.boundary_face_sides()]
         self._bshape = Xb.shape[:2]
         # joint evaluators of the member data at fixed points
-        from .problems import stack_separable_fields
+        from .problems import stack_separable_fields, vector_components
 
+        x, y = disc.x_data_flat, disc.y_data_flat
+        betas = [b for m in spec.members for b in vector_components(m.beta)]
+        self._c_vals = stack_separable_fields(
+            [m.c for m in spec.members], x, y)
+        self._b_vals = stack_separable_fields(betas, x, y)
+        self._bf_vals = stack_separable_fields(
+            betas, disc.xf_fdata_flat, disc.yf_fdata_flat)
         self._f_vals = stack_separable_fields(
-            [m.f for m in spec.members], disc.x_data_flat, disc.y_data_flat)
+            [m.f for m in spec.members], x, y)
         self._g_vals = stack_separable_fields(
             [m.g for m in spec.members], Xb[..., 0].ravel(),
             Xb[..., 1].ravel())
@@ -308,30 +318,24 @@ class EnsembleSolver:
     # -- coefficient sampling ------------------------------------------------
 
     def _coefficient_samples(self, t):
-        disc, spec = self.disc, self.spec
-        c_elem = np.stack([disc.sample_scalar(m.c, t, "elem")
-                           for m in spec.members])
-        b_elem = np.stack([disc.sample_vector(m.beta, t, "elem")
-                           for m in spec.members])
-        b_face = np.stack([disc.sample_vector_faces(m.beta, t, "face")
-                           for m in spec.members])
-        cbar, bbar, bbar_f = (c_elem.mean(0), b_elem.mean(0), b_face.mean(0))
+        """The members' c and β at level t, their means and deviations."""
+        disc, J = self.disc, self.spec.J
+        ne = disc.mesh.n_elements
+        c = self._c_vals(t).reshape(J, ne, -1)
+        # the components come member by member: (J, 2, ...) -> (J, ..., 2)
+        b = np.moveaxis(self._b_vals(t).reshape(J, 2, ne, -1), 1, -1)
+        bf = np.moveaxis(self._bf_vals(t).reshape(J, 2, ne, 3, -1), 1, -1)
+        cbar, bbar, bbar_f = c.mean(0), b.mean(0), bf.mean(0)
         out = {
-            "cbar_elem": cbar, "bbar_elem": bbar, "bbar_face": bbar_f,
+            "cbar": cbar, "bbar": bbar, "bbar_face": bbar_f,
             "fingerprint": coefficient_fingerprint(
                 disc.mesh.content_token(), disc.k, self.dt,
                 np.atleast_1d(self.tau), cbar, bbar, bbar_f),
         }
-        if spec.J > 1:
-            c_data = np.stack([disc.sample_scalar(m.c, t, "data")
-                               for m in spec.members])
-            b_data = np.stack([disc.sample_vector(m.beta, t, "data")
-                               for m in spec.members])
-            bf_data = np.stack([disc.sample_vector_faces(m.beta, t, "fdata")
-                                for m in spec.members])
-            out["c_dev"] = c_data.mean(0)[None] - c_data
-            out["b_dev"] = b_data.mean(0)[None] - b_data
-            out["b_dev_face"] = bf_data.mean(0)[None] - bf_data
+        if J > 1:
+            out["c_dev"] = cbar[None] - c
+            out["b_dev"] = bbar[None] - b
+            out["b_dev_face"] = bbar_f[None] - bf
         else:
             out["c_dev"] = out["b_dev"] = out["b_dev_face"] = None
         return out
@@ -345,7 +349,7 @@ class EnsembleSolver:
         """
         if degree == self.disc.k and "rhs_ops" in coeffs:
             return coeffs["rhs_ops"]
-        tables = self._tables if degree == self.disc.k \
+        tables = self._block_tables.lag if degree == self.disc.k \
             else local.RHSTables(self.disc, degree)
         ops = local.rhs_operators(
             self.disc, tables, self.dt, self.spec.J, coeffs["c_dev"],
@@ -359,8 +363,8 @@ class EnsembleSolver:
         if self.system is not None and fp == self._fp:
             return
         blocks = local.assemble_all_blocks(
-            self.disc, self._block_tables, coeffs["cbar_elem"],
-            coeffs["bbar_elem"], coeffs["bbar_face"])
+            self.disc, self._block_tables, coeffs["cbar"], coeffs["bbar"],
+            coeffs["bbar_face"])
         self.cond = local.condense_all(*blocks)
         self.system = assemble_trace_matrix(
             self.disc, self.cond.schur, fp).factorize()

@@ -28,8 +28,8 @@ def monomial_full_local_matrix(disc, ie, cbar, bbar, bbar_face, tau, dt):
     exps = monomial_exponents(k)
     d = len(exps)
     nfd = k + 1
-    pts = disc.rule_elem.points
-    w = disc.rule_elem.weights
+    pts = disc.rule_data.points
+    w = disc.rule_data.weights
     geom = disc.geom
     detJ = geom.det[ie]
     BinvT = geom.inv_t[ie]
@@ -45,8 +45,8 @@ def monomial_full_local_matrix(disc, ie, cbar, bbar, bbar_face, tau, dt):
     GX = BinvT[0, 0] * Gx + BinvT[0, 1] * Gy
     GY = BinvT[1, 0] * Gx + BinvT[1, 1] * Gy
 
-    s = disc.rule_face.points
-    wf = disc.rule_face.weights
+    s = disc.rule_face_data.points
+    wf = disc.rule_face_data.weights
     Mf = np.array([s ** m for m in range(nfd)])
 
     # element-basis monomial values at the canonical face points: use the
@@ -237,11 +237,11 @@ def dense_step(disc, spec, tau, dt, state, lag=True):
     J = spec.J
     t1 = (state.n + 1) * dt
 
-    cbar = np.stack([disc.sample_scalar(m.c, t1, "elem")
+    cbar = np.stack([disc.sample_scalar(m.c, t1)
                      for m in spec.members]).mean(0)
-    bbar = np.stack([disc.sample_vector(m.beta, t1, "elem")
+    bbar = np.stack([disc.sample_vector(m.beta, t1)
                      for m in spec.members]).mean(0)
-    bbar_f = np.stack([disc.sample_vector_faces(m.beta, t1, "face")
+    bbar_f = np.stack([disc.sample_vector_faces(m.beta, t1)
                        for m in spec.members]).mean(0)
 
     def assemble_local(ie):
@@ -254,11 +254,11 @@ def dense_step(disc, spec, tau, dt, state, lag=True):
     n_total = A.shape[0]
 
     if lag and J > 1:
-        c_data = np.stack([disc.sample_scalar(m.c, t1, "data")
+        c_data = np.stack([disc.sample_scalar(m.c, t1)
                            for m in spec.members])
-        b_data = np.stack([disc.sample_vector(m.beta, t1, "data")
+        b_data = np.stack([disc.sample_vector(m.beta, t1)
                            for m in spec.members])
-        bf_data = np.stack([disc.sample_vector_faces(m.beta, t1, "fdata")
+        bf_data = np.stack([disc.sample_vector_faces(m.beta, t1)
                             for m in spec.members])
         c_dev = c_data.mean(0)[None] - c_data
         b_dev = b_data.mean(0)[None] - b_data
@@ -325,7 +325,7 @@ def monomial_postprocess(disc, ie, q_coeffs, u_coeffs, c_vals):
     exps = monomial_exponents(disc.k + 1)
     dh = len(exps)
     d = disc.ndof_u
-    pts, w = disc.rule_elem.points, disc.rule_elem.weights
+    pts, w = disc.rule_data.points, disc.rule_data.weights
     ptsd, wd = disc.rule_data.points, disc.rule_data.weights
     BinvT = disc.geom.inv_t[ie]
     detJ = disc.geom.det[ie]
@@ -398,13 +398,13 @@ class LoopErrorAccumulator:
     def __call__(self, n, t, state):
         disc = self.disc
         s = lag_samples(disc, state)
-        c_vals = np.stack([disc.sample_scalar(m.c, t, "data")
+        c_vals = np.stack([disc.sample_scalar(m.c, t)
                            for m in self.spec.members])
         star = quadrature_postprocess(disc, self.post, state.u, state.q,
                                       c_vals) @ disc.V_hi_data
         for j, m in enumerate(self.spec.members):
-            ue = disc.sample_scalar(m.exact_u, t, "data")
-            qe = disc.sample_vector(m.exact_q, t, "data")
+            ue = disc.sample_scalar(m.exact_u, t)
+            qe = disc.sample_vector(m.exact_q, t)
             self.eq_sq[j] += self.dt * l2_norm_squared(disc, s["q"][j] - qe)
             self.eustar_sq[j] += self.dt * l2_norm_squared(
                 disc, star[j] - ue)

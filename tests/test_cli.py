@@ -1,7 +1,9 @@
 import json
 import math
 
-from ensemble_hdg.cli import main
+import pytest
+
+from ensemble_hdg.cli import _parse_levels, main
 from ensemble_hdg.io import read_convergence_csv
 from ensemble_hdg.mesh import build_uniform_square_mesh, write_mesh_text
 from ensemble_hdg.study import resolve_dt_rule
@@ -94,3 +96,16 @@ dt_rule = h
     rc = main(["converge", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "convergence_example1_k0.csv").exists()
+
+
+def test_levels_reject_empty_descending_and_negative(tmp_path):
+    for command in ("run", "converge"):
+        with pytest.raises(ValueError, match=r"'3\.\.1'"):
+            main([command, "--example", "1", "--levels", "3..1", "--out",
+                  str(tmp_path)])
+    assert not any(tmp_path.iterdir())
+    for text in ("-1..2", "-1", "3,1"):
+        with pytest.raises(ValueError, match=f"levels '{text}'"):
+            _parse_levels(text)
+    assert _parse_levels("2..4") == [2, 3, 4]
+    assert _parse_levels("1,3") == [1, 3]

@@ -12,8 +12,8 @@ from oracles import lag_samples, local_rhs, monomial_full_local_matrix
 
 
 def const_samples(disc, cval=1.0, bvec=(0.0, 0.0)):
-    nq = len(disc.w_elem)
-    nqf = len(disc.w_face)
+    nq = len(disc.w_data)
+    nqf = len(disc.w_fdata)
     ne = disc.mesh.n_elements
     cbar = np.full((ne, nq), cval)
     bbar = np.broadcast_to(np.asarray(bvec, float), (ne, nq, 2)).copy()
@@ -23,7 +23,7 @@ def const_samples(disc, cval=1.0, bvec=(0.0, 0.0)):
 
 def random_samples(disc, rng):
     ne = disc.mesh.n_elements
-    nq, nqf = len(disc.w_elem), len(disc.w_face)
+    nq, nqf = len(disc.w_data), len(disc.w_fdata)
     return (1.0 + rng.random((ne, nq)), rng.normal(size=(ne, nq, 2)),
             rng.normal(size=(ne, 3, nqf, 2)))
 

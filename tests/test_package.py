@@ -1,12 +1,13 @@
-"""The package keeps no public code that only tests reach, and no module
-imports a name it never uses.
+"""The package keeps no public code that only tests reach, no table that
+nothing reads, and no module imports a name it never uses.
 
 No linter is installed, so these tests parse the sources instead: every
 public top-level function or class of ensemble_hdg must be referenced by
 some module of the library or of the benchmark, other than by its own
-definition and the package's re-exports; and every name a module of the
-library, the tests or the benchmark imports must be used in that module
-or listed in its __all__.
+definition and the package's re-exports; every attribute the
+Discretization sets must be read by a static attribute access there; and
+every name a module of the library, the tests or the benchmark imports
+must be used in that module or listed in its __all__.
 """
 
 import ast
@@ -58,6 +59,32 @@ def test_every_public_definition_is_used():
     unused = [f"{module}:{name}" for module, name in public_definitions()
               if name not in used and name not in ALLOWED]
     assert not unused, f"referenced only by tests or by nothing: {unused}"
+
+
+def discretization_attributes():
+    """Every attribute the Discretization class assigns on self."""
+    tree = ast.parse((SRC / "discretization.py").read_text())
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+               and node.name == "Discretization")
+    return {node.attr for node in ast.walk(cls)
+            if isinstance(node, ast.Attribute) and
+            isinstance(node.ctx, ast.Store) and
+            isinstance(node.value, ast.Name) and node.value.id == "self"}
+
+
+def attribute_reads():
+    """Every attribute name read by a static access (obj.name) in the
+    library and the benchmark; getattr with a computed name is not one."""
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    return {node.attr for path in paths
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and
+            isinstance(node.ctx, ast.Load)}
+
+
+def test_every_discretization_table_is_read():
+    unread = sorted(discretization_attributes() - attribute_reads())
+    assert not unread, f"Discretization sets but nothing reads: {unread}"
 
 
 def test_allowlist_names_exist():

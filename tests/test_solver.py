@@ -2,10 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+import sympy
 
 from ensemble_hdg.discretization import Discretization
 from ensemble_hdg.mesh import build_uniform_square_mesh
-from ensemble_hdg.problems import EXAMPLE1_C, example1, example2
+from ensemble_hdg.problems import (EXAMPLE1_C, SeparableField,
+                                   VectorField, example1, example2,
+                                   manufactured_member)
 from ensemble_hdg.basis import triangle_quadrature
 from ensemble_hdg.mesh import batched_geometry
 from ensemble_hdg.solver import (EnsembleSolver, Member, ProblemSpec,
@@ -37,30 +40,69 @@ def mean_samples(spec, mesh, t):
 def test_ensemble_means_single_member(mesh2):
     spec = ProblemSpec(constant_members([2.5], [(1.0, -1.0)]))
     means = mean_samples(spec, mesh2, 0.3)
-    assert np.abs(means["cbar_elem"] - 2.5).max() == 0.0
-    assert np.abs(means["bbar_elem"] - [1.0, -1.0]).max() == 0.0
+    assert np.abs(means["cbar"] - 2.5).max() == 0.0
+    assert np.abs(means["bbar"] - [1.0, -1.0]).max() == 0.0
     assert np.abs(means["bbar_face"] - [1.0, -1.0]).max() == 0.0
 
 
 def test_ensemble_means_example1_constants(mesh2):
     means = mean_samples(example1(), mesh2, 0.0)
-    assert np.abs(means["cbar_elem"] - sum(EXAMPLE1_C) / 3).max() < 1e-15
+    assert np.abs(means["cbar"] - sum(EXAMPLE1_C) / 3).max() < 1e-15
+
+
+RANDOM_C = (lambda x, y, t: np.sin(x) + t, lambda x, y, t: x * y + 1.0,
+            lambda x, y, t: np.exp(-x) + y)
+
+
+def random_field_members(kind):
+    """Three members with time-dependent c_j and beta_j = (1 + s_j t)(y, x),
+    whose mean velocity is (y, x): plain callables, or manufactured members
+    whose c is a SeparableField and beta a VectorField."""
+    speeds = (-1.0, 0.0, 1.0)
+    if kind == "lambda":
+        members = constant_members([1.0] * 3, [(0, 0)] * 3)
+        for m, s in zip(members, speeds):
+            m.beta = lambda x, y, t, s=s: (1 + s * t) * np.stack([y, x], -1)
+        for m, f in zip(members, RANDOM_C):
+            m.c = f
+        return members
+    x, y, t = sympy.symbols("x y t")
+    cs = (sympy.sin(x) + t, x * y + 1, sympy.exp(-x) + y)
+    return [manufactured_member(c, ((1 + s * t) * y, (1 + s * t) * x), x * t)
+            for c, s in zip(cs, speeds)]
+
+
+def assert_means_match_member_samples(mesh, members):
+    """The joint evaluators against per-member sampling: the means and the
+    deviations of c and beta at a time level."""
+    spec = ProblemSpec(members, autonomous=False)
+    t = 0.7
+    means = mean_samples(spec, mesh, t)
+    disc = Discretization(mesh, 1)
+    X = disc.X_data
+    direct = sum(f(X[..., 0], X[..., 1], t) for f in RANDOM_C) / 3
+    assert np.abs(means["cbar"] - direct).max() < 1e-15
+    assert np.abs(means["bbar"] - X[..., ::-1]).max() < 1e-15
+    c = np.stack([disc.sample_scalar(m.c, t) for m in members])
+    b = np.stack([disc.sample_vector(m.beta, t) for m in members])
+    bf = np.stack([disc.sample_vector_faces(m.beta, t) for m in members])
+    for key, want in (("cbar", c.mean(0)), ("bbar", b.mean(0)),
+                      ("bbar_face", bf.mean(0)), ("c_dev", c.mean(0) - c),
+                      ("b_dev", b.mean(0) - b),
+                      ("b_dev_face", bf.mean(0) - bf)):
+        assert means[key].shape == want.shape, key
+        assert np.abs(means[key] - want).max() < 1e-15, key
 
 
 def test_ensemble_means_random_fields(mesh2):
-    fields = [lambda x, y, t: np.sin(x) + t, lambda x, y, t: x * y + 1.0,
-              lambda x, y, t: np.exp(-x) + y]
-    members = constant_members([1.0] * 3, [(0, 0)] * 3)
-    for m, f in zip(members, fields):
-        m.c = f
-        m.beta = lambda x, y, t: np.stack([y, x], -1)
-    spec = ProblemSpec(members, autonomous=False)
-    t = 0.7
-    means = mean_samples(spec, mesh2, t)
-    X = Discretization(mesh2, 1).X_elem
-    direct = sum(f(X[..., 0], X[..., 1], t) for f in fields) / 3
-    assert np.abs(means["cbar_elem"] - direct).max() < 1e-15
-    assert np.abs(means["bbar_elem"] - X[..., ::-1]).max() < 1e-15
+    assert_means_match_member_samples(mesh2, random_field_members("lambda"))
+
+
+def test_ensemble_means_random_separable_fields(mesh2):
+    members = random_field_members("sympy")
+    assert all(isinstance(m.c, SeparableField) and
+               isinstance(m.beta, VectorField) for m in members)
+    assert_means_match_member_samples(mesh2, members)
 
 
 def test_admissibility_example1(mesh2):
@@ -435,3 +477,27 @@ def test_changing_mean_matches_dense_steps(mesh2, rng, k):
     state.q = rng.normal(size=state.q.shape)
     assert_steps_match_dense(solver, spec, tau, dt, state, 4)
     assert solver.n_factorizations == 4
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_steady_ensemble_matches_separate_steady_states(mesh4, k):
+    """Mean part and lagged deviation part add up to each member's own
+    operator: with non-polynomial c_j and beta_j and steady data, the
+    ensemble's fixed point is every member's own steady state, and 80
+    steps of dt = 1 reach both to rounding."""
+    x, y = sympy.symbols("x y")
+    u = sympy.sin(2 * x) * sympy.cos(y) + x * y
+    members = [manufactured_member(
+        (1 + sympy.sin(3 * x * y) / 2) * (1 + s * sympy.cos(2 * x) / 10),
+        (s * y / 10, -s * x / 10 + sympy.Rational(1, 2)), u)
+        for s in (1, -1)]
+    spec = ProblemSpec(members)
+    disc = Discretization(mesh4, k)
+    dt, tau, T = 1.0, 2.0, 80.0
+    ens = EnsembleSolver(disc, spec, dt=dt, tau=tau).run(T)
+    for j in range(spec.J):
+        alone = EnsembleSolver(disc, spec.single_member(j), dt=dt,
+                               tau=tau).run(T)
+        for name in ("u", "q", "uhat"):
+            a, b = getattr(ens, name)[j], getattr(alone, name)[0]
+            assert np.abs(a - b).max() < 1e-12 * np.abs(b).max(), (j, name)

@@ -311,3 +311,10 @@ T = 0.1
     got = problem.members[2].beta(x, x, 0.0)
     assert got[0, 0] == 4.0 and got[0, 1] == 5.0
     assert problem.members[1].f(x, x, 0.0)[0] == 5.0
+
+
+def test_config_custom_section_names_a_missing_key(tmp_path):
+    path = tmp_path / "partial.ini"
+    path.write_text("[custom]\nc = 1, 2\nbeta_x = 0, 0\nf = 1, 1\n")
+    with pytest.raises(ValueError, match=r"\[custom\].*'beta_y'"):
+        load_config(path)

@@ -10,7 +10,7 @@ from ensemble_hdg.trace_system import (assemble_trace_matrix,
 def build_system(mesh, k, rng=None):
     disc = Discretization(mesh, k)
     ne = mesh.n_elements
-    nq, nqf = len(disc.w_elem), len(disc.w_face)
+    nq, nqf = len(disc.w_data), len(disc.w_fdata)
     if rng is None:
         cbar = np.ones((ne, nq))
         bbar = np.zeros((ne, nq, 2))
