@@ -32,6 +32,20 @@ def _parse_levels(text):
     return levels
 
 
+def _parse_snapshot(text):
+    """Stride of --snapshot: None for none, 0 for the final state only and
+    m for every m-th step as well."""
+    if text in (None, "none"):
+        return None
+    if text == "final":
+        return 0
+    every = text[len("every="):] if text.startswith("every=") else ""
+    if not every.isdigit() or int(every) < 1:
+        raise ValueError(f"snapshot {text!r}: give none, final or "
+                         "every=<m> with an integer m >= 1")
+    return int(every)
+
+
 def _add_common(p):
     p.add_argument("--config", help="INI config file; flags override it")
     p.add_argument("--example", type=int, choices=(1, 2, 3),
@@ -104,6 +118,7 @@ def cmd_converge(args):
 
 def cmd_run(args):
     merged = _merge(args)
+    stride = _parse_snapshot(merged.get("snapshot"))
     problem = _problem(merged)
     degree = merged["degree"]
     T = merged.get("T") or problem.default_T
@@ -128,8 +143,7 @@ def cmd_run(args):
         observers.append(acc)
 
     os.makedirs(merged["out"], exist_ok=True)
-    snap = merged.get("snapshot") or "none"
-    post = Postprocessor(disc)
+    post = Postprocessor(disc) if stride is not None else None
 
     def write_snap(state, tag):
         c_vals = np.stack([disc.sample_scalar(m.c, state.t)
@@ -140,8 +154,7 @@ def cmd_run(args):
         write_snapshot_csv(disc, state, base + ".csv", postprocessed=star)
         write_snapshot_vtk(disc, state, base + ".vtk", postprocessed=star)
 
-    if snap.startswith("every="):
-        stride = int(snap.split("=", 1)[1])
+    if stride:
         observers.append(lambda n, t, state: (
             write_snap(state, f"n{n:06d}") if n % stride == 0 else None))
 
@@ -153,7 +166,7 @@ def cmd_run(args):
         for j in range(problem.J):
             print(f"member {j + 1}: Eu={res['Eu'][j]:.6e} "
                   f"Eq={res['Eq'][j]:.6e} Eustar={res['Eustar'][j]:.6e}")
-    if snap in ("final",) or snap.startswith("every="):
+    if stride is not None:
         write_snap(state, "final")
         print(f"snapshot(s) written to {merged['out']}")
     return 0

@@ -2,14 +2,18 @@
 
 A Discretization owns everything the assembly kernels need: quadrature rules,
 basis value/gradient tables at element and face quadrature points, batched
-affine-map geometry and the global trace DOF map.  One family of rules, the
-"data" rules of order 2k+4 on elements and faces, serves every integral:
-the mean-coefficient blocks, the lagged deviations, source terms, boundary
-data, postprocessing and error norms.  The ensemble scheme splits member
-j's operator into an implicit mean part and a lagged deviation part; the
-two add up to member j's own operator, so that a steady ensemble settles
-on each member's own steady state, only when both parts are integrated
-with the same rule.
+affine-map geometry and the global trace DOF layout.  The layout is decided
+here alone: from one numbering, `trace_dof`, come the CSC pattern of the
+trace matrix, `trace_pattern`, the sparse scatter `trace_scatter` from
+element trace rows to global DOFs and its transpose, `trace_gather`.
+
+One family of rules, the "data" rules of order 2k+4 on elements and faces,
+serves every integral: the mean-coefficient blocks, the lagged deviations,
+source terms, boundary data, postprocessing and error norms.  The ensemble
+scheme splits member j's operator into an implicit mean part and a lagged
+deviation part; the two add up to member j's own operator, so that a
+steady ensemble settles on each member's own steady state, only when both
+parts are integrated with the same rule.
 
 Face tables are aligned with each face's canonical orientation, so the two
 elements sharing a face see the trace basis with identical parametrization
@@ -17,9 +21,10 @@ elements sharing a face see the trace basis with identical parametrization
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from .basis import ElementBasis, FaceBasis, edge_quadrature, triangle_quadrature
-from .mesh import batched_geometry
+from .mesh import BatchedGeometry
 
 # reference-triangle corners, indexed by local vertex
 _REF_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -56,7 +61,7 @@ class Discretization:
             raise ValueError("supported degrees are k in {0, 1, 2, 3}")
         self.mesh = mesh
         self.k = degree
-        self.geom = batched_geometry(mesh)
+        self.geom = BatchedGeometry(mesh)
 
         self.elem_basis = ElementBasis(degree)
         self.elem_basis_hi = ElementBasis(degree + 1)
@@ -89,9 +94,7 @@ class Discretization:
         self.VwT_data = (self.V_data * self.w_data).T.copy()
         # physical points (ne, nq, 2) and their flat x and y arrays, which
         # the solver's joint field evaluators bind once
-        X = np.einsum("eij,qj->eqi", geom.jacobian, pd)
-        X += geom.corners[:, None, 0, :]
-        self.X_data = X
+        X = self.X_data = geom.points(pd)
         self.x_data_flat = np.ascontiguousarray(X[..., 0]).reshape(-1)
         self.y_data_flat = np.ascontiguousarray(X[..., 1]).reshape(-1)
 
@@ -118,31 +121,43 @@ class Discretization:
         aligned = mesh.elements[np.arange(ne)[:, None],
                                 np.array([0, 1, 2])[None, :]]
         self.face_aligned = aligned == mesh.faces[mesh.elem_faces][:, :, 0]
-        self.Vf_fdata = self._face_values(sd)
 
-    def _face_values(self, s):
-        """Element-basis values (ne, 3, d, nq) at the canonical face points:
-        s maps to the element's reference coordinates, flipped where the
-        element traverses the face against its canonical orientation."""
-        ne = self.mesh.n_elements
-        ref = reference_face_points(s)[np.arange(3)[None, :],
-                                       self.face_aligned.astype(int)]
-        Vf = self.elem_basis.eval(ref.reshape(-1, 2)).reshape(
-            self.ndof_u, ne, 3, len(s))
-        return np.moveaxis(Vf, 0, 2).copy()
-
-    # -- global trace DOF map -------------------------------------------------
+    # -- global trace DOF layout ----------------------------------------------
 
     def _build_trace_dofs(self):
         mesh = self.mesh
-        nfd = self.ndof_face
+        ne, nfd = mesh.n_elements, self.ndof_face
         pos = np.cumsum(~mesh.boundary) - 1
         pos[mesh.boundary] = -1
-        self.n_trace_dofs = mesh.n_interior_faces * nfd
+        n = self.n_trace_dofs = mesh.n_interior_faces * nfd
         fpos = pos[mesh.elem_faces]  # (ne, 3)
         dof = fpos[..., None] * nfd + np.arange(nfd)
         dof[fpos < 0] = -1
-        self.trace_dof = dof.reshape(mesh.n_elements, 3 * nfd)
+        dof = self.trace_dof = dof.reshape(ne, 3 * nfd)
+        # CSC pattern: the flat schur entries at `take` couple two
+        # interior-face DOFs, and entry i of them adds into nonzero slot[i]
+        # of the sorted, duplicate-free CSC arrays
+        T = 3 * nfd
+        rows = np.broadcast_to(dof[:, :, None], (ne, T, T)).ravel()
+        cols = np.broadcast_to(dof[:, None, :], (ne, T, T)).ravel()
+        take = np.flatnonzero((rows >= 0) & (cols >= 0))
+        keys, slot = np.unique(cols[take].astype(np.int64) * n + rows[take],
+                               return_inverse=True)
+        # SuperLU takes C-int indices
+        indices = (keys % n).astype(np.intc)
+        indptr = np.zeros(n + 1, dtype=np.intc)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        self.trace_pattern = (take, slot, indices, indptr)
+        for arr in self.trace_pattern:
+            arr.flags.writeable = False
+        # element trace rows -> global DOFs, boundary rows dropped; the
+        # transpose gathers, built once as building it scans the indices
+        flat = dof.ravel()
+        keep = flat >= 0
+        self.trace_scatter = sp.csr_matrix(
+            (np.ones(keep.sum()), (flat[keep], np.nonzero(keep)[0])),
+            shape=(n, flat.size))
+        self.trace_gather = self.trace_scatter.T
         bf = np.nonzero(mesh.boundary)[0]
         self._bnd_sides = (mesh.face_elements[bf, 0], mesh.face_local[bf, 0])
 

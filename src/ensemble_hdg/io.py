@@ -66,9 +66,7 @@ def snapshot_values(disc, state, postprocessed=None):
 
     Returns (points (ne, 4, 2), u (J, ne, 4), ustar (J, ne, 4) or None).
     """
-    geom = disc.geom
-    pts = np.einsum("eij,qj->eqi", geom.jacobian, _SNAP_REF)
-    pts += geom.corners[:, None, 0, :]
+    pts = disc.geom.points(_SNAP_REF)
     if state.u_degree == disc.k:
         V = disc.elem_basis.eval(_SNAP_REF)
     else:
@@ -164,7 +162,11 @@ def load_config(path):
         for key in ("c", "beta_x", "beta_y", "f"):
             if key not in sec:
                 raise ValueError(f"config section [custom] has no {key!r}")
-            vals[key] = [float(s) for s in sec[key].split(",")]
+            try:
+                vals[key] = [float(s) for s in sec[key].split(",")]
+            except ValueError as exc:
+                raise ValueError(
+                    f"config section [custom], key {key!r}: {exc}") from None
         J = sec.getint("J", len(vals["c"]))
         if any(len(v) != J for v in vals.values()):
             raise ValueError("custom problem member lists disagree with J")

@@ -11,26 +11,21 @@ All kernels work on every element at once, with the element as the
 leading array axis, and every coefficient enters as one GEMM of its
 samples against a table that holds no coefficient.
 
-The local blocks are linear in the mean samples c̄ and β̄.  `BlockTables`
-holds, once per (discretization, tau, dt), what no coefficient touches:
-the div blocks, the (1/dt) mass and tau face terms, the q-trace coupling,
-and the trace-trace block; and reference tables for the c̄ mass, the
-β̄·∇ convection and the -<β̄·n u, v̂> face terms.  `assemble_all_blocks`
-adds the GEMMs of the current means to copies of the constant blocks, so
-a time-dependent mean costs a few small GEMMs per step.
+Three terms carry a coefficient: the c mass (c q, r), the convection
+(β·∇u, v) and the face rows <β·n u, v̂>.  The ensemble scheme splits each
+into a mean part (c̄, β̄), implicit, and a deviation part (c̄ - c_j,
+β̄ - β_j), lagged onto the right-hand side.  Both are the same terms of
+other samples, so one kernel, `_coefficient_terms`, builds them from
+samples with any leading axes: `assemble_all_blocks` applies it to the
+means, `rhs_operators` to the deviations.  Built from the same tables and
+data rules, the two parts add up to each member's own operator.
 
-Every integral is taken with the Discretization's data rules, the only
-rules it has.  The mean blocks and the lagged deviations therefore share
-one set of degree-k reference tables, and at a fixed point they add up to
-each member's own operator.
-
-The step's right-hand side, its previous-state terms, the (1/dt) mass and
-the lagged deviations (c̄ - c_j) q, (β̄ - β_j)·∇u and
--<(β̄ - β_j)·n u, v̂>, is a linear map of the previous [q | u] coefficients
-per (member, element).  `rhs_operators` builds those maps from the
-deviation samples by GEMMs against the coefficient-free tables of
-`RHSTables`; `assemble_all_rhs` applies them and adds the sampled source
-and boundary data.
+`BlockTables` holds, once per (discretization, tau, dt), what no
+coefficient touches, and the degree-k `RHSTables` as `lag`; a
+time-dependent mean costs a few small GEMMs per step.  `rhs_operators`
+maps the previous [q | u] of each (member, element) to the RHS, the
+(1/dt) mass and the lagged deviations; `assemble_all_rhs` applies them
+and adds the sampled source and boundary data.
 """
 
 import numpy as np
@@ -53,12 +48,8 @@ class BlockTables:
     A_IT   (ne, 3d, 3nfd)    all of it
     A_TI   (ne, 3nfd, 3d)    the tau and normal-component parts
     A_TT   (ne, 3nfd, 3nfd)  all of it
-    mass   (nq, d*d)         w_q v_i v_j, against c̄ samples
-    conv   (2nq, d*d)        w_q v_i ∂_r v_j, against β̄ B^-T samples
-    face   [lf][aligned]     (nqf, nfd*d) w_q ψ_m v_j on local face lf
-
-    The reference tables are those of the degree-k `RHSTables`, held as
-    `lag`: the lag operators integrate the deviations with the same rules.
+    lag    the degree-k `RHSTables`, against which the mean coefficient
+           terms and the deviations alike are built
     """
 
     def __init__(self, disc, tau, dt):
@@ -74,8 +65,6 @@ class BlockTables:
         detJ = disc.geom.det[:, None, None]
         lens, nrm = disc.geom.edge_lengths, disc.geom.normals
         self.lag = RHSTables(disc, disc.k)
-        self.mass, self.conv, self.face = (self.lag.mass_q, self.lag.conv,
-                                           self.lag.face)
 
         A_II = np.zeros((ne, 3 * d, 3 * d))
         A_IT = np.zeros((ne, 3 * d, 3 * nfd))
@@ -113,8 +102,8 @@ class BlockTables:
         A_IT[:, :2 * d] = -np.swapaxes(A_TI[:, :, :2 * d], 1, 2)
         A_IT[:, 2 * d:] = np.swapaxes(A_TI[:, :, 2 * d:], 1, 2)
         self.A_II, self.A_IT, self.A_TI, self.A_TT = A_II, A_IT, A_TI, A_TT
-        for table in (A_II, A_IT, A_TI, A_TT, self.mass, self.conv,
-                      *(t for pair in self.face for t in pair)):
+        for table in (A_II, A_IT, A_TI, A_TT, self.lag.mass_q, self.lag.conv,
+                      *(t for pair in self.lag.face for t in pair)):
             table.flags.writeable = False
 
 
@@ -130,27 +119,15 @@ def assemble_all_blocks(disc, tables, cbar, bbar, bbar_face):
         bad = int(np.argmax((cbar <= 0).any(axis=1)))
         raise CoefficientError(
             f"element {bad}: mean inverse-diffusion sample <= 0")
-    ne, nq = cbar.shape
-    d, nfd = disc.ndof_u, disc.ndof_face
-    detJ = disc.geom.det[:, None, None]
+    d = disc.ndof_u
+    mass_c, conv, face = _coefficient_terms(disc, tables.lag, cbar, bbar,
+                                            bbar_face)
     A_II = tables.A_II.copy()
     A_TI = tables.A_TI.copy()
-    mass_c = (cbar @ tables.mass).reshape(ne, d, d) * detJ
     A_II[:, :d, :d] += mass_c
     A_II[:, d:2 * d, d:2 * d] += mass_c
-    bt = _reference_velocity(disc, bbar)
-    A_II[:, 2 * d:, 2 * d:] += (bt.reshape(ne, 2 * nq) @ tables.conv
-                                ).reshape(ne, d, d) * detJ
-    lens, nrm = disc.geom.edge_lengths, disc.geom.normals
-    bn = bbar_face[..., 0] * nrm[:, :, None, 0] + \
-        bbar_face[..., 1] * nrm[:, :, None, 1]
-    for lf in range(3):
-        rows = slice(lf * nfd, (lf + 1) * nfd)
-        misaligned, aligned = tables.face[lf]
-        blk = np.where(disc.face_aligned[:, lf, None],
-                       bn[:, lf] @ aligned, bn[:, lf] @ misaligned)
-        A_TI[:, rows, 2 * d:] -= (blk * lens[:, lf, None]).reshape(
-            ne, nfd, d)
+    A_II[:, 2 * d:, 2 * d:] += conv
+    A_TI[:, :, 2 * d:] -= face
     return A_II, tables.A_IT, A_TI, tables.A_TT
 
 
@@ -200,9 +177,13 @@ def boundary_data_operator(disc, tau):
     d = disc.ndof_u
     ln = disc.geom.edge_lengths[be, bl]
     nb = disc.geom.normals[be, bl]
+    # a boundary face's canonical orientation is that of its one element:
+    # the element basis at the three aligned reference faces, (3, d, nqf)
+    s = disc.rule_face_data.points
+    Vf = disc.elem_basis.eval(reference_face_points(s)[:, 1].reshape(-1, 2))
+    Vf = np.moveaxis(Vf.reshape(d, 3, len(s)), 0, 1)
     # moment operator: g samples -> <g, phi_i> per boundary face
-    mom = ln[:, None, None] * disc.Vf_fdata[be, bl] * \
-        disc.w_fdata[None, None, :]
+    mom = ln[:, None, None] * Vf[bl] * disc.w_fdata[None, None, :]
     op = np.empty((len(be), 3 * d, mom.shape[2]))
     op[:, :d] = -nb[:, 0, None, None] * mom      # -<g, r.n> x-rows
     op[:, d:2 * d] = -nb[:, 1, None, None] * mom
@@ -259,10 +240,35 @@ def _product_tables(disc, basis):
     return mass, conv, face
 
 
-def _reference_velocity(disc, b):
-    """Velocity samples b (..., ne, nq, 2) times B^-T: b·∇u = Σ_r
-    [b B^-T]_r ∂_r u in the reference coordinates of each element."""
-    return np.matmul(b, disc.geom.inv_t)
+def _coefficient_terms(disc, tables, c, b, b_face):
+    """The coefficient terms of samples c (..., ne, nq), b (..., ne, nq, 2)
+    at the data rule and b_face (..., ne, 3, nqf, 2) at the face data rule.
+
+    Returns the c mass (..., ne, d, d), the b·∇u block (..., ne, d, din)
+    and the <b·n u, v̂> rows (..., ne, 3nfd, din) on every local face, each
+    one GEMM against `tables` (an `RHSTables` of input degree din).
+    """
+    lead, nq = c.shape[:-1], c.shape[-1]
+    d, nfd = disc.ndof_u, disc.ndof_face
+    din = tables.mass.shape[1]
+    geom = disc.geom
+    detJ = geom.det[:, None, None]
+    mass = (c.reshape(-1, nq) @ tables.mass_q).reshape(lead + (d, d)) * detJ
+    # b·∇u = Σ_r [b B^-T]_r ∂_r u in each element's reference coordinates
+    bt = np.matmul(b, geom.inv_t)
+    conv = (bt.reshape(-1, 2 * nq) @ tables.conv).reshape(
+        lead + (d, din)) * detJ
+    nrm = geom.normals
+    bn = b_face[..., 0] * nrm[:, :, None, 0] + \
+        b_face[..., 1] * nrm[:, :, None, 1]
+    face = np.empty(lead + (3 * nfd, din))
+    for lf in range(3):
+        misaligned, aligned = tables.face[lf]
+        blk = np.where(disc.face_aligned[:, lf, None],
+                       bn[..., lf, :] @ aligned, bn[..., lf, :] @ misaligned)
+        face[..., lf * nfd:(lf + 1) * nfd, :] = (
+            blk * geom.edge_lengths[:, lf, None]).reshape(lead + (nfd, din))
+    return mass, conv, face
 
 
 class RHSOperators:
@@ -288,33 +294,18 @@ def rhs_operators(disc, tables, dt, J, c_dev, b_dev, b_dev_face):
     three are None when the deviations vanish.  The input degree of u is
     that of `tables`.
     """
-    ne = disc.mesh.n_elements
+    mesh = disc.mesh
     d, nfd = disc.ndof_u, disc.ndof_face
-    din = tables.mass.shape[1]
-    detJ = disc.geom.det[None, :, None, None]
-    u_op = np.zeros((J, ne, d + 3 * nfd, din))
-    u_op[:, :, :d] = detJ / dt * tables.mass
+    u_op = np.zeros((J, mesh.n_elements, d + 3 * nfd, tables.mass.shape[1]))
+    u_op[:, :, :d] = disc.geom.det[:, None, None] / dt * tables.mass
     if c_dev is None:
         return RHSOperators(None, u_op)
-    nq = c_dev.shape[2]
-    mass_c = (c_dev.reshape(J * ne, nq) @ tables.mass_q).reshape(
-        J, ne, d, d) * detJ
-    bt = _reference_velocity(disc, b_dev)
-    u_op[:, :, :d] += (bt.reshape(J * ne, 2 * nq) @ tables.conv).reshape(
-        J, ne, d, din) * detJ
-    mesh = disc.mesh
-    scale = np.where(mesh.boundary[mesh.elem_faces], 0.0,
-                     -disc.geom.edge_lengths)
-    nrm = disc.geom.normals
-    bn = b_dev_face[..., 0] * nrm[:, :, None, 0] + \
-        b_dev_face[..., 1] * nrm[:, :, None, 1]
-    for lf in range(3):
-        rows = slice(d + lf * nfd, d + (lf + 1) * nfd)
-        misaligned, aligned = tables.face[lf]
-        blk = np.where(disc.face_aligned[:, lf, None],
-                       bn[:, :, lf] @ aligned, bn[:, :, lf] @ misaligned)
-        u_op[:, :, rows] = (blk * scale[:, lf, None]).reshape(
-            J, ne, nfd, din)
+    mass_c, conv, face = _coefficient_terms(disc, tables, c_dev, b_dev,
+                                            b_dev_face)
+    u_op[:, :, :d] += conv
+    # boundary faces carry no trace unknowns: their rows stay zero
+    bnd_rows = np.repeat(mesh.boundary[mesh.elem_faces], nfd, axis=1)
+    u_op[:, :, d:] = np.where(bnd_rows[:, :, None], 0.0, -face)
     return RHSOperators(mass_c, u_op)
 
 

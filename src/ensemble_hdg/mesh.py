@@ -3,7 +3,9 @@
 A mesh stores vertices, counter-clockwise elements, a canonical face list and
 the element/face adjacency needed by hybrid methods: every interior face knows
 its two incident elements, every boundary face its single one.  Meshes are
-immutable after construction and safe for concurrent reads.
+immutable after construction and safe for concurrent reads: nothing is
+cached on them.  `BatchedGeometry` holds the element maps, and its `points`
+is the one map of reference points to physical ones.
 """
 
 import numpy as np
@@ -187,13 +189,12 @@ class BatchedGeometry:
             [tang[..., 1], -tang[..., 0]], axis=-1
         ) / self.edge_lengths[..., None]
 
-
-def batched_geometry(mesh):
-    g = getattr(mesh, "_geometry_cache", None)
-    if g is None:
-        g = BatchedGeometry(mesh)
-        mesh._geometry_cache = g
-    return g
+    def points(self, ref):
+        """Physical points (ne, npts, 2) of reference points ref (npts, 2)
+        on every element."""
+        X = np.einsum("eij,qj->eqi", self.jacobian, ref)
+        X += self.corners[:, None, 0, :]
+        return X
 
 
 def write_mesh_text(mesh, path):

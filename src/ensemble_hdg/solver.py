@@ -30,7 +30,8 @@ never written to, so observers may safely keep references.
 import numpy as np
 
 from . import local
-from .mesh import build_uniform_square_mesh
+from .basis import triangle_quadrature
+from .mesh import BatchedGeometry, build_uniform_square_mesh
 from .trace_system import assemble_trace_matrix, coefficient_fingerprint
 
 
@@ -125,14 +126,9 @@ def check_admissibility(spec, mesh, times):
     sampled through one joint evaluator.  Returns a report instead of
     raising; callers enforce strictness.
     """
-    from .basis import triangle_quadrature
-    from .mesh import batched_geometry
     from .problems import stack_separable_fields
 
-    rule = triangle_quadrature(6)
-    geom = batched_geometry(mesh)
-    X = np.einsum("eij,qj->eqi", geom.jacobian, rule.points)
-    X += geom.corners[:, None, 0, :]
+    X = BatchedGeometry(mesh).points(triangle_quadrature(6).points)
     x, y = X[..., 0].ravel(), X[..., 1].ravel()
     c_at = stack_separable_fields([m.c for m in spec.members], x, y)
 
@@ -154,16 +150,13 @@ def check_admissibility(spec, mesh, times):
     return report
 
 
-def choose_tau(spec, mesh, times=(0.0,)):
-    """Stabilization constant tau = 1 + max_j sup ||beta_j||_inf.
+def choose_tau(spec, mesh):
+    """Stabilization constant tau = 1 + max_j sup ||beta_j(., 0)||_inf.
 
-    The sup uses the max-component norm, sampled at element quadrature
-    points of the run mesh and two uniform refinements (quadrature-order
+    The sup uses the max-component norm, sampled at t = 0 at element points
+    of the run mesh and two uniform refinements (quadrature-order
     escalation on meshes that cannot be refined uniformly).
     """
-    from .basis import triangle_quadrature
-    from .mesh import batched_geometry
-
     if mesh.uniform_n is not None:
         meshes = [build_uniform_square_mesh(mesh.uniform_n * s)
                   for s in (1, 2, 4)]
@@ -173,15 +166,11 @@ def choose_tau(spec, mesh, times=(0.0,)):
         orders = [4, 8, 12]
     sup = 0.0
     for m, order in zip(meshes, orders):
-        rule = triangle_quadrature(order)
-        geom = batched_geometry(m)
-        X = np.einsum("eij,qj->eqi", geom.jacobian, rule.points)
-        X += geom.corners[:, None, 0, :]
+        X = BatchedGeometry(m).points(triangle_quadrature(order).points)
         x, y = X[..., 0].ravel(), X[..., 1].ravel()
-        for t in times:
-            for member in spec.members:
-                b = np.asarray(member.beta(x, y, t), dtype=float)
-                sup = max(sup, float(np.abs(b).max()))
+        for member in spec.members:
+            b = np.asarray(member.beta(x, y, 0.0), dtype=float)
+            sup = max(sup, float(np.abs(b).max()))
     return 1.0 + sup
 
 
@@ -280,19 +269,6 @@ class EnsembleSolver:
         self.cond = None
         self._fp = None
         self._block_tables = local.BlockTables(disc, self.tau, self.dt)
-
-        n = disc.n_trace_dofs
-        flat = disc.trace_dof.ravel()
-        self._scatter_ids = np.where(flat < 0, n, flat)
-        # the trace solution with a zero row for the boundary-face DOFs
-        self._padded = np.zeros((n + 1, spec.J))
-        # one sparse scatter matrix replaces per-member bincounts
-        import scipy.sparse as sp
-
-        keep = flat >= 0
-        self._scatter_mat = sp.csr_matrix(
-            (np.ones(keep.sum()), (flat[keep], np.nonzero(keep)[0])),
-            shape=(n, flat.size))
         self._bnd_op = local.boundary_data_operator(disc, self.tau)
         Xb = disc.Xf_fdata[disc.boundary_face_sides()]
         self._bshape = Xb.shape[:2]
@@ -396,9 +372,8 @@ class EnsembleSolver:
         b_int_T = np.ascontiguousarray(np.moveaxis(b_int, 0, 2))
         rhs_tr_T = np.matmul(self.cond.reduce_rhs, b_int_T)
         np.subtract(np.moveaxis(b_tr, 0, 2), rhs_tr_T, out=rhs_tr_T)
-        n = disc.n_trace_dofs
         # fortran order feeds SuperLU's column sweeps without a copy
-        glob = np.asfortranarray(self._scatter_mat @ rhs_tr_T.reshape(-1, J))
+        glob = np.asfortranarray(disc.trace_scatter @ rhs_tr_T.reshape(-1, J))
 
         uhat = self.system.solve_multi(glob, fingerprint=self._fp)
         if self.check_residuals:
@@ -407,8 +382,7 @@ class EnsembleSolver:
                 raise RuntimeError(
                     f"trace residual {res.max():.2e} exceeds 1e-10 "
                     f"at step {state.n + 1}")
-        self._padded[:n] = uhat
-        uhat_eT = self._padded[self._scatter_ids].reshape(ne, 3 * nfd, J)
+        uhat_eT = (disc.trace_gather @ uhat).reshape(ne, 3 * nfd, J)
         x_int_T = np.matmul(self.cond.solve_int, b_int_T)
         x_int_T -= np.matmul(self.cond.lift, uhat_eT)
         x_int = np.ascontiguousarray(np.moveaxis(x_int_T, 2, 0))
@@ -418,30 +392,31 @@ class EnsembleSolver:
         return EnsembleState(state.n + 1, t1, x_int[:, :, 2 * d:],
                              x_int[:, :, :2 * d], uhat.T, disc.k)
 
-    def run(self, T, observers=(), state=None):
+    def run(self, T, observers=()):
         """March N = round(T / dt) steps, invoking observers after each.
 
-        Observers are callables (n, t_n, state) receiving the accepted
-        state read-only.
+        The run checks the ensemble-mean condition on t_0..t_N (t_0 alone
+        for autonomous problems), starts from `initialize` and returns the
+        final state.  Observers are callables (n, t_n, state) receiving the
+        accepted state read-only.
         """
         ratio = T / self.dt
         N = int(round(ratio))
         if abs(ratio - N) > 1e-6 * max(1, N):
             raise ValueError(
                 f"T/dt = {ratio} is not integral; snap dt first")
-        if state is None:
-            report = check_admissibility(
-                self.spec, self.disc.mesh,
-                [0.0] if self.spec.autonomous else
-                [i * self.dt for i in range(N + 1)])
-            if not report.ok:
-                msg = f"ensemble-mean admissibility violated: {report!r}"
-                if self.strict_admissibility:
-                    raise RuntimeError(msg)
-                import warnings
+        report = check_admissibility(
+            self.spec, self.disc.mesh,
+            [0.0] if self.spec.autonomous else
+            [i * self.dt for i in range(N + 1)])
+        if not report.ok:
+            msg = f"ensemble-mean admissibility violated: {report!r}"
+            if self.strict_admissibility:
+                raise RuntimeError(msg)
+            import warnings
 
-                warnings.warn(msg)
-            state = initialize(self.spec, self.disc)
+            warnings.warn(msg)
+        state = initialize(self.spec, self.disc)
         for _ in range(N):
             state = self.step(state)
             for obs in observers:

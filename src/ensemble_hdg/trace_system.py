@@ -2,7 +2,9 @@
 
 The trace matrix is the scatter of per-element Schur complements onto the
 global trace DOFs (interior faces only; canonical face order, face-local
-modes innermost).  It is factorized by a sparse direct LU (SuperLU via
+modes innermost).  Its sparsity pattern is the Discretization's
+`trace_pattern`, built once with the DOF numbering; assembly only sums the
+Schur entries into it.  It is factorized by a sparse direct LU (SuperLU via
 scipy, minimum-degree ordering on A^T + A), and one factorization solves
 all J right-hand sides at once.  A factorization is read-only after
 construction: concurrent solves against distinct RHS columns are safe.
@@ -67,48 +69,19 @@ class TraceSystem:
         return num / np.where(den > 0, den, 1.0)
 
 
-def _trace_pattern(disc):
-    """CSC structure of the trace matrix and the map that fills it.
-
-    Returns (take, slot, indices, indptr): the flat schur entries at
-    `take` lie on interior-face DOFs, and entry i of them adds into
-    nonzero slot[i] of the sorted, duplicate-free CSC arrays.  Cached on
-    the discretization.
-    """
-    cached = getattr(disc, "_trace_pattern", None)
-    if cached is not None:
-        return cached
-    dof = disc.trace_dof
-    ne, T = dof.shape
-    n = disc.n_trace_dofs
-    rows = np.broadcast_to(dof[:, :, None], (ne, T, T)).ravel()
-    cols = np.broadcast_to(dof[:, None, :], (ne, T, T)).ravel()
-    take = np.flatnonzero((rows >= 0) & (cols >= 0))
-    keys, slot = np.unique(cols[take].astype(np.int64) * n + rows[take],
-                           return_inverse=True)
-    # SuperLU takes C-int indices
-    indices = (keys % n).astype(np.intc)
-    indptr = np.zeros(n + 1, dtype=np.intc)
-    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-    cached = (take, slot, indices, indptr)
-    for arr in cached:
-        arr.flags.writeable = False
-    disc._trace_pattern = cached
-    return cached
-
-
 def assemble_trace_matrix(disc, schur, fingerprint):
     """Scatter batched element Schur blocks into the global trace matrix.
 
     schur has shape (ne, T, T) with T = 3 * (k+1); rows/columns mapped to
     boundary faces are dropped.  The matrix is CSC, the format the LU
-    reads; fingerprint is that of the coefficients schur is built from.
+    reads, on the discretization's `trace_pattern`; fingerprint is that
+    of the coefficients schur is built from.
     """
     ne, T, T2 = schur.shape
     if ne != disc.mesh.n_elements or T != T2 or \
             T != disc.trace_dof.shape[1]:
         raise ValueError("schur block shape does not match the mesh/degree")
-    take, slot, indices, indptr = _trace_pattern(disc)
+    take, slot, indices, indptr = disc.trace_pattern
     data = np.bincount(slot, weights=schur.reshape(-1)[take],
                        minlength=len(indices))
     n = disc.n_trace_dofs

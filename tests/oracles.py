@@ -125,7 +125,7 @@ def local_rhs(disc, ie, tau, dt, f_vals, g_vals, u_prev, gu_prev, q_prev,
     detJ = disc.geom.det[ie]
     lens = disc.geom.edge_lengths[ie]
     nrm = disc.geom.normals[ie]
-    Vf = disc.Vf_fdata[ie]
+    Vf = basis_tables(disc, disc.k)[2][ie]
     Psi = disc.Psi_fdata
     wf = disc.w_fdata
     on_boundary = disc.mesh.boundary[disc.mesh.elem_faces[ie]]

@@ -109,3 +109,21 @@ def test_levels_reject_empty_descending_and_negative(tmp_path):
             _parse_levels(text)
     assert _parse_levels("2..4") == [2, 3, 4]
     assert _parse_levels("1,3") == [1, 3]
+
+
+@pytest.mark.parametrize("text", ["every=0", "bogus"])
+def test_snapshot_rejects_bad_values_before_running(tmp_path, capsys, text):
+    with pytest.raises(ValueError, match=f"snapshot '{text}'"):
+        main(["run", "--example", "1", "--levels", "1", "--dt-rule",
+              "fixed=0.25", "--snapshot", text, "--out", str(tmp_path)])
+    assert not any(tmp_path.iterdir())
+    assert capsys.readouterr().out == ""
+
+
+def test_run_snapshot_every_step_stride(tmp_path):
+    rc = main(["run", "--example", "1", "--levels", "1", "--dt-rule",
+               "fixed=0.25", "--snapshot", "every=2", "--out", str(tmp_path)])
+    assert rc == 0
+    written = sorted(p.name for p in tmp_path.glob("*.csv"))
+    assert written == [f"snapshot_example1_{tag}.csv"
+                       for tag in ("final", "n000002", "n000004")]

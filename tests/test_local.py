@@ -129,8 +129,9 @@ def test_block_tables_are_shared_read_only(mesh2, rng):
     disc = Discretization(mesh2, 1)
     tables = BlockTables(disc, 2.0, 0.5)
     held = [tables.A_II, tables.A_IT, tables.A_TI, tables.A_TT,
-            tables.mass, tables.conv] + [t for pair in tables.face
-                                         for t in pair]
+            tables.lag.mass_q, tables.lag.conv] + [t for pair in
+                                                   tables.lag.face
+                                                   for t in pair]
     assert not any(t.flags.writeable for t in held)
     cbar, bbar, bbar_f = random_samples(disc, rng)
     first = assemble_all_blocks(disc, tables, cbar, bbar, bbar_f)
@@ -142,6 +143,37 @@ def test_block_tables_are_shared_read_only(mesh2, rng):
         want = assemble_all_blocks(disc, fresh, cval, bbar, bbar_f)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_member_blocks_are_mean_blocks_minus_deviation_terms(mesh4, rng, k):
+    """For J=3 random members, member j's own blocks equal the mean
+    blocks minus the deviation terms of its RHS operators: the q-q mass,
+    the u-u convection and the interior-face trace rows."""
+    disc = Discretization(mesh4, k)
+    d, nfd = disc.ndof_u, disc.ndof_face
+    tables = BlockTables(disc, 2.0, 0.5)
+    c, b, bf = (np.stack(s) for s in zip(*(random_samples(disc, rng)
+                                           for _ in range(3))))
+    mean = assemble_all_blocks(disc, tables, c.mean(0), b.mean(0),
+                               bf.mean(0))
+    ops = rhs_operators(disc, tables.lag, 0.5, 3, c.mean(0) - c,
+                        b.mean(0) - b, bf.mean(0) - bf)
+    time_term = rhs_operators(disc, tables.lag, 0.5, 1, None, None,
+                              None).u_op[0, :, :d]
+    mesh = disc.mesh
+    bnd_rows = np.repeat(mesh.boundary[mesh.elem_faces], nfd, axis=1)
+    assert not ops.u_op[:, :, d:][:, bnd_rows].any()
+    for j in range(3):
+        own = assemble_all_blocks(disc, tables, c[j], b[j], bf[j])
+        pairs = (
+            (own[0][:, :d, :d], mean[0][:, :d, :d] - ops.mass_c[j]),
+            (own[0][:, 2 * d:, 2 * d:], mean[0][:, 2 * d:, 2 * d:] -
+             (ops.u_op[j, :, :d] - time_term)),
+            (own[2][:, :, 2 * d:][~bnd_rows], (mean[2][:, :, 2 * d:] -
+                                               ops.u_op[j, :, d:])[~bnd_rows]))
+        for got, want in pairs:
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(got).max()
 
 
 def test_schur_symmetry_without_convection(mesh2):

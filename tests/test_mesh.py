@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ensemble_hdg.mesh import (Mesh, batched_geometry,
+from ensemble_hdg.mesh import (Mesh, BatchedGeometry,
                                build_uniform_square_mesh, read_mesh_text,
                                write_mesh_text)
 
@@ -32,7 +32,7 @@ def test_structured_counts_and_euler():
 def test_mesh_invariants(n):
     m = build_uniform_square_mesh(n)
     assert abs(m.h_max - np.sqrt(2) / n) < 1e-15
-    assert abs(0.5 * batched_geometry(m).det.sum() - 1.0) < 1e-14
+    assert abs(0.5 * BatchedGeometry(m).det.sum() - 1.0) < 1e-14
     # interior faces have two elements, boundary faces one
     interior = ~m.boundary
     assert np.all(m.face_elements[interior, 1] >= 0)
@@ -56,14 +56,14 @@ def test_rejects_invalid_input():
 
 
 def test_shared_face_normals_negate(mesh2):
-    g = batched_geometry(mesh2)
+    g = BatchedGeometry(mesh2)
     for f in np.nonzero(~mesh2.boundary)[0]:
         (e0, e1), (l0, l1) = mesh2.face_elements[f], mesh2.face_local[f]
         assert np.abs(g.normals[e0, l0] + g.normals[e1, l1]).max() == 0.0
 
 
 def test_canonical_orientation_matches_owner(mesh4):
-    g = batched_geometry(mesh4)
+    g = BatchedGeometry(mesh4)
     for f in range(mesh4.n_faces):
         e0, l0 = mesh4.face_elements[f, 0], mesh4.face_local[f, 0]
         e1 = mesh4.face_elements[f, 1]
@@ -76,7 +76,7 @@ def test_canonical_orientation_matches_owner(mesh4):
 
 
 def test_element_geometry_reference_triangle(reference_triangle_mesh):
-    g = batched_geometry(reference_triangle_mesh)
+    g = BatchedGeometry(reference_triangle_mesh)
     assert abs(0.5 * g.det[0] - 0.5) < 1e-15
     assert abs(g.det[0] - 1.0) < 1e-15
     # hypotenuse (local face 1) normal
@@ -87,7 +87,7 @@ def test_element_geometry_reference_triangle(reference_triangle_mesh):
 
 
 def test_element_geometry_uniform_areas(mesh2):
-    g = batched_geometry(mesh2)
+    g = BatchedGeometry(mesh2)
     assert len(g.det) == mesh2.n_elements
     assert np.abs(0.5 * g.det - 1 / 8).max() < 1e-15
 

@@ -5,9 +5,10 @@ No linter is installed, so these tests parse the sources instead: every
 public top-level function or class of ensemble_hdg must be referenced by
 some module of the library or of the benchmark, other than by its own
 definition and the package's re-exports; every attribute the
-Discretization sets must be read by a static attribute access there; and
-every name a module of the library, the tests or the benchmark imports
-must be used in that module or listed in its __all__.
+Discretization sets must be read by a static attribute access there; no
+module of the library sets a private attribute on an object other than
+self; and every name a module of the library, the tests or the benchmark
+imports must be used in that module or listed in its __all__.
 """
 
 import ast
@@ -85,6 +86,33 @@ def attribute_reads():
 def test_every_discretization_table_is_read():
     unread = sorted(discretization_attributes() - attribute_reads())
     assert not unread, f"Discretization sets but nothing reads: {unread}"
+
+
+def foreign_private_assignments(path):
+    """Private attributes the module at path sets on any object other than
+    self, as `obj._name = ...` or `setattr(obj, "_name", ...)`: hidden
+    caches hung on objects the module does not own."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            owner, name = node.value, node.attr
+        elif isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Name) and \
+                node.func.id == "setattr" and len(node.args) >= 2 and \
+                isinstance(node.args[1], ast.Constant):
+            owner, name = node.args[0], node.args[1].value
+        else:
+            continue
+        if str(name).startswith("_") and not (
+                isinstance(owner, ast.Name) and owner.id == "self"):
+            found.append(f"{path.name}:{node.lineno} {name}")
+    return found
+
+
+def test_no_private_attribute_set_on_other_objects():
+    found = [entry for path in sorted(SRC.glob("*.py"))
+             for entry in foreign_private_assignments(path)]
+    assert not found, f"private attributes set on other objects: {found}"
 
 
 def test_allowlist_names_exist():

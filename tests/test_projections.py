@@ -8,7 +8,7 @@ import pytest
 
 from ensemble_hdg.basis import ElementBasis, triangle_quadrature
 from ensemble_hdg.discretization import Discretization
-from ensemble_hdg.mesh import batched_geometry, build_uniform_square_mesh
+from ensemble_hdg.mesh import BatchedGeometry, build_uniform_square_mesh
 from ensemble_hdg.solver import Member, ProblemSpec, initialize
 
 
@@ -23,7 +23,7 @@ def initial_state(u0, mesh, k, c=1.0):
 
 
 def element_points(mesh, rule):
-    g = batched_geometry(mesh)
+    g = BatchedGeometry(mesh)
     return np.einsum("eij,qj->eqi", g.jacobian, rule.points) + \
         g.corners[:, None, 0, :]
 
@@ -40,7 +40,7 @@ def q_values(disc, state, rule):
 
 
 def l2_norm(mesh, rule, vals):
-    g = batched_geometry(mesh)
+    g = BatchedGeometry(mesh)
     sq = vals ** 2 if vals.ndim == 2 else (vals ** 2).sum(-1)
     return np.sqrt(np.einsum("e,q,eq->", g.det, rule.weights, sq))
 
@@ -48,7 +48,7 @@ def l2_norm(mesh, rule, vals):
 def discrete_field(mesh, degree, coeffs):
     """u0(x, y) evaluating per-element coefficients, located by a search
     over all elements for the one holding each point."""
-    g = batched_geometry(mesh)
+    g = BatchedGeometry(mesh)
     basis = ElementBasis(degree)
 
     def u0(x, y):
@@ -92,7 +92,7 @@ def test_projection_orthogonality_residual(mesh4):
         X = element_points(mesh4, rule)
         diff = f(X[..., 0], X[..., 1]) - values(state.u[0], k + 1, rule)
         V = ElementBasis(k + 1).eval(rule.points)
-        g = batched_geometry(mesh4)
+        g = BatchedGeometry(mesh4)
         resid = np.einsum("e,q,eq,dq->ed", g.det, rule.weights, diff, V)
         fnorm = l2_norm(mesh4, rule, f(X[..., 0], X[..., 1]))
         assert np.abs(resid).max() <= 1e-11 * fnorm

@@ -10,7 +10,7 @@ from ensemble_hdg.problems import (EXAMPLE1_C, SeparableField,
                                    VectorField, example1, example2,
                                    manufactured_member)
 from ensemble_hdg.basis import triangle_quadrature
-from ensemble_hdg.mesh import batched_geometry
+from ensemble_hdg.mesh import BatchedGeometry
 from ensemble_hdg.solver import (EnsembleSolver, Member, ProblemSpec,
                                  check_admissibility, choose_tau,
                                  initialize, state_samples)
@@ -140,7 +140,7 @@ def test_admissibility_report_counts_every_violation(mesh2):
     times = [0.0, 0.25, 0.5, 0.75, 1.0]
     report = check_admissibility(spec, mesh2, times)
 
-    g = batched_geometry(mesh2)
+    g = BatchedGeometry(mesh2)
     X = np.einsum("eij,qj->eqi", g.jacobian, triangle_quadrature(6).points)
     X += g.corners[:, None, 0, :]
     x, y = X[..., 0].ravel(), X[..., 1].ravel()

@@ -161,7 +161,7 @@ def test_error_accumulator_requires_exact_solutions(mesh2):
 def test_error_norm_quadrature_convergence():
     """The data-rule norm converges fast to an order-raised reference."""
     from ensemble_hdg.basis import triangle_quadrature
-    from ensemble_hdg.mesh import batched_geometry
+    from ensemble_hdg.mesh import BatchedGeometry
 
     f = lambda x, y: np.sin(3 * x) * np.sin(2 * y)
     rel = []
@@ -171,7 +171,7 @@ def test_error_norm_quadrature_convergence():
         X = disc.X_data
         got = math.sqrt(l2_norm_squared(disc, f(X[..., 0], X[..., 1])))
         rule = triangle_quadrature(16)
-        g = batched_geometry(mesh)
+        g = BatchedGeometry(mesh)
         Xr = np.einsum("eij,qj->eqi", g.jacobian, rule.points) + \
             g.corners[:, None, 0, :]
         ref = math.sqrt(np.einsum("e,q,eq->", g.det, rule.weights,
@@ -317,4 +317,12 @@ def test_config_custom_section_names_a_missing_key(tmp_path):
     path = tmp_path / "partial.ini"
     path.write_text("[custom]\nc = 1, 2\nbeta_x = 0, 0\nf = 1, 1\n")
     with pytest.raises(ValueError, match=r"\[custom\].*'beta_y'"):
+        load_config(path)
+
+
+def test_config_custom_section_names_a_bad_entry(tmp_path):
+    path = tmp_path / "bad.ini"
+    path.write_text("[custom]\nc = 1, x\nbeta_x = 0, 0\nbeta_y = 0, 0\n"
+                    "f = 1, 1\n")
+    with pytest.raises(ValueError, match=r"\[custom\], key 'c'.*' x'"):
         load_config(path)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ensemble_hdg.discretization import Discretization
 from ensemble_hdg.local import BlockTables, assemble_all_blocks, condense_all
@@ -53,6 +54,20 @@ def test_matrix_matches_elementwise_application(mesh4, rng):
             if g >= 0:
                 want[g] += contrib[r]
     assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_matrix_is_scatter_of_block_diagonal(mesh4, rng, k):
+    """The assembled matrix is S blockdiag(schur) S^T for the
+    discretization's trace scatter S."""
+    disc = Discretization(mesh4, k)
+    T = disc.trace_dof.shape[1]
+    schur = rng.normal(size=(mesh4.n_elements, T, T))
+    got = assemble_trace_matrix(disc, schur, "probe").matrix.toarray()
+    S = disc.trace_scatter
+    want = (S @ sp.block_diag(list(schur)) @ S.T).toarray()
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert (disc.trace_gather != S.T).nnz == 0
 
 
 def test_factorize_and_residual(mesh4, rng):
