@@ -89,6 +89,16 @@ def _problem(merged):
     return get_example(merged.get("example", 1))
 
 
+def _final_time(merged, problem):
+    """--T, or the problem's default final time when it is not given."""
+    T = merged.get("T")
+    if T is None:
+        return problem.default_T
+    if not T > 0:
+        raise ValueError(f"final time T = {T!r}: give T > 0")
+    return T
+
+
 def _levels(merged, default="1..4"):
     raw = merged.get("levels", default)
     return _parse_levels(raw) if isinstance(raw, str) else raw
@@ -104,7 +114,7 @@ def cmd_converge(args):
     levels = _levels(merged)
     table = convergence_study(
         problem, merged["degree"], levels, merged["dt_rule"],
-        T=merged.get("T"),
+        T=_final_time(merged, problem),
         strict_admissibility=merged.get("strict_admissibility", False))
     os.makedirs(merged["out"], exist_ok=True)
     path = os.path.join(
@@ -121,7 +131,7 @@ def cmd_run(args):
     stride = _parse_snapshot(merged.get("snapshot"))
     problem = _problem(merged)
     degree = merged["degree"]
-    T = merged.get("T") or problem.default_T
+    T = _final_time(merged, problem)
     if merged.get("mesh_file"):
         mesh = read_mesh_text(merged["mesh_file"])
         h = mesh.h_max
@@ -176,7 +186,7 @@ def cmd_bench(args):
     merged = _merge(args)
     problem = _problem(merged)
     level = _levels(merged, default="4")[-1]
-    T = merged.get("T") or problem.default_T
+    T = _final_time(merged, problem)
     dt = resolve_dt_rule(merged["dt_rule"], math.sqrt(2.0) / 2 ** level, T)
     report = benchmark_ensemble_vs_separate(problem, merged["degree"], level,
                                             dt, T)
@@ -196,7 +206,7 @@ def cmd_bench(args):
 def cmd_check(args):
     merged = _merge(args)
     problem = _problem(merged)
-    T = merged.get("T") or problem.default_T
+    T = _final_time(merged, problem)
     if merged.get("mesh_file"):
         mesh = read_mesh_text(merged["mesh_file"])
         h = mesh.h_max

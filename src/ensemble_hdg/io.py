@@ -147,12 +147,12 @@ def load_config(path):
         run = parser["run"]
         for key in ("example", "degree"):
             if key in run:
-                cfg[key] = run.getint(key)
+                cfg[key] = _read(run, key, int)
         for key in ("levels", "dt_rule", "out", "mesh_file", "snapshot"):
             if key in run:
                 cfg[key] = run.get(key)
         if "T" in run:
-            cfg["T"] = run.getfloat("T")
+            cfg["T"] = _read(run, "T", float)
         if "strict_admissibility" in run:
             cfg["strict_admissibility"] = run.getboolean(
                 "strict_admissibility")
@@ -162,12 +162,9 @@ def load_config(path):
         for key in ("c", "beta_x", "beta_y", "f"):
             if key not in sec:
                 raise ValueError(f"config section [custom] has no {key!r}")
-            try:
-                vals[key] = [float(s) for s in sec[key].split(",")]
-            except ValueError as exc:
-                raise ValueError(
-                    f"config section [custom], key {key!r}: {exc}") from None
-        J = sec.getint("J", len(vals["c"]))
+            vals[key] = _read(sec, key, lambda text: [
+                float(s) for s in text.split(",")])
+        J = _read(sec, "J", int) if "J" in sec else len(vals["c"])
         if any(len(v) != J for v in vals.values()):
             raise ValueError("custom problem member lists disagree with J")
         cfg["custom"] = {
@@ -176,8 +173,17 @@ def load_config(path):
             "f": vals["f"],
         }
         if "T" in sec:
-            cfg["custom"]["T"] = sec.getfloat("T")
+            cfg["custom"]["T"] = _read(sec, "T", float)
     return cfg
+
+
+def _read(section, key, convert):
+    """convert(value) of a config key; a bad value names section and key."""
+    try:
+        return convert(section[key])
+    except ValueError as exc:
+        raise ValueError(f"config section [{section.name}], key {key!r}: "
+                         f"{exc}") from None
 
 
 def problem_from_config(cfg):

@@ -25,7 +25,10 @@ coefficient touches, and the degree-k `RHSTables` as `lag`; a
 time-dependent mean costs a few small GEMMs per step.  `rhs_operators`
 maps the previous [q | u] of each (member, element) to the RHS, the
 (1/dt) mass and the lagged deviations; `assemble_all_rhs` applies them
-and adds the sampled source and boundary data.
+and adds the data rows.  Those rows are linear in the data: `source_rows`
+takes the moments of source samples and `boundary_rows` those of
+Dirichlet samples, so the solver applies both to the spatial factors of
+separable data once and a step only combines them.
 """
 
 import numpy as np
@@ -167,7 +170,7 @@ def boundary_data_operator(disc, tau):
     """Linear map from boundary samples g (J, nbf, nqf) to b_int updates.
 
     tau is a scalar or one value per element.  Returns (op (nbf, 3d, nqf),
-    scatter (ne, nbf) sparse), the `bnd_op` of `assemble_all_rhs`.
+    scatter (ne, nbf) sparse), the `bnd_op` of `boundary_rows`.
     """
     import scipy.sparse as sp
 
@@ -309,35 +312,46 @@ def rhs_operators(disc, tables, dt, J, c_dev, b_dev, b_dev_face):
     return RHSOperators(mass_c, u_op)
 
 
-def assemble_all_rhs(disc, bnd_op, ops, f_vals, g_face_vals, u_prev,
-                     q_prev):
+def source_rows(disc, f_vals):
+    """The u-rows (f, v) (m, ne, d) of source samples f_vals (m, ne*nq)
+    at the data rule."""
+    ne = disc.mesh.n_elements
+    return (f_vals.reshape(len(f_vals), ne, -1) @ disc.VwT_data) * \
+        disc.geom.det[:, None]
+
+
+def boundary_rows(disc, bnd_op, g_vals):
+    """The interior rows (m, ne, 3d) of Dirichlet samples g_vals
+    (m, nbf*nqf) on the boundary faces, -<g, r.n> and <tau g, v>, through
+    `bnd_op`, the result of `boundary_data_operator`."""
+    op, scatter = bnd_op
+    m = len(g_vals)
+    contrib = np.einsum("bif,jbf->bji", op, g_vals.reshape(m, len(op), -1))
+    upd = scatter @ contrib.reshape(len(contrib), -1)
+    return np.moveaxis(upd.reshape(-1, m, op.shape[1]), 1, 0)
+
+
+def assemble_all_rhs(disc, ops, data_rows, u_prev, q_prev):
     """Batched member RHS: returns (b_int (J,ne,3d), b_tr (J,ne,3nfd)).
 
     ops holds the RHSOperators of the members for the degree of u_prev
-    (J,ne,din); q_prev is (J,ne,2d) as [qx | qy].  f_vals (J,ne,nq) samples
-    the sources at the data rule; g_face_vals (J,nbf,nqf) holds Dirichlet
-    data on the boundary faces, which `bnd_op`, the result of
-    `boundary_data_operator`, maps into the element rows.
+    (J,ne,din); q_prev is (J,ne,2d) as [qx | qy].  data_rows (J,ne,3d)
+    holds the interior rows of the sources and the Dirichlet data, the sum
+    of `source_rows` (in the u-rows) and `boundary_rows`; it is not
+    written to.
     """
     J, ne = u_prev.shape[:2]
     d = disc.ndof_u
-    detJ = disc.geom.det[None, :, None]
 
     lag = np.matmul(ops.u_op, u_prev[..., None])[..., 0]
-    b_int = np.empty((J, ne, 3 * d))
-    b_int[:, :, 2 * d:] = (f_vals @ disc.VwT_data) * detJ
-    b_int[:, :, 2 * d:] += lag[:, :, :d]
+    b_int = np.empty_like(data_rows)
+    np.add(data_rows[:, :, 2 * d:], lag[:, :, :d], out=b_int[:, :, 2 * d:])
     b_tr = np.ascontiguousarray(lag[:, :, d:])
     if ops.mass_c is None:
-        b_int[:, :, :2 * d] = 0.0
+        b_int[:, :, :2 * d] = data_rows[:, :, :2 * d]
     else:
         # the (c̄ - c_j) mass is symmetric: apply it to the rows [qx; qy]
-        b_int[:, :, :2 * d] = np.matmul(
-            q_prev.reshape(J, ne, 2, d), ops.mass_c).reshape(J, ne, 2 * d)
-
-    # Dirichlet terms on boundary faces: -<g, r.n> and <tau g, v>
-    op, scatter = bnd_op
-    contrib = np.einsum("bif,jbf->bji", op, g_face_vals)
-    upd = scatter @ contrib.reshape(len(contrib), -1)
-    b_int += np.moveaxis(upd.reshape(ne, J, 3 * d), 1, 0)
+        np.add(data_rows[:, :, :2 * d], np.matmul(
+            q_prev.reshape(J, ne, 2, d), ops.mass_c).reshape(J, ne, 2 * d),
+            out=b_int[:, :, :2 * d])
     return b_int, b_tr

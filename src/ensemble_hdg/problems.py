@@ -5,7 +5,17 @@ Manufactured members are generated symbolically: given an exact solution
 u(x, y, t), a positive inverse-diffusion c(x, y) and a velocity field, the
 flux q = -(1/c) grad u, source f = u_t + div q + beta . grad u, boundary
 datum g = u and initial value u(., 0) are derived with sympy and lambdified
-to vectorized numpy callables once at construction time.
+to vectorized numpy callables once at construction time.  A field whose
+time dependence splits off, sum_i T_i(t) S_i(x, y), becomes a
+SeparableField.
+
+Time loops read the member fields through one joint evaluator,
+`FieldStack`, bound to fixed points and to a linear map of the samples
+there: the identity for the coefficient samples, the moments against the
+test functions for the step's data, the L2 projections and their residual
+norms for the error observer.  It applies the map to the spatial factors
+of separable fields once, so a step evaluates only the scalars T_i(t);
+other fields are sampled and mapped at every call.
 """
 
 import numpy as np
@@ -20,9 +30,9 @@ class SeparableField:
     """A field sum_i T_i(t) S_i(x, y).
 
     Time loops evaluate data at the same quadrature points every step;
-    `stack_separable_fields` evaluates the spatial factors S_i there once
-    and each step only the scalars T_i(t).  A direct call evaluates both
-    and keeps nothing.
+    a `FieldStack` evaluates the spatial factors S_i there once and each
+    step only the scalars T_i(t).  A direct call evaluates both and keeps
+    nothing.
     """
 
     def __init__(self, t_fns, s_fns):
@@ -94,35 +104,86 @@ def _vector_fn(expr_x, expr_y):
     return VectorField(_scalar_fn(expr_x), _scalar_fn(expr_y))
 
 
-def stack_separable_fields(fields, x, y):
-    """Joint evaluator for several fields at fixed points.
+class FieldStack:
+    """Joint evaluator of several fields at fixed points, through one
+    linear map of their samples.
 
-    Returns a callable t -> (len(fields), npts): one einsum when every
-    field is a SeparableField, one call per field otherwise.  The
-    coordinate arrays are bound at stacking time and treated as immutable.
+    `project` maps samples (m, npts) at the bound points to images
+    (m, ...) linearly.  When every field is a SeparableField, the spatial
+    factors S_i are sampled and projected once, here, and a call only
+    evaluates the scalars T_i(t) and adds up the images of the S_i.  Any
+    other field makes every call sample all the fields and project them.
+
+    `residual`, when given, maps samples (m, npts) to what the projection
+    loses, scaled so that the squared norm of the loss is the sum of the
+    squares: the L2 residual times the square roots of the quadrature
+    weights.  `split` then also returns those squared norms.  For
+    separable fields they come from the Gram matrices
+    G_il = (S_i - Pi S_i, S_l - Pi S_l) of the residual samples: taking
+    them as ||S||^2 - ||Pi S||^2 instead would cancel the digits of a
+    small residual.
+
+    The coordinate arrays are bound here and treated as immutable.
     """
-    if not all(isinstance(f, SeparableField) for f in fields):
-        return lambda t: np.stack([
-            np.broadcast_to(np.asarray(f(x, y, t), dtype=float), np.shape(x))
-            for f in fields])
-    nterm = max(len(f._t_fns) for f in fields)
-    npts = np.shape(x)[0]
-    S = np.zeros((len(fields), nterm, npts))
-    t_fns = []
-    for j, f in enumerate(fields):
-        svals = f._spatial(x, y)
-        for i, sv in enumerate(svals):
-            S[j, i] = sv
-        t_fns.append(f._t_fns)
 
-    def evaluate(t):
-        C = np.zeros((len(fields), nterm))
-        for j, fns in enumerate(t_fns):
+    def __init__(self, fields, x, y, project, residual):
+        self._fields, self._x, self._y = fields, x, y
+        self._project, self._residual = project, residual
+        self._t_fns = None
+        if not all(isinstance(f, SeparableField) for f in fields):
+            return
+        nterm = max(len(f._t_fns) for f in fields)
+        S = np.zeros((len(fields), nterm, np.shape(x)[0]))
+        for j, f in enumerate(fields):
+            for i, sv in enumerate(f._spatial(x, y)):
+                S[j, i] = sv
+        flat = S.reshape(-1, S.shape[-1])
+        images = project(flat)
+        self._shape = images.shape[1:]
+        self._images = images.reshape(len(fields), nterm, -1)
+        if residual is not None:
+            R = residual(flat).reshape(len(fields), nterm, -1)
+            self._gram = np.matmul(R, np.swapaxes(R, 1, 2))
+        self._t_fns = [f._t_fns for f in fields]
+
+    def _samples(self, t):
+        x = self._x
+        return np.stack([
+            np.broadcast_to(np.asarray(f(x, self._y, t), dtype=float),
+                            np.shape(x))
+            for f in self._fields])
+
+    def _coefficients(self, t):
+        C = np.zeros(self._images.shape[:2])
+        for j, fns in enumerate(self._t_fns):
             for i, tf in enumerate(fns):
                 C[j, i] = tf(t)
-        return np.einsum("jk,jkp->jp", C, S)
+        return C
 
-    return evaluate
+    def _combine(self, C):
+        return np.einsum("jk,jkp->jp", C, self._images).reshape(
+            (len(self._fields),) + self._shape)
+
+    def __call__(self, t):
+        """The images (m, ...) of the fields at time t."""
+        if self._t_fns is None:
+            return self._project(self._samples(t))
+        return self._combine(self._coefficients(t))
+
+    def split(self, t):
+        """The images at time t and the squared norms (m,) of the
+        residuals the projection leaves."""
+        if self._t_fns is None:
+            samples = self._samples(t)
+            return (self._project(samples),
+                    (self._residual(samples) ** 2).sum(-1))
+        C = self._coefficients(t)
+        return self._combine(C), np.einsum("ji,jil,jl->j", C, self._gram, C)
+
+
+def stack_separable_fields(fields, x, y):
+    """Joint evaluator t -> (len(fields), npts) of the fields' samples."""
+    return FieldStack(fields, x, y, lambda samples: samples, None)
 
 
 def vector_components(field):

@@ -23,6 +23,13 @@ operators are rebuilt every step, and the factorization whenever the mean
 fingerprint changes.  Step 1 reads the degree-(k+1) initial projection; its
 operators are built from their own tables for that step and not kept.
 
+The sources f and Dirichlet data g enter a step as interior-row moments,
+(J, ne, 3d), read through `problems.FieldStack` evaluators: for separable
+data the moments of each spatial factor, against the test functions for f
+and through the boundary-data operator for g, are built at construction,
+and a step adds them up with the scalars T_i(t).  No step samples f or g
+unless a member's data are plain callables.
+
 States are immutable: step() returns a fresh state, the previous one is
 never written to, so observers may safely keep references.
 """
@@ -269,11 +276,9 @@ class EnsembleSolver:
         self.cond = None
         self._fp = None
         self._block_tables = local.BlockTables(disc, self.tau, self.dt)
-        self._bnd_op = local.boundary_data_operator(disc, self.tau)
-        Xb = disc.Xf_fdata[disc.boundary_face_sides()]
-        self._bshape = Xb.shape[:2]
         # joint evaluators of the member data at fixed points
-        from .problems import stack_separable_fields, vector_components
+        from .problems import (FieldStack, stack_separable_fields,
+                               vector_components)
 
         x, y = disc.x_data_flat, disc.y_data_flat
         betas = [b for m in spec.members for b in vector_components(m.beta)]
@@ -282,11 +287,17 @@ class EnsembleSolver:
         self._b_vals = stack_separable_fields(betas, x, y)
         self._bf_vals = stack_separable_fields(
             betas, disc.xf_fdata_flat, disc.yf_fdata_flat)
-        self._f_vals = stack_separable_fields(
-            [m.f for m in spec.members], x, y)
-        self._g_vals = stack_separable_fields(
+        # f and g enter the step as interior-row moments: separable data
+        # are projected here, once, and a step adds T_i(t) times them
+        bnd_op = local.boundary_data_operator(disc, self.tau)
+        Xb = disc.Xf_fdata[disc.boundary_face_sides()]
+        self._f_rows = FieldStack(
+            [m.f for m in spec.members], x, y,
+            lambda f_vals: local.source_rows(disc, f_vals), None)
+        self._g_rows = FieldStack(
             [m.g for m in spec.members], Xb[..., 0].ravel(),
-            Xb[..., 1].ravel())
+            Xb[..., 1].ravel(),
+            lambda g_vals: local.boundary_rows(disc, bnd_op, g_vals), None)
         if spec.autonomous:
             self._coeff_cache = self._coefficient_samples(0.0)
             self._ensure_system(self._coeff_cache)
@@ -349,6 +360,12 @@ class EnsembleSolver:
 
     # -- the time step ---------------------------------------------------------
 
+    def _data_rows(self, t):
+        """The interior rows (J, ne, 3d) of the members' f and g at t."""
+        rows = self._g_rows(t)
+        rows[:, :, 2 * self.disc.ndof_u:] += self._f_rows(t)
+        return rows
+
     def step(self, state):
         """Advance all J members from state (level n) to level n+1."""
         disc, spec = self.disc, self.spec
@@ -361,11 +378,9 @@ class EnsembleSolver:
             else self._coefficient_samples(t1)
         self._ensure_system(coeffs)
 
-        f_vals = self._f_vals(t1).reshape(J, ne, -1)
-        g_vals = self._g_vals(t1).reshape((J,) + self._bshape)
         ops = self._rhs_operators(coeffs, state.u_degree)
         b_int, b_tr = local.assemble_all_rhs(
-            disc, self._bnd_op, ops, f_vals, g_vals, state.u, state.q)
+            disc, ops, self._data_rows(t1), state.u, state.q)
 
         # element-batched layout (ne, ., J): one small GEMM per element
         # covering all members at once

@@ -127,3 +127,15 @@ def test_run_snapshot_every_step_stride(tmp_path):
     written = sorted(p.name for p in tmp_path.glob("*.csv"))
     assert written == [f"snapshot_example1_{tag}.csv"
                        for tag in ("final", "n000002", "n000004")]
+
+
+@pytest.mark.parametrize("command", ["run", "check", "bench", "converge"])
+@pytest.mark.parametrize("T", ["0", "-0.5"])
+def test_nonpositive_final_time_is_rejected(tmp_path, capsys, command, T):
+    """--T 0 is a final time, not a missing one: it must not fall back to
+    the problem's default."""
+    with pytest.raises(ValueError, match=f"T = {float(T)!r}"):
+        main([command, "--example", "1", "--levels", "1", "--dt-rule",
+              "fixed=0.25", "--T", T, "--out", str(tmp_path)])
+    assert not any(tmp_path.iterdir())
+    assert capsys.readouterr().out == ""

@@ -4,8 +4,8 @@ import pytest
 from ensemble_hdg.discretization import Discretization
 from ensemble_hdg.local import (BlockTables, CoefficientError, RHSTables,
                                 assemble_all_blocks, assemble_all_rhs,
-                                boundary_data_operator, condense_all,
-                                rhs_operators)
+                                boundary_data_operator, boundary_rows,
+                                condense_all, rhs_operators, source_rows)
 from ensemble_hdg.solver import EnsembleState
 
 from oracles import lag_samples, local_rhs, monomial_full_local_matrix
@@ -359,9 +359,10 @@ def test_batched_rhs_matches_per_element(mesh4, rng, k):
                              rng.normal(size=(J, ne, 2 * d)), None, degree)
         ops = rhs_operators(disc, RHSTables(disc, degree), dt, J, c_dev,
                             b_dev, bf_dev)
-        b_int, b_tr = assemble_all_rhs(
-            disc, boundary_data_operator(disc, tau), ops, f_vals, g_vals,
-            prev.u, prev.q)
+        rows = boundary_rows(disc, boundary_data_operator(disc, tau),
+                             g_vals.reshape(J, -1))
+        rows[:, :, 2 * d:] += source_rows(disc, f_vals.reshape(J, -1))
+        b_int, b_tr = assemble_all_rhs(disc, ops, rows, prev.u, prev.q)
         s = lag_samples(disc, prev)
         for j in range(J):
             for ie in (0, 5, 17, ne - 1):

@@ -501,3 +501,100 @@ def test_steady_ensemble_matches_separate_steady_states(mesh4, k):
         for name in ("u", "q", "uhat"):
             a, b = getattr(ens, name)[j], getattr(alone, name)[0]
             assert np.abs(a - b).max() < 1e-12 * np.abs(b).max(), (j, name)
+
+
+def plain(fn):
+    return lambda x, y, t: fn(x, y, t)
+
+
+@pytest.mark.parametrize("plain_data", [False, True],
+                         ids=["separable", "plain-callables"])
+def test_rhs_from_moments_matches_sampled_rhs(mesh4, rng, plain_data):
+    """The RHS from the data moments the solver builds at construction
+    against per-element quadrature of f and g sampled at each time.
+    Example 1's f has two time factors and its g = u depends on time."""
+    from ensemble_hdg.local import RHSTables, assemble_all_rhs, rhs_operators
+    from ensemble_hdg.solver import EnsembleState
+
+    from oracles import lag_samples, local_rhs
+
+    spec = example1()
+    if plain_data:
+        spec = ProblemSpec([Member(m.c, m.beta, plain(m.f), plain(m.g),
+                                   m.u0) for m in spec.members])
+    else:
+        assert isinstance(spec.members[0].f, SeparableField)
+    disc = Discretization(mesh4, 1)
+    ne, d = mesh4.n_elements, disc.ndof_u
+    nq, nqf = len(disc.w_data), len(disc.w_fdata)
+    J, tau, dt = spec.J, 2.0, 0.3
+    solver = EnsembleSolver(disc, spec, dt=dt, tau=tau)
+    c_dev = rng.normal(size=(J, ne, nq))
+    b_dev = rng.normal(size=(J, ne, nq, 2))
+    bf_dev = rng.normal(size=(J, ne, 3, nqf, 2))
+    ops = rhs_operators(disc, RHSTables(disc, 1), dt, J, c_dev, b_dev,
+                        bf_dev)
+    prev = EnsembleState(1, 0.0, rng.normal(size=(J, ne, d)),
+                         rng.normal(size=(J, ne, 2 * d)), None, 1)
+    s = lag_samples(disc, prev)
+    x, y = disc.x_data_flat, disc.y_data_flat
+    xf, yf = disc.xf_fdata_flat, disc.yf_fdata_flat
+    for t in (0.3, 0.9):
+        b_int, b_tr = assemble_all_rhs(disc, ops, solver._data_rows(t),
+                                       prev.u, prev.q)
+        for j, m in enumerate(spec.members):
+            f_vals = m.f(x, y, t).reshape(ne, nq)
+            g_vals = m.g(xf, yf, t).reshape(ne, 3, nqf)
+            for ie in range(ne):
+                loc = local_rhs(disc, ie, tau, dt, f_vals[ie], g_vals[ie],
+                                s["u"][j, ie], s["grad_u"][j, ie],
+                                s["q"][j, ie], s["u_face"][j, ie],
+                                c_dev[j, ie], b_dev[j, ie], bf_dev[j, ie])
+                assert np.abs(b_int[j, ie] - loc[:3 * d]).max() < 1e-12
+                assert np.abs(b_tr[j, ie] - loc[3 * d:]).max() < 1e-12
+
+
+def test_no_step_samples_the_data_or_the_exact_solutions(mesh4,
+                                                          monkeypatch):
+    """After construction, an autonomous run with an ErrorAccumulator
+    evaluates none of the spatial factors of f, g and the exact solutions;
+    c and β are sampled per run, not per step, and the state is sampled
+    at the final step only."""
+    from collections import Counter
+
+    from ensemble_hdg import errors
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(errors, "state_samples",
+                        counted("state", errors.state_samples))
+
+    def run(steps):
+        spec = example1()
+        disc = Discretization(mesh4, 1)
+        dt = 0.125
+        solver = EnsembleSolver(disc, spec, dt=dt)
+        acc = errors.ErrorAccumulator(disc, spec, dt, final_step=steps)
+        calls.clear()
+        for m in spec.members:
+            for name, field in (("data", m.f), ("data", m.g),
+                                ("data", m.exact_u), ("data", m.exact_q.fx),
+                                ("data", m.exact_q.fy), ("coefficients", m.c),
+                                ("coefficients", m.beta.fx),
+                                ("coefficients", m.beta.fy)):
+                assert isinstance(field, SeparableField)
+                field._s_fns[:] = [counted(name, s) for s in field._s_fns]
+        solver.run(steps * dt, observers=[acc])
+        assert np.all(acc.results()["Eu"] > 0)
+        return dict(calls)
+
+    short, long = run(2), run(4)
+    assert "data" not in short and "data" not in long
+    assert short["coefficients"] > 0 and short["state"] == 1
+    assert long == short

@@ -158,6 +158,106 @@ def test_error_accumulator_requires_exact_solutions(mesh2):
         ErrorAccumulator(disc, mixed, 0.1, final_step=1)
 
 
+def test_error_accumulator_rejects_a_missing_final_step(mesh2):
+    """A run that stops before `final_step` has no final-time Eu: results
+    names the step it waited for and the last one it saw."""
+    spec = example1()
+    disc = Discretization(mesh2, 1)
+    acc = ErrorAccumulator(disc, spec, 0.25, final_step=8)
+    EnsembleSolver(disc, spec, dt=0.25).run(1.0, observers=[acc])
+    with pytest.raises(ValueError, match="final_step 8 .* last step seen "
+                       "was 4"):
+        acc.results()
+
+
+def projected_state(disc, spec, t, perturbation=0.0, rng=None):
+    """The state whose u and q are the data-rule L2 projections onto P_k
+    of each member's exact u and q at time t, plus `perturbation` times
+    standard normal coefficients.  The projections come from a solve with
+    the data-rule mass matrix, not from the basis being orthonormal."""
+    from ensemble_hdg.solver import EnsembleState
+
+    x, y, w, V = disc.x_data_flat, disc.y_data_flat, disc.w_data, disc.V_data
+    ne = disc.mesh.n_elements
+    mass = (V * w) @ V.T
+
+    def project(vals):
+        moments = (vals.reshape(ne, -1) * w) @ V.T
+        return np.linalg.solve(mass, moments.T).T
+
+    u = np.stack([project(m.exact_u(x, y, t)) for m in spec.members])
+    q = np.stack([np.concatenate([project(m.exact_q(x, y, t)[:, c])
+                                  for c in (0, 1)], axis=-1)
+                  for m in spec.members])
+    if perturbation:
+        u = u + perturbation * rng.normal(size=u.shape)
+        q = q + perturbation * rng.normal(size=q.shape)
+    return EnsembleState(1, t, u, q, None, disc.k)
+
+
+def test_error_accumulator_returns_the_projection_residual(mesh4):
+    """Fed the projection of a separable exact solution, the observer
+    returns the pointwise norms of what the projection loses."""
+    from ensemble_hdg.postprocess import Postprocessor
+    from ensemble_hdg.problems import SeparableField
+
+    spec = example1()
+    assert isinstance(spec.members[0].exact_q.fx, SeparableField)
+    disc = Discretization(mesh4, 1)
+    t = 0.7
+    state = projected_state(disc, spec, t)
+    acc = ErrorAccumulator(disc, spec, 1.0, final_step=1)
+    acc(1, t, state)
+    got = acc.results()
+    x, y = disc.x_data_flat, disc.y_data_flat
+    ne = disc.mesh.n_elements
+    c_vals = np.stack([m.c(x, y, t).reshape(ne, -1) for m in spec.members])
+    star = Postprocessor(disc).apply(state.u, state.q, c_vals)
+    d = disc.ndof_u
+    for j, m in enumerate(spec.members):
+        ue = m.exact_u(x, y, t).reshape(ne, -1)
+        qe = m.exact_q(x, y, t).reshape(ne, -1, 2)
+        uh = state.u[j] @ disc.V_data
+        qh = np.stack([state.q[j, :, :d] @ disc.V_data,
+                       state.q[j, :, d:] @ disc.V_data], axis=-1)
+        want = {"Eu": l2_norm_squared(disc, ue - uh),
+                "Eq": l2_norm_squared(disc, qe - qh),
+                "Eustar": l2_norm_squared(disc,
+                                          ue - star[j] @ disc.V_hi_data)}
+        for key, sq in want.items():
+            assert abs(got[key][j] - np.sqrt(sq)) < 1e-12 * np.sqrt(sq)
+
+
+def test_error_accumulator_keeps_the_digits_of_a_small_error(mesh4, rng):
+    """An exact solution in the discrete space leaves no projection
+    residual: a 1e-10 perturbation of its projection is the whole error,
+    and the observer returns it with its digits (a residual taken as
+    ||v||^2 - ||Pi v||^2 would bury it under O(1e-16) of cancellation)."""
+    import sympy
+
+    from ensemble_hdg.problems import SeparableField, manufactured_member
+    from ensemble_hdg.solver import ProblemSpec
+
+    x, y, t = sympy.symbols("x y t")
+    spec = ProblemSpec([manufactured_member(2, (0.1, -0.4), (1 + 2 * t) *
+                                            (x - y) * s)
+                        for s in (1, 3)])
+    assert isinstance(spec.members[0].exact_q.fx, SeparableField)
+    disc = Discretization(mesh4, 1)
+    exact = projected_state(disc, spec, 0.7)
+    state = projected_state(disc, spec, 0.7, 1e-10, rng)
+    acc = ErrorAccumulator(disc, spec, 1.0, final_step=1)
+    acc(1, 0.7, state)
+    got = acc.results()
+    det = disc.geom.det
+    # the basis is orthonormal: the norm is the weighted coefficient sum
+    want_u = np.sqrt(((state.u - exact.u) ** 2).sum(-1) @ det)
+    want_q = np.sqrt(((state.q - exact.q) ** 2).sum(-1) @ det)
+    assert np.all(want_u > 1e-11) and np.all(want_q > 1e-11)
+    assert np.all(np.abs(got["Eu"] - want_u) < 1e-5 * want_u)
+    assert np.all(np.abs(got["Eq"] - want_q) < 1e-5 * want_q)
+
+
 def test_error_norm_quadrature_convergence():
     """The data-rule norm converges fast to an order-raised reference."""
     from ensemble_hdg.basis import triangle_quadrature
@@ -325,4 +425,21 @@ def test_config_custom_section_names_a_bad_entry(tmp_path):
     path.write_text("[custom]\nc = 1, x\nbeta_x = 0, 0\nbeta_y = 0, 0\n"
                     "f = 1, 1\n")
     with pytest.raises(ValueError, match=r"\[custom\], key 'c'.*' x'"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("[run]\nexample = 1.5\n", r"\[run\], key 'example'.*'1\.5'"),
+    ("[run]\ndegree = one\n", r"\[run\], key 'degree'.*'one'"),
+    ("[run]\nT = soon\n", r"\[run\], key 'T'.*'soon'"),
+    ("[custom]\nJ = x\nc = 1\nbeta_x = 0\nbeta_y = 0\nf = 1\n",
+     r"\[custom\], key 'J'.*'x'"),
+    ("[custom]\nc = 1\nbeta_x = 0\nbeta_y = 0\nf = 1\nT = 1/2\n",
+     r"\[custom\], key 'T'.*'1/2'"),
+], ids=["run-example", "run-degree", "run-T", "custom-J", "custom-T"])
+def test_config_names_the_section_and_key_of_a_bad_number(tmp_path, text,
+                                                         where):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=where):
         load_config(path)
