@@ -3,8 +3,10 @@
 The reference triangle is T = {(x, y) : x >= 0, y >= 0, x + y <= 1} with area
 1/2; the reference edge is the interval [0, 1].  Element and face bases are
 monomials orthonormalized against the exact reference mass matrix, so nested
-degree ranges share leading functions and reference mass matrices are the
-identity to machine precision.
+degree ranges share leading functions, the first function is the constant
+sqrt(2) and every other one has zero mean.  The reference mass matrices are
+the identity only to rounding, which grows with the degree: at the order
+2k+4 data rule they are off by up to 1.2e-13 for P^3 and 5.2e-12 for P^4.
 """
 
 import math

@@ -21,11 +21,14 @@ from .study import (benchmark_ensemble_vs_separate, convergence_study,
 
 
 def _parse_levels(text):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        levels = list(range(int(lo), int(hi) + 1))
-    else:
-        levels = [int(v) for v in text.split(",")]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            levels = list(range(int(lo), int(hi) + 1))
+        else:
+            levels = [int(v) for v in text.split(",")]
+    except ValueError:
+        levels = []
     if not levels or levels != sorted(levels) or levels[0] < 0:
         raise ValueError(f"levels {text!r}: give ascending levels >= 0, "
                          "e.g. 1..4 or 2,3")
@@ -61,10 +64,6 @@ def _add_common(p):
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--strict-admissibility", action="store_true",
                    dest="strict_admissibility")
-    p.add_argument("--mesh-file", dest="mesh_file",
-                   help="plain-text mesh overriding --levels (run/check)")
-    p.add_argument("--snapshot", default=None,
-                   help="none, final or every=<m> (run only)")
 
 
 def _merge(args):
@@ -158,7 +157,7 @@ def cmd_run(args):
     def write_snap(state, tag):
         c_vals = np.stack([disc.sample_scalar(m.c, state.t)
                            for m in problem.members])
-        star = post.apply(state.u, state.q, c_vals)
+        star = post.apply(state.u, state.q, post.operator(c_vals))
         base = os.path.join(merged["out"],
                             f"snapshot_{problem.name}_{tag}")
         write_snapshot_csv(disc, state, base + ".csv", postprocessed=star)
@@ -239,6 +238,11 @@ def main(argv=None):
             ("check", cmd_check, "ensemble-mean admissibility check")):
         p = sub.add_parser(name, help=helptext)
         _add_common(p)
+        if name in ("run", "check"):
+            p.add_argument("--mesh-file", dest="mesh_file",
+                           help="plain-text mesh overriding --levels")
+        if name == "run":
+            p.add_argument("--snapshot", help="none, final or every=<m>")
         p.set_defaults(func=fn)
     args = parser.parse_args(argv)
     return args.func(args)

@@ -1,11 +1,12 @@
 """Precomputed tables binding a mesh to a polynomial degree.
 
 A Discretization owns everything the assembly kernels need: quadrature rules,
-basis value/gradient tables at element and face quadrature points, batched
-affine-map geometry and the global trace DOF layout.  The layout is decided
-here alone: from one numbering, `trace_dof`, come the CSC pattern of the
-trace matrix, `trace_pattern`, the sparse scatter `trace_scatter` from
-element trace rows to global DOFs and its transpose, `trace_gather`.
+basis value tables at element and face quadrature points, gradient tables
+on the reference element only (callers apply B^-T), batched affine-map
+geometry and the global trace DOF layout.  The layout is decided here
+alone: from one numbering, `trace_dof`, come the CSC pattern of the trace
+matrix, `trace_pattern`, the sparse scatter `trace_scatter` from element
+trace rows to global DOFs and its transpose, `trace_gather`.
 
 One family of rules, the "data" rules of order 2k+4 on elements and faces,
 serves every integral: the mean-coefficient blocks, the lagged deviations,
@@ -87,9 +88,6 @@ class Discretization:
         self.V_data = basis.eval(pd)
         self.V_hi_data = basis_hi.eval(pd)
         self.Gref_hi_data = basis_hi.eval_grad(pd)
-        # physical gradients: grad_x phi = B^{-T} grad_ref phi
-        self.G_hi_data = np.einsum("eij,dqj->edqi", geom.inv_t,
-                                   self.Gref_hi_data)
         # weighted transposed values: moments are one BLAS matmul
         self.VwT_data = (self.V_data * self.w_data).T.copy()
         # physical points (ne, nq, 2) and their flat x and y arrays, which

@@ -20,16 +20,17 @@ weighted by the element Jacobians.  The exact fields go through
 `problems.FieldStack` evaluators bound to the data rule: for separable
 fields Pi of each spatial factor and the Gram matrix of the factors'
 residuals are built once, so a step evaluates only the time factors.
-The postprocessed field comes from the Postprocessor's cached linear map
-of [q | u]; it is keyed on the inverse-diffusion samples, which are taken
-once for autonomous coefficients and at every step otherwise.  Eu is
-taken once, at the final step, from the point samples of the state.
+The postprocessed field comes from the Postprocessor's linear maps of q,
+which are linear in c: a third FieldStack takes them as the projection
+of the members' inverse diffusion, so for separable c a step only weights
+the maps of the spatial factors, whether c depends on time or not.  Eu
+is taken once, at the final step, from the point samples of the state.
 """
 
 import numpy as np
 
 from .postprocess import Postprocessor
-from .problems import FieldStack, stack_separable_fields, vector_components
+from .problems import FieldStack, vector_components
 from .solver import state_samples
 
 
@@ -70,9 +71,9 @@ class ErrorAccumulator:
     """Observer collecting Eu (final time), Eq and Eu* (time-accumulated).
 
     Postprocessing runs at every accepted step; each member's own inverse
-    diffusion weights its flux (re-sampled per step only for
-    non-autonomous coefficients).  Eu is taken at step `final_step`;
-    `results` fails if that step was never observed.
+    diffusion at that step weights its flux, through `ustar_map(t)`.  Eu
+    is taken at step `final_step`; `results` fails if that step was never
+    observed.
     """
 
     def __init__(self, disc, spec, dt, final_step):
@@ -94,11 +95,10 @@ class ErrorAccumulator:
         self._q = FieldStack(
             [c for m in spec.members for c in vector_components(m.exact_q)],
             x, y, *_projection(disc, disc.V_data))
-        self._c = stack_separable_fields([m.c for m in spec.members], x, y)
-        self._c_vals = self._sample_c(0.0) if spec.autonomous else None
-
-    def _sample_c(self, t):
-        return self._c(t).reshape(self.spec.J, self.disc.mesh.n_elements, -1)
+        ne = disc.mesh.n_elements
+        self.ustar_map = FieldStack(
+            [m.c for m in spec.members], x, y,
+            lambda c: self.post.operator(c.reshape(len(c), ne, -1)), None)
 
     def __call__(self, n, t, state):
         disc, J = self.disc, self.spec.J
@@ -112,8 +112,7 @@ class ErrorAccumulator:
             state.q.reshape(J, ne, 2, d), 1, 2)
         self.eq_sq += self.dt * (res_q[::2] + res_q[1::2] + np.einsum(
             "jcei,jcei,e->j", dq, dq, det))
-        c_vals = self._c_vals if self.spec.autonomous else self._sample_c(t)
-        du = pu - self.post.apply(state.u, state.q, c_vals)
+        du = pu - self.post.apply(state.u, state.q, self.ustar_map(t))
         self.eustar_sq += self.dt * (res_u + np.einsum(
             "jei,jei,e->j", du, du, det))
         if n == self.final_step:

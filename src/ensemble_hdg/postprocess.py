@@ -2,15 +2,19 @@
 
 On each element the degree-(k+1) reconstruction u* matches the weak gradient
 of the computed flux, (grad u*, grad z) = -(c q_h, grad z) for all zero-mean
-z in P^(k+1), and preserves the element mean of u_h.  The constrained local
-problem is solved as a saddle/KKT system with one Lagrange multiplier for
-the mean constraint; the KKT matrix depends only on geometry, so its inverse
-is precomputed once and reused for every member and time level.
+z in P^(k+1), and preserves the element mean of u_h.  The orthonormal basis
+starts with the constant phi_0, shared by P^k and P^(k+1), and every other
+phi_i has zero mean: the mean constraint only says u*_0 = u_0, and the
+coefficients u*_1.. solve the stiffness block of phi_1.. alone.  That block
+depends only on geometry, so its inverse is built once, from the reference
+gradient products and the element metric B^-1 B^-T, and reused for every
+member and time level.
 
-For fixed inverse-diffusion samples c_j the reconstruction is a linear map
-of the element's [q | u] coefficients.  Postprocessor keeps that map,
-(J, ne, d_hi, 3d), for the last samples it was given, and rebuilds it by
-GEMMs against a coefficient-free table when the samples change.
+For fixed inverse-diffusion samples c_j, u*_1.. is a linear map of the
+element's q coefficients, linear in c as well: `operator` builds it from
+the samples, and `apply` applies it.  The error observer builds the maps
+through a `problems.FieldStack`, so for separable c a time level only
+weights the maps of the spatial factors.
 
 Purely element-local: changing inputs on one element cannot affect any
 other element's output.
@@ -20,76 +24,45 @@ import numpy as np
 
 
 class Postprocessor:
-    """Batched KKT solver for the mean-constrained gradient recovery."""
+    """Batched stiffness solves of the mean-preserving gradient recovery."""
 
     def __init__(self, disc):
         self.disc = disc
-        dh = disc.ndof_u_hi
-        detJ = disc.geom.det
-        # stiffness of the degree-(k+1) basis and its element integrals
-        K = np.einsum("e,q,eiqc,ejqc->eij", detJ, disc.w_data,
-                      disc.G_hi_data, disc.G_hi_data)
-        m = np.einsum("e,q,iq->ei", detJ, disc.w_data, disc.V_hi_data)
-        kkt = np.zeros((disc.mesh.n_elements, dh + 1, dh + 1))
-        kkt[:, :dh, :dh] = K
-        kkt[:, :dh, dh] = m
-        kkt[:, dh, :dh] = m
-        try:
-            self.kkt_inv = np.linalg.inv(kkt)
-        except np.linalg.LinAlgError:
-            ranks = np.linalg.matrix_rank(kkt)
-            bad = int(np.argmax(ranks < dh + 1))
-            raise RuntimeError(
-                f"singular postprocessing system on element {bad} "
-                "(degenerate triangle?)") from None
-        mean_weights = np.einsum("e,q,iq->ei", detJ, disc.w_data,
-                                 disc.V_data)
-        # u enters only through the mean constraint: a coefficient-free map
-        self._u_map = self.kkt_inv[:, :dh, dh, None] * mean_weights[:, None]
+        geom, w = disc.geom, disc.w_data
+        # phi_0 is constant: only the gradients of phi_1.. enter
+        G = disc.Gref_hi_data[1:]
+        stiff_ref = np.einsum("q,iqr,jqs->rsij", w, G, G)
+        metric = np.matmul(geom.inv, geom.inv_t)
+        # both sides of the local problem carry det B, which cancels
+        self._stiff_inv = np.linalg.inv(
+            np.einsum("ers,rsij->eij", metric, stiff_ref))
         # w_q grad_r phi_i(x_q) v_l(x_q) on the reference element
-        nq = len(disc.w_data)
         self._flux_table = np.einsum(
-            "q,iqr,lq->qril", disc.w_data, disc.Gref_hi_data,
-            disc.V_data).reshape(nq, 2 * dh * disc.ndof_u)
-        self._c_key = None
-        self._op = None
+            "q,iqr,lq->qril", w, G, disc.V_data).reshape(len(w), -1)
 
     def operator(self, c_vals):
-        """The linear map (J, ne, d_hi, 3d) from [q | u] to u*.
-
-        c_vals (J, ne, nq) samples each member's own inverse diffusion at
-        the data-rule points.  Cached for the last samples seen.
-        """
-        key = self._c_key
-        if key is not None and key.shape == c_vals.shape and \
-                np.array_equal(key, c_vals):
-            return self._op
+        """The linear map (m, ne, d_hi - 1, 2d) from an element's [qx | qy]
+        coefficients to u*_1.., for inverse-diffusion samples c_vals
+        (m, ne, nq) at the data-rule points."""
         disc = self.disc
         d, dh = disc.ndof_u, disc.ndof_u_hi
-        J, ne, nq = c_vals.shape
-        geom = disc.geom
-        A = (c_vals.reshape(J * ne, nq) @ self._flux_table).reshape(
-            J, ne, 2, dh * d)
-        # -(c q, grad z): physical gradients are B^-T times reference ones
-        R = np.matmul(geom.inv_t, A)
-        R *= -geom.det[None, :, None, None]
-        K = self.kkt_inv[None, :, :dh, :dh]
-        op = np.empty((J, ne, dh, 3 * d))
-        for comp in range(2):
-            op[..., comp * d:(comp + 1) * d] = np.matmul(
-                K, R[:, :, comp].reshape(J, ne, dh, d))
-        op[..., 2 * d:] = self._u_map
-        self._c_key = np.array(c_vals, dtype=float)
-        self._op = op
-        return op
+        m, ne, nq = c_vals.shape
+        A = (c_vals.reshape(m * ne, nq) @ self._flux_table).reshape(
+            m, ne, 2, (dh - 1) * d)
+        # physical gradients are B^-T times reference ones
+        R = np.matmul(disc.geom.inv_t, A).reshape(m, ne, 2, dh - 1, d)
+        return -np.matmul(self._stiff_inv,
+                          np.concatenate([R[:, :, 0], R[:, :, 1]], axis=-1))
 
-    def apply(self, u_coeffs, q_coeffs, c_vals):
+    def apply(self, u_coeffs, q_coeffs, op):
         """Reconstruct u* for all members and elements.
 
         u_coeffs (J, ne, d) and q_coeffs (J, ne, 2d) are a state's interior
-        fields; c_vals (J, ne, nq) samples each member's own inverse
-        diffusion at the data-rule points.  Returns (J, ne, d_hi).
+        fields; op (J, ne, d_hi - 1, 2d) is each member's `operator`.
+        Returns (J, ne, d_hi).
         """
-        x = np.concatenate([q_coeffs, u_coeffs], axis=-1)
-        return np.matmul(self.operator(c_vals), x[..., None])[..., 0]
-
+        J, ne = u_coeffs.shape[:2]
+        star = np.empty((J, ne, self.disc.ndof_u_hi))
+        star[..., 0] = u_coeffs[..., 0]
+        np.einsum("jeil,jel->jei", op, q_coeffs, out=star[..., 1:])
+        return star

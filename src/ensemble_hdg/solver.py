@@ -63,9 +63,14 @@ class Member:
 
 
 class ProblemSpec:
-    """A J-member ensemble of convection-diffusion problems."""
+    """A J-member ensemble of convection-diffusion problems.
 
-    def __init__(self, members, autonomous=True, default_T=1.0, name=""):
+    autonomous says whether the coefficients c and beta are independent of
+    time.  It has no default: a solver samples autonomous coefficients at
+    t = 0 only, so a wrong True silently freezes a time-dependent c.
+    """
+
+    def __init__(self, members, autonomous, default_T=1.0, name=""):
         if not members:
             raise ValueError("ensemble needs at least one member")
         self.members = list(members)
@@ -205,6 +210,9 @@ def initialize(spec, disc):
     d, dh = disc.ndof_u, disc.ndof_u_hi
     w, V, Vh = disc.w_data, disc.V_data, disc.V_hi_data
     x, y = disc.x_data_flat, disc.y_data_flat
+    # the bases are orthonormal, but their data-rule mass matrices are the
+    # identity only to rounding (5.2e-12 off for P^4): without these solves
+    # projecting a k=2 projection again would move its q by 1.2e-13
     mass = (V * w) @ V.T
     mass_hi = (Vh * w) @ Vh.T
 
@@ -214,7 +222,9 @@ def initialize(spec, disc):
         uvals = np.asarray(m.u0(x, y), dtype=float).reshape(ne, -1)
         mom = np.einsum("q,eq,iq->ei", w, uvals, Vh)
         u[j] = np.linalg.solve(mass_hi[None], mom[..., None])[..., 0]
-        grad = np.einsum("ed,edqi->eqi", u[j], disc.G_hi_data)
+        # grad_x u = B^-T grad_ref u, as rows: grad_ref u^T B^-1
+        grad = np.matmul(np.einsum("ed,dqr->eqr", u[j], disc.Gref_hi_data),
+                         disc.geom.inv)
         c0 = np.broadcast_to(np.asarray(m.c(x, y, 0.0), dtype=float),
                              x.shape).reshape(ne, -1)
         qvals = -grad / c0[..., None]

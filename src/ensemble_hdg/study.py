@@ -36,8 +36,13 @@ def resolve_dt_rule(rule, h, T):
     if rule == "h3":
         return snap_dt(T, h ** 3)
     if isinstance(rule, str) and rule.startswith("fixed="):
-        return snap_dt(T, float(rule.split("=", 1)[1]))
-    raise ValueError(f"unknown dt rule {rule!r}")
+        try:
+            dt = float(rule[len("fixed="):])
+        except ValueError:
+            raise ValueError(f"dt rule {rule!r}: the fixed step must be a "
+                             "number") from None
+        return snap_dt(T, dt)
+    raise ValueError(f"dt rule {rule!r}: give h, h3 or fixed=<number>")
 
 
 class ConvergenceTable:

@@ -360,24 +360,30 @@ def monomial_postprocess(disc, ie, q_coeffs, u_coeffs, c_vals):
     return np.linalg.solve(kkt, rhs)[:dh]
 
 
-def quadrature_postprocess(disc, post, u_coeffs, q_coeffs, c_vals):
-    """u* of all members by quadrature of the KKT right-hand side.
+def quadrature_postprocess(disc, u_coeffs, q_coeffs, c_vals):
+    """u* of all members by the mean-constrained KKT system.
 
-    Samples c q at the data rule and integrates it against the physical
-    gradients of the degree-(k+1) basis, then solves with the
-    Postprocessor's KKT inverses.  Returns (J, ne, d_hi).
+    Assembles, by quadrature at the data rule, the degree-(k+1) stiffness
+    and mean weights of each element with its own physical gradients, and
+    solves the saddle-point system with one Lagrange multiplier for the
+    mean constraint.  c_vals (J, ne, nq) samples each member's inverse
+    diffusion.  Returns (J, ne, d_hi).
     """
     d, dh = disc.ndof_u, disc.ndof_u_hi
     J, ne = u_coeffs.shape[:2]
-    wc = disc.w_data * c_vals
+    det, w = disc.geom.det, disc.w_data
+    Vh, G, _ = basis_tables(disc, disc.k + 1)
+    kkt = np.zeros((ne, dh + 1, dh + 1))
+    kkt[:, :dh, :dh] = np.einsum("e,q,eiqc,ejqc->eij", det, w, G, G)
+    kkt[:, :dh, dh] = kkt[:, dh, :dh] = np.einsum("e,q,iq->ei", det, w, Vh)
+    wc = w * c_vals
     cq = np.stack([wc * (q_coeffs[:, :, :d] @ disc.V_data),
                    wc * (q_coeffs[:, :, d:] @ disc.V_data)], axis=-1)
     rhs = np.empty((J, ne, dh + 1))
-    rhs[..., :dh] = -disc.geom.det[None, :, None] * np.einsum(
-        "jeqc,eiqc->jei", cq, disc.G_hi_data)
-    rhs[..., dh] = np.einsum("e,q,jel,lq->je", disc.geom.det, disc.w_data,
-                             u_coeffs, disc.V_data)
-    return np.matmul(post.kkt_inv, rhs[..., None])[..., :dh, 0]
+    rhs[..., :dh] = -det[None, :, None] * np.einsum("jeqc,eiqc->jei", cq, G)
+    rhs[..., dh] = np.einsum("e,q,jel,lq->je", det, w, u_coeffs,
+                             disc.V_data)
+    return np.linalg.solve(kkt[None], rhs[..., None])[..., :dh, 0]
 
 
 class LoopErrorAccumulator:
@@ -386,11 +392,8 @@ class LoopErrorAccumulator:
     each member's norms in its own loop iteration."""
 
     def __init__(self, disc, spec, dt, final_step=None):
-        from ensemble_hdg.postprocess import Postprocessor
-
         self.disc, self.spec, self.dt = disc, spec, dt
         self.final_step = final_step
-        self.post = Postprocessor(disc)
         self.eq_sq = np.zeros(spec.J)
         self.eustar_sq = np.zeros(spec.J)
         self.eu_final = np.zeros(spec.J)
@@ -400,7 +403,7 @@ class LoopErrorAccumulator:
         s = lag_samples(disc, state)
         c_vals = np.stack([disc.sample_scalar(m.c, t)
                            for m in self.spec.members])
-        star = quadrature_postprocess(disc, self.post, state.u, state.q,
+        star = quadrature_postprocess(disc, state.u, state.q,
                                       c_vals) @ disc.V_hi_data
         for j, m in enumerate(self.spec.members):
             ue = disc.sample_scalar(m.exact_u, t)

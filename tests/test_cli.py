@@ -139,3 +139,33 @@ def test_nonpositive_final_time_is_rejected(tmp_path, capsys, command, T):
               "fixed=0.25", "--T", T, "--out", str(tmp_path)])
     assert not any(tmp_path.iterdir())
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("converge", "--mesh-file", "/nonexistent.txt"),
+    ("converge", "--snapshot", "bogus"),
+    ("bench", "--mesh-file", "/nonexistent.txt"),
+    ("bench", "--snapshot", "final"),
+    ("check", "--snapshot", "final"),
+])
+def test_subcommands_reject_flags_they_do_not_read(tmp_path, capsys,
+                                                   command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--example", "1", "--levels", "1", flag, value,
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("option, text, name", [
+    ("--levels", "a..3", "levels"),
+    ("--levels", "1,x", "levels"),
+    ("--dt-rule", "fixed=abc", "dt rule"),
+])
+def test_unparsable_numbers_name_their_option(tmp_path, option, text, name):
+    args = {"--levels": "1", "--dt-rule": "fixed=0.25", option: text}
+    with pytest.raises(ValueError, match=f"{name} '{text}'"):
+        main(["run", "--example", "1", "--out", str(tmp_path)] +
+             [part for pair in args.items() for part in pair])
+    assert not any(tmp_path.iterdir())

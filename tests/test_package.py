@@ -152,3 +152,17 @@ def test_all_names_resolve():
     missing = [name for name in ensemble_hdg.__all__
                if not hasattr(ensemble_hdg, name)]
     assert not missing
+
+
+def test_defaulted_parameter_budget():
+    """Every defaulted parameter is a knob someone may set and every
+    branch it selects is code to keep: their number in the library's
+    function definitions (lambdas aside) may not grow past 20."""
+    count = 0
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                count += len(args.defaults) + sum(
+                    d is not None for d in args.kw_defaults)
+    assert count <= 20, f"{count} defaulted parameters, budget 20"

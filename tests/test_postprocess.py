@@ -5,7 +5,7 @@ from ensemble_hdg.basis import ElementBasis
 from ensemble_hdg.discretization import Discretization
 from ensemble_hdg.postprocess import Postprocessor
 
-from oracles import monomial_postprocess
+from oracles import basis_tables, monomial_postprocess, quadrature_postprocess
 
 
 def test_constant_state_preserved(mesh2):
@@ -17,7 +17,7 @@ def test_constant_state_preserved(mesh2):
     u[..., 0] = 4.2 / np.sqrt(2.0)  # constant basis value sqrt(2)
     q = np.zeros((1, ne, 2 * disc.ndof_u))
     c = np.ones((1, ne, len(disc.w_data)))
-    star = post.apply(u, q, c)
+    star = post.apply(u, q, post.operator(c))
     vals = star @ disc.V_hi_data
     assert np.abs(vals - 4.2).max() < 1e-12
 
@@ -30,7 +30,8 @@ def test_exact_reproduction_of_hi_degree_pairs(mesh2, rng, k):
     cval = 0.7
     hi_coeffs = rng.normal(size=(1, ne, disc.ndof_u_hi))
     u_vals = hi_coeffs @ disc.V_hi_data
-    grad = np.einsum("jel,elqc->jeqc", hi_coeffs, disc.G_hi_data)
+    grad = np.einsum("jel,elqc->jeqc", hi_coeffs,
+                     basis_tables(disc, k + 1)[1])
 
     # project u_h and q_h = -grad/c into the degree-k state layout
     V, w = disc.V_data, disc.w_data
@@ -44,7 +45,8 @@ def test_exact_reproduction_of_hi_degree_pairs(mesh2, rng, k):
             np.linalg.solve(mass[None, None], qm[..., None])[..., 0]
 
     c = np.full((1, ne, len(w)), cval)
-    star = Postprocessor(disc).apply(u_k, q_k, c)
+    post = Postprocessor(disc)
+    star = post.apply(u_k, q_k, post.operator(c))
     # measure against the original degree-(k+1) field
     diff = star @ disc.V_hi_data - u_vals
     assert np.abs(diff).max() < 1e-10
@@ -57,7 +59,8 @@ def test_mean_preservation_random_inputs(mesh4, rng):
     u = rng.normal(size=(J, ne, disc.ndof_u))
     q = rng.normal(size=(J, ne, 2 * disc.ndof_u))
     c = 1.0 + rng.random((J, ne, len(disc.w_data)))
-    star = Postprocessor(disc).apply(u, q, c)
+    post = Postprocessor(disc)
+    star = post.apply(u, q, post.operator(c))
     w, det = disc.w_data, disc.geom.det
     mean_star = np.einsum("e,q,jeq->je", det, w, star @ disc.V_hi_data)
     mean_u = np.einsum("e,q,jeq->je", det, w, u @ disc.V_data)
@@ -73,33 +76,40 @@ def test_locality(mesh4, rng):
     q = rng.normal(size=(1, ne, 2 * disc.ndof_u))
     c = 1.0 + rng.random((1, ne, len(disc.w_data)))
     post = Postprocessor(disc)
-    base = post.apply(u, q, c)
+    op = post.operator(c)
+    base = post.apply(u, q, op)
     u2, q2 = u.copy(), q.copy()
     u2[0, 7] += 1.0
     q2[0, 7] -= 2.0
-    bumped = post.apply(u2, q2, c)
+    bumped = post.apply(u2, q2, op)
     mask = np.ones(ne, dtype=bool)
     mask[7] = False
     assert np.array_equal(base[0, mask], bumped[0, mask])
     assert not np.allclose(base[0, 7], bumped[0, 7])
 
 
-def test_cached_map_follows_changed_samples(mesh2, rng):
-    """The u* map is rebuilt when the c samples change, also in place."""
+def test_observer_map_follows_a_time_dependent_c(mesh2, rng):
+    """For c_j (1 + t/2) the observer's u* at two times equals the
+    mean-constrained KKT solve with c sampled at each time."""
+    from ensemble_hdg.errors import ErrorAccumulator
+
+    from test_study import time_dependent_example1
+
+    spec = time_dependent_example1()
     disc = Discretization(mesh2, 1)
-    ne = mesh2.n_elements
-    u = rng.normal(size=(2, ne, disc.ndof_u))
-    q = rng.normal(size=(2, ne, 2 * disc.ndof_u))
-    c = 1.0 + rng.random((2, ne, len(disc.w_data)))
-    post = Postprocessor(disc)
-    first = post.apply(u, q, c)
-    assert post.operator(c) is post.operator(c.copy())
-    c[1, 3] *= 2.0
-    again = post.apply(u, q, c)
-    fresh = Postprocessor(disc).apply(u, q, c)
-    assert np.array_equal(again, fresh)
-    assert np.array_equal(again[0], first[0])
-    assert not np.allclose(again[1, 3], first[1, 3])
+    ne, J = mesh2.n_elements, spec.J
+    u = rng.normal(size=(J, ne, disc.ndof_u))
+    q = rng.normal(size=(J, ne, 2 * disc.ndof_u))
+    acc = ErrorAccumulator(disc, spec, 1.0, final_step=1)
+    x, y = disc.x_data_flat, disc.y_data_flat
+    stars = []
+    for t in (0.2, 0.9):
+        star = acc.post.apply(u, q, acc.ustar_map(t))
+        c = np.stack([m.c(x, y, t).reshape(ne, -1) for m in spec.members])
+        want = quadrature_postprocess(disc, u, q, c)
+        assert np.abs(star - want).max() < 1e-12 * np.abs(want).max()
+        stars.append(star)
+    assert not np.allclose(stars[0], stars[1])
 
 
 def test_batched_matches_per_element(mesh2, rng):
@@ -112,7 +122,8 @@ def test_batched_matches_per_element(mesh2, rng):
         u = rng.normal(size=(2, ne, disc.ndof_u))
         q = rng.normal(size=(2, ne, 2 * disc.ndof_u))
         c = 1.0 + rng.random((2, ne, len(disc.w_data)))
-        star = Postprocessor(disc).apply(u, q, c)
+        post = Postprocessor(disc)
+        star = post.apply(u, q, post.operator(c))
         # the oracle answers in monomials: convert to the orthonormal basis
         C = ElementBasis(k + 1).coeffs
         for j in range(2):
@@ -133,7 +144,8 @@ def test_against_monomial_kkt_oracle(mesh2, rng):
     u = rng.normal(size=(1, ne, disc.ndof_u))
     q = rng.normal(size=(1, ne, 2 * disc.ndof_u))
     c = 1.0 + rng.random((1, ne, len(disc.w_data)))
-    got = Postprocessor(disc).apply(u, q, c)[0, ie]
+    post = Postprocessor(disc)
+    got = post.apply(u, q, post.operator(c))[0, ie]
     mono_sol = monomial_postprocess(disc, ie, q[0, ie], u[0, ie], c[0, ie])
     # convert the library's orthonormal-basis answer to monomial form
     C = ElementBasis(k + 1).coeffs

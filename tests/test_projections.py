@@ -19,7 +19,7 @@ def initial_state(u0, mesh, k, c=1.0):
                     beta=lambda x, y, t: np.zeros(x.shape + (2,)),
                     f=zero, g=zero, u0=u0)
     disc = Discretization(mesh, k)
-    return disc, initialize(ProblemSpec([member]), disc)
+    return disc, initialize(ProblemSpec([member], autonomous=True), disc)
 
 
 def element_points(mesh, rule):

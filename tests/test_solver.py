@@ -38,7 +38,7 @@ def mean_samples(spec, mesh, t):
 
 
 def test_ensemble_means_single_member(mesh2):
-    spec = ProblemSpec(constant_members([2.5], [(1.0, -1.0)]))
+    spec = ProblemSpec(constant_members([2.5], [(1.0, -1.0)]), autonomous=True)
     means = mean_samples(spec, mesh2, 0.3)
     assert np.abs(means["cbar"] - 2.5).max() == 0.0
     assert np.abs(means["bbar"] - [1.0, -1.0]).max() == 0.0
@@ -112,20 +112,21 @@ def test_admissibility_example1(mesh2):
 
 
 def test_admissibility_single_member_trivial(mesh2):
-    spec = ProblemSpec(constant_members([7.0], [(0, 0)]))
+    spec = ProblemSpec(constant_members([7.0], [(0, 0)]), autonomous=True)
     assert check_admissibility(spec, mesh2, [0.0]).ok
 
 
 def test_admissibility_detects_violation(mesh2):
     # c = {1, 3, 20}: cbar = 8, |8 - 20| = 12 >= 8 -> fail
     spec = ProblemSpec(constant_members([1.0, 3.0, 20.0],
-                                        [(0, 0)] * 3))
+                                        [(0, 0)] * 3), autonomous=True)
     report = check_admissibility(spec, mesh2, [0.0])
     assert not report.ok
     members = {v[0] for v in report.violations}
     assert members == {2}
     # c = {1, 100}: |50.5 - 1| = 49.5 < 50.5 -> the mean condition holds
-    spec2 = ProblemSpec(constant_members([1.0, 100.0], [(0, 0)] * 2))
+    spec2 = ProblemSpec(constant_members([1.0, 100.0], [(0, 0)] * 2),
+                        autonomous=True)
     assert check_admissibility(spec2, mesh2, [0.0]).ok
 
 
@@ -164,7 +165,7 @@ def test_admissibility_report_counts_every_violation(mesh2):
 
 
 def test_choose_tau_zero_velocity(mesh2):
-    spec = ProblemSpec(constant_members([1.0], [(0.0, 0.0)]))
+    spec = ProblemSpec(constant_members([1.0], [(0.0, 0.0)]), autonomous=True)
     assert choose_tau(spec, mesh2) == 1.0
 
 
@@ -183,7 +184,8 @@ def test_choose_tau_example1_fields():
 
 def test_initialize_zero_and_polynomial(mesh2):
     # zero initial data -> zero state
-    spec = ProblemSpec(constant_members([1.0, 2.0], [(0, 0)] * 2))
+    spec = ProblemSpec(constant_members([1.0, 2.0], [(0, 0)] * 2),
+                       autonomous=True)
     disc = Discretization(mesh2, 1)
     state = initialize(spec, disc)
     assert np.abs(state.u).max() == 0.0 and np.abs(state.q).max() == 0.0
@@ -192,7 +194,7 @@ def test_initialize_zero_and_polynomial(mesh2):
     # u0 in P^(k+1), constant c: both projections are exact
     members = constant_members([2.0], [(0, 0)])
     members[0].u0 = lambda x, y: x * y + 0.5 * x ** 2 - y
-    spec = ProblemSpec(members)
+    spec = ProblemSpec(members, autonomous=True)
     state = initialize(spec, disc)
     s = state_samples(disc, state)
     X = disc.X_data
@@ -212,7 +214,8 @@ def test_initialize_example1_is_zero(mesh2):
 
 def test_zero_data_fixed_point(mesh2):
     spec = ProblemSpec(constant_members([1.0, 2.0, 3.0],
-                                        [(1, 0), (0, 1), (1, 1)]))
+                                        [(1, 0), (0, 1), (1, 1)]),
+                       autonomous=True)
     disc = Discretization(mesh2, 1)
     solver = EnsembleSolver(disc, spec, dt=0.25)
     state = solver.run(1.0)
@@ -222,15 +225,23 @@ def test_zero_data_fixed_point(mesh2):
 
 
 def test_run_zero_steps_returns_initial(mesh2):
-    spec = ProblemSpec(constant_members([1.0], [(0, 0)]))
+    spec = ProblemSpec(constant_members([1.0], [(0, 0)]), autonomous=True)
     disc = Discretization(mesh2, 0)
     solver = EnsembleSolver(disc, spec, dt=0.5)
     state = solver.run(0.0)
     assert state.n == 0 and state.t == 0.0
 
 
+def test_problem_spec_requires_autonomous():
+    """A solver samples autonomous coefficients at t = 0 only, so a
+    defaulted autonomous=True would freeze a time-dependent c without a
+    word: every spec says which it is."""
+    with pytest.raises(TypeError, match="autonomous"):
+        ProblemSpec(constant_members([1.0], [(0, 0)]))
+
+
 def test_run_rejects_non_integral_grid(mesh2):
-    spec = ProblemSpec(constant_members([1.0], [(0, 0)]))
+    spec = ProblemSpec(constant_members([1.0], [(0, 0)]), autonomous=True)
     solver = EnsembleSolver(Discretization(mesh2, 0), spec, dt=0.3)
     with pytest.raises(ValueError, match="integral"):
         solver.run(1.0)
@@ -247,7 +258,8 @@ def test_polynomial_solution_reproduced_exactly(mesh2):
                                      np.full_like(x, -(1 + t))], -1)
     f = lambda x, y, t: (x + y) + 0.5 * (1 + t)
     spec = ProblemSpec([Member(c, beta, f, u_ex,
-                               lambda x, y: u_ex(x, y, 0.0), u_ex, q_ex)])
+                               lambda x, y: u_ex(x, y, 0.0), u_ex, q_ex)],
+                       autonomous=True)
     disc = Discretization(mesh2, 1)
     solver = EnsembleSolver(disc, spec, dt=0.25, tau=2.0,
                             check_residuals=True)
@@ -379,7 +391,7 @@ def test_time_dependent_coefficients_refactorize(mesh2):
 
 def test_admissibility_enforcement(mesh2):
     members = constant_members([1.0, 3.0, 20.0], [(0, 0)] * 3)
-    spec = ProblemSpec(members)
+    spec = ProblemSpec(members, autonomous=True)
     disc = Discretization(mesh2, 0)
     solver = EnsembleSolver(disc, spec, dt=0.5, strict_admissibility=True)
     with pytest.raises(RuntimeError, match="admissibility"):
@@ -413,7 +425,7 @@ def test_shared_factorization_object_within_step(mesh2):
 def test_stability_no_blowup_small(mesh2, rng):
     """f = 0, g = 0, random start: the trajectory stays bounded."""
     spec = ProblemSpec(constant_members(list(EXAMPLE1_C),
-                                        [(0.5, 0.2)] * 3))
+                                        [(0.5, 0.2)] * 3), autonomous=True)
     disc = Discretization(mesh2, 1)
     state0 = initialize(spec, disc)
     state0.u = rng.normal(size=state0.u.shape)
@@ -491,7 +503,7 @@ def test_steady_ensemble_matches_separate_steady_states(mesh4, k):
         (1 + sympy.sin(3 * x * y) / 2) * (1 + s * sympy.cos(2 * x) / 10),
         (s * y / 10, -s * x / 10 + sympy.Rational(1, 2)), u)
         for s in (1, -1)]
-    spec = ProblemSpec(members)
+    spec = ProblemSpec(members, autonomous=True)
     disc = Discretization(mesh4, k)
     dt, tau, T = 1.0, 2.0, 80.0
     ens = EnsembleSolver(disc, spec, dt=dt, tau=tau).run(T)
@@ -521,7 +533,8 @@ def test_rhs_from_moments_matches_sampled_rhs(mesh4, rng, plain_data):
     spec = example1()
     if plain_data:
         spec = ProblemSpec([Member(m.c, m.beta, plain(m.f), plain(m.g),
-                                   m.u0) for m in spec.members])
+                                   m.u0) for m in spec.members],
+                           autonomous=True)
     else:
         assert isinstance(spec.members[0].f, SeparableField)
     disc = Discretization(mesh4, 1)

@@ -82,7 +82,8 @@ def test_error_accumulator_exact_discrete_solution(mesh2):
                                      np.full_like(x, (1 + 2 * t) / 2.0)], -1)
     f = lambda x, y, t: 2 * (x - y) + (1 + 2 * t) * (0.1 - (-0.4))
     spec = ProblemSpec([Member(c, beta, f, u_ex,
-                               lambda x, y: u_ex(x, y, 0.0), u_ex, q_ex)])
+                               lambda x, y: u_ex(x, y, 0.0), u_ex, q_ex)],
+                       autonomous=True)
     disc = Discretization(mesh2, 1)
     dt = 0.25
     solver = EnsembleSolver(disc, spec, dt=dt, tau=1.5)
@@ -122,7 +123,7 @@ def plain_callable_example1():
 
     return ProblemSpec([Member(m.c, m.beta, plain(m.f), plain(m.g), m.u0,
                                plain(m.exact_u), plain(m.exact_q))
-                        for m in example1().members])
+                        for m in example1().members], autonomous=True)
 
 
 @pytest.mark.parametrize("make_spec", [example1, time_dependent_example1,
@@ -130,8 +131,9 @@ def plain_callable_example1():
                          ids=["autonomous", "time-dependent",
                               "plain-callables"])
 def test_error_accumulator_matches_per_member_loop(mesh4, make_spec):
-    """The vectorised observer with the cached u* map against the
-    per-member quadrature loop, on the same trajectory."""
+    """The vectorised observer, with its u* maps weighted by the time
+    factors of c, against the per-member quadrature loop, on the same
+    trajectory."""
     from oracles import LoopErrorAccumulator
 
     spec = make_spec()
@@ -153,7 +155,8 @@ def test_error_accumulator_requires_exact_solutions(mesh2):
     disc = Discretization(mesh2, 0)
     with pytest.raises(ValueError, match="member 1 "):
         ErrorAccumulator(disc, example3(), 0.1, final_step=1)
-    mixed = ProblemSpec([example1().members[0], example3().members[1]])
+    mixed = ProblemSpec([example1().members[0], example3().members[1]],
+                        autonomous=True)
     with pytest.raises(ValueError, match="member 2 "):
         ErrorAccumulator(disc, mixed, 0.1, final_step=1)
 
@@ -212,7 +215,8 @@ def test_error_accumulator_returns_the_projection_residual(mesh4):
     x, y = disc.x_data_flat, disc.y_data_flat
     ne = disc.mesh.n_elements
     c_vals = np.stack([m.c(x, y, t).reshape(ne, -1) for m in spec.members])
-    star = Postprocessor(disc).apply(state.u, state.q, c_vals)
+    post = Postprocessor(disc)
+    star = post.apply(state.u, state.q, post.operator(c_vals))
     d = disc.ndof_u
     for j, m in enumerate(spec.members):
         ue = m.exact_u(x, y, t).reshape(ne, -1)
@@ -241,7 +245,7 @@ def test_error_accumulator_keeps_the_digits_of_a_small_error(mesh4, rng):
     x, y, t = sympy.symbols("x y t")
     spec = ProblemSpec([manufactured_member(2, (0.1, -0.4), (1 + 2 * t) *
                                             (x - y) * s)
-                        for s in (1, 3)])
+                        for s in (1, 3)], autonomous=True)
     assert isinstance(spec.members[0].exact_q.fx, SeparableField)
     disc = Discretization(mesh4, 1)
     exact = projected_state(disc, spec, 0.7)
