@@ -25,18 +25,11 @@ class QuadratureRule:
         Node coordinates, shape (n, 2) on the triangle or (n,) on the edge.
     weights : array
         Positive weights summing to the reference measure.
-    order : int
-        Total polynomial degree integrated exactly.
     """
 
-    def __init__(self, points, weights, order):
+    def __init__(self, points, weights):
         self.points = np.asarray(points, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
-        self.order = int(order)
-
-    @property
-    def npoints(self):
-        return len(self.weights)
 
 
 def edge_quadrature(order):
@@ -45,7 +38,7 @@ def edge_quadrature(order):
         raise ValueError(f"unsupported edge quadrature order {order}")
     m = (order + 2) // 2
     x, w = np.polynomial.legendre.leggauss(m)
-    return QuadratureRule(0.5 * (x + 1.0), 0.5 * w, order)
+    return QuadratureRule(0.5 * (x + 1.0), 0.5 * w)
 
 
 def triangle_quadrature(order):
@@ -65,7 +58,7 @@ def triangle_quadrature(order):
     X = np.repeat(xi, m)
     Y = np.tile(xi, m) * (1.0 - X)
     W = np.repeat(wi, m) * np.tile(wi, m) * (1.0 - X)
-    return QuadratureRule(np.column_stack([X, Y]), W, order)
+    return QuadratureRule(np.column_stack([X, Y]), W)
 
 
 def tri_monomial_integral(a, b):
@@ -97,7 +90,6 @@ class ElementBasis:
     def __init__(self, degree):
         if degree < 0:
             raise ValueError("degree must be >= 0")
-        self.degree = degree
         self.exponents = np.array(monomial_exponents(degree), dtype=int)
         self.dim = len(self.exponents)
         gram = np.empty((self.dim, self.dim))
@@ -133,7 +125,6 @@ class FaceBasis:
     def __init__(self, degree):
         if degree < 0:
             raise ValueError("degree must be >= 0")
-        self.degree = degree
         self.dim = degree + 1
         # Hilbert-type Gram matrix: int_0^1 s^(i+j) ds
         idx = np.arange(self.dim)

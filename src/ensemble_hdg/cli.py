@@ -10,14 +10,23 @@ import numpy as np
 
 from .discretization import Discretization
 from .errors import ErrorAccumulator
-from .io import (load_config, problem_from_config, write_convergence_csv,
-                 write_snapshot_csv, write_snapshot_vtk)
+from .io import (final_time, load_config, problem_from_config,
+                 write_convergence_csv, write_snapshot_csv,
+                 write_snapshot_vtk)
 from .mesh import build_uniform_square_mesh, read_mesh_text
 from .postprocess import Postprocessor
-from .problems import get_example
 from .solver import EnsembleSolver, check_admissibility
 from .study import (benchmark_ensemble_vs_separate, convergence_study,
                     resolve_dt_rule)
+
+
+_CONFIG_HELP = (
+    "A --config file's [run] section sets flags by their long names, with "
+    "underscores: every subcommand reads example, degree, levels, dt_rule, "
+    "T and out; converge, run and check also read strict_admissibility; "
+    "run and check mesh_file; run snapshot.  A key the subcommand does "
+    "not read is an error.  A [custom] section defines a "
+    "constant-coefficient ensemble in place of the example.")
 
 
 def _parse_levels(text):
@@ -50,67 +59,71 @@ def _parse_snapshot(text):
 
 
 def _add_common(p):
-    p.add_argument("--config", help="INI config file; flags override it")
+    p.add_argument("--config",
+                   help="INI config file; its [run] keys are this "
+                        "subcommand's long flag names, and flags given "
+                        "override them")
     p.add_argument("--example", type=int, choices=(1, 2, 3),
-                   help="built-in example ensemble")
+                   help="built-in example ensemble (default 1)")
     p.add_argument("--degree", type=int, default=None,
                    help="polynomial degree k (default 1)")
     p.add_argument("--levels", default=None,
                    help="mesh levels, e.g. 1..5 or 3 (n = 2^level)")
     p.add_argument("--dt-rule", default=None, dest="dt_rule",
-                   help="h, h3 or fixed=<value>")
+                   help="h, h3 or fixed=<value> (default h)")
     p.add_argument("--T", type=float, default=None,
                    help="final time (defaults to the problem's)")
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--strict-admissibility", action="store_true",
-                   dest="strict_admissibility")
+    p.add_argument("--out", default=None,
+                   help="output directory (default .)")
 
 
 def _merge(args):
+    """The run options: defaults, then the config's [run] keys, then the
+    flags given.  A [run] key is the dest of a flag, and a key whose flag
+    the subcommand does not register is an error."""
     cfg = load_config(args.config) if args.config else {}
-    merged = dict(cfg)
-    for key in ("example", "degree", "levels", "dt_rule", "T",
-                "mesh_file", "snapshot"):
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    if args.strict_admissibility:
-        merged["strict_admissibility"] = True
-    merged.setdefault("degree", 1)
-    merged.setdefault("dt_rule", "h")
-    merged["out"] = args.out
-    return merged
-
-
-def _problem(merged):
-    if "custom" in merged:
-        return problem_from_config(merged)
-    return get_example(merged.get("example", 1))
+    for key in cfg:
+        if key != "custom" and not hasattr(args, key):
+            raise ValueError(f"config section [run], key {key!r}: the "
+                             f"{args.command} subcommand does not read it")
+    given = {key: val for key, val in vars(args).items()
+             if val is not None and key not in ("command", "func", "config")}
+    return {"example": 1, "degree": 1, "dt_rule": "h", "out": ".",
+            **cfg, **given}
 
 
 def _final_time(merged, problem):
     """--T, or the problem's default final time when it is not given."""
     T = merged.get("T")
-    if T is None:
-        return problem.default_T
-    if not T > 0:
-        raise ValueError(f"final time T = {T!r}: give T > 0")
-    return T
+    return problem.default_T if T is None else final_time(T)
 
 
-def _levels(merged, default="1..4"):
+def _levels(merged, default):
     raw = merged.get("levels", default)
     return _parse_levels(raw) if isinstance(raw, str) else raw
 
 
+def _mesh_and_steps(merged, problem, default_level):
+    """The mesh of --mesh-file or of the finest level, the final time, and
+    the dt its h_max and the dt rule give, with the step count T / dt."""
+    T = _final_time(merged, problem)
+    if merged.get("mesh_file"):
+        mesh = read_mesh_text(merged["mesh_file"])
+    else:
+        mesh = build_uniform_square_mesh(
+            2 ** _levels(merged, default_level)[-1])
+    dt = resolve_dt_rule(merged["dt_rule"], mesh.h_max, T)
+    return mesh, T, dt, int(round(T / dt))
+
+
 def cmd_converge(args):
     merged = _merge(args)
-    problem = _problem(merged)
+    problem = problem_from_config(merged)
     if not problem.has_exact:
         print("error: convergence study needs a problem with exact "
               "solutions (examples 1 and 2)", file=sys.stderr)
         return 2
-    levels = _levels(merged)
+    levels = _levels(merged, "1..4")
     table = convergence_study(
         problem, merged["degree"], levels, merged["dt_rule"],
         T=_final_time(merged, problem),
@@ -128,22 +141,12 @@ def cmd_converge(args):
 def cmd_run(args):
     merged = _merge(args)
     stride = _parse_snapshot(merged.get("snapshot"))
-    problem = _problem(merged)
-    degree = merged["degree"]
-    T = _final_time(merged, problem)
-    if merged.get("mesh_file"):
-        mesh = read_mesh_text(merged["mesh_file"])
-        h = mesh.h_max
-    else:
-        level = _levels(merged, default="4")[-1]
-        mesh = build_uniform_square_mesh(2 ** level)
-        h = math.sqrt(2.0) / 2 ** level
-    dt = resolve_dt_rule(merged["dt_rule"], h, T)
-    disc = Discretization(mesh, degree)
+    problem = problem_from_config(merged)
+    mesh, T, dt, N = _mesh_and_steps(merged, problem, "4")
+    disc = Discretization(mesh, merged["degree"])
     solver = EnsembleSolver(
         disc, problem, dt=dt,
         strict_admissibility=merged.get("strict_admissibility", False))
-    N = int(round(T / dt))
 
     observers = []
     acc = None
@@ -160,8 +163,8 @@ def cmd_run(args):
         star = post.apply(state.u, state.q, post.operator(c_vals))
         base = os.path.join(merged["out"],
                             f"snapshot_{problem.name}_{tag}")
-        write_snapshot_csv(disc, state, base + ".csv", postprocessed=star)
-        write_snapshot_vtk(disc, state, base + ".vtk", postprocessed=star)
+        write_snapshot_csv(disc, state, base + ".csv", star)
+        write_snapshot_vtk(disc, state, base + ".vtk", star)
 
     if stride:
         observers.append(lambda n, t, state: (
@@ -183,8 +186,8 @@ def cmd_run(args):
 
 def cmd_bench(args):
     merged = _merge(args)
-    problem = _problem(merged)
-    level = _levels(merged, default="4")[-1]
+    problem = problem_from_config(merged)
+    level = _levels(merged, "4")[-1]
     T = _final_time(merged, problem)
     dt = resolve_dt_rule(merged["dt_rule"], math.sqrt(2.0) / 2 ** level, T)
     report = benchmark_ensemble_vs_separate(problem, merged["degree"], level,
@@ -204,17 +207,8 @@ def cmd_bench(args):
 
 def cmd_check(args):
     merged = _merge(args)
-    problem = _problem(merged)
-    T = _final_time(merged, problem)
-    if merged.get("mesh_file"):
-        mesh = read_mesh_text(merged["mesh_file"])
-        h = mesh.h_max
-    else:
-        level = _levels(merged, default="3")[-1]
-        mesh = build_uniform_square_mesh(2 ** level)
-        h = math.sqrt(2.0) / 2 ** level
-    dt = resolve_dt_rule(merged["dt_rule"], h, T)
-    N = int(round(T / dt))
+    problem = problem_from_config(merged)
+    mesh, T, dt, N = _mesh_and_steps(merged, problem, "3")
     times = [0.0] if problem.autonomous else [i * dt for i in range(N + 1)]
     report = check_admissibility(problem, mesh, times)
     print(report)
@@ -229,7 +223,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="ensemble-hdg",
         description="Ensemble HDG solver for parameterized "
-                    "convection-diffusion equations")
+                    "convection-diffusion equations",
+        epilog=_CONFIG_HELP)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn, helptext in (
             ("converge", cmd_converge, "convergence-rate study -> CSV"),
@@ -238,6 +233,11 @@ def main(argv=None):
             ("check", cmd_check, "ensemble-mean admissibility check")):
         p = sub.add_parser(name, help=helptext)
         _add_common(p)
+        if name != "bench":
+            p.add_argument("--strict-admissibility", action="store_true",
+                           default=None, dest="strict_admissibility",
+                           help="treat a failed ensemble-mean condition "
+                                "as an error")
         if name in ("run", "check"):
             p.add_argument("--mesh-file", dest="mesh_file",
                            help="plain-text mesh overriding --levels")

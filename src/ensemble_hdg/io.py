@@ -7,6 +7,7 @@ byte-identical files.
 
 import configparser
 import csv
+import math
 
 import numpy as np
 
@@ -61,52 +62,43 @@ _SNAP_REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
                       [1 / 3, 1 / 3]])
 
 
-def snapshot_values(disc, state, postprocessed=None):
-    """Sample u (and optionally u*) at each element's vertices + centroid.
+def snapshot_values(disc, state, ustar):
+    """Sample u and u* at each element's vertices + centroid.
 
-    Returns (points (ne, 4, 2), u (J, ne, 4), ustar (J, ne, 4) or None).
+    state is a stepped (degree-k) state and ustar its postprocessed
+    coefficients (J, ne, d_hi).  Returns (points (ne, 4, 2), u (J, ne, 4),
+    ustar (J, ne, 4)).
     """
     pts = disc.geom.points(_SNAP_REF)
-    if state.u_degree == disc.k:
-        V = disc.elem_basis.eval(_SNAP_REF)
-    else:
-        V = disc.elem_basis_hi.eval(_SNAP_REF)
-    u = state.u @ V
-    ustar = None
-    if postprocessed is not None:
-        ustar = postprocessed @ disc.elem_basis_hi.eval(_SNAP_REF)
-    return pts, u, ustar
+    u = state.u @ disc.elem_basis.eval(_SNAP_REF)
+    return pts, u, ustar @ disc.elem_basis_hi.eval(_SNAP_REF)
 
 
-def write_snapshot_csv(disc, state, path, postprocessed=None):
-    """Per-element point samples of u (and u*) for plotting, as CSV."""
-    pts, u, ustar = snapshot_values(disc, state, postprocessed)
+def write_snapshot_csv(disc, state, path, ustar):
+    """Per-element point samples of u and u* for plotting, as CSV."""
+    pts, u, ustar = snapshot_values(disc, state, ustar)
     J = u.shape[0]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["member", "element", "x", "y", "u"]
-        if ustar is not None:
-            header.append("ustar")
-        writer.writerow(header)
+        writer.writerow(["member", "element", "x", "y", "u", "ustar"])
         for j in range(J):
             for e in range(u.shape[1]):
                 for p in range(4):
-                    row = [str(j + 1), str(e), repr(float(pts[e, p, 0])),
-                           repr(float(pts[e, p, 1])),
-                           repr(float(u[j, e, p]))]
-                    if ustar is not None:
-                        row.append(repr(float(ustar[j, e, p])))
-                    writer.writerow(row)
+                    writer.writerow([str(j + 1), str(e),
+                                     repr(float(pts[e, p, 0])),
+                                     repr(float(pts[e, p, 1])),
+                                     repr(float(u[j, e, p])),
+                                     repr(float(ustar[j, e, p]))])
 
 
-def write_snapshot_vtk(disc, state, path, postprocessed=None):
+def write_snapshot_vtk(disc, state, path, ustar):
     """Legacy ASCII VTK POLYDATA snapshot (triangles, point scalars).
 
     Vertices are replicated per element so the discontinuous fields render
-    faithfully; one scalar array per member (u_j, and ustar_j if given).
+    faithfully; two scalar arrays per member, u_j and ustar_j.
     """
     mesh = disc.mesh
-    pts, u, ustar = snapshot_values(disc, state, postprocessed)
+    pts, u, ustar = snapshot_values(disc, state, ustar)
     ne = mesh.n_elements
     corners = pts[:, :3, :].reshape(-1, 2)
     with open(path, "w") as fh:
@@ -121,9 +113,8 @@ def write_snapshot_vtk(disc, state, path, postprocessed=None):
             fh.write(f"3 {3 * e} {3 * e + 1} {3 * e + 2}\n")
         fh.write(f"POINT_DATA {3 * ne}\n")
         fields = [(f"u{j + 1}", u[j, :, :3]) for j in range(u.shape[0])]
-        if ustar is not None:
-            fields += [(f"ustar{j + 1}", ustar[j, :, :3])
-                       for j in range(ustar.shape[0])]
+        fields += [(f"ustar{j + 1}", ustar[j, :, :3])
+                   for j in range(ustar.shape[0])]
         for name, vals in fields:
             fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
             for v in vals.reshape(-1):
@@ -133,11 +124,13 @@ def write_snapshot_vtk(disc, state, path, postprocessed=None):
 def load_config(path):
     """Read an INI-style run configuration.
 
-    Section [run] carries the CLI options (example, degree, levels,
-    dt_rule, T, out, strict_admissibility, mesh_file, snapshot); an
-    optional [custom] section defines a constant-coefficient ensemble with
-    keys J, c, beta_x, beta_y, f (comma-separated per-member values) and
-    optional T.
+    Section [run] carries the CLI options under the dests of their flags.
+    Every subcommand reads example, degree, levels, dt_rule, T and out;
+    converge, run and check also read strict_admissibility, run and check
+    mesh_file, and run snapshot; the CLI rejects a key its subcommand does
+    not read.  An optional [custom] section defines a constant-coefficient
+    ensemble with keys J, c, beta_x, beta_y, f (comma-separated per-member
+    finite values) and optional T.  A T must be finite and positive.
     """
     parser = configparser.ConfigParser()
     with open(path) as fh:
@@ -152,7 +145,7 @@ def load_config(path):
             if key in run:
                 cfg[key] = run.get(key)
         if "T" in run:
-            cfg["T"] = _read(run, "T", float)
+            cfg["T"] = _read(run, "T", final_time)
         if "strict_admissibility" in run:
             cfg["strict_admissibility"] = run.getboolean(
                 "strict_admissibility")
@@ -163,7 +156,7 @@ def load_config(path):
             if key not in sec:
                 raise ValueError(f"config section [custom] has no {key!r}")
             vals[key] = _read(sec, key, lambda text: [
-                float(s) for s in text.split(",")])
+                _finite(s) for s in text.split(",")])
         J = _read(sec, "J", int) if "J" in sec else len(vals["c"])
         if any(len(v) != J for v in vals.values()):
             raise ValueError("custom problem member lists disagree with J")
@@ -173,7 +166,7 @@ def load_config(path):
             "f": vals["f"],
         }
         if "T" in sec:
-            cfg["custom"]["T"] = _read(sec, "T", float)
+            cfg["custom"]["T"] = _read(sec, "T", final_time)
     return cfg
 
 
@@ -184,6 +177,21 @@ def _read(section, key, convert):
     except ValueError as exc:
         raise ValueError(f"config section [{section.name}], key {key!r}: "
                          f"{exc}") from None
+
+
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+def final_time(value):
+    """value as a final time, which must be finite and positive."""
+    T = float(value)
+    if not 0 < T < math.inf:
+        raise ValueError(f"final time T = {T!r}: give a finite T > 0")
+    return T
 
 
 def problem_from_config(cfg):

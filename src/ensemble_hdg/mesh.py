@@ -43,6 +43,11 @@ class Mesh:
             raise ValueError("vertices must be (nv, 2)")
         if self.elements.ndim != 2 or self.elements.shape[1] != 3:
             raise ValueError("elements must be (ne, 3)")
+        finite = np.isfinite(self.vertices).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(f"vertex {bad} has non-finite coordinates "
+                             f"{self.vertices[bad].tolist()}")
         nv = len(self.vertices)
         outside = (self.elements < 0) | (self.elements >= nv)
         if outside.any():
@@ -211,33 +216,51 @@ def write_mesh_text(mesh, path):
 
 
 def read_mesh_text(path):
-    """Read the plain-text mesh format; validates the declared face list."""
+    """Read the plain-text mesh format; validates the declared face list.
+
+    A malformed file fails with a ValueError that names it.
+    """
     with open(path) as fh:
         tokens = fh.read().split()
-    it = iter(tokens)
     try:
-        nv, ne, nf = int(next(it)), int(next(it)), int(next(it))
-        vertices = np.array(
-            [[float(next(it)), float(next(it))] for _ in range(nv)]
-        )
-        elements = np.array(
-            [[int(next(it)) for _ in range(3)] for _ in range(ne)]
-        )
-        declared = np.array(
-            [[int(next(it)) for _ in range(3)] for _ in range(nf)]
-        )
-    except StopIteration:
-        raise ValueError(f"truncated mesh file {path}") from None
-    mesh = Mesh(vertices, elements)
+        return _mesh_from_tokens(tokens)
+    except ValueError as exc:
+        raise ValueError(f"mesh file {path}: {exc}") from None
+
+
+def _mesh_from_tokens(tokens):
+    it = iter(tokens)
+
+    def read(convert, what):
+        text = next(it, None)
+        if text is None:
+            raise ValueError(f"truncated in {what}")
+        try:
+            return convert(text)
+        except ValueError:
+            kind = "an integer" if convert is int else "a number"
+            raise ValueError(f"{what}: {text!r} is not {kind}") from None
+
+    nv, ne, nf = (read(int, "the header") for _ in range(3))
+    vertices = [[read(float, f"vertex {i}") for _ in range(2)]
+                for i in range(nv)]
+    elements = [[read(int, f"element {i}") for _ in range(3)]
+                for i in range(ne)]
+    declared = [[read(int, f"face {i}") for _ in range(3)]
+                for i in range(nf)]
+    extra = sum(1 for _ in it)
+    if extra:
+        raise ValueError(f"{extra} token(s) after the declared {nv} "
+                         f"vertices, {ne} elements and {nf} faces")
+    mesh = Mesh(np.reshape(vertices, (nv, 2)), np.reshape(elements, (ne, 3)))
     if mesh.n_faces != nf:
         raise ValueError(
-            f"mesh file declares {nf} faces, connectivity builds {mesh.n_faces}"
-        )
-    key = {tuple(sorted(f)): bool(b) for *f, b in declared.tolist()}
-    for f, bnd in zip(mesh.faces, mesh.boundary):
+            f"declares {nf} faces, connectivity builds {mesh.n_faces}")
+    key = {tuple(sorted(f)): bool(b) for *f, b in declared}
+    for f, bnd in zip(mesh.faces.tolist(), mesh.boundary):
         want = key.get(tuple(sorted(f)))
         if want is None:
-            raise ValueError(f"face {tuple(f)} missing from mesh file")
+            raise ValueError(f"face {tuple(f)} missing from the face list")
         if want != bool(bnd):
             raise ValueError(f"face {tuple(f)} has wrong boundary flag")
     return mesh

@@ -284,8 +284,7 @@ def example3():
                              default_T=0.1, name="example3")
 
 
-def constant_ensemble(c_values, beta_values, f_values, default_T=0.1,
-                      name="custom"):
+def constant_ensemble(c_values, beta_values, f_values, default_T, name):
     """Ensemble with constant coefficients, g = 0 and u0 = 0.
 
     c_values, f_values are per-member scalars; beta_values per-member

@@ -236,17 +236,15 @@ def initialize(spec, disc):
 
 
 def state_samples(disc, state):
-    """Field samples of a state at the data-rule points.
+    """Field samples of a stepped (degree-k) state at the data-rule points.
 
-    Returns dict with u (J,ne,nq) and q (J,ne,nq,2), for both the
-    degree-(k+1) initial state and degree-k step states.
+    Returns dict with u (J,ne,nq) and q (J,ne,nq,2).
     """
-    V = disc.V_hi_data if state.u_degree == disc.k + 1 else disc.V_data
-    d = disc.ndof_u
+    V, d = disc.V_data, disc.ndof_u
     J, ne = state.u.shape[:2]
     q_vals = np.empty((J, ne, V.shape[1], 2))
-    q_vals[..., 0] = state.q[:, :, :d] @ disc.V_data
-    q_vals[..., 1] = state.q[:, :, d:] @ disc.V_data
+    q_vals[..., 0] = state.q[:, :, :d] @ V
+    q_vals[..., 1] = state.q[:, :, d:] @ V
     return {"u": state.u @ V, "q": q_vals}
 
 

@@ -20,8 +20,8 @@ from .solver import EnsembleSolver
 
 def snap_dt(T, dt_raw):
     """Largest dt <= dt_raw (up to rounding) with T / dt integral."""
-    if dt_raw <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt_raw < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt_raw!r}")
     r = T / dt_raw
     n = max(1, math.ceil(r - 1e-9))
     return T / n
@@ -39,8 +39,10 @@ def resolve_dt_rule(rule, h, T):
         try:
             dt = float(rule[len("fixed="):])
         except ValueError:
+            dt = math.nan
+        if not 0 < dt < math.inf:
             raise ValueError(f"dt rule {rule!r}: the fixed step must be a "
-                             "number") from None
+                             "finite number > 0")
         return snap_dt(T, dt)
     raise ValueError(f"dt rule {rule!r}: give h, h3 or fixed=<number>")
 
@@ -51,21 +53,19 @@ class ConvergenceTable:
     Rows are dicts with keys level, h_over_sqrt2, member (1-based), Eq,
     Eq_rate, Eu, Eu_rate, Eustar, Eustar_rate.  A rate compares a level
     with the last other level added before it, over the level gap; rate
-    cells are None on the first level.
+    cells are None on the first level.  meta holds each level's run info.
     """
 
     COLUMNS = ("level", "h_over_sqrt2", "member", "Eq", "Eq_rate",
                "Eu", "Eu_rate", "Eustar", "Eustar_rate")
 
-    def __init__(self, degree, dt_rule, T):
-        self.degree = degree
-        self.dt_rule = dt_rule
-        self.T = T
+    def __init__(self):
         self.rows = []
         self.meta = []
 
-    def add_level(self, level, errors, meta=None):
-        """Append one level's error dict {Eq, Eu, Eustar: (J,) arrays}."""
+    def add_level(self, level, errors, meta):
+        """Append one level's error dict {Eq, Eu, Eustar: (J,) arrays} and
+        its run info."""
         J = len(errors["Eu"])
         prev_level = next((r["level"] for r in reversed(self.rows)
                            if r["level"] != level), None)
@@ -84,8 +84,7 @@ class ConvergenceTable:
                 else:
                     row[f"{key}_rate"] = None
             self.rows.append(row)
-        if meta is not None:
-            self.meta.append(meta)
+        self.meta.append(meta)
 
     def column(self, member, key):
         """Level-ordered values of one column for one member."""
@@ -117,7 +116,7 @@ class ConvergenceTable:
         return "\n".join(lines)
 
 
-def run_level(problem, n, degree, dt, T, strict_admissibility=False):
+def run_level(problem, n, degree, dt, T, strict_admissibility):
     """Solve one mesh level and return per-member errors plus run info."""
     mesh = build_uniform_square_mesh(n)
     disc = Discretization(mesh, degree)
@@ -141,7 +140,7 @@ def convergence_study(problem, degree, levels, dt_rule, T=None,
     if not problem.has_exact:
         raise ValueError("convergence study needs exact solutions")
     T = problem.default_T if T is None else T
-    table = ConvergenceTable(degree, dt_rule, T)
+    table = ConvergenceTable()
     for level in levels:
         n = 2 ** level
         h = math.sqrt(2.0) / n
@@ -149,7 +148,7 @@ def convergence_study(problem, degree, levels, dt_rule, T=None,
         errors, info, _ = run_level(problem, n, degree, dt, T,
                                     strict_admissibility)
         info["level"] = level
-        table.add_level(level, errors, meta=info)
+        table.add_level(level, errors, info)
     return table
 
 

@@ -130,10 +130,10 @@ def test_run_snapshot_every_step_stride(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["run", "check", "bench", "converge"])
-@pytest.mark.parametrize("T", ["0", "-0.5"])
+@pytest.mark.parametrize("T", ["0", "-0.5", "inf"])
 def test_nonpositive_final_time_is_rejected(tmp_path, capsys, command, T):
     """--T 0 is a final time, not a missing one: it must not fall back to
-    the problem's default."""
+    the problem's default; --T inf overflowed the step count."""
     with pytest.raises(ValueError, match=f"T = {float(T)!r}"):
         main([command, "--example", "1", "--levels", "1", "--dt-rule",
               "fixed=0.25", "--T", T, "--out", str(tmp_path)])
@@ -147,11 +147,13 @@ def test_nonpositive_final_time_is_rejected(tmp_path, capsys, command, T):
     ("bench", "--mesh-file", "/nonexistent.txt"),
     ("bench", "--snapshot", "final"),
     ("check", "--snapshot", "final"),
+    ("bench", "--strict-admissibility", None),
 ])
 def test_subcommands_reject_flags_they_do_not_read(tmp_path, capsys,
                                                    command, flag, value):
+    given = [flag] if value is None else [flag, value]
     with pytest.raises(SystemExit) as exc:
-        main([command, "--example", "1", "--levels", "1", flag, value,
+        main([command, "--example", "1", "--levels", "1", *given,
               "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
@@ -162,6 +164,8 @@ def test_subcommands_reject_flags_they_do_not_read(tmp_path, capsys,
     ("--levels", "a..3", "levels"),
     ("--levels", "1,x", "levels"),
     ("--dt-rule", "fixed=abc", "dt rule"),
+    ("--dt-rule", "fixed=nan", "dt rule"),
+    ("--dt-rule", "fixed=inf", "dt rule"),
 ])
 def test_unparsable_numbers_name_their_option(tmp_path, option, text, name):
     args = {"--levels": "1", "--dt-rule": "fixed=0.25", option: text}
@@ -169,3 +173,37 @@ def test_unparsable_numbers_name_their_option(tmp_path, option, text, name):
         main(["run", "--example", "1", "--out", str(tmp_path)] +
              [part for pair in args.items() for part in pair])
     assert not any(tmp_path.iterdir())
+
+
+def test_config_out_is_honoured(tmp_path, monkeypatch):
+    """[run] out was overwritten by the --out default "."."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "study.ini"
+    cfg.write_text("[run]\nexample = 1\ndegree = 0\nlevels = 1\n"
+                   "out = results_dir\n")
+    assert main(["converge", "--config", str(cfg)]) == 0
+    assert (tmp_path / "results_dir" / "convergence_example1_k0.csv").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results_dir",
+                                                          "study.ini"]
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("converge", "snapshot", "bogus"),
+    ("converge", "mesh_file", "/nonexistent.txt"),
+    ("bench", "snapshot", "final"),
+    ("bench", "mesh_file", "/nonexistent.txt"),
+    ("bench", "strict_admissibility", "true"),
+    ("check", "snapshot", "final"),
+])
+def test_config_rejects_run_keys_the_subcommand_does_not_read(
+        tmp_path, capsys, command, key, value):
+    """A [run] key follows the rule of its flag: a subcommand that does not
+    register the flag rejects the key instead of dropping it."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\nlevels = 1\ndt_rule = fixed=0.25\n"
+                   f"{key} = {value}\n")
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=rf"\[run\], key '{key}'.*{command}"):
+        main([command, "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+    assert capsys.readouterr().out == ""

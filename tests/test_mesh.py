@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,9 @@ def test_rejects_invalid_input():
     with pytest.raises(ValueError):
         Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
              np.array([[0, 2, 1]]))
+    with pytest.raises(ValueError, match="vertex 1 has non-finite"):
+        Mesh(np.array([[0.0, 0.0], [np.inf, 0.0], [0.0, 1.0]]),
+             np.array([[0, 1, 2]]))
 
 
 def test_shared_face_normals_negate(mesh2):
@@ -129,4 +134,30 @@ def test_rejects_out_of_range_vertex_index(tmp_path, mesh2, ie, index):
     lines[row] = " ".join(lines[row].split()[:2] + [str(index)])
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"element {ie} "):
+        read_mesh_text(path)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("nan-vertex", r"vertex 3 has non-finite coordinates \[nan, 0\.5\]"),
+    ("trailing-tokens",
+     r"2 token\(s\) after the declared 9 vertices, 8 elements and 16 faces"),
+    ("non-integer-index", r"element 3: '1\.5' is not an integer"),
+])
+def test_malformed_mesh_file_names_the_file(tmp_path, mesh2, case, message):
+    """A non-finite coordinate made h_max nan, trailing tokens were
+    ignored and a non-integer index gave a bare int() error: each fails
+    naming the file and what is wrong in it."""
+    path = tmp_path / "bad.mesh"
+    write_mesh_text(mesh2, path)
+    lines = path.read_text().splitlines()
+    if case == "nan-vertex":
+        lines[1 + 3] = "nan 0.5"
+    elif case == "trailing-tokens":
+        lines.append("7 8")
+    else:
+        row = 1 + mesh2.n_vertices + 3
+        lines[row] = " ".join(lines[row].split()[:2] + ["1.5"])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError,
+                       match=f"mesh file {re.escape(str(path))}: {message}"):
         read_mesh_text(path)

@@ -163,9 +163,9 @@ def test_manufactured_member_rejects_compressible_velocity():
 
 def test_constant_ensemble_validation():
     with pytest.raises(ValueError):
-        constant_ensemble([1.0, 2.0], [(0, 0)], [1.0, 2.0])
+        constant_ensemble([1.0, 2.0], [(0, 0)], [1.0, 2.0], 0.1, "c")
     with pytest.raises(ValueError):
-        constant_ensemble([-1.0], [(0, 0)], [1.0])
-    spec = constant_ensemble([5.0], [(1.0, 2.0)], [3.0])
+        constant_ensemble([-1.0], [(0, 0)], [1.0], 0.1, "c")
+    spec = constant_ensemble([5.0], [(1.0, 2.0)], [3.0], 0.1, "c")
     x = np.array([0.1])
     assert spec.members[0].beta(x, x, 0.0)[0, 1] == 2.0

@@ -15,7 +15,7 @@ from ensemble_hdg.solver import (EnsembleSolver, Member, ProblemSpec,
                                  check_admissibility, choose_tau,
                                  initialize, state_samples)
 
-from oracles import dense_run, dense_step
+from oracles import dense_run, dense_step, lag_samples
 
 
 def constant_members(cs, betas):
@@ -196,7 +196,7 @@ def test_initialize_zero_and_polynomial(mesh2):
     members[0].u0 = lambda x, y: x * y + 0.5 * x ** 2 - y
     spec = ProblemSpec(members, autonomous=True)
     state = initialize(spec, disc)
-    s = state_samples(disc, state)
+    s = lag_samples(disc, state)
     X = disc.X_data
     x, y = X[..., 0], X[..., 1]
     assert np.abs(s["u"][0] - (x * y + 0.5 * x ** 2 - y)).max() < 1e-13
@@ -528,7 +528,7 @@ def test_rhs_from_moments_matches_sampled_rhs(mesh4, rng, plain_data):
     from ensemble_hdg.local import RHSTables, assemble_all_rhs, rhs_operators
     from ensemble_hdg.solver import EnsembleState
 
-    from oracles import lag_samples, local_rhs
+    from oracles import local_rhs
 
     spec = example1()
     if plain_data:

@@ -10,6 +10,7 @@ from ensemble_hdg.io import (load_config, problem_from_config,
                              write_convergence_csv, write_snapshot_csv,
                              write_snapshot_vtk)
 from ensemble_hdg.mesh import build_uniform_square_mesh
+from ensemble_hdg.postprocess import Postprocessor
 from ensemble_hdg.problems import example1, example3
 from ensemble_hdg.solver import EnsembleSolver
 from ensemble_hdg.study import (ConvergenceTable, convergence_study,
@@ -22,10 +23,11 @@ def test_observed_rates_synthetic():
     last other level."""
     for levels in (range(1, 6), (1, 3, 4), (1, 3, 3, 4)):
         for p in (1.0, 2.0, 3.0):
-            table = ConvergenceTable(0, "h", 1.0)
+            table = ConvergenceTable()
             for level in levels:
                 err = np.array([2.0 ** (-p * level)])
-                table.add_level(level, {"Eq": err, "Eu": err, "Eustar": err})
+                table.add_level(level, {"Eq": err, "Eu": err, "Eustar": err},
+                                {})
             for key in ("Eq", "Eu", "Eustar"):
                 rates = np.array(table.column(1, f"{key}_rate")[1:])
                 assert len(rates) == len(levels) - 1
@@ -286,11 +288,11 @@ def test_error_norm_quadrature_convergence():
 
 
 def test_convergence_table_rates_and_csv(tmp_path):
-    table = ConvergenceTable(0, "h", 1.0)
+    table = ConvergenceTable()
     table.add_level(1, {"Eq": np.array([0.4]), "Eu": np.array([0.2]),
-                        "Eustar": np.array([0.1])})
+                        "Eustar": np.array([0.1])}, {})
     table.add_level(2, {"Eq": np.array([0.2]), "Eu": np.array([0.05]),
-                        "Eustar": np.array([0.0125])})
+                        "Eustar": np.array([0.0125])}, {})
     assert table.final_rate(1, "Eq") == pytest.approx(1.0)
     assert table.final_rate(1, "Eu") == pytest.approx(2.0)
     assert table.final_rate(1, "Eustar") == pytest.approx(3.0)
@@ -303,7 +305,7 @@ def test_convergence_table_rates_and_csv(tmp_path):
 
 
 def test_empty_table_round_trip(tmp_path):
-    table = ConvergenceTable(1, "h3", 1.0)
+    table = ConvergenceTable()
     path = tmp_path / "empty.csv"
     write_convergence_csv(table, path)
     assert path.read_text().strip() == ",".join(ConvergenceTable.COLUMNS)
@@ -354,7 +356,7 @@ def test_convergence_study_requires_exact():
 
 
 def test_run_level_metadata():
-    errors, info, state = run_level(example1(), 2, 0, 0.25, 1.0)
+    errors, info, state = run_level(example1(), 2, 0, 0.25, 1.0, False)
     assert info["steps"] == 4
     assert info["factorizations"] == 1
     # n = 2: 3 n^2 - 2 n = 8 interior faces, one DOF each at k = 0
@@ -367,23 +369,27 @@ def test_snapshot_outputs(tmp_path, mesh2):
     disc = Discretization(mesh2, 1)
     solver = EnsembleSolver(disc, problem, dt=0.5)
     state = solver.run(1.0)
-    pts, u, ustar = snapshot_values(disc, state)
+    post = Postprocessor(disc)
+    star = post.apply(state.u, state.q, post.operator(np.stack(
+        [disc.sample_scalar(m.c, state.t) for m in problem.members])))
+    pts, u, ustar = snapshot_values(disc, state, star)
     assert pts.shape == (mesh2.n_elements, 4, 2)
-    assert u.shape == (3, mesh2.n_elements, 4)
+    assert u.shape == ustar.shape == (3, mesh2.n_elements, 4)
 
     csv_path = tmp_path / "snap.csv"
-    write_snapshot_csv(disc, state, csv_path)
+    write_snapshot_csv(disc, state, csv_path, star)
     lines = csv_path.read_text().splitlines()
-    assert lines[0] == "member,element,x,y,u"
+    assert lines[0] == "member,element,x,y,u,ustar"
     assert len(lines) == 1 + 3 * mesh2.n_elements * 4
 
     vtk_path = tmp_path / "snap.vtk"
-    write_snapshot_vtk(disc, state, vtk_path)
+    write_snapshot_vtk(disc, state, vtk_path, star)
     text = vtk_path.read_text().splitlines()
     assert text[0].startswith("# vtk DataFile")
     npts = int(text[4].split()[1])
     assert npts == 3 * mesh2.n_elements
     assert any(line.startswith("SCALARS u3") for line in text)
+    assert any(line.startswith("SCALARS ustar3") for line in text)
 
 
 def test_config_round_trip(tmp_path):
@@ -440,7 +446,20 @@ def test_config_custom_section_names_a_bad_entry(tmp_path):
      r"\[custom\], key 'J'.*'x'"),
     ("[custom]\nc = 1\nbeta_x = 0\nbeta_y = 0\nf = 1\nT = 1/2\n",
      r"\[custom\], key 'T'.*'1/2'"),
-], ids=["run-example", "run-degree", "run-T", "custom-J", "custom-T"])
+    ("[run]\nT = inf\n", r"\[run\], key 'T': final time T = inf"),
+    ("[custom]\nc = 1\nbeta_x = 0\nbeta_y = 0\nf = 1\nT = -1\n",
+     r"\[custom\], key 'T': final time T = -1\.0"),
+    ("[custom]\nc = 1, nan\nbeta_x = 0, 0\nbeta_y = 0, 0\nf = 1, 1\n",
+     r"\[custom\], key 'c': ' nan' is not finite"),
+    ("[custom]\nc = 1, 2\nbeta_x = 0, inf\nbeta_y = 0, 0\nf = 1, 1\n",
+     r"\[custom\], key 'beta_x': ' inf' is not finite"),
+    ("[custom]\nc = 1\nbeta_x = 0\nbeta_y = -inf\nf = 1\n",
+     r"\[custom\], key 'beta_y': '-inf' is not finite"),
+    ("[custom]\nc = 1\nbeta_x = 0\nbeta_y = 0\nf = nan\n",
+     r"\[custom\], key 'f': 'nan' is not finite"),
+], ids=["run-example", "run-degree", "run-T", "custom-J", "custom-T",
+        "run-T-inf", "custom-T-negative", "custom-c-nan", "custom-beta_x-inf",
+        "custom-beta_y-inf", "custom-f-nan"])
 def test_config_names_the_section_and_key_of_a_bad_number(tmp_path, text,
                                                          where):
     path = tmp_path / "bad.ini"
