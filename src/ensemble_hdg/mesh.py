@@ -43,6 +43,8 @@ class Mesh:
             raise ValueError("vertices must be (nv, 2)")
         if self.elements.ndim != 2 or self.elements.shape[1] != 3:
             raise ValueError("elements must be (ne, 3)")
+        if len(self.elements) == 0:
+            raise ValueError("mesh has no elements")
         finite = np.isfinite(self.vertices).all(axis=1)
         if not finite.all():
             bad = int(np.argmin(finite))
@@ -68,33 +70,28 @@ class Mesh:
         self.h_max = float(np.sqrt((edges ** 2).sum(-1)).max())
 
     def _build_faces(self):
-        ne = len(self.elements)
+        ne, nv = len(self.elements), len(self.vertices)
+        # row r is local edge r // ne of element r % ne
         pairs = np.concatenate(
             [self.elements[:, e] for e in _LOCAL_EDGES], axis=0
         )
-        keys = np.sort(pairs, axis=1)
-        faces_sorted, inverse, counts = np.unique(
-            keys, axis=0, return_inverse=True, return_counts=True
-        )
+        # lo * nv + hi sorts like the vertex pair (lo, hi); the stable sort
+        # keeps a face's rows in (local edge, element) order, so its first
+        # owner is its smallest (local edge, element) pair
+        key = pairs.min(axis=1) * nv + pairs.max(axis=1)
+        order = np.argsort(key, kind="stable")
+        starts = np.diff(key[order], prepend=-1) != 0
+        first = np.flatnonzero(starts)
+        counts = np.diff(first, append=len(key))
         if np.any(counts > 2):
             raise ValueError("non-conforming mesh: a face has > 2 elements")
-        nf = len(faces_sorted)
-        owner_elem = np.tile(np.arange(ne), 3)
-        owner_local = np.repeat(np.arange(3), ne)
-
-        face_elements = np.full((nf, 2), -1, dtype=np.int64)
-        face_local = np.full((nf, 2), -1, dtype=np.int64)
-        order = np.argsort(inverse, kind="stable")
-        _, first = np.unique(inverse[order], return_index=True)
-        e0 = owner_elem[order[first]]
-        l0 = owner_local[order[first]]
-        face_elements[:, 0] = e0
-        face_local[:, 0] = l0
         two = counts == 2
-        e1 = owner_elem[order[first[two] + 1]]
-        l1 = owner_local[order[first[two] + 1]]
-        face_elements[two, 1] = e1
-        face_local[two, 1] = l1
+
+        rows = np.full((len(first), 2), -1, dtype=np.int64)
+        rows[:, 0] = order[first]
+        rows[two, 1] = order[first[two] + 1]
+        face_elements = np.where(rows >= 0, rows % ne, -1)
+        face_local = np.where(rows >= 0, rows // ne, -1)
         # owner = lower element index defines the canonical orientation
         swap = two & (face_elements[:, 1] < face_elements[:, 0])
         face_elements[swap] = face_elements[swap][:, ::-1]
@@ -108,12 +105,9 @@ class Mesh:
         self.face_local = face_local
         self.boundary = counts == 1
 
-        elem_faces = np.empty((ne, 3), dtype=np.int64)
-        for side in range(2):
-            ok = face_elements[:, side] >= 0
-            elem_faces[face_elements[ok, side], face_local[ok, side]] = \
-                np.nonzero(ok)[0]
-        self.elem_faces = elem_faces
+        face_of_row = np.empty(len(key), dtype=np.int64)
+        face_of_row[order] = np.cumsum(starts) - 1
+        self.elem_faces = np.ascontiguousarray(face_of_row.reshape(3, ne).T)
 
     @property
     def n_vertices(self):
@@ -197,7 +191,10 @@ class BatchedGeometry:
     def points(self, ref):
         """Physical points (ne, npts, 2) of reference points ref (npts, 2)
         on every element."""
-        X = np.einsum("eij,qj->eqi", self.jacobian, ref)
+        # a product per column, not matmul: a BLAS kernel may fuse the
+        # multiply-add and round non-dyadic points differently
+        X = self.jacobian[:, None, :, 0] * ref[:, 0, None]
+        X += self.jacobian[:, None, :, 1] * ref[:, 1, None]
         X += self.corners[:, None, 0, :]
         return X
 

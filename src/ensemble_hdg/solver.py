@@ -166,12 +166,12 @@ def choose_tau(spec, mesh):
     """Stabilization constant tau = 1 + max_j sup ||beta_j(., 0)||_inf.
 
     The sup uses the max-component norm, sampled at t = 0 at element points
-    of the run mesh and two uniform refinements (quadrature-order
-    escalation on meshes that cannot be refined uniformly).
+    of the run mesh itself and its uniform 2n and 4n refinements
+    (quadrature-order escalation on meshes that cannot be refined).
     """
     if mesh.uniform_n is not None:
-        meshes = [build_uniform_square_mesh(mesh.uniform_n * s)
-                  for s in (1, 2, 4)]
+        meshes = [mesh] + [build_uniform_square_mesh(mesh.uniform_n * s)
+                           for s in (2, 4)]
         orders = [6, 6, 6]
     else:
         meshes = [mesh, mesh, mesh]

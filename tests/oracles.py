@@ -5,8 +5,9 @@ built by brute-force quadrature in a raw monomial basis and mapped over by
 explicit change-of-basis, the step RHS is a per-element quadrature sum of
 point samples of the previous state, the global stepper assembles the full
 uncondensed saddle system densely and solves it with numpy, the u*
-reconstruction is a dense constrained solve in a raw monomial basis, and
-the error observer is the per-member quadrature loop.
+reconstruction is a dense constrained solve in a raw monomial basis, the
+error observer is the per-member quadrature loop, and mesh connectivity
+is a loop over element edges into a dict.
 """
 
 import numpy as np
@@ -418,3 +419,34 @@ class LoopErrorAccumulator:
     def results(self):
         return {"Eu": self.eu_final.copy(), "Eq": np.sqrt(self.eq_sq),
                 "Eustar": np.sqrt(self.eustar_sq)}
+
+
+def face_connectivity(elements):
+    """Faces, face_elements, face_local, elem_faces and boundary of
+    elements (ne, 3), by a loop over element edges into a dict.
+
+    Faces are numbered in the order of their sorted vertex pairs and
+    stored as traversed by their lower-indexed element; their incident
+    elements are listed in increasing order.
+    """
+    incident = {}
+    for e, tri in enumerate(elements.tolist()):
+        for lf in range(3):
+            a, b = tri[lf], tri[(lf + 1) % 3]
+            incident.setdefault((min(a, b), max(a, b)), []).append(
+                (e, lf, (a, b)))
+    nf = len(incident)
+    faces = np.empty((nf, 2), dtype=np.int64)
+    face_elements = np.full((nf, 2), -1, dtype=np.int64)
+    face_local = np.full((nf, 2), -1, dtype=np.int64)
+    elem_faces = np.full((len(elements), 3), -1, dtype=np.int64)
+    for f, key in enumerate(sorted(incident)):
+        owners = sorted(incident[key])
+        faces[f] = owners[0][2]
+        for side, (e, lf, _) in enumerate(owners):
+            face_elements[f, side] = e
+            face_local[f, side] = lf
+            elem_faces[e, lf] = f
+    return {"faces": faces, "face_elements": face_elements,
+            "face_local": face_local, "elem_faces": elem_faces,
+            "boundary": face_elements[:, 1] == -1}

@@ -3,9 +3,12 @@ import re
 import numpy as np
 import pytest
 
+from ensemble_hdg.basis import triangle_quadrature
 from ensemble_hdg.mesh import (Mesh, BatchedGeometry,
                                build_uniform_square_mesh, read_mesh_text,
                                write_mesh_text)
+
+from oracles import face_connectivity
 
 
 def test_single_cell_split():
@@ -58,6 +61,49 @@ def test_rejects_invalid_input():
     with pytest.raises(ValueError, match="vertex 1 has non-finite"):
         Mesh(np.array([[0.0, 0.0], [np.inf, 0.0], [0.0, 1.0]]),
              np.array([[0, 1, 2]]))
+    with pytest.raises(ValueError, match="mesh has no elements"):
+        Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+             np.empty((0, 3), dtype=int))
+    # three triangles on the edge (0, 0)-(1, 0), two above it, one below
+    with pytest.raises(ValueError,
+                       match="non-conforming mesh: a face has > 2 elements"):
+        Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0],
+                       [0.5, -1.0]]),
+             np.array([[0, 1, 2], [0, 1, 3], [1, 0, 4]]))
+
+
+def jittered_mesh(n, rng):
+    """The uniform n mesh with its interior vertices moved by up to a
+    fifth of a cell, which keeps every element counter-clockwise."""
+    m = build_uniform_square_mesh(n)
+    vertices = m.vertices.copy()
+    interior = np.all((vertices > 0) & (vertices < 1), axis=1)
+    vertices[interior] += rng.uniform(-0.2, 0.2, (interior.sum(), 2)) / n
+    return Mesh(vertices, m.elements)
+
+
+def shuffled_mesh(n, rng):
+    """The uniform n mesh with its element rows shuffled and each
+    element's vertices rotated by 0, 1 or 2 places."""
+    m = build_uniform_square_mesh(n)
+    elements = m.elements[rng.permutation(m.n_elements)]
+    shift = rng.integers(0, 3, (len(elements), 1))
+    rotated = np.take_along_axis(elements, (np.arange(3) + shift) % 3, 1)
+    return Mesh(m.vertices, rotated)
+
+
+@pytest.mark.parametrize("kind, n", [("uniform", n) for n in range(1, 6)]
+                         + [("jittered", 4), ("shuffled", 4),
+                            ("shuffled", 5)])
+def test_connectivity_matches_the_loop_oracle(kind, n, rng):
+    if kind == "uniform":
+        m = build_uniform_square_mesh(n)
+    elif kind == "jittered":
+        m = jittered_mesh(n, rng)
+    else:
+        m = shuffled_mesh(n, rng)
+    for name, want in face_connectivity(m.elements).items():
+        assert np.array_equal(getattr(m, name), want), name
 
 
 def test_shared_face_normals_negate(mesh2):
@@ -95,6 +141,22 @@ def test_element_geometry_uniform_areas(mesh2):
     g = BatchedGeometry(mesh2)
     assert len(g.det) == mesh2.n_elements
     assert np.abs(0.5 * g.det - 1 / 8).max() < 1e-15
+
+
+def test_points_round_as_two_products_and_two_sums():
+    """On a mesh whose points are not dyadic, a fused multiply-add (as in
+    a BLAS kernel) rounds some of them differently: the map stays exactly
+    v0 + (B[:, 0] r0 + B[:, 1] r1) in Python floats."""
+    m = build_uniform_square_mesh(3)
+    g = BatchedGeometry(m)
+    ref = triangle_quadrature(8).points
+    X = g.points(ref)
+    for e in range(m.n_elements):
+        (b00, b01), (b10, b11) = g.jacobian[e].tolist()
+        x0, y0 = g.corners[e, 0].tolist()
+        for q, (r0, r1) in enumerate(ref.tolist()):
+            assert X[e, q].tolist() == [b00 * r0 + b01 * r1 + x0,
+                                        b10 * r0 + b11 * r1 + y0]
 
 
 def test_mesh_text_roundtrip(tmp_path, mesh4):
@@ -142,11 +204,13 @@ def test_rejects_out_of_range_vertex_index(tmp_path, mesh2, ie, index):
     ("trailing-tokens",
      r"2 token\(s\) after the declared 9 vertices, 8 elements and 16 faces"),
     ("non-integer-index", r"element 3: '1\.5' is not an integer"),
+    ("no-elements", "mesh has no elements"),
 ])
 def test_malformed_mesh_file_names_the_file(tmp_path, mesh2, case, message):
     """A non-finite coordinate made h_max nan, trailing tokens were
-    ignored and a non-integer index gave a bare int() error: each fails
-    naming the file and what is wrong in it."""
+    ignored, a non-integer index gave a bare int() error and a mesh with
+    no elements a numpy reduction error: each fails naming the file and
+    what is wrong in it."""
     path = tmp_path / "bad.mesh"
     write_mesh_text(mesh2, path)
     lines = path.read_text().splitlines()
@@ -154,6 +218,8 @@ def test_malformed_mesh_file_names_the_file(tmp_path, mesh2, case, message):
         lines[1 + 3] = "nan 0.5"
     elif case == "trailing-tokens":
         lines.append("7 8")
+    elif case == "no-elements":
+        lines = ["0 0 0"]
     else:
         row = 1 + mesh2.n_vertices + 3
         lines[row] = " ".join(lines[row].split()[:2] + ["1.5"])

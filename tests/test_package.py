@@ -5,14 +5,17 @@ No linter is installed, so these tests parse the sources instead: every
 public top-level function or class of ensemble_hdg must be referenced by
 some module of the library or of the benchmark, other than by its own
 definition and the package's re-exports; every attribute a class of the
-library sets on self must be read by a static attribute access there; no
-module of the library sets a private attribute on an object other than
+library sets on self must be read by a static attribute access there,
+and none may be named like a public ndarray attribute, whose reads such
+an access cannot tell apart; no module of the library sets a private attribute on an object other than
 self; and every name a module of the library, the tests or the benchmark
 imports must be used in that module or listed in its __all__.
 """
 
 import ast
 from pathlib import Path
+
+import numpy as np
 
 import ensemble_hdg
 
@@ -103,6 +106,16 @@ def test_every_discretization_table_is_read():
     unread = sorted({f"{cls}.{attr}" for cls, attr in fields
                      if attr not in reads} - UNREAD_FIELDS)
     assert not unread, f"set on self but nothing reads: {unread}"
+
+
+def test_no_field_is_named_like_an_ndarray_attribute():
+    """attribute_reads counts `a.T` on any array as a read of every field
+    named T, so a field named like a public ndarray attribute would pass
+    the unread-field guard unread."""
+    shadowed = {name for name in dir(np.ndarray) if not name.startswith("_")}
+    found = sorted({f"{cls}.{attr}" for cls, attr in class_attributes()
+                    if attr in shadowed})
+    assert not found, f"fields named like ndarray attributes: {found}"
 
 
 def foreign_private_assignments(path):
