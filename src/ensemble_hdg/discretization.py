@@ -6,7 +6,8 @@ on the reference element only (callers apply B^-T), batched affine-map
 geometry and the global trace DOF layout.  The layout is decided here
 alone: from one numbering, `trace_dof`, come the CSC pattern of the trace
 matrix, `trace_pattern`, the sparse scatter `trace_scatter` from element
-trace rows to global DOFs and its transpose, `trace_gather`.
+trace rows to global DOFs and its transpose, `trace_gather`.  Interior
+faces are numbered by nested dissection, so the LU needs no ordering.
 
 One family of rules, the "data" rules of order 2k+4 on elements and faces,
 serves every integral: the mean-coefficient blocks, the lagged deviations,
@@ -30,6 +31,9 @@ from .mesh import BatchedGeometry
 # reference-triangle corners, indexed by local vertex
 _REF_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
+# nested dissection stops splitting a part of at most this many elements
+_ND_LEAF = 8
+
 
 def reference_face_points(s):
     """Reference-triangle coordinates of edge parameters s on each face.
@@ -44,6 +48,43 @@ def reference_face_points(s):
     pb = np.stack([ra, rb], axis=1)
     return pa[:, :, None, :] + s[None, None, :, None] * \
         (pb - pa)[:, :, None, :]
+
+
+def _nested_dissection_positions(mesh):
+    """The position of each interior face in a nested-dissection order of
+    the trace DOFs (George 1973), -1 on boundary faces.
+
+    Level by level, each part of more than `_ND_LEAF` elements is bisected
+    at the median of its centroids along its longer extent; the halves
+    an element lands in spell its code, one bit a level (0 in a part not
+    split).  A face whose elements part at some level joins that node's
+    separator, any other face its leaf.  A node s levels above the leaves
+    with code prefix p covers the codes below (p + 1) 2^s: sorting by that
+    end, then by s, numbers each separator after both its halves.
+    """
+    ne = mesh.n_elements
+    cen = mesh.vertices[mesh.elements].mean(axis=1)
+    code = np.zeros(ne, dtype=np.int64)
+    rows = np.arange(ne)
+    while (counts := np.bincount(code)).max() > _ND_LEAF:
+        split = counts > _ND_LEAF
+        lo = np.full((len(counts), 2), np.inf)
+        hi = -lo
+        np.minimum.at(lo, code, cen)
+        np.maximum.at(hi, code, cen)
+        axis = np.argmax(hi - lo, axis=1)[code]
+        order = np.lexsort((cen[rows, 1 - axis], cen[rows, axis], code))
+        rank = np.empty(ne, dtype=np.int64)
+        rank[order] = rows - (np.cumsum(counts) - counts)[code[order]]
+        code = 2 * code + (split[code] & (rank >= counts[code] // 2))
+    interior = np.flatnonzero(~mesh.boundary)
+    c0, c1 = code[mesh.face_elements[interior].T]
+    # s is the bit length of the codes' difference, 0 inside a leaf
+    s = np.frexp((c0 ^ c1).astype(float))[1]
+    pos = np.full(mesh.n_faces, -1)
+    pos[interior[np.lexsort((s, ((c0 >> s) + 1) << s))]] = \
+        np.arange(len(interior))
+    return pos
 
 
 class Discretization:
@@ -125,8 +166,7 @@ class Discretization:
     def _build_trace_dofs(self):
         mesh = self.mesh
         ne, nfd = mesh.n_elements, self.ndof_face
-        pos = np.cumsum(~mesh.boundary) - 1
-        pos[mesh.boundary] = -1
+        pos = _nested_dissection_positions(mesh)
         n = self.n_trace_dofs = mesh.n_interior_faces * nfd
         fpos = pos[mesh.elem_faces]  # (ne, 3)
         dof = fpos[..., None] * nfd + np.arange(nfd)

@@ -14,21 +14,23 @@ samples against a table that holds no coefficient.
 Three terms carry a coefficient: the c mass (c q, r), the convection
 (β·∇u, v) and the face rows <β·n u, v̂>.  The ensemble scheme splits each
 into a mean part (c̄, β̄), implicit, and a deviation part (c̄ - c_j,
-β̄ - β_j), lagged onto the right-hand side.  Both are the same terms of
-other samples, so one kernel, `_coefficient_terms`, builds them from
-samples with any leading axes: `assemble_all_blocks` applies it to the
-means, `rhs_operators` to the deviations.  Built from the same tables and
-data rules, the two parts add up to each member's own operator.
+β̄ - β_j), lagged onto the right-hand side.  The coefficients are sums
+Σ_m θ_m φ_m of shared spatial modes, and each term is linear in them, so
+one kernel, `_coefficient_terms`, builds the terms of every mode once
+(`ModeTerms`): `assemble_all_blocks` weights them with the mean weights
+θ̄, `rhs_operators` with the deviation weights θ̄ - θ_j, and a mode whose
+weights are all zero adds nothing.  Built from the same tables and data
+rules, the two parts add up to each member's own operator.
 
 `BlockTables` holds, once per (discretization, tau, dt), what no
 coefficient touches, and the degree-k `RHSTables` as `lag`; a
-time-dependent mean costs a few small GEMMs per step.  `rhs_operators`
-maps the previous [q | u] of each (member, element) to the RHS, the
-(1/dt) mass and the lagged deviations; `assemble_all_rhs` applies them
-and adds the data rows.  Those rows are linear in the data: `source_rows`
-takes the moments of source samples and `boundary_rows` those of
-Dirichlet samples, so the solver applies both to the spatial factors of
-separable data once and a step only combines them.
+time-dependent mean costs a weighted sum of the mode terms per step.
+`rhs_operators` maps the previous [q | u] of each (member, element) to
+the RHS, the (1/dt) mass and the lagged deviations; `assemble_all_rhs`
+applies them and adds the data rows.  Those rows are linear in the data:
+`source_rows` takes the moments of source samples and `boundary_rows`
+those of Dirichlet samples, so the solver applies both to the spatial
+factors of separable data once and a step only combines them.
 """
 
 import numpy as np
@@ -58,10 +60,11 @@ class BlockTables:
     def __init__(self, disc, tau, dt):
         ne = disc.mesh.n_elements
         tau = np.broadcast_to(np.asarray(tau, dtype=float), (ne,))
-        if np.any(tau <= 0):
-            raise ValueError("tau must be positive on every element")
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        if not np.all(np.isfinite(tau) & (tau > 0)):
+            raise ValueError("tau must be positive and finite on every "
+                             "element")
+        if not (np.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {dt}")
         basis = disc.elem_basis
         d, nfd = disc.ndof_u, disc.ndof_face
         w, V = disc.w_data, disc.V_data
@@ -110,25 +113,29 @@ class BlockTables:
             table.flags.writeable = False
 
 
-def assemble_all_blocks(disc, tables, cbar, bbar, bbar_face):
+def assemble_all_blocks(disc, tables, terms, weights):
     """Batched local matrices: (A_II, A_IT, A_TI, A_TT) over all elements.
 
-    tables are the `BlockTables` of the discretization; cbar (ne, nq),
-    bbar (ne, nq, 2) sample the means at the element data rule, bbar_face
-    (ne, 3, nqf, 2) at the face data rule.  A_IT and A_TT hold no coefficient:
-    they are the read-only arrays of `tables`, shared by every call.
+    tables are the `BlockTables` of the discretization and terms the
+    `ModeTerms` of the modes against `tables.lag`; weights (Mc + Mb,) are
+    the mean weights of the c-modes, then of the velocity modes.  A_IT
+    and A_TT hold no coefficient: they are the read-only arrays of
+    `tables`, shared by every call.
     """
-    if np.any(cbar <= 0):
+    nc = len(terms.c)
+    cbar = mode_sum(weights[:nc], terms.c)
+    if cbar.min() <= 0:
         bad = int(np.argmax((cbar <= 0).any(axis=1)))
         raise CoefficientError(
             f"element {bad}: mean inverse-diffusion sample <= 0")
     d = disc.ndof_u
-    mass_c, conv, face = _coefficient_terms(disc, tables.lag, cbar, bbar,
-                                            bbar_face)
+    mass_c = mode_sum(weights[:nc], terms.mass)
+    conv = mode_sum(weights[nc:], terms.conv)
+    face = mode_sum(weights[nc:], terms.face)
     A_II = tables.A_II.copy()
     A_TI = tables.A_TI.copy()
-    A_II[:, :d, :d] += mass_c
-    A_II[:, d:2 * d, d:2 * d] += mass_c
+    # the q-q blocks hold nothing but the c mass
+    A_II[:, :d, :d] = A_II[:, d:2 * d, d:2 * d] = mass_c
     A_II[:, 2 * d:, 2 * d:] += conv
     A_TI[:, :, 2 * d:] -= face
     return A_II, tables.A_IT, A_TI, tables.A_TT
@@ -245,18 +252,21 @@ def _product_tables(disc, basis):
 
 def _coefficient_terms(disc, tables, c, b, b_face):
     """The coefficient terms of samples c (..., ne, nq), b (..., ne, nq, 2)
-    at the data rule and b_face (..., ne, 3, nqf, 2) at the face data rule.
+    at the data rule and b_face (..., ne, 3, nqf, 2) at the face data rule;
+    c and b may have different leading axes.
 
     Returns the c mass (..., ne, d, d), the b·∇u block (..., ne, d, din)
     and the <b·n u, v̂> rows (..., ne, 3nfd, din) on every local face, each
     one GEMM against `tables` (an `RHSTables` of input degree din).
     """
-    lead, nq = c.shape[:-1], c.shape[-1]
+    nq = c.shape[-1]
     d, nfd = disc.ndof_u, disc.ndof_face
     din = tables.mass.shape[1]
     geom = disc.geom
     detJ = geom.det[:, None, None]
-    mass = (c.reshape(-1, nq) @ tables.mass_q).reshape(lead + (d, d)) * detJ
+    mass = (c.reshape(-1, nq) @ tables.mass_q).reshape(
+        c.shape[:-1] + (d, d)) * detJ
+    lead = b.shape[:-2]
     # b·∇u = Σ_r [b B^-T]_r ∂_r u in each element's reference coordinates
     bt = np.matmul(b, geom.inv_t)
     conv = (bt.reshape(-1, 2 * nq) @ tables.conv).reshape(
@@ -274,14 +284,38 @@ def _coefficient_terms(disc, tables, c, b, b_face):
     return mass, conv, face
 
 
+class ModeTerms:
+    """The `_coefficient_terms` mass (Mc, ne, d, d), conv (Mb, ne, d, din)
+    and face (Mb, ne, 3nfd, din) of the c-modes c (Mc, ne, nq) and the
+    velocity modes b (Mb, ne, nq, 2), b_face (Mb, ne, 3, nqf, 2), against
+    `tables`, an `RHSTables` of input degree din."""
+
+    def __init__(self, disc, tables, c, b, b_face):
+        self.tables = tables
+        self.c, self.b, self.b_face = c, b, b_face
+        self.mass, self.conv, self.face = _coefficient_terms(
+            disc, tables, c, b, b_face)
+
+
+def mode_sum(weights, modes):
+    """Σ_m weights[..., m] modes[m]: a mode whose weights are all zero
+    adds nothing and is skipped."""
+    live = weights.reshape(-1, len(modes)).any(axis=0)
+    flat = modes.reshape(len(modes), -1)
+    if not live.all():
+        weights, flat = weights[..., live], flat[live]
+    # OpenBLAS takes about 5x longer for a product over one mode than two
+    out = weights[..., :1] * flat[0] if len(flat) == 1 else weights @ flat
+    return out.reshape(weights.shape[:-1] + modes.shape[1:])
+
+
 class RHSOperators:
     """Per-(member, element) maps from previous coefficients to the RHS.
 
     mass_c (J, ne, d, d) is the (c̄ - c_j) mass applied to each component
-    of q, None when there are no deviations (J = 1).  u_op (J, ne,
-    d + 3nfd, din) maps the previous u to the u-rows ((1/dt) mass plus
-    (β̄ - β_j)·∇) and to the trace rows (-<(β̄ - β_j)·n u, v̂> on interior
-    faces, zero on boundary faces).
+    of q.  u_op (J, ne, d + 3nfd, din) maps the previous u to the u-rows
+    ((1/dt) mass plus (β̄ - β_j)·∇) and to the trace rows
+    (-<(β̄ - β_j)·n u, v̂> on interior faces, zero on boundary faces).
     """
 
     def __init__(self, mass_c, u_op):
@@ -289,26 +323,25 @@ class RHSOperators:
         self.u_op = u_op
 
 
-def rhs_operators(disc, tables, dt, J, c_dev, b_dev, b_dev_face):
-    """Build the RHS operators of J members from their deviation samples.
-
-    c_dev (J,ne,nq) and b_dev (J,ne,nq,2) are mean-minus-member samples at
-    the data rule, b_dev_face (J,ne,3,nqf,2) at the face data rule; all
-    three are None when the deviations vanish.  The input degree of u is
-    that of `tables`.
+def rhs_operators(disc, terms, dt, dev):
+    """Build the RHS operators of J members from their deviation weights
+    dev (J, Mc + Mb), θ̄ - θ_j over the c-modes, then the velocity modes,
+    and the `ModeTerms` of those modes.  The input degree of u is that of
+    `terms.tables`.
     """
     mesh = disc.mesh
     d, nfd = disc.ndof_u, disc.ndof_face
-    u_op = np.zeros((J, mesh.n_elements, d + 3 * nfd, tables.mass.shape[1]))
-    u_op[:, :, :d] = disc.geom.det[:, None, None] / dt * tables.mass
-    if c_dev is None:
-        return RHSOperators(None, u_op)
-    mass_c, conv, face = _coefficient_terms(disc, tables, c_dev, b_dev,
-                                            b_dev_face)
-    u_op[:, :, :d] += conv
+    nc = len(terms.c)
+    mass_c = mode_sum(dev[:, :nc], terms.mass)
+    u_op = np.empty((len(dev), mesh.n_elements, d + 3 * nfd,
+                     terms.conv.shape[-1]))
+    np.add(mode_sum(dev[:, nc:], terms.conv),
+           disc.geom.det[:, None, None] / dt * terms.tables.mass,
+           out=u_op[:, :, :d])
     # boundary faces carry no trace unknowns: their rows stay zero
     bnd_rows = np.repeat(mesh.boundary[mesh.elem_faces], nfd, axis=1)
-    u_op[:, :, d:] = np.where(bnd_rows[:, :, None], 0.0, -face)
+    u_op[:, :, d:] = np.where(bnd_rows[:, :, None], 0.0,
+                              -mode_sum(dev[:, nc:], terms.face))
     return RHSOperators(mass_c, u_op)
 
 
@@ -347,11 +380,8 @@ def assemble_all_rhs(disc, ops, data_rows, u_prev, q_prev):
     b_int = np.empty_like(data_rows)
     np.add(data_rows[:, :, 2 * d:], lag[:, :, :d], out=b_int[:, :, 2 * d:])
     b_tr = np.ascontiguousarray(lag[:, :, d:])
-    if ops.mass_c is None:
-        b_int[:, :, :2 * d] = data_rows[:, :, :2 * d]
-    else:
-        # the (c̄ - c_j) mass is symmetric: apply it to the rows [qx; qy]
-        np.add(data_rows[:, :, :2 * d], np.matmul(
-            q_prev.reshape(J, ne, 2, d), ops.mass_c).reshape(J, ne, 2 * d),
-            out=b_int[:, :, :2 * d])
+    # the (c̄ - c_j) mass is symmetric: apply it to the rows [qx; qy]
+    np.add(data_rows[:, :, :2 * d], np.matmul(
+        q_prev.reshape(J, ne, 2, d), ops.mass_c).reshape(J, ne, 2 * d),
+        out=b_int[:, :, :2 * d])
     return b_int, b_tr

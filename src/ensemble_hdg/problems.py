@@ -21,6 +21,7 @@ other fields are sampled and mapped at every call.
 import numpy as np
 import sympy
 
+from .local import mode_sum
 from .solver import Member, ProblemSpec
 
 _X, _Y, _T = sympy.symbols("x y t")
@@ -110,18 +111,20 @@ class FieldStack:
 
     `project` maps samples (m, npts) at the bound points to images
     (m, ...) linearly.  When every field is a SeparableField, the spatial
-    factors S_i are sampled and projected once, here, and a call only
-    evaluates the scalars T_i(t) and adds up the images of the S_i.  Any
-    other field makes every call sample all the fields and project them.
+    factors S_i of all the fields, one mode per distinct set of samples at
+    the bound points, are projected once, here; a call only evaluates the
+    weights θ(t) (m, M), the T_i(t) summed per mode, and sums the M mode
+    images with them (`local.mode_sum`).  Any other field makes every call
+    sample all the fields as modes, with the identity as weights.
 
     `residual`, when given, maps samples (m, npts) to what the projection
     loses, scaled so that the squared norm of the loss is the sum of the
     squares: the L2 residual times the square roots of the quadrature
     weights.  `split` then also returns those squared norms.  For
-    separable fields they come from the Gram matrices
-    G_il = (S_i - Pi S_i, S_l - Pi S_l) of the residual samples: taking
-    them as ||S||^2 - ||Pi S||^2 instead would cancel the digits of a
-    small residual.
+    separable fields they come from the Gram matrix
+    G_ml = (S_m - Pi S_m, S_l - Pi S_l) of the modes' residual samples:
+    taking them as ||S||^2 - ||Pi S||^2 instead would cancel the digits
+    of a small residual.
 
     The coordinate arrays are bound here and treated as immutable.
     """
@@ -129,22 +132,21 @@ class FieldStack:
     def __init__(self, fields, x, y, project, residual):
         self._fields, self._x, self._y = fields, x, y
         self._project, self._residual = project, residual
-        self._t_fns = None
-        if not all(isinstance(f, SeparableField) for f in fields):
+        self.separable = all(isinstance(f, SeparableField) for f in fields)
+        if not self.separable:
             return
-        nterm = max(len(f._t_fns) for f in fields)
-        S = np.zeros((len(fields), nterm, np.shape(x)[0]))
+        modes, index, self._factors = [], {}, []
         for j, f in enumerate(fields):
-            for i, sv in enumerate(f._spatial(x, y)):
-                S[j, i] = sv
-        flat = S.reshape(-1, S.shape[-1])
-        images = project(flat)
-        self._shape = images.shape[1:]
-        self._images = images.reshape(len(fields), nterm, -1)
+            for tf, sv in zip(f._t_fns, f._spatial(x, y)):
+                m = index.setdefault(sv.tobytes(), len(modes))
+                if m == len(modes):
+                    modes.append(sv)
+                self._factors.append((j, m, tf))
+        S = np.stack(modes)
+        self._images = project(S)
         if residual is not None:
-            R = residual(flat).reshape(len(fields), nterm, -1)
-            self._gram = np.matmul(R, np.swapaxes(R, 1, 2))
-        self._t_fns = [f._t_fns for f in fields]
+            R = residual(S)
+            self._gram = R @ R.T
 
     def _samples(self, t):
         x = self._x
@@ -153,32 +155,29 @@ class FieldStack:
                             np.shape(x))
             for f in self._fields])
 
-    def _coefficients(self, t):
-        C = np.zeros(self._images.shape[:2])
-        for j, fns in enumerate(self._t_fns):
-            for i, tf in enumerate(fns):
-                C[j, i] = tf(t)
-        return C
-
-    def _combine(self, C):
-        return np.einsum("jk,jkp->jp", C, self._images).reshape(
-            (len(self._fields),) + self._shape)
+    def modes(self, t):
+        """The weights θ(t) (m, M) and the images (M, ...) of the modes at
+        time t; the images of separable fields are the same at every t."""
+        if not self.separable:
+            return np.eye(len(self._fields)), self._project(self._samples(t))
+        W = np.zeros((len(self._fields), len(self._images)))
+        for j, m, tf in self._factors:
+            W[j, m] += tf(t)
+        return W, self._images
 
     def __call__(self, t):
         """The images (m, ...) of the fields at time t."""
-        if self._t_fns is None:
-            return self._project(self._samples(t))
-        return self._combine(self._coefficients(t))
+        return mode_sum(*self.modes(t))
 
     def split(self, t):
         """The images at time t and the squared norms (m,) of the
         residuals the projection leaves."""
-        if self._t_fns is None:
+        if not self.separable:
             samples = self._samples(t)
             return (self._project(samples),
                     (self._residual(samples) ** 2).sum(-1))
-        C = self._coefficients(t)
-        return self._combine(C), np.einsum("ji,jil,jl->j", C, self._gram, C)
+        W = self.modes(t)[0]
+        return mode_sum(W, self._images), ((W @ self._gram) * W).sum(1)
 
 
 def stack_separable_fields(fields, x, y):
@@ -288,8 +287,13 @@ def constant_ensemble(c_values, beta_values, f_values, default_T, name):
     """Ensemble with constant coefficients, g = 0 and u0 = 0.
 
     c_values, f_values are per-member scalars; beta_values per-member
-    (bx, by) pairs.  This is the family expressible in config files.
+    (bx, by) pairs.  This is the family expressible in config files.  c,
+    β and f are SeparableFields of the one spatial factor 1, so the
+    members share one mode per coefficient.
     """
+    def constant(value):
+        return SeparableField([lambda t: value], [lambda x, y: 1.0])
+
     if not len(c_values) == len(beta_values) == len(f_values):
         raise ValueError("member lists must have equal length")
     members = []
@@ -298,10 +302,9 @@ def constant_ensemble(c_values, beta_values, f_values, default_T, name):
         if cj <= 0:
             raise ValueError("inverse diffusion must be positive")
         members.append(Member(
-            c=lambda x, y, t, cj=cj: np.full_like(x, cj),
-            beta=lambda x, y, t, bx=bx, by=by: np.stack(
-                [np.full_like(x, bx), np.full_like(x, by)], axis=-1),
-            f=lambda x, y, t, fj=fj: np.full_like(x, fj),
+            c=constant(cj),
+            beta=VectorField(constant(bx), constant(by)),
+            f=constant(fj),
             g=lambda x, y, t: np.zeros_like(x),
             u0=lambda x, y: np.zeros_like(x),
         ))

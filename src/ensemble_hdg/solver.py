@@ -5,23 +5,24 @@ ensemble-mean coefficients and J right-hand sides carrying the per-member
 data and the lagged deviation terms; all members are advanced with the same
 factorization.
 
-Everything a step builds from the coefficients is cached with the
-coefficient samples it was built from.  c and β are sampled once per time
-level, as one (J, ...) set at the element and face data points, through
-joint evaluators bound to those points at construction.  Their means feed
-the blocks and the fingerprint, their deviations the lag operators: both
-parts of the split see the same samples and the same quadrature rules.
-The trace factorization is keyed on the fingerprint of the mean samples.
-The solver holds the `local.BlockTables` of its (tau, dt): the blocks are
-rebuilt from them by a few GEMMs of the mean samples whenever the
-fingerprint changes.  The RHS operators (the per-member, per-element
-linear maps from the previous [q | u] coefficients to the RHS, see
-`local.rhs_operators`) are built from the deviation samples and live in
-the same sample set.  Autonomous coefficients are sampled once, so both are
-built once.  Time-dependent coefficients are re-sampled every step: the
-operators are rebuilt every step, and the factorization whenever the mean
-fingerprint changes.  Step 1 reads the degree-(k+1) initial projection; its
-operators are built from their own tables for that step and not kept.
+c and β enter through shared spatial modes: c_j(x, t) = Σ_m θ_jm(t) φ_m(x),
+and each component of β_j alike (a mode ψ of β_x is the velocity mode
+e_x ψ), read through `problems.FieldStack` evaluators bound to the element
+and face data points.  For separable fields the modes are their distinct
+spatial factors, and the c-mass, β·∇u and <β·n u, v̂> terms of each mode
+(`local.ModeTerms`) are built once; a time level only evaluates the
+weights θ(t).  Other fields make the members' samples at each level the
+modes, with identity weights.  The mean weights θ̄ build the blocks, as
+the `local.BlockTables` of the solver's (tau, dt) plus Σ θ̄_m times the
+terms of mode m, and key the trace factorization, whose fingerprint
+hashes θ̄ and a token of the modes; the deviation weights θ̄ - θ_j build
+the RHS operators (the per-member, per-element maps from the previous
+[q | u] coefficients to the RHS, see `local.rhs_operators`), which are
+kept until those weights change.  Both parts of the split see the same
+modes and quadrature rules.  Autonomous coefficients are evaluated once;
+time-dependent ones refactorize whenever θ̄ changes.  Step 1 reads the
+degree-(k+1) initial projection; its operators are built from mode terms
+of that degree for that step and not kept.
 
 The sources f and Dirichlet data g enter a step as interior-row moments,
 (J, ne, 3d), read through `problems.FieldStack` evaluators: for separable
@@ -33,6 +34,8 @@ unless a member's data are plain callables.
 States are immutable: step() returns a fresh state, the previous one is
 never written to, so observers may safely keep references.
 """
+
+import hashlib
 
 import numpy as np
 
@@ -269,8 +272,10 @@ class EnsembleSolver:
 
     def __init__(self, disc, spec, dt, tau=None, strict_admissibility=False,
                  check_residuals=False):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (np.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {dt}")
+        if tau is not None and not (np.isfinite(tau) and tau > 0):
+            raise ValueError(f"tau must be positive and finite, got {tau}")
         self.disc = disc
         self.spec = spec
         self.dt = float(dt)
@@ -283,18 +288,21 @@ class EnsembleSolver:
         self.system = None
         self.cond = None
         self._fp = None
+        self._modes = None
+        self._ops = None
         self._block_tables = local.BlockTables(disc, self.tau, self.dt)
         # joint evaluators of the member data at fixed points
         from .problems import (FieldStack, stack_separable_fields,
                                vector_components)
 
         x, y = disc.x_data_flat, disc.y_data_flat
-        betas = [b for m in spec.members for b in vector_components(m.beta)]
+        betas = [vector_components(m.beta) for m in spec.members]
         self._c_vals = stack_separable_fields(
             [m.c for m in spec.members], x, y)
-        self._b_vals = stack_separable_fields(betas, x, y)
-        self._bf_vals = stack_separable_fields(
-            betas, disc.xf_fdata_flat, disc.yf_fdata_flat)
+        # β_x and β_y at the element data points, then the face data points
+        self._b_vals = [stack_separable_fields(
+            [b[i] for b in betas], np.concatenate([x, disc.xf_fdata_flat]),
+            np.concatenate([y, disc.yf_fdata_flat])) for i in (0, 1)]
         # f and g enter the step as interior-row moments: separable data
         # are projected here, once, and a step adds T_i(t) times them
         bnd_op = local.boundary_data_operator(disc, self.tau)
@@ -307,59 +315,62 @@ class EnsembleSolver:
             Xb[..., 1].ravel(),
             lambda g_vals: local.boundary_rows(disc, bnd_op, g_vals), None)
         if spec.autonomous:
-            self._coeff_cache = self._coefficient_samples(0.0)
+            self._coeff_cache = self._coefficients(0.0)
             self._ensure_system(self._coeff_cache)
 
-    # -- coefficient sampling ------------------------------------------------
+    # -- coefficient modes -----------------------------------------------
 
-    def _coefficient_samples(self, t):
-        """The members' c and β at level t, their means and deviations."""
-        disc, J = self.disc, self.spec.J
-        ne = disc.mesh.n_elements
-        c = self._c_vals(t).reshape(J, ne, -1)
-        # the components come member by member: (J, 2, ...) -> (J, ..., 2)
-        b = np.moveaxis(self._b_vals(t).reshape(J, 2, ne, -1), 1, -1)
-        bf = np.moveaxis(self._bf_vals(t).reshape(J, 2, ne, 3, -1), 1, -1)
-        cbar, bbar, bbar_f = c.mean(0), b.mean(0), bf.mean(0)
-        out = {
-            "cbar": cbar, "bbar": bbar, "bbar_face": bbar_f,
-            "fingerprint": coefficient_fingerprint(
-                disc.mesh.content_token(), disc.k, self.dt,
-                np.atleast_1d(self.tau), cbar, bbar, bbar_f),
-        }
-        if J > 1:
-            out["c_dev"] = cbar[None] - c
-            out["b_dev"] = bbar[None] - b
-            out["b_dev_face"] = bbar_f[None] - bf
-        else:
-            out["c_dev"] = out["b_dev"] = out["b_dev_face"] = None
-        return out
+    def _coefficients(self, t):
+        """The mode weights of c and β at level t, their mean and their
+        deviations, the modes' degree-k terms and the fingerprint."""
+        disc, stacks = self.disc, (self._c_vals, *self._b_vals)
+        (wc, c), (wx, bx), (wy, by) = (s.modes(t) for s in stacks)
+        fixed = all(s.separable for s in stacks)
+        if self._modes is None or not fixed:
+            ne, nq = disc.X_data.shape[:2]
+            # the velocity modes: e_x ψ for the modes ψ of β_x, then e_y ψ
+            vec = np.zeros((len(bx) + len(by), bx.shape[1], 2))
+            vec[:len(bx), :, 0], vec[len(bx):, :, 1] = bx, by
+            terms = local.ModeTerms(
+                disc, self._block_tables.lag, c.reshape(len(c), ne, nq),
+                vec[:, :ne * nq].reshape(len(vec), ne, nq, 2),
+                vec[:, ne * nq:].reshape(len(vec), ne, 3, -1, 2))
+            # with θ̄ the token identifies the mean: by the fixed modes, or
+            # by the members' mean samples, so a mean that stays keeps its LU
+            h = hashlib.sha256(disc.mesh.content_token().encode())
+            for modes in (c, bx, by):
+                h.update((modes if fixed else modes.mean(axis=0)).tobytes())
+            self._modes = terms, h.hexdigest()
+        terms, token = self._modes
+        w = np.concatenate([wc, wx, wy], axis=1)
+        mean = w.mean(axis=0)
+        return {"terms": terms, "mean": mean, "dev": mean[None] - w,
+                "fingerprint": coefficient_fingerprint(
+                    token, disc.k, self.dt, self.tau, mean)}
 
     def _rhs_operators(self, coeffs, degree):
-        """RHS operators for a previous u of the given degree.
-
-        The degree-k ones are built on first use and kept in `coeffs`, the
-        sample set they are built from; the degree-(k+1) ones are built
-        with their own tables and dropped after use.
-        """
-        if degree == self.disc.k and "rhs_ops" in coeffs:
-            return coeffs["rhs_ops"]
-        tables = self._block_tables.lag if degree == self.disc.k \
-            else local.RHSTables(self.disc, degree)
-        ops = local.rhs_operators(
-            self.disc, tables, self.dt, self.spec.J, coeffs["c_dev"],
-            coeffs["b_dev"], coeffs["b_dev_face"])
-        if degree == self.disc.k:
-            coeffs["rhs_ops"] = ops
-        return ops
+        """RHS operators for a previous u of the given degree: degree-k
+        ones are kept while the modes and deviation weights stay, the
+        degree-(k+1) ones are built from terms of that degree and dropped."""
+        disc, terms, dev = self.disc, coeffs["terms"], coeffs["dev"]
+        if degree != disc.k:
+            return local.rhs_operators(disc, local.ModeTerms(
+                disc, local.RHSTables(disc, degree), terms.c, terms.b,
+                terms.b_face), self.dt, dev)
+        if self._ops is None or self._ops[0] is not terms or \
+                not np.array_equal(self._ops[1], dev):
+            self._ops = (terms, dev,
+                         local.rhs_operators(disc, terms, self.dt, dev))
+        return self._ops[2]
 
     def _ensure_system(self, coeffs):
         fp = coeffs["fingerprint"]
         if self.system is not None and fp == self._fp:
             return
+        # the stale factor goes first, so the next one can reuse its memory
+        self.system = None
         blocks = local.assemble_all_blocks(
-            self.disc, self._block_tables, coeffs["cbar"], coeffs["bbar"],
-            coeffs["bbar_face"])
+            self.disc, self._block_tables, coeffs["terms"], coeffs["mean"])
         self.cond = local.condense_all(*blocks)
         self.system = assemble_trace_matrix(
             self.disc, self.cond.schur, fp).factorize()
@@ -383,7 +394,7 @@ class EnsembleSolver:
         t1 = (state.n + 1) * self.dt
 
         coeffs = self._coeff_cache if spec.autonomous \
-            else self._coefficient_samples(t1)
+            else self._coefficients(t1)
         self._ensure_system(coeffs)
 
         ops = self._rhs_operators(coeffs, state.u_degree)

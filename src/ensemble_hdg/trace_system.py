@@ -1,13 +1,14 @@
 """Global sparse system on the interior-face trace DOFs.
 
 The trace matrix is the scatter of per-element Schur complements onto the
-global trace DOFs (interior faces only; canonical face order, face-local
-modes innermost).  Its sparsity pattern is the Discretization's
-`trace_pattern`, built once with the DOF numbering; assembly only sums the
-Schur entries into it.  It is factorized by a sparse direct LU (SuperLU via
-scipy, minimum-degree ordering on A^T + A), and one factorization solves
-all J right-hand sides at once.  A factorization is read-only after
-construction: concurrent solves against distinct RHS columns are safe.
+global trace DOFs (interior faces only, in the Discretization's
+nested-dissection order, face-local modes innermost).  Its sparsity
+pattern is the Discretization's `trace_pattern`, built once with the DOF
+numbering; assembly only sums the Schur entries into it.  It is factorized
+by a sparse direct LU (SuperLU via scipy) in that order, and one
+factorization solves all J right-hand sides at once.  A factorization is
+read-only after construction: concurrent solves against distinct RHS
+columns are safe.
 """
 
 import hashlib
@@ -31,12 +32,10 @@ class TraceSystem:
 
     def factorize(self):
         """Factorize the matrix; returns self (the solve handle)."""
-        # minimum degree on A^T + A: the trace matrix is structurally
-        # symmetric, and this ordering gave less fill and faster
-        # factorizations and solves than the default COLAMD
+        # nested-dissection DOFs: 0.69x the fill of MMD on A^T + A at n=64
         try:
             self._solver = spla.splu(self.matrix.tocsc(),
-                                     permc_spec="MMD_AT_PLUS_A")
+                                     permc_spec="NATURAL")
         except RuntimeError as exc:
             raise RuntimeError(
                 f"trace matrix factorization failed: {exc}") from exc
@@ -89,16 +88,14 @@ def assemble_trace_matrix(disc, schur, fingerprint):
     return TraceSystem(disc, mat, fingerprint)
 
 
-def coefficient_fingerprint(mesh_token, degree, dt, tau, cbar, bbar,
-                            bbar_face):
+def coefficient_fingerprint(modes_token, degree, dt, tau, weights):
     """Stable hash of everything the trace matrix is built from: the mean
-    samples cbar and bbar at the element rule and bbar_face at the face
-    rule, with the mesh, degree, dt and tau."""
+    mode weights, with the token of the modes (which covers the mesh),
+    the degree, dt and tau."""
     h = hashlib.sha256()
-    h.update(mesh_token.encode())
+    h.update(modes_token.encode())
     h.update(np.int64(degree).tobytes())
     h.update(np.float64(dt).tobytes())
     h.update(np.ascontiguousarray(tau, dtype=float).tobytes())
-    for samples in (cbar, bbar, bbar_face):
-        h.update(np.ascontiguousarray(samples, dtype=float).tobytes())
+    h.update(np.ascontiguousarray(weights, dtype=float).tobytes())
     return h.hexdigest()

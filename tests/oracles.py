@@ -450,3 +450,35 @@ def face_connectivity(elements):
     return {"faces": faces, "face_elements": face_elements,
             "face_local": face_local, "elem_faces": elem_faces,
             "boundary": face_elements[:, 1] == -1}
+
+
+def nested_dissection_faces(mesh, leaf):
+    """The interior faces of mesh in nested-dissection post-order, by
+    recursion over parts of the elements.
+
+    A part of at most `leaf` elements lists the faces between two of its
+    elements.  A larger one is sorted by its centroids along its longer
+    extent (x on a tie), then along the other axis, then by element
+    index, and its first half and the rest are dissected in turn; the
+    faces between the halves come last.  Each group is in face order.
+    """
+    cen = mesh.vertices[mesh.elements].mean(axis=1)
+    fe = mesh.face_elements
+    interior = [f for f in range(mesh.n_faces) if not mesh.boundary[f]]
+
+    def between(a, b):
+        return [f for f in interior if (fe[f, 0] in a and fe[f, 1] in b) or
+                (fe[f, 0] in b and fe[f, 1] in a)]
+
+    def dissect(part):
+        if len(part) <= leaf:
+            return between(part, part)
+        ext = cen[part].max(axis=0) - cen[part].min(axis=0)
+        axis = 0 if ext[0] >= ext[1] else 1
+        order = sorted(part, key=lambda e: (cen[e, axis], cen[e, 1 - axis],
+                                            e))
+        left, right = order[:len(part) // 2], order[len(part) // 2:]
+        return dissect(left) + dissect(right) + between(set(left),
+                                                        set(right))
+
+    return dissect(list(range(mesh.n_elements)))

@@ -3,12 +3,12 @@ import pytest
 
 from ensemble_hdg.discretization import Discretization
 from ensemble_hdg.local import (BlockTables, CoefficientError, RHSTables,
-                                assemble_all_blocks, assemble_all_rhs,
-                                boundary_data_operator, boundary_rows,
-                                condense_all, rhs_operators, source_rows)
+                                assemble_all_rhs, boundary_data_operator,
+                                boundary_rows, condense_all, source_rows)
 from ensemble_hdg.solver import EnsembleState
 
 from oracles import lag_samples, local_rhs, monomial_full_local_matrix
+from samples import sampled_blocks, sampled_rhs_operators
 
 
 def const_samples(disc, cval=1.0, bvec=(0.0, 0.0)):
@@ -35,7 +35,7 @@ def transpose(a):
 def test_reference_triangle_identities(reference_triangle_mesh):
     """k=0, c=1, beta=0, tau=1, dt=1 on the reference triangle."""
     disc = Discretization(reference_triangle_mesh, 0)
-    A_II, A_IT, A_TI, A_TT = assemble_all_blocks(
+    A_II, A_IT, A_TI, A_TT = sampled_blocks(
         disc, BlockTables(disc, 1.0, 1.0), *const_samples(disc))
     # orthonormal reference basis: coefficient-1 mass is the identity
     assert np.abs(A_II[0, :2, :2] - np.eye(2)).max() < 1e-13
@@ -53,16 +53,15 @@ def test_convection_blocks_vanish_for_zero_velocity(mesh2):
     d = disc.ndof_u
     cbar, bbar, bbar_f = const_samples(disc, cval=2.5)
     tables = BlockTables(disc, 2.0, 0.5)
-    A_II, A_IT, A_TI, _ = assemble_all_blocks(disc, tables, cbar, bbar,
-                                              bbar_f)
+    A_II, A_IT, A_TI, _ = sampled_blocks(disc, tables, cbar, bbar, bbar_f)
     # without convection the u-u block is a sum of symmetric mass terms,
     # and the trace rows' u-block is the transpose of the coupling's
     uu = A_II[:, 2 * d:, 2 * d:]
     assert np.abs(uu - transpose(uu)).max() < 1e-14 * np.abs(uu).max()
     assert np.array_equal(A_TI[:, :, 2 * d:], transpose(A_IT[:, 2 * d:, :]))
     # a velocity breaks both
-    A_II, A_IT, A_TI, _ = assemble_all_blocks(disc, tables, cbar,
-                                              bbar + 0.3, bbar_f + 0.3)
+    A_II, A_IT, A_TI, _ = sampled_blocks(disc, tables, cbar, bbar + 0.3,
+                                         bbar_f + 0.3)
     uu = A_II[:, 2 * d:, 2 * d:]
     assert np.abs(uu - transpose(uu)).max() > 1e-3
     assert not np.allclose(A_TI[:, :, 2 * d:],
@@ -75,8 +74,8 @@ def test_coefficient_violation_names_element(mesh2):
     bad = cbar.copy()
     bad[5, 0] = -1.0
     with pytest.raises(CoefficientError, match="element 5"):
-        assemble_all_blocks(disc, BlockTables(disc, 1.0, 1.0), bad, bbar,
-                            bbar_f)
+        sampled_blocks(disc, BlockTables(disc, 1.0, 1.0), bad, bbar,
+                       bbar_f)
     with pytest.raises(ValueError):
         BlockTables(disc, 0.0, 1.0)
     with pytest.raises(ValueError):
@@ -90,7 +89,7 @@ def test_full_local_matrix_against_monomial_oracle(mesh2, rng, k):
     disc = Discretization(mesh2, k)
     cbar, bbar, bbar_f = random_samples(disc, rng)
     tau, dt = 2.0, 0.25
-    A_II, A_IT, A_TI, A_TT = assemble_all_blocks(
+    A_II, A_IT, A_TI, A_TT = sampled_blocks(
         disc, BlockTables(disc, tau, dt), cbar, bbar, bbar_f)
     full = np.block([[A_II, A_IT], [A_TI, A_TT]])
     for ie in (0, 3, 6):
@@ -107,8 +106,8 @@ def test_batched_blocks_match_per_element(mesh4, rng, k):
     disc = Discretization(mesh4, k)
     cbar, bbar, bbar_f = random_samples(disc, rng)
     tau, dt = 1.5, 0.1
-    blocks = assemble_all_blocks(disc, BlockTables(disc, tau, dt), cbar,
-                                 bbar, bbar_f)
+    blocks = sampled_blocks(disc, BlockTables(disc, tau, dt), cbar, bbar,
+                            bbar_f)
     ni = blocks[0].shape[-1]
     for ie in range(mesh4.n_elements):
         oracle = monomial_full_local_matrix(disc, ie, cbar[ie], bbar[ie],
@@ -134,13 +133,13 @@ def test_block_tables_are_shared_read_only(mesh2, rng):
                                                    for t in pair]
     assert not any(t.flags.writeable for t in held)
     cbar, bbar, bbar_f = random_samples(disc, rng)
-    first = assemble_all_blocks(disc, tables, cbar, bbar, bbar_f)
+    first = sampled_blocks(disc, tables, cbar, bbar, bbar_f)
     with pytest.raises(ValueError, match="read-only"):
         first[1][0, 0, 0] = 1.0
-    second = assemble_all_blocks(disc, tables, 2.0 * cbar, bbar, bbar_f)
+    second = sampled_blocks(disc, tables, 2.0 * cbar, bbar, bbar_f)
     fresh = BlockTables(disc, 2.0, 0.5)
     for got, cval in ((first, cbar), (second, 2.0 * cbar)):
-        want = assemble_all_blocks(disc, fresh, cval, bbar, bbar_f)
+        want = sampled_blocks(disc, fresh, cval, bbar, bbar_f)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
@@ -155,17 +154,16 @@ def test_member_blocks_are_mean_blocks_minus_deviation_terms(mesh4, rng, k):
     tables = BlockTables(disc, 2.0, 0.5)
     c, b, bf = (np.stack(s) for s in zip(*(random_samples(disc, rng)
                                            for _ in range(3))))
-    mean = assemble_all_blocks(disc, tables, c.mean(0), b.mean(0),
-                               bf.mean(0))
-    ops = rhs_operators(disc, tables.lag, 0.5, 3, c.mean(0) - c,
-                        b.mean(0) - b, bf.mean(0) - bf)
-    time_term = rhs_operators(disc, tables.lag, 0.5, 1, None, None,
-                              None).u_op[0, :, :d]
+    mean = sampled_blocks(disc, tables, c.mean(0), b.mean(0), bf.mean(0))
+    ops = sampled_rhs_operators(disc, tables.lag, 0.5, c.mean(0) - c,
+                                b.mean(0) - b, bf.mean(0) - bf)
+    time_term = sampled_rhs_operators(disc, tables.lag, 0.5, 0 * c[:1],
+                                      0 * b[:1], 0 * bf[:1]).u_op[0, :, :d]
     mesh = disc.mesh
     bnd_rows = np.repeat(mesh.boundary[mesh.elem_faces], nfd, axis=1)
     assert not ops.u_op[:, :, d:][:, bnd_rows].any()
     for j in range(3):
-        own = assemble_all_blocks(disc, tables, c[j], b[j], bf[j])
+        own = sampled_blocks(disc, tables, c[j], b[j], bf[j])
         pairs = (
             (own[0][:, :d, :d], mean[0][:, :d, :d] - ops.mass_c[j]),
             (own[0][:, 2 * d:, 2 * d:], mean[0][:, 2 * d:, 2 * d:] -
@@ -178,7 +176,7 @@ def test_member_blocks_are_mean_blocks_minus_deviation_terms(mesh4, rng, k):
 
 def test_schur_symmetry_without_convection(mesh2):
     disc = Discretization(mesh2, 1)
-    cond = condense_all(*assemble_all_blocks(
+    cond = condense_all(*sampled_blocks(
         disc, BlockTables(disc, 3.0, 0.5), *const_samples(disc, cval=0.7)))
     assert np.abs(cond.schur - transpose(cond.schur)).max() < 1e-12
 
@@ -189,15 +187,15 @@ def test_mass_scaling_in_cbar(mesh2):
     d = disc.ndof_u
     cbar, bbar, bbar_f = const_samples(disc, cval=1.3)
     tables = BlockTables(disc, 1.0, 1.0)
-    a1 = assemble_all_blocks(disc, tables, cbar, bbar, bbar_f)[0]
-    a2 = assemble_all_blocks(disc, tables, 2.0 * cbar, bbar, bbar_f)[0]
+    a1 = sampled_blocks(disc, tables, cbar, bbar, bbar_f)[0]
+    a2 = sampled_blocks(disc, tables, 2.0 * cbar, bbar, bbar_f)[0]
     assert np.abs(a2[:, :2 * d, :2 * d] - 2.0 * a1[:, :2 * d, :2 * d]).max() \
         == 0.0
 
 
 def test_condense_zero_coupling_returns_trace_block(mesh2):
     disc = Discretization(mesh2, 0)
-    A_II, A_IT, A_TI, A_TT = assemble_all_blocks(
+    A_II, A_IT, A_TI, A_TT = sampled_blocks(
         disc, BlockTables(disc, 1.0, 1.0), *const_samples(disc))
     cond = condense_all(A_II, np.zeros_like(A_IT), np.zeros_like(A_TI),
                         A_TT)
@@ -221,7 +219,7 @@ def test_condensation_reconstructs_full_solution(mesh2, rng):
     """Condensed maps + back-substitution satisfy the uncondensed local
     equations of every element, for two right-hand sides each."""
     disc = Discretization(mesh2, 1)
-    blocks = assemble_all_blocks(
+    blocks = sampled_blocks(
         disc, BlockTables(disc, 2.0, 0.5),
         *const_samples(disc, cval=1.3, bvec=(0.4, -0.2)))
     cond = condense_all(*blocks)
@@ -239,7 +237,7 @@ def test_recover_interior_zero_and_linearity(mesh2, rng):
     """The recovery solve_int b - lift t of every element maps zero to
     zero and is a superposition in the trace input."""
     disc = Discretization(mesh2, 1)
-    cond = condense_all(*assemble_all_blocks(
+    cond = condense_all(*sampled_blocks(
         disc, BlockTables(disc, 1.0, 1.0), *const_samples(disc)))
     ne, nint, ntr = cond.lift.shape
 
@@ -260,7 +258,7 @@ def test_condense_all_matches_condense(mesh2, rng):
     elimination, and the recovered interior against a dense solve of the
     uncondensed local system."""
     disc = Discretization(mesh2, 1)
-    A_II, A_IT, A_TI, A_TT = assemble_all_blocks(
+    A_II, A_IT, A_TI, A_TT = sampled_blocks(
         disc, BlockTables(disc, 1.0, 1.0), *random_samples(disc, rng))
     cond = condense_all(A_II, A_IT, A_TI, A_TT)
     want = A_TT - A_TI @ np.linalg.solve(A_II, A_IT)
@@ -275,7 +273,7 @@ def test_condense_all_matches_condense(mesh2, rng):
 
 def test_condense_all_names_singular_element(mesh2):
     disc = Discretization(mesh2, 1)
-    A_II, A_IT, A_TI, A_TT = assemble_all_blocks(
+    A_II, A_IT, A_TI, A_TT = sampled_blocks(
         disc, BlockTables(disc, 1.0, 1.0), *const_samples(disc))
     A_II[3] = 0.0
     with pytest.raises(RuntimeError, match="element 3"):
@@ -357,8 +355,8 @@ def test_batched_rhs_matches_per_element(mesh4, rng, k):
     for degree, din in ((k, d), (k + 1, disc.ndof_u_hi)):
         prev = EnsembleState(0, 0.0, rng.normal(size=(J, ne, din)),
                              rng.normal(size=(J, ne, 2 * d)), None, degree)
-        ops = rhs_operators(disc, RHSTables(disc, degree), dt, J, c_dev,
-                            b_dev, bf_dev)
+        ops = sampled_rhs_operators(disc, RHSTables(disc, degree), dt,
+                                    c_dev, b_dev, bf_dev)
         rows = boundary_rows(disc, boundary_data_operator(disc, tau),
                              g_vals.reshape(J, -1))
         rows[:, :, 2 * d:] += source_rows(disc, f_vals.reshape(J, -1))

@@ -6,9 +6,9 @@ import sympy
 
 from ensemble_hdg.discretization import Discretization
 from ensemble_hdg.mesh import build_uniform_square_mesh
-from ensemble_hdg.problems import (EXAMPLE1_C, SeparableField,
-                                   VectorField, example1, example2,
-                                   manufactured_member)
+from ensemble_hdg.problems import (EXAMPLE1_BETA_SCALE, EXAMPLE1_C,
+                                   SeparableField, VectorField, example1,
+                                   example2, manufactured_member)
 from ensemble_hdg.basis import triangle_quadrature
 from ensemble_hdg.mesh import BatchedGeometry
 from ensemble_hdg.solver import (EnsembleSolver, Member, ProblemSpec,
@@ -32,9 +32,20 @@ def constant_members(cs, betas):
 
 
 def mean_samples(spec, mesh, t):
-    """The ensemble-mean samples the solver builds its trace matrix from."""
+    """The ensemble-mean samples the solver builds its trace matrix from,
+    and the members' deviations from them: the mean and deviation weights
+    of level t times the modes."""
     solver = EnsembleSolver(Discretization(mesh, 1), spec, dt=0.1, tau=1.0)
-    return solver._coefficient_samples(t)
+    level = solver._coefficients(t)
+    terms = level["terms"]
+    nc = len(terms.c)
+    out = {}
+    for suffix, w in (("bar", level["mean"]), ("_dev", level["dev"])):
+        out["c" + suffix] = np.tensordot(w[..., :nc], terms.c, 1)
+        out["b" + suffix] = np.tensordot(w[..., nc:], terms.b, 1)
+        out["b" + suffix + "_face"] = np.tensordot(w[..., nc:],
+                                                   terms.b_face, 1)
+    return out
 
 
 def test_ensemble_means_single_member(mesh2):
@@ -370,8 +381,16 @@ def test_lag_terms_skipped_for_single_member(mesh2):
     spec = example1().single_member(1)
     disc = Discretization(mesh2, 1)
     solver = EnsembleSolver(disc, spec, dt=0.5)
-    assert solver._coeff_cache["c_dev"] is None
-    assert solver._coeff_cache["b_dev"] is None
+    level = solver._coeff_cache
+    assert level["dev"].shape[0] == 1 and not level["dev"].any()
+    # a mode whose deviation weights are all zero adds nothing: the lag
+    # operators hold only the (1/dt) mass
+    d = disc.ndof_u
+    ops = solver._rhs_operators(level, 1)
+    assert not ops.mass_c.any() and not ops.u_op[..., d:, :].any()
+    time_mass = disc.geom.det[:, None, None] / 0.5 * \
+        solver._block_tables.lag.mass
+    assert np.array_equal(ops.u_op[0, :, :d], time_mass)
 
 
 def test_factorization_reuse_and_fingerprint(mesh2):
@@ -530,10 +549,11 @@ def test_rhs_from_moments_matches_sampled_rhs(mesh4, rng, plain_data):
     """The RHS from the data moments the solver builds at construction
     against per-element quadrature of f and g sampled at each time.
     Example 1's f has two time factors and its g = u depends on time."""
-    from ensemble_hdg.local import RHSTables, assemble_all_rhs, rhs_operators
+    from ensemble_hdg.local import RHSTables, assemble_all_rhs
     from ensemble_hdg.solver import EnsembleState
 
     from oracles import local_rhs
+    from samples import sampled_rhs_operators
 
     spec = example1()
     if plain_data:
@@ -550,8 +570,8 @@ def test_rhs_from_moments_matches_sampled_rhs(mesh4, rng, plain_data):
     c_dev = rng.normal(size=(J, ne, nq))
     b_dev = rng.normal(size=(J, ne, nq, 2))
     bf_dev = rng.normal(size=(J, ne, 3, nqf, 2))
-    ops = rhs_operators(disc, RHSTables(disc, 1), dt, J, c_dev, b_dev,
-                        bf_dev)
+    ops = sampled_rhs_operators(disc, RHSTables(disc, 1), dt, c_dev, b_dev,
+                                bf_dev)
     prev = EnsembleState(1, 0.0, rng.normal(size=(J, ne, d)),
                          rng.normal(size=(J, ne, 2 * d)), None, 1)
     s = lag_samples(disc, prev)
@@ -616,3 +636,124 @@ def test_no_step_samples_the_data_or_the_exact_solutions(mesh4,
     assert "data" not in short and "data" not in long
     assert short["coefficients"] > 0 and short["state"] == 1
     assert long == short
+
+
+@pytest.mark.parametrize("dt, tau", [(np.nan, 1.0), (np.inf, 1.0),
+                                     (0.1, np.nan), (0.1, np.inf)],
+                         ids=["nan-dt", "inf-dt", "nan-tau", "inf-tau"])
+def test_non_finite_dt_and_tau_are_rejected_by_name(mesh2, dt, tau):
+    """NaN passes dt <= 0, and SuperLU would call the matrix singular."""
+    from ensemble_hdg.local import BlockTables
+
+    name = "tau" if np.isfinite(dt) else "dt"
+    disc = Discretization(mesh2, 0)
+    with pytest.raises(ValueError, match=f"^{name} must be positive and "
+                                         f"finite"):
+        EnsembleSolver(disc, example1(), dt=dt, tau=tau)
+    with pytest.raises(ValueError, match=f"^{name} must be positive and "
+                                         f"finite"):
+        BlockTables(disc, tau, dt)
+
+
+def scaled_example1(spatial):
+    """Example 1's members with c_j = c_j^0 (1 + t/2) times `spatial`;
+    with spatial = 1 the benchmark's refactorizing family."""
+    x, y, t = sympy.symbols("x y t")
+    return ProblemSpec(
+        [manufactured_member(cj * (1 + t / 2) * spatial, (aj * y, aj * x),
+                             sympy.sin(t) * sympy.sin(x) * sympy.sin(y) / j)
+         for j, (cj, aj) in enumerate(zip(EXAMPLE1_C, EXAMPLE1_BETA_SCALE),
+                                      1)],
+        autonomous=False)
+
+
+def mode_solver(spec, mesh):
+    return EnsembleSolver(Discretization(mesh, 1), spec, dt=0.1, tau=1.0)
+
+
+@pytest.mark.parametrize("family, counts", [
+    ("refactor", (1, 2)), ("example1", (1, 2)),
+    # c: 1 (the t of sin x + t), sin x, xy + 1 and e^-x + y; β: y and x
+    ("random", (4, 2))])
+def test_members_share_their_spatial_factors_as_modes(mesh2, family,
+                                                      counts):
+    spec = {"refactor": lambda: scaled_example1(1), "example1": example1,
+            "random": lambda: ProblemSpec(random_field_members("sympy"),
+                                          autonomous=False)}[family]()
+    solver = mode_solver(spec, mesh2)
+    stacks = (solver._c_vals, *solver._b_vals)
+    assert all(s.separable for s in stacks)
+    nc, nx, ny = (len(s.modes(0.3)[1]) for s in stacks)
+    assert (nc, nx + ny) == counts
+    # y for the x components of β, x for the y components
+    disc = solver.disc
+    for stack, coord in zip(solver._b_vals, "yx"):
+        want = np.concatenate([getattr(disc, f"{coord}_data_flat"),
+                               getattr(disc, f"{coord}f_fdata_flat")])
+        assert np.array_equal(stack.modes(0.3)[1], want[None])
+
+
+@pytest.mark.parametrize("family", ["refactor", "random"])
+def test_weights_times_modes_reproduce_the_member_samples(mesh4, family):
+    spec = scaled_example1(1) if family == "refactor" else ProblemSpec(
+        random_field_members("sympy"), autonomous=False)
+    solver = mode_solver(spec, mesh4)
+    disc = solver.disc
+    x, y = disc.x_data_flat, disc.y_data_flat
+    xb = np.concatenate([x, disc.xf_fdata_flat])
+    yb = np.concatenate([y, disc.yf_fdata_flat])
+    for t in (0.0, 0.3, 0.9):
+        Wc, c = solver._c_vals.modes(t)
+        for j, m in enumerate(spec.members):
+            want_c = m.c(x, y, t)
+            want_b = m.beta(xb, yb, t)
+            assert np.abs(Wc[j] @ c - want_c).max() <= \
+                1e-15 * np.abs(want_c).max()
+            for comp, stack in enumerate(solver._b_vals):
+                Wb, b = stack.modes(t)
+                assert np.abs(Wb[j] @ b - want_b[:, comp]).max() <= \
+                    1e-15 * max(1.0, np.abs(want_b).max())
+
+
+def test_mode_family_steps_like_the_dense_oracle(mesh2, monkeypatch):
+    """c_j = c_j^0 (1 + t/2)(1 + x^2/4): one shared c-mode whose weight
+    changes every step.  Each step refactorizes and matches the dense
+    per-member solve, and the mode terms are built once per degree (k for
+    the blocks and the steps, k+1 for step 1), however many steps run."""
+    from ensemble_hdg import local
+
+    built = []
+    terms = local._coefficient_terms
+
+    def counted(*args):
+        built.append(args[1].mass.shape[1])
+        return terms(*args)
+
+    monkeypatch.setattr(local, "_coefficient_terms", counted)
+    x = sympy.symbols("x")
+    spec = scaled_example1(1 + x ** 2 / 4)
+    disc = Discretization(mesh2, 1)
+    dt, tau = 0.125, 2.0
+    solver = EnsembleSolver(disc, spec, dt=dt, tau=tau)
+    assert len(solver._c_vals.modes(0.0)[1]) == 1
+    state = initialize(spec, disc)
+    for n in range(1, 5):
+        got = solver.step(state)
+        want = dense_step(disc, spec, tau, dt, state)
+        for name in ("u", "q", "uhat"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), (n, name)
+        assert built == [disc.ndof_u, disc.ndof_u_hi], n
+        state = got
+    assert solver.n_factorizations == 4
+
+
+def test_constant_ensembles_share_one_mode_per_coefficient(mesh2):
+    """Example 3 and config-file ensembles: c, β_x, β_y and f are multiples
+    of the one spatial factor 1, and f's rows are projected once."""
+    from ensemble_hdg.problems import example3
+
+    solver = mode_solver(example3(), mesh2)
+    stacks = (solver._c_vals, *solver._b_vals, solver._f_rows)
+    assert all(s.separable for s in stacks)
+    assert [len(s.modes(0.0)[1]) for s in stacks] == [1, 1, 1, 1]

@@ -3,9 +3,14 @@ import pytest
 import scipy.sparse as sp
 
 from ensemble_hdg.discretization import Discretization
-from ensemble_hdg.local import BlockTables, assemble_all_blocks, condense_all
+from ensemble_hdg.local import BlockTables, condense_all
+from ensemble_hdg.mesh import Mesh, build_uniform_square_mesh
+from ensemble_hdg.problems import example1
+from ensemble_hdg.solver import EnsembleSolver
 from ensemble_hdg.trace_system import (assemble_trace_matrix,
                                        coefficient_fingerprint)
+
+from samples import sampled_blocks
 
 
 def build_system(mesh, k, rng=None):
@@ -20,7 +25,7 @@ def build_system(mesh, k, rng=None):
         cbar = 1.0 + rng.random((ne, nq))
         bbar = rng.normal(size=(ne, nq, 2))
         bbar_f = rng.normal(size=(ne, 3, nqf, 2))
-    cond = condense_all(*assemble_all_blocks(
+    cond = condense_all(*sampled_blocks(
         disc, BlockTables(disc, 2.0, 0.5), cbar, bbar, bbar_f))
     system = assemble_trace_matrix(disc, cond.schur, fingerprint="probe")
     return disc, cond, system
@@ -118,22 +123,106 @@ def test_solve_requires_factorization(mesh2):
 
 
 def test_fingerprint_sensitivity():
-    def fingerprint(cbar=np.ones(5), bbar=np.ones(4), bbar_face=np.ones(6)):
-        return coefficient_fingerprint("token", 1, 0.1, np.array([2.0]),
-                                       cbar, bbar, bbar_face)
+    def fingerprint(token="modes", dt=0.1, tau=2.0, weights=np.ones(5)):
+        return coefficient_fingerprint(token, 1, dt, np.array([tau]),
+                                       weights)
 
     a = fingerprint()
-    b = fingerprint(cbar=np.ones(5) + 1e-15)
+    b = fingerprint(weights=np.ones(5) + 1e-15)
     c = fingerprint()
     assert a != b
     assert a == c
-    # the element samples of the mean velocity feed the u-u convection
-    # block, the face samples the trace rows: both must change the hash
-    assert fingerprint(bbar=np.ones(4) + 1e-15) != a
-    assert fingerprint(bbar_face=np.ones(6) + 1e-15) != a
+    # the same weights of other modes, or of another dt or tau, build
+    # another matrix
+    assert fingerprint(token="other modes") != a
+    assert fingerprint(dt=0.1 + 1e-16) != a
+    assert fingerprint(tau=2.0 + 1e-15) != a
 
 
 def test_shape_mismatch_rejected(mesh2):
     disc = Discretization(mesh2, 0)
     with pytest.raises(ValueError):
         assemble_trace_matrix(disc, np.zeros((3, 3, 3)), "probe")
+
+
+def face_positions(disc):
+    """The block position of every face in the trace numbering, read off
+    `trace_dof` from each of its elements' sides (-1 on boundary faces)."""
+    mesh, nfd = disc.mesh, disc.ndof_face
+    dof = disc.trace_dof.reshape(mesh.n_elements, 3, nfd)
+    fe, fl = mesh.face_elements, mesh.face_local
+    sides = [dof[np.maximum(fe[:, s], 0), fl[:, s]] for s in (0, 1)]
+    # a face's DOFs are consecutive, starting at a multiple of nfd
+    for side in sides:
+        inner = side[~mesh.boundary]
+        assert np.array_equal(inner, inner[:, :1] + np.arange(nfd))
+        assert np.all(inner[:, 0] % nfd == 0)
+    assert np.array_equal(sides[0][~mesh.boundary],
+                          sides[1][~mesh.boundary])
+    return np.where(mesh.boundary, -1, sides[0][:, 0] // nfd)
+
+
+@pytest.mark.parametrize("kind, n, k", [("uniform", 1, 0), ("uniform", 5, 1),
+                                        ("uniform", 12, 2),
+                                        ("jittered", 12, 1)])
+def test_each_interior_face_gets_one_block_of_trace_dofs(rng, kind, n, k):
+    from test_mesh import jittered_mesh
+
+    mesh = build_uniform_square_mesh(n) if kind == "uniform" else \
+        jittered_mesh(n, rng)
+    disc = Discretization(mesh, k)
+    pos = face_positions(disc)
+    assert np.array_equal(np.sort(pos[~mesh.boundary]),
+                          np.arange(mesh.n_interior_faces))
+    bnd = mesh.boundary[mesh.elem_faces]
+    assert np.all(disc.trace_dof.reshape(-1, 3, disc.ndof_face)[bnd] == -1)
+
+
+@pytest.mark.parametrize("kind, n", [("uniform", 2), ("uniform", 7),
+                                     ("jittered", 9), ("shuffled", 10)])
+def test_trace_numbering_matches_the_recursive_dissection(rng, kind, n):
+    from oracles import nested_dissection_faces
+    from test_mesh import jittered_mesh, shuffled_mesh
+
+    mesh = {"uniform": build_uniform_square_mesh, "jittered": jittered_mesh,
+            "shuffled": shuffled_mesh}[kind](*((n,) if kind == "uniform"
+                                               else (n, rng)))
+    pos = face_positions(Discretization(mesh, 1))
+    want = nested_dissection_faces(mesh, 8)
+    assert np.array_equal(np.argsort(pos)[-len(want):], want)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "jittered"])
+def test_nested_dissection_fills_less_than_minimum_degree(rng, kind):
+    """Example 1's n=32 trace matrix: its LU in the nested-dissection
+    numbering fills at most 0.9x what minimum degree on A^T + A fills on
+    the same matrix with the interior faces in index order."""
+    import scipy.sparse.linalg as spla
+
+    from test_mesh import jittered_mesh
+
+    mesh = build_uniform_square_mesh(32) if kind == "uniform" else \
+        jittered_mesh(32, rng)
+    disc = Discretization(mesh, 1)
+    system = EnsembleSolver(disc, example1(), dt=0.01, tau=2.68).system
+    fill = system._solver.L.nnz + system._solver.U.nnz
+    pos = face_positions(disc)[~mesh.boundary]
+    nfd = disc.ndof_face
+    by_index = (pos[:, None] * nfd + np.arange(nfd)).ravel()
+    A = system.matrix.tocsr()[by_index][:, by_index].tocsc()
+    mmd = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+    assert fill <= 0.9 * (mmd.L.nnz + mmd.U.nnz)
+
+
+def test_shuffled_element_rows_give_the_same_solution(rng):
+    """The numbering follows the geometry, not the element order: with
+    the element rows shuffled, u and q come out the same to rounding."""
+    base = build_uniform_square_mesh(8)
+    perm = rng.permutation(base.n_elements)
+    states = [EnsembleSolver(Discretization(m, 1), example1(), dt=0.125,
+                             tau=2.68).run(0.5)
+              for m in (base, Mesh(base.vertices, base.elements[perm]))]
+    for name in ("u", "q"):
+        want = getattr(states[0], name)[:, perm]
+        got = getattr(states[1], name)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
