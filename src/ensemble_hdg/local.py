@@ -7,6 +7,11 @@ leaving a dense Schur complement on the trace DOFs; boundary faces carry no
 unknowns and their rows/columns are dropped at scatter time (their trace
 values are identically zero, Dirichlet data enters only through the RHS).
 
+A_II = [[I₂⊗M, -C], [Cᵀ, A]] is inverted through the SPD c̄ mass M and
+S = A + Cᵀ(I₂⊗M)⁻¹C by Gauss-Jordan elimination without pivoting: for a
+divergence-free β̄ the symmetric part of S holds (1/dt) mass +
+<(tau + ½β̄·n) u, v>_∂K, positive definite for tau = 1 + max|β|.
+
 All kernels work on every element at once, with the element as the
 leading array axis, and every coefficient enters as one GEMM of its
 samples against a table that holds no coefficient.
@@ -46,10 +51,11 @@ class BlockTables:
     """The parts of the local blocks that no coefficient touches.
 
     Built once per (discretization, tau, dt); every array is read-only, as
-    `assemble_all_blocks` hands A_IT and A_TT out by reference.
+    `assemble_all_blocks` and `condense_all` read them by reference.
 
-    A_II   (ne, 3d, 3d)      the div blocks and the u-u block's (1/dt)
-                             mass plus tau face terms
+    C      (ne, 2d, d)       the coupling [C_x; C_y], (∂_x_c v_i, v_j): -C
+                             above the u-block of A_II, Cᵀ left of it
+    A_uu   (ne, d, d)        the u-u block's (1/dt) mass plus tau face terms
     A_IT   (ne, 3d, 3nfd)    all of it
     A_TI   (ne, 3nfd, 3d)    the tau and normal-component parts
     A_TT   (ne, 3nfd, 3nfd)  all of it
@@ -72,20 +78,15 @@ class BlockTables:
         lens, nrm = disc.geom.edge_lengths, disc.geom.normals
         self.lag = RHSTables(disc, disc.k)
 
-        A_II = np.zeros((ne, 3 * d, 3 * d))
         A_IT = np.zeros((ne, 3 * d, 3 * nfd))
         A_TI = np.zeros((ne, 3 * nfd, 3 * d))
         A_TT = np.zeros((ne, 3 * nfd, 3 * nfd))
         # (∂_x_c v_i, v_j) = Σ_r B^-T_cr (∂_r v_i, v_j) on the reference
         dref = np.einsum("q,iqr,jq->rij", w, basis.eval_grad(
             disc.rule_data.points), V)
-        div = (disc.geom.inv_t.reshape(ne * 2, 2) @ dref.reshape(2, d * d)
-               ).reshape(ne, 2, d, d) * detJ[:, None]
-        for comp in range(2):
-            A_II[:, comp * d:(comp + 1) * d, 2 * d:] = -div[:, comp]
-            A_II[:, 2 * d:, comp * d:(comp + 1) * d] = \
-                np.swapaxes(div[:, comp], 1, 2)
-        A_II[:, 2 * d:, 2 * d:] = detJ / dt * self.lag.mass
+        C = (disc.geom.inv_t.reshape(ne * 2, 2) @ dref.reshape(2, d * d)
+             ).reshape(ne, 2 * d, d) * detJ
+        A_uu = detJ / dt * self.lag.mass
 
         wf, Psi = disc.w_fdata, disc.Psi_fdata
         psipsi = (Psi * wf) @ Psi.T
@@ -97,7 +98,7 @@ class BlockTables:
             psiphi = np.stack([(Psi * wf) @ v.T for v in vals])[aligned]
             phiphi = np.stack([(v * wf) @ v.T for v in vals])[aligned]
             tl = (tau * lens[:, lf])[:, None, None]
-            A_II[:, 2 * d:, 2 * d:] += tl * phiphi
+            A_uu += tl * phiphi
             A_TI[:, cols, 2 * d:] = -tl * psiphi
             A_TT[:, cols, cols] = tl * psipsi
             for comp in range(2):
@@ -107,50 +108,50 @@ class BlockTables:
         # and their transpose on the u-block
         A_IT[:, :2 * d] = -np.swapaxes(A_TI[:, :, :2 * d], 1, 2)
         A_IT[:, 2 * d:] = np.swapaxes(A_TI[:, :, 2 * d:], 1, 2)
-        self.A_II, self.A_IT, self.A_TI, self.A_TT = A_II, A_IT, A_TI, A_TT
-        for table in (A_II, A_IT, A_TI, A_TT, self.lag.mass_q, self.lag.conv,
-                      *(t for pair in self.lag.face for t in pair)):
+        self.C, self.A_uu, self.A_IT, self.A_TI, self.A_TT = \
+            C, A_uu, A_IT, A_TI, A_TT
+        for table in (C, A_uu, A_IT, A_TI, A_TT, self.lag.mass_q,
+                      self.lag.conv, *(t for p in self.lag.face for t in p)):
             table.flags.writeable = False
 
 
 def assemble_all_blocks(disc, tables, terms, weights):
-    """Batched local matrices: (A_II, A_IT, A_TI, A_TT) over all elements.
+    """The coefficient blocks of all elements: (M, A, A_TI).
 
     tables are the `BlockTables` of the discretization and terms the
     `ModeTerms` of the modes against `tables.lag`; weights (Mc + Mb,) are
-    the mean weights of the c-modes, then of the velocity modes.  A_IT
-    and A_TT hold no coefficient: they are the read-only arrays of
-    `tables`, shared by every call.
+    the mean weights of the c-modes, then of the velocity modes.  M is
+    the c̄ mass, each q-q block of A_II, A the u-u block and A_TI the
+    trace rows; `condense_all` reads the other blocks from `tables`.
     """
     nc = len(terms.c)
     cbar = mode_sum(weights[:nc], terms.c)
-    if cbar.min() <= 0:
-        bad = int(np.argmax((cbar <= 0).any(axis=1)))
-        raise CoefficientError(
-            f"element {bad}: mean inverse-diffusion sample <= 0")
-    d = disc.ndof_u
-    mass_c = mode_sum(weights[:nc], terms.mass)
     conv = mode_sum(weights[nc:], terms.conv)
     face = mode_sum(weights[nc:], terms.face)
-    A_II = tables.A_II.copy()
+    ok = ((cbar > 0) & (cbar < np.inf)).all(axis=1) & np.isfinite(
+        conv).all(axis=(1, 2)) & np.isfinite(face).all(axis=(1, 2))
+    if not ok.all():
+        raise CoefficientError(f"element {int(np.argmin(ok))}: mean c not "
+                               f"positive and finite, or mean beta not finite")
     A_TI = tables.A_TI.copy()
-    # the q-q blocks hold nothing but the c mass
-    A_II[:, :d, :d] = A_II[:, d:2 * d, d:2 * d] = mass_c
-    A_II[:, 2 * d:, 2 * d:] += conv
-    A_TI[:, :, 2 * d:] -= face
-    return A_II, tables.A_IT, A_TI, tables.A_TT
+    A_TI[:, :, 2 * disc.ndof_u:] -= face
+    return mode_sum(weights[:nc], terms.mass), tables.A_uu + conv, A_TI
 
 
 class BatchedCondensed:
     """Schur complements and lifting maps of all condensed elements.
 
     schur       : (ne, T, T) trace block  A_TT - A_TI A_II^-1 A_IT
-    solve_int   : A_II^-1
-    lift        : A_II^-1 A_IT  (trace -> interior)
-    reduce_rhs  : A_TI A_II^-1  (interior RHS -> trace RHS correction)
+    solve_int   : W = A_II^-1
+    lift        : W A_IT  (trace -> interior)
+    reduce_rhs  : A_TI W  (interior RHS -> trace RHS correction)
 
     The interior unknowns of an element are recovered from its traces t
     and interior RHS b as solve_int b - lift t.
+
+    With B = I₂⊗M, BiC = B⁻¹C and Si = (A + Cᵀ BiC)⁻¹, the inverse of
+    A_II = [[B, -C], [Cᵀ, A]] is W = [[B⁻¹ - BiC Si BiCᵀ, BiC Si],
+    [-Si BiCᵀ, Si]].
     """
 
     def __init__(self, schur, solve_int, lift, reduce_rhs):
@@ -160,17 +161,45 @@ class BatchedCondensed:
         self.reduce_rhs = reduce_rhs
 
 
-def condense_all(A_II, A_IT, A_TI, A_TT):
-    """Eliminate the interior unknowns of every element onto its traces."""
-    try:
-        W = np.linalg.inv(A_II)
-    except np.linalg.LinAlgError:
-        ranks = np.linalg.matrix_rank(A_II)
-        bad = int(np.argmax(ranks < A_II.shape[1]))
-        raise RuntimeError(f"singular interior block on element {bad}") \
-            from None
+def invert_blocks(a, name):
+    """The inverses of the blocks a (ne, n, n) by Gauss-Jordan elimination
+    without pivoting, each step one operation over all elements; a zero or
+    non-finite pivot raises RuntimeError naming the block and element."""
+    w = np.moveaxis(a, 0, -1).copy()
+    for k in range(len(w)):
+        piv = w[k, k].copy()
+        ok = np.isfinite(piv) & (piv != 0)
+        if not ok.all():
+            raise RuntimeError(
+                f"singular {name} on element {int(np.argmin(ok))}")
+        col = w[:, k].copy()
+        col[k] = 0.0
+        w[:, k] = (np.arange(len(w)) == k)[:, None]
+        w[k] /= piv
+        w -= col[:, None] * w[k]
+    return np.ascontiguousarray(np.moveaxis(w, -1, 0))
+
+
+def condense_all(tables, M, A, A_TI):
+    """Eliminate the interior unknowns of every element onto its traces.
+
+    M, A and A_TI are the blocks of `assemble_all_blocks`, C, A_IT and
+    A_TT those of tables; A_II is inverted as `BatchedCondensed` says.
+    """
+    ne, d = M.shape[:2]
+    Mi = invert_blocks(M, "interior block")
+    BiC = (Mi[:, None] @ tables.C.reshape(ne, 2, d, d)).reshape(ne, -1, d)
+    Si = invert_blocks(A + np.swapaxes(tables.C, 1, 2) @ BiC,
+                       "interior block")
+    # W = diag(B⁻¹, 0) + U Si V with U = [BiC; I] and V = [-BiCᵀ, I]
+    eye = np.broadcast_to(np.eye(d), (ne, d, d))
+    W = (np.concatenate([BiC, eye], axis=1) @ Si) @ np.concatenate(
+        [-np.swapaxes(BiC, 1, 2), eye], axis=2)
+    W[:, :d, :d] += Mi
+    W[:, d:2 * d, d:2 * d] += Mi
     G = A_TI @ W
-    return BatchedCondensed(A_TT - G @ A_IT, W, W @ A_IT, G)
+    return BatchedCondensed(tables.A_TT - G @ tables.A_IT, W,
+                            W @ tables.A_IT, G)
 
 
 def boundary_data_operator(disc, tau):

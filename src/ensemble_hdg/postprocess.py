@@ -22,6 +22,8 @@ other element's output.
 
 import numpy as np
 
+from .local import invert_blocks
+
 
 class Postprocessor:
     """Batched stiffness solves of the mean-preserving gradient recovery."""
@@ -34,8 +36,8 @@ class Postprocessor:
         stiff_ref = np.einsum("q,iqr,jqs->rsij", w, G, G)
         metric = np.matmul(geom.inv, geom.inv_t)
         # both sides of the local problem carry det B, which cancels
-        self._stiff_inv = np.linalg.inv(
-            np.einsum("ers,rsij->eij", metric, stiff_ref))
+        self._stiff_inv = invert_blocks(
+            np.einsum("ers,rsij->eij", metric, stiff_ref), "stiffness block")
         # w_q grad_r phi_i(x_q) v_l(x_q) on the reference element
         self._flux_table = np.einsum(
             "q,iqr,lq->qril", w, G, disc.V_data).reshape(len(w), -1)

@@ -17,12 +17,12 @@ the `local.BlockTables` of the solver's (tau, dt) plus Σ θ̄_m times the
 terms of mode m, and key the trace factorization, whose fingerprint
 hashes θ̄ and a token of the modes; the deviation weights θ̄ - θ_j build
 the RHS operators (the per-member, per-element maps from the previous
-[q | u] coefficients to the RHS, see `local.rhs_operators`), which are
-kept until those weights change.  Both parts of the split see the same
-modes and quadrature rules.  Autonomous coefficients are evaluated once;
-time-dependent ones refactorize whenever θ̄ changes.  Step 1 reads the
-degree-(k+1) initial projection; its operators are built from mode terms
-of that degree for that step and not kept.
+[q | u] coefficients to the RHS, see `local.rhs_operators`); their c mass
+and velocity parts are each kept while their own weights stay.  Both parts
+of the split see the same modes and quadrature rules.  Autonomous
+coefficients are evaluated once; time-dependent ones refactorize whenever
+θ̄ changes.  Step 1 reads the degree-(k+1) initial projection, through
+operators built from mode terms of that degree for that step alone.
 
 The sources f and Dirichlet data g enter a step as interior-row moments,
 (J, ne, 3d), read through `problems.FieldStack` evaluators: for separable
@@ -154,12 +154,13 @@ def check_admissibility(spec, mesh, times):
     for n, t in enumerate(grid):
         cvals = c_at(t)
         cbar = cvals.mean(axis=0)
-        report.c_min = min(report.c_min, float(cvals.min()))
+        report.c_min = min(report.c_min, float(np.nanmin(cvals)))
         if prev_cbar is None:
             prev_cbar = cbar
             continue
         bound = np.minimum(cbar, prev_cbar)
-        bad = (np.abs(cbar[None] - cvals) >= bound[None]) | (cvals <= 0)
+        # negated passing tests: a NaN sample fails them all
+        bad = ~((np.abs(cbar[None] - cvals) < bound[None]) & (cvals > 0))
         report.record(n, bad, x, y)
         prev_cbar = cbar
     return report
@@ -324,10 +325,25 @@ class EnsembleSolver:
         """The mode weights of c and β at level t, their mean and their
         deviations, the modes' degree-k terms and the fingerprint."""
         disc, stacks = self.disc, (self._c_vals, *self._b_vals)
-        (wc, c), (wx, bx), (wy, by) = (s.modes(t) for s in stacks)
+        (wc, c), (wx, bx), (wy, by) = levels = [s.modes(t) for s in stacks]
         fixed = all(s.separable for s in stacks)
+        w = np.concatenate([wc, wx, wy], axis=1)
+        if not np.isfinite(w).all():
+            raise local.CoefficientError(
+                f"member {np.argwhere(~np.isfinite(w))[0, 0]}: a weight of "
+                f"c or beta is not finite at t = {t}")
         if self._modes is None or not fixed:
             ne, nq = disc.X_data.shape[:2]
+            for name, s, (_, modes) in zip(("c", "beta_x", "beta_y"),
+                                           stacks, levels):
+                bad = np.argwhere(~np.isfinite(
+                    modes[:, :ne * nq].reshape(len(modes), ne, nq)))
+                if len(bad):
+                    m = f"spatial factor {bad[0, 0]}" if s.separable else \
+                        f"member {bad[0, 0]} at t = {t}"
+                    raise local.CoefficientError(
+                        f"element {bad[0, 1]}: the {name} sample of {m} is "
+                        f"not finite")
             # the velocity modes: e_x ψ for the modes ψ of β_x, then e_y ψ
             vec = np.zeros((len(bx) + len(by), bx.shape[1], 2))
             vec[:len(bx), :, 0], vec[len(bx):, :, 1] = bx, by
@@ -342,7 +358,6 @@ class EnsembleSolver:
                 h.update((modes if fixed else modes.mean(axis=0)).tobytes())
             self._modes = terms, h.hexdigest()
         terms, token = self._modes
-        w = np.concatenate([wc, wx, wy], axis=1)
         mean = w.mean(axis=0)
         return {"terms": terms, "mean": mean, "dev": mean[None] - w,
                 "fingerprint": coefficient_fingerprint(
@@ -357,10 +372,14 @@ class EnsembleSolver:
             return local.rhs_operators(disc, local.ModeTerms(
                 disc, local.RHSTables(disc, degree), terms.c, terms.b,
                 terms.b_face), self.dt, dev)
+        nc = len(terms.c)
         if self._ops is None or self._ops[0] is not terms or \
-                not np.array_equal(self._ops[1], dev):
+                not np.array_equal(self._ops[1][:, nc:], dev[:, nc:]):
             self._ops = (terms, dev,
                          local.rhs_operators(disc, terms, self.dt, dev))
+        elif not np.array_equal(self._ops[1], dev):
+            self._ops = (terms, dev, local.RHSOperators(
+                local.mode_sum(dev[:, :nc], terms.mass), self._ops[2].u_op))
         return self._ops[2]
 
     def _ensure_system(self, coeffs):
@@ -371,7 +390,7 @@ class EnsembleSolver:
         self.system = None
         blocks = local.assemble_all_blocks(
             self.disc, self._block_tables, coeffs["terms"], coeffs["mean"])
-        self.cond = local.condense_all(*blocks)
+        self.cond = local.condense_all(self._block_tables, *blocks)
         self.system = assemble_trace_matrix(
             self.disc, self.cond.schur, fp).factorize()
         self.n_factorizations += 1

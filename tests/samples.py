@@ -13,9 +13,23 @@ from ensemble_hdg.local import ModeTerms, assemble_all_blocks, rhs_operators
 
 def sampled_blocks(disc, tables, c, b, b_face):
     """`assemble_all_blocks` of the mean samples c (ne, nq), b (ne, nq, 2)
-    and b_face (ne, 3, nqf, 2)."""
+    and b_face (ne, 3, nqf, 2): the structured blocks (M, A, A_TI)."""
     terms = ModeTerms(disc, tables.lag, c[None], b[None], b_face[None])
     return assemble_all_blocks(disc, tables, terms, np.ones(2))
+
+
+def dense_blocks(tables, M, A, A_TI):
+    """The dense local blocks (A_II, A_IT, A_TI, A_TT) of the structured
+    blocks of `assemble_all_blocks`: A_II = [[I₂⊗M, -C], [Cᵀ, A]]."""
+    ne, d = M.shape[:2]
+    A_II = np.zeros((ne, 3 * d, 3 * d))
+    for comp in range(2):
+        rows = slice(comp * d, (comp + 1) * d)
+        A_II[:, rows, rows] = M
+        A_II[:, rows, 2 * d:] = -tables.C[:, rows]
+        A_II[:, 2 * d:, rows] = np.swapaxes(tables.C[:, rows], 1, 2)
+    A_II[:, 2 * d:, 2 * d:] = A
+    return A_II, tables.A_IT, A_TI, tables.A_TT
 
 
 def sampled_rhs_operators(disc, tables, dt, c_dev, b_dev, b_dev_face):

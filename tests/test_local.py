@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from ensemble_hdg.local import (BlockTables, CoefficientError, RHSTables,
 from ensemble_hdg.solver import EnsembleState
 
 from oracles import lag_samples, local_rhs, monomial_full_local_matrix
-from samples import sampled_blocks, sampled_rhs_operators
+from samples import dense_blocks, sampled_blocks, sampled_rhs_operators
 
 
 def const_samples(disc, cval=1.0, bvec=(0.0, 0.0)):
@@ -35,8 +37,9 @@ def transpose(a):
 def test_reference_triangle_identities(reference_triangle_mesh):
     """k=0, c=1, beta=0, tau=1, dt=1 on the reference triangle."""
     disc = Discretization(reference_triangle_mesh, 0)
-    A_II, A_IT, A_TI, A_TT = sampled_blocks(
-        disc, BlockTables(disc, 1.0, 1.0), *const_samples(disc))
+    tables = BlockTables(disc, 1.0, 1.0)
+    A_II, A_IT, A_TI, A_TT = dense_blocks(tables, *sampled_blocks(
+        disc, tables, *const_samples(disc)))
     # orthonormal reference basis: coefficient-1 mass is the identity
     assert np.abs(A_II[0, :2, :2] - np.eye(2)).max() < 1e-13
     assert np.abs(A_II[0, :2, 2:]).max() < 1e-14  # div r = 0 for constants
@@ -53,29 +56,30 @@ def test_convection_blocks_vanish_for_zero_velocity(mesh2):
     d = disc.ndof_u
     cbar, bbar, bbar_f = const_samples(disc, cval=2.5)
     tables = BlockTables(disc, 2.0, 0.5)
-    A_II, A_IT, A_TI, _ = sampled_blocks(disc, tables, cbar, bbar, bbar_f)
+    A_IT = tables.A_IT
+    _, uu, A_TI = sampled_blocks(disc, tables, cbar, bbar, bbar_f)
     # without convection the u-u block is a sum of symmetric mass terms,
     # and the trace rows' u-block is the transpose of the coupling's
-    uu = A_II[:, 2 * d:, 2 * d:]
     assert np.abs(uu - transpose(uu)).max() < 1e-14 * np.abs(uu).max()
     assert np.array_equal(A_TI[:, :, 2 * d:], transpose(A_IT[:, 2 * d:, :]))
     # a velocity breaks both
-    A_II, A_IT, A_TI, _ = sampled_blocks(disc, tables, cbar, bbar + 0.3,
-                                         bbar_f + 0.3)
-    uu = A_II[:, 2 * d:, 2 * d:]
+    _, uu, A_TI = sampled_blocks(disc, tables, cbar, bbar + 0.3,
+                                 bbar_f + 0.3)
     assert np.abs(uu - transpose(uu)).max() > 1e-3
     assert not np.allclose(A_TI[:, :, 2 * d:],
                            transpose(A_IT[:, 2 * d:, :]))
 
 
 def test_coefficient_violation_names_element(mesh2):
+    """A NaN passes a test c <= 0, and would reach the inversions."""
     disc = Discretization(mesh2, 0)
-    cbar, bbar, bbar_f = const_samples(disc)
-    bad = cbar.copy()
-    bad[5, 0] = -1.0
-    with pytest.raises(CoefficientError, match="element 5"):
-        sampled_blocks(disc, BlockTables(disc, 1.0, 1.0), bad, bbar,
-                       bbar_f)
+    for field, value in ((0, -1.0), (0, np.nan), (0, np.inf), (1, np.nan)):
+        samples = [s.copy() for s in const_samples(disc)]
+        samples[field][5, 0] = value
+        with pytest.raises(CoefficientError, match="^element 5: mean c not "
+                                                   "positive and finite, or "
+                                                   "mean beta not finite$"):
+            sampled_blocks(disc, BlockTables(disc, 1.0, 1.0), *samples)
     with pytest.raises(ValueError):
         BlockTables(disc, 0.0, 1.0)
     with pytest.raises(ValueError):
@@ -89,8 +93,9 @@ def test_full_local_matrix_against_monomial_oracle(mesh2, rng, k):
     disc = Discretization(mesh2, k)
     cbar, bbar, bbar_f = random_samples(disc, rng)
     tau, dt = 2.0, 0.25
-    A_II, A_IT, A_TI, A_TT = sampled_blocks(
-        disc, BlockTables(disc, tau, dt), cbar, bbar, bbar_f)
+    tables = BlockTables(disc, tau, dt)
+    A_II, A_IT, A_TI, A_TT = dense_blocks(tables, *sampled_blocks(
+        disc, tables, cbar, bbar, bbar_f))
     full = np.block([[A_II, A_IT], [A_TI, A_TT]])
     for ie in (0, 3, 6):
         oracle = monomial_full_local_matrix(disc, ie, cbar[ie], bbar[ie],
@@ -106,8 +111,9 @@ def test_batched_blocks_match_per_element(mesh4, rng, k):
     disc = Discretization(mesh4, k)
     cbar, bbar, bbar_f = random_samples(disc, rng)
     tau, dt = 1.5, 0.1
-    blocks = sampled_blocks(disc, BlockTables(disc, tau, dt), cbar, bbar,
-                            bbar_f)
+    tables = BlockTables(disc, tau, dt)
+    blocks = dense_blocks(tables, *sampled_blocks(disc, tables, cbar, bbar,
+                                                  bbar_f))
     ni = blocks[0].shape[-1]
     for ie in range(mesh4.n_elements):
         oracle = monomial_full_local_matrix(disc, ie, cbar[ie], bbar[ie],
@@ -122,20 +128,21 @@ def test_batched_blocks_match_per_element(mesh4, rng, k):
 
 
 def test_block_tables_are_shared_read_only(mesh2, rng):
-    """The coefficient-free blocks are handed out by reference: they
-    cannot be written to, and calls with other coefficients leave the
-    tables as a fresh build has them."""
+    """The coefficient-free blocks are read by reference: they cannot be
+    written to, and calls with other coefficients leave the tables as a
+    fresh build has them."""
     disc = Discretization(mesh2, 1)
     tables = BlockTables(disc, 2.0, 0.5)
-    held = [tables.A_II, tables.A_IT, tables.A_TI, tables.A_TT,
+    held = [tables.C, tables.A_uu, tables.A_IT, tables.A_TI, tables.A_TT,
             tables.lag.mass_q, tables.lag.conv] + [t for pair in
                                                    tables.lag.face
                                                    for t in pair]
     assert not any(t.flags.writeable for t in held)
     cbar, bbar, bbar_f = random_samples(disc, rng)
     first = sampled_blocks(disc, tables, cbar, bbar, bbar_f)
+    condense_all(tables, *first)
     with pytest.raises(ValueError, match="read-only"):
-        first[1][0, 0, 0] = 1.0
+        tables.A_IT[0, 0, 0] = 1.0
     second = sampled_blocks(disc, tables, 2.0 * cbar, bbar, bbar_f)
     fresh = BlockTables(disc, 2.0, 0.5)
     for got, cval in ((first, cbar), (second, 2.0 * cbar)):
@@ -165,9 +172,8 @@ def test_member_blocks_are_mean_blocks_minus_deviation_terms(mesh4, rng, k):
     for j in range(3):
         own = sampled_blocks(disc, tables, c[j], b[j], bf[j])
         pairs = (
-            (own[0][:, :d, :d], mean[0][:, :d, :d] - ops.mass_c[j]),
-            (own[0][:, 2 * d:, 2 * d:], mean[0][:, 2 * d:, 2 * d:] -
-             (ops.u_op[j, :, :d] - time_term)),
+            (own[0], mean[0] - ops.mass_c[j]),
+            (own[1], mean[1] - (ops.u_op[j, :, :d] - time_term)),
             (own[2][:, :, 2 * d:][~bnd_rows], (mean[2][:, :, 2 * d:] -
                                                ops.u_op[j, :, d:])[~bnd_rows]))
         for got, want in pairs:
@@ -176,8 +182,9 @@ def test_member_blocks_are_mean_blocks_minus_deviation_terms(mesh4, rng, k):
 
 def test_schur_symmetry_without_convection(mesh2):
     disc = Discretization(mesh2, 1)
-    cond = condense_all(*sampled_blocks(
-        disc, BlockTables(disc, 3.0, 0.5), *const_samples(disc, cval=0.7)))
+    tables = BlockTables(disc, 3.0, 0.5)
+    cond = condense_all(tables, *sampled_blocks(
+        disc, tables, *const_samples(disc, cval=0.7)))
     assert np.abs(cond.schur - transpose(cond.schur)).max() < 1e-12
 
 
@@ -187,43 +194,81 @@ def test_mass_scaling_in_cbar(mesh2):
     d = disc.ndof_u
     cbar, bbar, bbar_f = const_samples(disc, cval=1.3)
     tables = BlockTables(disc, 1.0, 1.0)
-    a1 = sampled_blocks(disc, tables, cbar, bbar, bbar_f)[0]
-    a2 = sampled_blocks(disc, tables, 2.0 * cbar, bbar, bbar_f)[0]
-    assert np.abs(a2[:, :2 * d, :2 * d] - 2.0 * a1[:, :2 * d, :2 * d]).max() \
-        == 0.0
+    m1 = sampled_blocks(disc, tables, cbar, bbar, bbar_f)[0]
+    m2 = sampled_blocks(disc, tables, 2.0 * cbar, bbar, bbar_f)[0]
+    assert m1.shape[1:] == (d, d)
+    assert np.abs(m2 - 2.0 * m1).max() == 0.0
 
 
 def test_condense_zero_coupling_returns_trace_block(mesh2):
     disc = Discretization(mesh2, 0)
-    A_II, A_IT, A_TI, A_TT = sampled_blocks(
-        disc, BlockTables(disc, 1.0, 1.0), *const_samples(disc))
-    cond = condense_all(A_II, np.zeros_like(A_IT), np.zeros_like(A_TI),
-                        A_TT)
-    assert np.abs(cond.schur - A_TT).max() == 0.0
+    tables = BlockTables(disc, 1.0, 1.0)
+    M, A, A_TI = sampled_blocks(disc, tables, *const_samples(disc))
+    uncoupled = SimpleNamespace(C=tables.C, A_IT=np.zeros_like(tables.A_IT),
+                                A_TT=tables.A_TT)
+    cond = condense_all(uncoupled, M, A, np.zeros_like(A_TI))
+    assert np.abs(cond.schur - tables.A_TT).max() == 0.0
+
+
+def random_saddle_blocks(rng, d, t, batch):
+    """Random well-conditioned blocks with the saddle structure of the
+    local solver: an SPD M, a coupling C and a u-block A whose symmetric
+    part is positive definite; returns (tables, M, A, A_TI)."""
+    R = rng.normal(size=(batch, d, d))
+    M = R @ transpose(R) + d * np.eye(d)
+    A = 4 * np.eye(d) + rng.normal(size=(batch, d, d)) * 0.3
+    tables = SimpleNamespace(
+        C=rng.normal(size=(batch, 2 * d, d)),
+        A_IT=rng.normal(size=(batch, 3 * d, t)) * 0.5,
+        A_TT=np.eye(t) * 3 + rng.normal(size=(batch, t, t)) * 0.2)
+    return tables, M, A, rng.normal(size=(batch, t, 3 * d)) * 0.5
 
 
 def test_condense_matches_generic_elimination(rng):
-    """A batch of random well-conditioned synthetic blocks vs direct
-    elimination."""
-    n, t, batch = 6, 4, 5
-    A_II = np.eye(n) * 4 + rng.normal(size=(batch, n, n)) * 0.3
-    A_IT = rng.normal(size=(batch, n, t)) * 0.5
-    A_TI = rng.normal(size=(batch, t, n)) * 0.5
-    A_TT = np.eye(t) * 3 + rng.normal(size=(batch, t, t)) * 0.2
-    cond = condense_all(A_II, A_IT, A_TI, A_TT)
+    """A batch of random well-conditioned saddle blocks vs direct
+    elimination of their dense form."""
+    tables, M, A, A_TI = random_saddle_blocks(rng, 2, 4, 5)
+    cond = condense_all(tables, M, A, A_TI)
+    A_II, A_IT, A_TI, A_TT = dense_blocks(tables, M, A, A_TI)
     want = A_TT - A_TI @ np.linalg.solve(A_II, A_IT)
     assert np.abs(cond.schur - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("tau, beta, dt, cscale", [
+    (1.0, 1.0, 0.1, 1.0), (1e-6, 1e3, 1e3, 1e-4), (1e-6, 1e3, 1e-6, 1e4),
+    (1.0, 1e3, 1e3, 1e4), (1e-6, 0.0, 1e3, 1e-4)],
+    ids=["plain", "weak-tau-large-dt", "small-dt", "large-beta",
+         "diffusion-only"])
+def test_condensation_matches_dense_inversion(mesh2, rng, k, tau, beta, dt,
+                                              cscale):
+    """W = A_II^-1 and the Schur complement of the structured elimination
+    against LAPACK on the dense blocks, across scales of tau, |β|, dt and
+    c, to within rounding times cond(A_II)."""
+    disc = Discretization(mesh2, k)
+    tables = BlockTables(disc, tau, dt)
+    c, b, bf = random_samples(disc, rng)
+    blocks = sampled_blocks(disc, tables, cscale * c, beta * b, beta * bf)
+    cond = condense_all(tables, *blocks)
+    A_II, A_IT, A_TI, A_TT = dense_blocks(tables, *blocks)
+    W = np.linalg.inv(A_II)
+    schur = A_TT - A_TI @ W @ A_IT
+    kappa = np.linalg.cond(A_II)[:, None, None]
+    eps = np.finfo(float).eps
+    for got, want in ((cond.solve_int, W), (cond.schur, schur)):
+        scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+        assert (np.abs(got - want) <= 4 * eps * kappa * scale).all()
 
 
 def test_condensation_reconstructs_full_solution(mesh2, rng):
     """Condensed maps + back-substitution satisfy the uncondensed local
     equations of every element, for two right-hand sides each."""
     disc = Discretization(mesh2, 1)
+    tables = BlockTables(disc, 2.0, 0.5)
     blocks = sampled_blocks(
-        disc, BlockTables(disc, 2.0, 0.5),
-        *const_samples(disc, cval=1.3, bvec=(0.4, -0.2)))
-    cond = condense_all(*blocks)
-    A_II, A_IT, A_TI, A_TT = blocks
+        disc, tables, *const_samples(disc, cval=1.3, bvec=(0.4, -0.2)))
+    cond = condense_all(tables, *blocks)
+    A_II, A_IT, A_TI, A_TT = dense_blocks(tables, *blocks)
     full = np.block([[A_II, A_IT], [A_TI, A_TT]])
     nint = A_II.shape[1]
     rhs = rng.normal(size=(mesh2.n_elements, full.shape[1], 2))
@@ -237,8 +282,9 @@ def test_recover_interior_zero_and_linearity(mesh2, rng):
     """The recovery solve_int b - lift t of every element maps zero to
     zero and is a superposition in the trace input."""
     disc = Discretization(mesh2, 1)
-    cond = condense_all(*sampled_blocks(
-        disc, BlockTables(disc, 1.0, 1.0), *const_samples(disc)))
+    tables = BlockTables(disc, 1.0, 1.0)
+    cond = condense_all(tables, *sampled_blocks(disc, tables,
+                                                *const_samples(disc)))
     ne, nint, ntr = cond.lift.shape
 
     def recover(t, b):
@@ -258,9 +304,10 @@ def test_condense_all_matches_condense(mesh2, rng):
     elimination, and the recovered interior against a dense solve of the
     uncondensed local system."""
     disc = Discretization(mesh2, 1)
-    A_II, A_IT, A_TI, A_TT = sampled_blocks(
-        disc, BlockTables(disc, 1.0, 1.0), *random_samples(disc, rng))
-    cond = condense_all(A_II, A_IT, A_TI, A_TT)
+    tables = BlockTables(disc, 1.0, 1.0)
+    blocks = sampled_blocks(disc, tables, *random_samples(disc, rng))
+    cond = condense_all(tables, *blocks)
+    A_II, A_IT, A_TI, A_TT = dense_blocks(tables, *blocks)
     want = A_TT - A_TI @ np.linalg.solve(A_II, A_IT)
     assert np.abs(cond.schur - want).max() < 5e-12
     # given traces t, the interior solves A_II x = b - A_IT t
@@ -272,12 +319,14 @@ def test_condense_all_matches_condense(mesh2, rng):
 
 
 def test_condense_all_names_singular_element(mesh2):
+    """A zero mass block, and a NaN u-block, whose pivots are NaN."""
     disc = Discretization(mesh2, 1)
-    A_II, A_IT, A_TI, A_TT = sampled_blocks(
-        disc, BlockTables(disc, 1.0, 1.0), *const_samples(disc))
-    A_II[3] = 0.0
-    with pytest.raises(RuntimeError, match="element 3"):
-        condense_all(A_II, A_IT, A_TI, A_TT)
+    tables = BlockTables(disc, 1.0, 1.0)
+    for block, value in ((0, 0.0), (1, np.nan)):
+        blocks = list(sampled_blocks(disc, tables, *const_samples(disc)))
+        blocks[block][3] = value
+        with pytest.raises(RuntimeError, match="element 3$"):
+            condense_all(tables, *blocks)
 
 
 def test_local_rhs_reduces_to_time_term(mesh2, rng):

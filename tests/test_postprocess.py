@@ -151,3 +151,18 @@ def test_against_monomial_kkt_oracle(mesh2, rng):
     C = ElementBasis(k + 1).coeffs
     got_mono = C.T @ got
     assert np.abs(got_mono - mono_sol).max() < 1e-10
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_stiffness_inverse_matches_quadrature_oracle(mesh4, rng, k):
+    """The batched Gauss-Jordan inverse of the stiffness blocks: u* of
+    random (q, u) against the per-element quadrature solve."""
+    ne = mesh4.n_elements
+    disc = Discretization(mesh4, k)
+    u = rng.normal(size=(2, ne, disc.ndof_u))
+    q = rng.normal(size=(2, ne, 2 * disc.ndof_u))
+    c = 1.0 + rng.random((2, ne, len(disc.w_data)))
+    post = Postprocessor(disc)
+    star = post.apply(u, q, post.operator(c))
+    want = quadrature_postprocess(disc, u, q, c)
+    assert np.abs(star - want).max() <= 1e-12 * np.abs(want).max()

@@ -5,6 +5,7 @@ import pytest
 import sympy
 
 from ensemble_hdg.discretization import Discretization
+from ensemble_hdg.local import CoefficientError
 from ensemble_hdg.mesh import build_uniform_square_mesh
 from ensemble_hdg.problems import (EXAMPLE1_BETA_SCALE, EXAMPLE1_C,
                                    SeparableField, VectorField, example1,
@@ -173,6 +174,23 @@ def test_admissibility_report_counts_every_violation(mesh2):
     assert report.n_violations == count
     assert report.violations == records[:report.max_records]
     assert report.c_min == min(float(np.min(ct)) for ct in c)
+
+
+def test_admissibility_reports_a_nan_sample(mesh2):
+    """A NaN c fails every comparison, the passing ones too: the point is
+    reported for the member that has it, and for the other member, whose
+    mean it spoils."""
+    X = BatchedGeometry(mesh2).points(triangle_quadrature(6).points)
+    x0, y0 = X[3, 2]
+    members = constant_members([1.0, 2.0], [(0, 0)] * 2)
+    members[1].c = lambda x, y, t: np.where((x == x0) & (y == y0), np.nan,
+                                            2.0)
+    report = check_admissibility(ProblemSpec(members, autonomous=True),
+                                 mesh2, [0.0])
+    assert not report.ok
+    assert report.violations == [(0, 1, float(x0), float(y0)),
+                                 (1, 1, float(x0), float(y0))]
+    assert report.c_min == 1.0
 
 
 def test_choose_tau_zero_velocity(mesh2):
@@ -757,3 +775,108 @@ def test_constant_ensembles_share_one_mode_per_coefficient(mesh2):
     stacks = (solver._c_vals, *solver._b_vals, solver._f_rows)
     assert all(s.separable for s in stacks)
     assert [len(s.modes(0.0)[1]) for s in stacks] == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("field, value", [("c", np.nan), ("c", np.inf),
+                                          ("beta", np.nan)])
+def test_non_finite_coefficients_are_named(mesh2, field, value):
+    """NaN passes c <= 0 and Python's max in choose_tau skips it: such a
+    member used to reach SuperLU, which called the trace matrix exactly
+    singular.  The first element with the sample and the member are
+    named."""
+    members = constant_members([1.0, 2.0], [(0.5, 0.2)] * 2)
+    if field == "c":
+        members[1].c = lambda x, y, t: np.where(x > 0.5, value, 2.0)
+    else:
+        members[1].beta = lambda x, y, t: np.stack(
+            [np.where(x > 0.5, value, 0.5), np.full_like(x, 0.2)], -1)
+    disc = Discretization(mesh2, 1)
+    e = int(np.argmax((disc.X_data[..., 0] > 0.5).any(axis=1)))
+    name = "c" if field == "c" else "beta_x"
+    with pytest.raises(CoefficientError,
+                       match=f"^element {e}: the {name} sample of member 1 "
+                             f"at t = 0.0 is not finite"):
+        EnsembleSolver(disc, ProblemSpec(members, autonomous=True), dt=0.1)
+
+
+def test_non_finite_weight_names_its_time(mesh2):
+    """A separable c whose time factor turns NaN: the modes stay finite,
+    and the step at that time names the member and t."""
+    def one(x, y):
+        return np.ones_like(x)
+
+    members = constant_members([1.0, 2.0], [(0, 0)] * 2)
+    members[0].c = SeparableField([lambda t: 1.0], [one])
+    members[1].c = SeparableField(
+        [lambda t: 2.0 if t < 0.25 else float("nan")], [one])
+    spec = ProblemSpec(members, autonomous=False)
+    disc = Discretization(mesh2, 0)
+    solver = EnsembleSolver(disc, spec, dt=0.125, tau=1.0)
+    state = solver.step(initialize(spec, disc))
+    with pytest.raises(CoefficientError,
+                       match="^member 1: a weight of c or beta is not "
+                             "finite at t = 0.25$"):
+        solver.step(state)
+
+
+def test_refactor_family_keeps_the_velocity_lag_operator(mesh2,
+                                                        monkeypatch):
+    """c_j = c_j^0 (1 + t/2) and autonomous β_j: the c deviation weights
+    change at every step, the velocity ones never do.  Over 8 steps u_op
+    is built once per degree, and mass_c follows c."""
+    from ensemble_hdg import local
+
+    built = []
+    build = local.rhs_operators
+
+    def counted(disc, terms, dt, dev):
+        built.append(terms.tables.mass.shape[1])
+        return build(disc, terms, dt, dev)
+
+    monkeypatch.setattr(local, "rhs_operators", counted)
+    spec = scaled_example1(1)
+    disc = Discretization(mesh2, 1)
+    dt = 0.125
+    solver = EnsembleSolver(disc, spec, dt=dt, tau=2.0)
+    state = initialize(spec, disc)
+    kept = None
+    for n in range(1, 9):
+        state = solver.step(state)
+        if n == 1:
+            continue
+        ops = solver._ops[2]
+        level = solver._coefficients(n * dt)
+        fresh = build(disc, level["terms"], dt, level["dev"])
+        assert np.array_equal(ops.mass_c, fresh.mass_c), n
+        assert np.array_equal(ops.u_op, fresh.u_op), n
+        assert kept is None or ops.u_op is kept.u_op, n
+        assert kept is None or not np.array_equal(ops.mass_c, kept.mass_c)
+        kept = ops
+    assert built == [disc.ndof_u_hi, disc.ndof_u]
+    assert solver.n_factorizations == 8
+
+
+def test_time_dependent_velocity_modes_step_like_the_dense_oracle(mesh2):
+    """β_j = (1 + t)(a_j y, a_j x): a separable family whose velocity
+    deviation weights change at every step while c stays, so a lag
+    operator kept on the c weights alone would go stale."""
+    x, y, t = sympy.symbols("x y t")
+    spec = ProblemSpec(
+        [manufactured_member(cj, ((1 + t) * aj * y, (1 + t) * aj * x),
+                             sympy.sin(t) * sympy.sin(x) * sympy.sin(y) / j)
+         for j, (cj, aj) in enumerate(zip(EXAMPLE1_C, EXAMPLE1_BETA_SCALE),
+                                      1)],
+        autonomous=False)
+    disc = Discretization(mesh2, 1)
+    dt, tau = 0.125, 3.0
+    solver = EnsembleSolver(disc, spec, dt=dt, tau=tau)
+    assert all(s.separable for s in solver._b_vals)
+    state = initialize(spec, disc)
+    for n in range(1, 5):
+        got = solver.step(state)
+        want = dense_step(disc, spec, tau, dt, state)
+        for name in ("u", "q", "uhat"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), (n, name)
+        state = got
+    assert solver.n_factorizations == 4

@@ -25,8 +25,9 @@ def build_system(mesh, k, rng=None):
         cbar = 1.0 + rng.random((ne, nq))
         bbar = rng.normal(size=(ne, nq, 2))
         bbar_f = rng.normal(size=(ne, 3, nqf, 2))
-    cond = condense_all(*sampled_blocks(
-        disc, BlockTables(disc, 2.0, 0.5), cbar, bbar, bbar_f))
+    tables = BlockTables(disc, 2.0, 0.5)
+    cond = condense_all(tables, *sampled_blocks(disc, tables, cbar, bbar,
+                                                bbar_f))
     system = assemble_trace_matrix(disc, cond.schur, fingerprint="probe")
     return disc, cond, system
 
