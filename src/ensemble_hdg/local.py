@@ -7,10 +7,9 @@ leaving a dense Schur complement on the trace DOFs; boundary faces carry no
 unknowns and their rows/columns are dropped at scatter time (their trace
 values are identically zero, Dirichlet data enters only through the RHS).
 
-A_II = [[I₂⊗M, -C], [Cᵀ, A]] is inverted through the SPD c̄ mass M and
-S = A + Cᵀ(I₂⊗M)⁻¹C by Gauss-Jordan elimination without pivoting: for a
-divergence-free β̄ the symmetric part of S holds (1/dt) mass +
-<(tau + ½β̄·n) u, v>_∂K, positive definite for tau = 1 + max|β|.
+A_II is inverted through its d×d blocks by pivoted Gauss-Jordan
+elimination and one refinement step: `BatchedCondensed` gives the
+formulas and `condense_all` the reason for the step.
 
 All kernels work on every element at once, with the element as the
 leading array axis, and every coefficient enters as one GEMM of its
@@ -151,7 +150,7 @@ class BatchedCondensed:
 
     With B = I₂⊗M, BiC = B⁻¹C and Si = (A + Cᵀ BiC)⁻¹, the inverse of
     A_II = [[B, -C], [Cᵀ, A]] is W = [[B⁻¹ - BiC Si BiCᵀ, BiC Si],
-    [-Si BiCᵀ, Si]].
+    [-Si BiCᵀ, Si]], refined once as in `condense_all`.
     """
 
     def __init__(self, schur, solve_int, lift, reduce_rhs):
@@ -163,20 +162,30 @@ class BatchedCondensed:
 
 def invert_blocks(a, name):
     """The inverses of the blocks a (ne, n, n) by Gauss-Jordan elimination
-    without pivoting, each step one operation over all elements; a zero or
-    non-finite pivot raises RuntimeError naming the block and element."""
+    with partial pivoting, each step one operation over all elements.  A
+    pivot not above rounding of its block's largest entry (zero, or NaN
+    from a non-finite entry) raises RuntimeError naming the element."""
+    ne, n = a.shape[:2]
     w = np.moveaxis(a, 0, -1).copy()
-    for k in range(len(w)):
-        piv = w[k, k].copy()
-        ok = np.isfinite(piv) & (piv != 0)
+    tiny = np.finfo(float).eps * np.abs(w).max(axis=(0, 1))
+    e, swaps = np.arange(ne), []
+    for k in range(n):
+        p = k + np.argmax(np.abs(w[k:, k]), axis=0)
+        if (p != k).any():
+            swaps.append((k, p))
+            w[k], w[p, :, e] = w[p, :, e].T, w[k].T.copy()
+        ok = np.abs(w[k, k]) > tiny
         if not ok.all():
             raise RuntimeError(
                 f"singular {name} on element {int(np.argmin(ok))}")
-        col = w[:, k].copy()
-        col[k] = 0.0
-        w[:, k] = (np.arange(len(w)) == k)[:, None]
+        piv, col = w[k, k].copy(), w[:, k].copy()
+        col[k], w[:, k] = 0.0, (np.arange(n) == k)[:, None]
         w[k] /= piv
         w -= col[:, None] * w[k]
+    # that inverted P a for the row swaps P: a⁻¹ = (P a)⁻¹ P, the columns
+    # swapped back in reverse order
+    for k, p in reversed(swaps):
+        w[:, k], w[:, p, e] = w[:, p, e], w[:, k].copy()
     return np.ascontiguousarray(np.moveaxis(w, -1, 0))
 
 
@@ -189,14 +198,22 @@ def condense_all(tables, M, A, A_TI):
     ne, d = M.shape[:2]
     Mi = invert_blocks(M, "interior block")
     BiC = (Mi[:, None] @ tables.C.reshape(ne, 2, d, d)).reshape(ne, -1, d)
-    Si = invert_blocks(A + np.swapaxes(tables.C, 1, 2) @ BiC,
-                       "interior block")
+    Ct = np.swapaxes(tables.C, 1, 2)
+    Si = invert_blocks(A + Ct @ BiC, "interior block")
     # W = diag(B⁻¹, 0) + U Si V with U = [BiC; I] and V = [-BiCᵀ, I]
     eye = np.broadcast_to(np.eye(d), (ne, d, d))
     W = (np.concatenate([BiC, eye], axis=1) @ Si) @ np.concatenate(
         [-np.swapaxes(BiC, 1, 2), eye], axis=2)
     W[:, :d, :d] += Mi
     W[:, d:2 * d, d:2 * d] += Mi
+    # The q-rows of A_II W are I to rounding by construction, the u-rows
+    # carry the rounding of CᵀB⁻¹C in S, about 100 times A at h = 1/64,
+    # dt = 1/128: refine W += W (I - A_II W) by them.  Without it example
+    # 1 there ends 30 times further from a long-double run than with a
+    # LAPACK inverse of A_II, with it about as far.
+    R = -(Ct @ W[:, :2 * d] + A @ W[:, 2 * d:])
+    R[:, :, 2 * d:] += np.eye(d)
+    W += W[:, :, 2 * d:] @ R
     G = A_TI @ W
     return BatchedCondensed(tables.A_TT - G @ tables.A_IT, W,
                             W @ tables.A_IT, G)
@@ -345,23 +362,35 @@ class RHSOperators:
     of q.  u_op (J, ne, d + 3nfd, din) maps the previous u to the u-rows
     ((1/dt) mass plus (β̄ - β_j)·∇) and to the trace rows
     (-<(β̄ - β_j)·n u, v̂> on interior faces, zero on boundary faces).
+    terms and dev are the `ModeTerms` and deviation weights they were
+    built from.
     """
 
-    def __init__(self, mass_c, u_op):
-        self.mass_c = mass_c
-        self.u_op = u_op
+    def __init__(self, terms, dev, mass_c, u_op):
+        self.terms, self.dev = terms, dev
+        self.mass_c, self.u_op = mass_c, u_op
 
 
-def rhs_operators(disc, terms, dt, dev):
+def rhs_operators(disc, terms, dt, dev, kept):
     """Build the RHS operators of J members from their deviation weights
     dev (J, Mc + Mb), θ̄ - θ_j over the c-modes, then the velocity modes,
     and the `ModeTerms` of those modes.  The input degree of u is that of
-    `terms.tables`.
+    `terms.tables`.  kept is None or operators built earlier: mass_c is
+    taken from them while the c-mode weights and the terms stay, u_op
+    while the velocity weights and the terms stay.
     """
     mesh = disc.mesh
     d, nfd = disc.ndof_u, disc.ndof_face
     nc = len(terms.c)
-    mass_c = mode_sum(dev[:, :nc], terms.mass)
+
+    def stays(cols):
+        return kept is not None and kept.terms is terms and \
+            np.array_equal(kept.dev[:, cols], dev[:, cols])
+
+    mass_c = kept.mass_c if stays(slice(nc)) else \
+        mode_sum(dev[:, :nc], terms.mass)
+    if stays(slice(nc, None)):
+        return RHSOperators(terms, dev, mass_c, kept.u_op)
     u_op = np.empty((len(dev), mesh.n_elements, d + 3 * nfd,
                      terms.conv.shape[-1]))
     np.add(mode_sum(dev[:, nc:], terms.conv),
@@ -371,7 +400,7 @@ def rhs_operators(disc, terms, dt, dev):
     bnd_rows = np.repeat(mesh.boundary[mesh.elem_faces], nfd, axis=1)
     u_op[:, :, d:] = np.where(bnd_rows[:, :, None], 0.0,
                               -mode_sum(dev[:, nc:], terms.face))
-    return RHSOperators(mass_c, u_op)
+    return RHSOperators(terms, dev, mass_c, u_op)
 
 
 def source_rows(disc, f_vals):

@@ -365,22 +365,15 @@ class EnsembleSolver:
 
     def _rhs_operators(self, coeffs, degree):
         """RHS operators for a previous u of the given degree: degree-k
-        ones are kept while the modes and deviation weights stay, the
+        ones keep the parts whose modes and deviation weights stay, the
         degree-(k+1) ones are built from terms of that degree and dropped."""
         disc, terms, dev = self.disc, coeffs["terms"], coeffs["dev"]
         if degree != disc.k:
             return local.rhs_operators(disc, local.ModeTerms(
                 disc, local.RHSTables(disc, degree), terms.c, terms.b,
-                terms.b_face), self.dt, dev)
-        nc = len(terms.c)
-        if self._ops is None or self._ops[0] is not terms or \
-                not np.array_equal(self._ops[1][:, nc:], dev[:, nc:]):
-            self._ops = (terms, dev,
-                         local.rhs_operators(disc, terms, self.dt, dev))
-        elif not np.array_equal(self._ops[1], dev):
-            self._ops = (terms, dev, local.RHSOperators(
-                local.mode_sum(dev[:, :nc], terms.mass), self._ops[2].u_op))
-        return self._ops[2]
+                terms.b_face), self.dt, dev, None)
+        self._ops = local.rhs_operators(disc, terms, self.dt, dev, self._ops)
+        return self._ops
 
     def _ensure_system(self, coeffs):
         fp = coeffs["fingerprint"]

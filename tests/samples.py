@@ -38,4 +38,4 @@ def sampled_rhs_operators(disc, tables, dt, c_dev, b_dev, b_dev_face):
     `RHSTables` tables."""
     J = len(c_dev)
     terms = ModeTerms(disc, tables, c_dev, b_dev, b_dev_face)
-    return rhs_operators(disc, terms, dt, np.hstack([np.eye(J)] * 2))
+    return rhs_operators(disc, terms, dt, np.hstack([np.eye(J)] * 2), None)

@@ -5,9 +5,12 @@ import pytest
 
 from ensemble_hdg.discretization import Discretization
 from ensemble_hdg.local import (BlockTables, CoefficientError, RHSTables,
-                                assemble_all_rhs, boundary_data_operator,
-                                boundary_rows, condense_all, source_rows)
-from ensemble_hdg.solver import EnsembleState
+                                assemble_all_blocks, assemble_all_rhs,
+                                boundary_data_operator, boundary_rows,
+                                condense_all, invert_blocks, source_rows)
+from ensemble_hdg.mesh import build_uniform_square_mesh
+from ensemble_hdg.problems import example1
+from ensemble_hdg.solver import EnsembleSolver, EnsembleState
 
 from oracles import lag_samples, local_rhs, monomial_full_local_matrix
 from samples import dense_blocks, sampled_blocks, sampled_rhs_operators
@@ -258,6 +261,67 @@ def test_condensation_matches_dense_inversion(mesh2, rng, k, tau, beta, dt,
     for got, want in ((cond.solve_int, W), (cond.schur, schur)):
         scale = np.abs(want).max(axis=(1, 2), keepdims=True)
         assert (np.abs(got - want) <= 4 * eps * kappa * scale).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_invert_blocks_pivots(rng, n):
+    """Blocks whose leading entry is zero or tiny next to the rest of its
+    column: elimination without row swaps meets a zero pivot, or one that
+    grows the other rows by 1e14."""
+    a = rng.normal(size=(6, n, n)) + 2 * n * np.eye(n)
+    a[:, :, 0] = a[:, ::-1, 0]
+    a[:2, 0, 0] = 0.0
+    a[2:4, 0, 0] = 1e-14
+    if n == 1:
+        a[:4] = 1.0
+    want = np.linalg.inv(a)
+    got = invert_blocks(a, "block")
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_condensation_with_an_indefinite_schur_block(mesh2, k):
+    """tau = 1e-6 and a velocity β̄ = -100 (x, y) that is not divergence
+    free: the symmetric part of S = A + Cᵀ(I₂⊗M)⁻¹C is indefinite on
+    every element, so S needs its pivoting.  W and the Schur complement
+    still match LAPACK on the dense blocks."""
+    disc = Discretization(mesh2, k)
+    tables = BlockTables(disc, 1e-6, 1.0)
+    c = np.ones(disc.X_data.shape[:2])
+    M, A, A_TI = sampled_blocks(disc, tables, c, -100 * disc.X_data,
+                                -100 * disc.Xf_fdata)
+    d = disc.ndof_u
+    S = A + sum(transpose(C) @ np.linalg.solve(M, C)
+                for C in (tables.C[:, :d], tables.C[:, d:]))
+    assert (np.linalg.eigvalsh(S + transpose(S)).min(axis=1) < 0).all()
+    cond = condense_all(tables, M, A, A_TI)
+    A_II, A_IT, A_TI, A_TT = dense_blocks(tables, M, A, A_TI)
+    W = np.linalg.inv(A_II)
+    kappa = np.linalg.cond(A_II)[:, None, None]
+    eps = np.finfo(float).eps
+    for got, want in ((cond.solve_int, W),
+                      (cond.schur, A_TT - A_TI @ W @ A_IT)):
+        scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+        assert (np.abs(got - want) <= 4 * eps * kappa * scale).all()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_interior_inverse_is_componentwise_backward_stable(k):
+    """Example 1's mean blocks at h = 1/8 and dt = 1/16, the ratio of the
+    march benchmark.  Forming S rounds CᵀM⁻¹C, about 100 times A; without
+    its refinement some entries of I - A_II W reach 0.13 of |A_II||W| + I,
+    and the march state drifts 30 times further from a long-double one."""
+    disc = Discretization(build_uniform_square_mesh(8), k)
+    solver = EnsembleSolver(disc, example1(), 1 / 16)
+    level, tables = solver._coeff_cache, solver._block_tables
+    blocks = assemble_all_blocks(disc, tables, level["terms"], level["mean"])
+    A_II = dense_blocks(tables, *blocks)[0]
+    W = condense_all(tables, *blocks).solve_int
+    eye = np.eye(A_II.shape[1])
+    ld = np.longdouble
+    residual = np.abs(eye - A_II.astype(ld) @ W.astype(ld))
+    assert (residual <= 16 * np.finfo(float).eps *
+            (np.abs(A_II) @ np.abs(W) + eye)).all()
 
 
 def test_condensation_reconstructs_full_solution(mesh2, rng):

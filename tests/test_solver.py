@@ -829,9 +829,11 @@ def test_refactor_family_keeps_the_velocity_lag_operator(mesh2,
     built = []
     build = local.rhs_operators
 
-    def counted(disc, terms, dt, dev):
-        built.append(terms.tables.mass.shape[1])
-        return build(disc, terms, dt, dev)
+    def counted(disc, terms, dt, dev, kept):
+        ops = build(disc, terms, dt, dev, kept)
+        if kept is None or ops.u_op is not kept.u_op:
+            built.append(terms.tables.mass.shape[1])
+        return ops
 
     monkeypatch.setattr(local, "rhs_operators", counted)
     spec = scaled_example1(1)
@@ -844,9 +846,9 @@ def test_refactor_family_keeps_the_velocity_lag_operator(mesh2,
         state = solver.step(state)
         if n == 1:
             continue
-        ops = solver._ops[2]
+        ops = solver._ops
         level = solver._coefficients(n * dt)
-        fresh = build(disc, level["terms"], dt, level["dev"])
+        fresh = build(disc, level["terms"], dt, level["dev"], None)
         assert np.array_equal(ops.mass_c, fresh.mass_c), n
         assert np.array_equal(ops.u_op, fresh.u_op), n
         assert kept is None or ops.u_op is kept.u_op, n
