@@ -64,10 +64,8 @@ class BlockTables:
 
     def __init__(self, disc, tau, dt):
         ne = disc.mesh.n_elements
-        tau = np.broadcast_to(np.asarray(tau, dtype=float), (ne,))
-        if not np.all(np.isfinite(tau) & (tau > 0)):
-            raise ValueError("tau must be positive and finite on every "
-                             "element")
+        if not (np.isfinite(tau) and tau > 0):
+            raise ValueError(f"tau must be positive and finite, got {tau}")
         if not (np.isfinite(dt) and dt > 0):
             raise ValueError(f"dt must be positive and finite, got {dt}")
         basis = disc.elem_basis
@@ -222,13 +220,12 @@ def condense_all(tables, M, A, A_TI):
 def boundary_data_operator(disc, tau):
     """Linear map from boundary samples g (J, nbf, nqf) to b_int updates.
 
-    tau is a scalar or one value per element.  Returns (op (nbf, 3d, nqf),
-    scatter (ne, nbf) sparse), the `bnd_op` of `boundary_rows`.
+    tau is the scalar stabilization.  Returns (op (nbf, 3d, nqf), scatter
+    (ne, nbf) sparse), the `bnd_op` of `boundary_rows`.
     """
     import scipy.sparse as sp
 
     ne = disc.mesh.n_elements
-    tau = np.broadcast_to(np.asarray(tau, dtype=float), (ne,))
     be, bl = disc.boundary_face_sides()
     d = disc.ndof_u
     ln = disc.geom.edge_lengths[be, bl]
@@ -243,7 +240,7 @@ def boundary_data_operator(disc, tau):
     op = np.empty((len(be), 3 * d, mom.shape[2]))
     op[:, :d] = -nb[:, 0, None, None] * mom      # -<g, r.n> x-rows
     op[:, d:2 * d] = -nb[:, 1, None, None] * mom
-    op[:, 2 * d:] = tau[be, None, None] * mom    # <tau g, v>
+    op[:, 2 * d:] = tau * mom                     # <tau g, v>
     scatter = sp.csr_matrix(
         (np.ones(len(be)), (be, np.arange(len(be)))),
         shape=(ne, len(be)))

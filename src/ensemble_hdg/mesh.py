@@ -125,15 +125,6 @@ class Mesh:
     def n_interior_faces(self):
         return int((~self.boundary).sum())
 
-    def content_token(self):
-        """Hashable token identifying the mesh content (for fingerprints)."""
-        import hashlib
-
-        h = hashlib.sha256()
-        h.update(self.vertices.tobytes())
-        h.update(self.elements.tobytes())
-        return h.hexdigest()
-
 
 def build_uniform_square_mesh(n):
     """Uniform triangulation of [0, 1]^2 with n subdivisions per side.

@@ -14,8 +14,9 @@ spatial factors, and the c-mass, β·∇u and <β·n u, v̂> terms of each mode
 weights θ(t).  Other fields make the members' samples at each level the
 modes, with identity weights.  The mean weights θ̄ build the blocks, as
 the `local.BlockTables` of the solver's (tau, dt) plus Σ θ̄_m times the
-terms of mode m, and key the trace factorization, whose fingerprint
-hashes θ̄ and a token of the modes; the deviation weights θ̄ - θ_j build
+terms of mode m, and the trace factorization is kept while θ̄ stays
+bitwise (for plain callables, also the members' mean samples, which are
+that level's modes); the deviation weights θ̄ - θ_j build
 the RHS operators (the per-member, per-element maps from the previous
 [q | u] coefficients to the RHS, see `local.rhs_operators`); their c mass
 and velocity parts are each kept while their own weights stay.  Both parts
@@ -35,14 +36,12 @@ States are immutable: step() returns a fresh state, the previous one is
 never written to, so observers may safely keep references.
 """
 
-import hashlib
-
 import numpy as np
 
 from . import local
 from .basis import triangle_quadrature
 from .mesh import BatchedGeometry, build_uniform_square_mesh
-from .trace_system import assemble_trace_matrix, coefficient_fingerprint
+from .trace_system import assemble_trace_matrix
 
 
 class Member:
@@ -70,7 +69,10 @@ class ProblemSpec:
 
     autonomous says whether the coefficients c and beta are independent of
     time.  It has no default: a solver samples autonomous coefficients at
-    t = 0 only, so a wrong True silently freezes a time-dependent c.
+    t = 0 only.  `EnsembleSolver.run` rejects a wrong True on a separable
+    c or beta whose weights change; plain callables cannot be checked, and
+    a wrong True on them freezes the coefficient at t = 0.  Members are
+    named from 1 in messages, as in the error tables.
     """
 
     def __init__(self, members, autonomous, default_T=1.0, name=""):
@@ -91,10 +93,11 @@ class ProblemSpec:
                    for m in self.members)
 
     def single_member(self, j):
-        """A J=1 spec containing only member j (for separate runs)."""
+        """A J=1 spec containing only the member of index j (for separate
+        runs), named member j + 1."""
         return ProblemSpec([self.members[j]], autonomous=self.autonomous,
                            default_T=self.default_T,
-                           name=f"{self.name}[member {j}]")
+                           name=f"{self.name}[member {j + 1}]")
 
 
 class AdmissibilityReport:
@@ -102,7 +105,8 @@ class AdmissibilityReport:
 
     ok is True when every sampled point satisfies both
     |cbar^n - c_j^n| < min(cbar^n, cbar^(n-1)) and c_j^n >= c0 > 0.
-    violations lists up to `max_records` offending (j, n, x, y) tuples.
+    violations lists up to `max_records` offending (j, n, x, y) tuples,
+    with j the 0-based member index (member j + 1 in messages).
     """
 
     def __init__(self):
@@ -288,7 +292,7 @@ class EnsembleSolver:
         self.n_steps = 0
         self.system = None
         self.cond = None
-        self._fp = None
+        self._built_from = None
         self._modes = None
         self._ops = None
         self._block_tables = local.BlockTables(disc, self.tau, self.dt)
@@ -323,15 +327,17 @@ class EnsembleSolver:
 
     def _coefficients(self, t):
         """The mode weights of c and β at level t, their mean and their
-        deviations, the modes' degree-k terms and the fingerprint."""
+        deviations, the modes' degree-k terms, and what the mean blocks
+        are built from: θ̄, and the mean samples of resampled modes."""
         disc, stacks = self.disc, (self._c_vals, *self._b_vals)
         (wc, c), (wx, bx), (wy, by) = levels = [s.modes(t) for s in stacks]
         fixed = all(s.separable for s in stacks)
         w = np.concatenate([wc, wx, wy], axis=1)
         if not np.isfinite(w).all():
+            j = np.argwhere(~np.isfinite(w))[0, 0]
             raise local.CoefficientError(
-                f"member {np.argwhere(~np.isfinite(w))[0, 0]}: a weight of "
-                f"c or beta is not finite at t = {t}")
+                f"member {j + 1}: a weight of c or beta is not finite at "
+                f"t = {t}")
         if self._modes is None or not fixed:
             ne, nq = disc.X_data.shape[:2]
             for name, s, (_, modes) in zip(("c", "beta_x", "beta_y"),
@@ -340,7 +346,7 @@ class EnsembleSolver:
                     modes[:, :ne * nq].reshape(len(modes), ne, nq)))
                 if len(bad):
                     m = f"spatial factor {bad[0, 0]}" if s.separable else \
-                        f"member {bad[0, 0]} at t = {t}"
+                        f"member {bad[0, 0] + 1} at t = {t}"
                     raise local.CoefficientError(
                         f"element {bad[0, 1]}: the {name} sample of {m} is "
                         f"not finite")
@@ -351,17 +357,30 @@ class EnsembleSolver:
                 disc, self._block_tables.lag, c.reshape(len(c), ne, nq),
                 vec[:, :ne * nq].reshape(len(vec), ne, nq, 2),
                 vec[:, ne * nq:].reshape(len(vec), ne, 3, -1, 2))
-            # with θ̄ the token identifies the mean: by the fixed modes, or
-            # by the members' mean samples, so a mean that stays keeps its LU
-            h = hashlib.sha256(disc.mesh.content_token().encode())
-            for modes in (c, bx, by):
-                h.update((modes if fixed else modes.mean(axis=0)).tobytes())
-            self._modes = terms, h.hexdigest()
-        terms, token = self._modes
+            # fixed modes stay, so θ̄ alone says whether the mean does;
+            # resampled ones keep their LU while their mean samples stay
+            self._modes = terms, [] if fixed else \
+                [modes.mean(axis=0) for modes in (c, bx, by)]
+        terms, sampled = self._modes
         mean = w.mean(axis=0)
         return {"terms": terms, "mean": mean, "dev": mean[None] - w,
-                "fingerprint": coefficient_fingerprint(
-                    token, disc.k, self.dt, self.tau, mean)}
+                "built_from": np.concatenate([mean, *sampled])}
+
+    def _check_autonomous(self, times):
+        """Reject autonomous=True when a separable c, β_x or β_y has
+        other weights at one of the levels `times` than at t = 0."""
+        stacks = (self._c_vals, *self._b_vals)
+        for name, s in zip(("c", "beta_x", "beta_y"), stacks):
+            if not s.separable:
+                continue
+            w0 = s.modes(0.0)[0]
+            for t in times:
+                moved = np.argwhere((s.modes(t)[0] != w0).any(axis=1))
+                if len(moved):
+                    raise ValueError(
+                        f"member {moved[0, 0] + 1}: the {name} weights at "
+                        f"t = {t} differ from those at t = 0, but the "
+                        f"spec is autonomous")
 
     def _rhs_operators(self, coeffs, degree):
         """RHS operators for a previous u of the given degree: degree-k
@@ -376,8 +395,9 @@ class EnsembleSolver:
         return self._ops
 
     def _ensure_system(self, coeffs):
-        fp = coeffs["fingerprint"]
-        if self.system is not None and fp == self._fp:
+        built_from = coeffs["built_from"]
+        if self.system is not None and \
+                np.array_equal(built_from, self._built_from):
             return
         # the stale factor goes first, so the next one can reuse its memory
         self.system = None
@@ -385,9 +405,9 @@ class EnsembleSolver:
             self.disc, self._block_tables, coeffs["terms"], coeffs["mean"])
         self.cond = local.condense_all(self._block_tables, *blocks)
         self.system = assemble_trace_matrix(
-            self.disc, self.cond.schur, fp).factorize()
+            self.disc, self.cond.schur).factorize()
         self.n_factorizations += 1
-        self._fp = fp
+        self._built_from = built_from
 
     # -- the time step ---------------------------------------------------------
 
@@ -421,7 +441,7 @@ class EnsembleSolver:
         # fortran order feeds SuperLU's column sweeps without a copy
         glob = np.asfortranarray(disc.trace_scatter @ rhs_tr_T.reshape(-1, J))
 
-        uhat = self.system.solve_multi(glob, fingerprint=self._fp)
+        uhat = self.system.solve_multi(glob)
         if self.check_residuals:
             res = self.system.residual(uhat, glob)
             if np.any(res > 1e-10):
@@ -442,15 +462,18 @@ class EnsembleSolver:
         """March N = round(T / dt) steps, invoking observers after each.
 
         The run checks the ensemble-mean condition on t_0..t_N (t_0 alone
-        for autonomous problems), starts from `initialize` and returns the
-        final state.  Observers are callables (n, t_n, state) receiving the
-        accepted state read-only.
+        for autonomous problems, whose separable coefficients must then
+        have the weights of t_0 at t_1 and t_N), starts from `initialize`
+        and returns the final state.  Observers are callables
+        (n, t_n, state) receiving the accepted state read-only.
         """
         ratio = T / self.dt
         N = int(round(ratio))
         if abs(ratio - N) > 1e-6 * max(1, N):
             raise ValueError(
                 f"T/dt = {ratio} is not integral; snap dt first")
+        if self.spec.autonomous and N:
+            self._check_autonomous([self.dt, N * self.dt])
         report = check_admissibility(
             self.spec, self.disc.mesh,
             [0.0] if self.spec.autonomous else

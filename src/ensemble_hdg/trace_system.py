@@ -8,10 +8,10 @@ numbering; assembly only sums the Schur entries into it.  It is factorized
 by a sparse direct LU (SuperLU via scipy) in that order, and one
 factorization solves all J right-hand sides at once.  A factorization is
 read-only after construction: concurrent solves against distinct RHS
-columns are safe.
+columns are safe.  Which coefficients a system stands for is its owner's
+record: `EnsembleSolver` keeps one while the mean weights it was built
+from stay.
 """
-
-import hashlib
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,11 +19,10 @@ import scipy.sparse.linalg as spla
 
 
 class TraceSystem:
-    """Assembled trace matrix plus its factorization and fingerprint."""
+    """Assembled trace matrix plus its factorization."""
 
-    def __init__(self, disc, matrix, fingerprint):
+    def __init__(self, disc, matrix):
         self.matrix = matrix
-        self.fingerprint = fingerprint
         self.n_dofs = disc.n_trace_dofs
         # bench/tracing.py reads `backend` and swaps `_solver`, the SuperLU
         # object, after every factorization
@@ -42,19 +41,13 @@ class TraceSystem:
         self.backend = "splu"
         return self
 
-    def solve_multi(self, rhs, fingerprint):
+    def solve_multi(self, rhs):
         """Solve against a block of RHS columns, shape (n_dofs, J).
 
-        Columns are independent.  fingerprint is the coefficient
-        fingerprint the caller believes current: a solve against a matrix
-        built from other coefficients is rejected.
+        Columns are independent.
         """
         if self._solver is None:
             raise RuntimeError("factorize() must be called before solving")
-        if fingerprint != self.fingerprint:
-            raise ValueError(
-                "trace-system fingerprint mismatch: the factorization was "
-                "built from different coefficients")
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.n_dofs:
             raise ValueError(
@@ -68,13 +61,12 @@ class TraceSystem:
         return num / np.where(den > 0, den, 1.0)
 
 
-def assemble_trace_matrix(disc, schur, fingerprint):
+def assemble_trace_matrix(disc, schur):
     """Scatter batched element Schur blocks into the global trace matrix.
 
     schur has shape (ne, T, T) with T = 3 * (k+1); rows/columns mapped to
     boundary faces are dropped.  The matrix is CSC, the format the LU
-    reads, on the discretization's `trace_pattern`; fingerprint is that
-    of the coefficients schur is built from.
+    reads, on the discretization's `trace_pattern`.
     """
     ne, T, T2 = schur.shape
     if ne != disc.mesh.n_elements or T != T2 or \
@@ -85,17 +77,4 @@ def assemble_trace_matrix(disc, schur, fingerprint):
                        minlength=len(indices))
     n = disc.n_trace_dofs
     mat = sp.csc_matrix((data, indices, indptr), shape=(n, n))
-    return TraceSystem(disc, mat, fingerprint)
-
-
-def coefficient_fingerprint(modes_token, degree, dt, tau, weights):
-    """Stable hash of everything the trace matrix is built from: the mean
-    mode weights, with the token of the modes (which covers the mesh),
-    the degree, dt and tau."""
-    h = hashlib.sha256()
-    h.update(modes_token.encode())
-    h.update(np.int64(degree).tobytes())
-    h.update(np.float64(dt).tobytes())
-    h.update(np.ascontiguousarray(tau, dtype=float).tobytes())
-    h.update(np.ascontiguousarray(weights, dtype=float).tobytes())
-    return h.hexdigest()
+    return TraceSystem(disc, mat)

@@ -4,10 +4,12 @@ nothing reads, and no module imports a name it never uses.
 No linter is installed, so these tests parse the sources instead: every
 public top-level function or class of ensemble_hdg must be referenced by
 some module of the library or of the benchmark, other than by its own
-definition and the package's re-exports; every attribute a class of the
-library sets on self must be read by a static attribute access there,
-and none may be named like a public ndarray attribute, whose reads such
-an access cannot tell apart; no module of the library sets a private attribute on an object other than
+definition and the package's re-exports; every public method of a class
+of the library must be read as an attribute or named in a string there;
+every attribute a class of the library sets on self must be read by a
+static attribute access there, and none may be named like a public
+ndarray attribute, whose reads such an access cannot tell apart; no
+module of the library sets a private attribute on an object other than
 self; and every name a module of the library, the tests or the benchmark
 imports must be used in that module or listed in its __all__.
 """
@@ -40,12 +42,15 @@ def public_definitions():
                 yield path.name, node.name
 
 
+def library_and_bench():
+    return sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+
+
 def referenced_names():
     """Every identifier used as a name, attribute or import in the library
     and the benchmark, apart from the re-exports in __init__.py."""
-    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
     names = set()
-    for path in paths:
+    for path in library_and_bench():
         if path.name == "__init__.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
@@ -90,8 +95,7 @@ def class_attributes():
 def attribute_reads():
     """Every attribute name read by a static access (obj.name) in the
     library and the benchmark; getattr with a computed name is not one."""
-    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
-    return {node.attr for path in paths
+    return {node.attr for path in library_and_bench()
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute) and
             isinstance(node.ctx, ast.Load)}
@@ -106,6 +110,33 @@ def test_every_discretization_table_is_read():
     unread = sorted({f"{cls}.{attr}" for cls, attr in fields
                      if attr not in reads} - UNREAD_FIELDS)
     assert not unread, f"set on self but nothing reads: {unread}"
+
+
+def public_methods():
+    """(class, method) of every public method, properties included, that a
+    class of the library defines."""
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.parse(path.read_text()).body:
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef) and \
+                            not node.name.startswith("_"):
+                        yield cls.name, node.name
+
+
+def string_constants():
+    """Every string constant in the library and the benchmark: the
+    benchmark's tracer names the methods it patches as strings."""
+    return {node.value for path in library_and_bench()
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def test_every_public_method_is_used():
+    used = attribute_reads() | string_constants()
+    unused = sorted(f"{cls}.{name}" for cls, name in public_methods()
+                    if name not in used)
+    assert not unused, f"methods nothing reads or names: {unused}"
 
 
 def test_no_field_is_named_like_an_ndarray_attribute():

@@ -411,13 +411,62 @@ def test_lag_terms_skipped_for_single_member(mesh2):
     assert np.array_equal(ops.u_op[0, :, :d], time_mass)
 
 
-def test_factorization_reuse_and_fingerprint(mesh2):
+def test_factorization_reuse(mesh2):
     spec = example1()
     disc = Discretization(mesh2, 0)
     solver = EnsembleSolver(disc, spec, dt=0.25)
     solver.run(1.0)
     assert solver.n_factorizations == 1
     assert solver.n_steps == 4
+
+
+def test_factorization_is_kept_while_the_mean_weights_stay(mesh2):
+    """Separable c_j with weights 1 and 2, then 1 and the next double
+    after 2 from t = 0.5 on: the mean weight of c moves by one ulp at
+    step 2, which refactorizes, and stays at step 3, which keeps the LU."""
+    def one(x, y):
+        return np.ones_like(x)
+
+    def constant(value):
+        return SeparableField([lambda t: value], [one])
+
+    after_two = np.nextafter(2.0, 3.0)
+    members = constant_members([1.0, 2.0], [(0, 0)] * 2)
+    members[0].c = constant(1.0)
+    members[1].c = SeparableField(
+        [lambda t: 2.0 if t < 0.5 else after_two], [one])
+    for m in members:
+        m.beta = VectorField(constant(0.5), constant(0.2))
+    spec = ProblemSpec(members, autonomous=False)
+    disc = Discretization(mesh2, 0)
+    solver = EnsembleSolver(disc, spec, dt=0.25, tau=1.0)
+    assert all(s.separable for s in (solver._c_vals, *solver._b_vals))
+    means = [solver._coefficients(t)["mean"] for t in (0.25, 0.5, 0.75)]
+    assert means[1][0] == np.nextafter(means[0][0], 2.0)
+    assert np.array_equal(means[1][1:], means[0][1:])
+    assert np.array_equal(means[2], means[1])
+    state = initialize(spec, disc)
+    systems = []
+    for _ in range(3):
+        state = solver.step(state)
+        systems.append(solver.system)
+    assert solver.n_factorizations == 2
+    assert systems[1] is not systems[0] and systems[2] is systems[1]
+
+
+def test_wrong_autonomous_flag_is_named(mesh4):
+    """The refactor family flagged autonomous: frozen at t = 0 its c would
+    factorize once instead of four times and end 1.9% off in u (max
+    norm).  Its c weights at t_1 differ from those at t_0, and the run
+    names member 1 and c before the first step."""
+    spec = ProblemSpec(scaled_example1(1).members, autonomous=True)
+    solver = EnsembleSolver(Discretization(mesh4, 1), spec, dt=0.25)
+    with pytest.raises(ValueError, match="^member 1: the c weights at "
+                                         "t = 0.25 differ from those at "
+                                         "t = 0, but the spec is "
+                                         "autonomous$"):
+        solver.run(1.0)
+    assert solver.n_steps == 0
 
 
 def test_time_dependent_coefficients_refactorize(mesh2):
@@ -453,9 +502,9 @@ def test_shared_factorization_object_within_step(mesh2):
     seen = []
     orig = solver.system.solve_multi
 
-    def spy(rhs, fingerprint=None):
+    def spy(rhs):
         seen.append((id(solver.system), rhs.shape[1]))
-        return orig(rhs, fingerprint)
+        return orig(rhs)
 
     solver.system.solve_multi = spy
     solver.run(1.0)
@@ -794,7 +843,7 @@ def test_non_finite_coefficients_are_named(mesh2, field, value):
     e = int(np.argmax((disc.X_data[..., 0] > 0.5).any(axis=1)))
     name = "c" if field == "c" else "beta_x"
     with pytest.raises(CoefficientError,
-                       match=f"^element {e}: the {name} sample of member 1 "
+                       match=f"^element {e}: the {name} sample of member 2 "
                              f"at t = 0.0 is not finite"):
         EnsembleSolver(disc, ProblemSpec(members, autonomous=True), dt=0.1)
 
@@ -814,7 +863,7 @@ def test_non_finite_weight_names_its_time(mesh2):
     solver = EnsembleSolver(disc, spec, dt=0.125, tau=1.0)
     state = solver.step(initialize(spec, disc))
     with pytest.raises(CoefficientError,
-                       match="^member 1: a weight of c or beta is not "
+                       match="^member 2: a weight of c or beta is not "
                              "finite at t = 0.25$"):
         solver.step(state)
 

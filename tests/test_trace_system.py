@@ -7,8 +7,7 @@ from ensemble_hdg.local import BlockTables, condense_all
 from ensemble_hdg.mesh import Mesh, build_uniform_square_mesh
 from ensemble_hdg.problems import example1
 from ensemble_hdg.solver import EnsembleSolver
-from ensemble_hdg.trace_system import (assemble_trace_matrix,
-                                       coefficient_fingerprint)
+from ensemble_hdg.trace_system import assemble_trace_matrix
 
 from samples import sampled_blocks
 
@@ -28,7 +27,7 @@ def build_system(mesh, k, rng=None):
     tables = BlockTables(disc, 2.0, 0.5)
     cond = condense_all(tables, *sampled_blocks(disc, tables, cbar, bbar,
                                                 bbar_f))
-    system = assemble_trace_matrix(disc, cond.schur, fingerprint="probe")
+    system = assemble_trace_matrix(disc, cond.schur)
     return disc, cond, system
 
 
@@ -69,7 +68,7 @@ def test_matrix_is_scatter_of_block_diagonal(mesh4, rng, k):
     disc = Discretization(mesh4, k)
     T = disc.trace_dof.shape[1]
     schur = rng.normal(size=(mesh4.n_elements, T, T))
-    got = assemble_trace_matrix(disc, schur, "probe").matrix.toarray()
+    got = assemble_trace_matrix(disc, schur).matrix.toarray()
     S = disc.trace_scatter
     want = (S @ sp.block_diag(list(schur)) @ S.T).toarray()
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -80,7 +79,7 @@ def test_factorize_and_residual(mesh4, rng):
     disc, cond, system = build_system(mesh4, 1, rng)
     system.factorize()
     b = rng.normal(size=(system.n_dofs, 1))
-    x = system.solve_multi(b, "probe")
+    x = system.solve_multi(b)
     assert system.residual(x, b).max() < 1e-11
 
 
@@ -88,12 +87,12 @@ def test_multi_rhs_matches_sequential(mesh4, rng):
     disc, cond, system = build_system(mesh4, 0, rng)
     system.factorize()
     B = rng.normal(size=(system.n_dofs, 3))
-    X = system.solve_multi(B, "probe")
+    X = system.solve_multi(B)
     for j in range(3):
-        xj = system.solve_multi(B[:, j:j + 1], "probe")[:, 0]
+        xj = system.solve_multi(B[:, j:j + 1])[:, 0]
         assert np.abs(X[:, j] - xj).max() < 1e-13
     # zero RHS -> zero solution
-    z = system.solve_multi(np.zeros((system.n_dofs, 2)), "probe")
+    z = system.solve_multi(np.zeros((system.n_dofs, 2)))
     assert np.abs(z).max() == 0.0
 
 
@@ -101,49 +100,22 @@ def test_factorization_reuse_is_deterministic(mesh2, rng):
     disc, cond, system = build_system(mesh2, 1, rng)
     system.factorize()
     b = rng.normal(size=(system.n_dofs, 1))
-    assert np.array_equal(system.solve_multi(b, "probe"),
-                          system.solve_multi(b, "probe"))
-
-
-def test_fingerprint_mismatch_rejected(mesh2):
-    disc, cond, system = build_system(mesh2, 0)
-    system.factorize()
-    b = np.ones((system.n_dofs, 1))
-    system.solve_multi(b, fingerprint="probe")
-    with pytest.raises(ValueError, match="fingerprint"):
-        system.solve_multi(b, fingerprint="stale")
+    assert np.array_equal(system.solve_multi(b), system.solve_multi(b))
 
 
 def test_solve_requires_factorization(mesh2):
     disc, cond, system = build_system(mesh2, 0)
     with pytest.raises(RuntimeError):
-        system.solve_multi(np.ones((system.n_dofs, 1)), "probe")
+        system.solve_multi(np.ones((system.n_dofs, 1)))
     system.factorize()
     with pytest.raises(ValueError):
-        system.solve_multi(np.ones((system.n_dofs + 1, 1)), "probe")
-
-
-def test_fingerprint_sensitivity():
-    def fingerprint(token="modes", dt=0.1, tau=2.0, weights=np.ones(5)):
-        return coefficient_fingerprint(token, 1, dt, np.array([tau]),
-                                       weights)
-
-    a = fingerprint()
-    b = fingerprint(weights=np.ones(5) + 1e-15)
-    c = fingerprint()
-    assert a != b
-    assert a == c
-    # the same weights of other modes, or of another dt or tau, build
-    # another matrix
-    assert fingerprint(token="other modes") != a
-    assert fingerprint(dt=0.1 + 1e-16) != a
-    assert fingerprint(tau=2.0 + 1e-15) != a
+        system.solve_multi(np.ones((system.n_dofs + 1, 1)))
 
 
 def test_shape_mismatch_rejected(mesh2):
     disc = Discretization(mesh2, 0)
     with pytest.raises(ValueError):
-        assemble_trace_matrix(disc, np.zeros((3, 3, 3)), "probe")
+        assemble_trace_matrix(disc, np.zeros((3, 3, 3)))
 
 
 def face_positions(disc):
