@@ -102,7 +102,6 @@ class Discretization:
         if not 0 <= degree <= 3:
             raise ValueError("supported degrees are k in {0, 1, 2, 3}")
         self.mesh = mesh
-        self.k = degree
         self.geom = BatchedGeometry(mesh)
 
         self.elem_basis = ElementBasis(degree)

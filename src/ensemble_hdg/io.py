@@ -65,7 +65,7 @@ _SNAP_REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
 def snapshot_values(disc, state, ustar):
     """Sample u and u* at each element's vertices + centroid.
 
-    state is a stepped (degree-k) state and ustar its postprocessed
+    state is an `EnsembleState` and ustar its postprocessed
     coefficients (J, ne, d_hi).  Returns (points (ne, 4, 2), u (J, ne, 4),
     ustar (J, ne, 4)).
     """

@@ -27,14 +27,15 @@ weights are all zero adds nothing.  Built from the same tables and data
 rules, the two parts add up to each member's own operator.
 
 `BlockTables` holds, once per (discretization, tau, dt), what no
-coefficient touches, and the degree-k `RHSTables` as `lag`; a
-time-dependent mean costs a weighted sum of the mode terms per step.
-`rhs_operators` maps the previous [q | u] of each (member, element) to
-the RHS, the (1/dt) mass and the lagged deviations; `assemble_all_rhs`
-applies them and adds the data rows.  Those rows are linear in the data:
-`source_rows` takes the moments of source samples and `boundary_rows`
-those of Dirichlet samples, so the solver applies both to the spatial
-factors of separable data once and a step only combines them.
+coefficient touches, and the `RHSTables` as `lag`; a time-dependent mean
+costs a weighted sum of the mode terms per step.  `rhs_operators` maps
+the previous [q | u] of each (member, element), of degree k at every
+step, the first included, to the RHS, the (1/dt) mass and the lagged
+deviations; `assemble_all_rhs` applies them and adds the data rows.
+Those rows are linear in the data: `source_rows` takes the moments of
+source samples and `boundary_rows` those of Dirichlet samples, so the
+solver applies both to the spatial factors of separable data once and a
+step only combines them.
 """
 
 import numpy as np
@@ -58,8 +59,8 @@ class BlockTables:
     A_IT   (ne, 3d, 3nfd)    all of it
     A_TI   (ne, 3nfd, 3d)    the tau and normal-component parts
     A_TT   (ne, 3nfd, 3nfd)  all of it
-    lag    the degree-k `RHSTables`, against which the mean coefficient
-           terms and the deviations alike are built
+    lag    the `RHSTables`, against which the mean coefficient terms and
+           the deviations alike are built
     """
 
     def __init__(self, disc, tau, dt):
@@ -73,7 +74,7 @@ class BlockTables:
         w, V = disc.w_data, disc.V_data
         detJ = disc.geom.det[:, None, None]
         lens, nrm = disc.geom.edge_lengths, disc.geom.normals
-        self.lag = RHSTables(disc, disc.k)
+        self.lag = RHSTables(disc)
 
         A_IT = np.zeros((ne, 3 * d, 3 * nfd))
         A_TI = np.zeros((ne, 3 * nfd, 3 * d))
@@ -250,47 +251,31 @@ def boundary_data_operator(disc, tau):
 class RHSTables:
     """Coefficient-free basis-product tables of the step's lag operators.
 
-    Built for one degree of the previous u (k for step states, k+1 for the
-    initial projection); q and the test functions are always degree k.
-    Each table folds the data-rule weights into products of reference basis
-    values, so that an operator is one GEMM of coefficient samples against
-    it:
+    q, u and the test functions are all of degree k.  Each table folds the
+    data-rule weights into products of reference basis values, so that an
+    operator is one GEMM of coefficient samples against it:
 
-    mass   (d, din)          (v_i, u_l) on the reference element
+    mass   (d, d)            (v_i, u_l) on the reference element
     mass_q (nq, d*d)         w_q v_i v_l, against (c̄ - c_j) samples
-    conv   (2nq, d*din)      w_q v_i ∂_r u_l, against (β̄ - β_j) B^-T
-    face   [lf][aligned]     (nqf, nfd*din) w_q ψ_m u_l on local face lf
+    conv   (2nq, d*d)        w_q v_i ∂_r u_l, against (β̄ - β_j) B^-T
+    face   [lf][aligned]     (nqf, nfd*d) w_q ψ_m u_l on local face lf, ψ
+                             the face basis, [misaligned, aligned]
     """
 
-    def __init__(self, disc, degree):
-        if degree not in (disc.k, disc.k + 1):
-            raise ValueError(f"no lag tables for degree {degree}")
-        basis = disc.elem_basis if degree == disc.k else disc.elem_basis_hi
-        self.mass = (disc.V_data * disc.w_data) @ basis.eval(
-            disc.rule_data.points).T
-        self.mass_q, self.conv, self.face = _product_tables(disc, basis)
-
-
-def _product_tables(disc, basis):
-    """Reference basis products at the element and face data rules.
-
-    Returns (mass, conv, face): w_q v_i v_l (nq, d*d) of the degree-k
-    test functions, w_q v_i ∂_r u_l (2nq, d*din) and, per local face and
-    [misaligned, aligned], w_q ψ_m u_l (nqf, nfd*din), where u are the
-    functions of `basis` and ψ the face basis.
-    """
-    pts, w, V = disc.rule_data.points, disc.w_data, disc.V_data
-    nq, d, din = len(w), V.shape[0], basis.dim
-    mass = np.einsum("q,iq,lq->qil", w, V, V).reshape(nq, d * d)
-    conv = np.einsum("q,iq,lqr->qril", w, V, basis.eval_grad(pts)).reshape(
-        2 * nq, d * din)
-    s, wf, Psi = disc.rule_face_data.points, disc.w_fdata, disc.Psi_fdata
-    refs = reference_face_points(s)
-    face = [[np.einsum("q,mq,lq->qml", wf, Psi,
-                       basis.eval(refs[lf, a])).reshape(
-                           len(s), Psi.shape[0] * din)
-             for a in (0, 1)] for lf in range(3)]
-    return mass, conv, face
+    def __init__(self, disc):
+        pts, w, V = disc.rule_data.points, disc.w_data, disc.V_data
+        nq, d = len(w), len(V)
+        self.mass = (V * w) @ V.T
+        self.mass_q = np.einsum("q,iq,lq->qil", w, V, V).reshape(nq, d * d)
+        self.conv = np.einsum(
+            "q,iq,lqr->qril", w, V, disc.elem_basis.eval_grad(pts)).reshape(
+                2 * nq, d * d)
+        s, wf, Psi = disc.rule_face_data.points, disc.w_fdata, disc.Psi_fdata
+        refs = reference_face_points(s)
+        self.face = [[np.einsum("q,mq,lq->qml", wf, Psi,
+                                disc.elem_basis.eval(refs[lf, a])).reshape(
+                                    len(s), len(Psi) * d)
+                      for a in (0, 1)] for lf in range(3)]
 
 
 def _coefficient_terms(disc, tables, c, b, b_face):
@@ -298,13 +283,12 @@ def _coefficient_terms(disc, tables, c, b, b_face):
     at the data rule and b_face (..., ne, 3, nqf, 2) at the face data rule;
     c and b may have different leading axes.
 
-    Returns the c mass (..., ne, d, d), the b·∇u block (..., ne, d, din)
-    and the <b·n u, v̂> rows (..., ne, 3nfd, din) on every local face, each
-    one GEMM against `tables` (an `RHSTables` of input degree din).
+    Returns the c mass (..., ne, d, d), the b·∇u block (..., ne, d, d)
+    and the <b·n u, v̂> rows (..., ne, 3nfd, d) on every local face, each
+    one GEMM against the `RHSTables` tables.
     """
     nq = c.shape[-1]
     d, nfd = disc.ndof_u, disc.ndof_face
-    din = tables.mass.shape[1]
     geom = disc.geom
     detJ = geom.det[:, None, None]
     mass = (c.reshape(-1, nq) @ tables.mass_q).reshape(
@@ -313,29 +297,28 @@ def _coefficient_terms(disc, tables, c, b, b_face):
     # b·∇u = Σ_r [b B^-T]_r ∂_r u in each element's reference coordinates
     bt = np.matmul(b, geom.inv_t)
     conv = (bt.reshape(-1, 2 * nq) @ tables.conv).reshape(
-        lead + (d, din)) * detJ
+        lead + (d, d)) * detJ
     nrm = geom.normals
     bn = b_face[..., 0] * nrm[:, :, None, 0] + \
         b_face[..., 1] * nrm[:, :, None, 1]
-    face = np.empty(lead + (3 * nfd, din))
+    face = np.empty(lead + (3 * nfd, d))
     for lf in range(3):
         misaligned, aligned = tables.face[lf]
         blk = np.where(disc.face_aligned[:, lf, None],
                        bn[..., lf, :] @ aligned, bn[..., lf, :] @ misaligned)
         face[..., lf * nfd:(lf + 1) * nfd, :] = (
-            blk * geom.edge_lengths[:, lf, None]).reshape(lead + (nfd, din))
+            blk * geom.edge_lengths[:, lf, None]).reshape(lead + (nfd, d))
     return mass, conv, face
 
 
 class ModeTerms:
-    """The `_coefficient_terms` mass (Mc, ne, d, d), conv (Mb, ne, d, din)
-    and face (Mb, ne, 3nfd, din) of the c-modes c (Mc, ne, nq) and the
+    """The `_coefficient_terms` mass (Mc, ne, d, d), conv (Mb, ne, d, d)
+    and face (Mb, ne, 3nfd, d) of the c-modes c (Mc, ne, nq) and the
     velocity modes b (Mb, ne, nq, 2), b_face (Mb, ne, 3, nqf, 2), against
-    `tables`, an `RHSTables` of input degree din."""
+    the `RHSTables` tables.  c stays for the mean's positivity check."""
 
     def __init__(self, disc, tables, c, b, b_face):
-        self.tables = tables
-        self.c, self.b, self.b_face = c, b, b_face
+        self.tables, self.c = tables, c
         self.mass, self.conv, self.face = _coefficient_terms(
             disc, tables, c, b, b_face)
 
@@ -356,7 +339,7 @@ class RHSOperators:
     """Per-(member, element) maps from previous coefficients to the RHS.
 
     mass_c (J, ne, d, d) is the (c̄ - c_j) mass applied to each component
-    of q.  u_op (J, ne, d + 3nfd, din) maps the previous u to the u-rows
+    of q.  u_op (J, ne, d + 3nfd, d) maps the previous u to the u-rows
     ((1/dt) mass plus (β̄ - β_j)·∇) and to the trace rows
     (-<(β̄ - β_j)·n u, v̂> on interior faces, zero on boundary faces).
     terms and dev are the `ModeTerms` and deviation weights they were
@@ -371,10 +354,9 @@ class RHSOperators:
 def rhs_operators(disc, terms, dt, dev, kept):
     """Build the RHS operators of J members from their deviation weights
     dev (J, Mc + Mb), θ̄ - θ_j over the c-modes, then the velocity modes,
-    and the `ModeTerms` of those modes.  The input degree of u is that of
-    `terms.tables`.  kept is None or operators built earlier: mass_c is
-    taken from them while the c-mode weights and the terms stay, u_op
-    while the velocity weights and the terms stay.
+    and the `ModeTerms` of those modes.  kept is None or operators built
+    earlier: mass_c is taken from them while the c-mode weights and the
+    terms stay, u_op while the velocity weights and the terms stay.
     """
     mesh = disc.mesh
     d, nfd = disc.ndof_u, disc.ndof_face
@@ -388,8 +370,7 @@ def rhs_operators(disc, terms, dt, dev, kept):
         mode_sum(dev[:, :nc], terms.mass)
     if stays(slice(nc, None)):
         return RHSOperators(terms, dev, mass_c, kept.u_op)
-    u_op = np.empty((len(dev), mesh.n_elements, d + 3 * nfd,
-                     terms.conv.shape[-1]))
+    u_op = np.empty((len(dev), mesh.n_elements, d + 3 * nfd, d))
     np.add(mode_sum(dev[:, nc:], terms.conv),
            disc.geom.det[:, None, None] / dt * terms.tables.mass,
            out=u_op[:, :, :d])
@@ -422,11 +403,11 @@ def boundary_rows(disc, bnd_op, g_vals):
 def assemble_all_rhs(disc, ops, data_rows, u_prev, q_prev):
     """Batched member RHS: returns (b_int (J,ne,3d), b_tr (J,ne,3nfd)).
 
-    ops holds the RHSOperators of the members for the degree of u_prev
-    (J,ne,din); q_prev is (J,ne,2d) as [qx | qy].  data_rows (J,ne,3d)
-    holds the interior rows of the sources and the Dirichlet data, the sum
-    of `source_rows` (in the u-rows) and `boundary_rows`; it is not
-    written to.
+    ops holds the RHSOperators of the members, and u_prev (J,ne,d) and
+    q_prev (J,ne,2d) as [qx | qy] their previous state.  data_rows
+    (J,ne,3d) holds the interior rows of the sources and the Dirichlet
+    data, the sum of `source_rows` (in the u-rows) and `boundary_rows`; it
+    is not written to.
     """
     J, ne = u_prev.shape[:2]
     d = disc.ndof_u

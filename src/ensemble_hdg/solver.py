@@ -22,8 +22,8 @@ the RHS operators (the per-member, per-element maps from the previous
 and velocity parts are each kept while their own weights stay.  Both parts
 of the split see the same modes and quadrature rules.  Autonomous
 coefficients are evaluated once; time-dependent ones refactorize whenever
-θ̄ changes.  Step 1 reads the degree-(k+1) initial projection, through
-operators built from mode terms of that degree for that step alone.
+θ̄ changes.  Every state is of degree k, the initial one included: it
+holds Π_k u0, so step 1 runs the operators of every later step.
 
 The sources f and Dirichlet data g enter a step as interior-row moments,
 (J, ne, 3d), read through `problems.FieldStack` evaluators: for separable
@@ -197,25 +197,28 @@ def choose_tau(spec, mesh):
 class EnsembleState:
     """Discrete ensemble state at one time level.
 
-    u has shape (J, ne, dim) in degree `u_degree` (k+1 at n=0 from the
-    initial projection, k afterwards); q is (J, ne, 2*dim_k) as [qx | qy];
+    u is (J, ne, d) and q (J, ne, 2d) as [qx | qy], both of degree k;
     uhat is (J, n_trace_dofs) and None at n=0 (the scheme never reads it).
     """
 
-    def __init__(self, n, t, u, q, uhat, u_degree):
+    def __init__(self, n, t, u, q, uhat):
         self.n = n
         self.t = t
         self.u = u
         self.q = q
         self.uhat = uhat
-        self.u_degree = u_degree
 
 
 def initialize(spec, disc):
-    """Initial ensemble state: u = Pi_(k+1) u0, q = Pi_k(-grad u / c)."""
+    """Initial ensemble state: u = Pi_k u0, q = Pi_k(-grad Pi_(k+1) u0 / c).
+
+    The element bases are hierarchical, so u is the leading d coefficients
+    of Pi_(k+1) u0; q keeps its gradient, and with it the rate k+1.  A
+    non-finite u0 sample raises ValueError naming the member and element.
+    """
     J = spec.J
     ne = disc.mesh.n_elements
-    d, dh = disc.ndof_u, disc.ndof_u_hi
+    d = disc.ndof_u
     w, V, Vh = disc.w_data, disc.V_data, disc.V_hi_data
     x, y = disc.x_data_flat, disc.y_data_flat
     # the bases are orthonormal, but their data-rule mass matrices are the
@@ -224,14 +227,20 @@ def initialize(spec, disc):
     mass = (V * w) @ V.T
     mass_hi = (Vh * w) @ Vh.T
 
-    u = np.empty((J, ne, dh))
+    u = np.empty((J, ne, d))
     q = np.empty((J, ne, 2 * d))
     for j, m in enumerate(spec.members):
-        uvals = np.asarray(m.u0(x, y), dtype=float).reshape(ne, -1)
+        uvals = np.broadcast_to(np.asarray(m.u0(x, y), dtype=float),
+                                x.shape).reshape(ne, -1)
+        bad = ~np.isfinite(uvals).all(axis=1)
+        if bad.any():
+            raise ValueError(f"member {j + 1}: the u0 sample on element "
+                             f"{int(np.argmax(bad))} is not finite")
         mom = np.einsum("q,eq,iq->ei", w, uvals, Vh)
-        u[j] = np.linalg.solve(mass_hi[None], mom[..., None])[..., 0]
+        hi = np.linalg.solve(mass_hi[None], mom[..., None])[..., 0]
+        u[j] = hi[:, :d]
         # grad_x u = B^-T grad_ref u, as rows: grad_ref u^T B^-1
-        grad = np.matmul(np.einsum("ed,dqr->eqr", u[j], disc.Gref_hi_data),
+        grad = np.matmul(np.einsum("ed,dqr->eqr", hi, disc.Gref_hi_data),
                          disc.geom.inv)
         c0 = np.broadcast_to(np.asarray(m.c(x, y, 0.0), dtype=float),
                              x.shape).reshape(ne, -1)
@@ -240,11 +249,11 @@ def initialize(spec, disc):
             mom = np.einsum("q,eq,iq->ei", w, qvals[..., comp], V)
             q[j, :, comp * d:(comp + 1) * d] = np.linalg.solve(
                 mass[None], mom[..., None])[..., 0]
-    return EnsembleState(0, 0.0, u, q, None, disc.k + 1)
+    return EnsembleState(0, 0.0, u, q, None)
 
 
 def state_samples(disc, state):
-    """Field samples of a stepped (degree-k) state at the data-rule points.
+    """Field samples of a state at the data-rule points.
 
     Returns dict with u (J,ne,nq) and q (J,ne,nq,2).
     """
@@ -382,18 +391,6 @@ class EnsembleSolver:
                         f"t = {t} differ from those at t = 0, but the "
                         f"spec is autonomous")
 
-    def _rhs_operators(self, coeffs, degree):
-        """RHS operators for a previous u of the given degree: degree-k
-        ones keep the parts whose modes and deviation weights stay, the
-        degree-(k+1) ones are built from terms of that degree and dropped."""
-        disc, terms, dev = self.disc, coeffs["terms"], coeffs["dev"]
-        if degree != disc.k:
-            return local.rhs_operators(disc, local.ModeTerms(
-                disc, local.RHSTables(disc, degree), terms.c, terms.b,
-                terms.b_face), self.dt, dev, None)
-        self._ops = local.rhs_operators(disc, terms, self.dt, dev, self._ops)
-        return self._ops
-
     def _ensure_system(self, coeffs):
         built_from = coeffs["built_from"]
         if self.system is not None and \
@@ -429,9 +426,11 @@ class EnsembleSolver:
             else self._coefficients(t1)
         self._ensure_system(coeffs)
 
-        ops = self._rhs_operators(coeffs, state.u_degree)
+        # the parts whose modes and deviation weights stay are kept
+        self._ops = local.rhs_operators(disc, coeffs["terms"], self.dt,
+                                        coeffs["dev"], self._ops)
         b_int, b_tr = local.assemble_all_rhs(
-            disc, ops, self._data_rows(t1), state.u, state.q)
+            disc, self._ops, self._data_rows(t1), state.u, state.q)
 
         # element-batched layout (ne, ., J): one small GEMM per element
         # covering all members at once
@@ -456,7 +455,7 @@ class EnsembleSolver:
         self.n_steps += 1
         # x_int and uhat are freshly allocated: views are safe to hand out
         return EnsembleState(state.n + 1, t1, x_int[:, :, 2 * d:],
-                             x_int[:, :, :2 * d], uhat.T, disc.k)
+                             x_int[:, :, :2 * d], uhat.T)
 
     def run(self, T, observers=()):
         """March N = round(T / dt) steps, invoking observers after each.

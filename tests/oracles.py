@@ -25,7 +25,7 @@ def monomial_full_local_matrix(disc, ie, cbar, bbar, bbar_face, tau, dt):
     orthonormalization matrices.  Row/column order is that of the blocks
     of `local.assemble_all_blocks`: [qx | qy | u | f0 | f1 | f2].
     """
-    k = disc.k
+    k = degree_of(disc)
     exps = monomial_exponents(k)
     d = len(exps)
     nfd = k + 1
@@ -126,7 +126,7 @@ def local_rhs(disc, ie, tau, dt, f_vals, g_vals, u_prev, gu_prev, q_prev,
     detJ = disc.geom.det[ie]
     lens = disc.geom.edge_lengths[ie]
     nrm = disc.geom.normals[ie]
-    Vf = basis_tables(disc, disc.k)[2][ie]
+    Vf = basis_tables(disc, degree_of(disc))[2][ie]
     Psi = disc.Psi_fdata
     wf = disc.w_fdata
     on_boundary = disc.mesh.boundary[disc.mesh.elem_faces[ie]]
@@ -188,6 +188,11 @@ def dense_global_matrix(disc, cbar, bbar, bbar_face, tau, dt,
     return A
 
 
+def degree_of(disc):
+    """The degree k of disc: its face basis spans P^k on an edge."""
+    return disc.ndof_face - 1
+
+
 def basis_tables(disc, degree):
     """Data-rule tables of the degree-`degree` element basis, built here.
 
@@ -210,10 +215,9 @@ def lag_samples(disc, state):
     """Point samples of a state, by direct evaluation of the basis.
 
     Returns dict with u (J,ne,nq), grad_u (J,ne,nq,2) and q (J,ne,nq,2) at
-    the data rule and u_face (J,ne,3,nqf) at the face data rule, for both
-    the degree-(k+1) initial state and degree-k step states.
+    the data rule and u_face (J,ne,3,nqf) at the face data rule.
     """
-    V, G, Vf = basis_tables(disc, state.u_degree)
+    V, G, Vf = basis_tables(disc, degree_of(disc))
     d = disc.ndof_u
     q = np.stack([state.q[:, :, :d] @ disc.V_data,
                   state.q[:, :, d:] @ disc.V_data], axis=-1)
@@ -303,7 +307,7 @@ def dense_step(disc, spec, tau, dt, state, lag=True):
         q[:, ie, :] = block[:2 * d].T
         u[:, ie, :] = block[2 * d:].T
     uhat = sol[n_int_total:].T.copy()
-    return EnsembleState(state.n + 1, t1, u, q, uhat, disc.k)
+    return EnsembleState(state.n + 1, t1, u, q, uhat)
 
 
 def dense_run(disc, spec, tau, dt, steps, state, lag=True):
@@ -323,7 +327,7 @@ def monomial_postprocess(disc, ie, q_coeffs, u_coeffs, c_vals):
     monomial coefficients of u*; the orthonormal coefficients x of the
     library map to them as ElementBasis(k+1).coeffs.T @ x.
     """
-    exps = monomial_exponents(disc.k + 1)
+    exps = monomial_exponents(degree_of(disc) + 1)
     dh = len(exps)
     d = disc.ndof_u
     pts, w = disc.rule_data.points, disc.rule_data.weights
@@ -373,7 +377,7 @@ def quadrature_postprocess(disc, u_coeffs, q_coeffs, c_vals):
     d, dh = disc.ndof_u, disc.ndof_u_hi
     J, ne = u_coeffs.shape[:2]
     det, w = disc.geom.det, disc.w_data
-    Vh, G, _ = basis_tables(disc, disc.k + 1)
+    Vh, G, _ = basis_tables(disc, degree_of(disc) + 1)
     kkt = np.zeros((ne, dh + 1, dh + 1))
     kkt[:, :dh, :dh] = np.einsum("e,q,eiqc,ejqc->eij", det, w, G, G)
     kkt[:, :dh, dh] = kkt[:, dh, :dh] = np.einsum("e,q,iq->ei", det, w, Vh)

@@ -446,8 +446,7 @@ def test_local_rhs_boundary_data_k0(single_cell_mesh):
 
 @pytest.mark.parametrize("k", [0, 1])
 def test_batched_rhs_matches_per_element(mesh4, rng, k):
-    """The operator RHS against per-element quadrature, for a previous u
-    of degree k (step states) and k+1 (the initial projection)."""
+    """The operator RHS against per-element quadrature."""
     disc = Discretization(mesh4, k)
     ne = mesh4.n_elements
     nq, nqf = len(disc.w_data), len(disc.w_fdata)
@@ -465,23 +464,22 @@ def test_batched_rhs_matches_per_element(mesh4, rng, k):
     for idx, (e, lf) in enumerate(zip(be, bl)):
         g_by_elem[:, e, lf] = g_vals[:, idx]
 
-    for degree, din in ((k, d), (k + 1, disc.ndof_u_hi)):
-        prev = EnsembleState(0, 0.0, rng.normal(size=(J, ne, din)),
-                             rng.normal(size=(J, ne, 2 * d)), None, degree)
-        ops = sampled_rhs_operators(disc, RHSTables(disc, degree), dt,
-                                    c_dev, b_dev, bf_dev)
-        rows = boundary_rows(disc, boundary_data_operator(disc, tau),
-                             g_vals.reshape(J, -1))
-        rows[:, :, 2 * d:] += source_rows(disc, f_vals.reshape(J, -1))
-        b_int, b_tr = assemble_all_rhs(disc, ops, rows, prev.u, prev.q)
-        s = lag_samples(disc, prev)
-        for j in range(J):
-            for ie in (0, 5, 17, ne - 1):
-                loc = local_rhs(disc, ie, tau, dt, f_vals[j, ie],
-                                g_by_elem[j, ie], s["u"][j, ie],
-                                s["grad_u"][j, ie], s["q"][j, ie],
-                                s["u_face"][j, ie], c_dev[j, ie],
-                                b_dev[j, ie], bf_dev[j, ie])
-                assert np.abs(b_int[j, ie] - loc[:3 * d]).max() < 1e-12
-                assert np.abs(b_tr[j, ie] - loc[3 * d:]).max() < 1e-12
-        assert b_tr.shape == (J, ne, 3 * nfd)
+    prev = EnsembleState(0, 0.0, rng.normal(size=(J, ne, d)),
+                         rng.normal(size=(J, ne, 2 * d)), None)
+    ops = sampled_rhs_operators(disc, RHSTables(disc), dt, c_dev, b_dev,
+                                bf_dev)
+    rows = boundary_rows(disc, boundary_data_operator(disc, tau),
+                         g_vals.reshape(J, -1))
+    rows[:, :, 2 * d:] += source_rows(disc, f_vals.reshape(J, -1))
+    b_int, b_tr = assemble_all_rhs(disc, ops, rows, prev.u, prev.q)
+    s = lag_samples(disc, prev)
+    for j in range(J):
+        for ie in (0, 5, 17, ne - 1):
+            loc = local_rhs(disc, ie, tau, dt, f_vals[j, ie],
+                            g_by_elem[j, ie], s["u"][j, ie],
+                            s["grad_u"][j, ie], s["q"][j, ie],
+                            s["u_face"][j, ie], c_dev[j, ie],
+                            b_dev[j, ie], bf_dev[j, ie])
+            assert np.abs(b_int[j, ie] - loc[:3 * d]).max() < 1e-12
+            assert np.abs(b_tr[j, ie] - loc[3 * d:]).max() < 1e-12
+    assert b_tr.shape == (J, ne, 3 * nfd)

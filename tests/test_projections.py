@@ -1,4 +1,5 @@
-"""The solver's initial projections: u = Pi_(k+1) u0, q = Pi_k(-grad u / c).
+"""The solver's initial projections: u = Pi_k u0 and
+q = Pi_k(-grad Pi_(k+1) u0 / c).
 
 `initialize` projects element by element in the data-rule inner product.
 """
@@ -22,6 +23,12 @@ def initial_state(u0, mesh, k, c=1.0):
     return disc, initialize(ProblemSpec([member], autonomous=True), disc)
 
 
+def q_values(state, k, rule):
+    d = ElementBasis(k).dim
+    return np.stack([values(state.q[0, :, :d], k, rule),
+                     values(state.q[0, :, d:], k, rule)], axis=-1)
+
+
 def element_points(mesh, rule):
     g = BatchedGeometry(mesh)
     return np.einsum("eij,qj->eqi", g.jacobian, rule.points) + \
@@ -31,12 +38,6 @@ def element_points(mesh, rule):
 def values(coeffs, degree, rule):
     """Per-element expansions (..., ne, dim) at the points of rule."""
     return coeffs @ ElementBasis(degree).eval(rule.points)
-
-
-def q_values(disc, state, rule):
-    d = disc.ndof_u
-    return np.stack([values(state.q[0, :, :d], disc.k, rule),
-                     values(state.q[0, :, d:], disc.k, rule)], axis=-1)
 
 
 def l2_norm(mesh, rule, vals):
@@ -65,33 +66,35 @@ def discrete_field(mesh, degree, coeffs):
 
 
 def test_constant_projection_exact(mesh4):
-    disc, state = initial_state(lambda x, y: np.full_like(x, 3.0), mesh4, 0)
+    _, state = initial_state(lambda x, y: np.full_like(x, 3.0), mesh4, 0)
     rule = triangle_quadrature(4)
-    assert np.abs(values(state.u[0], 1, rule) - 3.0).max() < 1e-13
-    assert np.abs(q_values(disc, state, rule)).max() < 1e-13
+    assert np.abs(values(state.u[0], 0, rule) - 3.0).max() < 1e-13
+    assert np.abs(q_values(state, 0, rule)).max() < 1e-13
 
 
 def test_linear_projection_exact(mesh4):
+    """u0 = x + 2y lies in P^k for k >= 1, and q = -grad u0 / c = (-1, -2)
+    in P^0."""
     f = lambda x, y: x + 2 * y
-    disc, state = initial_state(f, mesh4, 0)
     rule = triangle_quadrature(4)
     X = element_points(mesh4, rule)
+    _, state = initial_state(f, mesh4, 0)
+    assert np.abs(q_values(state, 0, rule) - [-1.0, -2.0]).max() < 1e-13
+    _, state = initial_state(f, mesh4, 1)
     assert np.abs(values(state.u[0], 1, rule) -
                   f(X[..., 0], X[..., 1])).max() < 1e-13
-    # q = -grad u / c = (-1, -2) lies in P^0
-    assert np.abs(q_values(disc, state, rule) - [-1.0, -2.0]).max() < 1e-13
 
 
 def test_projection_orthogonality_residual(mesh4):
-    """(u0 - Pi u0, v) = 0 for all v in P^(k+1), in the data-rule inner
+    """(u0 - Pi u0, v) = 0 for all v in P^k, in the data-rule inner
     product the projection is defined by."""
     f = lambda x, y: np.sin(3 * x) * np.cos(y)
     for k in (0, 1, 2):
         disc, state = initial_state(f, mesh4, k)
         rule = disc.rule_data
         X = element_points(mesh4, rule)
-        diff = f(X[..., 0], X[..., 1]) - values(state.u[0], k + 1, rule)
-        V = ElementBasis(k + 1).eval(rule.points)
+        diff = f(X[..., 0], X[..., 1]) - values(state.u[0], k, rule)
+        V = ElementBasis(k).eval(rule.points)
         g = BatchedGeometry(mesh4)
         resid = np.einsum("e,q,eq,dq->ed", g.det, rule.weights, diff, V)
         fnorm = l2_norm(mesh4, rule, f(X[..., 0], X[..., 1]))
@@ -101,44 +104,48 @@ def test_projection_orthogonality_residual(mesh4):
 @pytest.mark.parametrize("deg", [0, 1, 2])
 def test_projection_rates(deg):
     """Refinement rates for sin(x) sin(y), levels n = 4..32: deg+1 for the
-    flux projected onto P^deg, deg+2 for u projected onto P^(deg+1)."""
+    flux and for u, both projected onto P^deg."""
     u = lambda x, y: np.sin(x) * np.sin(y)
     q = lambda x, y: np.stack([-np.cos(x) * np.sin(y),
                                -np.sin(x) * np.cos(y)], -1)
     errs_q, errs_u = [], []
     for n in (4, 8, 16, 32):
         mesh = build_uniform_square_mesh(n)
-        disc, state = initial_state(u, mesh, deg)
+        _, state = initial_state(u, mesh, deg)
         rule = triangle_quadrature(2 * deg + 6)
         X = element_points(mesh, rule)
-        errs_q.append(l2_norm(mesh, rule, q_values(disc, state, rule) -
+        errs_q.append(l2_norm(mesh, rule, q_values(state, deg, rule) -
                               q(X[..., 0], X[..., 1])))
-        errs_u.append(l2_norm(mesh, rule, values(state.u[0], deg + 1, rule)
+        errs_u.append(l2_norm(mesh, rule, values(state.u[0], deg, rule)
                               - u(X[..., 0], X[..., 1])))
-    for errs, want in ((errs_q, deg + 1), (errs_u, deg + 2)):
+    for errs in (errs_q, errs_u):
         rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         slope = np.polyfit(np.arange(4), -np.log2(errs), 1)[0]
-        assert abs(slope - want) < 0.1
-        assert np.all(np.abs(rates - want) < 0.1)
+        assert abs(slope - (deg + 1)) < 0.1
+        assert np.all(np.abs(rates - (deg + 1)) < 0.1)
 
 
 def test_vector_projection(mesh4):
     """The flux -grad u0 / c of a u0 in P^3 lies in [P^2]^2 and is
     projected exactly."""
     u0 = lambda x, y: x ** 2 * y - y ** 3 / 3 + x
-    disc, state = initial_state(u0, mesh4, 2, c=2.0)
+    _, state = initial_state(u0, mesh4, 2, c=2.0)
     rule = triangle_quadrature(6)
     X = element_points(mesh4, rule)
     x, y = X[..., 0], X[..., 1]
     want = -np.stack([2 * x * y + 1, x ** 2 - y ** 2], -1) / 2.0
-    assert np.abs(q_values(disc, state, rule) - want).max() < 1e-12
+    assert np.abs(q_values(state, 2, rule) - want).max() < 1e-12
 
 
 def test_projection_idempotent(mesh4):
-    disc, first = initial_state(lambda x, y: np.sin(x + y), mesh4, 2)
-    again = initial_state(discrete_field(mesh4, 3, first.u[0]), mesh4, 2)[1]
+    """Pi_k is idempotent; from a P^k field u0, whose Pi_(k+1) is u0
+    itself, so is the whole initial state, q included."""
+    _, first = initial_state(lambda x, y: np.sin(x + y), mesh4, 2)
+    again = initial_state(discrete_field(mesh4, 2, first.u[0]), mesh4, 2)[1]
     assert np.abs(again.u - first.u).max() < 1e-13
-    assert np.abs(again.q - first.q).max() < 1e-13
+    third = initial_state(discrete_field(mesh4, 2, again.u[0]), mesh4, 2)[1]
+    assert np.abs(third.u - again.u).max() < 1e-13
+    assert np.abs(third.q - again.q).max() < 1e-13
 
 
 def test_projection_linearity(mesh4, rng):

@@ -36,16 +36,24 @@ def mean_samples(spec, mesh, t):
     """The ensemble-mean samples the solver builds its trace matrix from,
     and the members' deviations from them: the mean and deviation weights
     of level t times the modes."""
-    solver = EnsembleSolver(Discretization(mesh, 1), spec, dt=0.1, tau=1.0)
+    disc = Discretization(mesh, 1)
+    solver = EnsembleSolver(disc, spec, dt=0.1, tau=1.0)
     level = solver._coefficients(t)
-    terms = level["terms"]
-    nc = len(terms.c)
+    nc = len(level["terms"].c)
+    ne, nq = disc.X_data.shape[:2]
+    # the velocity modes, e_x ψ for the modes ψ of β_x, then e_y ψ, at the
+    # element data points, then the face data points
+    bx, by = (s.modes(t)[1] for s in solver._b_vals)
+    vec = np.zeros((len(bx) + len(by), bx.shape[1], 2))
+    vec[:len(bx), :, 0], vec[len(bx):, :, 1] = bx, by
     out = {}
     for suffix, w in (("bar", level["mean"]), ("_dev", level["dev"])):
-        out["c" + suffix] = np.tensordot(w[..., :nc], terms.c, 1)
-        out["b" + suffix] = np.tensordot(w[..., nc:], terms.b, 1)
-        out["b" + suffix + "_face"] = np.tensordot(w[..., nc:],
-                                                   terms.b_face, 1)
+        out["c" + suffix] = np.tensordot(w[..., :nc], level["terms"].c, 1)
+        b = np.tensordot(w[..., nc:], vec, 1)
+        lead = b.shape[:-2]
+        out["b" + suffix] = b[..., :ne * nq, :].reshape(lead + (ne, nq, 2))
+        out["b" + suffix + "_face"] = b[..., ne * nq:, :].reshape(
+            lead + (ne, 3, -1, 2))
     return out
 
 
@@ -225,7 +233,8 @@ def test_initialize_zero_and_polynomial(mesh2):
     assert np.abs(state.u).max() == 0.0 and np.abs(state.q).max() == 0.0
     assert state.uhat is None and state.n == 0
 
-    # u0 in P^(k+1), constant c: both projections are exact
+    # u0 in P^(k+1), constant c: u is the leading d coefficients of its
+    # P^(k+1) expansion, and q is exact
     members = constant_members([2.0], [(0, 0)])
     members[0].u0 = lambda x, y: x * y + 0.5 * x ** 2 - y
     spec = ProblemSpec(members, autonomous=True)
@@ -233,10 +242,38 @@ def test_initialize_zero_and_polynomial(mesh2):
     s = lag_samples(disc, state)
     X = disc.X_data
     x, y = X[..., 0], X[..., 1]
-    assert np.abs(s["u"][0] - (x * y + 0.5 * x ** 2 - y)).max() < 1e-13
+    Vh, w = disc.V_hi_data, disc.w_data
+    hi = np.linalg.solve((Vh * w) @ Vh.T,
+                         (((x * y + 0.5 * x ** 2 - y) * w) @ Vh.T).T).T
+    assert np.abs(hi @ Vh - (x * y + 0.5 * x ** 2 - y)).max() < 1e-13
+    assert state.u.shape == (1, mesh2.n_elements, disc.ndof_u)
+    assert np.abs(state.u[0] - hi[:, :disc.ndof_u]).max() < 1e-13
     # q0 = -grad(u0)/c in [P^k]^2 exactly
     assert np.abs(s["q"][0][..., 0] - (-(y + x) / 2.0)).max() < 1e-13
     assert np.abs(s["q"][0][..., 1] - (-(x - 1) / 2.0)).max() < 1e-13
+
+
+def test_initialize_broadcasts_a_scalar_u0(mesh2):
+    members = constant_members([1.0, 2.0], [(0, 0)] * 2)
+    members[1].u0 = lambda x, y: 1.0
+    disc = Discretization(mesh2, 1)
+    state = initialize(ProblemSpec(members, autonomous=True), disc)
+    assert np.abs(state_samples(disc, state)["u"][1] - 1.0).max() < 1e-13
+    assert np.abs(state.u[0]).max() == 0.0 and np.abs(state.q).max() < 1e-13
+
+
+def test_non_finite_u0_is_named(mesh2):
+    """A u0 that is NaN on part of the domain used to run to the end and
+    leave that member's u NaN without a message."""
+    members = constant_members([1.0, 2.0], [(0, 0)] * 2)
+    members[1].u0 = lambda x, y: np.where(x > 0.5, np.nan, 0.0)
+    disc = Discretization(mesh2, 1)
+    e = int(np.argmax((disc.X_data[..., 0] > 0.5).any(axis=1)))
+    solver = EnsembleSolver(disc, ProblemSpec(members, autonomous=True),
+                            dt=0.5)
+    with pytest.raises(ValueError, match=f"^member 2: the u0 sample on "
+                                         f"element {e} is not finite$"):
+        solver.run(1.0)
 
 
 def test_initialize_example1_is_zero(mesh2):
@@ -330,8 +367,8 @@ def test_step_matches_dense_oracle_with_lag(k, rng):
 
 @pytest.mark.parametrize("k", [0, 1])
 def test_three_steps_match_dense_run_with_lag(k, rng):
-    """Three steps from a nonzero degree-(k+1) start: step 1 runs the
-    degree-(k+1) RHS operators, steps 2 and 3 the cached degree-k ones."""
+    """Three steps from a random degree-k start: step 1 builds the RHS
+    operators, steps 2 and 3 reuse them."""
     spec = example1()
     disc = Discretization(build_uniform_square_mesh(2), k)
     dt = 0.1
@@ -339,7 +376,6 @@ def test_three_steps_match_dense_run_with_lag(k, rng):
     state = initialize(spec, disc)
     state.u = rng.normal(size=state.u.shape)
     state.q = rng.normal(size=state.q.shape)
-    assert state.u_degree == k + 1
 
     solver = EnsembleSolver(disc, spec, dt=dt, tau=tau)
     got = state
@@ -404,7 +440,8 @@ def test_lag_terms_skipped_for_single_member(mesh2):
     # a mode whose deviation weights are all zero adds nothing: the lag
     # operators hold only the (1/dt) mass
     d = disc.ndof_u
-    ops = solver._rhs_operators(level, 1)
+    solver.step(initialize(spec, disc))
+    ops = solver._ops
     assert not ops.mass_c.any() and not ops.u_op[..., d:, :].any()
     time_mass = disc.geom.det[:, None, None] / 0.5 * \
         solver._block_tables.lag.mass
@@ -637,10 +674,10 @@ def test_rhs_from_moments_matches_sampled_rhs(mesh4, rng, plain_data):
     c_dev = rng.normal(size=(J, ne, nq))
     b_dev = rng.normal(size=(J, ne, nq, 2))
     bf_dev = rng.normal(size=(J, ne, 3, nqf, 2))
-    ops = sampled_rhs_operators(disc, RHSTables(disc, 1), dt, c_dev, b_dev,
+    ops = sampled_rhs_operators(disc, RHSTables(disc), dt, c_dev, b_dev,
                                 bf_dev)
     prev = EnsembleState(1, 0.0, rng.normal(size=(J, ne, d)),
-                         rng.normal(size=(J, ne, 2 * d)), None, 1)
+                         rng.normal(size=(J, ne, 2 * d)), None)
     s = lag_samples(disc, prev)
     x, y = disc.x_data_flat, disc.y_data_flat
     xf, yf = disc.xf_fdata_flat, disc.yf_fdata_flat
@@ -785,8 +822,8 @@ def test_weights_times_modes_reproduce_the_member_samples(mesh4, family):
 def test_mode_family_steps_like_the_dense_oracle(mesh2, monkeypatch):
     """c_j = c_j^0 (1 + t/2)(1 + x^2/4): one shared c-mode whose weight
     changes every step.  Each step refactorizes and matches the dense
-    per-member solve, and the mode terms are built once per degree (k for
-    the blocks and the steps, k+1 for step 1), however many steps run."""
+    per-member solve, and the mode terms, shared by the blocks and the
+    steps, are built once, however many steps run."""
     from ensemble_hdg import local
 
     built = []
@@ -810,7 +847,7 @@ def test_mode_family_steps_like_the_dense_oracle(mesh2, monkeypatch):
         for name in ("u", "q", "uhat"):
             a, b = getattr(got, name), getattr(want, name)
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), (n, name)
-        assert built == [disc.ndof_u, disc.ndof_u_hi], n
+        assert built == [disc.ndof_u], n
         state = got
     assert solver.n_factorizations == 4
 
@@ -872,7 +909,7 @@ def test_refactor_family_keeps_the_velocity_lag_operator(mesh2,
                                                         monkeypatch):
     """c_j = c_j^0 (1 + t/2) and autonomous β_j: the c deviation weights
     change at every step, the velocity ones never do.  Over 8 steps u_op
-    is built once per degree, and mass_c follows c."""
+    is built once, and mass_c follows c."""
     from ensemble_hdg import local
 
     built = []
@@ -893,8 +930,6 @@ def test_refactor_family_keeps_the_velocity_lag_operator(mesh2,
     kept = None
     for n in range(1, 9):
         state = solver.step(state)
-        if n == 1:
-            continue
         ops = solver._ops
         level = solver._coefficients(n * dt)
         fresh = build(disc, level["terms"], dt, level["dev"], None)
@@ -903,7 +938,7 @@ def test_refactor_family_keeps_the_velocity_lag_operator(mesh2,
         assert kept is None or ops.u_op is kept.u_op, n
         assert kept is None or not np.array_equal(ops.mass_c, kept.mass_c)
         kept = ops
-    assert built == [disc.ndof_u_hi, disc.ndof_u]
+    assert built == [disc.ndof_u]
     assert solver.n_factorizations == 8
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 
 from ensemble_hdg.discretization import Discretization
 from ensemble_hdg.errors import ErrorAccumulator, l2_norm_squared
@@ -11,8 +12,9 @@ from ensemble_hdg.io import (load_config, problem_from_config,
                              write_snapshot_vtk)
 from ensemble_hdg.mesh import build_uniform_square_mesh
 from ensemble_hdg.postprocess import Postprocessor
-from ensemble_hdg.problems import example1, example3
-from ensemble_hdg.solver import EnsembleSolver
+from ensemble_hdg.problems import (EXAMPLE1_BETA_SCALE, EXAMPLE1_C,
+                                   example1, example3, manufactured_member)
+from ensemble_hdg.solver import EnsembleSolver, ProblemSpec
 from ensemble_hdg.study import (ConvergenceTable, convergence_study,
                                 resolve_dt_rule, run_level, snap_dt)
 
@@ -197,7 +199,7 @@ def projected_state(disc, spec, t, perturbation=0.0, rng=None):
     if perturbation:
         u = u + perturbation * rng.normal(size=u.shape)
         q = q + perturbation * rng.normal(size=q.shape)
-    return EnsembleState(1, t, u, q, None, disc.k)
+    return EnsembleState(1, t, u, q, None)
 
 
 def test_error_accumulator_returns_the_projection_residual(mesh4):
@@ -348,6 +350,43 @@ def test_convergence_rates(k, levels, dt_rule, T):
         else:
             assert table.final_rate(j, "Eq") > k + 1 - 0.25
             assert abs(table.final_rate(j, "Eustar") - (k + 2)) < 0.25
+
+
+def nonzero_start():
+    """Example 1's c_j and β_j with u_j = cos(t) sin x sin y / j
+    + e^(xy) (1 + t) / 4, whose u0 is not zero."""
+    x, y, t = sympy.symbols("x y t")
+    return ProblemSpec(
+        [manufactured_member(cj, (aj * y, aj * x),
+                             sympy.cos(t) * sympy.sin(x) * sympy.sin(y) / j
+                             + sympy.exp(x * y) * (1 + t) / 4)
+         for j, (cj, aj) in enumerate(zip(EXAMPLE1_C, EXAMPLE1_BETA_SCALE),
+                                      1)],
+        autonomous=True)
+
+
+def test_convergence_rates_from_a_nonzero_start():
+    """The rates of a start from Pi_k u0 at T = 0.25, levels 1..3.  At
+    k = 1 with dt ~ h^3, Eu, Eq and u* read 1.98-2.00, 1.99-2.01 and
+    3.02-3.15 at level 3.  At k = 2 with dt ~ h^4, so that time stays
+    below space, they read 2.94, 3.11-3.43 and 4.06-4.68: Eq and u* are
+    still above their rates 3 and 4 on these coarse levels, so only their
+    lower side is asserted."""
+    spec, T = nonzero_start(), 0.25
+    table = convergence_study(spec, 1, [1, 2, 3], "h3", T=T)
+    for j in (1, 2, 3):
+        assert abs(table.final_rate(j, "Eu") - 2) < 0.25
+        assert abs(table.final_rate(j, "Eq") - 2) < 0.25
+        assert abs(table.final_rate(j, "Eustar") - 3) < 0.25
+    table = ConvergenceTable()
+    for level in (1, 2, 3):
+        n = 2 ** level
+        dt = snap_dt(T, (math.sqrt(2.0) / n) ** 4)
+        table.add_level(level, *run_level(spec, n, 2, dt, T, False)[:2])
+    for j in (1, 2, 3):
+        assert abs(table.final_rate(j, "Eu") - 3) < 0.25
+        assert table.final_rate(j, "Eq") > 2.75
+        assert table.final_rate(j, "Eustar") > 3.75
 
 
 def test_convergence_study_requires_exact():
