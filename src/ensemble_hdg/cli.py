@@ -6,8 +6,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .discretization import Discretization
 from .errors import ErrorAccumulator
 from .io import (final_time, load_config, problem_from_config,
@@ -155,12 +153,12 @@ def cmd_run(args):
         observers.append(acc)
 
     os.makedirs(merged["out"], exist_ok=True)
-    post = Postprocessor(disc) if stride is not None else None
+    if stride is not None:
+        post = Postprocessor(disc)
+        maps = post.operator_stack([m.c for m in problem.members])
 
     def write_snap(state, tag):
-        c_vals = np.stack([disc.sample_scalar(m.c, state.t)
-                           for m in problem.members])
-        star = post.apply(state.u, state.q, post.operator(c_vals))
+        star = post.apply(state.u, state.q, maps(state.t))
         base = os.path.join(merged["out"],
                             f"snapshot_{problem.name}_{tag}")
         write_snapshot_csv(disc, state, base + ".csv", star)

@@ -21,10 +21,10 @@ weighted by the element Jacobians.  The exact fields go through
 fields Pi of each spatial factor and the Gram matrix of the factors'
 residuals are built once, so a step evaluates only the time factors.
 The postprocessed field comes from the Postprocessor's linear maps of q,
-which are linear in c: a third FieldStack takes them as the projection
-of the members' inverse diffusion, so for separable c a step only weights
-the maps of the spatial factors, whether c depends on time or not.  Eu
-is taken once, at the final step, from the point samples of the state.
+which are linear in c: `Postprocessor.operator_stack` builds them through
+a third FieldStack, so for separable c a step only weights the maps of
+the spatial factors, whether c depends on time or not.  Eu is taken
+once, at the final step, from the point samples of the state.
 """
 
 import numpy as np
@@ -95,10 +95,8 @@ class ErrorAccumulator:
         self._q = FieldStack(
             [c for m in spec.members for c in vector_components(m.exact_q)],
             x, y, *_projection(disc, disc.V_data))
-        ne = disc.mesh.n_elements
-        self.ustar_map = FieldStack(
-            [m.c for m in spec.members], x, y,
-            lambda c: self.post.operator(c.reshape(len(c), ne, -1)), None)
+        self.ustar_map = self.post.operator_stack(
+            [m.c for m in spec.members])
 
     def __call__(self, n, t, state):
         disc, J = self.disc, self.spec.J

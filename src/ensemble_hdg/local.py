@@ -17,25 +17,15 @@ samples against a table that holds no coefficient.
 
 Three terms carry a coefficient: the c mass (c q, r), the convection
 (β·∇u, v) and the face rows <β·n u, v̂>.  The ensemble scheme splits each
-into a mean part (c̄, β̄), implicit, and a deviation part (c̄ - c_j,
-β̄ - β_j), lagged onto the right-hand side.  The coefficients are sums
-Σ_m θ_m φ_m of shared spatial modes, and each term is linear in them, so
-one kernel, `_coefficient_terms`, builds the terms of every mode once
-(`ModeTerms`): `assemble_all_blocks` weights them with the mean weights
-θ̄, `rhs_operators` with the deviation weights θ̄ - θ_j, and a mode whose
-weights are all zero adds nothing.  Built from the same tables and data
-rules, the two parts add up to each member's own operator.
-
-`BlockTables` holds, once per (discretization, tau, dt), what no
-coefficient touches, and the `RHSTables` as `lag`; a time-dependent mean
-costs a weighted sum of the mode terms per step.  `rhs_operators` maps
-the previous [q | u] of each (member, element), of degree k at every
-step, the first included, to the RHS, the (1/dt) mass and the lagged
-deviations; `assemble_all_rhs` applies them and adds the data rows.
-Those rows are linear in the data: `source_rows` takes the moments of
-source samples and `boundary_rows` those of Dirichlet samples, so the
-solver applies both to the spatial factors of separable data once and a
-step only combines them.
+into an implicit mean part (c̄, β̄) and a deviation part (c̄ - c_j,
+β̄ - β_j) lagged onto the RHS.  Both are linear in the coefficient, so
+the terms of each spatial mode are built once, as the images of the
+solver's c and β `problems.FieldStack`s (`c_terms`, `beta_terms`), and
+weighted: by the mean weights in `assemble_all_blocks`, by the deviation
+weights in `rhs_operators`.  Built from the same tables and data rules,
+the two parts add up to each member's own operator.  `BlockTables` holds
+what no coefficient touches; `source_rows` and `boundary_rows` are the
+data rows of the RHS, linear in the data samples as well.
 """
 
 import numpy as np
@@ -56,6 +46,7 @@ class BlockTables:
     C      (ne, 2d, d)       the coupling [C_x; C_y], (∂_x_c v_i, v_j): -C
                              above the u-block of A_II, Cᵀ left of it
     A_uu   (ne, d, d)        the u-u block's (1/dt) mass plus tau face terms
+    time_mass (ne, d, d)     that (1/dt) mass alone, the lag of u
     A_IT   (ne, 3d, 3nfd)    all of it
     A_TI   (ne, 3nfd, 3d)    the tau and normal-component parts
     A_TT   (ne, 3nfd, 3nfd)  all of it
@@ -84,7 +75,8 @@ class BlockTables:
             disc.rule_data.points), V)
         C = (disc.geom.inv_t.reshape(ne * 2, 2) @ dref.reshape(2, d * d)
              ).reshape(ne, 2 * d, d) * detJ
-        A_uu = detJ / dt * self.lag.mass
+        self.time_mass = detJ / dt * self.lag.mass
+        A_uu = self.time_mass.copy()
 
         wf, Psi = disc.w_fdata, disc.Psi_fdata
         psipsi = (Psi * wf) @ Psi.T
@@ -108,32 +100,33 @@ class BlockTables:
         A_IT[:, 2 * d:] = np.swapaxes(A_TI[:, :, 2 * d:], 1, 2)
         self.C, self.A_uu, self.A_IT, self.A_TI, self.A_TT = \
             C, A_uu, A_IT, A_TI, A_TT
-        for table in (C, A_uu, A_IT, A_TI, A_TT, self.lag.mass_q,
+        for table in (C, A_uu, A_IT, A_TI, A_TT, self.time_mass,
+                      self.lag.mass_q,
                       self.lag.conv, *(t for p in self.lag.face for t in p)):
             table.flags.writeable = False
 
 
-def assemble_all_blocks(disc, tables, terms, weights):
+def assemble_all_blocks(disc, tables, c, beta):
     """The coefficient blocks of all elements: (M, A, A_TI).
 
-    tables are the `BlockTables` of the discretization and terms the
-    `ModeTerms` of the modes against `tables.lag`; weights (Mc + Mb,) are
-    the mean weights of the c-modes, then of the velocity modes.  M is
-    the c̄ mass, each q-q block of A_II, A the u-u block and A_TI the
-    trace rows; `condense_all` reads the other blocks from `tables`.
+    tables are the `BlockTables` of the discretization; c and beta are
+    the pairs (θ̄, images) of the c and velocity modes: the mean weights
+    (M,) and the `c_terms` and `beta_terms` images against `tables.lag`.
+    M is the c̄ mass, each q-q block of A_II, A the u-u block and A_TI
+    the trace rows; `condense_all` reads the other blocks from `tables`.
     """
-    nc = len(terms.c)
-    cbar = mode_sum(weights[:nc], terms.c)
-    conv = mode_sum(weights[nc:], terms.conv)
-    face = mode_sum(weights[nc:], terms.face)
+    (wc, (c_samples, mass)), (wb, (_, block)) = c, beta
+    d = disc.ndof_u
+    cbar = mode_sum(wc, c_samples).reshape(disc.mesh.n_elements, -1)
+    lag = mode_sum(wb, block)
     ok = ((cbar > 0) & (cbar < np.inf)).all(axis=1) & np.isfinite(
-        conv).all(axis=(1, 2)) & np.isfinite(face).all(axis=(1, 2))
+        lag).all(axis=(1, 2))
     if not ok.all():
         raise CoefficientError(f"element {int(np.argmin(ok))}: mean c not "
                                f"positive and finite, or mean beta not finite")
     A_TI = tables.A_TI.copy()
-    A_TI[:, :, 2 * disc.ndof_u:] -= face
-    return mode_sum(weights[:nc], terms.mass), tables.A_uu + conv, A_TI
+    A_TI[:, :, 2 * d:] -= lag[:, d:]
+    return mode_sum(wc, mass), tables.A_uu + lag[:, :d], A_TI
 
 
 class BatchedCondensed:
@@ -278,49 +271,47 @@ class RHSTables:
                       for a in (0, 1)] for lf in range(3)]
 
 
-def _coefficient_terms(disc, tables, c, b, b_face):
-    """The coefficient terms of samples c (..., ne, nq), b (..., ne, nq, 2)
-    at the data rule and b_face (..., ne, 3, nqf, 2) at the face data rule;
-    c and b may have different leading axes.
+def c_terms(disc, tables, samples):
+    """The `FieldStack` image of inverse-diffusion samples (m, ne*nq) at
+    the data rule: the samples and their c mass (m, ne, d, d), one GEMM
+    against the `RHSTables` tables."""
+    ne, d = disc.mesh.n_elements, disc.ndof_u
+    # a non-finite sample makes inf·0; the solver rejects it before use
+    with np.errstate(invalid="ignore"):
+        mass = (samples.reshape(-1, tables.mass_q.shape[0]) @
+                tables.mass_q).reshape(len(samples), ne, d, d)
+    return samples, mass * disc.geom.det[:, None, None]
 
-    Returns the c mass (..., ne, d, d), the b·∇u block (..., ne, d, d)
-    and the <b·n u, v̂> rows (..., ne, 3nfd, d) on every local face, each
-    one GEMM against the `RHSTables` tables.
-    """
-    nq = c.shape[-1]
-    d, nfd = disc.ndof_u, disc.ndof_face
+
+def beta_terms(disc, tables, samples):
+    """The `FieldStack` image of velocity samples (m, ne*nq + 3ne*nqf, 2)
+    at the data rule points, then the face data rule points: the samples
+    and the block (m, ne, d + 3nfd, d) of the b·∇u terms above the
+    <b·n u, v̂> rows of every local face, each one GEMM against the
+    `RHSTables` tables."""
+    m, ne = len(samples), disc.mesh.n_elements
+    d, nfd, nq = disc.ndof_u, disc.ndof_face, len(disc.w_data)
     geom = disc.geom
-    detJ = geom.det[:, None, None]
-    mass = (c.reshape(-1, nq) @ tables.mass_q).reshape(
-        c.shape[:-1] + (d, d)) * detJ
-    lead = b.shape[:-2]
-    # b·∇u = Σ_r [b B^-T]_r ∂_r u in each element's reference coordinates
-    bt = np.matmul(b, geom.inv_t)
-    conv = (bt.reshape(-1, 2 * nq) @ tables.conv).reshape(
-        lead + (d, d)) * detJ
-    nrm = geom.normals
-    bn = b_face[..., 0] * nrm[:, :, None, 0] + \
-        b_face[..., 1] * nrm[:, :, None, 1]
-    face = np.empty(lead + (3 * nfd, d))
-    for lf in range(3):
-        misaligned, aligned = tables.face[lf]
-        blk = np.where(disc.face_aligned[:, lf, None],
-                       bn[..., lf, :] @ aligned, bn[..., lf, :] @ misaligned)
-        face[..., lf * nfd:(lf + 1) * nfd, :] = (
-            blk * geom.edge_lengths[:, lf, None]).reshape(lead + (nfd, d))
-    return mass, conv, face
-
-
-class ModeTerms:
-    """The `_coefficient_terms` mass (Mc, ne, d, d), conv (Mb, ne, d, d)
-    and face (Mb, ne, 3nfd, d) of the c-modes c (Mc, ne, nq) and the
-    velocity modes b (Mb, ne, nq, 2), b_face (Mb, ne, 3, nqf, 2), against
-    the `RHSTables` tables.  c stays for the mean's positivity check."""
-
-    def __init__(self, disc, tables, c, b, b_face):
-        self.tables, self.c = tables, c
-        self.mass, self.conv, self.face = _coefficient_terms(
-            disc, tables, c, b, b_face)
+    b = samples[:, :ne * nq].reshape(m, ne, nq, 2)
+    b_face = samples[:, ne * nq:].reshape(m, ne, 3, -1, 2)
+    block = np.empty((m, ne, d + 3 * nfd, d))
+    # as in c_terms, non-finite samples are rejected after the products
+    with np.errstate(invalid="ignore"):
+        # b·∇u = Σ_r [b B^-T]_r ∂_r u in reference coordinates
+        bt = np.matmul(b, geom.inv_t)
+        block[:, :, :d] = (bt.reshape(-1, 2 * nq) @ tables.conv).reshape(
+            m, ne, d, d) * geom.det[:, None, None]
+        nrm = geom.normals
+        bn = b_face[..., 0] * nrm[:, :, None, 0] + \
+            b_face[..., 1] * nrm[:, :, None, 1]
+        for lf in range(3):
+            misaligned, aligned = tables.face[lf]
+            blk = np.where(disc.face_aligned[:, lf, None],
+                           bn[..., lf, :] @ aligned,
+                           bn[..., lf, :] @ misaligned)
+            block[:, :, d + lf * nfd:d + (lf + 1) * nfd] = (
+                blk * geom.edge_lengths[:, lf, None]).reshape(m, ne, nfd, d)
+    return samples, block
 
 
 def mode_sum(weights, modes):
@@ -342,43 +333,40 @@ class RHSOperators:
     of q.  u_op (J, ne, d + 3nfd, d) maps the previous u to the u-rows
     ((1/dt) mass plus (β̄ - β_j)·∇) and to the trace rows
     (-<(β̄ - β_j)·n u, v̂> on interior faces, zero on boundary faces).
-    terms and dev are the `ModeTerms` and deviation weights they were
-    built from.
+    c and beta are the (deviation weights, images) pairs they were built
+    from.
     """
 
-    def __init__(self, terms, dev, mass_c, u_op):
-        self.terms, self.dev = terms, dev
+    def __init__(self, c, beta, mass_c, u_op):
+        self.c, self.beta = c, beta
         self.mass_c, self.u_op = mass_c, u_op
 
 
-def rhs_operators(disc, terms, dt, dev, kept):
-    """Build the RHS operators of J members from their deviation weights
-    dev (J, Mc + Mb), θ̄ - θ_j over the c-modes, then the velocity modes,
-    and the `ModeTerms` of those modes.  kept is None or operators built
-    earlier: mass_c is taken from them while the c-mode weights and the
-    terms stay, u_op while the velocity weights and the terms stay.
+def _stays(kept, part):
+    """Whether kept (weights, images) has part's images and weights."""
+    return kept[1] is part[1] and np.array_equal(kept[0], part[0])
+
+
+def rhs_operators(disc, tables, c, beta, kept):
+    """Build the RHS operators of J members from the pairs c and beta of
+    the c and velocity modes, as `assemble_all_blocks` reads them but with
+    the deviation weights θ̄ - θ_j (J, M).  tables are the `BlockTables`.
+    kept is None or operators built earlier: mass_c is taken from them
+    while the c images stay the same object and the c weights stay
+    bitwise, u_op while those of the velocity modes stay.
     """
     mesh = disc.mesh
     d, nfd = disc.ndof_u, disc.ndof_face
-    nc = len(terms.c)
-
-    def stays(cols):
-        return kept is not None and kept.terms is terms and \
-            np.array_equal(kept.dev[:, cols], dev[:, cols])
-
-    mass_c = kept.mass_c if stays(slice(nc)) else \
-        mode_sum(dev[:, :nc], terms.mass)
-    if stays(slice(nc, None)):
-        return RHSOperators(terms, dev, mass_c, kept.u_op)
-    u_op = np.empty((len(dev), mesh.n_elements, d + 3 * nfd, d))
-    np.add(mode_sum(dev[:, nc:], terms.conv),
-           disc.geom.det[:, None, None] / dt * terms.tables.mass,
-           out=u_op[:, :, :d])
+    mass_c = kept.mass_c if kept is not None and _stays(kept.c, c) else \
+        mode_sum(c[0], c[1][1])
+    if kept is not None and _stays(kept.beta, beta):
+        return RHSOperators(c, beta, mass_c, kept.u_op)
+    u_op = mode_sum(beta[0], beta[1][1])
+    u_op[:, :, :d] += tables.time_mass
     # boundary faces carry no trace unknowns: their rows stay zero
     bnd_rows = np.repeat(mesh.boundary[mesh.elem_faces], nfd, axis=1)
-    u_op[:, :, d:] = np.where(bnd_rows[:, :, None], 0.0,
-                              -mode_sum(dev[:, nc:], terms.face))
-    return RHSOperators(terms, dev, mass_c, u_op)
+    u_op[:, :, d:] = np.where(bnd_rows[:, :, None], 0.0, -u_op[:, :, d:])
+    return RHSOperators(c, beta, mass_c, u_op)
 
 
 def source_rows(disc, f_vals):

@@ -12,9 +12,9 @@ member and time level.
 
 For fixed inverse-diffusion samples c_j, u*_1.. is a linear map of the
 element's q coefficients, linear in c as well: `operator` builds it from
-the samples, and `apply` applies it.  The error observer builds the maps
-through a `problems.FieldStack`, so for separable c a time level only
-weights the maps of the spatial factors.
+the samples, `operator_stack` from the members' c through a
+`problems.FieldStack`, so for separable c a time level only weights the
+maps of the spatial factors, and `apply` applies it.
 
 Purely element-local: changing inputs on one element cannot affect any
 other element's output.
@@ -23,6 +23,7 @@ other element's output.
 import numpy as np
 
 from .local import invert_blocks
+from .problems import FieldStack
 
 
 class Postprocessor:
@@ -45,16 +46,23 @@ class Postprocessor:
     def operator(self, c_vals):
         """The linear map (m, ne, d_hi - 1, 2d) from an element's [qx | qy]
         coefficients to u*_1.., for inverse-diffusion samples c_vals
-        (m, ne, nq) at the data-rule points."""
+        (m, ne, nq) or (m, ne*nq) at the data-rule points."""
         disc = self.disc
         d, dh = disc.ndof_u, disc.ndof_u_hi
-        m, ne, nq = c_vals.shape
-        A = (c_vals.reshape(m * ne, nq) @ self._flux_table).reshape(
-            m, ne, 2, (dh - 1) * d)
+        m, ne = len(c_vals), disc.mesh.n_elements
+        A = (c_vals.reshape(-1, len(disc.w_data)) @ self._flux_table
+             ).reshape(m, ne, 2, (dh - 1) * d)
         # physical gradients are B^-T times reference ones
         R = np.matmul(disc.geom.inv_t, A).reshape(m, ne, 2, dh - 1, d)
         return -np.matmul(self._stiff_inv,
                           np.concatenate([R[:, :, 0], R[:, :, 1]], axis=-1))
+
+    def operator_stack(self, c_fields):
+        """The `operator`s t -> (m, ne, d_hi - 1, 2d) of the inverse
+        diffusion fields c_fields at time t, a `problems.FieldStack`."""
+        disc = self.disc
+        return FieldStack(c_fields, disc.x_data_flat, disc.y_data_flat,
+                          self.operator, None)
 
     def apply(self, u_coeffs, q_coeffs, op):
         """Reconstruct u* for all members and elements.

@@ -9,13 +9,12 @@ to vectorized numpy callables once at construction time.  A field whose
 time dependence splits off, sum_i T_i(t) S_i(x, y), becomes a
 SeparableField.
 
-Time loops read the member fields through one joint evaluator,
-`FieldStack`, bound to fixed points and to a linear map of the samples
-there: the identity for the coefficient samples, the moments against the
-test functions for the step's data, the L2 projections and their residual
-norms for the error observer.  It applies the map to the spatial factors
-of separable fields once, so a step evaluates only the scalars T_i(t);
-other fields are sampled and mapped at every call.
+Time loops read the member fields through `FieldStack`, a joint
+evaluator bound to fixed points and to a linear map of the samples
+there: the coefficient terms of c and β, the data moments of f and g,
+the error observer's projections, the u* maps.  It maps the spatial
+factors of separable fields, vector fields of separable components
+included, once; other fields are sampled and mapped at every call.
 """
 
 import numpy as np
@@ -105,17 +104,33 @@ def _vector_fn(expr_x, expr_y):
     return VectorField(_scalar_fn(expr_x), _scalar_fn(expr_y))
 
 
+def _spatial_factors(field, x, y):
+    """(T_i, samples at (x, y) of S_i) of a separable field, with the
+    factors e_x S and e_y S of a vector field's components; None for any
+    other field."""
+    if isinstance(field, SeparableField):
+        return list(zip(field._t_fns, field._spatial(x, y)))
+    if not (isinstance(field, VectorField) and all(
+            isinstance(f, SeparableField) for f in (field.fx, field.fy))):
+        return None
+    zero = np.zeros(np.shape(x))
+    return [(tf, np.stack([sv, zero] if i == 0 else [zero, sv], -1))
+            for i, f in enumerate((field.fx, field.fy))
+            for tf, sv in _spatial_factors(f, x, y)]
+
+
 class FieldStack:
     """Joint evaluator of several fields at fixed points, through one
     linear map of their samples.
 
-    `project` maps samples (m, npts) at the bound points to images
-    (m, ...) linearly.  When every field is a SeparableField, the spatial
-    factors S_i of all the fields, one mode per distinct set of samples at
-    the bound points, are projected once, here; a call only evaluates the
-    weights θ(t) (m, M), the T_i(t) summed per mode, and sums the M mode
-    images with them (`local.mode_sum`).  Any other field makes every call
-    sample all the fields as modes, with the identity as weights.
+    `project` maps samples (m, npts), or (m, npts, 2) of vector fields, at
+    the bound points to images linearly: an array (m, ...), or a tuple of
+    them that only `modes` reads.  When every field is separable, the
+    spatial factors S_i of all the fields, one mode per distinct set of
+    samples at the bound points, are projected once, here; a call only
+    evaluates the weights θ(t) (m, M), the T_i(t) summed per mode, and
+    sums the M = `n_modes` mode images with them (`local.mode_sum`).  Any
+    other field makes the m fields' samples at every call the modes.
 
     `residual`, when given, maps samples (m, npts) to what the projection
     loses, scaled so that the squared norm of the loss is the sum of the
@@ -132,16 +147,19 @@ class FieldStack:
     def __init__(self, fields, x, y, project, residual):
         self._fields, self._x, self._y = fields, x, y
         self._project, self._residual = project, residual
-        self.separable = all(isinstance(f, SeparableField) for f in fields)
+        factors = [_spatial_factors(f, x, y) for f in fields]
+        self.separable = all(f is not None for f in factors)
+        self.n_modes = len(fields)
         if not self.separable:
             return
         modes, index, self._factors = [], {}, []
-        for j, f in enumerate(fields):
-            for tf, sv in zip(f._t_fns, f._spatial(x, y)):
+        for j, pairs in enumerate(factors):
+            for tf, sv in pairs:
                 m = index.setdefault(sv.tobytes(), len(modes))
                 if m == len(modes):
                     modes.append(sv)
                 self._factors.append((j, m, tf))
+        self.n_modes = len(modes)
         S = np.stack(modes)
         self._images = project(S)
         if residual is not None:
@@ -149,18 +167,18 @@ class FieldStack:
             self._gram = R @ R.T
 
     def _samples(self, t):
-        x = self._x
-        return np.stack([
-            np.broadcast_to(np.asarray(f(x, self._y, t), dtype=float),
-                            np.shape(x))
-            for f in self._fields])
+        x, out = self._x, []
+        for f in self._fields:
+            v = np.asarray(f(x, self._y, t), dtype=float)
+            out.append(np.broadcast_to(v, np.shape(x) + v.shape[np.ndim(x):]))
+        return np.stack(out)
 
     def modes(self, t):
         """The weights θ(t) (m, M) and the images (M, ...) of the modes at
         time t; the images of separable fields are the same at every t."""
         if not self.separable:
             return np.eye(len(self._fields)), self._project(self._samples(t))
-        W = np.zeros((len(self._fields), len(self._images)))
+        W = np.zeros((len(self._fields), self.n_modes))
         for j, m, tf in self._factors:
             W[j, m] += tf(t)
         return W, self._images
@@ -178,11 +196,6 @@ class FieldStack:
                     (self._residual(samples) ** 2).sum(-1))
         W = self.modes(t)[0]
         return mode_sum(W, self._images), ((W @ self._gram) * W).sum(1)
-
-
-def stack_separable_fields(fields, x, y):
-    """Joint evaluator t -> (len(fields), npts) of the fields' samples."""
-    return FieldStack(fields, x, y, lambda samples: samples, None)
 
 
 def vector_components(field):

@@ -5,32 +5,18 @@ ensemble-mean coefficients and J right-hand sides carrying the per-member
 data and the lagged deviation terms; all members are advanced with the same
 factorization.
 
-c and β enter through shared spatial modes: c_j(x, t) = Σ_m θ_jm(t) φ_m(x),
-and each component of β_j alike (a mode ψ of β_x is the velocity mode
-e_x ψ), read through `problems.FieldStack` evaluators bound to the element
-and face data points.  For separable fields the modes are their distinct
-spatial factors, and the c-mass, β·∇u and <β·n u, v̂> terms of each mode
-(`local.ModeTerms`) are built once; a time level only evaluates the
-weights θ(t).  Other fields make the members' samples at each level the
-modes, with identity weights.  The mean weights θ̄ build the blocks, as
-the `local.BlockTables` of the solver's (tau, dt) plus Σ θ̄_m times the
-terms of mode m, and the trace factorization is kept while θ̄ stays
-bitwise (for plain callables, also the members' mean samples, which are
-that level's modes); the deviation weights θ̄ - θ_j build
-the RHS operators (the per-member, per-element maps from the previous
-[q | u] coefficients to the RHS, see `local.rhs_operators`); their c mass
-and velocity parts are each kept while their own weights stay.  Both parts
-of the split see the same modes and quadrature rules.  Autonomous
-coefficients are evaluated once; time-dependent ones refactorize whenever
-θ̄ changes.  Every state is of degree k, the initial one included: it
-holds Π_k u0, so step 1 runs the operators of every later step.
-
-The sources f and Dirichlet data g enter a step as interior-row moments,
-(J, ne, 3d), read through `problems.FieldStack` evaluators: for separable
-data the moments of each spatial factor, against the test functions for f
-and through the boundary-data operator for g, are built at construction,
-and a step adds them up with the scalars T_i(t).  No step samples f or g
-unless a member's data are plain callables.
+c and β enter as sums Σ_m θ_jm(t) φ_m(x) of shared spatial modes, scalar
+for c and vector for β (e_x ψ, e_y ψ, or a member's own samples), read
+through two `problems.FieldStack`s whose images are the modes' terms
+(`local.c_terms`, `local.beta_terms`).  The mean weights θ̄ build the
+blocks; the factorization is kept while θ̄ stays bitwise, and for a
+stack of plain callables, resampled at every level, while the members'
+mean samples stay.  The deviation weights θ̄ - θ_j build the RHS
+operators, whose c and velocity parts are each kept while their own
+images and weights stay.  Autonomous coefficients are evaluated once.
+Every state is of degree k, the initial one Π_k u0.  The sources f and
+the Dirichlet data g enter as interior-row moments through two more
+FieldStacks, so no step samples separable data.
 
 States are immutable: step() returns a fresh state, the previous one is
 never written to, so observers may safely keep references.
@@ -145,11 +131,12 @@ def check_admissibility(spec, mesh, times):
     sampled through one joint evaluator.  Returns a report instead of
     raising; callers enforce strictness.
     """
-    from .problems import stack_separable_fields
+    from .problems import FieldStack
 
     X = BatchedGeometry(mesh).points(triangle_quadrature(6).points)
     x, y = X[..., 0].ravel(), X[..., 1].ravel()
-    c_at = stack_separable_fields([m.c for m in spec.members], x, y)
+    c_at = FieldStack([m.c for m in spec.members], x, y,
+                      lambda samples: samples, None)
 
     report = AdmissibilityReport()
     times = list(times)
@@ -158,7 +145,8 @@ def check_admissibility(spec, mesh, times):
     for n, t in enumerate(grid):
         cvals = c_at(t)
         cbar = cvals.mean(axis=0)
-        report.c_min = min(report.c_min, float(np.nanmin(cvals)))
+        # fmin skips NaN, and an all-NaN level leaves c_min as it was
+        report.c_min = min(report.c_min, float(np.fmin.reduce(cvals.ravel())))
         if prev_cbar is None:
             prev_cbar = cbar
             continue
@@ -214,7 +202,8 @@ def initialize(spec, disc):
 
     The element bases are hierarchical, so u is the leading d coefficients
     of Pi_(k+1) u0; q keeps its gradient, and with it the rate k+1.  A
-    non-finite u0 sample raises ValueError naming the member and element.
+    non-finite u0 sample raises ValueError, a non-finite c sample at t = 0
+    `local.CoefficientError`, naming the member and element.
     """
     J = spec.J
     ne = disc.mesh.n_elements
@@ -244,6 +233,11 @@ def initialize(spec, disc):
                          disc.geom.inv)
         c0 = np.broadcast_to(np.asarray(m.c(x, y, 0.0), dtype=float),
                              x.shape).reshape(ne, -1)
+        bad = ~np.isfinite(c0).all(axis=1)
+        if bad.any():
+            raise local.CoefficientError(
+                f"member {j + 1}: the c sample on element "
+                f"{int(np.argmax(bad))} at t = 0 is not finite")
         qvals = -grad / c0[..., None]
         for comp in range(2):
             mom = np.einsum("q,eq,iq->ei", w, qvals[..., comp], V)
@@ -302,21 +296,23 @@ class EnsembleSolver:
         self.system = None
         self.cond = None
         self._built_from = None
-        self._modes = None
         self._ops = None
         self._block_tables = local.BlockTables(disc, self.tau, self.dt)
         # joint evaluators of the member data at fixed points
-        from .problems import (FieldStack, stack_separable_fields,
-                               vector_components)
+        from .problems import FieldStack
 
         x, y = disc.x_data_flat, disc.y_data_flat
-        betas = [vector_components(m.beta) for m in spec.members]
-        self._c_vals = stack_separable_fields(
-            [m.c for m in spec.members], x, y)
-        # β_x and β_y at the element data points, then the face data points
-        self._b_vals = [stack_separable_fields(
-            [b[i] for b in betas], np.concatenate([x, disc.xf_fdata_flat]),
-            np.concatenate([y, disc.yf_fdata_flat])) for i in (0, 1)]
+        lag = self._block_tables.lag
+        # c and β enter the blocks as the terms of their modes: separable
+        # coefficients are projected here, once
+        self._c = FieldStack([m.c for m in spec.members], x, y,
+                             lambda c: local.c_terms(disc, lag, c), None)
+        # β at the element data points, then the face data points
+        self._beta = FieldStack(
+            [m.beta for m in spec.members],
+            np.concatenate([x, disc.xf_fdata_flat]),
+            np.concatenate([y, disc.yf_fdata_flat]),
+            lambda b: local.beta_terms(disc, lag, b), None)
         # f and g enter the step as interior-row moments: separable data
         # are projected here, once, and a step adds T_i(t) times them
         bnd_op = local.boundary_data_operator(disc, self.tau)
@@ -335,61 +331,58 @@ class EnsembleSolver:
     # -- coefficient modes -----------------------------------------------
 
     def _coefficients(self, t):
-        """The mode weights of c and β at level t, their mean and their
-        deviations, the modes' degree-k terms, and what the mean blocks
-        are built from: θ̄, and the mean samples of resampled modes."""
-        disc, stacks = self.disc, (self._c_vals, *self._b_vals)
-        (wc, c), (wx, bx), (wy, by) = levels = [s.modes(t) for s in stacks]
-        fixed = all(s.separable for s in stacks)
-        w = np.concatenate([wc, wx, wy], axis=1)
+        """The c and β modes at level t, each as the pairs (θ̄, images)
+        under "mean" and (θ̄ - θ_j, images) under "dev", and what the
+        mean blocks are built from: θ̄, and the mean samples of resampled
+        stacks."""
+        levels = [s.modes(t) for s in (self._c, self._beta)]
+        w = np.concatenate([W for W, _ in levels], axis=1)
         if not np.isfinite(w).all():
             j = np.argwhere(~np.isfinite(w))[0, 0]
             raise local.CoefficientError(
                 f"member {j + 1}: a weight of c or beta is not finite at "
                 f"t = {t}")
-        if self._modes is None or not fixed:
-            ne, nq = disc.X_data.shape[:2]
-            for name, s, (_, modes) in zip(("c", "beta_x", "beta_y"),
-                                           stacks, levels):
-                bad = np.argwhere(~np.isfinite(
-                    modes[:, :ne * nq].reshape(len(modes), ne, nq)))
+        ne, nq = self.disc.X_data.shape[:2]
+        mean, dev, built_from = [], [], []
+        for stack, names, (W, images) in zip(
+                (self._c, self._beta), (("c",), ("beta_x", "beta_y")), levels):
+            # separable stacks hold the same samples at every level: they
+            # are checked before the first factorization only
+            if not stack.separable or self._built_from is None:
+                s = images[0][:, :ne * nq].reshape(-1, ne, nq, len(names))
+                bad = np.argwhere(~np.isfinite(np.moveaxis(s, -1, 0)))
                 if len(bad):
-                    m = f"spatial factor {bad[0, 0]}" if s.separable else \
-                        f"member {bad[0, 0] + 1} at t = {t}"
+                    i, m, e = bad[0, :3]
+                    who = f"spatial factor {m}" if stack.separable else \
+                        f"member {m + 1} at t = {t}"
                     raise local.CoefficientError(
-                        f"element {bad[0, 1]}: the {name} sample of {m} is "
+                        f"element {e}: the {names[i]} sample of {who} is "
                         f"not finite")
-            # the velocity modes: e_x ψ for the modes ψ of β_x, then e_y ψ
-            vec = np.zeros((len(bx) + len(by), bx.shape[1], 2))
-            vec[:len(bx), :, 0], vec[len(bx):, :, 1] = bx, by
-            terms = local.ModeTerms(
-                disc, self._block_tables.lag, c.reshape(len(c), ne, nq),
-                vec[:, :ne * nq].reshape(len(vec), ne, nq, 2),
-                vec[:, ne * nq:].reshape(len(vec), ne, 3, -1, 2))
-            # fixed modes stay, so θ̄ alone says whether the mean does;
-            # resampled ones keep their LU while their mean samples stay
-            self._modes = terms, [] if fixed else \
-                [modes.mean(axis=0) for modes in (c, bx, by)]
-        terms, sampled = self._modes
-        mean = w.mean(axis=0)
-        return {"terms": terms, "mean": mean, "dev": mean[None] - w,
-                "built_from": np.concatenate([mean, *sampled])}
+            theta = W.mean(axis=0)
+            mean.append((theta, images))
+            dev.append((theta[None] - W, images))
+            built_from.append(theta)
+            if not stack.separable:
+                built_from.append(images[0].mean(axis=0).ravel())
+        return {"mean": mean, "dev": dev,
+                "built_from": np.concatenate(built_from)}
 
     def _check_autonomous(self, times):
-        """Reject autonomous=True when a separable c, β_x or β_y has
-        other weights at one of the levels `times` than at t = 0."""
-        stacks = (self._c_vals, *self._b_vals)
-        for name, s in zip(("c", "beta_x", "beta_y"), stacks):
-            if not s.separable:
-                continue
-            w0 = s.modes(0.0)[0]
-            for t in times:
-                moved = np.argwhere((s.modes(t)[0] != w0).any(axis=1))
-                if len(moved):
-                    raise ValueError(
-                        f"member {moved[0, 0] + 1}: the {name} weights at "
-                        f"t = {t} differ from those at t = 0, but the "
-                        f"spec is autonomous")
+        """Reject autonomous=True when a separable c, β_x or β_y of a
+        member has other time factors at one of the levels `times` than
+        at t = 0."""
+        from .problems import SeparableField, vector_components
+
+        for t in times:
+            for j, m in enumerate(self.spec.members, 1):
+                for name, f in zip(("c", "beta_x", "beta_y"),
+                                   (m.c, *vector_components(m.beta))):
+                    if isinstance(f, SeparableField) and any(
+                            tf(t) != tf(0.0) for tf in f._t_fns):
+                        raise ValueError(
+                            f"member {j}: the {name} weights at t = {t} "
+                            f"differ from those at t = 0, but the spec is "
+                            f"autonomous")
 
     def _ensure_system(self, coeffs):
         built_from = coeffs["built_from"]
@@ -399,7 +392,7 @@ class EnsembleSolver:
         # the stale factor goes first, so the next one can reuse its memory
         self.system = None
         blocks = local.assemble_all_blocks(
-            self.disc, self._block_tables, coeffs["terms"], coeffs["mean"])
+            self.disc, self._block_tables, *coeffs["mean"])
         self.cond = local.condense_all(self._block_tables, *blocks)
         self.system = assemble_trace_matrix(
             self.disc, self.cond.schur).factorize()
@@ -426,9 +419,9 @@ class EnsembleSolver:
             else self._coefficients(t1)
         self._ensure_system(coeffs)
 
-        # the parts whose modes and deviation weights stay are kept
-        self._ops = local.rhs_operators(disc, coeffs["terms"], self.dt,
-                                        coeffs["dev"], self._ops)
+        # the parts whose images and deviation weights stay are kept
+        self._ops = local.rhs_operators(disc, self._block_tables,
+                                        *coeffs["dev"], self._ops)
         b_int, b_tr = local.assemble_all_rhs(
             disc, self._ops, self._data_rows(t1), state.u, state.q)
 

@@ -1,6 +1,6 @@
 """The coefficient kernels applied to samples instead of modes.
 
-The library builds its blocks and lag operators from the terms of shared
+The library builds its blocks and lag operators from the images of shared
 spatial modes and their weights.  A set of samples is itself a mode set:
 one c-mode and one velocity mode of weight 1 for a mean, and for J
 members' deviations one mode per member with the identity as weights.
@@ -8,14 +8,27 @@ members' deviations one mode per member with the identity as weights.
 
 import numpy as np
 
-from ensemble_hdg.local import ModeTerms, assemble_all_blocks, rhs_operators
+from ensemble_hdg.local import (assemble_all_blocks, beta_terms, c_terms,
+                                rhs_operators)
+
+
+def images(disc, tables, c, b, b_face):
+    """The `c_terms` and `beta_terms` images of samples c (m, ne, nq),
+    b (m, ne, nq, 2) and b_face (m, ne, 3, nqf, 2) against the
+    `RHSTables` tables."""
+    m = len(c)
+    vel = np.concatenate([b.reshape(m, -1, 2), b_face.reshape(m, -1, 2)],
+                         axis=1)
+    return (c_terms(disc, tables, c.reshape(m, -1)),
+            beta_terms(disc, tables, vel))
 
 
 def sampled_blocks(disc, tables, c, b, b_face):
     """`assemble_all_blocks` of the mean samples c (ne, nq), b (ne, nq, 2)
     and b_face (ne, 3, nqf, 2): the structured blocks (M, A, A_TI)."""
-    terms = ModeTerms(disc, tables.lag, c[None], b[None], b_face[None])
-    return assemble_all_blocks(disc, tables, terms, np.ones(2))
+    c_img, b_img = images(disc, tables.lag, c[None], b[None], b_face[None])
+    return assemble_all_blocks(disc, tables, (np.ones(1), c_img),
+                               (np.ones(1), b_img))
 
 
 def dense_blocks(tables, M, A, A_TI):
@@ -32,10 +45,10 @@ def dense_blocks(tables, M, A, A_TI):
     return A_II, tables.A_IT, A_TI, tables.A_TT
 
 
-def sampled_rhs_operators(disc, tables, dt, c_dev, b_dev, b_dev_face):
+def sampled_rhs_operators(disc, tables, c_dev, b_dev, b_dev_face):
     """`rhs_operators` of J members' deviation samples c_dev (J, ne, nq),
     b_dev (J, ne, nq, 2) and b_dev_face (J, ne, 3, nqf, 2) against the
-    `RHSTables` tables."""
-    J = len(c_dev)
-    terms = ModeTerms(disc, tables, c_dev, b_dev, b_dev_face)
-    return rhs_operators(disc, terms, dt, np.hstack([np.eye(J)] * 2), None)
+    `BlockTables` tables."""
+    eye = np.eye(len(c_dev))
+    c_img, b_img = images(disc, tables.lag, c_dev, b_dev, b_dev_face)
+    return rhs_operators(disc, tables, (eye, c_img), (eye, b_img), None)

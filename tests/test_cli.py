@@ -120,6 +120,29 @@ def test_snapshot_rejects_bad_values_before_running(tmp_path, capsys, text):
     assert capsys.readouterr().out == ""
 
 
+def test_snapshot_ustar_is_the_observers(tmp_path, monkeypatch):
+    """The snapshot's u* and the error observer's come from one map
+    builder, bitwise, for the same state."""
+    import numpy as np
+
+    from ensemble_hdg import cli
+    from ensemble_hdg.errors import ErrorAccumulator
+    from ensemble_hdg.problems import example1
+
+    written = []
+    monkeypatch.setattr(cli, "write_snapshot_csv",
+                        lambda disc, state, path, star: written.append(
+                            (disc, state, star)))
+    rc = main(["run", "--example", "1", "--levels", "1", "--dt-rule",
+               "fixed=0.25", "--snapshot", "every=2", "--out",
+               str(tmp_path)])
+    assert rc == 0 and len(written) == 3
+    for disc, state, star in written:
+        acc = ErrorAccumulator(disc, example1(), 0.25, final_step=4)
+        want = acc.post.apply(state.u, state.q, acc.ustar_map(state.t))
+        assert np.array_equal(star, want)
+
+
 def test_run_snapshot_every_step_stride(tmp_path):
     rc = main(["run", "--example", "1", "--levels", "1", "--dt-rule",
                "fixed=0.25", "--snapshot", "every=2", "--out", str(tmp_path)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ensemble_hdg.discretization import Discretization
-from ensemble_hdg.local import (BlockTables, CoefficientError, RHSTables,
+from ensemble_hdg.local import (BlockTables, CoefficientError,
                                 assemble_all_blocks, assemble_all_rhs,
                                 boundary_data_operator, boundary_rows,
                                 condense_all, invert_blocks, source_rows)
@@ -137,9 +137,8 @@ def test_block_tables_are_shared_read_only(mesh2, rng):
     disc = Discretization(mesh2, 1)
     tables = BlockTables(disc, 2.0, 0.5)
     held = [tables.C, tables.A_uu, tables.A_IT, tables.A_TI, tables.A_TT,
-            tables.lag.mass_q, tables.lag.conv] + [t for pair in
-                                                   tables.lag.face
-                                                   for t in pair]
+            tables.time_mass, tables.lag.mass_q, tables.lag.conv] + [
+                t for pair in tables.lag.face for t in pair]
     assert not any(t.flags.writeable for t in held)
     cbar, bbar, bbar_f = random_samples(disc, rng)
     first = sampled_blocks(disc, tables, cbar, bbar, bbar_f)
@@ -165,9 +164,9 @@ def test_member_blocks_are_mean_blocks_minus_deviation_terms(mesh4, rng, k):
     c, b, bf = (np.stack(s) for s in zip(*(random_samples(disc, rng)
                                            for _ in range(3))))
     mean = sampled_blocks(disc, tables, c.mean(0), b.mean(0), bf.mean(0))
-    ops = sampled_rhs_operators(disc, tables.lag, 0.5, c.mean(0) - c,
+    ops = sampled_rhs_operators(disc, tables, c.mean(0) - c,
                                 b.mean(0) - b, bf.mean(0) - bf)
-    time_term = sampled_rhs_operators(disc, tables.lag, 0.5, 0 * c[:1],
+    time_term = sampled_rhs_operators(disc, tables, 0 * c[:1],
                                       0 * b[:1], 0 * bf[:1]).u_op[0, :, :d]
     mesh = disc.mesh
     bnd_rows = np.repeat(mesh.boundary[mesh.elem_faces], nfd, axis=1)
@@ -314,7 +313,7 @@ def test_interior_inverse_is_componentwise_backward_stable(k):
     disc = Discretization(build_uniform_square_mesh(8), k)
     solver = EnsembleSolver(disc, example1(), 1 / 16)
     level, tables = solver._coeff_cache, solver._block_tables
-    blocks = assemble_all_blocks(disc, tables, level["terms"], level["mean"])
+    blocks = assemble_all_blocks(disc, tables, *level["mean"])
     A_II = dense_blocks(tables, *blocks)[0]
     W = condense_all(tables, *blocks).solve_int
     eye = np.eye(A_II.shape[1])
@@ -466,8 +465,8 @@ def test_batched_rhs_matches_per_element(mesh4, rng, k):
 
     prev = EnsembleState(0, 0.0, rng.normal(size=(J, ne, d)),
                          rng.normal(size=(J, ne, 2 * d)), None)
-    ops = sampled_rhs_operators(disc, RHSTables(disc), dt, c_dev, b_dev,
-                                bf_dev)
+    ops = sampled_rhs_operators(disc, BlockTables(disc, tau, dt), c_dev,
+                                b_dev, bf_dev)
     rows = boundary_rows(disc, boundary_data_operator(disc, tau),
                          g_vals.reshape(J, -1))
     rows[:, :, 2 * d:] += source_rows(disc, f_vals.reshape(J, -1))

@@ -35,22 +35,19 @@ def constant_members(cs, betas):
 def mean_samples(spec, mesh, t):
     """The ensemble-mean samples the solver builds its trace matrix from,
     and the members' deviations from them: the mean and deviation weights
-    of level t times the modes."""
+    of level t times the samples of the modes."""
     disc = Discretization(mesh, 1)
     solver = EnsembleSolver(disc, spec, dt=0.1, tau=1.0)
     level = solver._coefficients(t)
-    nc = len(level["terms"].c)
     ne, nq = disc.X_data.shape[:2]
-    # the velocity modes, e_x ψ for the modes ψ of β_x, then e_y ψ, at the
-    # element data points, then the face data points
-    bx, by = (s.modes(t)[1] for s in solver._b_vals)
-    vec = np.zeros((len(bx) + len(by), bx.shape[1], 2))
-    vec[:len(bx), :, 0], vec[len(bx):, :, 1] = bx, by
     out = {}
-    for suffix, w in (("bar", level["mean"]), ("_dev", level["dev"])):
-        out["c" + suffix] = np.tensordot(w[..., :nc], level["terms"].c, 1)
-        b = np.tensordot(w[..., nc:], vec, 1)
-        lead = b.shape[:-2]
+    for suffix, key in (("bar", "mean"), ("_dev", "dev")):
+        (wc, (c, _)), (wb, (b, _)) = level[key]
+        lead = wc.shape[:-1]
+        out["c" + suffix] = np.tensordot(wc, c, 1).reshape(lead + (ne, nq))
+        # the velocity samples at the element data points, then the face
+        # data points
+        b = np.tensordot(wb, b, 1)
         out["b" + suffix] = b[..., :ne * nq, :].reshape(lead + (ne, nq, 2))
         out["b" + suffix + "_face"] = b[..., ne * nq:, :].reshape(
             lead + (ne, 3, -1, 2))
@@ -276,6 +273,23 @@ def test_non_finite_u0_is_named(mesh2):
         solver.run(1.0)
 
 
+def test_non_finite_c_at_the_start_is_named(mesh2):
+    """c = NaN at t = 0 and 1 or 1.5 afterwards: the run used to march
+    every step and return NaN u and q, with the admissibility warning as
+    the only sign.  initialize names the member and the element."""
+    members = constant_members([1.0, 1.5], [(0, 0)] * 2)
+    for m, cj in zip(members, (1.0, 1.5)):
+        m.c = lambda x, y, t, cj=cj: np.full_like(x, np.nan if t == 0 else cj)
+    solver = EnsembleSolver(Discretization(mesh2, 1),
+                            ProblemSpec(members, autonomous=False), dt=0.25)
+    with pytest.warns(UserWarning, match="admissibility"), \
+            pytest.raises(CoefficientError, match="^member 1: the c sample "
+                                                  "on element 0 at t = 0 is "
+                                                  "not finite$"):
+        solver.run(1.0)
+    assert solver.n_steps == 0
+
+
 def test_initialize_example1_is_zero(mesh2):
     disc = Discretization(mesh2, 0)
     state = initialize(example1(), disc)
@@ -436,7 +450,7 @@ def test_lag_terms_skipped_for_single_member(mesh2):
     disc = Discretization(mesh2, 1)
     solver = EnsembleSolver(disc, spec, dt=0.5)
     level = solver._coeff_cache
-    assert level["dev"].shape[0] == 1 and not level["dev"].any()
+    assert all(w.shape[0] == 1 and not w.any() for w, _ in level["dev"])
     # a mode whose deviation weights are all zero adds nothing: the lag
     # operators hold only the (1/dt) mass
     d = disc.ndof_u
@@ -477,8 +491,10 @@ def test_factorization_is_kept_while_the_mean_weights_stay(mesh2):
     spec = ProblemSpec(members, autonomous=False)
     disc = Discretization(mesh2, 0)
     solver = EnsembleSolver(disc, spec, dt=0.25, tau=1.0)
-    assert all(s.separable for s in (solver._c_vals, *solver._b_vals))
-    means = [solver._coefficients(t)["mean"] for t in (0.25, 0.5, 0.75)]
+    assert solver._c.separable and solver._beta.separable
+    # θ̄ of c, then of β
+    means = [solver._coefficients(t)["built_from"]
+             for t in (0.25, 0.5, 0.75)]
     assert means[1][0] == np.nextafter(means[0][0], 2.0)
     assert np.array_equal(means[1][1:], means[0][1:])
     assert np.array_equal(means[2], means[1])
@@ -495,12 +511,31 @@ def test_wrong_autonomous_flag_is_named(mesh4):
     """The refactor family flagged autonomous: frozen at t = 0 its c would
     factorize once instead of four times and end 1.9% off in u (max
     norm).  Its c weights at t_1 differ from those at t_0, and the run
-    names member 1 and c before the first step."""
+    names member 1 and c before the first step.  A separable β whose y
+    component grows with t is named by its member and component."""
     spec = ProblemSpec(scaled_example1(1).members, autonomous=True)
     solver = EnsembleSolver(Discretization(mesh4, 1), spec, dt=0.25)
     with pytest.raises(ValueError, match="^member 1: the c weights at "
                                          "t = 0.25 differ from those at "
                                          "t = 0, but the spec is "
+                                         "autonomous$"):
+        solver.run(1.0)
+    assert solver.n_steps == 0
+
+    def one(x, y):
+        return np.ones_like(x)
+
+    members = constant_members([1.0, 2.0], [(0, 0)] * 2)
+    for m, grows in zip(members, (0.0, 1.0)):
+        m.c = SeparableField([lambda t: 1.0], [one])
+        m.beta = VectorField(
+            SeparableField([lambda t: 0.5], [one]),
+            SeparableField([lambda t, g=grows: 0.2 * (1 + g * t)], [one]))
+    spec = ProblemSpec(members, autonomous=True)
+    solver = EnsembleSolver(Discretization(mesh4, 1), spec, dt=0.25)
+    with pytest.raises(ValueError, match="^member 2: the beta_y weights "
+                                         "at t = 0.25 differ from those "
+                                         "at t = 0, but the spec is "
                                          "autonomous$"):
         solver.run(1.0)
     assert solver.n_steps == 0
@@ -653,7 +688,7 @@ def test_rhs_from_moments_matches_sampled_rhs(mesh4, rng, plain_data):
     """The RHS from the data moments the solver builds at construction
     against per-element quadrature of f and g sampled at each time.
     Example 1's f has two time factors and its g = u depends on time."""
-    from ensemble_hdg.local import RHSTables, assemble_all_rhs
+    from ensemble_hdg.local import BlockTables, assemble_all_rhs
     from ensemble_hdg.solver import EnsembleState
 
     from oracles import local_rhs
@@ -674,8 +709,8 @@ def test_rhs_from_moments_matches_sampled_rhs(mesh4, rng, plain_data):
     c_dev = rng.normal(size=(J, ne, nq))
     b_dev = rng.normal(size=(J, ne, nq, 2))
     bf_dev = rng.normal(size=(J, ne, 3, nqf, 2))
-    ops = sampled_rhs_operators(disc, RHSTables(disc), dt, c_dev, b_dev,
-                                bf_dev)
+    ops = sampled_rhs_operators(disc, BlockTables(disc, tau, dt), c_dev,
+                                b_dev, bf_dev)
     prev = EnsembleState(1, 0.0, rng.normal(size=(J, ne, d)),
                          rng.normal(size=(J, ne, 2 * d)), None)
     s = lag_samples(disc, prev)
@@ -785,16 +820,16 @@ def test_members_share_their_spatial_factors_as_modes(mesh2, family,
             "random": lambda: ProblemSpec(random_field_members("sympy"),
                                           autonomous=False)}[family]()
     solver = mode_solver(spec, mesh2)
-    stacks = (solver._c_vals, *solver._b_vals)
-    assert all(s.separable for s in stacks)
-    nc, nx, ny = (len(s.modes(0.3)[1]) for s in stacks)
-    assert (nc, nx + ny) == counts
-    # y for the x components of β, x for the y components
+    assert solver._c.separable and solver._beta.separable
+    assert (solver._c.n_modes, solver._beta.n_modes) == counts
+    # e_x y for the x components of β, e_y x for the y components
     disc = solver.disc
-    for stack, coord in zip(solver._b_vals, "yx"):
-        want = np.concatenate([getattr(disc, f"{coord}_data_flat"),
-                               getattr(disc, f"{coord}f_fdata_flat")])
-        assert np.array_equal(stack.modes(0.3)[1], want[None])
+    x, y = (np.concatenate([getattr(disc, f"{coord}_data_flat"),
+                            getattr(disc, f"{coord}f_fdata_flat")])
+            for coord in "xy")
+    zero = np.zeros_like(x)
+    want = np.stack([np.stack([y, zero], -1), np.stack([zero, x], -1)])
+    assert np.array_equal(solver._beta.modes(0.3)[1][0], want)
 
 
 @pytest.mark.parametrize("family", ["refactor", "random"])
@@ -807,16 +842,49 @@ def test_weights_times_modes_reproduce_the_member_samples(mesh4, family):
     xb = np.concatenate([x, disc.xf_fdata_flat])
     yb = np.concatenate([y, disc.yf_fdata_flat])
     for t in (0.0, 0.3, 0.9):
-        Wc, c = solver._c_vals.modes(t)
+        Wc, (c, _) = solver._c.modes(t)
+        Wb, (b, _) = solver._beta.modes(t)
         for j, m in enumerate(spec.members):
             want_c = m.c(x, y, t)
             want_b = m.beta(xb, yb, t)
             assert np.abs(Wc[j] @ c - want_c).max() <= \
                 1e-15 * np.abs(want_c).max()
-            for comp, stack in enumerate(solver._b_vals):
-                Wb, b = stack.modes(t)
-                assert np.abs(Wb[j] @ b - want_b[:, comp]).max() <= \
-                    1e-15 * max(1.0, np.abs(want_b).max())
+            assert np.abs(np.tensordot(Wb[j], b, 1) - want_b).max() <= \
+                1e-15 * max(1.0, np.abs(want_b).max())
+
+
+def count_projections(monkeypatch):
+    """The calls of `local.c_terms` and `local.beta_terms`, by name."""
+    from collections import Counter
+
+    from ensemble_hdg import local
+
+    built = Counter()
+    for name in ("c_terms", "beta_terms"):
+        def counted(*args, name=name, fn=getattr(local, name)):
+            built[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(local, name, counted)
+    return built
+
+
+def assert_steps_match_dense_oracle(disc, spec, tau, dt, steps, built,
+                                    per_level):
+    """March `steps` steps from Pi_k u0; each matches the dense
+    per-member solve, and after step n the projections have run as
+    per_level(n) says."""
+    solver = EnsembleSolver(disc, spec, dt=dt, tau=tau)
+    state = initialize(spec, disc)
+    for n in range(1, steps + 1):
+        got = solver.step(state)
+        want = dense_step(disc, spec, tau, dt, state)
+        for name in ("u", "q", "uhat"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), (n, name)
+        assert dict(built) == per_level(n), n
+        state = got
+    return solver
 
 
 def test_mode_family_steps_like_the_dense_oracle(mesh2, monkeypatch):
@@ -824,43 +892,43 @@ def test_mode_family_steps_like_the_dense_oracle(mesh2, monkeypatch):
     changes every step.  Each step refactorizes and matches the dense
     per-member solve, and the mode terms, shared by the blocks and the
     steps, are built once, however many steps run."""
-    from ensemble_hdg import local
-
-    built = []
-    terms = local._coefficient_terms
-
-    def counted(*args):
-        built.append(args[1].mass.shape[1])
-        return terms(*args)
-
-    monkeypatch.setattr(local, "_coefficient_terms", counted)
+    built = count_projections(monkeypatch)
     x = sympy.symbols("x")
     spec = scaled_example1(1 + x ** 2 / 4)
-    disc = Discretization(mesh2, 1)
-    dt, tau = 0.125, 2.0
-    solver = EnsembleSolver(disc, spec, dt=dt, tau=tau)
-    assert len(solver._c_vals.modes(0.0)[1]) == 1
-    state = initialize(spec, disc)
-    for n in range(1, 5):
-        got = solver.step(state)
-        want = dense_step(disc, spec, tau, dt, state)
-        for name in ("u", "q", "uhat"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), (n, name)
-        assert built == [disc.ndof_u], n
-        state = got
+    solver = assert_steps_match_dense_oracle(
+        Discretization(mesh2, 1), spec, 2.0, 0.125, 4, built,
+        lambda n: {"c_terms": 1, "beta_terms": 1})
+    assert solver._c.n_modes == 1
+    assert solver.n_factorizations == 4
+
+
+def test_plain_velocity_is_projected_every_level(mesh2, monkeypatch):
+    """Separable, time-dependent c_j = c_j^0 (1 + t/2)(1 + x^2/4) and
+    plain-callable β_j = (1 + t)(a_j y, a_j x): the c terms are built
+    once, the velocity terms of the members' samples at every level, and
+    every step matches the dense per-member solve."""
+    built = count_projections(monkeypatch)
+    x = sympy.symbols("x")
+    spec = scaled_example1(1 + x ** 2 / 4)
+    for m, a in zip(spec.members, EXAMPLE1_BETA_SCALE):
+        m.beta = lambda x, y, t, a=a: (1 + t) * np.stack([a * y, a * x], -1)
+    solver = assert_steps_match_dense_oracle(
+        Discretization(mesh2, 1), spec, 3.0, 0.125, 4, built,
+        lambda n: {"c_terms": 1, "beta_terms": n})
+    assert solver._c.separable and not solver._beta.separable
     assert solver.n_factorizations == 4
 
 
 def test_constant_ensembles_share_one_mode_per_coefficient(mesh2):
-    """Example 3 and config-file ensembles: c, β_x, β_y and f are multiples
-    of the one spatial factor 1, and f's rows are projected once."""
+    """Example 3 and config-file ensembles: c and f are multiples of the
+    one spatial factor 1, β of e_x and e_y, and f's rows are projected
+    once."""
     from ensemble_hdg.problems import example3
 
     solver = mode_solver(example3(), mesh2)
-    stacks = (solver._c_vals, *solver._b_vals, solver._f_rows)
+    stacks = (solver._c, solver._beta, solver._f_rows)
     assert all(s.separable for s in stacks)
-    assert [len(s.modes(0.0)[1]) for s in stacks] == [1, 1, 1, 1]
+    assert [s.n_modes for s in stacks] == [1, 2, 1]
 
 
 @pytest.mark.parametrize("field, value", [("c", np.nan), ("c", np.inf),
@@ -883,6 +951,23 @@ def test_non_finite_coefficients_are_named(mesh2, field, value):
                        match=f"^element {e}: the {name} sample of member 2 "
                              f"at t = 0.0 is not finite"):
         EnsembleSolver(disc, ProblemSpec(members, autonomous=True), dt=0.1)
+
+
+def test_infinite_velocity_is_named(mesh2):
+    """An infinite β_y sample makes inf·0 in the velocity terms, which
+    are built before the samples are checked: with tau given, so that
+    choose_tau does not reject it first, the sample is named and no
+    RuntimeWarning is raised."""
+    members = constant_members([1.0, 2.0], [(0.5, 0.2)] * 2)
+    members[0].beta = lambda x, y, t: np.stack(
+        [np.full_like(x, 0.5), np.where(x > 0.5, np.inf, 0.2)], -1)
+    disc = Discretization(mesh2, 1)
+    e = int(np.argmax((disc.X_data[..., 0] > 0.5).any(axis=1)))
+    with pytest.raises(CoefficientError,
+                       match=f"^element {e}: the beta_y sample of member 1 "
+                             f"at t = 0.0 is not finite$"):
+        EnsembleSolver(disc, ProblemSpec(members, autonomous=True), dt=0.1,
+                       tau=1.0)
 
 
 def test_non_finite_weight_names_its_time(mesh2):
@@ -915,10 +1000,10 @@ def test_refactor_family_keeps_the_velocity_lag_operator(mesh2,
     built = []
     build = local.rhs_operators
 
-    def counted(disc, terms, dt, dev, kept):
-        ops = build(disc, terms, dt, dev, kept)
+    def counted(disc, tables, c, beta, kept):
+        ops = build(disc, tables, c, beta, kept)
         if kept is None or ops.u_op is not kept.u_op:
-            built.append(terms.tables.mass.shape[1])
+            built.append(ops.u_op)
         return ops
 
     monkeypatch.setattr(local, "rhs_operators", counted)
@@ -932,13 +1017,13 @@ def test_refactor_family_keeps_the_velocity_lag_operator(mesh2,
         state = solver.step(state)
         ops = solver._ops
         level = solver._coefficients(n * dt)
-        fresh = build(disc, level["terms"], dt, level["dev"], None)
+        fresh = build(disc, solver._block_tables, *level["dev"], None)
         assert np.array_equal(ops.mass_c, fresh.mass_c), n
         assert np.array_equal(ops.u_op, fresh.u_op), n
         assert kept is None or ops.u_op is kept.u_op, n
         assert kept is None or not np.array_equal(ops.mass_c, kept.mass_c)
         kept = ops
-    assert built == [disc.ndof_u]
+    assert len(built) == 1
     assert solver.n_factorizations == 8
 
 
@@ -956,7 +1041,7 @@ def test_time_dependent_velocity_modes_step_like_the_dense_oracle(mesh2):
     disc = Discretization(mesh2, 1)
     dt, tau = 0.125, 3.0
     solver = EnsembleSolver(disc, spec, dt=dt, tau=tau)
-    assert all(s.separable for s in solver._b_vals)
+    assert solver._beta.separable
     state = initialize(spec, disc)
     for n in range(1, 5):
         got = solver.step(state)
