@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import ElementBasis, FaceBasis, edge_quadrature, triangle_quadrature
-from .mesh import BatchedGeometry
+from .mesh import BatchedGeometry, element_points
 
 # reference-triangle corners, indexed by local vertex
 _REF_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -121,7 +121,6 @@ class Discretization:
     # -- element interior tables -------------------------------------------
 
     def _build_element_tables(self):
-        geom = self.geom
         basis, basis_hi = self.elem_basis, self.elem_basis_hi
         pd = self.rule_data.points
         self.w_data = self.rule_data.weights
@@ -132,9 +131,10 @@ class Discretization:
         self.VwT_data = (self.V_data * self.w_data).T.copy()
         # physical points (ne, nq, 2) and their flat x and y arrays, which
         # the solver's joint field evaluators bind once
-        X = self.X_data = geom.points(pd)
-        self.x_data_flat = np.ascontiguousarray(X[..., 0]).reshape(-1)
-        self.y_data_flat = np.ascontiguousarray(X[..., 1]).reshape(-1)
+        x, y = element_points(self.geom.corners, pd)
+        self.X_data = np.stack([x, y], axis=-1)
+        self.x_data_flat = x.reshape(-1)
+        self.y_data_flat = y.reshape(-1)
 
     # -- face tables ---------------------------------------------------------
 

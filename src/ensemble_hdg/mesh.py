@@ -4,8 +4,10 @@ A mesh stores vertices, counter-clockwise elements, a canonical face list and
 the element/face adjacency needed by hybrid methods: every interior face knows
 its two incident elements, every boundary face its single one.  Meshes are
 immutable after construction and safe for concurrent reads: nothing is
-cached on them.  `BatchedGeometry` holds the element maps, and its `points`
-is the one map of reference points to physical ones.
+cached on them.  `BatchedGeometry` holds the element maps.  `element_points`
+is the one map of reference points to physical ones: it works per
+coordinate on the corners of any set of elements, a whole mesh or a block
+of one, so a caller that only reads points needs no geometry.
 """
 
 import numpy as np
@@ -151,18 +153,36 @@ def build_uniform_square_mesh(n):
     return Mesh(vertices, elements, uniform_n=n)
 
 
+def element_points(corners, ref):
+    """Physical x and y, each (ne, npts), of reference points ref (npts, 2)
+    on the elements with corners (ne, 3, 2).
+
+    Per coordinate c: (v1 - v0)[c] r0, plus (v2 - v0)[c] r1, plus v0[c].
+    A product per column, not matmul: a BLAS kernel may fuse the
+    multiply-add and round non-dyadic points differently.
+    """
+    v0 = corners[:, 0]
+    out = []
+    for c in range(2):
+        X = (corners[:, 1, c] - v0[:, c])[:, None] * ref[:, 0]
+        X += (corners[:, 2, c] - v0[:, c])[:, None] * ref[:, 1]
+        X += v0[:, c, None]
+        out.append(X)
+    return out
+
+
 class BatchedGeometry:
     """Affine map data of all elements, indexed by element first.
 
-    jacobian columns are the edge vectors from vertex 0; det = 2 * area;
-    normals[:, i] is the outward unit normal of local face i.
+    inv is the inverse of the map's matrix B, whose columns are the edge
+    vectors from vertex 0, and det = det B = 2 * area; normals[:, i] is
+    the outward unit normal of local face i.
     """
 
     def __init__(self, mesh):
         v = mesh.vertices[mesh.elements]
         self.corners = v
         B = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
-        self.jacobian = B
         self.det = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
         inv = np.empty_like(B)
         inv[:, 0, 0] = B[:, 1, 1]
@@ -182,12 +202,7 @@ class BatchedGeometry:
     def points(self, ref):
         """Physical points (ne, npts, 2) of reference points ref (npts, 2)
         on every element."""
-        # a product per column, not matmul: a BLAS kernel may fuse the
-        # multiply-add and round non-dyadic points differently
-        X = self.jacobian[:, None, :, 0] * ref[:, 0, None]
-        X += self.jacobian[:, None, :, 1] * ref[:, 1, None]
-        X += self.corners[:, None, 0, :]
-        return X
+        return np.stack(element_points(self.corners, ref), axis=-1)
 
 
 def write_mesh_text(mesh, path):

@@ -26,8 +26,12 @@ import numpy as np
 
 from . import local
 from .basis import triangle_quadrature
-from .mesh import BatchedGeometry, build_uniform_square_mesh
+from .mesh import build_uniform_square_mesh, element_points
 from .trace_system import assemble_trace_matrix
+
+# elements per block of choose_tau's sampling: its point and sample arrays
+# stay a few hundred kilobytes each, however large the sampled mesh
+_TAU_BLOCK = 2048
 
 
 class Member:
@@ -133,8 +137,8 @@ def check_admissibility(spec, mesh, times):
     """
     from .problems import FieldStack
 
-    X = BatchedGeometry(mesh).points(triangle_quadrature(6).points)
-    x, y = X[..., 0].ravel(), X[..., 1].ravel()
+    x, y = (a.ravel() for a in element_points(
+        mesh.vertices[mesh.elements], triangle_quadrature(6).points))
     c_at = FieldStack([m.c for m in spec.members], x, y,
                       lambda samples: samples, None)
 
@@ -163,7 +167,12 @@ def choose_tau(spec, mesh):
 
     The sup uses the max-component norm, sampled at t = 0 at element points
     of the run mesh itself and its uniform 2n and 4n refinements
-    (quadrature-order escalation on meshes that cannot be refined).
+    (quadrature-order escalation on meshes that cannot be refined).  Each
+    mesh is walked in blocks of `_TAU_BLOCK` elements, whose points come
+    from `mesh.element_points`: no geometry and no whole-mesh sample.
+    A non-finite sample raises `local.CoefficientError`, naming the member,
+    the component, and the element of the run mesh or the point of a
+    refinement.
     """
     if mesh.uniform_n is not None:
         meshes = [mesh] + [build_uniform_square_mesh(mesh.uniform_n * s)
@@ -172,13 +181,26 @@ def choose_tau(spec, mesh):
     else:
         meshes = [mesh, mesh, mesh]
         orders = [4, 8, 12]
+    t = 0.0
     sup = 0.0
     for m, order in zip(meshes, orders):
-        X = BatchedGeometry(m).points(triangle_quadrature(order).points)
-        x, y = X[..., 0].ravel(), X[..., 1].ravel()
-        for member in spec.members:
-            b = np.asarray(member.beta(x, y, 0.0), dtype=float)
-            sup = max(sup, float(np.abs(b).max()))
+        ref = triangle_quadrature(order).points
+        for start in range(0, m.n_elements, _TAU_BLOCK):
+            corners = m.vertices[m.elements[start:start + _TAU_BLOCK]]
+            x, y = (a.ravel() for a in element_points(corners, ref))
+            for j, member in enumerate(spec.members):
+                b = np.abs(np.asarray(member.beta(x, y, t), dtype=float))
+                peak = float(b.max())
+                if not np.isfinite(peak):
+                    # component first, then point, as the solver names them
+                    i, p = np.argwhere(~np.isfinite(
+                        np.broadcast_to(b, x.shape + (2,)).T))[0]
+                    where = f"element {start + p // len(ref)}" \
+                        if m is mesh else f"point ({x[p]}, {y[p]})"
+                    raise local.CoefficientError(
+                        f"{where}: the beta_{'xy'[i]} sample of member "
+                        f"{j + 1} at t = {t} is not finite")
+                sup = max(sup, peak)
     return 1.0 + sup
 
 

@@ -6,14 +6,17 @@ explicit change-of-basis, the step RHS is a per-element quadrature sum of
 point samples of the previous state, the global stepper assembles the full
 uncondensed saddle system densely and solves it with numpy, the u*
 reconstruction is a dense constrained solve in a raw monomial basis, the
-error observer is the per-member quadrature loop, and mesh connectivity
-is a loop over element edges into a dict.
+error observer is the per-member quadrature loop, mesh connectivity
+is a loop over element edges into a dict, and tau samples the velocity at
+one whole-mesh point array per sampled mesh.
 """
 
 import numpy as np
 
-from ensemble_hdg.basis import ElementBasis, monomial_exponents
+from ensemble_hdg.basis import (ElementBasis, monomial_exponents,
+                                triangle_quadrature)
 from ensemble_hdg.errors import l2_norm_squared
+from ensemble_hdg.mesh import build_uniform_square_mesh
 from ensemble_hdg.solver import EnsembleState
 
 
@@ -486,3 +489,35 @@ def nested_dissection_faces(mesh, leaf):
                                                         set(right))
 
     return dissect(list(range(mesh.n_elements)))
+
+
+def whole_mesh_tau(spec, mesh):
+    """tau = 1 + max_j sup ||beta_j(., 0)||_inf, with the sup in the
+    max-component norm, as `solver.choose_tau` defines it, sampled at once.
+
+    Order-6 points of the run mesh and of its uniform 2n and 4n
+    refinements, or the order-4, 8 and 12 points of a mesh that cannot be
+    refined.  Each mesh's points are one (ne, npts, 2) array from its
+    element maps' matrices B: B[:, :, 0] r0, plus B[:, :, 1] r1, plus v0,
+    in that order, so that they round as the library's points do.
+    """
+    if mesh.uniform_n is not None:
+        meshes = [mesh] + [build_uniform_square_mesh(mesh.uniform_n * s)
+                           for s in (2, 4)]
+        orders = [6, 6, 6]
+    else:
+        meshes = [mesh, mesh, mesh]
+        orders = [4, 8, 12]
+    sup = 0.0
+    for m, order in zip(meshes, orders):
+        v = m.vertices[m.elements]
+        B = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
+        ref = triangle_quadrature(order).points
+        X = B[:, None, :, 0] * ref[:, 0, None]
+        X += B[:, None, :, 1] * ref[:, 1, None]
+        X += v[:, None, 0, :]
+        x, y = X[..., 0].ravel(), X[..., 1].ravel()
+        for member in spec.members:
+            b = np.asarray(member.beta(x, y, 0.0), dtype=float)
+            sup = max(sup, float(np.abs(b).max()))
+    return 1.0 + sup

@@ -5,8 +5,8 @@ import pytest
 
 from ensemble_hdg.basis import triangle_quadrature
 from ensemble_hdg.mesh import (Mesh, BatchedGeometry,
-                               build_uniform_square_mesh, read_mesh_text,
-                               write_mesh_text)
+                               build_uniform_square_mesh, element_points,
+                               read_mesh_text, write_mesh_text)
 
 from oracles import face_connectivity
 
@@ -152,11 +152,25 @@ def test_points_round_as_two_products_and_two_sums():
     ref = triangle_quadrature(8).points
     X = g.points(ref)
     for e in range(m.n_elements):
-        (b00, b01), (b10, b11) = g.jacobian[e].tolist()
-        x0, y0 = g.corners[e, 0].tolist()
+        v = g.corners[e]
+        (b00, b10), (b01, b11) = (v[1:] - v[0]).tolist()
+        x0, y0 = v[0].tolist()
         for q, (r0, r1) in enumerate(ref.tolist()):
             assert X[e, q].tolist() == [b00 * r0 + b01 * r1 + x0,
                                         b10 * r0 + b11 * r1 + y0]
+
+
+def test_points_of_element_blocks_are_the_whole_mesh_rows(rng):
+    """element_points maps the corners of any block of elements: each
+    block's x and y are, bit for bit, its rows of the whole-mesh map."""
+    m = jittered_mesh(5, rng)
+    ref = triangle_quadrature(6).points
+    X = BatchedGeometry(m).points(ref)
+    for start, stop in [(0, 1), (0, 7), (7, 49), (49, m.n_elements)]:
+        x, y = element_points(m.vertices[m.elements[start:stop]], ref)
+        assert x.shape == y.shape == (stop - start, len(ref))
+        assert np.array_equal(x, X[start:stop, :, 0])
+        assert np.array_equal(y, X[start:stop, :, 1])
 
 
 def test_mesh_text_roundtrip(tmp_path, mesh4):

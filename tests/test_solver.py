@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,14 +11,15 @@ from ensemble_hdg.local import CoefficientError
 from ensemble_hdg.mesh import build_uniform_square_mesh
 from ensemble_hdg.problems import (EXAMPLE1_BETA_SCALE, EXAMPLE1_C,
                                    SeparableField, VectorField, example1,
-                                   example2, manufactured_member)
+                                   example2, example3, manufactured_member)
 from ensemble_hdg.basis import triangle_quadrature
 from ensemble_hdg.mesh import BatchedGeometry
 from ensemble_hdg.solver import (EnsembleSolver, Member, ProblemSpec,
                                  check_admissibility, choose_tau,
                                  initialize, state_samples)
 
-from oracles import dense_run, dense_step, lag_samples
+from oracles import dense_run, dense_step, lag_samples, whole_mesh_tau
+from test_mesh import jittered_mesh
 
 
 def constant_members(cs, betas):
@@ -158,9 +161,10 @@ def test_admissibility_report_counts_every_violation(mesh2):
     times = [0.0, 0.25, 0.5, 0.75, 1.0]
     report = check_admissibility(spec, mesh2, times)
 
-    g = BatchedGeometry(mesh2)
-    X = np.einsum("eij,qj->eqi", g.jacobian, triangle_quadrature(6).points)
-    X += g.corners[:, None, 0, :]
+    v = BatchedGeometry(mesh2).corners
+    X = np.einsum("eji,qj->eqi", v[:, 1:] - v[:, :1],
+                  triangle_quadrature(6).points)
+    X += v[:, None, 0, :]
     x, y = X[..., 0].ravel(), X[..., 1].ravel()
     c = [[np.broadcast_to(m.c(x, y, t), x.shape) for m in members]
          for t in times]
@@ -219,6 +223,90 @@ def test_choose_tau_example1_fields():
     assert tau == 2.679193908385754
     assert choose_tau(example1(), build_uniform_square_mesh(32)) == \
         2.6796367385482194
+
+
+@pytest.fixture(scope="module")
+def examples():
+    return {1: example1(), 2: example2(), 3: example3()}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("example", [1, 2, 3])
+def test_choose_tau_matches_whole_mesh_sampling(examples, example, n):
+    """Sampling in element blocks finds the whole-mesh sup to the bit."""
+    spec = examples[example]
+    mesh = build_uniform_square_mesh(n)
+    assert choose_tau(spec, mesh) == whole_mesh_tau(spec, mesh)
+
+
+@pytest.mark.parametrize("block", [19, 18, 17])
+@pytest.mark.parametrize("kind", ["uniform", "jittered"])
+def test_choose_tau_blocks_split_anywhere(examples, monkeypatch, rng, kind,
+                                          block):
+    """The 18 elements of the n=3 mesh fill a block of 19 partly, one of
+    18 exactly, and one of 17 with one element over, as its refinements'
+    72 and 288 fill blocks of 18 exactly and of 17 and 19 with a rest; a
+    jittered mesh takes the order-4/8/12 passes."""
+    from ensemble_hdg import solver
+
+    mesh = build_uniform_square_mesh(3) if kind == "uniform" else \
+        jittered_mesh(3, rng)
+    assert (mesh.uniform_n is None) == (kind == "jittered")
+    monkeypatch.setattr(solver, "_TAU_BLOCK", block)
+    for spec in examples.values():
+        assert choose_tau(spec, mesh) == whole_mesh_tau(spec, mesh)
+
+
+def test_choose_tau_names_an_infinite_velocity(mesh2):
+    """An infinite β_y on the run mesh used to make tau infinite, and
+    BlockTables then rejected tau without naming the sample.  choose_tau
+    names the member, the component and the first element with the
+    sample, as the solver does when tau is given."""
+    members = constant_members([1.0, 2.0], [(0.5, 0.2)] * 2)
+    members[0].beta = lambda x, y, t: np.stack(
+        [np.full_like(x, 0.5), np.where(x > 0.5, np.inf, 0.2)], -1)
+    disc = Discretization(mesh2, 1)
+    e = int(np.argmax((disc.X_data[..., 0] > 0.5).any(axis=1)))
+    with pytest.raises(CoefficientError,
+                       match=f"^element {e}: the beta_y sample of member 1 "
+                             f"at t = 0.0 is not finite$"):
+        EnsembleSolver(disc, ProblemSpec(members, autonomous=True), dt=0.1)
+
+
+def test_choose_tau_names_a_point_of_a_refinement(mesh2):
+    """A β_x that is infinite only within 0.01 of x = 0, where no order-6
+    point of the run mesh or of its 2n refinement lies, is first met on
+    the 4n mesh: the point is named, since a refinement's element numbers
+    mean nothing to the caller."""
+    members = constant_members([1.0, 2.0], [(0.5, 0.2)] * 2)
+    members[1].beta = lambda x, y, t: np.stack(
+        [np.where(x < 0.01, np.inf, 0.5), np.full_like(x, 0.2)], -1)
+    ref = triangle_quadrature(6).points
+    for n in (2, 4):
+        X = BatchedGeometry(build_uniform_square_mesh(n)).points(ref)
+        assert X[..., 0].min() >= 0.01
+    X = BatchedGeometry(build_uniform_square_mesh(8)).points(ref)
+    first = X.reshape(-1, 2)[np.argmax(X[..., 0].ravel() < 0.01)]
+    with pytest.raises(CoefficientError,
+                       match="^" + re.escape(
+                           f"point ({first[0]}, {first[1]}): the beta_x "
+                           f"sample of member 2 at t = 0.0 is not finite")
+                       + "$"):
+        choose_tau(ProblemSpec(members, autonomous=True), mesh2)
+
+
+def test_choose_tau_memory_stays_bounded(examples):
+    """Whole-mesh sampling held 45 MiB at n=32: the 4n mesh's geometry and
+    its 524,288 points with each member's samples.  In blocks, what is
+    left is mostly the build of the 4n mesh itself."""
+    spec, mesh = examples[1], build_uniform_square_mesh(32)
+    tracemalloc.start()
+    try:
+        choose_tau(spec, mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
 
 
 def test_initialize_zero_and_polynomial(mesh2):
