@@ -17,9 +17,10 @@ for q, P_(k+1) for u*) the norm splits exactly,
 
 where the second term is a sum of squared coefficient differences
 weighted by the element Jacobians.  The exact fields go through
-`problems.FieldStack` evaluators bound to the data rule: for separable
-fields Pi of each spatial factor and the Gram matrix of the factors'
-residuals are built once, so a step evaluates only the time factors.
+`problems.FieldStack` evaluators bound to the data rule, q as a stack of
+vector fields: for separable fields Pi of each spatial factor (e_x S or
+e_y S for q) and the Gram matrix of the factors' residuals are built
+once, so a step evaluates only the time factors.
 The postprocessed field comes from the Postprocessor's linear maps of q,
 which are linear in c: `Postprocessor.operator_stack` builds them through
 a third FieldStack, so for separable c a step only weights the maps of
@@ -30,7 +31,7 @@ once, at the final step, from the point samples of the state.
 import numpy as np
 
 from .postprocess import Postprocessor
-from .problems import FieldStack, vector_components
+from .problems import FieldStack
 from .solver import state_samples
 
 
@@ -52,16 +53,21 @@ def l2_norm_squared(disc, vals):
 def _projection(disc, V):
     """The data-rule L2 projection onto the element basis V (dm, nq) and
     its weighted residual, as the `project` and `residual` maps of a
-    `FieldStack` on the flat data-rule points."""
+    `FieldStack` on the flat data-rule points: (m, ne, dm) of samples
+    (m, ne*nq), (m, 2, ne, dm) of vector samples (m, ne*nq, 2)."""
     ne = disc.mesh.n_elements
     VwT = (V * disc.w_data).T
     root_w = np.sqrt(disc.geom.det)[:, None] * np.sqrt(disc.w_data)
 
+    def by_element(samples):
+        s = np.moveaxis(samples, 2, 1) if samples.ndim == 3 else samples
+        return s.reshape(s.shape[:-1] + (ne, -1))
+
     def project(samples):
-        return samples.reshape(len(samples), ne, -1) @ VwT
+        return by_element(samples) @ VwT
 
     def residual(samples):
-        s = samples.reshape(len(samples), ne, -1)
+        s = by_element(samples)
         return ((s - (s @ VwT) @ V) * root_w).reshape(len(samples), -1)
 
     return project, residual
@@ -91,10 +97,9 @@ class ErrorAccumulator:
         self.post = Postprocessor(disc)
         x, y = disc.x_data_flat, disc.y_data_flat
         self._u = FieldStack([m.exact_u for m in spec.members], x, y,
-                             *_projection(disc, disc.V_hi_data))
-        self._q = FieldStack(
-            [c for m in spec.members for c in vector_components(m.exact_q)],
-            x, y, *_projection(disc, disc.V_data))
+                             *_projection(disc, disc.V_hi_data), "exact_u")
+        self._q = FieldStack([m.exact_q for m in spec.members], x, y,
+                             *_projection(disc, disc.V_data), "exact_q")
         self.ustar_map = self.post.operator_stack(
             [m.c for m in spec.members])
 
@@ -104,11 +109,9 @@ class ErrorAccumulator:
         ne, d = disc.mesh.n_elements, disc.ndof_u
         pu, res_u = self._u.split(t)
         pq, res_q = self._q.split(t)
-        # the components come member by member, (J, 2, ne, d), and the
-        # state holds them as (J, ne, [qx | qy])
-        dq = pq.reshape(J, 2, ne, d) - np.swapaxes(
-            state.q.reshape(J, ne, 2, d), 1, 2)
-        self.eq_sq += self.dt * (res_q[::2] + res_q[1::2] + np.einsum(
+        # the projection is (J, 2, ne, d), the state (J, ne, [qx | qy])
+        dq = pq - np.swapaxes(state.q.reshape(J, ne, 2, d), 1, 2)
+        self.eq_sq += self.dt * (res_q + np.einsum(
             "jcei,jcei,e->j", dq, dq, det))
         du = pu - self.post.apply(state.u, state.q, self.ustar_map(t))
         self.eustar_sq += self.dt * (res_u + np.einsum(

@@ -34,7 +34,8 @@ from .discretization import reference_face_points
 
 
 class CoefficientError(ValueError):
-    """A sampled coefficient violates a positivity requirement."""
+    """A member field is unusable: a sample or weight of c, β, f, g, u0,
+    exact_u or exact_q is not finite, or a mean c is not positive."""
 
 
 class BlockTables:
@@ -276,10 +277,8 @@ def c_terms(disc, tables, samples):
     the data rule: the samples and their c mass (m, ne, d, d), one GEMM
     against the `RHSTables` tables."""
     ne, d = disc.mesh.n_elements, disc.ndof_u
-    # a non-finite sample makes inf·0; the solver rejects it before use
-    with np.errstate(invalid="ignore"):
-        mass = (samples.reshape(-1, tables.mass_q.shape[0]) @
-                tables.mass_q).reshape(len(samples), ne, d, d)
+    mass = (samples.reshape(-1, tables.mass_q.shape[0]) @
+            tables.mass_q).reshape(len(samples), ne, d, d)
     return samples, mass * disc.geom.det[:, None, None]
 
 
@@ -295,22 +294,20 @@ def beta_terms(disc, tables, samples):
     b = samples[:, :ne * nq].reshape(m, ne, nq, 2)
     b_face = samples[:, ne * nq:].reshape(m, ne, 3, -1, 2)
     block = np.empty((m, ne, d + 3 * nfd, d))
-    # as in c_terms, non-finite samples are rejected after the products
-    with np.errstate(invalid="ignore"):
-        # b·∇u = Σ_r [b B^-T]_r ∂_r u in reference coordinates
-        bt = np.matmul(b, geom.inv_t)
-        block[:, :, :d] = (bt.reshape(-1, 2 * nq) @ tables.conv).reshape(
-            m, ne, d, d) * geom.det[:, None, None]
-        nrm = geom.normals
-        bn = b_face[..., 0] * nrm[:, :, None, 0] + \
-            b_face[..., 1] * nrm[:, :, None, 1]
-        for lf in range(3):
-            misaligned, aligned = tables.face[lf]
-            blk = np.where(disc.face_aligned[:, lf, None],
-                           bn[..., lf, :] @ aligned,
-                           bn[..., lf, :] @ misaligned)
-            block[:, :, d + lf * nfd:d + (lf + 1) * nfd] = (
-                blk * geom.edge_lengths[:, lf, None]).reshape(m, ne, nfd, d)
+    # b·∇u = Σ_r [b B^-T]_r ∂_r u in reference coordinates
+    bt = np.matmul(b, geom.inv_t)
+    block[:, :, :d] = (bt.reshape(-1, 2 * nq) @ tables.conv).reshape(
+        m, ne, d, d) * geom.det[:, None, None]
+    nrm = geom.normals
+    bn = b_face[..., 0] * nrm[:, :, None, 0] + \
+        b_face[..., 1] * nrm[:, :, None, 1]
+    for lf in range(3):
+        misaligned, aligned = tables.face[lf]
+        blk = np.where(disc.face_aligned[:, lf, None],
+                       bn[..., lf, :] @ aligned,
+                       bn[..., lf, :] @ misaligned)
+        block[:, :, d + lf * nfd:d + (lf + 1) * nfd] = (
+            blk * geom.edge_lengths[:, lf, None]).reshape(m, ne, nfd, d)
     return samples, block
 
 

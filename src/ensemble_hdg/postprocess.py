@@ -62,7 +62,7 @@ class Postprocessor:
         diffusion fields c_fields at time t, a `problems.FieldStack`."""
         disc = self.disc
         return FieldStack(c_fields, disc.x_data_flat, disc.y_data_flat,
-                          self.operator, None)
+                          self.operator, None, "c")
 
     def apply(self, u_coeffs, q_coeffs, op):
         """Reconstruct u* for all members and elements.

@@ -9,18 +9,21 @@ to vectorized numpy callables once at construction time.  A field whose
 time dependence splits off, sum_i T_i(t) S_i(x, y), becomes a
 SeparableField.
 
-Time loops read the member fields through `FieldStack`, a joint
+The library reads every member field through `FieldStack`, a joint
 evaluator bound to fixed points and to a linear map of the samples
 there: the coefficient terms of c and β, the data moments of f and g,
-the error observer's projections, the u* maps.  It maps the spatial
-factors of separable fields, vector fields of separable components
-included, once; other fields are sampled and mapped at every call.
+the start u0, the error observer's projections, the u* maps.  It maps
+the spatial factors of separable fields once, vector fields of separable
+components included, and other fields at every call; it names any
+non-finite sample or weight before a map sees it.
 """
+
+import math
 
 import numpy as np
 import sympy
 
-from .local import mode_sum
+from .local import CoefficientError, mode_sum
 from .solver import Member, ProblemSpec
 
 _X, _Y, _T = sympy.symbols("x y t")
@@ -104,30 +107,46 @@ def _vector_fn(expr_x, expr_y):
     return VectorField(_scalar_fn(expr_x), _scalar_fn(expr_y))
 
 
+def reject_non_finite(samples, members, name, x, y, t):
+    """Raise `local.CoefficientError` at the first non-finite sample, by
+    member, component and point, of samples (m, npts[, 2]) at (x, y) of the
+    members `members` of the field `name` at t (None: samples of modes)."""
+    if np.isfinite(samples).all():
+        return
+    vector = samples.ndim == 3
+    r, i, p = np.argwhere(~np.isfinite(
+        np.moveaxis(samples, 2, 1) if vector else samples[:, None]))[0]
+    part = "_" + "xy"[i] if vector else ""
+    when = "" if t is None else f" at t = {t}"
+    raise CoefficientError(
+        f"member {members[r] + 1}: the {name}{part} sample at "
+        f"({float(x[p])}, {float(y[p])}){when} is not finite")
+
+
 def _spatial_factors(field, x, y):
-    """(T_i, samples at (x, y) of S_i) of a separable field, with the
-    factors e_x S and e_y S of a vector field's components; None for any
-    other field."""
+    """(component, T_i, samples at (x, y) of S_i) of a separable field,
+    component None, or of each component 0, 1 of a vector field of
+    separable components; None for any other field."""
     if isinstance(field, SeparableField):
-        return list(zip(field._t_fns, field._spatial(x, y)))
+        return [(None, tf, sv)
+                for tf, sv in zip(field._t_fns, field._spatial(x, y))]
     if not (isinstance(field, VectorField) and all(
             isinstance(f, SeparableField) for f in (field.fx, field.fy))):
         return None
-    zero = np.zeros(np.shape(x))
-    return [(tf, np.stack([sv, zero] if i == 0 else [zero, sv], -1))
-            for i, f in enumerate((field.fx, field.fy))
-            for tf, sv in _spatial_factors(f, x, y)]
+    return [(i, tf, sv) for i, f in enumerate((field.fx, field.fy))
+            for _, tf, sv in _spatial_factors(f, x, y)]
 
 
 class FieldStack:
     """Joint evaluator of several fields at fixed points, through one
-    linear map of their samples.
+    linear map of their samples, and the one gate of member fields.
 
     `project` maps samples (m, npts), or (m, npts, 2) of vector fields, at
     the bound points to images linearly: an array (m, ...), or a tuple of
     them that only `modes` reads.  When every field is separable, the
     spatial factors S_i of all the fields, one mode per distinct set of
-    samples at the bound points, are projected once, here; a call only
+    samples of a component at the bound points (e_x S and e_y S for a
+    vector field), are checked and projected once, here; a call only
     evaluates the weights θ(t) (m, M), the T_i(t) summed per mode, and
     sums the M = `n_modes` mode images with them (`local.mode_sum`).  Any
     other field makes the m fields' samples at every call the modes.
@@ -141,37 +160,48 @@ class FieldStack:
     taking them as ||S||^2 - ||Pi S||^2 instead would cancel the digits
     of a small residual.
 
-    The coordinate arrays are bound here and treated as immutable.
+    Non-finite samples (`reject_non_finite`, a mode's by the first member
+    using it) and weights raise `local.CoefficientError` before `project`
+    sees them.  The 1-D coordinate arrays are bound and treated as immutable.
     """
 
-    def __init__(self, fields, x, y, project, residual):
+    def __init__(self, fields, x, y, project, residual, name):
         self._fields, self._x, self._y = fields, x, y
         self._project, self._residual = project, residual
+        self.name = name
         factors = [_spatial_factors(f, x, y) for f in fields]
         self.separable = all(f is not None for f in factors)
         self.n_modes = len(fields)
         if not self.separable:
             return
-        modes, index, self._factors = [], {}, []
-        for j, pairs in enumerate(factors):
-            for tf, sv in pairs:
-                m = index.setdefault(sv.tobytes(), len(modes))
+        modes, first, index, self._factors = [], [], {}, []
+        for j, triples in enumerate(factors):
+            for i, tf, sv in triples:
+                # an all-zero factor is one mode in either component
+                key = (i if sv.any() else None, sv.tobytes())
+                m = index.setdefault(key, len(modes))
                 if m == len(modes):
-                    modes.append(sv)
+                    modes.append((i, sv))
+                    first.append(j)
                 self._factors.append((j, m, tf))
         self.n_modes = len(modes)
-        S = np.stack(modes)
+        zero = np.zeros(len(x))
+        S = np.stack([sv if i is None else np.stack(
+            (sv, zero) if i == 0 else (zero, sv), -1) for i, sv in modes])
+        reject_non_finite(S, first, name, x, y, None)
         self._images = project(S)
         if residual is not None:
             R = residual(S)
             self._gram = R @ R.T
 
     def _samples(self, t):
-        x, out = self._x, []
+        x, y, out = self._x, self._y, []
         for f in self._fields:
-            v = np.asarray(f(x, self._y, t), dtype=float)
-            out.append(np.broadcast_to(v, np.shape(x) + v.shape[np.ndim(x):]))
-        return np.stack(out)
+            v = np.asarray(f(x, y, t), dtype=float)
+            out.append(np.broadcast_to(v, x.shape + v.shape[1:]))
+        samples = np.stack(out)
+        reject_non_finite(samples, range(len(samples)), self.name, x, y, t)
+        return samples
 
     def modes(self, t):
         """The weights θ(t) (m, M) and the images (M, ...) of the modes at
@@ -180,7 +210,11 @@ class FieldStack:
             return np.eye(len(self._fields)), self._project(self._samples(t))
         W = np.zeros((len(self._fields), self.n_modes))
         for j, m, tf in self._factors:
-            W[j, m] += tf(t)
+            w = tf(t)
+            if not math.isfinite(w):
+                raise CoefficientError(f"member {j + 1}: the {self.name} "
+                                       f"weights at t = {t} are not finite")
+            W[j, m] += w
         return W, self._images
 
     def __call__(self, t):
@@ -196,13 +230,6 @@ class FieldStack:
                     (self._residual(samples) ** 2).sum(-1))
         W = self.modes(t)[0]
         return mode_sum(W, self._images), ((W @ self._gram) * W).sum(1)
-
-
-def vector_components(field):
-    """The x and y components of a vector field, as scalar fields."""
-    if isinstance(field, VectorField):
-        return [field.fx, field.fy]
-    return [lambda x, y, t, i=i: field(x, y, t)[..., i] for i in (0, 1)]
 
 
 def _no_time(fn):

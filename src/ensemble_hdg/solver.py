@@ -16,7 +16,8 @@ operators, whose c and velocity parts are each kept while their own
 images and weights stay.  Autonomous coefficients are evaluated once.
 Every state is of degree k, the initial one Π_k u0.  The sources f and
 the Dirichlet data g enter as interior-row moments through two more
-FieldStacks, so no step samples separable data.
+FieldStacks, so no step samples separable data.  Every sample and weight
+the solver reads has passed its FieldStack's finiteness gate.
 
 States are immutable: step() returns a fresh state, the previous one is
 never written to, so observers may safely keep references.
@@ -140,7 +141,7 @@ def check_admissibility(spec, mesh, times):
     x, y = (a.ravel() for a in element_points(
         mesh.vertices[mesh.elements], triangle_quadrature(6).points))
     c_at = FieldStack([m.c for m in spec.members], x, y,
-                      lambda samples: samples, None)
+                      lambda samples: samples, None, "c")
 
     report = AdmissibilityReport()
     times = list(times)
@@ -149,14 +150,12 @@ def check_admissibility(spec, mesh, times):
     for n, t in enumerate(grid):
         cvals = c_at(t)
         cbar = cvals.mean(axis=0)
-        # fmin skips NaN, and an all-NaN level leaves c_min as it was
-        report.c_min = min(report.c_min, float(np.fmin.reduce(cvals.ravel())))
+        report.c_min = min(report.c_min, float(cvals.min()))
         if prev_cbar is None:
             prev_cbar = cbar
             continue
         bound = np.minimum(cbar, prev_cbar)
-        # negated passing tests: a NaN sample fails them all
-        bad = ~((np.abs(cbar[None] - cvals) < bound[None]) & (cvals > 0))
+        bad = (np.abs(cbar[None] - cvals) >= bound[None]) | (cvals <= 0)
         report.record(n, bad, x, y)
         prev_cbar = cbar
     return report
@@ -170,10 +169,11 @@ def choose_tau(spec, mesh):
     (quadrature-order escalation on meshes that cannot be refined).  Each
     mesh is walked in blocks of `_TAU_BLOCK` elements, whose points come
     from `mesh.element_points`: no geometry and no whole-mesh sample.
-    A non-finite sample raises `local.CoefficientError`, naming the member,
-    the component, and the element of the run mesh or the point of a
-    refinement.
+    A non-finite sample raises `local.CoefficientError` through
+    `problems.reject_non_finite`, as in the solver's β stack.
     """
+    from .problems import reject_non_finite
+
     if mesh.uniform_n is not None:
         meshes = [mesh] + [build_uniform_square_mesh(mesh.uniform_n * s)
                            for s in (2, 4)]
@@ -192,14 +192,8 @@ def choose_tau(spec, mesh):
                 b = np.abs(np.asarray(member.beta(x, y, t), dtype=float))
                 peak = float(b.max())
                 if not np.isfinite(peak):
-                    # component first, then point, as the solver names them
-                    i, p = np.argwhere(~np.isfinite(
-                        np.broadcast_to(b, x.shape + (2,)).T))[0]
-                    where = f"element {start + p // len(ref)}" \
-                        if m is mesh else f"point ({x[p]}, {y[p]})"
-                    raise local.CoefficientError(
-                        f"{where}: the beta_{'xy'[i]} sample of member "
-                        f"{j + 1} at t = {t} is not finite")
+                    reject_non_finite(np.broadcast_to(b, x.shape + (2,))[None],
+                                      [j], "beta", x, y, t)
                 sup = max(sup, peak)
     return 1.0 + sup
 
@@ -223,49 +217,35 @@ def initialize(spec, disc):
     """Initial ensemble state: u = Pi_k u0, q = Pi_k(-grad Pi_(k+1) u0 / c).
 
     The element bases are hierarchical, so u is the leading d coefficients
-    of Pi_(k+1) u0; q keeps its gradient, and with it the rate k+1.  A
-    non-finite u0 sample raises ValueError, a non-finite c sample at t = 0
-    `local.CoefficientError`, naming the member and element.
+    of Pi_(k+1) u0; q keeps its gradient, and with it the rate k+1.  u0
+    and c are sampled through `problems.FieldStack`s at t = 0.
     """
-    J = spec.J
-    ne = disc.mesh.n_elements
-    d = disc.ndof_u
+    from .problems import FieldStack
+
+    ne, d = disc.mesh.n_elements, disc.ndof_u
     w, V, Vh = disc.w_data, disc.V_data, disc.V_hi_data
     x, y = disc.x_data_flat, disc.y_data_flat
+
+    def at_start(fields, name):
+        return FieldStack(fields, x, y, lambda s: s.reshape(len(s), ne, -1),
+                          None, name)(0.0)
+
+    u0 = at_start([lambda x, y, t, f=m.u0: f(x, y) for m in spec.members],
+                  "u0")
+    c0 = at_start([m.c for m in spec.members], "c")
     # the bases are orthonormal, but their data-rule mass matrices are the
     # identity only to rounding (5.2e-12 off for P^4): without these solves
     # projecting a k=2 projection again would move its q by 1.2e-13
     mass = (V * w) @ V.T
     mass_hi = (Vh * w) @ Vh.T
-
-    u = np.empty((J, ne, d))
-    q = np.empty((J, ne, 2 * d))
-    for j, m in enumerate(spec.members):
-        uvals = np.broadcast_to(np.asarray(m.u0(x, y), dtype=float),
-                                x.shape).reshape(ne, -1)
-        bad = ~np.isfinite(uvals).all(axis=1)
-        if bad.any():
-            raise ValueError(f"member {j + 1}: the u0 sample on element "
-                             f"{int(np.argmax(bad))} is not finite")
-        mom = np.einsum("q,eq,iq->ei", w, uvals, Vh)
-        hi = np.linalg.solve(mass_hi[None], mom[..., None])[..., 0]
-        u[j] = hi[:, :d]
-        # grad_x u = B^-T grad_ref u, as rows: grad_ref u^T B^-1
-        grad = np.matmul(np.einsum("ed,dqr->eqr", hi, disc.Gref_hi_data),
-                         disc.geom.inv)
-        c0 = np.broadcast_to(np.asarray(m.c(x, y, 0.0), dtype=float),
-                             x.shape).reshape(ne, -1)
-        bad = ~np.isfinite(c0).all(axis=1)
-        if bad.any():
-            raise local.CoefficientError(
-                f"member {j + 1}: the c sample on element "
-                f"{int(np.argmax(bad))} at t = 0 is not finite")
-        qvals = -grad / c0[..., None]
-        for comp in range(2):
-            mom = np.einsum("q,eq,iq->ei", w, qvals[..., comp], V)
-            q[j, :, comp * d:(comp + 1) * d] = np.linalg.solve(
-                mass[None], mom[..., None])[..., 0]
-    return EnsembleState(0, 0.0, u, q, None)
+    hi = np.linalg.solve(mass_hi, np.einsum(
+        "q,jeq,iq->jei", w, u0, Vh)[..., None])[..., 0]
+    # grad_x u = B^-T grad_ref u, as rows: grad_ref u^T B^-1
+    grad = np.einsum("jed,dqr->jeqr", hi, disc.Gref_hi_data) @ disc.geom.inv
+    q = np.linalg.solve(mass, np.einsum(
+        "q,jeqc,iq->jeci", w, -grad / c0[..., None], V)[..., None])[..., 0]
+    return EnsembleState(0, 0.0, np.ascontiguousarray(hi[..., :d]),
+                         q.reshape(q.shape[:2] + (-1,)), None)
 
 
 def state_samples(disc, state):
@@ -302,10 +282,6 @@ class EnsembleSolver:
 
     def __init__(self, disc, spec, dt, tau=None, strict_admissibility=False,
                  check_residuals=False):
-        if not (np.isfinite(dt) and dt > 0):
-            raise ValueError(f"dt must be positive and finite, got {dt}")
-        if tau is not None and not (np.isfinite(tau) and tau > 0):
-            raise ValueError(f"tau must be positive and finite, got {tau}")
         self.disc = disc
         self.spec = spec
         self.dt = float(dt)
@@ -328,24 +304,24 @@ class EnsembleSolver:
         # c and β enter the blocks as the terms of their modes: separable
         # coefficients are projected here, once
         self._c = FieldStack([m.c for m in spec.members], x, y,
-                             lambda c: local.c_terms(disc, lag, c), None)
+                             lambda c: local.c_terms(disc, lag, c), None, "c")
         # β at the element data points, then the face data points
         self._beta = FieldStack(
             [m.beta for m in spec.members],
             np.concatenate([x, disc.xf_fdata_flat]),
             np.concatenate([y, disc.yf_fdata_flat]),
-            lambda b: local.beta_terms(disc, lag, b), None)
+            lambda b: local.beta_terms(disc, lag, b), None, "beta")
         # f and g enter the step as interior-row moments: separable data
         # are projected here, once, and a step adds T_i(t) times them
         bnd_op = local.boundary_data_operator(disc, self.tau)
         Xb = disc.Xf_fdata[disc.boundary_face_sides()]
         self._f_rows = FieldStack(
             [m.f for m in spec.members], x, y,
-            lambda f_vals: local.source_rows(disc, f_vals), None)
+            lambda f_vals: local.source_rows(disc, f_vals), None, "f")
         self._g_rows = FieldStack(
             [m.g for m in spec.members], Xb[..., 0].ravel(),
             Xb[..., 1].ravel(),
-            lambda g_vals: local.boundary_rows(disc, bnd_op, g_vals), None)
+            lambda g: local.boundary_rows(disc, bnd_op, g), None, "g")
         if spec.autonomous:
             self._coeff_cache = self._coefficients(0.0)
             self._ensure_system(self._coeff_cache)
@@ -357,29 +333,9 @@ class EnsembleSolver:
         under "mean" and (θ̄ - θ_j, images) under "dev", and what the
         mean blocks are built from: θ̄, and the mean samples of resampled
         stacks."""
-        levels = [s.modes(t) for s in (self._c, self._beta)]
-        w = np.concatenate([W for W, _ in levels], axis=1)
-        if not np.isfinite(w).all():
-            j = np.argwhere(~np.isfinite(w))[0, 0]
-            raise local.CoefficientError(
-                f"member {j + 1}: a weight of c or beta is not finite at "
-                f"t = {t}")
-        ne, nq = self.disc.X_data.shape[:2]
         mean, dev, built_from = [], [], []
-        for stack, names, (W, images) in zip(
-                (self._c, self._beta), (("c",), ("beta_x", "beta_y")), levels):
-            # separable stacks hold the same samples at every level: they
-            # are checked before the first factorization only
-            if not stack.separable or self._built_from is None:
-                s = images[0][:, :ne * nq].reshape(-1, ne, nq, len(names))
-                bad = np.argwhere(~np.isfinite(np.moveaxis(s, -1, 0)))
-                if len(bad):
-                    i, m, e = bad[0, :3]
-                    who = f"spatial factor {m}" if stack.separable else \
-                        f"member {m + 1} at t = {t}"
-                    raise local.CoefficientError(
-                        f"element {e}: the {names[i]} sample of {who} is "
-                        f"not finite")
+        for stack in (self._c, self._beta):
+            W, images = stack.modes(t)
             theta = W.mean(axis=0)
             mean.append((theta, images))
             dev.append((theta[None] - W, images))
@@ -390,21 +346,18 @@ class EnsembleSolver:
                 "built_from": np.concatenate(built_from)}
 
     def _check_autonomous(self, times):
-        """Reject autonomous=True when a separable c, β_x or β_y of a
-        member has other time factors at one of the levels `times` than
-        at t = 0."""
-        from .problems import SeparableField, vector_components
-
+        """Reject autonomous=True when the weights of a separable c or β
+        stack at one of the levels `times` differ from those at t = 0."""
+        stacks = [s for s in (self._c, self._beta) if s.separable]
+        start = [s.modes(0.0)[0] for s in stacks]
         for t in times:
-            for j, m in enumerate(self.spec.members, 1):
-                for name, f in zip(("c", "beta_x", "beta_y"),
-                                   (m.c, *vector_components(m.beta))):
-                    if isinstance(f, SeparableField) and any(
-                            tf(t) != tf(0.0) for tf in f._t_fns):
-                        raise ValueError(
-                            f"member {j}: the {name} weights at t = {t} "
-                            f"differ from those at t = 0, but the spec is "
-                            f"autonomous")
+            for stack, W0 in zip(stacks, start):
+                differ = stack.modes(t)[0] != W0
+                if differ.any():
+                    raise ValueError(
+                        f"member {np.argwhere(differ)[0, 0] + 1}: the "
+                        f"{stack.name} weights at t = {t} differ from those "
+                        f"at t = 0, but the spec is autonomous")
 
     def _ensure_system(self, coeffs):
         built_from = coeffs["built_from"]
@@ -477,7 +430,7 @@ class EnsembleSolver:
 
         The run checks the ensemble-mean condition on t_0..t_N (t_0 alone
         for autonomous problems, whose separable coefficients must then
-        have the weights of t_0 at t_1 and t_N), starts from `initialize`
+        have the weights of t_0 at every level), starts from `initialize`
         and returns the final state.  Observers are callables
         (n, t_n, state) receiving the accepted state read-only.
         """
@@ -486,12 +439,12 @@ class EnsembleSolver:
         if abs(ratio - N) > 1e-6 * max(1, N):
             raise ValueError(
                 f"T/dt = {ratio} is not integral; snap dt first")
-        if self.spec.autonomous and N:
-            self._check_autonomous([self.dt, N * self.dt])
+        times = [i * self.dt for i in range(N + 1)]
+        if self.spec.autonomous:
+            self._check_autonomous(times[1:])
         report = check_admissibility(
             self.spec, self.disc.mesh,
-            [0.0] if self.spec.autonomous else
-            [i * self.dt for i in range(N + 1)])
+            times[:1] if self.spec.autonomous else times)
         if not report.ok:
             msg = f"ensemble-mean admissibility violated: {report!r}"
             if self.strict_admissibility:

@@ -10,7 +10,8 @@ every attribute a class of the library sets on self must be read by a
 static attribute access there, and none may be named like a public
 ndarray attribute, whose reads such an access cannot tell apart; no
 module of the library sets a private attribute on an object other than
-self; and every name a module of the library, the tests or the benchmark
+self, nor reads one there unless a class of that module sets or defines
+it; and every name a module of the library, the tests or the benchmark
 imports must be used in that module or listed in its __all__.
 """
 
@@ -174,6 +175,35 @@ def test_no_private_attribute_set_on_other_objects():
     found = [entry for path in sorted(SRC.glob("*.py"))
              for entry in foreign_private_assignments(path)]
     assert not found, f"private attributes set on other objects: {found}"
+
+
+def foreign_private_reads(path):
+    """Private attributes the module at path reads on an object other than
+    self, as `obj._name`, that no class of the module sets on self or
+    defines: another module's internals."""
+    tree = ast.parse(path.read_text())
+    own = set()
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            own.update(node.name for node in cls.body
+                       if isinstance(node, ast.FunctionDef))
+            own.update(node.attr for node in ast.walk(cls)
+                       if isinstance(node, ast.Attribute) and
+                       isinstance(node.ctx, ast.Store) and
+                       isinstance(node.value, ast.Name) and
+                       node.value.id == "self")
+    return [f"{path.name}:{node.lineno} {node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and
+            isinstance(node.ctx, ast.Load) and node.attr.startswith("_") and
+            not node.attr.endswith("__") and node.attr not in own and
+            not (isinstance(node.value, ast.Name) and node.value.id == "self")]
+
+
+def test_no_private_attribute_read_on_other_objects():
+    found = [entry for path in sorted(SRC.glob("*.py"))
+             for entry in foreign_private_reads(path)]
+    assert not found, f"private attributes of other modules read: {found}"
 
 
 def test_allowlist_names_exist():

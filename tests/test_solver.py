@@ -185,21 +185,32 @@ def test_admissibility_report_counts_every_violation(mesh2):
     assert report.c_min == min(float(np.min(ct)) for ct in c)
 
 
+def named(message):
+    """The pattern of exactly `message`."""
+    return "^" + re.escape(message) + "$"
+
+
+def first_point(x, y, bad):
+    """The coordinates, as messages name them, of the first point where
+    bad holds."""
+    p = int(np.argmax(bad))
+    return f"({float(x[p])}, {float(y[p])})"
+
+
 def test_admissibility_reports_a_nan_sample(mesh2):
-    """A NaN c fails every comparison, the passing ones too: the point is
-    reported for the member that has it, and for the other member, whose
-    mean it spoils."""
+    """A NaN c used to fail every comparison, the passing ones too, and
+    was reported as a violation of both members.  The c stack names the
+    member, the point and the level before any comparison."""
     X = BatchedGeometry(mesh2).points(triangle_quadrature(6).points)
-    x0, y0 = X[3, 2]
+    x0, y0 = (float(v) for v in X[3, 2])
     members = constant_members([1.0, 2.0], [(0, 0)] * 2)
     members[1].c = lambda x, y, t: np.where((x == x0) & (y == y0), np.nan,
                                             2.0)
-    report = check_admissibility(ProblemSpec(members, autonomous=True),
-                                 mesh2, [0.0])
-    assert not report.ok
-    assert report.violations == [(0, 1, float(x0), float(y0)),
-                                 (1, 1, float(x0), float(y0))]
-    assert report.c_min == 1.0
+    with pytest.raises(CoefficientError, match=named(
+            f"member 2: the c sample at ({x0}, {y0}) at t = 0.0 is not "
+            f"finite")):
+        check_admissibility(ProblemSpec(members, autonomous=True), mesh2,
+                            [0.0])
 
 
 def test_choose_tau_zero_velocity(mesh2):
@@ -260,24 +271,24 @@ def test_choose_tau_blocks_split_anywhere(examples, monkeypatch, rng, kind,
 def test_choose_tau_names_an_infinite_velocity(mesh2):
     """An infinite β_y on the run mesh used to make tau infinite, and
     BlockTables then rejected tau without naming the sample.  choose_tau
-    names the member, the component and the first element with the
-    sample, as the solver does when tau is given."""
+    names the member, the component and the first order-6 point with the
+    sample, in the words of the solver's β stack when tau is given."""
     members = constant_members([1.0, 2.0], [(0.5, 0.2)] * 2)
     members[0].beta = lambda x, y, t: np.stack(
         [np.full_like(x, 0.5), np.where(x > 0.5, np.inf, 0.2)], -1)
-    disc = Discretization(mesh2, 1)
-    e = int(np.argmax((disc.X_data[..., 0] > 0.5).any(axis=1)))
-    with pytest.raises(CoefficientError,
-                       match=f"^element {e}: the beta_y sample of member 1 "
-                             f"at t = 0.0 is not finite$"):
-        EnsembleSolver(disc, ProblemSpec(members, autonomous=True), dt=0.1)
+    X = BatchedGeometry(mesh2).points(triangle_quadrature(6).points)
+    x, y = X[..., 0].ravel(), X[..., 1].ravel()
+    with pytest.raises(CoefficientError, match=named(
+            f"member 1: the beta_y sample at {first_point(x, y, x > 0.5)} "
+            f"at t = 0.0 is not finite")):
+        EnsembleSolver(Discretization(mesh2, 1),
+                       ProblemSpec(members, autonomous=True), dt=0.1)
 
 
 def test_choose_tau_names_a_point_of_a_refinement(mesh2):
     """A β_x that is infinite only within 0.01 of x = 0, where no order-6
     point of the run mesh or of its 2n refinement lies, is first met on
-    the 4n mesh: the point is named, since a refinement's element numbers
-    mean nothing to the caller."""
+    the 4n mesh, and named by its point there."""
     members = constant_members([1.0, 2.0], [(0.5, 0.2)] * 2)
     members[1].beta = lambda x, y, t: np.stack(
         [np.where(x < 0.01, np.inf, 0.5), np.full_like(x, 0.2)], -1)
@@ -286,12 +297,10 @@ def test_choose_tau_names_a_point_of_a_refinement(mesh2):
         X = BatchedGeometry(build_uniform_square_mesh(n)).points(ref)
         assert X[..., 0].min() >= 0.01
     X = BatchedGeometry(build_uniform_square_mesh(8)).points(ref)
-    first = X.reshape(-1, 2)[np.argmax(X[..., 0].ravel() < 0.01)]
-    with pytest.raises(CoefficientError,
-                       match="^" + re.escape(
-                           f"point ({first[0]}, {first[1]}): the beta_x "
-                           f"sample of member 2 at t = 0.0 is not finite")
-                       + "$"):
+    x, y = X[..., 0].ravel(), X[..., 1].ravel()
+    with pytest.raises(CoefficientError, match=named(
+            f"member 2: the beta_x sample at {first_point(x, y, x < 0.01)} "
+            f"at t = 0.0 is not finite")):
         choose_tau(ProblemSpec(members, autonomous=True), mesh2)
 
 
@@ -349,33 +358,43 @@ def test_initialize_broadcasts_a_scalar_u0(mesh2):
 
 def test_non_finite_u0_is_named(mesh2):
     """A u0 that is NaN on part of the domain used to run to the end and
-    leave that member's u NaN without a message."""
+    leave that member's u NaN without a message.  The run names the
+    member and the first such data point at t = 0, before any step."""
     members = constant_members([1.0, 2.0], [(0, 0)] * 2)
     members[1].u0 = lambda x, y: np.where(x > 0.5, np.nan, 0.0)
     disc = Discretization(mesh2, 1)
-    e = int(np.argmax((disc.X_data[..., 0] > 0.5).any(axis=1)))
+    x, y = disc.x_data_flat, disc.y_data_flat
     solver = EnsembleSolver(disc, ProblemSpec(members, autonomous=True),
                             dt=0.5)
-    with pytest.raises(ValueError, match=f"^member 2: the u0 sample on "
-                                         f"element {e} is not finite$"):
+    with pytest.raises(CoefficientError, match=named(
+            f"member 2: the u0 sample at {first_point(x, y, x > 0.5)} at "
+            f"t = 0.0 is not finite")):
         solver.run(1.0)
+    assert solver.n_steps == 0
 
 
 def test_non_finite_c_at_the_start_is_named(mesh2):
     """c = NaN at t = 0 and 1 or 1.5 afterwards: the run used to march
     every step and return NaN u and q, with the admissibility warning as
-    the only sign.  initialize names the member and the element."""
+    the only sign.  The run names member 1 and its first admissibility
+    point at t = 0 before any step, and initialize its first data
+    point."""
     members = constant_members([1.0, 1.5], [(0, 0)] * 2)
     for m, cj in zip(members, (1.0, 1.5)):
         m.c = lambda x, y, t, cj=cj: np.full_like(x, np.nan if t == 0 else cj)
-    solver = EnsembleSolver(Discretization(mesh2, 1),
-                            ProblemSpec(members, autonomous=False), dt=0.25)
-    with pytest.warns(UserWarning, match="admissibility"), \
-            pytest.raises(CoefficientError, match="^member 1: the c sample "
-                                                  "on element 0 at t = 0 is "
-                                                  "not finite$"):
+    spec = ProblemSpec(members, autonomous=False)
+    disc = Discretization(mesh2, 1)
+    solver = EnsembleSolver(disc, spec, dt=0.25)
+    X = BatchedGeometry(mesh2).points(triangle_quadrature(6).points)
+    with pytest.raises(CoefficientError, match=named(
+            f"member 1: the c sample at ({float(X[0, 0, 0])}, "
+            f"{float(X[0, 0, 1])}) at t = 0.0 is not finite")):
         solver.run(1.0)
     assert solver.n_steps == 0
+    with pytest.raises(CoefficientError, match=named(
+            f"member 1: the c sample at ({float(disc.x_data_flat[0])}, "
+            f"{float(disc.y_data_flat[0])}) at t = 0.0 is not finite")):
+        initialize(spec, disc)
 
 
 def test_initialize_example1_is_zero(mesh2):
@@ -600,7 +619,7 @@ def test_wrong_autonomous_flag_is_named(mesh4):
     factorize once instead of four times and end 1.9% off in u (max
     norm).  Its c weights at t_1 differ from those at t_0, and the run
     names member 1 and c before the first step.  A separable β whose y
-    component grows with t is named by its member and component."""
+    component grows with t is named by its member."""
     spec = ProblemSpec(scaled_example1(1).members, autonomous=True)
     solver = EnsembleSolver(Discretization(mesh4, 1), spec, dt=0.25)
     with pytest.raises(ValueError, match="^member 1: the c weights at "
@@ -621,7 +640,7 @@ def test_wrong_autonomous_flag_is_named(mesh4):
             SeparableField([lambda t, g=grows: 0.2 * (1 + g * t)], [one]))
     spec = ProblemSpec(members, autonomous=True)
     solver = EnsembleSolver(Discretization(mesh4, 1), spec, dt=0.25)
-    with pytest.raises(ValueError, match="^member 2: the beta_y weights "
+    with pytest.raises(ValueError, match="^member 2: the beta weights "
                                          "at t = 0.25 differ from those "
                                          "at t = 0, but the spec is "
                                          "autonomous$"):
@@ -920,6 +939,27 @@ def test_members_share_their_spatial_factors_as_modes(mesh2, family,
     assert np.array_equal(solver._beta.modes(0.3)[1][0], want)
 
 
+def test_a_zero_velocity_factor_is_one_mode_in_either_component(mesh2):
+    """β_1 = (y, 0) and β_2 = (0, x): the zero factors of β_1's y and β_2's
+    x component are one mode, as when modes were keyed by their padded
+    samples, so the modes are e_x y, 0 and e_y x, in order of first use."""
+    x, y, t = sympy.symbols("x y t")
+    u = sympy.sin(t) * sympy.sin(x) * sympy.sin(y)
+    spec = ProblemSpec([manufactured_member(1, (y, 0), u),
+                        manufactured_member(1.2, (0, x), u)],
+                       autonomous=True)
+    solver = mode_solver(spec, mesh2)
+    disc = solver.disc
+    xb, yb = (np.concatenate([getattr(disc, f"{coord}_data_flat"),
+                              getattr(disc, f"{coord}f_fdata_flat")])
+              for coord in "xy")
+    zero = np.zeros_like(xb)
+    want = np.stack([np.stack([yb, zero], -1), np.zeros(xb.shape + (2,)),
+                     np.stack([zero, xb], -1)])
+    assert solver._beta.n_modes == 3
+    assert np.array_equal(solver._beta.modes(0.0)[1][0], want)
+
+
 @pytest.mark.parametrize("family", ["refactor", "random"])
 def test_weights_times_modes_reproduce_the_member_samples(mesh4, family):
     spec = scaled_example1(1) if family == "refactor" else ProblemSpec(
@@ -1024,8 +1064,9 @@ def test_constant_ensembles_share_one_mode_per_coefficient(mesh2):
 def test_non_finite_coefficients_are_named(mesh2, field, value):
     """NaN passes c <= 0 and Python's max in choose_tau skips it: such a
     member used to reach SuperLU, which called the trace matrix exactly
-    singular.  The first element with the sample and the member are
-    named."""
+    singular.  The member, the component and the first data point with
+    the sample are named.  tau is given: choose_tau's own check of β is
+    pinned by the choose_tau tests."""
     members = constant_members([1.0, 2.0], [(0.5, 0.2)] * 2)
     if field == "c":
         members[1].c = lambda x, y, t: np.where(x > 0.5, value, 2.0)
@@ -1033,27 +1074,28 @@ def test_non_finite_coefficients_are_named(mesh2, field, value):
         members[1].beta = lambda x, y, t: np.stack(
             [np.where(x > 0.5, value, 0.5), np.full_like(x, 0.2)], -1)
     disc = Discretization(mesh2, 1)
-    e = int(np.argmax((disc.X_data[..., 0] > 0.5).any(axis=1)))
+    x, y = disc.x_data_flat, disc.y_data_flat
     name = "c" if field == "c" else "beta_x"
-    with pytest.raises(CoefficientError,
-                       match=f"^element {e}: the {name} sample of member 2 "
-                             f"at t = 0.0 is not finite"):
-        EnsembleSolver(disc, ProblemSpec(members, autonomous=True), dt=0.1)
+    with pytest.raises(CoefficientError, match=named(
+            f"member 2: the {name} sample at {first_point(x, y, x > 0.5)} "
+            f"at t = 0.0 is not finite")):
+        EnsembleSolver(disc, ProblemSpec(members, autonomous=True), dt=0.1,
+                       tau=1.0)
 
 
 def test_infinite_velocity_is_named(mesh2):
-    """An infinite β_y sample makes inf·0 in the velocity terms, which
-    are built before the samples are checked: with tau given, so that
-    choose_tau does not reject it first, the sample is named and no
-    RuntimeWarning is raised."""
+    """An infinite β_y sample would make inf·0 in the velocity terms: with
+    tau given, so that choose_tau does not reject it first, the β stack
+    names it before the terms are built, and no RuntimeWarning is
+    raised."""
     members = constant_members([1.0, 2.0], [(0.5, 0.2)] * 2)
     members[0].beta = lambda x, y, t: np.stack(
         [np.full_like(x, 0.5), np.where(x > 0.5, np.inf, 0.2)], -1)
     disc = Discretization(mesh2, 1)
-    e = int(np.argmax((disc.X_data[..., 0] > 0.5).any(axis=1)))
-    with pytest.raises(CoefficientError,
-                       match=f"^element {e}: the beta_y sample of member 1 "
-                             f"at t = 0.0 is not finite$"):
+    x, y = disc.x_data_flat, disc.y_data_flat
+    with pytest.raises(CoefficientError, match=named(
+            f"member 1: the beta_y sample at {first_point(x, y, x > 0.5)} "
+            f"at t = 0.0 is not finite")):
         EnsembleSolver(disc, ProblemSpec(members, autonomous=True), dt=0.1,
                        tau=1.0)
 
@@ -1073,9 +1115,110 @@ def test_non_finite_weight_names_its_time(mesh2):
     solver = EnsembleSolver(disc, spec, dt=0.125, tau=1.0)
     state = solver.step(initialize(spec, disc))
     with pytest.raises(CoefficientError,
-                       match="^member 2: a weight of c or beta is not "
-                             "finite at t = 0.25$"):
+                       match="^member 2: the c weights at t = 0.25 are not "
+                             "finite$"):
         solver.step(state)
+    assert solver.n_steps == 1
+
+
+@pytest.mark.parametrize("field", ["f", "g"])
+def test_non_finite_data_are_named(mesh2, field):
+    """A NaN f or an infinite g used to run to a non-finite state without
+    a message.  The first step names the member, the datum, its first
+    such point and t."""
+    members = constant_members([1.0, 2.0], [(0.5, 0.2)] * 2)
+    disc = Discretization(mesh2, 1)
+    if field == "f":
+        members[1].f = lambda x, y, t: np.where(x > 0.5, np.nan, 1.0)
+        x, y = disc.x_data_flat, disc.y_data_flat
+        where = first_point(x, y, x > 0.5)
+    else:
+        members[1].g = lambda x, y, t: np.where(y > 0.5, np.inf, 0.0)
+        Xb = disc.Xf_fdata[disc.boundary_face_sides()]
+        x, y = Xb[..., 0].ravel(), Xb[..., 1].ravel()
+        where = first_point(x, y, y > 0.5)
+    solver = EnsembleSolver(disc, ProblemSpec(members, autonomous=True),
+                            dt=0.25, tau=1.0)
+    with pytest.raises(CoefficientError, match=named(
+            f"member 2: the {field} sample at {where} at t = 0.25 is not "
+            f"finite")):
+        solver.run(1.0)
+    assert solver.n_steps == 0
+
+
+def test_a_non_finite_mode_names_its_first_member(mesh2):
+    """Members 2 and 3 share a separable f's spatial factor, NaN where
+    x > 0.5: it is one mode, checked once when the solver is built, and
+    named by the first member that uses it, with no t, since a spatial
+    factor does not depend on it."""
+    def one(x, y):
+        return np.ones_like(x)
+
+    def spoiled(x, y):
+        return np.where(x > 0.5, np.nan, 1.0)
+
+    members = constant_members([1.0, 2.0, 3.0], [(0.5, 0.2)] * 3)
+    for m, s in zip(members, (one, spoiled, spoiled)):
+        m.f = SeparableField([lambda t: 1.0], [s])
+    disc = Discretization(mesh2, 1)
+    x, y = disc.x_data_flat, disc.y_data_flat
+    with pytest.raises(CoefficientError, match=named(
+            f"member 2: the f sample at {first_point(x, y, x > 0.5)} is not "
+            f"finite")):
+        EnsembleSolver(disc, ProblemSpec(members, autonomous=True), dt=0.25,
+                       tau=1.0)
+
+
+def test_a_plain_c_turning_nan_is_named_at_its_level(mesh2):
+    """c_1 is NaN from t_2 = 0.5 on: the run names member 1 at t = 0.5
+    from the admissibility samples before any step, and a step to t_2
+    from the data points."""
+    members = constant_members([1.0, 1.5], [(0, 0)] * 2)
+    members[0].c = lambda x, y, t: np.full_like(x, np.nan if t >= 0.5
+                                                 else 1.0)
+    spec = ProblemSpec(members, autonomous=False)
+    disc = Discretization(mesh2, 1)
+    solver = EnsembleSolver(disc, spec, dt=0.25, tau=1.0)
+    X = BatchedGeometry(mesh2).points(triangle_quadrature(6).points)
+    with pytest.raises(CoefficientError, match=named(
+            f"member 1: the c sample at ({float(X[0, 0, 0])}, "
+            f"{float(X[0, 0, 1])}) at t = 0.5 is not finite")):
+        solver.run(1.0)
+    assert solver.n_steps == 0
+    state = solver.step(initialize(spec, disc))
+    with pytest.raises(CoefficientError, match=named(
+            f"member 1: the c sample at ({float(disc.x_data_flat[0])}, "
+            f"{float(disc.y_data_flat[0])}) at t = 0.5 is not finite")):
+        solver.step(state)
+    assert solver.n_steps == 1
+
+
+def test_autonomy_is_checked_at_every_level(mesh2):
+    """A separable c_2 with the weight 1 + 8t(t - dt)(t - T), which reads
+    1, 1, 0.5, 0.25, 1 at t_0..t_4: flagged autonomous, the run used to
+    compare only t_1 and t_N with t_0, stay frozen at t = 0 and factorize
+    once.  It now names t_2; unflagged, it factorizes at every step."""
+    def one(x, y):
+        return np.ones_like(x)
+
+    dt, T = 0.25, 1.0
+    members = constant_members([1.0, 1.0], [(0, 0)] * 2)
+    members[0].c = SeparableField([lambda t: 1.0], [one])
+    members[1].c = SeparableField(
+        [lambda t: 1 + 8 * t * (t - dt) * (t - T)], [one])
+    disc = Discretization(mesh2, 1)
+    solver = EnsembleSolver(disc, ProblemSpec(members, autonomous=True),
+                            dt=dt)
+    with pytest.raises(ValueError, match="^member 2: the c weights at "
+                                         "t = 0.5 differ from those at "
+                                         "t = 0, but the spec is "
+                                         "autonomous$"):
+        solver.run(T)
+    assert solver.n_steps == 0 and solver.n_factorizations == 1
+    solver = EnsembleSolver(disc, ProblemSpec(members, autonomous=False),
+                            dt=dt)
+    solver.run(T)
+    assert solver.n_factorizations == 4
 
 
 def test_refactor_family_keeps_the_velocity_lag_operator(mesh2,

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -163,6 +164,37 @@ def test_error_accumulator_requires_exact_solutions(mesh2):
                         autonomous=True)
     with pytest.raises(ValueError, match="member 2 "):
         ErrorAccumulator(disc, mixed, 0.1, final_step=1)
+
+
+@pytest.mark.parametrize("field", ["exact_u", "exact_q"])
+def test_error_accumulator_names_a_non_finite_exact_field(mesh2, field):
+    """A NaN exact_u, or a NaN y component of exact_q, used to leave that
+    member's errors NaN without a message.  The first observation names
+    the member, the field with its component, the first such data point
+    and t."""
+    from ensemble_hdg.local import CoefficientError
+
+    spec = example1()
+    member = spec.members[1]
+    exact = getattr(member, field)
+
+    def spoiled(x, y, t):
+        v = np.array(exact(x, y, t), dtype=float)
+        v[(x > 0.5, 1) if field == "exact_q" else x > 0.5] = np.nan
+        return v
+
+    setattr(member, field, spoiled)
+    disc = Discretization(mesh2, 1)
+    x, y = disc.x_data_flat, disc.y_data_flat
+    p = int(np.argmax(x > 0.5))
+    name = "exact_q_y" if field == "exact_q" else "exact_u"
+    acc = ErrorAccumulator(disc, spec, 0.25, final_step=4)
+    solver = EnsembleSolver(disc, spec, dt=0.25)
+    with pytest.raises(CoefficientError, match="^" + re.escape(
+            f"member 2: the {name} sample at ({float(x[p])}, "
+            f"{float(y[p])}) at t = 0.25 is not finite") + "$"):
+        solver.run(1.0, observers=[acc])
+    assert acc.last_step is None
 
 
 def test_error_accumulator_rejects_a_missing_final_step(mesh2):
