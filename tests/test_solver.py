@@ -285,6 +285,21 @@ def test_choose_tau_names_an_infinite_velocity(mesh2):
                        ProblemSpec(members, autonomous=True), dt=0.1)
 
 
+def test_choose_tau_names_a_nan_velocity(mesh2):
+    """Python's max skipped a NaN β sample, and so would np.nanmax: tau
+    came out finite.  choose_tau names the member, the component and the
+    first order-6 point with the NaN sample."""
+    members = constant_members([1.0, 2.0], [(0.5, 0.2)] * 2)
+    members[1].beta = lambda x, y, t: np.stack(
+        [np.where(x > 0.5, np.nan, 0.5), np.full_like(x, 0.2)], -1)
+    X = BatchedGeometry(mesh2).points(triangle_quadrature(6).points)
+    x, y = X[..., 0].ravel(), X[..., 1].ravel()
+    with pytest.raises(CoefficientError, match=named(
+            f"member 2: the beta_x sample at {first_point(x, y, x > 0.5)} "
+            f"at t = 0.0 is not finite")):
+        choose_tau(ProblemSpec(members, autonomous=True), mesh2)
+
+
 def test_choose_tau_names_a_point_of_a_refinement(mesh2):
     """A β_x that is infinite only within 0.01 of x = 0, where no order-6
     point of the run mesh or of its 2n refinement lies, is first met on
