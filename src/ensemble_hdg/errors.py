@@ -36,18 +36,9 @@ from .solver import state_samples
 
 
 def l2_norm_squared(disc, vals):
-    """Elementwise quadrature of ||field||^2 from data-rule point values.
-
-    vals may be (..., ne, nq) for scalars or (..., ne, nq, 2) for vectors;
-    leading axes are preserved.
-    """
-    w = disc.w_data
-    sq = vals ** 2
-    if vals.shape[-1] == 2 and vals.ndim >= 3 and vals.shape[-2] == len(w):
-        # components innermost: one product with the repeated weights
-        sq = sq.reshape(vals.shape[:-2] + (-1,))
-        w = np.repeat(w, 2)
-    return (sq @ w) @ disc.geom.det
+    """Elementwise quadrature of ||field||^2 from scalar data-rule point
+    values (..., ne, nq); leading axes are preserved."""
+    return (vals ** 2 @ disc.w_data) @ disc.geom.det
 
 
 def _projection(disc, V):

@@ -3,9 +3,10 @@
 Local unknown ordering per element: interior DOFs [qx | qy | u] (each a
 degree-k block) followed by the three face-trace blocks [f0 | f1 | f2].
 The interior saddle system is eliminated per element (static condensation)
-leaving a dense Schur complement on the trace DOFs; boundary faces carry no
-unknowns and their rows/columns are dropped at scatter time (their trace
-values are identically zero, Dirichlet data enters only through the RHS).
+leaving a dense Schur complement on the trace DOFs.  Boundary faces carry
+no unknowns: the scatter drops their rows and columns, and their trace
+P_M g, the projection of the Dirichlet data, enters the RHS through the
+boundary-face columns of A_IT (`boundary_rows`).
 
 A_II is inverted through its d×d blocks by pivoted Gauss-Jordan
 elimination and one refinement step: `BatchedCondensed` gives the
@@ -24,8 +25,9 @@ solver's c and β `problems.FieldStack`s (`c_terms`, `beta_terms`), and
 weighted: by the mean weights in `assemble_all_blocks`, by the deviation
 weights in `rhs_operators`.  Built from the same tables and data rules,
 the two parts add up to each member's own operator.  `BlockTables` holds
-what no coefficient touches; `source_rows` and `boundary_rows` are the
-data rows of the RHS, linear in the data samples as well.
+what no coefficient touches, the blocks and the basis-product tables
+alike; `source_rows` and `boundary_rows` are the data rows of the RHS,
+linear in the data samples as well.
 """
 
 import numpy as np
@@ -42,17 +44,25 @@ class BlockTables:
     """The parts of the local blocks that no coefficient touches.
 
     Built once per (discretization, tau, dt); every array is read-only, as
-    `assemble_all_blocks` and `condense_all` read them by reference.
+    `assemble_all_blocks`, `condense_all` and `boundary_rows` read them by
+    reference.  The basis-product tables fold the data-rule weights into
+    products of reference basis values, so that a coefficient term is one
+    GEMM of its samples against them (q, u and the test functions are all
+    of degree k):
 
     C      (ne, 2d, d)       the coupling [C_x; C_y], (∂_x_c v_i, v_j): -C
                              above the u-block of A_II, Cᵀ left of it
     A_uu   (ne, d, d)        the u-u block's (1/dt) mass plus tau face terms
     time_mass (ne, d, d)     that (1/dt) mass alone, the lag of u
-    A_IT   (ne, 3d, 3nfd)    all of it
+    A_IT   (ne, 3d, 3nfd)    all of it; its boundary-face columns carry the
+                             Dirichlet data into `boundary_rows`
     A_TI   (ne, 3nfd, 3d)    the tau and normal-component parts
     A_TT   (ne, 3nfd, 3nfd)  all of it
-    lag    the `RHSTables`, against which the mean coefficient terms and
-           the deviations alike are built
+    mass   (d, d)            (v_i, u_l) on the reference element
+    mass_q (nq, d*d)         w_q v_i v_l, against c samples
+    conv   (2nq, d*d)        w_q v_i ∂_r u_l, against β B^-T samples
+    face   [lf][aligned]     (nqf, nfd*d) w_q ψ_m u_l on local face lf, ψ
+                             the face basis, [misaligned, aligned]
     """
 
     def __init__(self, disc, tau, dt):
@@ -66,25 +76,30 @@ class BlockTables:
         w, V = disc.w_data, disc.V_data
         detJ = disc.geom.det[:, None, None]
         lens, nrm = disc.geom.edge_lengths, disc.geom.normals
-        self.lag = RHSTables(disc)
+        grad = basis.eval_grad(disc.rule_data.points)
+        self.mass = (V * w) @ V.T
+        self.mass_q = np.einsum("q,iq,lq->qil", w, V, V).reshape(-1, d * d)
+        self.conv = np.einsum("q,iq,lqr->qril", w, V, grad).reshape(-1, d * d)
 
         A_IT = np.zeros((ne, 3 * d, 3 * nfd))
         A_TI = np.zeros((ne, 3 * nfd, 3 * d))
         A_TT = np.zeros((ne, 3 * nfd, 3 * nfd))
         # (∂_x_c v_i, v_j) = Σ_r B^-T_cr (∂_r v_i, v_j) on the reference
-        dref = np.einsum("q,iqr,jq->rij", w, basis.eval_grad(
-            disc.rule_data.points), V)
+        dref = np.einsum("q,iqr,jq->rij", w, grad, V)
         C = (disc.geom.inv_t.reshape(ne * 2, 2) @ dref.reshape(2, d * d)
              ).reshape(ne, 2 * d, d) * detJ
-        self.time_mass = detJ / dt * self.lag.mass
+        self.time_mass = detJ / dt * self.mass
         A_uu = self.time_mass.copy()
 
         wf, Psi = disc.w_fdata, disc.Psi_fdata
         psipsi = (Psi * wf) @ Psi.T
         refs = reference_face_points(disc.rule_face_data.points)
+        self.face = []
         for lf in range(3):
             cols = slice(lf * nfd, (lf + 1) * nfd)
             vals = [basis.eval(refs[lf, a]) for a in (0, 1)]
+            self.face.append([np.einsum("q,mq,lq->qml", wf, Psi, v).reshape(
+                len(wf), nfd * d) for v in vals])
             aligned = disc.face_aligned[:, lf].astype(int)
             psiphi = np.stack([(Psi * wf) @ v.T for v in vals])[aligned]
             phiphi = np.stack([(v * wf) @ v.T for v in vals])[aligned]
@@ -101,9 +116,9 @@ class BlockTables:
         A_IT[:, 2 * d:] = np.swapaxes(A_TI[:, :, 2 * d:], 1, 2)
         self.C, self.A_uu, self.A_IT, self.A_TI, self.A_TT = \
             C, A_uu, A_IT, A_TI, A_TT
-        for table in (C, A_uu, A_IT, A_TI, A_TT, self.time_mass,
-                      self.lag.mass_q,
-                      self.lag.conv, *(t for p in self.lag.face for t in p)):
+        for table in (C, A_uu, A_IT, A_TI, A_TT, self.time_mass, self.mass,
+                      self.mass_q, self.conv,
+                      *(t for p in self.face for t in p)):
             table.flags.writeable = False
 
 
@@ -112,7 +127,7 @@ def assemble_all_blocks(disc, tables, c, beta):
 
     tables are the `BlockTables` of the discretization; c and beta are
     the pairs (θ̄, images) of the c and velocity modes: the mean weights
-    (M,) and the `c_terms` and `beta_terms` images against `tables.lag`.
+    (M,) and the `c_terms` and `beta_terms` images against `tables`.
     M is the c̄ mass, each q-q block of A_II, A the u-u block and A_TI
     the trace rows; `condense_all` reads the other blocks from `tables`.
     """
@@ -212,70 +227,10 @@ def condense_all(tables, M, A, A_TI):
                             W @ tables.A_IT, G)
 
 
-def boundary_data_operator(disc, tau):
-    """Linear map from boundary samples g (J, nbf, nqf) to b_int updates.
-
-    tau is the scalar stabilization.  Returns (op (nbf, 3d, nqf), scatter
-    (ne, nbf) sparse), the `bnd_op` of `boundary_rows`.
-    """
-    import scipy.sparse as sp
-
-    ne = disc.mesh.n_elements
-    be, bl = disc.boundary_face_sides()
-    d = disc.ndof_u
-    ln = disc.geom.edge_lengths[be, bl]
-    nb = disc.geom.normals[be, bl]
-    # a boundary face's canonical orientation is that of its one element:
-    # the element basis at the three aligned reference faces, (3, d, nqf)
-    s = disc.rule_face_data.points
-    Vf = disc.elem_basis.eval(reference_face_points(s)[:, 1].reshape(-1, 2))
-    Vf = np.moveaxis(Vf.reshape(d, 3, len(s)), 0, 1)
-    # moment operator: g samples -> <g, phi_i> per boundary face
-    mom = ln[:, None, None] * Vf[bl] * disc.w_fdata[None, None, :]
-    op = np.empty((len(be), 3 * d, mom.shape[2]))
-    op[:, :d] = -nb[:, 0, None, None] * mom      # -<g, r.n> x-rows
-    op[:, d:2 * d] = -nb[:, 1, None, None] * mom
-    op[:, 2 * d:] = tau * mom                     # <tau g, v>
-    scatter = sp.csr_matrix(
-        (np.ones(len(be)), (be, np.arange(len(be)))),
-        shape=(ne, len(be)))
-    return op, scatter
-
-
-class RHSTables:
-    """Coefficient-free basis-product tables of the step's lag operators.
-
-    q, u and the test functions are all of degree k.  Each table folds the
-    data-rule weights into products of reference basis values, so that an
-    operator is one GEMM of coefficient samples against it:
-
-    mass   (d, d)            (v_i, u_l) on the reference element
-    mass_q (nq, d*d)         w_q v_i v_l, against (c̄ - c_j) samples
-    conv   (2nq, d*d)        w_q v_i ∂_r u_l, against (β̄ - β_j) B^-T
-    face   [lf][aligned]     (nqf, nfd*d) w_q ψ_m u_l on local face lf, ψ
-                             the face basis, [misaligned, aligned]
-    """
-
-    def __init__(self, disc):
-        pts, w, V = disc.rule_data.points, disc.w_data, disc.V_data
-        nq, d = len(w), len(V)
-        self.mass = (V * w) @ V.T
-        self.mass_q = np.einsum("q,iq,lq->qil", w, V, V).reshape(nq, d * d)
-        self.conv = np.einsum(
-            "q,iq,lqr->qril", w, V, disc.elem_basis.eval_grad(pts)).reshape(
-                2 * nq, d * d)
-        s, wf, Psi = disc.rule_face_data.points, disc.w_fdata, disc.Psi_fdata
-        refs = reference_face_points(s)
-        self.face = [[np.einsum("q,mq,lq->qml", wf, Psi,
-                                disc.elem_basis.eval(refs[lf, a])).reshape(
-                                    len(s), len(Psi) * d)
-                      for a in (0, 1)] for lf in range(3)]
-
-
 def c_terms(disc, tables, samples):
     """The `FieldStack` image of inverse-diffusion samples (m, ne*nq) at
     the data rule: the samples and their c mass (m, ne, d, d), one GEMM
-    against the `RHSTables` tables."""
+    against the `BlockTables` tables."""
     ne, d = disc.mesh.n_elements, disc.ndof_u
     mass = (samples.reshape(-1, tables.mass_q.shape[0]) @
             tables.mass_q).reshape(len(samples), ne, d, d)
@@ -287,7 +242,7 @@ def beta_terms(disc, tables, samples):
     at the data rule points, then the face data rule points: the samples
     and the block (m, ne, d + 3nfd, d) of the b·∇u terms above the
     <b·n u, v̂> rows of every local face, each one GEMM against the
-    `RHSTables` tables."""
+    `BlockTables` tables."""
     m, ne = len(samples), disc.mesh.n_elements
     d, nfd, nq = disc.ndof_u, disc.ndof_face, len(disc.w_data)
     geom = disc.geom
@@ -374,15 +329,28 @@ def source_rows(disc, f_vals):
         disc.geom.det[:, None]
 
 
-def boundary_rows(disc, bnd_op, g_vals):
+def boundary_rows(disc, tables, g_vals):
     """The interior rows (m, ne, 3d) of Dirichlet samples g_vals
-    (m, nbf*nqf) on the boundary faces, -<g, r.n> and <tau g, v>, through
-    `bnd_op`, the result of `boundary_data_operator`."""
-    op, scatter = bnd_op
-    m = len(g_vals)
-    contrib = np.einsum("bif,jbf->bji", op, g_vals.reshape(m, len(op), -1))
-    upd = scatter @ contrib.reshape(len(contrib), -1)
-    return np.moveaxis(upd.reshape(-1, m, op.shape[1]), 1, 0)
+    (m, nbf*nqf) at the canonically parametrized face data points of
+    `boundary_face_sides`: -A_IT P_M g through the boundary-face columns
+    of the `BlockTables` coupling, P_M g the L² projection of g onto the
+    face basis, that is -<P_M g, r·n> and <tau P_M g, v>, summed over both
+    boundary faces of a corner element.  The face rule is exact for
+    P_k × P_k, so these are the moments of g itself to rounding."""
+    be, bl = disc.boundary_face_sides()
+    m, nfd = len(g_vals), disc.ndof_face
+    # the face basis is orthonormal, but its data-rule mass is the
+    # identity only to rounding, 2.1e-13 off for P^3
+    Psi_w = disc.Psi_fdata * disc.w_fdata
+    project = np.linalg.solve(Psi_w @ disc.Psi_fdata.T, Psi_w)
+    # the traces of the elements with a boundary face, zero on the others
+    elems, at = np.unique(be, return_inverse=True)
+    traces = np.zeros((m, len(elems), 3, nfd))
+    traces[:, at, bl] = g_vals.reshape(m, len(be), -1) @ project.T
+    rows = np.zeros((m, disc.mesh.n_elements, 3 * disc.ndof_u))
+    rows[:, elems] = -(tables.A_IT[elems] @ traces.reshape(
+        m, len(elems), 3 * nfd, 1))[..., 0]
+    return rows
 
 
 def assemble_all_rhs(disc, ops, data_rows, u_prev, q_prev):

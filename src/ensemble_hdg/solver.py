@@ -14,10 +14,11 @@ stack of plain callables, resampled at every level, while the members'
 mean samples stay.  The deviation weights θ̄ - θ_j build the RHS
 operators, whose c and velocity parts are each kept while their own
 images and weights stay.  Autonomous coefficients are evaluated once.
-Every state is of degree k, the initial one Π_k u0.  The sources f and
-the Dirichlet data g enter as interior-row moments through two more
-FieldStacks, so no step samples separable data.  Every sample and weight
-the solver reads has passed its FieldStack's finiteness gate.
+Every state is of degree k, the initial one Π_k u0.  The sources f enter
+as interior-row moments and the Dirichlet data g as the boundary traces
+P_M g through the coupling A_IT (`local.boundary_rows`), each through one
+more FieldStack, so no step samples separable data.  Every sample and
+weight the solver reads has passed its FieldStack's finiteness gate.
 
 States are immutable: step() returns a fresh state, the previous one is
 never written to, so observers may safely keep references.
@@ -218,7 +219,8 @@ def initialize(spec, disc):
 
     The element bases are hierarchical, so u is the leading d coefficients
     of Pi_(k+1) u0; q keeps its gradient, and with it the rate k+1.  u0
-    and c are sampled through `problems.FieldStack`s at t = 0.
+    and c are sampled through `problems.FieldStack`s at t = 0; a c sample
+    that is not positive raises `local.CoefficientError` naming it.
     """
     from .problems import FieldStack
 
@@ -233,6 +235,12 @@ def initialize(spec, disc):
     u0 = at_start([lambda x, y, t, f=m.u0: f(x, y) for m in spec.members],
                   "u0")
     c0 = at_start([m.c for m in spec.members], "c")
+    bad = np.argwhere(c0.reshape(len(c0), -1) <= 0)
+    if len(bad):
+        j, p = bad[0]
+        raise local.CoefficientError(
+            f"member {j + 1}: the c sample at ({float(x[p])}, "
+            f"{float(y[p])}) at t = 0.0 is not positive")
     # the bases are orthonormal, but their data-rule mass matrices are the
     # identity only to rounding (5.2e-12 off for P^4): without these solves
     # projecting a k=2 projection again would move its q by 1.2e-13
@@ -272,7 +280,7 @@ class EnsembleSolver:
         Time step (the caller is responsible for T/dt being integral).
     tau : float, optional
         Stabilization constant; chosen via choose_tau when omitted.  The
-        local blocks and the boundary-data operator are built for it once.
+        `local.BlockTables` are built for it once.
     strict_admissibility : bool
         Raise instead of warn when the sampled mean condition fails.
     check_residuals : bool
@@ -300,20 +308,20 @@ class EnsembleSolver:
         from .problems import FieldStack
 
         x, y = disc.x_data_flat, disc.y_data_flat
-        lag = self._block_tables.lag
+        tables = self._block_tables
         # c and β enter the blocks as the terms of their modes: separable
         # coefficients are projected here, once
-        self._c = FieldStack([m.c for m in spec.members], x, y,
-                             lambda c: local.c_terms(disc, lag, c), None, "c")
+        self._c = FieldStack(
+            [m.c for m in spec.members], x, y,
+            lambda c: local.c_terms(disc, tables, c), None, "c")
         # β at the element data points, then the face data points
         self._beta = FieldStack(
             [m.beta for m in spec.members],
             np.concatenate([x, disc.xf_fdata_flat]),
             np.concatenate([y, disc.yf_fdata_flat]),
-            lambda b: local.beta_terms(disc, lag, b), None, "beta")
-        # f and g enter the step as interior-row moments: separable data
+            lambda b: local.beta_terms(disc, tables, b), None, "beta")
+        # f and g enter the step as interior rows: separable data
         # are projected here, once, and a step adds T_i(t) times them
-        bnd_op = local.boundary_data_operator(disc, self.tau)
         Xb = disc.Xf_fdata[disc.boundary_face_sides()]
         self._f_rows = FieldStack(
             [m.f for m in spec.members], x, y,
@@ -321,7 +329,7 @@ class EnsembleSolver:
         self._g_rows = FieldStack(
             [m.g for m in spec.members], Xb[..., 0].ravel(),
             Xb[..., 1].ravel(),
-            lambda g: local.boundary_rows(disc, bnd_op, g), None, "g")
+            lambda g: local.boundary_rows(disc, tables, g), None, "g")
         if spec.autonomous:
             self._coeff_cache = self._coefficients(0.0)
             self._ensure_system(self._coeff_cache)
@@ -432,8 +440,11 @@ class EnsembleSolver:
         for autonomous problems, whose separable coefficients must then
         have the weights of t_0 at every level), starts from `initialize`
         and returns the final state.  Observers are callables
-        (n, t_n, state) receiving the accepted state read-only.
+        (n, t_n, state) receiving the accepted state read-only.  T must be
+        finite and not negative; T = 0 returns the initial state.
         """
+        if not 0 <= T < np.inf:
+            raise ValueError(f"final time T = {T!r}: give a finite T >= 0")
         ratio = T / self.dt
         N = int(round(ratio))
         if abs(ratio - N) > 1e-6 * max(1, N):

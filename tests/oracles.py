@@ -416,7 +416,9 @@ class LoopErrorAccumulator:
         for j, m in enumerate(self.spec.members):
             ue = disc.sample_scalar(m.exact_u, t)
             qe = disc.sample_vector(m.exact_q, t)
-            self.eq_sq[j] += self.dt * l2_norm_squared(disc, s["q"][j] - qe)
+            dq = s["q"][j] - qe
+            self.eq_sq[j] += self.dt * (l2_norm_squared(disc, dq[..., 0]) +
+                                        l2_norm_squared(disc, dq[..., 1]))
             self.eustar_sq[j] += self.dt * l2_norm_squared(
                 disc, star[j] - ue)
             if self.final_step is None or n == self.final_step:

@@ -412,6 +412,29 @@ def test_non_finite_c_at_the_start_is_named(mesh2):
         initialize(spec, disc)
 
 
+def test_a_zero_c_at_the_start_is_named(mesh2):
+    """c_1 = 1 + t and c_2 = t, with u0 = x(1-x)y(1-y): q0 = -grad u0 / c0
+    used to divide by zero, and the run marched to a non-finite state
+    after the admissibility warning alone.  initialize names member 2
+    and its first data point at t = 0, before any step."""
+    members = constant_members([1.0, 0.0], [(0, 0)] * 2)
+    for m, c0 in zip(members, (1.0, 0.0)):
+        m.c = lambda x, y, t, c0=c0: np.full_like(x, c0 + t)
+        m.u0 = lambda x, y: x * (1 - x) * y * (1 - y)
+    spec = ProblemSpec(members, autonomous=False)
+    disc = Discretization(mesh2, 1)
+    message = named(f"member 2: the c sample at ({float(disc.x_data_flat[0])}"
+                    f", {float(disc.y_data_flat[0])}) at t = 0.0 is not "
+                    f"positive")
+    with pytest.raises(CoefficientError, match=message):
+        initialize(spec, disc)
+    solver = EnsembleSolver(disc, spec, dt=0.25, tau=1.0)
+    with pytest.warns(UserWarning, match="admissibility"), \
+            pytest.raises(CoefficientError, match=message):
+        solver.run(1.0)
+    assert solver.n_steps == 0
+
+
 def test_initialize_example1_is_zero(mesh2):
     disc = Discretization(mesh2, 0)
     state = initialize(example1(), disc)
@@ -437,6 +460,19 @@ def test_run_zero_steps_returns_initial(mesh2):
     solver = EnsembleSolver(disc, spec, dt=0.5)
     state = solver.run(0.0)
     assert state.n == 0 and state.t == 0.0
+
+
+@pytest.mark.parametrize("T", [-1.0, float("nan"), float("inf")])
+def test_run_rejects_a_negative_or_non_finite_final_time(mesh2, T):
+    """run(-1.0) used to return the initial state, run(nan) and run(inf)
+    to fail in the step count's integer conversion; each is now named
+    before any step."""
+    spec = ProblemSpec(constant_members([1.0], [(0, 0)]), autonomous=True)
+    solver = EnsembleSolver(Discretization(mesh2, 0), spec, dt=0.5)
+    with pytest.raises(ValueError, match=named(
+            f"final time T = {T!r}: give a finite T >= 0")):
+        solver.run(T)
+    assert solver.n_steps == 0
 
 
 def test_problem_spec_requires_autonomous():
@@ -580,7 +616,7 @@ def test_lag_terms_skipped_for_single_member(mesh2):
     ops = solver._ops
     assert not ops.mass_c.any() and not ops.u_op[..., d:, :].any()
     time_mass = disc.geom.det[:, None, None] / 0.5 * \
-        solver._block_tables.lag.mass
+        solver._block_tables.mass
     assert np.array_equal(ops.u_op[0, :, :d], time_mass)
 
 
