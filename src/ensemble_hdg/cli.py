@@ -97,8 +97,7 @@ def _final_time(merged, problem):
 
 
 def _levels(merged, default):
-    raw = merged.get("levels", default)
-    return _parse_levels(raw) if isinstance(raw, str) else raw
+    return _parse_levels(merged.get("levels", default))
 
 
 def _mesh_and_steps(merged, problem, default_level):

@@ -8,19 +8,19 @@ errors accumulate over the trajectory,
     Eu*  = sqrt( dt * sum_n ||u_j^n  - u_jh^n*||^2 )
 
 with all norms the elementwise quadrature at the data rule (order 2k+4),
-for all members at once.  The observer works in coefficient space.  The
-bases are orthonormal and the data rule is exact for their products, so
-with Pi the data-rule L2 projection onto the discrete space of v_h (P_k
-for q, P_(k+1) for u*) the norm splits exactly,
+for all members at once.  The observer works in coefficient space.  With
+Pi the data-rule L2 projection onto the discrete space of v_h (P_k for
+q, P_(k+1) for u*), `local.projection`, which solves with the mass, the
+norm splits exactly,
 
     ||v - v_h||^2 = ||v - Pi v||^2 + ||Pi v - v_h||^2,
 
 where the second term is a sum of squared coefficient differences
-weighted by the element Jacobians.  The exact fields go through
-`problems.FieldStack` evaluators bound to the data rule, q as a stack of
-vector fields: for separable fields Pi of each spatial factor (e_x S or
-e_y S for q) and the Gram matrix of the factors' residuals are built
-once, so a step evaluates only the time factors.
+weighted by the element Jacobians, the bases being orthonormal.  The
+exact fields go through `problems.FieldStack` evaluators bound to the
+data rule, q as a stack of vector fields: for separable fields Pi of
+each spatial factor (e_x S or e_y S for q) and the Gram matrix of the
+factors' residuals are built once, and a step evaluates only T_i(t).
 The postprocessed field comes from the Postprocessor's linear maps of q,
 which are linear in c: `Postprocessor.operator_stack` builds them through
 a third FieldStack, so for separable c a step only weights the maps of
@@ -30,6 +30,7 @@ once, at the final step, from the point samples of the state.
 
 import numpy as np
 
+from .local import projection
 from .postprocess import Postprocessor
 from .problems import FieldStack
 from .solver import state_samples
@@ -39,29 +40,6 @@ def l2_norm_squared(disc, vals):
     """Elementwise quadrature of ||field||^2 from scalar data-rule point
     values (..., ne, nq); leading axes are preserved."""
     return (vals ** 2 @ disc.w_data) @ disc.geom.det
-
-
-def _projection(disc, V):
-    """The data-rule L2 projection onto the element basis V (dm, nq) and
-    its weighted residual, as the `project` and `residual` maps of a
-    `FieldStack` on the flat data-rule points: (m, ne, dm) of samples
-    (m, ne*nq), (m, 2, ne, dm) of vector samples (m, ne*nq, 2)."""
-    ne = disc.mesh.n_elements
-    VwT = (V * disc.w_data).T
-    root_w = np.sqrt(disc.geom.det)[:, None] * np.sqrt(disc.w_data)
-
-    def by_element(samples):
-        s = np.moveaxis(samples, 2, 1) if samples.ndim == 3 else samples
-        return s.reshape(s.shape[:-1] + (ne, -1))
-
-    def project(samples):
-        return by_element(samples) @ VwT
-
-    def residual(samples):
-        s = by_element(samples)
-        return ((s - (s @ VwT) @ V) * root_w).reshape(len(samples), -1)
-
-    return project, residual
 
 
 class ErrorAccumulator:
@@ -88,9 +66,9 @@ class ErrorAccumulator:
         self.post = Postprocessor(disc)
         x, y = disc.x_data_flat, disc.y_data_flat
         self._u = FieldStack([m.exact_u for m in spec.members], x, y,
-                             *_projection(disc, disc.V_hi_data), "exact_u")
+                             *projection(disc, disc.V_hi_data), "exact_u")
         self._q = FieldStack([m.exact_q for m in spec.members], x, y,
-                             *_projection(disc, disc.V_data), "exact_q")
+                             *projection(disc, disc.V_data), "exact_q")
         self.ustar_map = self.post.operator_stack(
             [m.c for m in spec.members])
 

@@ -28,6 +28,9 @@ the two parts add up to each member's own operator.  `BlockTables` holds
 what no coefficient touches, the blocks and the basis-product tables
 alike; `source_rows` and `boundary_rows` are the data rows of the RHS,
 linear in the data samples as well.
+
+`projector` is the one data-rule L2 projection: P_M g in `boundary_rows`,
+Π_(k+1) u and Π_k q (`projection`) in `solver.initialize` and `errors`.
 """
 
 import numpy as np
@@ -146,25 +149,23 @@ def assemble_all_blocks(disc, tables, c, beta):
 
 
 class BatchedCondensed:
-    """Schur complements and lifting maps of all condensed elements.
+    """Schur complements and interior maps of all condensed elements.
 
     schur       : (ne, T, T) trace block  A_TT - A_TI A_II^-1 A_IT
     solve_int   : W = A_II^-1
-    lift        : W A_IT  (trace -> interior)
     reduce_rhs  : A_TI W  (interior RHS -> trace RHS correction)
 
     The interior unknowns of an element are recovered from its traces t
-    and interior RHS b as solve_int b - lift t.
+    and interior RHS b as W (b - A_IT t), A_IT that of the `BlockTables`.
 
     With B = I₂⊗M, BiC = B⁻¹C and Si = (A + Cᵀ BiC)⁻¹, the inverse of
     A_II = [[B, -C], [Cᵀ, A]] is W = [[B⁻¹ - BiC Si BiCᵀ, BiC Si],
     [-Si BiCᵀ, Si]], refined once as in `condense_all`.
     """
 
-    def __init__(self, schur, solve_int, lift, reduce_rhs):
+    def __init__(self, schur, solve_int, reduce_rhs):
         self.schur = schur
         self.solve_int = solve_int
-        self.lift = lift
         self.reduce_rhs = reduce_rhs
 
 
@@ -223,8 +224,7 @@ def condense_all(tables, M, A, A_TI):
     R[:, :, 2 * d:] += np.eye(d)
     W += W[:, :, 2 * d:] @ R
     G = A_TI @ W
-    return BatchedCondensed(tables.A_TT - G @ tables.A_IT, W,
-                            W @ tables.A_IT, G)
+    return BatchedCondensed(tables.A_TT - G @ tables.A_IT, W, G)
 
 
 def c_terms(disc, tables, samples):
@@ -321,6 +321,37 @@ def rhs_operators(disc, tables, c, beta, kept):
     return RHSOperators(c, beta, mass_c, u_op)
 
 
+def projector(V, w):
+    """The map (nq, dm) of samples at the points of a rule of weights w
+    to the coefficients of their L2 projection onto the basis values V
+    (dm, nq) in its inner product.  The bases are orthonormal, but their
+    data-rule mass is the identity only to 5.2e-12 (P^4): it solves."""
+    return np.linalg.solve((V * w) @ V.T, V * w).T
+
+
+def projection(disc, V):
+    """The data-rule L2 projection onto the element basis V (dm, nq) and
+    its weighted residual, as the `project` and `residual` maps of a
+    `problems.FieldStack` on the flat data-rule points: (m, ne, dm) of
+    samples (m, ne*nq), (m, 2, ne, dm) of vector samples (m, ne*nq, 2)."""
+    ne = disc.mesh.n_elements
+    P = projector(V, disc.w_data)
+    root_w = np.sqrt(disc.geom.det)[:, None] * np.sqrt(disc.w_data)
+
+    def by_element(samples):
+        s = np.moveaxis(samples, 2, 1) if samples.ndim == 3 else samples
+        return s.reshape(s.shape[:-1] + (ne, -1))
+
+    def project(samples):
+        return by_element(samples) @ P
+
+    def residual(samples):
+        s = by_element(samples)
+        return ((s - (s @ P) @ V) * root_w).reshape(len(samples), -1)
+
+    return project, residual
+
+
 def source_rows(disc, f_vals):
     """The u-rows (f, v) (m, ne, d) of source samples f_vals (m, ne*nq)
     at the data rule."""
@@ -334,19 +365,17 @@ def boundary_rows(disc, tables, g_vals):
     (m, nbf*nqf) at the canonically parametrized face data points of
     `boundary_face_sides`: -A_IT P_M g through the boundary-face columns
     of the `BlockTables` coupling, P_M g the L² projection of g onto the
-    face basis, that is -<P_M g, r·n> and <tau P_M g, v>, summed over both
-    boundary faces of a corner element.  The face rule is exact for
-    P_k × P_k, so these are the moments of g itself to rounding."""
+    face basis (`projector`), that is -<P_M g, r·n> and <tau P_M g, v>,
+    summed over both boundary faces of a corner element.  The face rule
+    is exact for P_k × P_k, so these are the moments of g itself to
+    rounding."""
     be, bl = disc.boundary_face_sides()
     m, nfd = len(g_vals), disc.ndof_face
-    # the face basis is orthonormal, but its data-rule mass is the
-    # identity only to rounding, 2.1e-13 off for P^3
-    Psi_w = disc.Psi_fdata * disc.w_fdata
-    project = np.linalg.solve(Psi_w @ disc.Psi_fdata.T, Psi_w)
     # the traces of the elements with a boundary face, zero on the others
     elems, at = np.unique(be, return_inverse=True)
     traces = np.zeros((m, len(elems), 3, nfd))
-    traces[:, at, bl] = g_vals.reshape(m, len(be), -1) @ project.T
+    traces[:, at, bl] = g_vals.reshape(m, len(be), -1) @ projector(
+        disc.Psi_fdata, disc.w_fdata)
     rows = np.zeros((m, disc.mesh.n_elements, 3 * disc.ndof_u))
     rows[:, elems] = -(tables.A_IT[elems] @ traces.reshape(
         m, len(elems), 3 * nfd, 1))[..., 0]

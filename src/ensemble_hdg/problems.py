@@ -232,13 +232,6 @@ class FieldStack:
         return mode_sum(W, self._images), ((W @ self._gram) * W).sum(1)
 
 
-def _no_time(fn):
-    def wrapped(x, y):
-        return fn(x, y, 0.0)
-
-    return wrapped
-
-
 def manufactured_member(c_expr, beta_exprs, u_expr):
     """Build a Member from symbolic (c, beta, u) with induced data.
 
@@ -261,7 +254,7 @@ def manufactured_member(c_expr, beta_exprs, u_expr):
         beta=_vector_fn(bx, by),
         f=_scalar_fn(f_expr),
         g=u_fn,
-        u0=_no_time(_scalar_fn(u_expr.subs(_T, 0))),
+        u0=_scalar_fn(u_expr.subs(_T, 0)),
         exact_u=u_fn,
         exact_q=_vector_fn(qx, qy),
     )
@@ -327,9 +320,9 @@ def constant_ensemble(c_values, beta_values, f_values, default_T, name):
     """Ensemble with constant coefficients, g = 0 and u0 = 0.
 
     c_values, f_values are per-member scalars; beta_values per-member
-    (bx, by) pairs.  This is the family expressible in config files.  c,
-    β and f are SeparableFields of the one spatial factor 1, so the
-    members share one mode per coefficient.
+    (bx, by) pairs.  This is the family expressible in config files.
+    Every field is a SeparableField of the one spatial factor 1, so the
+    members share one mode per field, and g is projected once.
     """
     def constant(value):
         return SeparableField([lambda t: value], [lambda x, y: 1.0])
@@ -345,8 +338,8 @@ def constant_ensemble(c_values, beta_values, f_values, default_T, name):
             c=constant(cj),
             beta=VectorField(constant(bx), constant(by)),
             f=constant(fj),
-            g=lambda x, y, t: np.zeros_like(x),
-            u0=lambda x, y: np.zeros_like(x),
+            g=constant(0.0),
+            u0=constant(0.0),
         ))
     return ProblemSpec(members, autonomous=True, default_T=default_T,
                        name=name)

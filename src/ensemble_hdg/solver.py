@@ -14,11 +14,12 @@ stack of plain callables, resampled at every level, while the members'
 mean samples stay.  The deviation weights θ̄ - θ_j build the RHS
 operators, whose c and velocity parts are each kept while their own
 images and weights stay.  Autonomous coefficients are evaluated once.
-Every state is of degree k, the initial one Π_k u0.  The sources f enter
-as interior-row moments and the Dirichlet data g as the boundary traces
-P_M g through the coupling A_IT (`local.boundary_rows`), each through one
-more FieldStack, so no step samples separable data.  Every sample and
-weight the solver reads has passed its FieldStack's finiteness gate.
+Every state is of degree k, the initial one Π_k u0 (`local.projection`).
+The sources f enter as interior-row moments and the Dirichlet data g as
+the boundary traces P_M g through the coupling A_IT
+(`local.boundary_rows`), each through one more FieldStack, so no step
+samples separable data.  Every sample and weight the solver reads has
+passed its FieldStack's finiteness gate.
 
 States are immutable: step() returns a fresh state, the previous one is
 never written to, so observers may safely keep references.
@@ -41,9 +42,9 @@ class Member:
 
     Fields are vectorized callables: c(x, y, t) positive scalar (inverse
     diffusion), beta(x, y, t) -> shape x.shape + (2,) divergence-free
-    velocity, f(x, y, t) source, g(x, y, t) Dirichlet datum, u0(x, y)
-    initial condition; exact_u / exact_q are optional references for error
-    studies (exact_q returns shape x.shape + (2,)).
+    velocity, f(x, y, t) source, g(x, y, t) Dirichlet datum, u0(x, y, t)
+    initial condition, read at t = 0; exact_u / exact_q are optional
+    references for error studies (exact_q returns shape x.shape + (2,)).
     """
 
     def __init__(self, c, beta, f, g, u0, exact_u=None, exact_q=None):
@@ -224,36 +225,25 @@ def initialize(spec, disc):
     """
     from .problems import FieldStack
 
-    ne, d = disc.mesh.n_elements, disc.ndof_u
-    w, V, Vh = disc.w_data, disc.V_data, disc.V_hi_data
+    J, ne, d = spec.J, disc.mesh.n_elements, disc.ndof_u
     x, y = disc.x_data_flat, disc.y_data_flat
-
-    def at_start(fields, name):
-        return FieldStack(fields, x, y, lambda s: s.reshape(len(s), ne, -1),
-                          None, name)(0.0)
-
-    u0 = at_start([lambda x, y, t, f=m.u0: f(x, y) for m in spec.members],
-                  "u0")
-    c0 = at_start([m.c for m in spec.members], "c")
-    bad = np.argwhere(c0.reshape(len(c0), -1) <= 0)
+    hi = FieldStack([m.u0 for m in spec.members], x, y,
+                    local.projection(disc, disc.V_hi_data)[0], None,
+                    "u0")(0.0)
+    c0 = FieldStack([m.c for m in spec.members], x, y, lambda s: s, None,
+                    "c")(0.0)
+    bad = np.argwhere(c0 <= 0)
     if len(bad):
         j, p = bad[0]
         raise local.CoefficientError(
             f"member {j + 1}: the c sample at ({float(x[p])}, "
             f"{float(y[p])}) at t = 0.0 is not positive")
-    # the bases are orthonormal, but their data-rule mass matrices are the
-    # identity only to rounding (5.2e-12 off for P^4): without these solves
-    # projecting a k=2 projection again would move its q by 1.2e-13
-    mass = (V * w) @ V.T
-    mass_hi = (Vh * w) @ Vh.T
-    hi = np.linalg.solve(mass_hi, np.einsum(
-        "q,jeq,iq->jei", w, u0, Vh)[..., None])[..., 0]
     # grad_x u = B^-T grad_ref u, as rows: grad_ref u^T B^-1
-    grad = np.einsum("jed,dqr->jeqr", hi, disc.Gref_hi_data) @ disc.geom.inv
-    q = np.linalg.solve(mass, np.einsum(
-        "q,jeqc,iq->jeci", w, -grad / c0[..., None], V)[..., None])[..., 0]
+    grad = np.tensordot(hi, disc.Gref_hi_data, 1) @ disc.geom.inv
+    q = local.projection(disc, disc.V_data)[0](
+        (-grad / c0.reshape(J, ne, -1, 1)).reshape(J, -1, 2))
     return EnsembleState(0, 0.0, np.ascontiguousarray(hi[..., :d]),
-                         q.reshape(q.shape[:2] + (-1,)), None)
+                         np.swapaxes(q, 1, 2).reshape(J, ne, 2 * d), None)
 
 
 def state_samples(disc, state):
@@ -424,9 +414,10 @@ class EnsembleSolver:
                     f"trace residual {res.max():.2e} exceeds 1e-10 "
                     f"at step {state.n + 1}")
         uhat_eT = (disc.trace_gather @ uhat).reshape(ne, 3 * nfd, J)
-        x_int_T = np.matmul(self.cond.solve_int, b_int_T)
-        x_int_T -= np.matmul(self.cond.lift, uhat_eT)
-        x_int = np.ascontiguousarray(np.moveaxis(x_int_T, 2, 0))
+        # b_int_T is the step's own array, a view of the fresh b_int at J=1
+        b_int_T -= np.matmul(self._block_tables.A_IT, uhat_eT)
+        x_int = np.ascontiguousarray(np.moveaxis(
+            np.matmul(self.cond.solve_int, b_int_T), 2, 0))
 
         self.n_steps += 1
         # x_int and uhat are freshly allocated: views are safe to hand out

@@ -337,21 +337,21 @@ def test_condensation_reconstructs_full_solution(mesh2, rng):
     rhs = rng.normal(size=(mesh2.n_elements, full.shape[1], 2))
     sol = np.linalg.solve(full, rhs)
     # back-substitute the exact trace part through the condensed maps
-    got = cond.solve_int @ rhs[:, :nint] - cond.lift @ sol[:, nint:]
+    got = cond.solve_int @ (rhs[:, :nint] - tables.A_IT @ sol[:, nint:])
     assert np.abs(got - sol[:, :nint]).max() < 1e-11
 
 
 def test_recover_interior_zero_and_linearity(mesh2, rng):
-    """The recovery solve_int b - lift t of every element maps zero to
+    """The recovery solve_int (b - A_IT t) of every element maps zero to
     zero and is a superposition in the trace input."""
     disc = Discretization(mesh2, 1)
     tables = BlockTables(disc, 1.0, 1.0)
     cond = condense_all(tables, *sampled_blocks(disc, tables,
                                                 *const_samples(disc)))
-    ne, nint, ntr = cond.lift.shape
+    ne, nint, ntr = tables.A_IT.shape
 
     def recover(t, b):
-        return cond.solve_int @ b[..., None] - cond.lift @ t[..., None]
+        return cond.solve_int @ (b[..., None] - tables.A_IT @ t[..., None])
 
     assert np.abs(recover(np.zeros((ne, ntr)), np.zeros((ne, nint)))).max() \
         == 0.0
@@ -377,7 +377,7 @@ def test_condense_all_matches_condense(mesh2, rng):
     J = 2
     tr = rng.normal(size=(mesh2.n_elements, A_IT.shape[2], J))
     bi = rng.normal(size=(mesh2.n_elements, A_II.shape[1], J))
-    got = cond.solve_int @ bi - cond.lift @ tr
+    got = cond.solve_int @ (bi - tables.A_IT @ tr)
     assert np.abs(got - np.linalg.solve(A_II, bi - A_IT @ tr)).max() < 1e-11
 
 

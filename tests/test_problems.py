@@ -47,7 +47,7 @@ def test_example1_configuration(ex1):
         want = np.sin(0.7) * np.sin(x) * np.sin(y) / j
         assert np.abs(m.exact_u(x, y, 0.7) - want).max() < 1e-15
         # starts from rest
-        assert np.abs(m.u0(x, y)).max() == 0.0
+        assert np.abs(m.u0(x, y, 0.0)).max() == 0.0
 
 
 def test_example1_beta_divergence_free(ex1):
@@ -144,7 +144,7 @@ def test_example3_configuration():
         assert m.c(x, y, 0.0)[0] == cj
         assert m.f(x, y, 7.0)[0] == fj
         assert m.g(x, y, 1.0)[0] == 0.0
-        assert m.u0(x, y)[0] == 0.0
+        assert m.u0(x, y, 0.0)[0] == 0.0
 
 
 def test_get_example_lookup():

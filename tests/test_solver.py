@@ -31,7 +31,7 @@ def constant_members(cs, betas):
                 [np.full_like(x, bx), np.full_like(x, by)], -1),
             f=lambda x, y, t: np.zeros_like(x),
             g=lambda x, y, t: np.zeros_like(x),
-            u0=lambda x, y: np.zeros_like(x)))
+            u0=lambda x, y, t: np.zeros_like(x)))
     return members
 
 
@@ -345,7 +345,7 @@ def test_initialize_zero_and_polynomial(mesh2):
     # u0 in P^(k+1), constant c: u is the leading d coefficients of its
     # P^(k+1) expansion, and q is exact
     members = constant_members([2.0], [(0, 0)])
-    members[0].u0 = lambda x, y: x * y + 0.5 * x ** 2 - y
+    members[0].u0 = lambda x, y, t: x * y + 0.5 * x ** 2 - y
     spec = ProblemSpec(members, autonomous=True)
     state = initialize(spec, disc)
     s = lag_samples(disc, state)
@@ -364,7 +364,7 @@ def test_initialize_zero_and_polynomial(mesh2):
 
 def test_initialize_broadcasts_a_scalar_u0(mesh2):
     members = constant_members([1.0, 2.0], [(0, 0)] * 2)
-    members[1].u0 = lambda x, y: 1.0
+    members[1].u0 = lambda x, y, t: 1.0
     disc = Discretization(mesh2, 1)
     state = initialize(ProblemSpec(members, autonomous=True), disc)
     assert np.abs(state_samples(disc, state)["u"][1] - 1.0).max() < 1e-13
@@ -376,7 +376,7 @@ def test_non_finite_u0_is_named(mesh2):
     leave that member's u NaN without a message.  The run names the
     member and the first such data point at t = 0, before any step."""
     members = constant_members([1.0, 2.0], [(0, 0)] * 2)
-    members[1].u0 = lambda x, y: np.where(x > 0.5, np.nan, 0.0)
+    members[1].u0 = lambda x, y, t: np.where(x > 0.5, np.nan, 0.0)
     disc = Discretization(mesh2, 1)
     x, y = disc.x_data_flat, disc.y_data_flat
     solver = EnsembleSolver(disc, ProblemSpec(members, autonomous=True),
@@ -420,7 +420,7 @@ def test_a_zero_c_at_the_start_is_named(mesh2):
     members = constant_members([1.0, 0.0], [(0, 0)] * 2)
     for m, c0 in zip(members, (1.0, 0.0)):
         m.c = lambda x, y, t, c0=c0: np.full_like(x, c0 + t)
-        m.u0 = lambda x, y: x * (1 - x) * y * (1 - y)
+        m.u0 = lambda x, y, t: x * (1 - x) * y * (1 - y)
     spec = ProblemSpec(members, autonomous=False)
     disc = Discretization(mesh2, 1)
     message = named(f"member 2: the c sample at ({float(disc.x_data_flat[0])}"
@@ -500,8 +500,7 @@ def test_polynomial_solution_reproduced_exactly(mesh2):
     q_ex = lambda x, y, t: np.stack([np.full_like(x, -(1 + t)),
                                      np.full_like(x, -(1 + t))], -1)
     f = lambda x, y, t: (x + y) + 0.5 * (1 + t)
-    spec = ProblemSpec([Member(c, beta, f, u_ex,
-                               lambda x, y: u_ex(x, y, 0.0), u_ex, q_ex)],
+    spec = ProblemSpec([Member(c, beta, f, u_ex, u_ex, u_ex, q_ex)],
                        autonomous=True)
     disc = Discretization(mesh2, 1)
     solver = EnsembleSolver(disc, spec, dt=0.25, tau=2.0,
@@ -1108,6 +1107,27 @@ def test_constant_ensembles_share_one_mode_per_coefficient(mesh2):
     stacks = (solver._c, solver._beta, solver._f_rows)
     assert all(s.separable for s in stacks)
     assert [s.n_modes for s in stacks] == [1, 2, 1]
+
+
+def test_constant_ensemble_projects_its_dirichlet_data_once(mesh2,
+                                                            monkeypatch):
+    """Example 3's g = 0 is a SeparableField like its c, β and f: its
+    boundary rows are built once, at construction, however many steps a
+    run takes.  A plain-callable g is projected again at every step."""
+    from ensemble_hdg import local
+
+    calls, rows = [], local.boundary_rows
+
+    def counted(*args):
+        calls.append(args)
+        return rows(*args)
+
+    monkeypatch.setattr(local, "boundary_rows", counted)
+    for steps in (2, 4):
+        calls.clear()
+        EnsembleSolver(Discretization(mesh2, 1), example3(),
+                       dt=0.025).run(steps * 0.025)
+        assert len(calls) == 1, steps
 
 
 @pytest.mark.parametrize("field, value", [("c", np.nan), ("c", np.inf),

@@ -86,8 +86,7 @@ def test_error_accumulator_exact_discrete_solution(mesh2):
     q_ex = lambda x, y, t: np.stack([np.full_like(x, -(1 + 2 * t) / 2.0),
                                      np.full_like(x, (1 + 2 * t) / 2.0)], -1)
     f = lambda x, y, t: 2 * (x - y) + (1 + 2 * t) * (0.1 - (-0.4))
-    spec = ProblemSpec([Member(c, beta, f, u_ex,
-                               lambda x, y: u_ex(x, y, 0.0), u_ex, q_ex)],
+    spec = ProblemSpec([Member(c, beta, f, u_ex, u_ex, u_ex, q_ex)],
                        autonomous=True)
     disc = Discretization(mesh2, 1)
     dt = 0.25
@@ -297,6 +296,23 @@ def test_error_accumulator_keeps_the_digits_of_a_small_error(mesh4, rng):
     assert np.all(want_u > 1e-11) and np.all(want_q > 1e-11)
     assert np.all(np.abs(got["Eu"] - want_u) < 1e-5 * want_u)
     assert np.all(np.abs(got["Eq"] - want_q) < 1e-5 * want_q)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_error_accumulator_reads_a_discrete_solution_at_rounding(mesh4, k):
+    """u = (1 + t)(x^k + 2xy^(k-1) + 1) lies in P_k, so its data-rule
+    projection leaves no error.  An observer whose projection takes the
+    data-rule mass for the identity read Eu 9.7e-15, 2.1e-14 and 5.6e-14
+    here for k = 1, 2, 3, and Eq 1.2e-14 at k = 3."""
+    x, y, t = sympy.symbols("x y t")
+    spec = ProblemSpec([manufactured_member(
+        2, (0.1, -0.4), (1 + t) * (x ** k + 2 * x * y ** (k - 1) + 1))],
+        autonomous=True)
+    disc = Discretization(mesh4, k)
+    acc = ErrorAccumulator(disc, spec, 1.0, final_step=1)
+    acc(1, 0.7, projected_state(disc, spec, 0.7))
+    got = acc.results()
+    assert got["Eu"][0] <= 4e-15 and got["Eq"][0] <= 4e-15
 
 
 def test_error_norm_quadrature_convergence():
