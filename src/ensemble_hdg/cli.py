@@ -36,7 +36,7 @@ def _parse_levels(text):
             levels = [int(v) for v in text.split(",")]
     except ValueError:
         levels = []
-    if not levels or levels != sorted(levels) or levels[0] < 0:
+    if not levels or levels != sorted(set(levels)) or levels[0] < 0:
         raise ValueError(f"levels {text!r}: give ascending levels >= 0, "
                          "e.g. 1..4 or 2,3")
     return levels

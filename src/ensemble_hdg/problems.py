@@ -4,10 +4,11 @@ constant-coefficient families.
 Manufactured members are generated symbolically: given an exact solution
 u(x, y, t), a positive inverse-diffusion c(x, y) and a velocity field, the
 flux q = -(1/c) grad u, source f = u_t + div q + beta . grad u, boundary
-datum g = u and initial value u(., 0) are derived with sympy and lambdified
-to vectorized numpy callables once at construction time.  A field whose
-time dependence splits off, sum_i T_i(t) S_i(x, y), becomes a
-SeparableField.
+datum g = u and initial value u(., 0) are derived with sympy.  A field
+whose time dependence splits off, sum_i T_i(t) S_i(x, y), becomes a
+SeparableField of scalar T_i and vectorized numpy S_i.  All the
+functions of one member are printed into one generated Python module,
+exec'd once at construction, as `sympy.lambdify` would print each alone.
 
 The library reads every member field through `FieldStack`, a joint
 evaluator bound to fixed points and to a linear map of the samples
@@ -22,6 +23,8 @@ import math
 
 import numpy as np
 import sympy
+from sympy.printing.numpy import NumPyPrinter
+from sympy.printing.pycode import PythonCodePrinter
 
 from .local import CoefficientError, mode_sum
 from .solver import Member, ProblemSpec
@@ -56,33 +59,18 @@ class SeparableField:
 
 
 def _separate_time(expr):
-    """Split an expression into [(T_i(t), S_i(x, y))] groups, or None."""
+    """Split an expression into {T_i(t): S_i(x, y)}, or None."""
     groups = {}
     for term in sympy.Add.make_args(expr):
         t_part, xy_part = term.as_independent(_X, _Y)
         if xy_part.has(_T):
             return None  # mixed factor such as sin(t + x)
-        key = sympy.srepr(t_part)
-        if key in groups:
-            groups[key] = (t_part, groups[key][1] + xy_part)
-        else:
-            groups[key] = (t_part, xy_part)
-    if len(groups) > 8:
-        return None
-    return list(groups.values())
+        groups[t_part] = groups.get(t_part, 0) + xy_part
+    return groups if len(groups) <= 8 else None
 
 
-def _scalar_fn(expr):
-    expr = sympy.sympify(expr)
-    parts = _separate_time(expr)
-    if parts is not None:
-        t_fns = [sympy.lambdify((_T,), tp, modules="math")
-                 for tp, _ in parts]
-        s_fns = [sympy.lambdify((_X, _Y), sp, modules="numpy")
-                 for _, sp in parts]
-        return SeparableField(t_fns, s_fns)
-    fn = sympy.lambdify((_X, _Y, _T), expr, modules="numpy")
-
+def _broadcast(fn):
+    """fn(x, y, t) as floats broadcast to the shape of x."""
     def wrapped(x, y, t):
         out = np.asarray(fn(x, y, t), dtype=float)
         if out.shape != np.shape(x):
@@ -90,6 +78,31 @@ def _scalar_fn(expr):
         return out
 
     return wrapped
+
+
+def _compile(exprs):
+    """The fields of the expressions `exprs` in (x, y, t), from one
+    generated module exec'd once.  A field whose time dependence splits
+    off is a SeparableField of one function per T_i(t), printed as
+    `lambdify(modules="math")` prints, and per S_i(x, y), as "numpy"
+    prints; any other field is f(x, y, t), as "numpy" prints, broadcast
+    to the shape of x."""
+    settings = {"inline": True, "allow_unknown_functions": True}
+    time, space = PythonCodePrinter(settings), NumPyPrinter(settings)
+    names, fields = {}, []  # one function per distinct factor
+    for e in exprs:
+        groups = _separate_time(e)
+        defs = [("x, y, t", space, e)] if groups is None else (
+            [("t", time, tp) for tp in groups] +
+            [("x, y", space, sp) for sp in groups.values()])
+        fields.append((groups, [names.setdefault(d, f"_{len(names)}")
+                                for d in defs]))
+    namespace = {"math": math, "numpy": np}
+    exec("".join(f"def {name}({args}): return {printer.doprint(e)}\n"
+                 for (args, printer, e), name in names.items()), namespace)
+    fns = [(g, [namespace[name] for name in ns]) for g, ns in fields]
+    return [_broadcast(f[0]) if g is None else
+            SeparableField(f[:len(g)], f[len(g):]) for g, f in fns]
 
 
 class VectorField:
@@ -101,10 +114,6 @@ class VectorField:
 
     def __call__(self, x, y, t):
         return np.stack([self.fx(x, y, t), self.fy(x, y, t)], axis=-1)
-
-
-def _vector_fn(expr_x, expr_y):
-    return VectorField(_scalar_fn(expr_x), _scalar_fn(expr_y))
 
 
 def reject_non_finite(samples, members, name, x, y, t):
@@ -248,16 +257,10 @@ def manufactured_member(c_expr, beta_exprs, u_expr):
     f_expr = (sympy.diff(u_expr, _T) + sympy.diff(qx, _X) +
               sympy.diff(qy, _Y) + bx * sympy.diff(u_expr, _X) +
               by * sympy.diff(u_expr, _Y))
-    u_fn = _scalar_fn(u_expr)
-    return Member(
-        c=_scalar_fn(c_expr),
-        beta=_vector_fn(bx, by),
-        f=_scalar_fn(f_expr),
-        g=u_fn,
-        u0=_scalar_fn(u_expr.subs(_T, 0)),
-        exact_u=u_fn,
-        exact_q=_vector_fn(qx, qy),
-    )
+    c, beta_x, beta_y, f, u, u0, q_x, q_y = _compile(
+        (c_expr, bx, by, f_expr, u_expr, u_expr.subs(_T, 0), qx, qy))
+    return Member(c=c, beta=VectorField(beta_x, beta_y), f=f, g=u, u0=u0,
+                  exact_u=u, exact_q=VectorField(q_x, q_y))
 
 
 EXAMPLE1_C = (0.26959, 0.26633, 0.30525)
@@ -330,10 +333,12 @@ def constant_ensemble(c_values, beta_values, f_values, default_T, name):
     if not len(c_values) == len(beta_values) == len(f_values):
         raise ValueError("member lists must have equal length")
     members = []
-    for cj, (bx, by), fj in zip(c_values, beta_values, f_values):
+    for j, (cj, (bx, by), fj) in enumerate(
+            zip(c_values, beta_values, f_values), 1):
         cj, bx, by, fj = float(cj), float(bx), float(by), float(fj)
-        if cj <= 0:
-            raise ValueError("inverse diffusion must be positive")
+        if not 0 < cj < math.inf:
+            raise ValueError(f"member {j}: inverse diffusion c = {cj} must "
+                             "be positive and finite")
         members.append(Member(
             c=constant(cj),
             beta=VectorField(constant(bx), constant(by)),

@@ -7,17 +7,20 @@ point samples of the previous state, the global stepper assembles the full
 uncondensed saddle system densely and solves it with numpy, the u*
 reconstruction is a dense constrained solve in a raw monomial basis, the
 error observer is the per-member quadrature loop, mesh connectivity
-is a loop over element edges into a dict, and tau samples the velocity at
-one whole-mesh point array per sampled mesh.
+is a loop over element edges into a dict, tau samples the velocity at
+one whole-mesh point array per sampled mesh, and a manufactured member's
+fields come from one `sympy.lambdify` call per time and spatial factor.
 """
 
 import numpy as np
+import sympy
 
 from ensemble_hdg.basis import (ElementBasis, monomial_exponents,
                                 triangle_quadrature)
 from ensemble_hdg.errors import l2_norm_squared
 from ensemble_hdg.mesh import build_uniform_square_mesh
-from ensemble_hdg.solver import EnsembleState
+from ensemble_hdg.problems import SeparableField, VectorField
+from ensemble_hdg.solver import EnsembleState, Member
 
 
 def monomial_full_local_matrix(disc, ie, cbar, bbar, bbar_face, tau, dt):
@@ -523,3 +526,57 @@ def whole_mesh_tau(spec, mesh):
             b = np.asarray(member.beta(x, y, 0.0), dtype=float)
             sup = max(sup, float(np.abs(b).max()))
     return 1.0 + sup
+
+
+_X, _Y, _T = sympy.symbols("x y t")
+
+
+def _lambdified_field(expr):
+    """A SeparableField of one lambdified function per T_i(t) ("math")
+    and per S_i(x, y) ("numpy"), the terms grouped by the srepr of their
+    time factor; f(x, y, t) broadcast to the shape of x when the terms do
+    not split into at most 8 such groups."""
+    groups = {}
+    for term in sympy.Add.make_args(expr):
+        t_part, xy_part = term.as_independent(_X, _Y)
+        if xy_part.has(_T):
+            groups = None
+            break
+        key = sympy.srepr(t_part)
+        old = groups[key][1] + xy_part if key in groups else xy_part
+        groups[key] = (t_part, old)
+    if groups is not None and len(groups) <= 8:
+        return SeparableField(
+            [sympy.lambdify((_T,), tp, modules="math")
+             for tp, _ in groups.values()],
+            [sympy.lambdify((_X, _Y), sp, modules="numpy")
+             for _, sp in groups.values()])
+    fn = sympy.lambdify((_X, _Y, _T), expr, modules="numpy")
+
+    def wrapped(x, y, t):
+        out = np.asarray(fn(x, y, t), dtype=float)
+        if out.shape != np.shape(x):
+            out = np.broadcast_to(out, np.shape(x)).copy()
+        return out
+
+    return wrapped
+
+
+def lambdified_member(c_expr, beta_exprs, u_expr):
+    """The Member of `problems.manufactured_member(c_expr, beta_exprs,
+    u_expr)`, each field lambdified on its own, factor by factor."""
+    c_expr = sympy.sympify(c_expr)
+    bx, by = (sympy.sympify(b) for b in beta_exprs)
+    u_expr = sympy.sympify(u_expr)
+    qx = -sympy.diff(u_expr, _X) / c_expr
+    qy = -sympy.diff(u_expr, _Y) / c_expr
+    f_expr = (sympy.diff(u_expr, _T) + sympy.diff(qx, _X) +
+              sympy.diff(qy, _Y) + bx * sympy.diff(u_expr, _X) +
+              by * sympy.diff(u_expr, _Y))
+    u = _lambdified_field(u_expr)
+    return Member(
+        c=_lambdified_field(c_expr),
+        beta=VectorField(_lambdified_field(bx), _lambdified_field(by)),
+        f=_lambdified_field(f_expr), g=u,
+        u0=_lambdified_field(u_expr.subs(_T, 0)), exact_u=u,
+        exact_q=VectorField(_lambdified_field(qx), _lambdified_field(qy)))

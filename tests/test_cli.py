@@ -104,7 +104,7 @@ def test_levels_reject_empty_descending_and_negative(tmp_path):
             main([command, "--example", "1", "--levels", "3..1", "--out",
                   str(tmp_path)])
     assert not any(tmp_path.iterdir())
-    for text in ("-1..2", "-1", "3,1"):
+    for text in ("-1..2", "-1", "3,1", "2,2,3"):
         with pytest.raises(ValueError, match=f"levels '{text}'"):
             _parse_levels(text)
     assert _parse_levels("2..4") == [2, 3, 4]

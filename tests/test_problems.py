@@ -1,13 +1,19 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+import sympy
 
+from ensemble_hdg import problems
 from ensemble_hdg.problems import (EXAMPLE1_BETA_SCALE, EXAMPLE1_C,
                                    EXAMPLE2_C, EXAMPLE3_C, EXAMPLE3_F,
+                                   SeparableField, VectorField,
                                    constant_ensemble, example1, example2,
                                    example3, get_example,
                                    manufactured_member)
+
+from oracles import lambdified_member
 
 
 @pytest.fixture(scope="module")
@@ -169,3 +175,88 @@ def test_constant_ensemble_validation():
     spec = constant_ensemble([5.0], [(1.0, 2.0)], [3.0], 0.1, "c")
     x = np.array([0.1])
     assert spec.members[0].beta(x, x, 0.0)[0, 1] == 2.0
+
+
+@pytest.mark.parametrize("c", [-2.0, math.nan, 0.0, math.inf],
+                         ids=["negative", "nan", "zero", "inf"])
+def test_constant_ensemble_names_a_bad_inverse_diffusion(c):
+    """A NaN c is not <= 0, so `c <= 0` alone would let it through."""
+    with pytest.raises(ValueError, match=rf"^member 2: inverse diffusion "
+                                         rf"c = {c} must be positive and "
+                                         rf"finite$"):
+        constant_ensemble([1.0, c, 3.0], [(0, 0)] * 3, [1.0] * 3, 0.1, "c")
+
+
+def _refactor_family():
+    """Example 1's members with inverse diffusion c_j (1 + t/2)."""
+    x, y, t = sympy.symbols("x y t")
+    for j, (cj, aj) in enumerate(zip(EXAMPLE1_C, EXAMPLE1_BETA_SCALE), 1):
+        problems.manufactured_member(
+            cj * (1 + t / 2), (aj * y, aj * x),
+            sympy.sin(t) * sympy.sin(x) * sympy.sin(y) / j)
+
+
+def _non_separable():
+    x, y, t = sympy.symbols("x y t")
+    problems.manufactured_member(2 + x, (y, -x), sympy.sin(t + x) * y)
+
+
+def _scalar_fields(member):
+    for name in ("c", "beta", "f", "g", "u0", "exact_u", "exact_q"):
+        field = getattr(member, name)
+        if isinstance(field, VectorField):
+            yield f"{name}_x", field.fx
+            yield f"{name}_y", field.fy
+        else:
+            yield name, field
+
+
+@pytest.mark.parametrize("build", [example1, example2, _refactor_family,
+                                   _non_separable],
+                         ids=["example1", "example2", "refactor",
+                              "non-separable"])
+def test_compiled_fields_equal_per_factor_lambdify_bitwise(monkeypatch, rng,
+                                                           build):
+    """Every field of every member built by `build` samples bitwise as
+    the per-factor lambdify path (`oracles.lambdified_member`) at random
+    points and t in {0, 0.37, 1}, and splits into as many factors."""
+    built = []
+
+    def recorded(*args):
+        built.append((args, manufactured(*args)))
+        return built[-1][1]
+
+    manufactured = problems.manufactured_member
+    monkeypatch.setattr(problems, "manufactured_member", recorded)
+    build()
+    assert built
+    x, y = rng.random((2, 11))
+    kinds = set()
+    for args, member in built:
+        reference = dict(_scalar_fields(lambdified_member(*args)))
+        for name, field in _scalar_fields(member):
+            old = reference[name]
+            kinds.add(type(field))
+            assert type(field) is type(old), name
+            if isinstance(field, SeparableField):
+                assert len(field._t_fns) == len(old._t_fns), name
+            for t in (0.0, 0.37, 1.0):
+                assert np.array_equal(field(x, y, t), old(x, y, t)), name
+    assert SeparableField in kinds
+    if build is _non_separable:  # u = sin(t + x) y does not split
+        assert len(kinds) == 2
+
+
+def test_example1_compiles_without_lambdify(monkeypatch):
+    """A member is one generated module: bringing back a per-factor
+    `sympy.lambdify` fails here."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy.lambdify was called")
+
+    monkeypatch.setattr(sympy, "lambdify", refuse)
+    monkeypatch.setattr(sys.modules["sympy.utilities.lambdify"], "lambdify",
+                        refuse)
+    spec = example1()
+    x = np.array([0.3])
+    assert spec.members[0].exact_u(x, x, 0.5)[0] == pytest.approx(
+        math.sin(0.5) * math.sin(0.3) ** 2)
