@@ -307,8 +307,7 @@ def rhs_operators(disc, tables, c, beta, kept):
     while the c images stay the same object and the c weights stay
     bitwise, u_op while those of the velocity modes stay.
     """
-    mesh = disc.mesh
-    d, nfd = disc.ndof_u, disc.ndof_face
+    d = disc.ndof_u
     mass_c = kept.mass_c if kept is not None and _stays(kept.c, c) else \
         mode_sum(c[0], c[1][1])
     if kept is not None and _stays(kept.beta, beta):
@@ -316,8 +315,8 @@ def rhs_operators(disc, tables, c, beta, kept):
     u_op = mode_sum(beta[0], beta[1][1])
     u_op[:, :, :d] += tables.time_mass
     # boundary faces carry no trace unknowns: their rows stay zero
-    bnd_rows = np.repeat(mesh.boundary[mesh.elem_faces], nfd, axis=1)
-    u_op[:, :, d:] = np.where(bnd_rows[:, :, None], 0.0, -u_op[:, :, d:])
+    u_op[:, :, d:] = np.where((disc.trace_dof < 0)[:, :, None], 0.0,
+                              -u_op[:, :, d:])
     return RHSOperators(c, beta, mass_c, u_op)
 
 

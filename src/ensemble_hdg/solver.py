@@ -13,8 +13,9 @@ blocks; the factorization is kept while θ̄ stays bitwise, and for a
 stack of plain callables, resampled at every level, while the members'
 mean samples stay.  The deviation weights θ̄ - θ_j build the RHS
 operators, whose c and velocity parts are each kept while their own
-images and weights stay.  Autonomous coefficients are evaluated once.
-Every state is of degree k, the initial one Π_k u0 (`local.projection`).
+images and weights stay.  So coefficients that do not change in time
+are factorized once, whatever the spec says about them.  Every state
+is of degree k, the initial one Π_k u0 (`local.projection`).
 The sources f enter as interior-row moments and the Dirichlet data g as
 the boundary traces P_M g through the coupling A_IT
 (`local.boundary_rows`), each through one more FieldStack, so no step
@@ -61,11 +62,10 @@ class ProblemSpec:
     """A J-member ensemble of convection-diffusion problems.
 
     autonomous says whether the coefficients c and beta are independent of
-    time.  It has no default: a solver samples autonomous coefficients at
-    t = 0 only.  `EnsembleSolver.run` rejects a wrong True on a separable
-    c or beta whose weights change; plain callables cannot be checked, and
-    a wrong True on them freezes the coefficient at t = 0.  Members are
-    named from 1 in messages, as in the error tables.
+    time.  The library ignores it: the solver reads c and β at every level
+    and keeps what their weights show to stay.  It has no default and is
+    passed on by `single_member`.  Members are named from 1 in messages,
+    as in the error tables.
     """
 
     def __init__(self, members, autonomous, default_T=1.0, name=""):
@@ -99,7 +99,10 @@ class AdmissibilityReport:
     ok is True when every sampled point satisfies both
     |cbar^n - c_j^n| < min(cbar^n, cbar^(n-1)) and c_j^n >= c0 > 0.
     violations lists up to `max_records` offending (j, n, x, y) tuples,
-    with j the 0-based member index (member j + 1 in messages).
+    with j the 0-based member index (member j + 1 in messages).  Repeated
+    levels of a c whose weights and samples stay, such as a separable c
+    that does not change in time, are checked and counted once, at the
+    first level that compares them.
     """
 
     def __init__(self):
@@ -133,10 +136,14 @@ def check_admissibility(spec, mesh, times):
     """Sample the ensemble-mean condition over elements and time levels.
 
     times are the discrete levels t_0..t_N: level n is checked against
-    the mean of level n-1.  Autonomous problems may pass the single level
-    t_0, which is then checked against itself.  The members' c are
-    sampled through one joint evaluator.  Returns a report instead of
-    raising; callers enforce strictness.
+    the mean of level n-1, and a single level t_0 against itself.  The
+    members' c are read through one joint evaluator, whose weights and
+    images (`FieldStack.modes`) a level n >= 2 compares with those of
+    levels n-1 and n-2: when all three are bitwise equal, its check is
+    level n-1's, and it is skipped.  A separable c is thus compared by its
+    weights before any sample is formed; plain callables are sampled at
+    every level.  Returns a report instead of raising; callers enforce
+    strictness.
     """
     from .problems import FieldStack
 
@@ -148,9 +155,16 @@ def check_admissibility(spec, mesh, times):
     report = AdmissibilityReport()
     times = list(times)
     grid = [times[0]] + times if len(times) == 1 else times
-    prev_cbar = None
+    last, prev_cbar = [], None
     for n, t in enumerate(grid):
-        cvals = c_at(t)
+        W, images = c_at.modes(t)
+        repeated = len(last) == 2 and all(
+            np.array_equal(W, w) and (images is s or np.array_equal(images, s))
+            for w, s in last)
+        last = last[-1:] + [(W, images)]
+        if repeated:
+            continue
+        cvals = local.mode_sum(W, images)
         cbar = cvals.mean(axis=0)
         report.c_min = min(report.c_min, float(cvals.min()))
         if prev_cbar is None:
@@ -267,7 +281,8 @@ class EnsembleSolver:
     disc : Discretization
     spec : ProblemSpec
     dt : float
-        Time step (the caller is responsible for T/dt being integral).
+        Time step; `run` rejects a final time T that is not a whole
+        number of steps.
     tau : float, optional
         Stabilization constant; chosen via choose_tau when omitted.  The
         `local.BlockTables` are built for it once.
@@ -320,9 +335,6 @@ class EnsembleSolver:
             [m.g for m in spec.members], Xb[..., 0].ravel(),
             Xb[..., 1].ravel(),
             lambda g: local.boundary_rows(disc, tables, g), None, "g")
-        if spec.autonomous:
-            self._coeff_cache = self._coefficients(0.0)
-            self._ensure_system(self._coeff_cache)
 
     # -- coefficient modes -----------------------------------------------
 
@@ -342,20 +354,6 @@ class EnsembleSolver:
                 built_from.append(images[0].mean(axis=0).ravel())
         return {"mean": mean, "dev": dev,
                 "built_from": np.concatenate(built_from)}
-
-    def _check_autonomous(self, times):
-        """Reject autonomous=True when the weights of a separable c or β
-        stack at one of the levels `times` differ from those at t = 0."""
-        stacks = [s for s in (self._c, self._beta) if s.separable]
-        start = [s.modes(0.0)[0] for s in stacks]
-        for t in times:
-            for stack, W0 in zip(stacks, start):
-                differ = stack.modes(t)[0] != W0
-                if differ.any():
-                    raise ValueError(
-                        f"member {np.argwhere(differ)[0, 0] + 1}: the "
-                        f"{stack.name} weights at t = {t} differ from those "
-                        f"at t = 0, but the spec is autonomous")
 
     def _ensure_system(self, coeffs):
         built_from = coeffs["built_from"]
@@ -388,8 +386,7 @@ class EnsembleSolver:
         d, nfd = disc.ndof_u, disc.ndof_face
         t1 = (state.n + 1) * self.dt
 
-        coeffs = self._coeff_cache if spec.autonomous \
-            else self._coefficients(t1)
+        coeffs = self._coefficients(t1)
         self._ensure_system(coeffs)
 
         # the parts whose images and deviation weights stay are kept
@@ -427,12 +424,12 @@ class EnsembleSolver:
     def run(self, T, observers=()):
         """March N = round(T / dt) steps, invoking observers after each.
 
-        The run checks the ensemble-mean condition on t_0..t_N (t_0 alone
-        for autonomous problems, whose separable coefficients must then
-        have the weights of t_0 at every level), starts from `initialize`
-        and returns the final state.  Observers are callables
-        (n, t_n, state) receiving the accepted state read-only.  T must be
-        finite and not negative; T = 0 returns the initial state.
+        The run checks the ensemble-mean condition on t_0..t_N
+        (`check_admissibility`), starts from `initialize` and returns the
+        final state; every step reads c and β at its own level.
+        Observers are callables (n, t_n, state) receiving the accepted
+        state read-only.  T must be finite and not negative; T = 0
+        returns the initial state.
         """
         if not 0 <= T < np.inf:
             raise ValueError(f"final time T = {T!r}: give a finite T >= 0")
@@ -441,12 +438,8 @@ class EnsembleSolver:
         if abs(ratio - N) > 1e-6 * max(1, N):
             raise ValueError(
                 f"T/dt = {ratio} is not integral; snap dt first")
-        times = [i * self.dt for i in range(N + 1)]
-        if self.spec.autonomous:
-            self._check_autonomous(times[1:])
         report = check_admissibility(
-            self.spec, self.disc.mesh,
-            times[:1] if self.spec.autonomous else times)
+            self.spec, self.disc.mesh, [i * self.dt for i in range(N + 1)])
         if not report.ok:
             msg = f"ensemble-mean admissibility violated: {report!r}"
             if self.strict_admissibility:

@@ -312,7 +312,7 @@ def test_interior_inverse_is_componentwise_backward_stable(k):
     and the march state drifts 30 times further from a long-double one."""
     disc = Discretization(build_uniform_square_mesh(8), k)
     solver = EnsembleSolver(disc, example1(), 1 / 16)
-    level, tables = solver._coeff_cache, solver._block_tables
+    level, tables = solver._coefficients(1 / 16), solver._block_tables
     blocks = assemble_all_blocks(disc, tables, *level["mean"])
     A_II = dense_blocks(tables, *blocks)[0]
     W = condense_all(tables, *blocks).solve_int

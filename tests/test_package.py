@@ -11,8 +11,9 @@ static attribute access there, and none may be named like a public
 ndarray attribute, whose reads such an access cannot tell apart; no
 module of the library sets a private attribute on an object other than
 self, nor reads one there unless a class of that module sets or defines
-it; and every name a module of the library, the tests or the benchmark
-imports must be used in that module or listed in its __all__.
+it; no module of the library reads an attribute named autonomous outside
+ProblemSpec; and every name a module of the library, the tests or the
+benchmark imports must be used in that module or listed in its __all__.
 """
 
 import ast
@@ -204,6 +205,35 @@ def test_no_private_attribute_read_on_other_objects():
     found = [entry for path in sorted(SRC.glob("*.py"))
              for entry in foreign_private_reads(path)]
     assert not found, f"private attributes of other modules read: {found}"
+
+
+def autonomy_reads(path):
+    """Reads of an attribute named autonomous, as `obj.autonomous` or
+    `getattr(obj, "autonomous")`, in the module at path outside the class
+    ProblemSpec."""
+    tree = ast.parse(path.read_text())
+    inside = {id(node) for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and cls.name == "ProblemSpec"
+              for node in ast.walk(cls)}
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if id(node) not in inside and (
+                isinstance(node, ast.Attribute) and
+                isinstance(node.ctx, ast.Load) and
+                node.attr == "autonomous" or
+                isinstance(node, ast.Call) and
+                isinstance(node.func, ast.Name) and
+                node.func.id == "getattr" and len(node.args) >= 2 and
+                isinstance(node.args[1], ast.Constant) and
+                node.args[1].value == "autonomous")]
+
+
+def test_library_does_not_read_the_autonomous_flag():
+    """The solver reads c and β at every level and keeps what their
+    weights show to stay, so the spec's autonomous flag selects nothing:
+    no module may branch on it again."""
+    found = [entry for path in sorted(SRC.glob("*.py"))
+             for entry in autonomy_reads(path)]
+    assert not found, f"autonomous read outside ProblemSpec: {found}"
 
 
 def test_allowlist_names_exist():

@@ -185,6 +185,88 @@ def test_admissibility_report_counts_every_violation(mesh2):
     assert report.c_min == min(float(np.min(ct)) for ct in c)
 
 
+def counted_factors(fields, fns, calls):
+    """Wrap the factors `fns` ("_t_fns" or "_s_fns") of the separable
+    fields so that each call appends its first argument to calls."""
+    def counted(fn):
+        def wrapped(*args):
+            calls.append(args[0])
+            return fn(*args)
+        return wrapped
+
+    for field in fields:
+        assert isinstance(field, SeparableField)
+        factors = getattr(field, fns)
+        factors[:] = [counted(fn) for fn in factors]
+
+
+def report_fields(report):
+    return (report.ok, report.c_min, report.violations, report.n_violations)
+
+
+@pytest.mark.parametrize("build", ["example1", "violated"])
+def test_admissibility_samples_separable_autonomous_c_once(mesh4, build):
+    """Example 1, and a constant ensemble with c = (1, 3, 20) that fails
+    the condition, over the 129 levels of the march benchmark: the
+    spatial factors of c are sampled once, the weights are read at every
+    level, and the report is that of t_0 alone."""
+    from ensemble_hdg.problems import constant_ensemble
+
+    spec = example1() if build == "example1" else constant_ensemble(
+        (1.0, 3.0, 20.0), [(0.0, 0.0)] * 3, (0.0,) * 3, 1.0, "violated")
+    times = [n / 128 for n in range(129)]
+    first = check_admissibility(spec, mesh4, [0.0])
+    spatial, weights = [], []
+    fields = [m.c for m in spec.members]
+    counted_factors(fields, "_s_fns", spatial)
+    counted_factors(fields, "_t_fns", weights)
+    report = check_admissibility(spec, mesh4, times)
+    assert len(spatial) == sum(len(c._s_fns) for c in fields)
+    assert sorted(set(weights)) == times
+    assert report_fields(report) == report_fields(first)
+    assert report.ok == (build == "example1")
+
+
+def test_admissibility_reports_moving_weights_at_every_level(mesh2):
+    """c_j = c_j^0 (1 - t/4) with c^0 = (1, 3, 20): the weights move at
+    every level, member 3 violates the condition at every point of every
+    level, and each level is sampled and counted."""
+    def one(x, y):
+        return np.ones_like(x)
+
+    members = constant_members([1.0, 3.0, 20.0], [(0, 0)] * 3)
+    for m, c0 in zip(members, (1.0, 3.0, 20.0)):
+        m.c = SeparableField([lambda t, c0=c0: c0 * (1 - t / 4)], [one])
+    times = [0.0, 0.25, 0.5, 0.75, 1.0]
+    weights = []
+    counted_factors([m.c for m in members], "_t_fns", weights)
+    report = check_admissibility(ProblemSpec(members, autonomous=False),
+                                 mesh2, times)
+    npts = mesh2.n_elements * len(triangle_quadrature(6).weights)
+    assert sorted(set(weights)) == times
+    assert report.n_violations == 4 * npts
+    assert {j for j, *_ in report.violations} == {2}
+    assert report.c_min == 0.75
+
+
+def test_admissibility_samples_plain_c_at_every_level(mesh2):
+    """A plain callable c cannot show that it stays: it is sampled at
+    every level.  The constant c = (1, 3, 20) repeats its samples, so its
+    report is that of t_0 alone."""
+    read = []
+    members = constant_members([1.0, 3.0, 20.0], [(0, 0)] * 3)
+    for m, c0 in zip(members, (1.0, 3.0, 20.0)):
+        m.c = lambda x, y, t, c0=c0: read.append(t) or np.full_like(x, c0)
+    spec = ProblemSpec(members, autonomous=True)
+    times = [0.0, 0.25, 0.5, 0.75, 1.0]
+    first = check_admissibility(spec, mesh2, [0.0])
+    read.clear()
+    report = check_admissibility(spec, mesh2, times)
+    assert sorted(read) == sorted(times * 3)
+    assert not report.ok
+    assert report_fields(report) == report_fields(first)
+
+
 def named(message):
     """The pattern of exactly `message`."""
     return "^" + re.escape(message) + "$"
@@ -476,9 +558,10 @@ def test_run_rejects_a_negative_or_non_finite_final_time(mesh2, T):
 
 
 def test_problem_spec_requires_autonomous():
-    """A solver samples autonomous coefficients at t = 0 only, so a
-    defaulted autonomous=True would freeze a time-dependent c without a
-    word: every spec says which it is."""
+    """The library ignores the flag: the solver reads c and β at every
+    level.  It stays a required argument until it is deleted (ROADMAP
+    item 11), because the benchmark passes and reads it; a default would
+    add a parameter that selects nothing."""
     with pytest.raises(TypeError, match="autonomous"):
         ProblemSpec(constant_members([1.0], [(0, 0)]))
 
@@ -606,7 +689,7 @@ def test_lag_terms_skipped_for_single_member(mesh2):
     spec = example1().single_member(1)
     disc = Discretization(mesh2, 1)
     solver = EnsembleSolver(disc, spec, dt=0.5)
-    level = solver._coeff_cache
+    level = solver._coefficients(0.5)
     assert all(w.shape[0] == 1 and not w.any() for w, _ in level["dev"])
     # a mode whose deviation weights are all zero adds nothing: the lag
     # operators hold only the (1/dt) mass
@@ -664,38 +747,43 @@ def test_factorization_is_kept_while_the_mean_weights_stay(mesh2):
     assert systems[1] is not systems[0] and systems[2] is systems[1]
 
 
-def test_wrong_autonomous_flag_is_named(mesh4):
-    """The refactor family flagged autonomous: frozen at t = 0 its c would
-    factorize once instead of four times and end 1.9% off in u (max
-    norm).  Its c weights at t_1 differ from those at t_0, and the run
-    names member 1 and c before the first step.  A separable β whose y
-    component grows with t is named by its member."""
-    spec = ProblemSpec(scaled_example1(1).members, autonomous=True)
-    solver = EnsembleSolver(Discretization(mesh4, 1), spec, dt=0.25)
-    with pytest.raises(ValueError, match="^member 1: the c weights at "
-                                         "t = 0.25 differ from those at "
-                                         "t = 0, but the spec is "
-                                         "autonomous$"):
-        solver.run(1.0)
-    assert solver.n_steps == 0
+def runs_flagged_both_ways(members, mesh, k, dt, T):
+    """The final states and factorization counts of the members run
+    flagged autonomous, then flagged not."""
+    disc = Discretization(mesh, k)
+    out = []
+    for autonomous in (True, False):
+        solver = EnsembleSolver(
+            disc, ProblemSpec(members, autonomous=autonomous), dt=dt)
+        out.append((solver.run(T), solver.n_factorizations))
+    return out
 
+
+def assert_states_equal(a, b):
+    for name in ("u", "q", "uhat"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_autonomous_flag_does_not_freeze_separable_coefficients(mesh4):
+    """The refactor family, whose c weights move at every step, and a
+    separable β whose y component grows with t: flagged autonomous, the
+    solver used to stop the run before its first step.  The flag is now
+    ignored, and either family runs bitwise as it does unflagged, with one
+    factorization per step."""
     def one(x, y):
         return np.ones_like(x)
 
-    members = constant_members([1.0, 2.0], [(0, 0)] * 2)
-    for m, grows in zip(members, (0.0, 1.0)):
+    growing = constant_members([1.0, 2.0], [(0, 0)] * 2)
+    for m, grows in zip(growing, (0.0, 1.0)):
         m.c = SeparableField([lambda t: 1.0], [one])
         m.beta = VectorField(
             SeparableField([lambda t: 0.5], [one]),
             SeparableField([lambda t, g=grows: 0.2 * (1 + g * t)], [one]))
-    spec = ProblemSpec(members, autonomous=True)
-    solver = EnsembleSolver(Discretization(mesh4, 1), spec, dt=0.25)
-    with pytest.raises(ValueError, match="^member 2: the beta weights "
-                                         "at t = 0.25 differ from those "
-                                         "at t = 0, but the spec is "
-                                         "autonomous$"):
-        solver.run(1.0)
-    assert solver.n_steps == 0
+    for members in (scaled_example1(1).members, growing):
+        (flagged, n_flagged), (plain, n_plain) = runs_flagged_both_ways(
+            members, mesh4, 1, 0.25, 1.0)
+        assert n_flagged == n_plain == 4
+        assert_states_equal(flagged, plain)
 
 
 def test_time_dependent_coefficients_refactorize(mesh2):
@@ -728,6 +816,7 @@ def test_shared_factorization_object_within_step(mesh2):
     spec = example1()
     disc = Discretization(mesh2, 1)
     solver = EnsembleSolver(disc, spec, dt=0.25)
+    solver.step(initialize(spec, disc))
     seen = []
     orig = solver.system.solve_multi
 
@@ -1136,8 +1225,9 @@ def test_non_finite_coefficients_are_named(mesh2, field, value):
     """NaN passes c <= 0 and Python's max in choose_tau skips it: such a
     member used to reach SuperLU, which called the trace matrix exactly
     singular.  The member, the component and the first data point with
-    the sample are named.  tau is given: choose_tau's own check of β is
-    pinned by the choose_tau tests."""
+    the sample are named: c by the admissibility check at t = 0.0, β by
+    the first step at t = dt, before any step completes.  tau is given:
+    choose_tau's own check of β is pinned by the choose_tau tests."""
     members = constant_members([1.0, 2.0], [(0.5, 0.2)] * 2)
     if field == "c":
         members[1].c = lambda x, y, t: np.where(x > 0.5, value, 2.0)
@@ -1146,29 +1236,33 @@ def test_non_finite_coefficients_are_named(mesh2, field, value):
             [np.where(x > 0.5, value, 0.5), np.full_like(x, 0.2)], -1)
     disc = Discretization(mesh2, 1)
     x, y = disc.x_data_flat, disc.y_data_flat
-    name = "c" if field == "c" else "beta_x"
+    name, t = ("c", 0.0) if field == "c" else ("beta_x", 0.1)
+    solver = EnsembleSolver(disc, ProblemSpec(members, autonomous=True),
+                            dt=0.1, tau=1.0)
     with pytest.raises(CoefficientError, match=named(
             f"member 2: the {name} sample at {first_point(x, y, x > 0.5)} "
-            f"at t = 0.0 is not finite")):
-        EnsembleSolver(disc, ProblemSpec(members, autonomous=True), dt=0.1,
-                       tau=1.0)
+            f"at t = {t} is not finite")):
+        solver.run(0.1)
+    assert solver.n_steps == 0
 
 
 def test_infinite_velocity_is_named(mesh2):
     """An infinite β_y sample would make inf·0 in the velocity terms: with
     tau given, so that choose_tau does not reject it first, the β stack
-    names it before the terms are built, and no RuntimeWarning is
-    raised."""
+    names it in the first step, at t = dt, before the terms are built,
+    and no RuntimeWarning is raised."""
     members = constant_members([1.0, 2.0], [(0.5, 0.2)] * 2)
     members[0].beta = lambda x, y, t: np.stack(
         [np.full_like(x, 0.5), np.where(x > 0.5, np.inf, 0.2)], -1)
     disc = Discretization(mesh2, 1)
     x, y = disc.x_data_flat, disc.y_data_flat
+    solver = EnsembleSolver(disc, ProblemSpec(members, autonomous=True),
+                            dt=0.1, tau=1.0)
     with pytest.raises(CoefficientError, match=named(
             f"member 1: the beta_y sample at {first_point(x, y, x > 0.5)} "
-            f"at t = 0.0 is not finite")):
-        EnsembleSolver(disc, ProblemSpec(members, autonomous=True), dt=0.1,
-                       tau=1.0)
+            f"at t = 0.1 is not finite")):
+        solver.run(0.1)
+    assert solver.n_steps == 0
 
 
 def test_non_finite_weight_names_its_time(mesh2):
@@ -1264,11 +1358,12 @@ def test_a_plain_c_turning_nan_is_named_at_its_level(mesh2):
     assert solver.n_steps == 1
 
 
-def test_autonomy_is_checked_at_every_level(mesh2):
+def test_autonomy_is_read_at_every_level(mesh2):
     """A separable c_2 with the weight 1 + 8t(t - dt)(t - T), which reads
     1, 1, 0.5, 0.25, 1 at t_0..t_4: flagged autonomous, the run used to
-    compare only t_1 and t_N with t_0, stay frozen at t = 0 and factorize
-    once.  It now names t_2; unflagged, it factorizes at every step."""
+    stop at t_2, and before that to stay frozen at t = 0 and factorize
+    once.  Its mean moves at every step, and flagged or not the run
+    factorizes at every step and ends bitwise the same."""
     def one(x, y):
         return np.ones_like(x)
 
@@ -1277,19 +1372,32 @@ def test_autonomy_is_checked_at_every_level(mesh2):
     members[0].c = SeparableField([lambda t: 1.0], [one])
     members[1].c = SeparableField(
         [lambda t: 1 + 8 * t * (t - dt) * (t - T)], [one])
+    (flagged, n_flagged), (plain, n_plain) = runs_flagged_both_ways(
+        members, mesh2, 1, dt, T)
+    assert n_flagged == n_plain == 4
+    assert_states_equal(flagged, plain)
+
+
+def test_plain_coefficient_flagged_autonomous_is_read_at_every_level(mesh2):
+    """A plain callable c = c_0 + t/2 cannot show that it changes: flagged
+    autonomous, it used to be read at t = 0 only and frozen there.  It is
+    now read at every level, and the run equals the unflagged one
+    bitwise."""
+    read = []
+    members = constant_members([1.0, 2.0], [(0, 0)] * 2)
+    for m, c0 in zip(members, (1.0, 2.0)):
+        m.c = lambda x, y, t, c0=c0: read.append(t) or \
+            np.full_like(x, c0 + 0.5 * t)
     disc = Discretization(mesh2, 1)
-    solver = EnsembleSolver(disc, ProblemSpec(members, autonomous=True),
-                            dt=dt)
-    with pytest.raises(ValueError, match="^member 2: the c weights at "
-                                         "t = 0.5 differ from those at "
-                                         "t = 0, but the spec is "
-                                         "autonomous$"):
-        solver.run(T)
-    assert solver.n_steps == 0 and solver.n_factorizations == 1
-    solver = EnsembleSolver(disc, ProblemSpec(members, autonomous=False),
-                            dt=dt)
-    solver.run(T)
-    assert solver.n_factorizations == 4
+    states = []
+    for autonomous in (True, False):
+        read.clear()
+        solver = EnsembleSolver(
+            disc, ProblemSpec(members, autonomous=autonomous), dt=0.25)
+        states.append(solver.run(1.0))
+        assert sorted(set(read)) == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert solver.n_factorizations == 4
+    assert_states_equal(*states)
 
 
 def test_refactor_family_keeps_the_velocity_lag_operator(mesh2,

@@ -6,7 +6,7 @@ from ensemble_hdg.discretization import Discretization
 from ensemble_hdg.local import BlockTables, condense_all
 from ensemble_hdg.mesh import Mesh, build_uniform_square_mesh
 from ensemble_hdg.problems import example1
-from ensemble_hdg.solver import EnsembleSolver
+from ensemble_hdg.solver import EnsembleSolver, initialize
 from ensemble_hdg.trace_system import assemble_trace_matrix
 
 from samples import sampled_blocks
@@ -177,7 +177,10 @@ def test_nested_dissection_fills_less_than_minimum_degree(rng, kind):
     mesh = build_uniform_square_mesh(32) if kind == "uniform" else \
         jittered_mesh(32, rng)
     disc = Discretization(mesh, 1)
-    system = EnsembleSolver(disc, example1(), dt=0.01, tau=2.68).system
+    spec = example1()
+    solver = EnsembleSolver(disc, spec, dt=0.01, tau=2.68)
+    solver.step(initialize(spec, disc))
+    system = solver.system
     fill = system._solver.L.nnz + system._solver.U.nnz
     pos = face_positions(disc)[~mesh.boundary]
     nfd = disc.ndof_face
