@@ -65,17 +65,18 @@ def _nested_dissection_positions(mesh):
     ne = mesh.n_elements
     cen = mesh.vertices[mesh.elements].mean(axis=1)
     code = np.zeros(ne, dtype=np.int64)
-    rows = np.arange(ne)
+    rows = order = np.arange(ne)
     while (counts := np.bincount(code)).max() > _ND_LEAF:
         split = counts > _ND_LEAF
-        lo = np.full((len(counts), 2), np.inf)
-        hi = -lo
-        np.minimum.at(lo, code, cen)
-        np.maximum.at(hi, code, cen)
+        # `order` groups the elements by code, so a part's extent reduces
+        # one run of rows (an unused code's is a row of the next, unread)
+        start = np.cumsum(counts) - counts
+        part = cen[order]
+        lo, hi = (u.reduceat(part, start) for u in (np.minimum, np.maximum))
         axis = np.argmax(hi - lo, axis=1)[code]
         order = np.lexsort((cen[rows, 1 - axis], cen[rows, axis], code))
         rank = np.empty(ne, dtype=np.int64)
-        rank[order] = rows - (np.cumsum(counts) - counts)[code[order]]
+        rank[order] = rows - start[code[order]]
         code = 2 * code + (split[code] & (rank >= counts[code] // 2))
     interior = np.flatnonzero(~mesh.boundary)
     c0, c1 = code[mesh.face_elements[interior].T]

@@ -147,8 +147,9 @@ def load_config(path):
         if "T" in run:
             cfg["T"] = _read(run, "T", final_time)
         if "strict_admissibility" in run:
-            cfg["strict_admissibility"] = run.getboolean(
-                "strict_admissibility")
+            cfg["strict_admissibility"] = _read(
+                run, "strict_admissibility", lambda _: run.getboolean(
+                    "strict_admissibility"))
     if parser.has_section("custom"):
         sec = parser["custom"]
         vals = {}

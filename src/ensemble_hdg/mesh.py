@@ -12,8 +12,6 @@ of one, so a caller that only reads points needs no geometry.
 
 import numpy as np
 
-_LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
-
 
 class Mesh:
     """Triangulation with face connectivity and boundary classification.
@@ -22,7 +20,8 @@ class Mesh:
     ----------
     vertices : (nv, 2) float array
     elements : (ne, 3) int array
-        Vertex indices, counter-clockwise.
+        Vertex indices, counter-clockwise; two elements that share an edge
+        traverse it in opposite directions.
     faces : (nf, 2) int array
         Vertex pairs in canonical orientation: as traversed by the incident
         element with the lower index, so the stored direction's right-hand
@@ -40,76 +39,91 @@ class Mesh:
 
     def __init__(self, vertices, elements, uniform_n=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
-        self.elements = np.ascontiguousarray(elements, dtype=np.int64)
+        raw = np.asarray(elements)
+        with np.errstate(invalid="ignore"):
+            self.elements = np.ascontiguousarray(raw, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValueError("vertices must be (nv, 2)")
         if self.elements.ndim != 2 or self.elements.shape[1] != 3:
             raise ValueError("elements must be (ne, 3)")
         if len(self.elements) == 0:
             raise ValueError("mesh has no elements")
-        finite = np.isfinite(self.vertices).all(axis=1)
+        if raw.dtype.kind not in "iu":
+            # a cast would truncate 1.7 to 1 and turn nan into an index
+            cut = (self.elements != raw).any(axis=1)
+            if cut.any():
+                bad = int(np.argmax(cut))
+                raise ValueError(f"element {bad} has non-integer vertex "
+                                 f"indices {raw[bad].tolist()}")
+        finite = np.isfinite(self.vertices)
         if not finite.all():
-            bad = int(np.argmin(finite))
+            bad = int(np.argmin(finite.all(axis=1)))
             raise ValueError(f"vertex {bad} has non-finite coordinates "
                              f"{self.vertices[bad].tolist()}")
         nv = len(self.vertices)
-        outside = (self.elements < 0) | (self.elements >= nv)
-        if outside.any():
-            bad = int(np.argmax(outside.any(axis=1)))
+        if self.elements.min() < 0 or self.elements.max() >= nv:
+            bad = int(np.argmax(((self.elements < 0) |
+                                 (self.elements >= nv)).any(axis=1)))
             raise ValueError(
                 f"element {bad} has vertex indices "
                 f"{self.elements[bad].tolist()} outside [0, {nv})")
-        v = self.vertices[self.elements]
-        e1 = v[:, 1] - v[:, 0]
-        e2 = v[:, 2] - v[:, 0]
-        signed = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        # row r is local edge r // ne of element r % ne, from a to b
+        a = self.elements.T.ravel()
+        b = a.reshape(3, -1)[[1, 2, 0]].ravel()
+        x, y = self.vertices.T
+        dx, dy = x[b] - x[a], y[b] - y[a]
+        # edge 2 runs from v2 to v0: twice the signed area is
+        # (v1 - v0) x (v2 - v0) = d0_y d2_x - d0_x d2_y
+        (d0x, _, d2x), (d0y, _, d2y) = dx.reshape(3, -1), dy.reshape(3, -1)
+        signed = d0y * d2x - d0x * d2y
         if np.any(signed <= 0):
             bad = int(np.argmax(signed <= 0))
             raise ValueError(f"element {bad} is not counter-clockwise")
         self.uniform_n = uniform_n
-        self._build_faces()
-        edges = v - np.roll(v, -1, axis=1)
-        self.h_max = float(np.sqrt((edges ** 2).sum(-1)).max())
+        self._build_faces(a, b)
+        # sqrt is monotone and correctly rounded: the root of the largest
+        # squared edge is the largest edge length
+        self.h_max = float(np.sqrt((dx * dx + dy * dy).max()))
 
-    def _build_faces(self):
+    def _build_faces(self, a, b):
         ne, nv = len(self.elements), len(self.vertices)
-        # row r is local edge r // ne of element r % ne
-        pairs = np.concatenate(
-            [self.elements[:, e] for e in _LOCAL_EDGES], axis=0
-        )
         # lo * nv + hi sorts like the vertex pair (lo, hi); the stable sort
-        # keeps a face's rows in (local edge, element) order, so its first
-        # owner is its smallest (local edge, element) pair
-        key = pairs.min(axis=1) * nv + pairs.max(axis=1)
+        # keeps a face's rows in (local edge, element) order
+        key = np.minimum(a, b) * nv + np.maximum(a, b)
         order = np.argsort(key, kind="stable")
-        starts = np.diff(key[order], prepend=-1) != 0
-        first = np.flatnonzero(starts)
+        key = key[order]
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
         counts = np.diff(first, append=len(key))
         if np.any(counts > 2):
             raise ValueError("non-conforming mesh: a face has > 2 elements")
         two = counts == 2
-
-        rows = np.full((len(first), 2), -1, dtype=np.int64)
-        rows[:, 0] = order[first]
-        rows[two, 1] = order[first[two] + 1]
-        face_elements = np.where(rows >= 0, rows % ne, -1)
-        face_local = np.where(rows >= 0, rows // ne, -1)
-        # owner = lower element index defines the canonical orientation
-        swap = two & (face_elements[:, 1] < face_elements[:, 0])
-        face_elements[swap] = face_elements[swap][:, ::-1]
-        face_local[swap] = face_local[swap][:, ::-1]
-
-        own, loc = face_elements[:, 0], face_local[:, 0]
-        a = self.elements[own, loc]
-        b = self.elements[own, (loc + 1) % 3]
-        self.faces = np.column_stack([a, b])
-        self.face_elements = face_elements
-        self.face_local = face_local
-        self.boundary = counts == 1
-
-        face_of_row = np.empty(len(key), dtype=np.int64)
-        face_of_row[order] = np.cumsum(starts) - 1
-        self.elem_faces = np.ascontiguousarray(face_of_row.reshape(3, ne).T)
+        r0 = order[first]
+        r1 = order[first + two]
+        l0, l1 = r0 // ne, r1 // ne
+        e0, e1 = r0 - l0 * ne, r1 - l1 * ne
+        # the owner, the lower element index, defines the orientation
+        swap = e1 < e0
+        own = np.where(swap, r1, r0)
+        self.faces = np.column_stack([a[own], b[own]])
+        self.face_elements = np.column_stack(
+            [np.minimum(e0, e1), np.where(two, np.maximum(e0, e1), -1)])
+        loc = np.where(swap, l1, l0)
+        self.face_local = np.column_stack(
+            [loc, np.where(two, l0 + l1 - loc, -1)])
+        self.boundary = ~two
+        # counter-clockwise neighbours traverse their face in opposite
+        # directions; the same direction means the elements overlap
+        same = two & (a[r0] == a[r1])
+        if same.any():
+            f = int(np.argmax(same))
+            raise ValueError(
+                "elements {} and {} overlap: both traverse edge ({}, {}) the "
+                "same way".format(*self.face_elements[f], *self.faces[f]))
+        ids = np.arange(len(first))
+        elem_faces = np.empty(3 * ne, dtype=np.int64)
+        elem_faces[3 * e0 + l0] = ids
+        elem_faces[3 * e1 + l1] = ids
+        self.elem_faces = elem_faces.reshape(ne, 3)
 
     @property
     def n_vertices(self):
@@ -139,17 +153,11 @@ def build_uniform_square_mesh(n):
     coords = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(coords, coords)
     vertices = np.column_stack([X.ravel(), Y.ravel()])
-    ix, iy = np.meshgrid(np.arange(n), np.arange(n))
-    ix, iy = ix.ravel(), iy.ravel()
-    ll = iy * (n + 1) + ix
-    lr = ll + 1
-    ul = ll + (n + 1)
-    ur = ul + 1
-    lower = np.column_stack([ll, lr, ur])
-    upper = np.column_stack([ll, ur, ul])
-    elements = np.empty((2 * n * n, 3), dtype=np.int64)
-    elements[0::2] = lower
-    elements[1::2] = upper
+    # ll[iy, ix] is the lower-left vertex of cell (ix, iy), whose lower
+    # triangle comes first
+    ll = np.arange(n)[:, None] * (n + 1) + np.arange(n)
+    elements = (ll[:, :, None, None] + np.array(
+        [[0, 1, n + 2], [0, n + 2, n + 1]])).reshape(-1, 3)
     return Mesh(vertices, elements, uniform_n=n)
 
 

@@ -186,10 +186,15 @@ class FieldStack:
         modes, first, index, self._factors = [], [], {}, []
         for j, triples in enumerate(factors):
             for i, tf, sv in triples:
-                # an all-zero factor is one mode in either component
-                key = (i if sv.any() else None, sv.tobytes())
-                m = index.setdefault(key, len(modes))
+                # an all-zero factor is one mode in either component; its
+                # component and three samples pick the modes to compare
+                bits = sv.view(np.int64)
+                same = index.setdefault((i if sv.any() else None, *bits[
+                    [0, len(bits) // 2, -1]].tolist()), [])
+                m = next((m for m in same if np.array_equal(
+                    bits, modes[m][1].view(np.int64))), len(modes))
                 if m == len(modes):
+                    same.append(m)
                     modes.append((i, sv))
                     first.append(j)
                 self._factors.append((j, m, tf))

@@ -7,10 +7,14 @@ point samples of the previous state, the global stepper assembles the full
 uncondensed saddle system densely and solves it with numpy, the u*
 reconstruction is a dense constrained solve in a raw monomial basis, the
 error observer is the per-member quadrature loop, mesh connectivity
-is a loop over element edges into a dict, tau samples the velocity at
+is a loop over element edges into a dict and h_max a loop over them in
+Python floats, the nested-dissection codes come from scatter reductions
+(`ufunc.at`) of each part's extent, tau samples the velocity at
 one whole-mesh point array per sampled mesh, and a manufactured member's
 fields come from one `sympy.lambdify` call per time and spatial factor.
 """
+
+import math
 
 import numpy as np
 import sympy
@@ -462,6 +466,48 @@ def face_connectivity(elements):
     return {"faces": faces, "face_elements": face_elements,
             "face_local": face_local, "elem_faces": elem_faces,
             "boundary": face_elements[:, 1] == -1}
+
+
+def loop_h_max(mesh):
+    """The longest element edge of mesh, each length the square root of
+    dx * dx + dy * dy in Python floats."""
+    xy = mesh.vertices.tolist()
+    h = 0.0
+    for tri in mesh.elements.tolist():
+        for lf in range(3):
+            (xa, ya), (xb, yb) = xy[tri[lf]], xy[tri[(lf + 1) % 3]]
+            h = max(h, math.sqrt((xb - xa) * (xb - xa) +
+                                 (yb - ya) * (yb - ya)))
+    return h
+
+
+def scatter_bisection_positions(mesh, leaf):
+    """The position of each interior face in the nested-dissection order of
+    `discretization._nested_dissection_positions`, -1 on boundary faces,
+    with each level's part extents scattered into per-code arrays by
+    `np.minimum.at` and `np.maximum.at`."""
+    ne = mesh.n_elements
+    cen = mesh.vertices[mesh.elements].mean(axis=1)
+    code = np.zeros(ne, dtype=np.int64)
+    rows = np.arange(ne)
+    while (counts := np.bincount(code)).max() > leaf:
+        split = counts > leaf
+        lo = np.full((len(counts), 2), np.inf)
+        hi = -lo
+        np.minimum.at(lo, code, cen)
+        np.maximum.at(hi, code, cen)
+        axis = np.argmax(hi - lo, axis=1)[code]
+        order = np.lexsort((cen[rows, 1 - axis], cen[rows, axis], code))
+        rank = np.empty(ne, dtype=np.int64)
+        rank[order] = rows - (np.cumsum(counts) - counts)[code[order]]
+        code = 2 * code + (split[code] & (rank >= counts[code] // 2))
+    interior = np.flatnonzero(~mesh.boundary)
+    c0, c1 = code[mesh.face_elements[interior].T]
+    s = np.frexp((c0 ^ c1).astype(float))[1]
+    pos = np.full(mesh.n_faces, -1)
+    pos[interior[np.lexsort((s, ((c0 >> s) + 1) << s))]] = \
+        np.arange(len(interior))
+    return pos
 
 
 def nested_dissection_faces(mesh, leaf):

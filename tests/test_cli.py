@@ -210,6 +210,21 @@ def test_config_out_is_honoured(tmp_path, monkeypatch):
                                                           "study.ini"]
 
 
+@pytest.mark.parametrize("command", ["converge", "run", "check"])
+def test_config_names_the_section_and_key_of_a_bad_boolean(tmp_path, capsys,
+                                                           command):
+    """configparser alone said "Not a boolean: maybe"."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nexample = 1\nlevels = 1\n"
+                   "strict_admissibility = maybe\n")
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=r"config section \[run\], key "
+                       r"'strict_admissibility': Not a boolean: maybe"):
+        main([command, "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("converge", "snapshot", "bogus"),
     ("converge", "mesh_file", "/nonexistent.txt"),

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -8,7 +9,7 @@ from ensemble_hdg.mesh import (Mesh, BatchedGeometry,
                                build_uniform_square_mesh, element_points,
                                read_mesh_text, write_mesh_text)
 
-from oracles import face_connectivity
+from oracles import face_connectivity, loop_h_max
 
 
 def test_single_cell_split():
@@ -72,6 +73,50 @@ def test_rejects_invalid_input():
              np.array([[0, 1, 2], [0, 1, 3], [1, 0, 4]]))
 
 
+@pytest.mark.parametrize("elements", [[[0, 1, 2], [0, 1, 3]],
+                                      [[0, 1, 2], [0, 1, 2]]],
+                         ids=["overlapping", "repeated"])
+def test_rejects_elements_that_traverse_an_edge_the_same_way(elements):
+    """Two triangles above the edge (0, 0)-(1, 0), or one listed twice:
+    the shared edge was an interior face, and a repeated element left
+    no boundary at all."""
+    with pytest.raises(ValueError, match=r"elements 0 and 1 overlap: both "
+                       r"traverse edge \(0, 1\) the same way"):
+        Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0]]),
+             np.array(elements))
+
+
+def test_folded_mesh_file_names_the_file(tmp_path, single_cell_mesh):
+    """The single cell's upper triangle replaced by (0, 1, 2), which lies
+    above the bottom edge (0, 1) as the lower triangle does: a fold."""
+    path = tmp_path / "folded.mesh"
+    write_mesh_text(single_cell_mesh, path)
+    lines = path.read_text().splitlines()
+    assert lines[5:7] == ["0 1 3", "0 3 2"]
+    lines[6] = "0 1 2"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=(
+            f"mesh file {re.escape(str(path))}: elements 0 and 1 overlap: "
+            r"both traverse edge \(0, 1\) the same way")):
+        read_mesh_text(path)
+
+
+@pytest.mark.parametrize("bad", [1.7, np.nan, np.inf])
+def test_rejects_non_integer_vertex_indices(mesh2, bad):
+    """A cast truncated (0, 1.7, 2) to the element (0, 1, 2)."""
+    elements = mesh2.elements.astype(float)
+    elements[3, 1] = bad
+    with pytest.raises(ValueError, match=r"element 3 has non-integer "
+                       rf"vertex indices \[\d\.0, {bad}, \d\.0\]"):
+        Mesh(mesh2.vertices, elements)
+    # whole numbers in a float array are indices
+    elements[3, 1] = mesh2.elements[3, 1]
+    m = Mesh(mesh2.vertices, elements)
+    assert m.elements.dtype == np.int64
+    assert np.array_equal(m.elements, mesh2.elements)
+    assert np.array_equal(m.faces, mesh2.faces)
+
+
 def jittered_mesh(n, rng):
     """The uniform n mesh with its interior vertices moved by up to a
     fifth of a cell, which keeps every element counter-clockwise."""
@@ -92,18 +137,48 @@ def shuffled_mesh(n, rng):
     return Mesh(m.vertices, rotated)
 
 
+def l_shaped_mesh(n, tmp_path):
+    """The uniform n mesh (n even) without its upper-right quarter, its
+    vertices renumbered, written with `write_mesh_text` and read back."""
+    m = build_uniform_square_mesh(n)
+    cen = m.vertices[m.elements].mean(axis=1)
+    elements = m.elements[~np.all(cen > 0.5, axis=1)]
+    used = np.unique(elements)
+    renumber = np.zeros(m.n_vertices, dtype=np.int64)
+    renumber[used] = np.arange(len(used))
+    path = tmp_path / "l-shape.mesh"
+    write_mesh_text(Mesh(m.vertices[used], renumber[elements]), path)
+    return read_mesh_text(path)
+
+
 @pytest.mark.parametrize("kind, n", [("uniform", n) for n in range(1, 6)]
-                         + [("jittered", 4), ("shuffled", 4),
-                            ("shuffled", 5)])
-def test_connectivity_matches_the_loop_oracle(kind, n, rng):
+                         + [("uniform", 64), ("jittered", 4), ("shuffled", 4),
+                            ("shuffled", 5), ("l-shaped", 6)])
+def test_connectivity_matches_the_loop_oracle(kind, n, rng, tmp_path):
+    """Every connectivity array, dtype included, and h_max to the bit."""
     if kind == "uniform":
         m = build_uniform_square_mesh(n)
     elif kind == "jittered":
         m = jittered_mesh(n, rng)
-    else:
+    elif kind == "shuffled":
         m = shuffled_mesh(n, rng)
+    else:
+        m = l_shaped_mesh(n, tmp_path)
+        assert (m.n_elements, m.n_interior_faces) == (54, 69)
     for name, want in face_connectivity(m.elements).items():
-        assert np.array_equal(getattr(m, name), want), name
+        got = getattr(m, name)
+        assert got.dtype == (bool if name == "boundary" else np.int64), name
+        assert np.array_equal(got, want), name
+    assert m.elements.dtype == np.int64
+    assert type(m.h_max) is float and m.h_max == loop_h_max(m)
+
+
+@pytest.mark.parametrize("level", range(9))
+def test_uniform_h_max_is_the_formula_to_the_bit(level):
+    """The studies and `bench` take h = sqrt(2) / n, `run` and `check`
+    read h_max: on n = 2^level both give the same bits."""
+    n = 2 ** level
+    assert build_uniform_square_mesh(n).h_max == math.sqrt(2) / n
 
 
 def test_shared_face_normals_negate(mesh2):

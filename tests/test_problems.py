@@ -260,3 +260,48 @@ def test_example1_compiles_without_lambdify(monkeypatch):
     x = np.array([0.3])
     assert spec.members[0].exact_u(x, x, 0.5)[0] == pytest.approx(
         math.sin(0.5) * math.sin(0.3) ** 2)
+
+
+def stack_of_factors(*factors):
+    """A FieldStack of one SeparableField per factor, member j weighted
+    by j + 1, on 11 points, with the identity as its projection."""
+    x = np.linspace(0.0, 1.0, 11)
+    fields = [problems.SeparableField([lambda t, j=j: j + 1.0], [s])
+              for j, s in enumerate(factors)]
+    return problems.FieldStack(fields, x, np.zeros_like(x), lambda s: s,
+                               None, "f")
+
+
+def test_bitwise_equal_factors_share_one_mode_in_order_of_first_use():
+    """Each distinct factor is one mode, numbered as the members first
+    use it; members that evaluate equal bits share it, whichever
+    function object gives them."""
+    a = [lambda x, y: np.sin(x) + 1, lambda x, y: np.sin(x) + 1]
+    b, c = (lambda x, y: x * x), (lambda x, y: 0 * x + 2.0)
+    stack = stack_of_factors(a[0], b, a[1], c, b)
+    assert stack.n_modes == 3
+    W, images = stack.modes(0.0)
+    x = np.linspace(0.0, 1.0, 11)
+    assert np.array_equal(images, [np.sin(x) + 1, x * x, np.full(11, 2.0)])
+    assert np.array_equal(W, [[1, 0, 0], [0, 2, 0], [3, 0, 0], [0, 0, 4],
+                              [0, 5, 0]])
+
+
+@pytest.mark.parametrize("change", ["one-ulp", "signed-zero"])
+def test_factors_differing_in_one_sample_are_two_modes(change):
+    """A factor one ulp off, or -0.0 for 0.0, in one sample away from the
+    first, middle and last stays its own mode."""
+    def base(x, y):
+        return np.where(x < 0.5, 0.0, x)
+
+    def other(x, y):
+        s = base(x, y)
+        s[1] = np.nextafter(s[1], 1.0) if change == "one-ulp" else -0.0
+        return s
+
+    stack = stack_of_factors(base, other, base)
+    assert stack.n_modes == 2
+    W, images = stack.modes(0.0)
+    assert np.array_equal(W, [[1, 0], [0, 2], [3, 0]])
+    assert np.signbit(images[1, 1]) == (change == "signed-zero")
+    assert not np.signbit(images[0, 1])

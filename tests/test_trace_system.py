@@ -165,6 +165,26 @@ def test_trace_numbering_matches_the_recursive_dissection(rng, kind, n):
     assert np.array_equal(np.argsort(pos)[-len(want):], want)
 
 
+@pytest.mark.parametrize("kind, n", [("uniform", n) for n in range(1, 10)]
+                         + [("uniform", 64), ("jittered", 9),
+                            ("jittered", 16), ("shuffled", 10),
+                            ("shuffled", 16)])
+def test_bisection_extents_match_the_scatter_reduction(rng, kind, n):
+    """Part extents reduced over the runs of the previous level's sort
+    give, position for position, the numbering of per-code scatter
+    reductions (`np.minimum.at`, `np.maximum.at`)."""
+    from oracles import scatter_bisection_positions
+    from test_mesh import jittered_mesh, shuffled_mesh
+
+    from ensemble_hdg.discretization import _nested_dissection_positions
+
+    mesh = {"uniform": build_uniform_square_mesh, "jittered": jittered_mesh,
+            "shuffled": shuffled_mesh}[kind](*((n,) if kind == "uniform"
+                                               else (n, rng)))
+    assert np.array_equal(_nested_dissection_positions(mesh),
+                          scatter_bisection_positions(mesh, 8))
+
+
 @pytest.mark.parametrize("kind", ["uniform", "jittered"])
 def test_nested_dissection_fills_less_than_minimum_degree(rng, kind):
     """Example 1's n=32 trace matrix: its LU in the nested-dissection
