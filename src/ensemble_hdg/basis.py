@@ -89,7 +89,7 @@ class ElementBasis:
 
     def __init__(self, degree):
         if degree < 0:
-            raise ValueError("degree must be >= 0")
+            raise ValueError(f"degree {degree} must be >= 0")
         self.exponents = np.array(monomial_exponents(degree), dtype=int)
         self.dim = len(self.exponents)
         gram = np.empty((self.dim, self.dim))
@@ -124,7 +124,7 @@ class FaceBasis:
 
     def __init__(self, degree):
         if degree < 0:
-            raise ValueError("degree must be >= 0")
+            raise ValueError(f"degree {degree} must be >= 0")
         self.dim = degree + 1
         # Hilbert-type Gram matrix: int_0^1 s^(i+j) ds
         idx = np.arange(self.dim)

@@ -90,40 +90,30 @@ def _merge(args):
             **cfg, **given}
 
 
-def _final_time(merged, problem):
-    """--T, or the problem's default final time when it is not given."""
-    T = merged.get("T")
-    return problem.default_T if T is None else final_time(T)
-
-
 def _levels(merged, default):
     return _parse_levels(merged.get("levels", default))
 
 
-def _mesh_and_steps(merged, problem, default_level):
-    """The mesh of --mesh-file or of the finest level, the final time, and
-    the dt its h_max and the dt rule give, with the step count T / dt."""
-    T = _final_time(merged, problem)
+def _mesh_and_steps(merged, default_level):
+    """The mesh of --mesh-file or of the finest level, and the dt its
+    h_max and the dt rule give, with the step count T / dt."""
     if merged.get("mesh_file"):
         mesh = read_mesh_text(merged["mesh_file"])
     else:
         mesh = build_uniform_square_mesh(
             2 ** _levels(merged, default_level)[-1])
-    dt = resolve_dt_rule(merged["dt_rule"], mesh.h_max, T)
-    return mesh, T, dt, int(round(T / dt))
+    dt = resolve_dt_rule(merged["dt_rule"], mesh.h_max, merged["T"])
+    return mesh, dt, int(round(merged["T"] / dt))
 
 
-def cmd_converge(args):
-    merged = _merge(args)
-    problem = problem_from_config(merged)
+def cmd_converge(merged, problem):
     if not problem.has_exact:
         print("error: convergence study needs a problem with exact "
               "solutions (examples 1 and 2)", file=sys.stderr)
         return 2
-    levels = _levels(merged, "1..4")
     table = convergence_study(
-        problem, merged["degree"], levels, merged["dt_rule"],
-        T=_final_time(merged, problem),
+        problem, merged["degree"], _levels(merged, "1..4"),
+        merged["dt_rule"], T=merged["T"],
         strict_admissibility=merged.get("strict_admissibility", False))
     os.makedirs(merged["out"], exist_ok=True)
     path = os.path.join(
@@ -135,11 +125,9 @@ def cmd_converge(args):
     return 0
 
 
-def cmd_run(args):
-    merged = _merge(args)
+def cmd_run(merged, problem):
     stride = _parse_snapshot(merged.get("snapshot"))
-    problem = problem_from_config(merged)
-    mesh, T, dt, N = _mesh_and_steps(merged, problem, "4")
+    mesh, dt, N = _mesh_and_steps(merged, "4")
     disc = Discretization(mesh, merged["degree"])
     solver = EnsembleSolver(
         disc, problem, dt=dt,
@@ -167,7 +155,7 @@ def cmd_run(args):
         observers.append(lambda n, t, state: (
             write_snap(state, f"n{n:06d}") if n % stride == 0 else None))
 
-    state = solver.run(T, observers=observers)
+    state = solver.run(merged["T"], observers=observers)
     print(f"ran {N} steps (dt={dt:.6g}) on {mesh.n_elements} elements; "
           f"{solver.n_factorizations} factorization(s)")
     if acc is not None:
@@ -181,11 +169,8 @@ def cmd_run(args):
     return 0
 
 
-def cmd_bench(args):
-    merged = _merge(args)
-    problem = problem_from_config(merged)
-    level = _levels(merged, "4")[-1]
-    T = _final_time(merged, problem)
+def cmd_bench(merged, problem):
+    level, T = _levels(merged, "4")[-1], merged["T"]
     dt = resolve_dt_rule(merged["dt_rule"], math.sqrt(2.0) / 2 ** level, T)
     report = benchmark_ensemble_vs_separate(problem, merged["degree"], level,
                                             dt, T)
@@ -202,10 +187,8 @@ def cmd_bench(args):
     return 0
 
 
-def cmd_check(args):
-    merged = _merge(args)
-    problem = problem_from_config(merged)
-    mesh, T, dt, N = _mesh_and_steps(merged, problem, "3")
+def cmd_check(merged, problem):
+    mesh, dt, N = _mesh_and_steps(merged, "3")
     report = check_admissibility(problem, mesh,
                                  [i * dt for i in range(N + 1)])
     print(report)
@@ -242,7 +225,12 @@ def main(argv=None):
             p.add_argument("--snapshot", help="none, final or every=<m>")
         p.set_defaults(func=fn)
     args = parser.parse_args(argv)
-    return args.func(args)
+    merged = _merge(args)
+    problem = problem_from_config(merged)
+    # --T, or the problem's own final time when it is not given
+    T = merged.get("T")
+    merged["T"] = problem.default_T if T is None else final_time(T)
+    return args.func(merged, problem)
 
 
 if __name__ == "__main__":

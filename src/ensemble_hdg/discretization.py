@@ -101,7 +101,7 @@ class Discretization:
 
     def __init__(self, mesh, degree):
         if not 0 <= degree <= 3:
-            raise ValueError("supported degrees are k in {0, 1, 2, 3}")
+            raise ValueError(f"degree {degree}: supported degrees are 0..3")
         self.mesh = mesh
         self.geom = BatchedGeometry(mesh)
 
@@ -117,6 +117,7 @@ class Discretization:
 
         self._build_element_tables()
         self._build_face_tables()
+        self._build_points()
         self._build_trace_dofs()
 
     # -- element interior tables -------------------------------------------
@@ -130,12 +131,6 @@ class Discretization:
         self.Gref_hi_data = basis_hi.eval_grad(pd)
         # weighted transposed values: moments are one BLAS matmul
         self.VwT_data = (self.V_data * self.w_data).T.copy()
-        # physical points (ne, nq, 2) and their flat x and y arrays, which
-        # the solver's joint field evaluators bind once
-        x, y = element_points(self.geom.corners, pd)
-        self.X_data = np.stack([x, y], axis=-1)
-        self.x_data_flat = x.reshape(-1)
-        self.y_data_flat = y.reshape(-1)
 
     # -- face tables ---------------------------------------------------------
 
@@ -145,21 +140,37 @@ class Discretization:
         sd = self.rule_face_data.points
         self.w_fdata = self.rule_face_data.weights
         self.Psi_fdata = self.face_basis.eval(sd)
-        # physical points (ne, 3, nq, 2) of every element's faces, in the
-        # canonical parametrization, and their flat x and y arrays
-        va = mesh.vertices[mesh.faces[:, 0]]
-        vb = mesh.vertices[mesh.faces[:, 1]]
-        xf = va[:, None, :] + sd[None, :, None] * (vb - va)[:, None, :]
-        self.Xf_fdata = xf[mesh.elem_faces]
-        self.xf_fdata_flat = np.ascontiguousarray(
-            self.Xf_fdata[..., 0]).reshape(-1)
-        self.yf_fdata_flat = np.ascontiguousarray(
-            self.Xf_fdata[..., 1]).reshape(-1)
         # an element traverses a face against its canonical orientation
         # when its local vertex lf is not the face's first vertex
         aligned = mesh.elements[np.arange(ne)[:, None],
                                 np.array([0, 1, 2])[None, :]]
         self.face_aligned = aligned == mesh.faces[mesh.elem_faces][:, :, 0]
+
+    # -- physical data-rule points -------------------------------------------
+
+    def _build_points(self):
+        """The physical points of the data rules, held once: the rows x
+        and y of `data_points` hold the ne·nq element points, then the
+        3·ne·nqf face points in each face's canonical parametrization.
+        The solver's β stack binds the two rows; the flat x and y arrays,
+        X_data (ne, nq, 2) and Xf_fdata (ne, 3, nqf, 2) are views."""
+        mesh = self.mesh
+        ne, nq = mesh.n_elements, len(self.w_data)
+        sd = self.rule_face_data.points
+        m = ne * nq
+        pts = self.data_points = np.empty((2, m + 3 * ne * len(sd)))
+        self.x_data_flat, self.y_data_flat = pts[:, :m]
+        self.xf_fdata_flat, self.yf_fdata_flat = pts[:, m:]
+        self.X_data = np.moveaxis(pts[:, :m].reshape(2, ne, nq), 0, -1)
+        self.Xf_fdata = np.moveaxis(
+            pts[:, m:].reshape(2, ne, 3, len(sd)), 0, -1)
+        a, b = mesh.faces.T
+        for c, (X, v) in enumerate(zip(
+                element_points(self.geom.corners, self.rule_data.points),
+                mesh.vertices.T)):
+            self.X_data[..., c] = X
+            per_face = v[a][:, None] + sd * (v[b] - v[a])[:, None]
+            self.Xf_fdata[..., c] = per_face[mesh.elem_faces]
 
     # -- global trace DOF layout ----------------------------------------------
 
@@ -203,30 +214,30 @@ class Discretization:
 
     def sample_scalar(self, fn, t):
         """Evaluate fn(x, y, t) at element quadrature points -> (ne, nq)."""
-        x = self.x_data_flat
-        out = np.asarray(fn(x, self.y_data_flat, t), dtype=float)
-        if out.shape != x.shape:
-            out = np.broadcast_to(out, x.shape)
-        return out.reshape(self.X_data.shape[:2])
+        return self._sample(fn, t, False, ())
 
     def sample_vector(self, fn, t):
         """Evaluate a vector field at element points -> (ne, nq, 2)."""
-        out = np.asarray(fn(self.x_data_flat, self.y_data_flat, t),
-                         dtype=float)
-        return out.reshape(self.X_data.shape[:2] + (2,))
+        return self._sample(fn, t, False, (2,))
 
     def sample_scalar_faces(self, fn, t):
         """Evaluate fn at per-element face points -> (ne, 3, nq)."""
-        x = self.xf_fdata_flat
-        out = np.asarray(fn(x, self.yf_fdata_flat, t), dtype=float)
-        if out.shape != x.shape:
-            out = np.broadcast_to(out, x.shape)
-        return out.reshape(self.Xf_fdata.shape[:3])
+        return self._sample(fn, t, True, ())
 
     def sample_vector_faces(self, fn, t):
-        out = np.asarray(fn(self.xf_fdata_flat, self.yf_fdata_flat, t),
-                         dtype=float)
-        return out.reshape(self.Xf_fdata.shape[:3] + (2,))
+        """Evaluate a vector field at face points -> (ne, 3, nq, 2)."""
+        return self._sample(fn, t, True, (2,))
+
+    def _sample(self, fn, t, faces, tail):
+        """fn at the face or the element points, shaped like their table
+        with the field's own trailing axes `tail`; a value fn returns in
+        another shape is broadcast."""
+        x, y, X = (self.xf_fdata_flat, self.yf_fdata_flat, self.Xf_fdata) \
+            if faces else (self.x_data_flat, self.y_data_flat, self.X_data)
+        out = np.asarray(fn(x, y, t), dtype=float)
+        if out.shape != x.shape + tail:
+            out = np.broadcast_to(out, x.shape + tail)
+        return out.reshape(X.shape[:-1] + tail)
 
     def boundary_face_sides(self):
         """(element, local face) pairs of the boundary faces."""

@@ -160,7 +160,8 @@ def load_config(path):
                 _finite(s) for s in text.split(",")])
         J = _read(sec, "J", int) if "J" in sec else len(vals["c"])
         if any(len(v) != J for v in vals.values()):
-            raise ValueError("custom problem member lists disagree with J")
+            raise ValueError(f"config section [custom]: the member lists "
+                             f"disagree with J = {J}")
         cfg["custom"] = {
             "c": vals["c"],
             "beta": list(zip(vals["beta_x"], vals["beta_y"])),

@@ -43,9 +43,9 @@ class Mesh:
         with np.errstate(invalid="ignore"):
             self.elements = np.ascontiguousarray(raw, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
-            raise ValueError("vertices must be (nv, 2)")
+            raise ValueError(f"vertices {self.vertices.shape} are not (nv, 2)")
         if self.elements.ndim != 2 or self.elements.shape[1] != 3:
-            raise ValueError("elements must be (ne, 3)")
+            raise ValueError(f"elements {self.elements.shape} are not (ne, 3)")
         if len(self.elements) == 0:
             raise ValueError("mesh has no elements")
         if raw.dtype.kind not in "iu":

@@ -321,9 +321,7 @@ class EnsembleSolver:
             lambda c: local.c_terms(disc, tables, c), None, "c")
         # β at the element data points, then the face data points
         self._beta = FieldStack(
-            [m.beta for m in spec.members],
-            np.concatenate([x, disc.xf_fdata_flat]),
-            np.concatenate([y, disc.yf_fdata_flat]),
+            [m.beta for m in spec.members], *disc.data_points,
             lambda b: local.beta_terms(disc, tables, b), None, "beta")
         # f and g enter the step as interior rows: separable data
         # are projected here, once, and a step adds T_i(t) times them

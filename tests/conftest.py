@@ -6,7 +6,6 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from ensemble_hdg.discretization import Discretization
 from ensemble_hdg.mesh import Mesh, build_uniform_square_mesh
 
 
@@ -36,7 +35,3 @@ def reference_triangle_mesh():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-def make_disc(mesh, k):
-    return Discretization(mesh, k)

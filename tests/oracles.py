@@ -21,7 +21,6 @@ import sympy
 
 from ensemble_hdg.basis import (ElementBasis, monomial_exponents,
                                 triangle_quadrature)
-from ensemble_hdg.errors import l2_norm_squared
 from ensemble_hdg.mesh import build_uniform_square_mesh
 from ensemble_hdg.problems import SeparableField, VectorField
 from ensemble_hdg.solver import EnsembleState, Member
@@ -399,6 +398,12 @@ def quadrature_postprocess(disc, u_coeffs, q_coeffs, c_vals):
     rhs[..., dh] = np.einsum("e,q,jel,lq->je", det, w, u_coeffs,
                              disc.V_data)
     return np.linalg.solve(kkt[None], rhs[..., None])[..., :dh, 0]
+
+
+def l2_norm_squared(disc, vals):
+    """Elementwise quadrature of ||field||^2 from scalar data-rule point
+    values (..., ne, nq); leading axes are preserved."""
+    return (vals ** 2 @ disc.w_data) @ disc.geom.det
 
 
 class LoopErrorAccumulator:

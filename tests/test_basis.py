@@ -37,6 +37,12 @@ def test_quadrature_rejects_unsupported_orders():
             edge_quadrature(bad)
 
 
+@pytest.mark.parametrize("basis", [ElementBasis, FaceBasis])
+def test_bases_name_a_negative_degree(basis):
+    with pytest.raises(ValueError, match=r"^degree -1 must be >= 0$"):
+        basis(-1)
+
+
 def test_edge_quadrature_values():
     rule = edge_quadrature(2)
     assert abs(rule.weights.sum() - 1.0) < 1e-15

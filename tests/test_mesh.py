@@ -62,6 +62,13 @@ def test_rejects_invalid_input():
     with pytest.raises(ValueError, match="vertex 1 has non-finite"):
         Mesh(np.array([[0.0, 0.0], [np.inf, 0.0], [0.0, 1.0]]),
              np.array([[0, 1, 2]]))
+    with pytest.raises(ValueError,
+                       match=r"^vertices \(3, 3\) are not \(nv, 2\)$"):
+        Mesh(np.zeros((3, 3)), np.array([[0, 1, 2]]))
+    with pytest.raises(ValueError,
+                       match=r"^elements \(1, 4\) are not \(ne, 3\)$"):
+        Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+             np.array([[0, 1, 2, 3]]))
     with pytest.raises(ValueError, match="mesh has no elements"):
         Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
              np.empty((0, 3), dtype=int))
@@ -294,12 +301,17 @@ def test_rejects_out_of_range_vertex_index(tmp_path, mesh2, ie, index):
      r"2 token\(s\) after the declared 9 vertices, 8 elements and 16 faces"),
     ("non-integer-index", r"element 3: '1\.5' is not an integer"),
     ("no-elements", "mesh has no elements"),
+    ("truncated", "truncated in face 15"),
+    ("face-count", "declares 15 faces, connectivity builds 16"),
+    ("missing-face", r"face \(8, 7\) missing from the face list"),
 ])
 def test_malformed_mesh_file_names_the_file(tmp_path, mesh2, case, message):
     """A non-finite coordinate made h_max nan, trailing tokens were
     ignored, a non-integer index gave a bare int() error and a mesh with
     no elements a numpy reduction error: each fails naming the file and
-    what is wrong in it."""
+    what is wrong in it, as does a file that ends inside its face list,
+    declares another number of faces than its elements make, or lists
+    one face twice and another not at all."""
     path = tmp_path / "bad.mesh"
     write_mesh_text(mesh2, path)
     lines = path.read_text().splitlines()
@@ -309,6 +321,12 @@ def test_malformed_mesh_file_names_the_file(tmp_path, mesh2, case, message):
         lines.append("7 8")
     elif case == "no-elements":
         lines = ["0 0 0"]
+    elif case == "truncated":
+        lines = lines[:-1]
+    elif case == "face-count":
+        lines = ["9 8 15"] + lines[1:-1]
+    elif case == "missing-face":
+        lines[-1] = lines[-2]
     else:
         row = 1 + mesh2.n_vertices + 3
         lines[row] = " ".join(lines[row].split()[:2] + ["1.5"])
@@ -316,3 +334,4 @@ def test_malformed_mesh_file_names_the_file(tmp_path, mesh2, case, message):
     with pytest.raises(ValueError,
                        match=f"mesh file {re.escape(str(path))}: {message}"):
         read_mesh_text(path)
+

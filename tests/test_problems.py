@@ -262,6 +262,23 @@ def test_example1_compiles_without_lambdify(monkeypatch):
         math.sin(0.5) * math.sin(0.3) ** 2)
 
 
+def test_a_field_constant_in_space_broadcasts_to_the_points():
+    """u = sin(t) + ... + sin(9t) has nine time factors, one too many to
+    split, and no x or y: its compiled function returns one value, which
+    comes out as a writable array of the shape of x, as do f's."""
+    t = sympy.symbols("t")
+    member = problems.manufactured_member(
+        1, (0, 0), sum(sympy.sin(i * t) for i in range(1, 10)))
+    x = np.linspace(0.0, 1.0, 5)
+    for field, want in ((member.exact_u, sum(
+            math.sin(0.5 * i) for i in range(1, 10))), (member.f, sum(
+            i * math.cos(0.5 * i) for i in range(1, 10)))):
+        assert not isinstance(field, SeparableField)
+        out = field(x, x, 0.5)
+        assert out.shape == x.shape and out.flags.writeable
+        assert out == pytest.approx(np.full(5, want), rel=1e-14)
+
+
 def stack_of_factors(*factors):
     """A FieldStack of one SeparableField per factor, member j weighted
     by j + 1, on 11 points, with the identity as its projection."""

@@ -13,7 +13,7 @@ from ensemble_hdg.problems import (EXAMPLE1_BETA_SCALE, EXAMPLE1_C,
                                    SeparableField, VectorField, example1,
                                    example2, example3, manufactured_member)
 from ensemble_hdg.basis import triangle_quadrature
-from ensemble_hdg.mesh import BatchedGeometry
+from ensemble_hdg.mesh import BatchedGeometry, element_points
 from ensemble_hdg.solver import (EnsembleSolver, Member, ProblemSpec,
                                  check_admissibility, choose_tau,
                                  initialize, state_samples)
@@ -451,6 +451,55 @@ def test_initialize_broadcasts_a_scalar_u0(mesh2):
     state = initialize(ProblemSpec(members, autonomous=True), disc)
     assert np.abs(state_samples(disc, state)["u"][1] - 1.0).max() < 1e-13
     assert np.abs(state.u[0]).max() == 0.0 and np.abs(state.q).max() < 1e-13
+
+
+def test_an_empty_ensemble_is_rejected():
+    with pytest.raises(ValueError,
+                       match="^ensemble needs at least one member$"):
+        ProblemSpec([], autonomous=True)
+
+
+@pytest.mark.parametrize("degree", range(4))
+def test_data_points_are_held_once(rng, degree):
+    """The element and face point tables of the data rules, their flat x
+    and y arrays and the β stack's bound coordinates are views of one
+    array, bitwise the values of `element_points` and of each face's
+    canonical parametrization."""
+    mesh = jittered_mesh(3, rng)
+    disc = Discretization(mesh, degree)
+    beta = EnsembleSolver(disc, example1(), dt=0.1, tau=1.0)._beta
+    x, y = element_points(disc.geom.corners, disc.rule_data.points)
+    va, vb = mesh.vertices[mesh.faces[:, 0]], mesh.vertices[mesh.faces[:, 1]]
+    sd = disc.rule_face_data.points
+    faces = (va[:, None, :] + sd[None, :, None] * (vb - va)[:, None, :])[
+        mesh.elem_faces]
+    want = {"X_data": np.stack([x, y], axis=-1), "Xf_fdata": faces,
+            "x_data_flat": x.ravel(), "y_data_flat": y.ravel(),
+            "xf_fdata_flat": faces[..., 0].ravel(),
+            "yf_fdata_flat": faces[..., 1].ravel()}
+    got = {name: getattr(disc, name) for name in want}
+    want["beta x"] = np.concatenate([x.ravel(), faces[..., 0].ravel()])
+    want["beta y"] = np.concatenate([y.ravel(), faces[..., 1].ravel()])
+    got["beta x"], got["beta y"] = beta._x, beta._y
+    for name, arr in got.items():
+        assert np.shares_memory(arr, disc.data_points), name
+        assert arr.shape == want[name].shape, name
+        assert np.ascontiguousarray(arr).tobytes() == \
+            np.ascontiguousarray(want[name]).tobytes(), name
+
+
+@pytest.mark.parametrize("method, value, shape", [
+    ("sample_scalar", 2.5, (8, 9)),
+    ("sample_scalar_faces", 2.5, (8, 3, 3)),
+    ("sample_vector", [2.5, -1.0], (8, 9, 2)),
+    ("sample_vector_faces", [2.5, -1.0], (8, 3, 3, 2))])
+def test_samples_of_a_constant_broadcast(mesh2, method, value, shape):
+    """A field that returns one value, or one vector, has it at every
+    point of the sampled table."""
+    disc = Discretization(mesh2, 0)
+    out = getattr(disc, method)(lambda x, y, t: np.array(value), 0.0)
+    assert out.shape == shape
+    assert np.all(out == np.array(value))
 
 
 def test_non_finite_u0_is_named(mesh2):
@@ -981,11 +1030,11 @@ def test_no_step_samples_the_data_or_the_exact_solutions(mesh4,
                                                           monkeypatch):
     """After construction, an autonomous run with an ErrorAccumulator
     evaluates none of the spatial factors of f, g and the exact solutions;
-    c and β are sampled per run, not per step, and the state is sampled
-    at the final step only."""
+    c and β are sampled per run, not per step, and the state is never
+    sampled: the observer takes Eu from coefficients, as Eq and Eu*."""
     from collections import Counter
 
-    from ensemble_hdg import errors
+    from ensemble_hdg import errors, solver as solver_module
 
     calls = Counter()
 
@@ -995,8 +1044,9 @@ def test_no_step_samples_the_data_or_the_exact_solutions(mesh4,
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(errors, "state_samples",
-                        counted("state", errors.state_samples))
+    for module in (errors, solver_module):
+        monkeypatch.setattr(module, "state_samples",
+                            counted("state", module.state_samples))
 
     def run(steps):
         spec = example1()
@@ -1019,7 +1069,7 @@ def test_no_step_samples_the_data_or_the_exact_solutions(mesh4,
 
     short, long = run(2), run(4)
     assert "data" not in short and "data" not in long
-    assert short["coefficients"] > 0 and short["state"] == 1
+    assert short["coefficients"] > 0 and "state" not in short
     assert long == short
 
 

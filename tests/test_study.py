@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 from ensemble_hdg.discretization import Discretization
-from ensemble_hdg.errors import ErrorAccumulator, l2_norm_squared
+from ensemble_hdg.errors import ErrorAccumulator
 from ensemble_hdg.io import (load_config, problem_from_config,
                              read_convergence_csv, snapshot_values,
                              write_convergence_csv, write_snapshot_csv,
@@ -14,10 +14,12 @@ from ensemble_hdg.io import (load_config, problem_from_config,
 from ensemble_hdg.mesh import build_uniform_square_mesh
 from ensemble_hdg.postprocess import Postprocessor
 from ensemble_hdg.problems import (EXAMPLE1_BETA_SCALE, EXAMPLE1_C,
-                                   example1, example3, manufactured_member)
+                                   example1, example2, example3,
+                                   manufactured_member)
 from ensemble_hdg.solver import EnsembleSolver, ProblemSpec
 from ensemble_hdg.study import (ConvergenceTable, convergence_study,
                                 resolve_dt_rule, run_level, snap_dt)
+from oracles import l2_norm_squared
 
 
 def test_observed_rates_synthetic():
@@ -150,6 +152,41 @@ def test_error_accumulator_matches_per_member_loop(mesh4, make_spec):
     for key in ("Eu", "Eq", "Eustar"):
         assert np.all(want[key] > 0)
         assert np.all(np.abs(got[key] - want[key]) < 1e-12 * want[key])
+
+
+def example3_against_example1():
+    """Example 3, which has no exact solution, measured against example
+    1's: the observer's norms hold for any state and any exact field."""
+    from ensemble_hdg.solver import Member
+
+    return ProblemSpec([Member(m.c, m.beta, m.f, m.g, m.u0, r.exact_u,
+                               r.exact_q)
+                        for m, r in zip(example3().members,
+                                        example1().members)],
+                       autonomous=True)
+
+
+@pytest.mark.parametrize("degree", range(4))
+@pytest.mark.parametrize("make_spec", [example1, example2,
+                                       example3_against_example1,
+                                       time_dependent_example1],
+                         ids=["example1", "example2", "example3",
+                              "refactor"])
+def test_eu_from_coefficients_matches_the_point_sample_norm(mesh2, make_spec,
+                                                            degree):
+    """Eu, taken from the P_(k+1) coefficients of Pi u and of u_h, against
+    the loop oracle's quadrature of the point samples of u - u_h."""
+    from oracles import LoopErrorAccumulator
+
+    spec = make_spec()
+    disc = Discretization(mesh2, degree)
+    dt = 0.05
+    acc = ErrorAccumulator(disc, spec, dt, final_step=3)
+    ref = LoopErrorAccumulator(disc, spec, dt, final_step=3)
+    EnsembleSolver(disc, spec, dt=dt).run(3 * dt, observers=[acc, ref])
+    got, want = acc.results()["Eu"], ref.results()["Eu"]
+    assert np.all(want > 0)
+    assert np.all(np.abs(got - want) <= 1e-11 * want)
 
 
 def test_error_accumulator_requires_exact_solutions(mesh2):
@@ -525,6 +562,12 @@ def test_config_custom_section_names_a_missing_key(tmp_path):
         load_config(path)
 
 
+def test_a_config_without_a_problem_is_an_error():
+    with pytest.raises(ValueError, match=r"^config defines neither an "
+                       r"example nor a custom problem$"):
+        problem_from_config({})
+
+
 def test_config_custom_section_names_a_bad_entry(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[custom]\nc = 1, x\nbeta_x = 0, 0\nbeta_y = 0, 0\n"
@@ -552,9 +595,11 @@ def test_config_custom_section_names_a_bad_entry(tmp_path):
      r"\[custom\], key 'beta_y': '-inf' is not finite"),
     ("[custom]\nc = 1\nbeta_x = 0\nbeta_y = 0\nf = nan\n",
      r"\[custom\], key 'f': 'nan' is not finite"),
+    ("[custom]\nJ = 3\nc = 1, 2\nbeta_x = 0, 0\nbeta_y = 0, 0\nf = 1, 1\n",
+     r"^config section \[custom\]: the member lists disagree with J = 3$"),
 ], ids=["run-example", "run-degree", "run-T", "custom-J", "custom-T",
         "run-T-inf", "custom-T-negative", "custom-c-nan", "custom-beta_x-inf",
-        "custom-beta_y-inf", "custom-f-nan"])
+        "custom-beta_y-inf", "custom-f-nan", "custom-J-lists"])
 def test_config_names_the_section_and_key_of_a_bad_number(tmp_path, text,
                                                          where):
     path = tmp_path / "bad.ini"

@@ -112,6 +112,23 @@ def test_solve_requires_factorization(mesh2):
         system.solve_multi(np.ones((system.n_dofs + 1, 1)))
 
 
+def test_singular_trace_matrix_fails_naming_the_factorization(mesh2):
+    """All-zero Schur blocks give the zero matrix on the trace pattern;
+    SuperLU's error is re-raised as the factorization's."""
+    disc = Discretization(mesh2, 0)
+    T = disc.trace_dof.shape[1]
+    system = assemble_trace_matrix(disc, np.zeros((mesh2.n_elements, T, T)))
+    with pytest.raises(RuntimeError, match=r"^trace matrix factorization "
+                       r"failed: Factor is exactly singular$"):
+        system.factorize()
+
+
+def test_unsupported_degree_is_named(mesh2):
+    with pytest.raises(ValueError,
+                       match=r"^degree 4: supported degrees are 0\.\.3$"):
+        Discretization(mesh2, 4)
+
+
 def test_shape_mismatch_rejected(mesh2):
     disc = Discretization(mesh2, 0)
     with pytest.raises(ValueError):
