@@ -63,7 +63,10 @@ def _nested_dissection_positions(mesh):
     end, then by s, numbers each separator after both its halves.
     """
     ne = mesh.n_elements
-    cen = mesh.vertices[mesh.elements].mean(axis=1)
+    # centroids from 1-D gathers: (a + b + c) / 3 rounds as .mean(axis=1)
+    e0, e1, e2 = mesh.elements.T
+    cen = np.column_stack([(v[e0] + v[e1] + v[e2]) / 3
+                           for v in mesh.vertices.T])
     code = np.zeros(ne, dtype=np.int64)
     rows = order = np.arange(ne)
     while (counts := np.bincount(code)).max() > _ND_LEAF:
@@ -136,15 +139,12 @@ class Discretization:
 
     def _build_face_tables(self):
         mesh = self.mesh
-        ne = mesh.n_elements
         sd = self.rule_face_data.points
         self.w_fdata = self.rule_face_data.weights
         self.Psi_fdata = self.face_basis.eval(sd)
         # an element traverses a face against its canonical orientation
         # when its local vertex lf is not the face's first vertex
-        aligned = mesh.elements[np.arange(ne)[:, None],
-                                np.array([0, 1, 2])[None, :]]
-        self.face_aligned = aligned == mesh.faces[mesh.elem_faces][:, :, 0]
+        self.face_aligned = mesh.elements == mesh.faces[:, 0][mesh.elem_faces]
 
     # -- physical data-rule points -------------------------------------------
 

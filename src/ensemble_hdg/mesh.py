@@ -7,7 +7,8 @@ immutable after construction and safe for concurrent reads: nothing is
 cached on them.  `BatchedGeometry` holds the element maps.  `element_points`
 is the one map of reference points to physical ones: it works per
 coordinate on the corners of any set of elements, a whole mesh or a block
-of one, so a caller that only reads points needs no geometry.
+of one, so a caller that only reads points needs no geometry, and
+`uniform_grid_points` gives those of a uniform mesh without building it.
 """
 
 import numpy as np
@@ -142,6 +143,11 @@ class Mesh:
         return int((~self.boundary).sum())
 
 
+# the two triangles of a grid cell, lower one first, as the (x, y) grid
+# offsets of their corners from the cell's lower-left vertex
+_CELL = np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
+
+
 def build_uniform_square_mesh(n):
     """Uniform triangulation of [0, 1]^2 with n subdivisions per side.
 
@@ -153,12 +159,27 @@ def build_uniform_square_mesh(n):
     coords = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(coords, coords)
     vertices = np.column_stack([X.ravel(), Y.ravel()])
-    # ll[iy, ix] is the lower-left vertex of cell (ix, iy), whose lower
-    # triangle comes first
+    # ll[iy, ix] is the lower-left vertex of cell (ix, iy); vertex (i, j)
+    # of the grid is number j (n + 1) + i
     ll = np.arange(n)[:, None] * (n + 1) + np.arange(n)
-    elements = (ll[:, :, None, None] + np.array(
-        [[0, 1, n + 2], [0, n + 2, n + 1]])).reshape(-1, 3)
+    elements = (ll[:, :, None, None] + _CELL @ [1, n + 1]).reshape(-1, 3)
     return Mesh(vertices, elements, uniform_n=n)
+
+
+def uniform_grid_points(n, ref):
+    """The points of reference points ref (npts, 2) on the elements of
+    `build_uniform_square_mesh(n)`, without the mesh: x (n, 2, npts) of
+    the cells of each column ix, and y (n, 2, npts) of each row iy.
+
+    A corner's x depends only on the cell's column and its y only on the
+    row, so `element_points` of the diagonal cells (i, i) gives every
+    point bitwise: element 2 (iy n + ix) + l maps point p to
+    (x[ix, l, p], y[iy, l, p]).
+    """
+    coords = np.linspace(0.0, 1.0, n + 1)
+    corners = coords[np.arange(n)[:, None, None, None] + _CELL]
+    x, y = element_points(corners.reshape(2 * n, 3, 2), ref)
+    return x.reshape(n, 2, -1), y.reshape(n, 2, -1)
 
 
 def element_points(corners, ref):

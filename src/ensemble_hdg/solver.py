@@ -30,8 +30,15 @@ import numpy as np
 
 from . import local
 from .basis import triangle_quadrature
-from .mesh import build_uniform_square_mesh, element_points
+from .mesh import (build_uniform_square_mesh, element_points,
+                   uniform_grid_points)
 from .trace_system import assemble_trace_matrix
+
+# build_uniform_square_mesh is imported only for the benchmark's tracer,
+# which patches it here by name; nothing in this module calls it
+__all__ = ["Member", "ProblemSpec", "AdmissibilityReport",
+           "check_admissibility", "choose_tau", "EnsembleState", "initialize",
+           "state_samples", "EnsembleSolver", "build_uniform_square_mesh"]
 
 # elements per block of choose_tau's sampling: its point and sample arrays
 # stay a few hundred kilobytes each, however large the sampled mesh
@@ -182,36 +189,53 @@ def choose_tau(spec, mesh):
 
     The sup uses the max-component norm, sampled at t = 0 at element points
     of the run mesh itself and its uniform 2n and 4n refinements
-    (quadrature-order escalation on meshes that cannot be refined).  Each
-    mesh is walked in blocks of `_TAU_BLOCK` elements, whose points come
-    from `mesh.element_points`: no geometry and no whole-mesh sample.
-    A non-finite sample raises `local.CoefficientError` through
-    `problems.reject_non_finite`, as in the solver's β stack.
+    (quadrature-order escalation on meshes that cannot be refined), in
+    the blocks of `_tau_points`.  A non-finite sample raises
+    `local.CoefficientError` through `problems.reject_non_finite`, as in
+    the solver's β stack.
     """
     from .problems import reject_non_finite
 
-    if mesh.uniform_n is not None:
-        meshes = [mesh] + [build_uniform_square_mesh(mesh.uniform_n * s)
-                           for s in (2, 4)]
-        orders = [6, 6, 6]
-    else:
-        meshes = [mesh, mesh, mesh]
-        orders = [4, 8, 12]
     t = 0.0
     sup = 0.0
-    for m, order in zip(meshes, orders):
-        ref = triangle_quadrature(order).points
-        for start in range(0, m.n_elements, _TAU_BLOCK):
-            corners = m.vertices[m.elements[start:start + _TAU_BLOCK]]
-            x, y = (a.ravel() for a in element_points(corners, ref))
-            for j, member in enumerate(spec.members):
-                b = np.abs(np.asarray(member.beta(x, y, t), dtype=float))
-                peak = float(b.max())
-                if not np.isfinite(peak):
-                    reject_non_finite(np.broadcast_to(b, x.shape + (2,))[None],
-                                      [j], "beta", x, y, t)
-                sup = max(sup, peak)
+    for x, y in _tau_points(mesh):
+        for j, member in enumerate(spec.members):
+            b = np.asarray(member.beta(x, y, t), dtype=float)
+            # the largest |b|, without an abs copy; NaN propagates
+            peak = max(float(b.max()), -float(b.min()))
+            if not np.isfinite(peak):
+                reject_non_finite(np.broadcast_to(b, x.shape + (2,))[None],
+                                  [j], "beta", x, y, t)
+            sup = max(sup, peak)
     return 1.0 + sup
+
+
+def _tau_points(mesh):
+    """The points of `choose_tau`, as flat x and y of about `_TAU_BLOCK`
+    elements each, in element order: the run mesh's order-6 points, then
+    those of its uniform 2n and 4n refinements, or the order-4, 8 and 12
+    points of a mesh that cannot be refined.  The run mesh's come from
+    `mesh.element_points` block by block; the refinements' from their
+    grid coordinates (`mesh.uniform_grid_points`), a block of whole cell
+    rows at a time, so no refined mesh is built."""
+    n = mesh.uniform_n
+    for order in [4, 8, 12] if n is None else [6]:
+        ref = triangle_quadrature(order).points
+        for start in range(0, mesh.n_elements, _TAU_BLOCK):
+            corners = mesh.vertices[mesh.elements[start:start + _TAU_BLOCK]]
+            yield tuple(a.ravel() for a in element_points(corners, ref))
+    if n is None:
+        return
+    ref = triangle_quadrature(6).points
+    for m in (2 * n, 4 * n):
+        xs, ys = uniform_grid_points(m, ref)
+        rows = max(1, _TAU_BLOCK // (2 * m))
+        for start in range(0, m, rows):
+            # element 2 (iy m + ix) + l: cell rows outermost
+            y = ys[start:start + rows, None]
+            shape = (len(y), m, 2, len(ref))
+            yield (np.broadcast_to(xs, shape).ravel(),
+                   np.broadcast_to(y, shape).ravel())
 
 
 class EnsembleState:

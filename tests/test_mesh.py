@@ -7,7 +7,8 @@ import pytest
 from ensemble_hdg.basis import triangle_quadrature
 from ensemble_hdg.mesh import (Mesh, BatchedGeometry,
                                build_uniform_square_mesh, element_points,
-                               read_mesh_text, write_mesh_text)
+                               read_mesh_text, uniform_grid_points,
+                               write_mesh_text)
 
 from oracles import face_connectivity, loop_h_max
 
@@ -253,6 +254,22 @@ def test_points_of_element_blocks_are_the_whole_mesh_rows(rng):
         assert x.shape == y.shape == (stop - start, len(ref))
         assert np.array_equal(x, X[start:stop, :, 0])
         assert np.array_equal(y, X[start:stop, :, 1])
+
+
+@pytest.mark.parametrize("order", [4, 6, 8, 12])
+@pytest.mark.parametrize("n", [1, 3, 8, 128])
+def test_uniform_grid_points_are_the_mesh_points(n, order):
+    """The columns' x and the rows' y, broadcast over the grid in element
+    order, are bit for bit element_points of the built mesh."""
+    ref = triangle_quadrature(order).points
+    m = build_uniform_square_mesh(n)
+    X, Y = element_points(m.vertices[m.elements], ref)
+    xs, ys = uniform_grid_points(n, ref)
+    assert xs.shape == ys.shape == (n, 2, len(ref))
+    grid = (n, n, 2, len(ref))
+    assert np.array_equal(X, np.broadcast_to(xs, grid).reshape(X.shape))
+    assert np.array_equal(Y, np.broadcast_to(ys[:, None], grid).reshape(
+        Y.shape))
 
 
 def test_mesh_text_roundtrip(tmp_path, mesh4):

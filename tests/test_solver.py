@@ -332,14 +332,16 @@ def test_choose_tau_matches_whole_mesh_sampling(examples, example, n):
     assert choose_tau(spec, mesh) == whole_mesh_tau(spec, mesh)
 
 
-@pytest.mark.parametrize("block", [19, 18, 17])
+@pytest.mark.parametrize("block", [50, 19, 18, 17])
 @pytest.mark.parametrize("kind", ["uniform", "jittered"])
 def test_choose_tau_blocks_split_anywhere(examples, monkeypatch, rng, kind,
                                           block):
     """The 18 elements of the n=3 mesh fill a block of 19 partly, one of
-    18 exactly, and one of 17 with one element over, as its refinements'
-    72 and 288 fill blocks of 18 exactly and of 17 and 19 with a rest; a
-    jittered mesh takes the order-4/8/12 passes."""
+    18 exactly, and one of 17 with one element over.  Its refinements
+    split at cell rows, of 12 and 24 elements: a block of 50 takes the
+    6 x 6 grid four rows at a time, the last block short, and the 12 x 12
+    two; one of 17 to 19 takes one row of either, a 24-element row
+    overfilling it.  A jittered mesh takes the order-4/8/12 passes."""
     from ensemble_hdg import solver
 
     mesh = build_uniform_square_mesh(3) if kind == "uniform" else \
@@ -401,10 +403,30 @@ def test_choose_tau_names_a_point_of_a_refinement(mesh2):
         choose_tau(ProblemSpec(members, autonomous=True), mesh2)
 
 
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_choose_tau_builds_no_refined_mesh(examples, monkeypatch, n):
+    """The 2n and 4n points come from their grid coordinates: with every
+    Mesh construction failing, tau on a uniform mesh is still the sup
+    over the built refinements."""
+    from ensemble_hdg import mesh as mesh_module, solver
+
+    mesh = build_uniform_square_mesh(n)
+    want = {k: whole_mesh_tau(spec, mesh) for k, spec in examples.items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("choose_tau built a mesh")
+
+    monkeypatch.setattr(mesh_module.Mesh, "__init__", refuse)
+    monkeypatch.setattr(solver, "build_uniform_square_mesh", refuse)
+    for k, spec in examples.items():
+        assert choose_tau(spec, mesh) == want[k]
+
+
 def test_choose_tau_memory_stays_bounded(examples):
     """Whole-mesh sampling held 45 MiB at n=32: the 4n mesh's geometry and
-    its 524,288 points with each member's samples.  In blocks, what is
-    left is mostly the build of the 4n mesh itself."""
+    its 524,288 points with each member's samples.  Blocks of a built 4n
+    mesh still held 15 MiB, mostly the mesh itself; blocks of grid
+    points hold 2.2 MiB: one block's points and samples."""
     spec, mesh = examples[1], build_uniform_square_mesh(32)
     tracemalloc.start()
     try:
@@ -412,7 +434,7 @@ def test_choose_tau_memory_stays_bounded(examples):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2 ** 20
+    assert peak < 4 * 2 ** 20
 
 
 def test_initialize_zero_and_polynomial(mesh2):
@@ -620,6 +642,25 @@ def test_run_rejects_non_integral_grid(mesh2):
     solver = EnsembleSolver(Discretization(mesh2, 0), spec, dt=0.3)
     with pytest.raises(ValueError, match="integral"):
         solver.run(1.0)
+
+
+def test_check_residuals_names_a_wrong_solve(mesh2, monkeypatch):
+    """A factorization whose solve returns twice the solution leaves a
+    trace residual of about 1: check_residuals stops the run at the first
+    step and names it, where an unchecked run marches on."""
+    from ensemble_hdg.trace_system import TraceSystem
+
+    solve = TraceSystem.solve_multi
+    monkeypatch.setattr(TraceSystem, "solve_multi",
+                        lambda system, rhs: 2 * solve(system, rhs))
+    disc = Discretization(mesh2, 1)
+    EnsembleSolver(disc, example1(), dt=0.25, tau=2.0).run(0.5)
+    solver = EnsembleSolver(disc, example1(), dt=0.25, tau=2.0,
+                            check_residuals=True)
+    with pytest.raises(RuntimeError, match=r"trace residual 1\.00e\+00 "
+                       r"exceeds 1e-10 at step 1$"):
+        solver.run(0.5)
+    assert solver.n_steps == 0
 
 
 def test_polynomial_solution_reproduced_exactly(mesh2):
