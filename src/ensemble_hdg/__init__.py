@@ -13,8 +13,8 @@ from .io import (load_config, problem_from_config, write_convergence_csv,
                  write_snapshot_csv, write_snapshot_vtk)
 from .mesh import build_uniform_square_mesh, read_mesh_text
 from .postprocess import Postprocessor
-from .problems import get_example
-from .solver import EnsembleSolver, Member, ProblemSpec, check_admissibility
+from .problems import Member, ProblemSpec, get_example
+from .solver import EnsembleSolver, check_admissibility
 from .study import (benchmark_ensemble_vs_separate, convergence_study,
                     resolve_dt_rule, snap_dt)
 

@@ -189,8 +189,9 @@ def cmd_bench(merged, problem):
 
 def cmd_check(merged, problem):
     mesh, dt, N = _mesh_and_steps(merged, "3")
-    report = check_admissibility(problem, mesh,
-                                 [i * dt for i in range(N + 1)])
+    solver = EnsembleSolver(Discretization(mesh, merged["degree"]), problem,
+                            dt=dt)
+    report = check_admissibility(solver, [i * dt for i in range(N + 1)])
     print(report)
     for j, n, x, y in report.violations[:10]:
         print(f"  member {j + 1} at t_{n}, point ({x:.4f}, {y:.4f})")

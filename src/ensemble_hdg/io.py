@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from .problems import constant_ensemble, get_example
 from .study import ConvergenceTable
 
 
@@ -198,8 +199,6 @@ def final_time(value):
 
 def problem_from_config(cfg):
     """Materialize the ensemble a config describes (custom or example)."""
-    from .problems import constant_ensemble, get_example
-
     if "custom" in cfg:
         c = cfg["custom"]
         return constant_ensemble(c["c"], c["beta"], c["f"],

@@ -209,8 +209,10 @@ class BatchedGeometry:
     """
 
     def __init__(self, mesh):
-        v = mesh.vertices[mesh.elements]
-        self.corners = v
+        # two 1-D gathers: several times faster than vertices[elements]
+        x, y = mesh.vertices.T
+        v = self.corners = np.stack(
+            [x[mesh.elements], y[mesh.elements]], axis=-1)
         B = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
         self.det = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
         inv = np.empty_like(B)

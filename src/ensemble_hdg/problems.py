@@ -1,5 +1,6 @@
-"""Built-in ensembles: manufactured smooth/layered problems and custom
-constant-coefficient families.
+"""The member model (`Member`, `ProblemSpec`) and the built-in ensembles:
+manufactured smooth/layered problems and custom constant-coefficient
+families.
 
 Manufactured members are generated symbolically: given an exact solution
 u(x, y, t), a positive inverse-diffusion c(x, y) and a velocity field, the
@@ -27,7 +28,6 @@ from sympy.printing.numpy import NumPyPrinter
 from sympy.printing.pycode import PythonCodePrinter
 
 from .local import CoefficientError, mode_sum
-from .solver import Member, ProblemSpec
 
 _X, _Y, _T = sympy.symbols("x y t")
 
@@ -244,6 +244,61 @@ class FieldStack:
                     (self._residual(samples) ** 2).sum(-1))
         W = self.modes(t)[0]
         return mode_sum(W, self._images), ((W @ self._gram) * W).sum(1)
+
+
+class Member:
+    """One parameterized convection-diffusion problem of the ensemble.
+
+    Fields are vectorized callables: c(x, y, t) positive scalar (inverse
+    diffusion), beta(x, y, t) -> shape x.shape + (2,) divergence-free
+    velocity, f(x, y, t) source, g(x, y, t) Dirichlet datum, u0(x, y, t)
+    initial condition, read at t = 0; exact_u / exact_q are optional
+    references for error studies (exact_q returns shape x.shape + (2,)).
+    """
+
+    def __init__(self, c, beta, f, g, u0, exact_u=None, exact_q=None):
+        self.c = c
+        self.beta = beta
+        self.f = f
+        self.g = g
+        self.u0 = u0
+        self.exact_u = exact_u
+        self.exact_q = exact_q
+
+
+class ProblemSpec:
+    """A J-member ensemble of convection-diffusion problems.
+
+    autonomous says whether the coefficients c and beta are independent of
+    time.  The library ignores it: the solver reads c and β at every level
+    and keeps what their weights show to stay.  It has no default and is
+    passed on by `single_member`.  Members are named from 1 in messages,
+    as in the error tables.
+    """
+
+    def __init__(self, members, autonomous, default_T=1.0, name=""):
+        if not members:
+            raise ValueError("ensemble needs at least one member")
+        self.members = list(members)
+        self.autonomous = autonomous
+        self.default_T = default_T
+        self.name = name
+
+    @property
+    def J(self):
+        return len(self.members)
+
+    @property
+    def has_exact(self):
+        return all(m.exact_u is not None and m.exact_q is not None
+                   for m in self.members)
+
+    def single_member(self, j):
+        """A J=1 spec containing only the member of index j (for separate
+        runs), named member j + 1."""
+        return ProblemSpec([self.members[j]], autonomous=self.autonomous,
+                           default_T=self.default_T,
+                           name=f"{self.name}[member {j + 1}]")
 
 
 def manufactured_member(c_expr, beta_exprs, u_expr):

@@ -26,16 +26,21 @@ States are immutable: step() returns a fresh state, the previous one is
 never written to, so observers may safely keep references.
 """
 
+import warnings
+
 import numpy as np
 
 from . import local
 from .basis import triangle_quadrature
 from .mesh import (build_uniform_square_mesh, element_points,
                    uniform_grid_points)
+from .problems import FieldStack, Member, ProblemSpec, reject_non_finite
 from .trace_system import assemble_trace_matrix
 
 # build_uniform_square_mesh is imported only for the benchmark's tracer,
-# which patches it here by name; nothing in this module calls it
+# which patches it here by name, and Member and ProblemSpec only for the
+# benchmark's workloads, which build specs through this module; nothing
+# in this module calls them
 __all__ = ["Member", "ProblemSpec", "AdmissibilityReport",
            "check_admissibility", "choose_tau", "EnsembleState", "initialize",
            "state_samples", "EnsembleSolver", "build_uniform_square_mesh"]
@@ -43,61 +48,6 @@ __all__ = ["Member", "ProblemSpec", "AdmissibilityReport",
 # elements per block of choose_tau's sampling: its point and sample arrays
 # stay a few hundred kilobytes each, however large the sampled mesh
 _TAU_BLOCK = 2048
-
-
-class Member:
-    """One parameterized convection-diffusion problem of the ensemble.
-
-    Fields are vectorized callables: c(x, y, t) positive scalar (inverse
-    diffusion), beta(x, y, t) -> shape x.shape + (2,) divergence-free
-    velocity, f(x, y, t) source, g(x, y, t) Dirichlet datum, u0(x, y, t)
-    initial condition, read at t = 0; exact_u / exact_q are optional
-    references for error studies (exact_q returns shape x.shape + (2,)).
-    """
-
-    def __init__(self, c, beta, f, g, u0, exact_u=None, exact_q=None):
-        self.c = c
-        self.beta = beta
-        self.f = f
-        self.g = g
-        self.u0 = u0
-        self.exact_u = exact_u
-        self.exact_q = exact_q
-
-
-class ProblemSpec:
-    """A J-member ensemble of convection-diffusion problems.
-
-    autonomous says whether the coefficients c and beta are independent of
-    time.  The library ignores it: the solver reads c and β at every level
-    and keeps what their weights show to stay.  It has no default and is
-    passed on by `single_member`.  Members are named from 1 in messages,
-    as in the error tables.
-    """
-
-    def __init__(self, members, autonomous, default_T=1.0, name=""):
-        if not members:
-            raise ValueError("ensemble needs at least one member")
-        self.members = list(members)
-        self.autonomous = autonomous
-        self.default_T = default_T
-        self.name = name
-
-    @property
-    def J(self):
-        return len(self.members)
-
-    @property
-    def has_exact(self):
-        return all(m.exact_u is not None and m.exact_q is not None
-                   for m in self.members)
-
-    def single_member(self, j):
-        """A J=1 spec containing only the member of index j (for separate
-        runs), named member j + 1."""
-        return ProblemSpec([self.members[j]], autonomous=self.autonomous,
-                           default_T=self.default_T,
-                           name=f"{self.name}[member {j + 1}]")
 
 
 class AdmissibilityReport:
@@ -139,39 +89,34 @@ class AdmissibilityReport:
                 f"{self.c_min:.4g})")
 
 
-def check_admissibility(spec, mesh, times):
+def check_admissibility(solver, times):
     """Sample the ensemble-mean condition over elements and time levels.
 
-    times are the discrete levels t_0..t_N: level n is checked against
-    the mean of level n-1, and a single level t_0 against itself.  The
-    members' c are read through one joint evaluator, whose weights and
-    images (`FieldStack.modes`) a level n >= 2 compares with those of
-    levels n-1 and n-2: when all three are bitwise equal, its check is
-    level n-1's, and it is skipped.  A separable c is thus compared by its
-    weights before any sample is formed; plain callables are sampled at
-    every level.  Returns a report instead of raising; callers enforce
-    strictness.
+    c is read as the scheme reads it: through the solver's c stack, at
+    the data-rule points where the blocks integrate it.  times are the
+    discrete levels t_0..t_N: level n is checked against the mean of
+    level n-1, and a single level t_0 against itself, as level 0.  A
+    level n >= 2 whose weights and mode samples (`FieldStack.modes`) are
+    bitwise those of levels n-1 and n-2 has level n-1's check, and it is
+    skipped.  A separable c is thus compared by its weights before any
+    sample is formed; plain callables are sampled at every level.
+    Returns a report instead of raising; callers enforce strictness.
     """
-    from .problems import FieldStack
-
-    x, y = (a.ravel() for a in element_points(
-        mesh.vertices[mesh.elements], triangle_quadrature(6).points))
-    c_at = FieldStack([m.c for m in spec.members], x, y,
-                      lambda samples: samples, None, "c")
-
+    x, y = solver.disc.x_data_flat, solver.disc.y_data_flat
     report = AdmissibilityReport()
     times = list(times)
     grid = [times[0]] + times if len(times) == 1 else times
     last, prev_cbar = [], None
     for n, t in enumerate(grid):
-        W, images = c_at.modes(t)
+        # the images of the c stack hold the modes' samples first
+        W, (samples, _) = solver._c.modes(t)
         repeated = len(last) == 2 and all(
-            np.array_equal(W, w) and (images is s or np.array_equal(images, s))
-            for w, s in last)
-        last = last[-1:] + [(W, images)]
+            np.array_equal(W, w) and
+            (samples is s or np.array_equal(samples, s)) for w, s in last)
+        last = last[-1:] + [(W, samples)]
         if repeated:
             continue
-        cvals = local.mode_sum(W, images)
+        cvals = local.mode_sum(W, samples)
         cbar = cvals.mean(axis=0)
         report.c_min = min(report.c_min, float(cvals.min()))
         if prev_cbar is None:
@@ -179,7 +124,7 @@ def check_admissibility(spec, mesh, times):
             continue
         bound = np.minimum(cbar, prev_cbar)
         bad = (np.abs(cbar[None] - cvals) >= bound[None]) | (cvals <= 0)
-        report.record(n, bad, x, y)
+        report.record(min(n, len(times) - 1), bad, x, y)
         prev_cbar = cbar
     return report
 
@@ -194,8 +139,6 @@ def choose_tau(spec, mesh):
     `local.CoefficientError` through `problems.reject_non_finite`, as in
     the solver's β stack.
     """
-    from .problems import reject_non_finite
-
     t = 0.0
     sup = 0.0
     for x, y in _tau_points(mesh):
@@ -261,8 +204,6 @@ def initialize(spec, disc):
     and c are sampled through `problems.FieldStack`s at t = 0; a c sample
     that is not positive raises `local.CoefficientError` naming it.
     """
-    from .problems import FieldStack
-
     J, ne, d = spec.J, disc.mesh.n_elements, disc.ndof_u
     x, y = disc.x_data_flat, disc.y_data_flat
     hi = FieldStack([m.u0 for m in spec.members], x, y,
@@ -334,8 +275,6 @@ class EnsembleSolver:
         self._ops = None
         self._block_tables = local.BlockTables(disc, self.tau, self.dt)
         # joint evaluators of the member data at fixed points
-        from .problems import FieldStack
-
         x, y = disc.x_data_flat, disc.y_data_flat
         tables = self._block_tables
         # c and β enter the blocks as the terms of their modes: separable
@@ -461,13 +400,11 @@ class EnsembleSolver:
             raise ValueError(
                 f"T/dt = {ratio} is not integral; snap dt first")
         report = check_admissibility(
-            self.spec, self.disc.mesh, [i * self.dt for i in range(N + 1)])
+            self, [i * self.dt for i in range(N + 1)])
         if not report.ok:
             msg = f"ensemble-mean admissibility violated: {report!r}"
             if self.strict_admissibility:
                 raise RuntimeError(msg)
-            import warnings
-
             warnings.warn(msg)
         state = initialize(self.spec, self.disc)
         for _ in range(N):

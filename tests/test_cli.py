@@ -84,6 +84,20 @@ f = 1, 1, 1
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_check_reads_c_at_the_data_points_of_its_degree(tmp_path, capsys):
+    """c = (1, 3, 20) fails at every point, and its points are counted
+    once: the 8 elements of level 1 hold 16 order-6 data points each at
+    the default degree 1, and 25 order-8 points each at degree 2."""
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[custom]\nc = 1, 3, 20\nbeta_x = 0, 0, 0\n"
+                   "beta_y = 0, 0, 0\nf = 1, 1, 1\n")
+    for extra, points in (([], 8 * 16), (["--degree", "2"], 8 * 25)):
+        rc = main(["check", "--config", str(cfg), "--levels", "1",
+                   "--dt-rule", "fixed=0.05", "--T", "0.1"] + extra)
+        assert rc == 0
+        assert f"FAIL ({points} points)" in capsys.readouterr().out
+
+
 def test_config_file_drives_converge(tmp_path):
     cfg = tmp_path / "study.ini"
     cfg.write_text("""

@@ -1,5 +1,6 @@
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -224,6 +225,23 @@ def test_element_geometry_uniform_areas(mesh2):
     g = BatchedGeometry(mesh2)
     assert len(g.det) == mesh2.n_elements
     assert np.abs(0.5 * g.det - 1 / 8).max() < 1e-15
+
+
+@pytest.mark.parametrize("kind, n", [("uniform", 3), ("uniform", 64),
+                                     ("jittered", 8)])
+def test_geometry_matches_the_2d_corner_gather_bitwise(kind, n, rng):
+    """The corners come from 1-D gathers of x and y; every table equals,
+    bit for bit, that of corners gathered as vertices[elements]: the
+    geometry of a mesh whose vertices are those corners, row by row."""
+    m = build_uniform_square_mesh(n) if kind == "uniform" else \
+        jittered_mesh(n, rng)
+    gathered = SimpleNamespace(
+        vertices=m.vertices[m.elements].reshape(-1, 2),
+        elements=np.arange(3 * m.n_elements).reshape(-1, 3))
+    got, want = BatchedGeometry(m), BatchedGeometry(gathered)
+    assert np.array_equal(got.corners, m.vertices[m.elements])
+    for name in ("corners", "det", "inv", "edge_lengths", "normals"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_points_round_as_two_products_and_two_sums():

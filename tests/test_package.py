@@ -12,8 +12,10 @@ ndarray attribute, whose reads such an access cannot tell apart; no
 module of the library sets a private attribute on an object other than
 self, nor reads one there unless a class of that module sets or defines
 it; no module of the library reads an attribute named autonomous outside
-ProblemSpec; and every name a module of the library, the tests or the
-benchmark imports must be used in that module or listed in its __all__.
+ProblemSpec; every name a module of the library, the tests or the
+benchmark imports must be used in that module or listed in its __all__;
+and every import of the library sits at module level, with problems
+importing nothing from solver.
 """
 
 import ast
@@ -267,6 +269,33 @@ def test_no_unused_imports():
              for p in sorted((ROOT / folder).rglob("*.py"))]
     unused = [entry for path in paths for entry in unused_imports(path)]
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_every_library_import_is_at_module_level():
+    """An import inside a function hides a cycle between modules until
+    the function runs; the library has none."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = {id(node) for node in tree.body}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) and
+                  id(node) not in top]
+    assert not found, f"imports below module level: {found}"
+
+
+def test_problems_imports_nothing_from_solver():
+    """The member model and FieldStack, its gate, live in problems, which
+    solver builds on: an import back would make the two a cycle."""
+    modules = []
+    for node in ast.walk(ast.parse((SRC / "problems.py").read_text())):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules += [f"{node.module or ''}.{alias.name}"
+                        for alias in node.names]
+    found = [name for name in modules if "solver" in name.split(".")]
+    assert not found, f"problems imports from solver: {found}"
 
 
 def test_all_names_resolve():

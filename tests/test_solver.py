@@ -125,29 +125,79 @@ def test_ensemble_means_random_separable_fields(mesh2):
     assert_means_match_member_samples(mesh2, members)
 
 
+def admissibility(spec, mesh, times):
+    """The check of a k = 1 solver on mesh, whose c stack reads the
+    order-6 data points."""
+    solver = EnsembleSolver(Discretization(mesh, 1), spec, dt=1.0, tau=1.0)
+    return check_admissibility(solver, times)
+
+
 def test_admissibility_example1(mesh2):
-    report = check_admissibility(example1(), mesh2, [0.0])
+    report = admissibility(example1(), mesh2, [0.0])
     assert report.ok
     assert report.c_min > 0.26
 
 
 def test_admissibility_single_member_trivial(mesh2):
     spec = ProblemSpec(constant_members([7.0], [(0, 0)]), autonomous=True)
-    assert check_admissibility(spec, mesh2, [0.0]).ok
+    assert admissibility(spec, mesh2, [0.0]).ok
 
 
 def test_admissibility_detects_violation(mesh2):
     # c = {1, 3, 20}: cbar = 8, |8 - 20| = 12 >= 8 -> fail
     spec = ProblemSpec(constant_members([1.0, 3.0, 20.0],
                                         [(0, 0)] * 3), autonomous=True)
-    report = check_admissibility(spec, mesh2, [0.0])
+    report = admissibility(spec, mesh2, [0.0])
     assert not report.ok
     members = {v[0] for v in report.violations}
     assert members == {2}
     # c = {1, 100}: |50.5 - 1| = 49.5 < 50.5 -> the mean condition holds
     spec2 = ProblemSpec(constant_members([1.0, 100.0], [(0, 0)] * 2),
                         autonomous=True)
-    assert check_admissibility(spec2, mesh2, [0.0]).ok
+    assert admissibility(spec2, mesh2, [0.0]).ok
+
+
+def test_admissibility_records_the_levels_it_was_given(mesh2):
+    """c = (1, 3, 20) fails at every point.  A single level t_0 is checked
+    against itself, and its violations are level 0's; of two levels, the
+    second's are level 1's."""
+    spec = ProblemSpec(constant_members([1.0, 3.0, 20.0], [(0, 0)] * 3),
+                       autonomous=True)
+    for times, level in (([0.0], 0), ([0.0, 0.5], 1)):
+        report = admissibility(spec, mesh2, times)
+        assert report.violations
+        assert {n for _, n, *_ in report.violations} == {level}
+
+
+@pytest.mark.parametrize("k", [0, 2, 3])
+def test_admissibility_reads_c_where_the_scheme_reads_it(k):
+    """c = (1, 1, c_3) with c_3 = 8 exactly at the degree-k solver's
+    data points and 1 elsewhere: the scheme sees c_3 = 8, against a mean
+    of 10/3, and member 3 grows by orders of magnitude over 200 steps.
+    The check reads the same points, names member 3 at each of them, and
+    a strict run stops before its first step."""
+    disc = Discretization(build_uniform_square_mesh(4), k)
+    x, y = disc.x_data_flat, disc.y_data_flat
+    points = set(zip(x.tolist(), y.tolist()))
+
+    def c3(x, y, t):
+        return np.reshape([8.0 if p in points else 1.0
+                           for p in zip(np.ravel(x).tolist(),
+                                        np.ravel(y).tolist())], np.shape(x))
+
+    members = constant_members([1.0] * 3, [(0.5, 0.2)] * 3)
+    for m in members:
+        m.f = lambda x, y, t: np.ones_like(x)
+    members[2].c = c3
+    spec = ProblemSpec(members, autonomous=True)
+    solver = EnsembleSolver(disc, spec, dt=0.01, tau=2.0,
+                            strict_admissibility=True)
+    report = check_admissibility(solver, [n * 0.01 for n in range(201)])
+    assert report.n_violations == len(x)
+    assert {j for j, *_ in report.violations} == {2}
+    with pytest.raises(RuntimeError, match="admissibility violated"):
+        solver.run(2.0)
+    assert solver.n_steps == 0
 
 
 def test_admissibility_report_counts_every_violation(mesh2):
@@ -159,7 +209,7 @@ def test_admissibility_report_counts_every_violation(mesh2):
     members[2].c = lambda x, y, t: 20.0 * x * (1.0 + t) - 1.0
     spec = ProblemSpec(members, autonomous=False)
     times = [0.0, 0.25, 0.5, 0.75, 1.0]
-    report = check_admissibility(spec, mesh2, times)
+    report = admissibility(spec, mesh2, times)
 
     v = BatchedGeometry(mesh2).corners
     X = np.einsum("eji,qj->eqi", v[:, 1:] - v[:, :1],
@@ -209,18 +259,18 @@ def test_admissibility_samples_separable_autonomous_c_once(mesh4, build):
     """Example 1, and a constant ensemble with c = (1, 3, 20) that fails
     the condition, over the 129 levels of the march benchmark: the
     spatial factors of c are sampled once, the weights are read at every
-    level, and the report is that of t_0 alone."""
+    level, and the report is that of levels t_0 and t_1 alone."""
     from ensemble_hdg.problems import constant_ensemble
 
     spec = example1() if build == "example1" else constant_ensemble(
         (1.0, 3.0, 20.0), [(0.0, 0.0)] * 3, (0.0,) * 3, 1.0, "violated")
     times = [n / 128 for n in range(129)]
-    first = check_admissibility(spec, mesh4, [0.0])
+    first = admissibility(spec, mesh4, times[:2])
     spatial, weights = [], []
     fields = [m.c for m in spec.members]
     counted_factors(fields, "_s_fns", spatial)
     counted_factors(fields, "_t_fns", weights)
-    report = check_admissibility(spec, mesh4, times)
+    report = admissibility(spec, mesh4, times)
     assert len(spatial) == sum(len(c._s_fns) for c in fields)
     assert sorted(set(weights)) == times
     assert report_fields(report) == report_fields(first)
@@ -240,8 +290,8 @@ def test_admissibility_reports_moving_weights_at_every_level(mesh2):
     times = [0.0, 0.25, 0.5, 0.75, 1.0]
     weights = []
     counted_factors([m.c for m in members], "_t_fns", weights)
-    report = check_admissibility(ProblemSpec(members, autonomous=False),
-                                 mesh2, times)
+    report = admissibility(ProblemSpec(members, autonomous=False), mesh2,
+                           times)
     npts = mesh2.n_elements * len(triangle_quadrature(6).weights)
     assert sorted(set(weights)) == times
     assert report.n_violations == 4 * npts
@@ -252,16 +302,16 @@ def test_admissibility_reports_moving_weights_at_every_level(mesh2):
 def test_admissibility_samples_plain_c_at_every_level(mesh2):
     """A plain callable c cannot show that it stays: it is sampled at
     every level.  The constant c = (1, 3, 20) repeats its samples, so its
-    report is that of t_0 alone."""
+    report is that of levels t_0 and t_1 alone."""
     read = []
     members = constant_members([1.0, 3.0, 20.0], [(0, 0)] * 3)
     for m, c0 in zip(members, (1.0, 3.0, 20.0)):
         m.c = lambda x, y, t, c0=c0: read.append(t) or np.full_like(x, c0)
     spec = ProblemSpec(members, autonomous=True)
     times = [0.0, 0.25, 0.5, 0.75, 1.0]
-    first = check_admissibility(spec, mesh2, [0.0])
+    first = admissibility(spec, mesh2, times[:2])
     read.clear()
-    report = check_admissibility(spec, mesh2, times)
+    report = admissibility(spec, mesh2, times)
     assert sorted(read) == sorted(times * 3)
     assert not report.ok
     assert report_fields(report) == report_fields(first)
@@ -291,8 +341,7 @@ def test_admissibility_reports_a_nan_sample(mesh2):
     with pytest.raises(CoefficientError, match=named(
             f"member 2: the c sample at ({x0}, {y0}) at t = 0.0 is not "
             f"finite")):
-        check_admissibility(ProblemSpec(members, autonomous=True), mesh2,
-                            [0.0])
+        admissibility(ProblemSpec(members, autonomous=True), mesh2, [0.0])
 
 
 def test_choose_tau_zero_velocity(mesh2):
