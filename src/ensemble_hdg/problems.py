@@ -7,17 +7,20 @@ u(x, y, t), a positive inverse-diffusion c(x, y) and a velocity field, the
 flux q = -(1/c) grad u, source f = u_t + div q + beta . grad u, boundary
 datum g = u and initial value u(., 0) are derived with sympy.  A field
 whose time dependence splits off, sum_i T_i(t) S_i(x, y), becomes a
-SeparableField of scalar T_i and vectorized numpy S_i.  All the
-functions of one member are printed into one generated Python module,
-exec'd once at construction, as `sympy.lambdify` would print each alone.
+SeparableField of scalar T_i and vectorized numpy S_i.  Each distinct
+factor is printed as `sympy.lambdify` would print it alone and compiled
+once per process: the factors new to a construction go into one
+generated Python module, exec'd once, and members that share a factor,
+as example 1's share sin x sin y, share its function object.
 
 The library reads every member field through `FieldStack`, a joint
 evaluator bound to fixed points and to a linear map of the samples
 there: the coefficient terms of c and β, the data moments of f and g,
-the start u0, the error observer's projections, the u* maps.  It maps
-the spatial factors of separable fields once, vector fields of separable
-components included, and other fields at every call; it names any
-non-finite sample or weight before a map sees it.
+the start u0, the error observer's projections, the u* maps.  It samples
+each distinct spatial factor function of separable fields once, vector
+fields of separable components included, maps them once, and other
+fields at every call; it names any non-finite sample or weight before a
+map sees it.
 """
 
 import math
@@ -37,25 +40,33 @@ class SeparableField:
 
     Time loops evaluate data at the same quadrature points every step;
     a `FieldStack` evaluates the spatial factors S_i there once and each
-    step only the scalars T_i(t).  A direct call evaluates both and keeps
-    nothing.
+    step only the scalars T_i(t).  Fields that hold the same S_i function,
+    as the generated fields of equal factors do, share those samples.  A
+    direct call evaluates both and keeps nothing.
     """
 
     def __init__(self, t_fns, s_fns):
         self._t_fns = t_fns
         self._s_fns = s_fns
 
-    def _spatial(self, x, y):
-        shape = np.shape(x)
-        return [np.broadcast_to(np.asarray(s(x, y), dtype=float), shape)
-                for s in self._s_fns]
-
     def __call__(self, x, y, t):
-        svals = self._spatial(x, y)
-        out = np.zeros(np.shape(x))
-        for tf, sv in zip(self._t_fns, svals):
-            out += float(tf(t)) * sv
+        """The sum of T_i(t) S_i(x, y) in factor order, as a new array of
+        the shape of x, bitwise the sum onto zeros."""
+        out = None
+        for tf, s in zip(self._t_fns, self._s_fns):
+            term = float(tf(t)) * _spatial_samples(s, x, y)
+            if out is None:
+                out = np.asarray(term)  # a 0-d product is a scalar
+            else:
+                out += term
+        out += 0.0  # a sum onto zeros turns a -0.0 into 0.0
         return out
+
+
+def _spatial_samples(s, x, y):
+    """The samples of the spatial factor s at (x, y), as floats of the
+    shape of x (a broadcast view of a constant)."""
+    return np.broadcast_to(np.asarray(s(x, y), dtype=float), np.shape(x))
 
 
 def _separate_time(expr):
@@ -80,27 +91,43 @@ def _broadcast(fn):
     return wrapped
 
 
+# Every generated factor function of the process, keyed by the
+# (arguments, expression) it was printed from and by its source: the one
+# memo of the library.  A factor is printed once per distinct expression
+# and compiled once per distinct source.
+_FACTORS = {}
+
+
 def _compile(exprs):
-    """The fields of the expressions `exprs` in (x, y, t), from one
-    generated module exec'd once.  A field whose time dependence splits
-    off is a SeparableField of one function per T_i(t), printed as
-    `lambdify(modules="math")` prints, and per S_i(x, y), as "numpy"
-    prints; any other field is f(x, y, t), as "numpy" prints, broadcast
-    to the shape of x."""
+    """The fields of the expressions `exprs` in (x, y, t).  A field whose
+    time dependence splits off is a SeparableField of one function per
+    T_i(t), printed as `lambdify(modules="math")` prints, and per
+    S_i(x, y), as "numpy" prints; any other field is f(x, y, t), as
+    "numpy" prints, broadcast to the shape of x.  Each function comes
+    from `_FACTORS`: equal factors, in these fields or in those of any
+    earlier call, are one function object.  The factors new to the
+    process are compiled in one generated module, exec'd once."""
     settings = {"inline": True, "allow_unknown_functions": True}
     time, space = PythonCodePrinter(settings), NumPyPrinter(settings)
-    names, fields = {}, []  # one function per distinct factor
+    fields, sources = [], {}
     for e in exprs:
         groups = _separate_time(e)
-        defs = [("x, y, t", space, e)] if groups is None else (
-            [("t", time, tp) for tp in groups] +
-            [("x, y", space, sp) for sp in groups.values()])
-        fields.append((groups, [names.setdefault(d, f"_{len(names)}")
-                                for d in defs]))
+        defs = [("x, y, t", e)] if groups is None else (
+            [("t", tp) for tp in groups] +
+            [("x, y", sp) for sp in groups.values()])
+        for d in defs:
+            if d not in _FACTORS and d not in sources:
+                args, expr = d
+                printer = time if args == "t" else space
+                sources[d] = f"({args}): return {printer.doprint(expr)}\n"
+        fields.append((groups, defs))
+    new = list(dict.fromkeys(
+        src for src in sources.values() if src not in _FACTORS))
     namespace = {"math": math, "numpy": np}
-    exec("".join(f"def {name}({args}): return {printer.doprint(e)}\n"
-                 for (args, printer, e), name in names.items()), namespace)
-    fns = [(g, [namespace[name] for name in ns]) for g, ns in fields]
+    exec("".join(f"def _{i}{src}" for i, src in enumerate(new)), namespace)
+    _FACTORS.update((src, namespace[f"_{i}"]) for i, src in enumerate(new))
+    _FACTORS.update((d, _FACTORS[src]) for d, src in sources.items())
+    fns = [(g, [_FACTORS[d] for d in defs]) for g, defs in fields]
     return [_broadcast(f[0]) if g is None else
             SeparableField(f[:len(g)], f[len(g):]) for g, f in fns]
 
@@ -132,18 +159,17 @@ def reject_non_finite(samples, members, name, x, y, t):
         f"({float(x[p])}, {float(y[p])}){when} is not finite")
 
 
-def _spatial_factors(field, x, y):
-    """(component, T_i, samples at (x, y) of S_i) of a separable field,
-    component None, or of each component 0, 1 of a vector field of
-    separable components; None for any other field."""
+def _spatial_factors(field):
+    """(component, T_i, S_i) of a separable field, component None, or of
+    each component 0, 1 of a vector field of separable components; None
+    for any other field."""
     if isinstance(field, SeparableField):
-        return [(None, tf, sv)
-                for tf, sv in zip(field._t_fns, field._spatial(x, y))]
+        return [(None, tf, s) for tf, s in zip(field._t_fns, field._s_fns)]
     if not (isinstance(field, VectorField) and all(
             isinstance(f, SeparableField) for f in (field.fx, field.fy))):
         return None
-    return [(i, tf, sv) for i, f in enumerate((field.fx, field.fy))
-            for _, tf, sv in _spatial_factors(f, x, y)]
+    return [(i, tf, s) for i, f in enumerate((field.fx, field.fy))
+            for _, tf, s in _spatial_factors(f)]
 
 
 class FieldStack:
@@ -153,12 +179,15 @@ class FieldStack:
     `project` maps samples (m, npts), or (m, npts, 2) of vector fields, at
     the bound points to images linearly: an array (m, ...), or a tuple of
     them that only `modes` reads.  When every field is separable, the
-    spatial factors S_i of all the fields, one mode per distinct set of
-    samples of a component at the bound points (e_x S and e_y S for a
-    vector field), are checked and projected once, here; a call only
-    evaluates the weights θ(t) (m, M), the T_i(t) summed per mode, and
-    sums the M = `n_modes` mode images with them (`local.mode_sum`).  Any
-    other field makes the m fields' samples at every call the modes.
+    spatial factors S_i of all the fields are sampled at the bound points
+    once per distinct function object, whichever members and components
+    hold it, and one mode per distinct set of samples of a component (e_x
+    S and e_y S for a vector field) is checked and projected once, here;
+    equal samples of distinct functions, such as zero factors, share a
+    mode too.  A call only evaluates the weights θ(t) (m, M), the T_i(t)
+    summed per mode, and sums the M = `n_modes` mode images with them
+    (`local.mode_sum`).  Any other field makes the m fields' samples at
+    every call the modes.
 
     `residual`, when given, maps samples (m, npts) to what the projection
     loses, scaled so that the squared norm of the loss is the sum of the
@@ -178,21 +207,26 @@ class FieldStack:
         self._fields, self._x, self._y = fields, x, y
         self._project, self._residual = project, residual
         self.name = name
-        factors = [_spatial_factors(f, x, y) for f in fields]
+        factors = [_spatial_factors(f) for f in fields]
         self.separable = all(f is not None for f in factors)
         self.n_modes = len(fields)
         if not self.separable:
             return
         modes, first, index, self._factors = [], [], {}, []
+        sampled = {}  # the samples of each factor function, by the object
         for j, triples in enumerate(factors):
-            for i, tf, sv in triples:
+            for i, tf, s in triples:
+                if s not in sampled:
+                    sampled[s] = _spatial_samples(s, x, y)
+                sv = sampled[s]
                 # an all-zero factor is one mode in either component; its
                 # component and three samples pick the modes to compare
                 bits = sv.view(np.int64)
                 same = index.setdefault((i if sv.any() else None, *bits[
                     [0, len(bits) // 2, -1]].tolist()), [])
-                m = next((m for m in same if np.array_equal(
-                    bits, modes[m][1].view(np.int64))), len(modes))
+                m = next((m for m in same if modes[m][1] is sv or
+                          np.array_equal(bits, modes[m][1].view(np.int64))),
+                         len(modes))
                 if m == len(modes):
                     same.append(m)
                     modes.append((i, sv))
@@ -379,16 +413,22 @@ def example3():
                              default_T=0.1, name="example3")
 
 
+def _one(x, y):
+    """The spatial factor 1 of every constant field."""
+    return 1.0
+
+
 def constant_ensemble(c_values, beta_values, f_values, default_T, name):
     """Ensemble with constant coefficients, g = 0 and u0 = 0.
 
     c_values, f_values are per-member scalars; beta_values per-member
     (bx, by) pairs.  This is the family expressible in config files.
-    Every field is a SeparableField of the one spatial factor 1, so the
-    members share one mode per field, and g is projected once.
+    Every field is a SeparableField of the one spatial factor `_one`, so
+    a `FieldStack` samples it once, the members share one mode per field,
+    and g is projected once.
     """
     def constant(value):
-        return SeparableField([lambda t: value], [lambda x, y: 1.0])
+        return SeparableField([lambda t: value], [_one])
 
     if not len(c_values) == len(beta_values) == len(f_values):
         raise ValueError("member lists must have equal length")

@@ -631,3 +631,14 @@ def lambdified_member(c_expr, beta_exprs, u_expr):
         f=_lambdified_field(f_expr), g=u,
         u0=_lambdified_field(u_expr.subs(_T, 0)), exact_u=u,
         exact_q=VectorField(_lambdified_field(qx), _lambdified_field(qy)))
+
+
+def separable_sum(field, x, y, t):
+    """The SeparableField `field` at (x, y, t) as the sum of its terms
+    T_i(t) S_i(x, y), each broadcast to the shape of x, added in factor
+    order onto zeros."""
+    out = np.zeros(np.shape(x))
+    for tf, s in zip(field._t_fns, field._s_fns):
+        out += float(tf(t)) * np.broadcast_to(
+            np.asarray(s(x, y), dtype=float), np.shape(x))
+    return out

@@ -14,16 +14,21 @@ self, nor reads one there unless a class of that module sets or defines
 it; no module of the library reads an attribute named autonomous outside
 ProblemSpec; every name a module of the library, the tests or the
 benchmark imports must be used in that module or listed in its __all__;
-and every import of the library sits at module level, with problems
-importing nothing from solver.
+every import of the library sits at module level, with problems
+importing nothing from solver; and no function of the library mutates a
+module-level container, except problems' table of generated factors,
+which is keyed by source only.
 """
 
 import ast
 from pathlib import Path
 
+import sympy
+
 import numpy as np
 
 import ensemble_hdg
+from ensemble_hdg import problems
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ensemble_hdg"
@@ -316,3 +321,72 @@ def test_defaulted_parameter_budget():
                 count += len(args.defaults) + sum(
                     d is not None for d in args.kw_defaults)
     assert count <= 12, f"{count} defaulted parameters, budget 12"
+
+
+# module-level containers a function of the library may mutate: the
+# process-wide table of generated factor functions
+MEMOS = {"problems.py:_FACTORS"}
+MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove",
+            "clear", "update", "setdefault", "add", "discard", "sort",
+            "reverse"}
+
+
+def mutated_module_containers(path):
+    """Module-level names of the module at path bound to a dict, list or
+    set display or to a dict(), list() or set() call, that a function of
+    the module mutates: by item assignment or deletion, augmented
+    assignment, or a call of a mutating method."""
+    tree = ast.parse(path.read_text())
+    containers = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and (
+                isinstance(node.value, (ast.Dict, ast.List, ast.Set)) or
+                isinstance(node.value, ast.Call) and
+                isinstance(node.value.func, ast.Name) and
+                node.value.func.id in ("dict", "list", "set")):
+            containers.update(t.id for t in node.targets
+                              if isinstance(t, ast.Name))
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Subscript) and \
+                    isinstance(node.ctx, (ast.Store, ast.Del)):
+                target = node.value
+            elif isinstance(node, ast.AugAssign):
+                target = node.target
+            elif isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Attribute) and \
+                    node.func.attr in MUTATORS:
+                target = node.func.value
+            else:
+                continue
+            if isinstance(target, ast.Subscript):
+                target = target.value
+            if isinstance(target, ast.Name) and target.id in containers:
+                found.add(f"{path.name}:{target.id}")
+    return found
+
+
+def test_no_function_mutates_a_module_level_container():
+    """A container at module level that functions fill is a memo shared
+    by every caller in the process; the library keeps one, the table of
+    generated factor functions."""
+    found = set().union(*(mutated_module_containers(path)
+                          for path in sorted(SRC.glob("*.py"))))
+    assert found == MEMOS, f"module-level containers mutated: {found}"
+
+
+def test_the_factor_table_is_keyed_by_source():
+    """Every key of problems' table is generated source text or the
+    (arguments, expression) it was printed from, never data such as
+    arrays, points or ids, and every value is a function."""
+    problems.example1()
+    problems.example3()
+    assert problems._FACTORS
+    for key, fn in problems._FACTORS.items():
+        assert isinstance(key, str) or (
+            isinstance(key, tuple) and len(key) == 2 and
+            isinstance(key[0], str) and isinstance(key[1], sympy.Basic)), key
+        assert callable(fn), key

@@ -13,7 +13,7 @@ from ensemble_hdg.problems import (EXAMPLE1_BETA_SCALE, EXAMPLE1_C,
                                    example3, get_example,
                                    manufactured_member)
 
-from oracles import lambdified_member
+from oracles import lambdified_member, separable_sum
 
 
 @pytest.fixture(scope="module")
@@ -322,3 +322,98 @@ def test_factors_differing_in_one_sample_are_two_modes(change):
     assert np.array_equal(W, [[1, 0], [0, 2], [3, 0]])
     assert np.signbit(images[1, 1]) == (change == "signed-zero")
     assert not np.signbit(images[0, 1])
+
+
+def _factor_functions(spec):
+    """{field name: the distinct spatial factor functions of that field
+    over the members of spec}, functions comparing by identity."""
+    found = {}
+    for member in spec.members:
+        for name, field in _scalar_fields(member):
+            found.setdefault(name, set()).update(field._s_fns)
+    return found
+
+
+def test_example1_members_share_their_factor_functions():
+    """Example 1's members hold one function object per distinct spatial
+    factor, and a second `example1()` holds the same ones: one for c, g,
+    u0 and exact_u each, two for f (sin x sin y and x sin x cos y +
+    y sin y cos x) and one for each β and exact_q component."""
+    first, second = _factor_functions(example1()), _factor_functions(
+        example1())
+    assert {name: len(fns) for name, fns in first.items()} == {
+        "c": 1, "beta_x": 1, "beta_y": 1, "f": 2, "g": 1, "u0": 1,
+        "exact_u": 1, "exact_q_x": 1, "exact_q_y": 1}
+    assert second == first
+    assert first["g"] == first["exact_u"] and first["g"] < first["f"]
+
+
+def test_a_member_with_another_expression_gets_its_own_function():
+    """sin(2x) sin(y) is no factor of example 1: it is compiled apart,
+    while the factor 1 of its constant c is example 1's."""
+    ours = _factor_functions(example1())
+    x, y, t = sympy.symbols("x y t")
+    other = manufactured_member(
+        EXAMPLE1_C[0], (y, x), sympy.sin(t) * sympy.sin(2 * x) * sympy.sin(y))
+    (u_factor,) = other.exact_u._s_fns
+    assert all(u_factor not in fns for fns in ours.values())
+    assert other.c._s_fns == list(ours["c"])
+    z = np.array([0.3, 0.7])
+    assert np.array_equal(u_factor(z, z), np.sin(2 * z) * np.sin(z))
+
+
+def test_a_factor_function_is_sampled_once_per_stack():
+    """One counting factor function in the c of all three members and in
+    two time groups of member 1's f is sampled once by the c stack and
+    once by the f stack (three times and twice had each field sampled
+    its own), and the stacks still sum to the fields."""
+    spec = example1()
+    calls = []
+
+    def counted(x, y):
+        calls.append(len(x))
+        return np.sin(x) * np.cos(y) + 2.0
+
+    for member in spec.members:
+        member.c = SeparableField(list(member.c._t_fns), [counted])
+    f = spec.members[0].f
+    assert len(f._s_fns) == 3
+    f._s_fns[:2] = [counted, counted]
+    x, y = np.linspace(0.0, 1.0, 7), np.linspace(1.0, 0.0, 7)
+    for name in ("c", "f"):
+        fields = [getattr(m, name) for m in spec.members]
+        calls.clear()
+        stack = problems.FieldStack(fields, x, y, lambda s: s, None, name)
+        assert calls == [7], name
+        for t in (0.0, 0.37):
+            np.testing.assert_allclose(
+                stack(t), [field(x, y, t) for field in fields], rtol=1e-14,
+                atol=1e-15)
+
+
+def _negative_zeros(x, y):
+    return -0.0 * x
+
+
+@pytest.mark.parametrize("factors", [
+    [(lambda t: 1.5 * t - 0.25, lambda x, y: np.sin(x) * y)],
+    [(lambda t: -2.0, lambda x, y: 1.0)],
+    [(lambda t: 1.5 * t - 0.25, lambda x, y: np.sin(x) * y),
+     (math.cos, lambda x, y: 1.0), (lambda t: -2.0, lambda x, y: x - y)],
+    [(lambda t: 1.0, _negative_zeros), (lambda t: 3.0, _negative_zeros)]],
+    ids=["one", "constant", "three", "negative-zeros"])
+@pytest.mark.parametrize("shape", [(), (7,), (2, 3)])
+def test_a_separable_field_is_bitwise_its_sum_onto_zeros(rng, factors,
+                                                          shape):
+    """A direct call is bitwise `oracles.separable_sum`, -0.0 terms
+    summing to 0.0 as they do onto zeros, and returns a new writable
+    float array of the shape of x, for 0-d x too."""
+    field = SeparableField([tf for tf, _ in factors],
+                           [s for _, s in factors])
+    x, y = rng.random((2,) + shape)
+    want = separable_sum(field, x, y, 0.37)
+    got = field(x, y, 0.37)
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+    assert got.shape == np.shape(x) and got.flags.writeable
+    assert got.tobytes() == want.tobytes()
+    assert not np.shares_memory(got, x) and not np.shares_memory(got, y)

@@ -1359,6 +1359,45 @@ def test_constant_ensemble_projects_its_dirichlet_data_once(mesh2,
         assert len(calls) == 1, steps
 
 
+@pytest.mark.parametrize("source", ["example3", "custom"])
+def test_constant_ensembles_sample_their_one_factor_once_per_stack(
+        mesh2, monkeypatch, source):
+    """Example 3 and a [custom] config ensemble hold one module-level
+    spatial factor 1: the solver's c, β, f and g stacks sample it once
+    each (15 times when every field had its own), with 1, 2, 1 and 1
+    modes, and a run is bitwise that of the same members with a distinct
+    factor function per field."""
+    from ensemble_hdg import problems
+    from ensemble_hdg.io import problem_from_config
+
+    calls, one = [], problems._one
+
+    def counted(x, y):
+        calls.append(len(x))
+        return one(x, y)
+
+    monkeypatch.setattr(problems, "_one", counted)
+    spec = example3() if source == "example3" else problem_from_config(
+        {"custom": {"c": [2.0, 2.5, 3.0], "f": [1.0, -2.0, 0.5],
+                    "beta": [(0.5, 0.2), (0.0, 1.0), (-1.0, 0.25)]}})
+    solver = mode_solver(spec, mesh2)
+    stacks = (solver._c, solver._beta, solver._f_rows, solver._g_rows)
+    assert len(calls) == len(stacks)
+    assert [s.n_modes for s in stacks] == [1, 2, 1, 1]
+
+    def own_factor(field):
+        return SeparableField(list(field._t_fns), [lambda x, y: 1.0])
+
+    apart = ProblemSpec([Member(
+        c=own_factor(m.c), beta=VectorField(own_factor(m.beta.fx),
+                                            own_factor(m.beta.fy)),
+        f=own_factor(m.f), g=own_factor(m.g), u0=own_factor(m.u0))
+        for m in spec.members], autonomous=True)
+    got, want = solver.run(0.2), mode_solver(apart, mesh2).run(0.2)
+    for key in ("u", "q", "uhat"):
+        assert getattr(got, key).tobytes() == getattr(want, key).tobytes()
+
+
 @pytest.mark.parametrize("field, value", [("c", np.nan), ("c", np.inf),
                                           ("beta", np.nan)])
 def test_non_finite_coefficients_are_named(mesh2, field, value):
