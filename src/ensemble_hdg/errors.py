@@ -18,7 +18,7 @@ mass, the norm splits exactly,
 where the second term is a sum of squared coefficient differences
 weighted by the element Jacobians, the bases being orthonormal.  The
 exact fields go through `problems.FieldStack` evaluators bound to the
-data rule, q as a stack of vector fields: for separable fields Pi of
+data rule, q as a stack of (x, y) pairs: for separable fields Pi of
 each spatial factor (e_x S or e_y S for q) and the Gram matrix of the
 factors' residuals are built once, and a step evaluates only T_i(t).
 The postprocessed field comes from the Postprocessor's linear maps of q,

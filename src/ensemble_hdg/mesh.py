@@ -9,7 +9,10 @@ is the one map of reference points to physical ones: it works per
 coordinate on the corners of any set of elements, a whole mesh or a block
 of one, so a caller that only reads points needs no geometry, and
 `uniform_grid_points` gives those of a uniform mesh without building it.
+`uniform_n` tells a uniform mesh by its vertices and elements alone.
 """
+
+import math
 
 import numpy as np
 
@@ -38,7 +41,7 @@ class Mesh:
         Maximum element diameter.
     """
 
-    def __init__(self, vertices, elements, uniform_n=None):
+    def __init__(self, vertices, elements):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         raw = np.asarray(elements)
         with np.errstate(invalid="ignore"):
@@ -80,7 +83,6 @@ class Mesh:
         if np.any(signed <= 0):
             bad = int(np.argmax(signed <= 0))
             raise ValueError(f"element {bad} is not counter-clockwise")
-        self.uniform_n = uniform_n
         self._build_faces(a, b)
         # sqrt is monotone and correctly rounded: the root of the largest
         # squared edge is the largest edge length
@@ -156,14 +158,31 @@ def build_uniform_square_mesh(n):
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
+    return Mesh(*_uniform_grid(n))
+
+
+def _uniform_grid(n):
+    """The vertices and elements of `build_uniform_square_mesh(n)`."""
     coords = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(coords, coords)
     vertices = np.column_stack([X.ravel(), Y.ravel()])
     # ll[iy, ix] is the lower-left vertex of cell (ix, iy); vertex (i, j)
     # of the grid is number j (n + 1) + i
     ll = np.arange(n)[:, None] * (n + 1) + np.arange(n)
-    elements = (ll[:, :, None, None] + _CELL @ [1, n + 1]).reshape(-1, 3)
-    return Mesh(vertices, elements, uniform_n=n)
+    return vertices, (ll[:, :, None, None] + _CELL @ [1, n + 1]).reshape(
+        -1, 3)
+
+
+def uniform_n(mesh):
+    """The n of `build_uniform_square_mesh(n)` when the mesh's vertices
+    and elements are its own entry for entry, however the mesh was made
+    (built, or read back from a file); None for any other mesh."""
+    n = math.isqrt(mesh.n_elements // 2)
+    vertices, elements = _uniform_grid(n)
+    if np.array_equal(mesh.vertices, vertices) and \
+            np.array_equal(mesh.elements, elements):
+        return n
+    return None
 
 
 def uniform_grid_points(n, ref):

@@ -5,22 +5,23 @@ families.
 Manufactured members are generated symbolically: given an exact solution
 u(x, y, t), a positive inverse-diffusion c(x, y) and a velocity field, the
 flux q = -(1/c) grad u, source f = u_t + div q + beta . grad u, boundary
-datum g = u and initial value u(., 0) are derived with sympy.  A field
-whose time dependence splits off, sum_i T_i(t) S_i(x, y), becomes a
-SeparableField of scalar T_i and vectorized numpy S_i.  Each distinct
-factor is printed as `sympy.lambdify` would print it alone and compiled
-once per process: the factors new to a construction go into one
-generated Python module, exec'd once, and members that share a factor,
-as example 1's share sin x sin y, share its function object.
+datum g = u and initial value u(., 0) are derived with sympy; β and q
+are (x, y) pairs of scalar fields.  A field whose time dependence splits
+off, sum_i T_i(t) S_i(x, y), becomes a SeparableField of scalar T_i and
+vectorized numpy S_i.  Each distinct factor is printed as
+`sympy.lambdify` would print it alone and compiled once per process: the
+factors new to a construction go into one generated Python module,
+exec'd once, and members that share a factor, as example 1's share
+sin x sin y, share its function object.
 
 The library reads every member field through `FieldStack`, a joint
 evaluator bound to fixed points and to a linear map of the samples
 there: the coefficient terms of c and β, the data moments of f and g,
-the start u0, the error observer's projections, the u* maps.  It samples
-each distinct spatial factor function of separable fields once, vector
-fields of separable components included, maps them once, and other
-fields at every call; it names any non-finite sample or weight before a
-map sees it.
+the start u0, the error observer's projections, the u* maps.  It casts
+and broadcasts every sample, samples each distinct spatial factor
+function once, maps one mode per (component, function) once, and
+samples other fields at every call; it names any non-finite sample or
+weight before a map sees it.
 """
 
 import math
@@ -54,7 +55,7 @@ class SeparableField:
         the shape of x, bitwise the sum onto zeros."""
         out = None
         for tf, s in zip(self._t_fns, self._s_fns):
-            term = float(tf(t)) * _spatial_samples(s, x, y)
+            term = float(tf(t)) * _sample(s, x, y)
             if out is None:
                 out = np.asarray(term)  # a 0-d product is a scalar
             else:
@@ -63,10 +64,11 @@ class SeparableField:
         return out
 
 
-def _spatial_samples(s, x, y):
-    """The samples of the spatial factor s at (x, y), as floats of the
-    shape of x (a broadcast view of a constant)."""
-    return np.broadcast_to(np.asarray(s(x, y), dtype=float), np.shape(x))
+def _sample(fn, x, y, *t):
+    """The samples of fn at (x, y), or at (x, y, t) when t is given, as
+    floats of the shape of x (a broadcast view of a constant)."""
+    return np.broadcast_to(np.asarray(fn(x, y, *t), dtype=float),
+                           np.shape(x))
 
 
 def _separate_time(expr):
@@ -78,17 +80,6 @@ def _separate_time(expr):
             return None  # mixed factor such as sin(t + x)
         groups[t_part] = groups.get(t_part, 0) + xy_part
     return groups if len(groups) <= 8 else None
-
-
-def _broadcast(fn):
-    """fn(x, y, t) as floats broadcast to the shape of x."""
-    def wrapped(x, y, t):
-        out = np.asarray(fn(x, y, t), dtype=float)
-        if out.shape != np.shape(x):
-            out = np.broadcast_to(out, np.shape(x)).copy()
-        return out
-
-    return wrapped
 
 
 # Every generated factor function of the process, keyed by the
@@ -103,7 +94,7 @@ def _compile(exprs):
     time dependence splits off is a SeparableField of one function per
     T_i(t), printed as `lambdify(modules="math")` prints, and per
     S_i(x, y), as "numpy" prints; any other field is f(x, y, t), as
-    "numpy" prints, broadcast to the shape of x.  Each function comes
+    "numpy" prints, returned as compiled.  Each function comes
     from `_FACTORS`: equal factors, in these fields or in those of any
     earlier call, are one function object.  The factors new to the
     process are compiled in one generated module, exec'd once."""
@@ -128,19 +119,8 @@ def _compile(exprs):
     _FACTORS.update((src, namespace[f"_{i}"]) for i, src in enumerate(new))
     _FACTORS.update((d, _FACTORS[src]) for d, src in sources.items())
     fns = [(g, [_FACTORS[d] for d in defs]) for g, defs in fields]
-    return [_broadcast(f[0]) if g is None else
-            SeparableField(f[:len(g)], f[len(g):]) for g, f in fns]
-
-
-class VectorField:
-    """Vector field with separately evaluable components."""
-
-    def __init__(self, fx, fy):
-        self.fx = fx
-        self.fy = fy
-
-    def __call__(self, x, y, t):
-        return np.stack([self.fx(x, y, t), self.fy(x, y, t)], axis=-1)
+    return [f[0] if g is None else SeparableField(f[:len(g)], f[len(g):])
+            for g, f in fns]
 
 
 def reject_non_finite(samples, members, name, x, y, t):
@@ -161,14 +141,14 @@ def reject_non_finite(samples, members, name, x, y, t):
 
 def _spatial_factors(field):
     """(component, T_i, S_i) of a separable field, component None, or of
-    each component 0, 1 of a vector field of separable components; None
-    for any other field."""
+    each component 0, 1 of an (x, y) pair of separable fields; None for
+    any other field."""
     if isinstance(field, SeparableField):
         return [(None, tf, s) for tf, s in zip(field._t_fns, field._s_fns)]
-    if not (isinstance(field, VectorField) and all(
-            isinstance(f, SeparableField) for f in (field.fx, field.fy))):
+    if not (isinstance(field, tuple) and
+            all(isinstance(f, SeparableField) for f in field)):
         return None
-    return [(i, tf, s) for i, f in enumerate((field.fx, field.fy))
+    return [(i, tf, s) for i, f in enumerate(field)
             for _, tf, s in _spatial_factors(f)]
 
 
@@ -176,18 +156,18 @@ class FieldStack:
     """Joint evaluator of several fields at fixed points, through one
     linear map of their samples, and the one gate of member fields.
 
-    `project` maps samples (m, npts), or (m, npts, 2) of vector fields, at
-    the bound points to images linearly: an array (m, ...), or a tuple of
-    them that only `modes` reads.  When every field is separable, the
-    spatial factors S_i of all the fields are sampled at the bound points
-    once per distinct function object, whichever members and components
-    hold it, and one mode per distinct set of samples of a component (e_x
-    S and e_y S for a vector field) is checked and projected once, here;
-    equal samples of distinct functions, such as zero factors, share a
-    mode too.  A call only evaluates the weights θ(t) (m, M), the T_i(t)
-    summed per mode, and sums the M = `n_modes` mode images with them
-    (`local.mode_sum`).  Any other field makes the m fields' samples at
-    every call the modes.
+    `project` maps samples (m, npts), or (m, npts, 2) of (x, y) pairs of
+    scalar fields, at the bound points to images linearly: an array
+    (m, ...), or a tuple of them that only `modes` reads.  Every sample is
+    cast to floats and broadcast to the points.  When every field is
+    separable, the spatial factors S_i of all the fields are sampled at
+    the bound points once per distinct function object, and one mode per
+    (component, function), e_x S and e_y S for a pair, is checked and
+    projected once, here, in order of first use; an all-zero factor is
+    the one zero mode in either component.  A call only evaluates the
+    weights θ(t) (m, M), the T_i(t) summed per mode, and sums the M =
+    `n_modes` mode images with them (`local.mode_sum`).  Any other field
+    makes the m fields' samples at every call the modes.
 
     `residual`, when given, maps samples (m, npts) to what the projection
     loses, scaled so that the squared norm of the loss is the sum of the
@@ -217,21 +197,15 @@ class FieldStack:
         for j, triples in enumerate(factors):
             for i, tf, s in triples:
                 if s not in sampled:
-                    sampled[s] = _spatial_samples(s, x, y)
+                    sampled[s] = _sample(s, x, y)
                 sv = sampled[s]
-                # an all-zero factor is one mode in either component; its
-                # component and three samples pick the modes to compare
-                bits = sv.view(np.int64)
-                same = index.setdefault((i if sv.any() else None, *bits[
-                    [0, len(bits) // 2, -1]].tolist()), [])
-                m = next((m for m in same if modes[m][1] is sv or
-                          np.array_equal(bits, modes[m][1].view(np.int64))),
-                         len(modes))
-                if m == len(modes):
-                    same.append(m)
+                # the mode of (component, function); None: the zero mode
+                key = (i, s) if sv.any() else None
+                if key not in index:
+                    index[key] = len(modes)
                     modes.append((i, sv))
                     first.append(j)
-                self._factors.append((j, m, tf))
+                self._factors.append((j, index[key], tf))
         self.n_modes = len(modes)
         zero = np.zeros(len(x))
         S = np.stack([sv if i is None else np.stack(
@@ -243,11 +217,11 @@ class FieldStack:
             self._gram = R @ R.T
 
     def _samples(self, t):
-        x, y, out = self._x, self._y, []
-        for f in self._fields:
-            v = np.asarray(f(x, y, t), dtype=float)
-            out.append(np.broadcast_to(v, x.shape + v.shape[1:]))
-        samples = np.stack(out)
+        x, y = self._x, self._y
+        samples = np.stack([
+            np.stack([_sample(p, x, y, t) for p in f], -1)
+            if isinstance(f, tuple) else _sample(f, x, y, t)
+            for f in self._fields])
         reject_non_finite(samples, range(len(samples)), self.name, x, y, t)
         return samples
 
@@ -283,11 +257,12 @@ class FieldStack:
 class Member:
     """One parameterized convection-diffusion problem of the ensemble.
 
-    Fields are vectorized callables: c(x, y, t) positive scalar (inverse
-    diffusion), beta(x, y, t) -> shape x.shape + (2,) divergence-free
-    velocity, f(x, y, t) source, g(x, y, t) Dirichlet datum, u0(x, y, t)
-    initial condition, read at t = 0; exact_u / exact_q are optional
-    references for error studies (exact_q returns shape x.shape + (2,)).
+    Scalar fields are vectorized callables fn(x, y, t), whose values
+    broadcast to the shape of x: c positive (inverse diffusion), f
+    source, g Dirichlet datum, u0 initial condition, read at t = 0.  The
+    divergence-free velocity beta is a tuple (beta_x, beta_y) of scalar
+    fields.  exact_u and the tuple exact_q = (q_x, q_y) are optional
+    references for error studies.
     """
 
     def __init__(self, c, beta, f, g, u0, exact_u=None, exact_q=None):
@@ -353,8 +328,8 @@ def manufactured_member(c_expr, beta_exprs, u_expr):
               by * sympy.diff(u_expr, _Y))
     c, beta_x, beta_y, f, u, u0, q_x, q_y = _compile(
         (c_expr, bx, by, f_expr, u_expr, u_expr.subs(_T, 0), qx, qy))
-    return Member(c=c, beta=VectorField(beta_x, beta_y), f=f, g=u, u0=u0,
-                  exact_u=u, exact_q=VectorField(q_x, q_y))
+    return Member(c=c, beta=(beta_x, beta_y), f=f, g=u, u0=u0, exact_u=u,
+                  exact_q=(q_x, q_y))
 
 
 EXAMPLE1_C = (0.26959, 0.26633, 0.30525)
@@ -423,9 +398,9 @@ def constant_ensemble(c_values, beta_values, f_values, default_T, name):
 
     c_values, f_values are per-member scalars; beta_values per-member
     (bx, by) pairs.  This is the family expressible in config files.
-    Every field is a SeparableField of the one spatial factor `_one`, so
-    a `FieldStack` samples it once, the members share one mode per field,
-    and g is projected once.
+    Every field, and each β component, is a SeparableField of the one
+    spatial factor `_one`, so a `FieldStack` samples it once, the members
+    share one mode per field and component, and g is projected once.
     """
     def constant(value):
         return SeparableField([lambda t: value], [_one])
@@ -441,7 +416,7 @@ def constant_ensemble(c_values, beta_values, f_values, default_T, name):
                              "be positive and finite")
         members.append(Member(
             c=constant(cj),
-            beta=VectorField(constant(bx), constant(by)),
+            beta=(constant(bx), constant(by)),
             f=constant(fj),
             g=constant(0.0),
             u0=constant(0.0),

@@ -33,7 +33,7 @@ import numpy as np
 from . import local
 from .basis import triangle_quadrature
 from .mesh import (build_uniform_square_mesh, element_points,
-                   uniform_grid_points)
+                   uniform_grid_points, uniform_n)
 from .problems import FieldStack, Member, ProblemSpec, reject_non_finite
 from .trace_system import assemble_trace_matrix
 
@@ -137,31 +137,32 @@ def choose_tau(spec, mesh):
     (quadrature-order escalation on meshes that cannot be refined), in
     the blocks of `_tau_points`.  A non-finite sample raises
     `local.CoefficientError` through `problems.reject_non_finite`, as in
-    the solver's β stack.
+    the solver's β stack.  Each component is read on its own.
     """
     t = 0.0
     sup = 0.0
     for x, y in _tau_points(mesh):
         for j, member in enumerate(spec.members):
-            b = np.asarray(member.beta(x, y, t), dtype=float)
-            # the largest |b|, without an abs copy; NaN propagates
-            peak = max(float(b.max()), -float(b.min()))
-            if not np.isfinite(peak):
-                reject_non_finite(np.broadcast_to(b, x.shape + (2,))[None],
-                                  [j], "beta", x, y, t)
-            sup = max(sup, peak)
+            for part, b in zip("xy", member.beta):
+                b = np.asarray(b(x, y, t), dtype=float)
+                # the largest |b|, without an abs copy; NaN propagates
+                peak = max(float(b.max()), -float(b.min()))
+                if not np.isfinite(peak):
+                    reject_non_finite(np.broadcast_to(b, x.shape)[None], [j],
+                                      "beta_" + part, x, y, t)
+                sup = max(sup, peak)
     return 1.0 + sup
 
 
 def _tau_points(mesh):
     """The points of `choose_tau`, as flat x and y of about `_TAU_BLOCK`
     elements each, in element order: the run mesh's order-6 points, then
-    those of its uniform 2n and 4n refinements, or the order-4, 8 and 12
-    points of a mesh that cannot be refined.  The run mesh's come from
-    `mesh.element_points` block by block; the refinements' from their
+    those of its uniform 2n and 4n refinements when it is uniform
+    (`mesh.uniform_n`), or else its order-4, 8 and 12 points.  The run
+    mesh's come from `mesh.element_points` block by block; the refinements' from their
     grid coordinates (`mesh.uniform_grid_points`), a block of whole cell
     rows at a time, so no refined mesh is built."""
-    n = mesh.uniform_n
+    n = uniform_n(mesh)
     for order in [4, 8, 12] if n is None else [6]:
         ref = triangle_quadrature(order).points
         for start in range(0, mesh.n_elements, _TAU_BLOCK):

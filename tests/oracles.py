@@ -22,7 +22,7 @@ import sympy
 from ensemble_hdg.basis import (ElementBasis, monomial_exponents,
                                 triangle_quadrature)
 from ensemble_hdg.mesh import build_uniform_square_mesh
-from ensemble_hdg.problems import SeparableField, VectorField
+from ensemble_hdg.problems import SeparableField
 from ensemble_hdg.solver import EnsembleState, Member
 
 
@@ -253,9 +253,9 @@ def dense_step(disc, spec, tau, dt, state, lag=True):
 
     cbar = np.stack([disc.sample_scalar(m.c, t1)
                      for m in spec.members]).mean(0)
-    bbar = np.stack([disc.sample_vector(m.beta, t1)
+    bbar = np.stack([disc.sample_vector(stacked(m.beta), t1)
                      for m in spec.members]).mean(0)
-    bbar_f = np.stack([disc.sample_vector_faces(m.beta, t1)
+    bbar_f = np.stack([disc.sample_vector_faces(stacked(m.beta), t1)
                        for m in spec.members]).mean(0)
 
     def assemble_local(ie):
@@ -270,9 +270,9 @@ def dense_step(disc, spec, tau, dt, state, lag=True):
     if lag and J > 1:
         c_data = np.stack([disc.sample_scalar(m.c, t1)
                            for m in spec.members])
-        b_data = np.stack([disc.sample_vector(m.beta, t1)
+        b_data = np.stack([disc.sample_vector(stacked(m.beta), t1)
                            for m in spec.members])
-        bf_data = np.stack([disc.sample_vector_faces(m.beta, t1)
+        bf_data = np.stack([disc.sample_vector_faces(stacked(m.beta), t1)
                             for m in spec.members])
         c_dev = c_data.mean(0)[None] - c_data
         b_dev = b_data.mean(0)[None] - b_data
@@ -427,7 +427,7 @@ class LoopErrorAccumulator:
                                       c_vals) @ disc.V_hi_data
         for j, m in enumerate(self.spec.members):
             ue = disc.sample_scalar(m.exact_u, t)
-            qe = disc.sample_vector(m.exact_q, t)
+            qe = disc.sample_vector(stacked(m.exact_q), t)
             dq = s["q"][j] - qe
             self.eq_sq[j] += self.dt * (l2_norm_squared(disc, dq[..., 0]) +
                                         l2_norm_squared(disc, dq[..., 1]))
@@ -552,14 +552,18 @@ def whole_mesh_tau(spec, mesh):
     max-component norm, as `solver.choose_tau` defines it, sampled at once.
 
     Order-6 points of the run mesh and of its uniform 2n and 4n
-    refinements, or the order-4, 8 and 12 points of a mesh that cannot be
-    refined.  Each mesh's points are one (ne, npts, 2) array from its
+    refinements when its vertices and elements are those of
+    `build_uniform_square_mesh(n)`, however it was made; else the order-4,
+    8 and 12 points of the run mesh.  Each β component is read on its
+    own.  Each mesh's points are one (ne, npts, 2) array from its
     element maps' matrices B: B[:, :, 0] r0, plus B[:, :, 1] r1, plus v0,
     in that order, so that they round as the library's points do.
     """
-    if mesh.uniform_n is not None:
-        meshes = [mesh] + [build_uniform_square_mesh(mesh.uniform_n * s)
-                           for s in (2, 4)]
+    n = math.isqrt(mesh.n_elements // 2)
+    built = build_uniform_square_mesh(max(n, 1))
+    if np.array_equal(mesh.vertices, built.vertices) and \
+            np.array_equal(mesh.elements, built.elements):
+        meshes = [mesh] + [build_uniform_square_mesh(n * s) for s in (2, 4)]
         orders = [6, 6, 6]
     else:
         meshes = [mesh, mesh, mesh]
@@ -574,8 +578,9 @@ def whole_mesh_tau(spec, mesh):
         X += v[:, None, 0, :]
         x, y = X[..., 0].ravel(), X[..., 1].ravel()
         for member in spec.members:
-            b = np.asarray(member.beta(x, y, 0.0), dtype=float)
-            sup = max(sup, float(np.abs(b).max()))
+            for part in member.beta:
+                b = np.asarray(part(x, y, 0.0), dtype=float)
+                sup = max(sup, float(np.abs(b).max()))
     return 1.0 + sup
 
 
@@ -627,10 +632,20 @@ def lambdified_member(c_expr, beta_exprs, u_expr):
     u = _lambdified_field(u_expr)
     return Member(
         c=_lambdified_field(c_expr),
-        beta=VectorField(_lambdified_field(bx), _lambdified_field(by)),
+        beta=(_lambdified_field(bx), _lambdified_field(by)),
         f=_lambdified_field(f_expr), g=u,
         u0=_lambdified_field(u_expr.subs(_T, 0)), exact_u=u,
-        exact_q=VectorField(_lambdified_field(qx), _lambdified_field(qy)))
+        exact_q=(_lambdified_field(qx), _lambdified_field(qy)))
+
+
+def stacked(pair):
+    """The vector field (x, y, t) -> (..., 2) of an (x, y) pair of scalar
+    fields, each component as floats of the shape of x."""
+    def field(x, y, t):
+        return np.stack([np.broadcast_to(np.asarray(p(x, y, t), dtype=float),
+                                         np.shape(x)) for p in pair], -1)
+
+    return field
 
 
 def separable_sum(field, x, y, t):

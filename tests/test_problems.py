@@ -8,12 +8,11 @@ import sympy
 from ensemble_hdg import problems
 from ensemble_hdg.problems import (EXAMPLE1_BETA_SCALE, EXAMPLE1_C,
                                    EXAMPLE2_C, EXAMPLE3_C, EXAMPLE3_F,
-                                   SeparableField, VectorField,
-                                   constant_ensemble, example1, example2,
+                                   SeparableField, constant_ensemble, example1, example2,
                                    example3, get_example,
                                    manufactured_member)
 
-from oracles import lambdified_member, separable_sum
+from oracles import lambdified_member, separable_sum, stacked
 
 
 @pytest.fixture(scope="module")
@@ -29,15 +28,14 @@ def ex2():
 def fd_source(member, x, y, t, h=1e-6):
     """Finite-difference evaluation of u_t + div q + beta . grad u."""
     ut = (member.exact_u(x, y, t + h) - member.exact_u(x, y, t - h)) / (2 * h)
-    divq = ((member.exact_q(x + h, y, t)[..., 0] -
-             member.exact_q(x - h, y, t)[..., 0]) / (2 * h) +
-            (member.exact_q(x, y + h, t)[..., 1] -
-             member.exact_q(x, y - h, t)[..., 1]) / (2 * h))
+    qx, qy = member.exact_q
+    divq = ((qx(x + h, y, t) - qx(x - h, y, t)) / (2 * h) +
+            (qy(x, y + h, t) - qy(x, y - h, t)) / (2 * h))
     gu = np.stack([
         (member.exact_u(x + h, y, t) - member.exact_u(x - h, y, t)) / (2 * h),
         (member.exact_u(x, y + h, t) - member.exact_u(x, y - h, t)) / (2 * h),
     ], -1)
-    return ut + divq + (member.beta(x, y, t) * gu).sum(-1)
+    return ut + divq + (stacked(member.beta)(x, y, t) * gu).sum(-1)
 
 
 def test_example1_configuration(ex1):
@@ -47,9 +45,9 @@ def test_example1_configuration(ex1):
     for j, (m, cj, aj) in enumerate(zip(ex1.members, EXAMPLE1_C,
                                         EXAMPLE1_BETA_SCALE), 1):
         assert np.abs(m.c(x, y, 0.5) - cj).max() == 0.0
-        beta = m.beta(x, y, 0.2)
-        assert np.abs(beta[..., 0] - aj * y).max() < 1e-15
-        assert np.abs(beta[..., 1] - aj * x).max() < 1e-15
+        bx, by = m.beta
+        assert np.abs(bx(x, y, 0.2) - aj * y).max() < 1e-15
+        assert np.abs(by(x, y, 0.2) - aj * x).max() < 1e-15
         want = np.sin(0.7) * np.sin(x) * np.sin(y) / j
         assert np.abs(m.exact_u(x, y, 0.7) - want).max() < 1e-15
         # starts from rest
@@ -61,10 +59,9 @@ def test_example1_beta_divergence_free(ex1):
     y = np.array([0.9])
     h = 1e-6
     for m in ex1.members:
-        div = ((m.beta(x + h, y, 0.0)[..., 0] -
-                m.beta(x - h, y, 0.0)[..., 0]) / (2 * h) +
-               (m.beta(x, y + h, 0.0)[..., 1] -
-                m.beta(x, y - h, 0.0)[..., 1]) / (2 * h))
+        bx, by = m.beta
+        div = ((bx(x + h, y, 0.0) - bx(x - h, y, 0.0)) / (2 * h) +
+               (by(x, y + h, 0.0) - by(x, y - h, 0.0)) / (2 * h))
         assert np.abs(div).max() < 1e-9
 
 
@@ -87,7 +84,7 @@ def test_example1_flux_consistency(ex1, rng):
     for j, m in enumerate(ex1.members, 1):
         grad = np.stack([np.cos(x) * np.sin(y),
                          np.sin(x) * np.cos(y)], -1) * math.sin(t) / j
-        q = m.exact_q(x, y, t)
+        q = stacked(m.exact_q)(x, y, t)
         c = m.c(x, y, t)[..., None]
         assert np.abs(q + grad / c).max() < 1e-10
 
@@ -133,11 +130,11 @@ def test_example2_flux_consistency(ex2, rng):
     h = 1e-7
     m = ex2.members[1]
     gy = (m.exact_u(x, y + h, 0.1) - m.exact_u(x, y - h, 0.1)) / (2 * h)
-    q = m.exact_q(x, y, 0.1)
+    qy = m.exact_q[1](x, y, 0.1)
     c = m.c(x, y, 0.1)
     # layered solutions have steep gradients; tolerance relative to scale
-    scale = max(1.0, np.abs(q[..., 1]).max())
-    assert np.abs(q[..., 1] + gy / c).max() < 1e-6 * scale
+    scale = max(1.0, np.abs(qy).max())
+    assert np.abs(qy + gy / c).max() < 1e-6 * scale
 
 
 def test_example3_configuration():
@@ -174,7 +171,7 @@ def test_constant_ensemble_validation():
         constant_ensemble([-1.0], [(0, 0)], [1.0], 0.1, "c")
     spec = constant_ensemble([5.0], [(1.0, 2.0)], [3.0], 0.1, "c")
     x = np.array([0.1])
-    assert spec.members[0].beta(x, x, 0.0)[0, 1] == 2.0
+    assert spec.members[0].beta[1](x, x, 0.0)[0] == 2.0
 
 
 @pytest.mark.parametrize("c", [-2.0, math.nan, 0.0, math.inf],
@@ -204,9 +201,9 @@ def _non_separable():
 def _scalar_fields(member):
     for name in ("c", "beta", "f", "g", "u0", "exact_u", "exact_q"):
         field = getattr(member, name)
-        if isinstance(field, VectorField):
-            yield f"{name}_x", field.fx
-            yield f"{name}_y", field.fy
+        if isinstance(field, tuple):
+            yield f"{name}_x", field[0]
+            yield f"{name}_y", field[1]
         else:
             yield name, field
 
@@ -264,8 +261,9 @@ def test_example1_compiles_without_lambdify(monkeypatch):
 
 def test_a_field_constant_in_space_broadcasts_to_the_points():
     """u = sin(t) + ... + sin(9t) has nine time factors, one too many to
-    split, and no x or y: its compiled function returns one value, which
-    comes out as a writable array of the shape of x, as do f's."""
+    split, and no x or y: its compiled function returns one value, as
+    compiled, and a `FieldStack` casts and broadcasts it to the points,
+    as it does f's, into a writable array."""
     t = sympy.symbols("t")
     member = problems.manufactured_member(
         1, (0, 0), sum(sympy.sin(i * t) for i in range(1, 10)))
@@ -274,9 +272,11 @@ def test_a_field_constant_in_space_broadcasts_to_the_points():
             math.sin(0.5 * i) for i in range(1, 10))), (member.f, sum(
             i * math.cos(0.5 * i) for i in range(1, 10)))):
         assert not isinstance(field, SeparableField)
-        out = field(x, x, 0.5)
-        assert out.shape == x.shape and out.flags.writeable
-        assert out == pytest.approx(np.full(5, want), rel=1e-14)
+        assert np.ndim(field(x, x, 0.5)) == 0
+        out = problems.FieldStack([field], x, x, lambda s: s, None,
+                                  "u")(0.5)
+        assert out.shape == (1, 5) and out.flags.writeable
+        assert out[0] == pytest.approx(np.full(5, want), rel=1e-14)
 
 
 def stack_of_factors(*factors):
@@ -289,19 +289,105 @@ def stack_of_factors(*factors):
                                None, "f")
 
 
-def test_bitwise_equal_factors_share_one_mode_in_order_of_first_use():
-    """Each distinct factor is one mode, numbered as the members first
-    use it; members that evaluate equal bits share it, whichever
-    function object gives them."""
+def test_each_factor_function_is_one_mode_in_order_of_first_use():
+    """Each distinct factor function is one mode, numbered as the members
+    first use it: members that hold one function share its mode, and two
+    functions stay two modes even where their samples are bitwise
+    equal."""
     a = [lambda x, y: np.sin(x) + 1, lambda x, y: np.sin(x) + 1]
     b, c = (lambda x, y: x * x), (lambda x, y: 0 * x + 2.0)
     stack = stack_of_factors(a[0], b, a[1], c, b)
-    assert stack.n_modes == 3
+    assert stack.n_modes == 4
     W, images = stack.modes(0.0)
     x = np.linspace(0.0, 1.0, 11)
-    assert np.array_equal(images, [np.sin(x) + 1, x * x, np.full(11, 2.0)])
-    assert np.array_equal(W, [[1, 0, 0], [0, 2, 0], [3, 0, 0], [0, 0, 4],
-                              [0, 5, 0]])
+    assert np.array_equal(images, [np.sin(x) + 1, x * x, np.sin(x) + 1,
+                                   np.full(11, 2.0)])
+    assert np.array_equal(W, [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0],
+                              [0, 0, 0, 4], [0, 5, 0, 0]])
+
+
+def test_an_all_zero_factor_is_one_mode_in_either_component():
+    """Two zero factor functions, in the x and y components of two
+    members' pairs, are the one zero mode, after the x mode of the
+    nonzero factor that members share; its component is that of its
+    first use."""
+    x = np.linspace(0.0, 1.0, 11)
+
+    def zero(x, y):
+        return 0.0 * x
+
+    def nothing(x, y):
+        return np.zeros_like(x)
+
+    def sine(x, y):
+        return np.sin(x)
+
+    def field(s, w):
+        return SeparableField([lambda t: w], [s])
+
+    pairs = [(field(sine, 1.0), field(zero, 2.0)),
+             (field(nothing, 3.0), field(zero, 4.0)),
+             (field(sine, 5.0), field(nothing, 6.0))]
+    stack = problems.FieldStack([(fx, fy) for fx, fy in pairs], x, x,
+                                lambda s: s, None, "beta")
+    assert stack.n_modes == 2
+    W, images = stack.modes(0.0)
+    assert np.array_equal(W, [[1, 2], [0, 7], [5, 6]])
+    zeros = np.zeros(11)
+    assert np.array_equal(images, [np.stack([np.sin(x), zeros], -1),
+                                   np.stack([zeros, zeros], -1)])
+
+
+def pair_members():
+    """Example 1's member 1, whose β and exact_q are pairs of separable
+    fields, and the same member behind pairs of plain lambdas."""
+    m = example1().members[0]
+
+    def plain(pair):
+        return tuple(lambda x, y, t, f=f: f(x, y, t) for f in pair)
+
+    return [m, problems.Member(m.c, plain(m.beta), m.f, m.g, m.u0,
+                               m.exact_u, plain(m.exact_q))]
+
+
+@pytest.mark.parametrize("name", ["beta", "exact_q"])
+@pytest.mark.parametrize("kind", ["separable", "plain"])
+def test_a_pair_stack_samples_are_bitwise_the_stacked_components(kind, name):
+    """A FieldStack of an (x, y) pair, separable or plain, gives samples
+    (npts, 2) bitwise the components' own samples side by side."""
+    member = pair_members()[kind == "plain"]
+    pair = getattr(member, name)
+    assert all(isinstance(f, SeparableField) == (kind == "separable")
+               for f in pair)
+    x, y = np.linspace(0.0, 1.0, 13), np.linspace(1.0, 0.2, 13)
+    stack = problems.FieldStack([pair], x, y, lambda s: s, None, name)
+    assert stack.separable == (kind == "separable")
+    for t in (0.0, 0.37, 1.0):
+        want = np.stack([f(x, y, t) for f in pair], -1)
+        assert stack(t)[0].tobytes() == want.tobytes()
+
+
+def test_members_with_pair_fields_run():
+    """A run of one member with separable pairs and one with plain ones
+    factorizes once and measures finite, positive and equal errors of
+    the two."""
+    from ensemble_hdg.discretization import Discretization
+    from ensemble_hdg.errors import ErrorAccumulator
+    from ensemble_hdg.mesh import build_uniform_square_mesh
+    from ensemble_hdg.solver import EnsembleSolver
+
+    members = pair_members()
+    spec = problems.ProblemSpec(members, autonomous=True)
+    disc = Discretization(build_uniform_square_mesh(4), 1)
+    solver = EnsembleSolver(disc, spec, dt=0.125)
+    acc = ErrorAccumulator(disc, spec, 0.125, final_step=4)
+    state = solver.run(0.5, observers=[acc])
+    assert solver.n_factorizations == 1
+    assert solver._beta.n_modes == 2 and not solver._beta.separable
+    assert state.u[0].tobytes() == state.u[1].tobytes()
+    for errors in acc.results().values():
+        assert np.all(np.isfinite(errors)) and np.all(errors > 0)
+        assert errors[0] == pytest.approx(errors[1], rel=1e-13)
 
 
 @pytest.mark.parametrize("change", ["one-ulp", "signed-zero"])

@@ -17,7 +17,7 @@ def initial_state(u0, mesh, k, c=1.0):
     """The projected initial state of one member with data u0 and c."""
     zero = lambda x, y, t: np.zeros_like(x)
     member = Member(c=lambda x, y, t: np.full_like(x, c),
-                    beta=lambda x, y, t: np.zeros(x.shape + (2,)),
+                    beta=(zero, zero),
                     f=zero, g=zero, u0=lambda x, y, t: u0(x, y))
     disc = Discretization(mesh, k)
     return disc, initialize(ProblemSpec([member], autonomous=True), disc)

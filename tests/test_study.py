@@ -19,7 +19,7 @@ from ensemble_hdg.problems import (EXAMPLE1_BETA_SCALE, EXAMPLE1_C,
 from ensemble_hdg.solver import EnsembleSolver, ProblemSpec
 from ensemble_hdg.study import (ConvergenceTable, convergence_study,
                                 resolve_dt_rule, run_level, snap_dt)
-from oracles import l2_norm_squared
+from oracles import l2_norm_squared, stacked
 
 
 def test_observed_rates_synthetic():
@@ -82,11 +82,11 @@ def test_error_accumulator_exact_discrete_solution(mesh2):
     from ensemble_hdg.solver import Member, ProblemSpec
 
     c = lambda x, y, t: np.full_like(x, 2.0)
-    beta = lambda x, y, t: np.stack([np.full_like(x, 0.1),
-                                     np.full_like(x, -0.4)], -1)
+    beta = (lambda x, y, t: np.full_like(x, 0.1),
+            lambda x, y, t: np.full_like(x, -0.4))
     u_ex = lambda x, y, t: (1 + 2 * t) * (x - y)
-    q_ex = lambda x, y, t: np.stack([np.full_like(x, -(1 + 2 * t) / 2.0),
-                                     np.full_like(x, (1 + 2 * t) / 2.0)], -1)
+    q_ex = (lambda x, y, t: np.full_like(x, -(1 + 2 * t) / 2.0),
+            lambda x, y, t: np.full_like(x, (1 + 2 * t) / 2.0))
     f = lambda x, y, t: 2 * (x - y) + (1 + 2 * t) * (0.1 - (-0.4))
     spec = ProblemSpec([Member(c, beta, f, u_ex, u_ex, u_ex, q_ex)],
                        autonomous=True)
@@ -121,14 +121,16 @@ def time_dependent_example1():
 
 def plain_callable_example1():
     """Example 1 with f, g, exact_u and exact_q behind plain lambdas, so
-    that no data field is a SeparableField or a VectorField."""
+    that no data field, and no component of exact_q, is a
+    SeparableField."""
     from ensemble_hdg.solver import Member, ProblemSpec
 
     def plain(fn):
         return lambda x, y, t: fn(x, y, t)
 
     return ProblemSpec([Member(m.c, m.beta, plain(m.f), plain(m.g), m.u0,
-                               plain(m.exact_u), plain(m.exact_q))
+                               plain(m.exact_u),
+                               tuple(plain(p) for p in m.exact_q))
                         for m in example1().members], autonomous=True)
 
 
@@ -213,13 +215,15 @@ def test_error_accumulator_names_a_non_finite_exact_field(mesh2, field):
     spec = example1()
     member = spec.members[1]
     exact = getattr(member, field)
+    fn = exact[1] if field == "exact_q" else exact
 
     def spoiled(x, y, t):
-        v = np.array(exact(x, y, t), dtype=float)
-        v[(x > 0.5, 1) if field == "exact_q" else x > 0.5] = np.nan
+        v = np.array(fn(x, y, t), dtype=float)
+        v[x > 0.5] = np.nan
         return v
 
-    setattr(member, field, spoiled)
+    setattr(member, field,
+            (exact[0], spoiled) if field == "exact_q" else spoiled)
     disc = Discretization(mesh2, 1)
     x, y = disc.x_data_flat, disc.y_data_flat
     p = int(np.argmax(x > 0.5))
@@ -261,8 +265,8 @@ def projected_state(disc, spec, t, perturbation=0.0, rng=None):
         return np.linalg.solve(mass, moments.T).T
 
     u = np.stack([project(m.exact_u(x, y, t)) for m in spec.members])
-    q = np.stack([np.concatenate([project(m.exact_q(x, y, t)[:, c])
-                                  for c in (0, 1)], axis=-1)
+    q = np.stack([np.concatenate([project(q(x, y, t)) for q in m.exact_q],
+                                 axis=-1)
                   for m in spec.members])
     if perturbation:
         u = u + perturbation * rng.normal(size=u.shape)
@@ -277,7 +281,7 @@ def test_error_accumulator_returns_the_projection_residual(mesh4):
     from ensemble_hdg.problems import SeparableField
 
     spec = example1()
-    assert isinstance(spec.members[0].exact_q.fx, SeparableField)
+    assert isinstance(spec.members[0].exact_q[0], SeparableField)
     disc = Discretization(mesh4, 1)
     t = 0.7
     state = projected_state(disc, spec, t)
@@ -292,7 +296,7 @@ def test_error_accumulator_returns_the_projection_residual(mesh4):
     d = disc.ndof_u
     for j, m in enumerate(spec.members):
         ue = m.exact_u(x, y, t).reshape(ne, -1)
-        qe = m.exact_q(x, y, t).reshape(ne, -1, 2)
+        qe = stacked(m.exact_q)(x, y, t).reshape(ne, -1, 2)
         uh = state.u[j] @ disc.V_data
         qh = np.stack([state.q[j, :, :d] @ disc.V_data,
                        state.q[j, :, d:] @ disc.V_data], axis=-1)
@@ -319,7 +323,7 @@ def test_error_accumulator_keeps_the_digits_of_a_small_error(mesh4, rng):
     spec = ProblemSpec([manufactured_member(2, (0.1, -0.4), (1 + 2 * t) *
                                             (x - y) * s)
                         for s in (1, 3)], autonomous=True)
-    assert isinstance(spec.members[0].exact_q.fx, SeparableField)
+    assert isinstance(spec.members[0].exact_q[0], SeparableField)
     disc = Discretization(mesh4, 1)
     exact = projected_state(disc, spec, 0.7)
     state = projected_state(disc, spec, 0.7, 1e-10, rng)
@@ -550,8 +554,8 @@ T = 0.1
     problem = problem_from_config(cfg)
     assert problem.J == 3
     x = np.array([0.5])
-    got = problem.members[2].beta(x, x, 0.0)
-    assert got[0, 0] == 4.0 and got[0, 1] == 5.0
+    bx, by = problem.members[2].beta
+    assert bx(x, x, 0.0)[0] == 4.0 and by(x, x, 0.0)[0] == 5.0
     assert problem.members[1].f(x, x, 0.0)[0] == 5.0
 
 
