@@ -14,7 +14,7 @@ from .io import (load_config, problem_from_config, write_convergence_csv,
 from .mesh import build_uniform_square_mesh, read_mesh_text
 from .postprocess import Postprocessor
 from .problems import Member, ProblemSpec, get_example
-from .solver import EnsembleSolver, check_admissibility
+from .solver import EnsembleSolver, c_stack, check_admissibility
 from .study import (benchmark_ensemble_vs_separate, convergence_study,
                     resolve_dt_rule, snap_dt)
 
@@ -25,6 +25,7 @@ __all__ = [
     "problem_from_config", "write_convergence_csv", "write_snapshot_csv",
     "write_snapshot_vtk", "build_uniform_square_mesh", "read_mesh_text",
     "Postprocessor", "get_example", "EnsembleSolver", "Member",
-    "ProblemSpec", "check_admissibility", "benchmark_ensemble_vs_separate",
+    "ProblemSpec", "c_stack", "check_admissibility",
+    "benchmark_ensemble_vs_separate",
     "convergence_study", "resolve_dt_rule", "snap_dt",
 ]

@@ -13,7 +13,7 @@ from .io import (final_time, load_config, problem_from_config,
                  write_snapshot_vtk)
 from .mesh import build_uniform_square_mesh, read_mesh_text
 from .postprocess import Postprocessor
-from .solver import EnsembleSolver, check_admissibility
+from .solver import EnsembleSolver, c_stack, check_admissibility
 from .study import (benchmark_ensemble_vs_separate, convergence_study,
                     resolve_dt_rule)
 
@@ -189,9 +189,9 @@ def cmd_bench(merged, problem):
 
 def cmd_check(merged, problem):
     mesh, dt, N = _mesh_and_steps(merged, "3")
-    solver = EnsembleSolver(Discretization(mesh, merged["degree"]), problem,
-                            dt=dt)
-    report = check_admissibility(solver, [i * dt for i in range(N + 1)])
+    disc = Discretization(mesh, merged["degree"])
+    report = check_admissibility(disc, c_stack(disc, problem),
+                                 [i * dt for i in range(N + 1)])
     print(report)
     for j, n, x, y in report.violations[:10]:
         print(f"  member {j + 1} at t_{n}, point ({x:.4f}, {y:.4f})")

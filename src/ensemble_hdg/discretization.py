@@ -1,13 +1,16 @@
 """Precomputed tables binding a mesh to a polynomial degree.
 
-A Discretization owns everything the assembly kernels need: quadrature rules,
-basis value tables at element and face quadrature points, gradient tables
-on the reference element only (callers apply B^-T), batched affine-map
-geometry and the global trace DOF layout.  The layout is decided here
-alone: from one numbering, `trace_dof`, come the CSC pattern of the trace
-matrix, `trace_pattern`, the sparse scatter `trace_scatter` from element
-trace rows to global DOFs and its transpose, `trace_gather`.  Interior
-faces are numbered by nested dissection, so the LU needs no ordering.
+A Discretization owns every table that depends on the mesh and degree
+alone: quadrature rules, basis values at element and face quadrature
+points, gradient tables on the reference element only (callers apply
+B^-T), batched affine-map geometry, the basis-product tables `mass`,
+`mass_q`, `conv` and `face` that make a coefficient term one GEMM of its
+samples (`local.c_terms`, `local.beta_terms`), and the global trace DOF
+layout.  The layout is decided here alone: from one numbering,
+`trace_dof`, come the CSC pattern of the trace matrix, `trace_pattern`,
+the sparse scatter `trace_scatter` from element trace rows to global
+DOFs and its transpose, `trace_gather`.  Interior faces are numbered by
+nested dissection, so the LU needs no ordering.
 
 One family of rules, the "data" rules of order 2k+4 on elements and faces,
 serves every integral: the mean-coefficient blocks, the lagged deviations,
@@ -33,21 +36,6 @@ _REF_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 # nested dissection stops splitting a part of at most this many elements
 _ND_LEAF = 8
-
-
-def reference_face_points(s):
-    """Reference-triangle coordinates of edge parameters s on each face.
-
-    Returns shape (3, 2, len(s), 2) indexed [local face, aligned]: an element
-    aligned with the face's canonical orientation runs from its local vertex
-    lf to lf+1 as s goes from 0 to 1, a misaligned one the other way.
-    """
-    ra = _REF_CORNERS
-    rb = _REF_CORNERS[[1, 2, 0]]
-    pa = np.stack([rb, ra], axis=1)
-    pb = np.stack([ra, rb], axis=1)
-    return pa[:, :, None, :] + s[None, None, :, None] * \
-        (pb - pa)[:, :, None, :]
 
 
 def _nested_dissection_positions(mesh):
@@ -120,6 +108,10 @@ class Discretization:
 
         self._build_element_tables()
         self._build_face_tables()
+        # the basis-product tables are shared by reference: read-only
+        for table in (self.mass, self.mass_q, self.conv, self.V_fdata,
+                      self.face):
+            table.flags.writeable = False
         self._build_points()
         self._build_trace_dofs()
 
@@ -134,6 +126,13 @@ class Discretization:
         self.Gref_hi_data = basis_hi.eval_grad(pd)
         # weighted transposed values: moments are one BLAS matmul
         self.VwT_data = (self.V_data * self.w_data).T.copy()
+        self.Gref_data = basis.eval_grad(pd)
+        w, V, d = self.w_data, self.V_data, self.ndof_u
+        # (v_i, u_l), and its integrands against c and β B^-T samples
+        self.mass = (V * w) @ V.T
+        self.mass_q = np.einsum("q,iq,lq->qil", w, V, V).reshape(-1, d * d)
+        self.conv = np.einsum("q,iq,lqr->qril", w, V,
+                              self.Gref_data).reshape(-1, d * d)
 
     # -- face tables ---------------------------------------------------------
 
@@ -141,10 +140,22 @@ class Discretization:
         mesh = self.mesh
         sd = self.rule_face_data.points
         self.w_fdata = self.rule_face_data.weights
-        self.Psi_fdata = self.face_basis.eval(sd)
+        self.Psi_fdata = Psi = self.face_basis.eval(sd)
         # an element traverses a face against its canonical orientation
         # when its local vertex lf is not the face's first vertex
         self.face_aligned = mesh.elements == mesh.faces[:, 0][mesh.elem_faces]
+        # the element basis at the face points (3, 2, nqf, 2) of local
+        # face lf, [misaligned, aligned]: an aligned element runs from its
+        # local vertex lf to lf+1 as s goes from 0 to 1, a misaligned one
+        # the other way; and the integrands w_q ψ_m u_l (nqf, nfd*d) of
+        # the <b·n u, v̂> rows against b·n
+        ra, rb = _REF_CORNERS, _REF_CORNERS[[1, 2, 0]]
+        pa, pb = np.stack([rb, ra], axis=1), np.stack([ra, rb], axis=1)
+        refs = pa[:, :, None] + sd[:, None] * (pb - pa)[:, :, None]
+        self.V_fdata = np.array([[self.elem_basis.eval(refs[lf, a])
+                                  for a in (0, 1)] for lf in range(3)])
+        self.face = np.einsum("q,mq,falq->faqml", self.w_fdata, Psi,
+                              self.V_fdata).reshape(3, 2, len(sd), -1)
 
     # -- physical data-rule points -------------------------------------------
 

@@ -20,22 +20,21 @@ Three terms carry a coefficient: the c mass (c q, r), the convection
 (β·∇u, v) and the face rows <β·n u, v̂>.  The ensemble scheme splits each
 into an implicit mean part (c̄, β̄) and a deviation part (c̄ - c_j,
 β̄ - β_j) lagged onto the RHS.  Both are linear in the coefficient, so
-the terms of each spatial mode are built once, as the images of the
-solver's c and β `problems.FieldStack`s (`c_terms`, `beta_terms`), and
+the terms of each spatial mode are built once, as the images of the c
+and β `problems.FieldStack`s (`c_terms`, `beta_terms`, against the
+Discretization's basis-product tables, so with no tau or dt), and
 weighted: by the mean weights in `assemble_all_blocks`, by the deviation
 weights in `rhs_operators`.  Built from the same tables and data rules,
 the two parts add up to each member's own operator.  `BlockTables` holds
-what no coefficient touches, the blocks and the basis-product tables
-alike; `source_rows` and `boundary_rows` are the data rows of the RHS,
-linear in the data samples as well.
+the scheme blocks, which tau and dt enter and no coefficient touches;
+`source_rows` and `boundary_rows` are the data rows of the RHS, linear
+in the data samples as well.
 
 `projector` is the one data-rule L2 projection: P_M g in `boundary_rows`,
 Π_(k+1) u and Π_k q (`projection`) in `solver.initialize` and `errors`.
 """
 
 import numpy as np
-
-from .discretization import reference_face_points
 
 
 class CoefficientError(ValueError):
@@ -44,14 +43,12 @@ class CoefficientError(ValueError):
 
 
 class BlockTables:
-    """The parts of the local blocks that no coefficient touches.
+    """The scheme blocks: the parts of the local blocks that tau and dt
+    enter, and no coefficient touches.
 
-    Built once per (discretization, tau, dt); every array is read-only, as
-    `assemble_all_blocks`, `condense_all` and `boundary_rows` read them by
-    reference.  The basis-product tables fold the data-rule weights into
-    products of reference basis values, so that a coefficient term is one
-    GEMM of its samples against them (q, u and the test functions are all
-    of degree k):
+    Built once per (discretization, tau, dt) from the Discretization's
+    reference tables; every array is read-only, as `assemble_all_blocks`,
+    `condense_all` and `boundary_rows` read them by reference:
 
     C      (ne, 2d, d)       the coupling [C_x; C_y], (∂_x_c v_i, v_j): -C
                              above the u-block of A_II, Cᵀ left of it
@@ -61,11 +58,6 @@ class BlockTables:
                              Dirichlet data into `boundary_rows`
     A_TI   (ne, 3nfd, 3d)    the tau and normal-component parts
     A_TT   (ne, 3nfd, 3nfd)  all of it
-    mass   (d, d)            (v_i, u_l) on the reference element
-    mass_q (nq, d*d)         w_q v_i v_l, against c samples
-    conv   (2nq, d*d)        w_q v_i ∂_r u_l, against β B^-T samples
-    face   [lf][aligned]     (nqf, nfd*d) w_q ψ_m u_l on local face lf, ψ
-                             the face basis, [misaligned, aligned]
     """
 
     def __init__(self, disc, tau, dt):
@@ -74,35 +66,25 @@ class BlockTables:
             raise ValueError(f"tau must be positive and finite, got {tau}")
         if not (np.isfinite(dt) and dt > 0):
             raise ValueError(f"dt must be positive and finite, got {dt}")
-        basis = disc.elem_basis
         d, nfd = disc.ndof_u, disc.ndof_face
         w, V = disc.w_data, disc.V_data
         detJ = disc.geom.det[:, None, None]
         lens, nrm = disc.geom.edge_lengths, disc.geom.normals
-        grad = basis.eval_grad(disc.rule_data.points)
-        self.mass = (V * w) @ V.T
-        self.mass_q = np.einsum("q,iq,lq->qil", w, V, V).reshape(-1, d * d)
-        self.conv = np.einsum("q,iq,lqr->qril", w, V, grad).reshape(-1, d * d)
 
         A_IT = np.zeros((ne, 3 * d, 3 * nfd))
         A_TI = np.zeros((ne, 3 * nfd, 3 * d))
         A_TT = np.zeros((ne, 3 * nfd, 3 * nfd))
         # (∂_x_c v_i, v_j) = Σ_r B^-T_cr (∂_r v_i, v_j) on the reference
-        dref = np.einsum("q,iqr,jq->rij", w, grad, V)
+        dref = np.einsum("q,iqr,jq->rij", w, disc.Gref_data, V)
         C = (disc.geom.inv_t.reshape(ne * 2, 2) @ dref.reshape(2, d * d)
              ).reshape(ne, 2 * d, d) * detJ
-        self.time_mass = detJ / dt * self.mass
+        self.time_mass = detJ / dt * disc.mass
         A_uu = self.time_mass.copy()
 
         wf, Psi = disc.w_fdata, disc.Psi_fdata
         psipsi = (Psi * wf) @ Psi.T
-        refs = reference_face_points(disc.rule_face_data.points)
-        self.face = []
-        for lf in range(3):
+        for lf, vals in enumerate(disc.V_fdata):
             cols = slice(lf * nfd, (lf + 1) * nfd)
-            vals = [basis.eval(refs[lf, a]) for a in (0, 1)]
-            self.face.append([np.einsum("q,mq,lq->qml", wf, Psi, v).reshape(
-                len(wf), nfd * d) for v in vals])
             aligned = disc.face_aligned[:, lf].astype(int)
             psiphi = np.stack([(Psi * wf) @ v.T for v in vals])[aligned]
             phiphi = np.stack([(v * wf) @ v.T for v in vals])[aligned]
@@ -119,9 +101,7 @@ class BlockTables:
         A_IT[:, 2 * d:] = np.swapaxes(A_TI[:, :, 2 * d:], 1, 2)
         self.C, self.A_uu, self.A_IT, self.A_TI, self.A_TT = \
             C, A_uu, A_IT, A_TI, A_TT
-        for table in (C, A_uu, A_IT, A_TI, A_TT, self.time_mass, self.mass,
-                      self.mass_q, self.conv,
-                      *(t for p in self.face for t in p)):
+        for table in (C, A_uu, A_IT, A_TI, A_TT, self.time_mass):
             table.flags.writeable = False
 
 
@@ -227,22 +207,22 @@ def condense_all(tables, M, A, A_TI):
     return BatchedCondensed(tables.A_TT - G @ tables.A_IT, W, G)
 
 
-def c_terms(disc, tables, samples):
+def c_terms(disc, samples):
     """The `FieldStack` image of inverse-diffusion samples (m, ne*nq) at
     the data rule: the samples and their c mass (m, ne, d, d), one GEMM
-    against the `BlockTables` tables."""
+    against the Discretization's `mass_q`."""
     ne, d = disc.mesh.n_elements, disc.ndof_u
-    mass = (samples.reshape(-1, tables.mass_q.shape[0]) @
-            tables.mass_q).reshape(len(samples), ne, d, d)
+    mass = (samples.reshape(-1, disc.mass_q.shape[0]) @
+            disc.mass_q).reshape(len(samples), ne, d, d)
     return samples, mass * disc.geom.det[:, None, None]
 
 
-def beta_terms(disc, tables, samples):
+def beta_terms(disc, samples):
     """The `FieldStack` image of velocity samples (m, ne*nq + 3ne*nqf, 2)
     at the data rule points, then the face data rule points: the samples
     and the block (m, ne, d + 3nfd, d) of the b·∇u terms above the
     <b·n u, v̂> rows of every local face, each one GEMM against the
-    `BlockTables` tables."""
+    Discretization's `conv` and `face`."""
     m, ne = len(samples), disc.mesh.n_elements
     d, nfd, nq = disc.ndof_u, disc.ndof_face, len(disc.w_data)
     geom = disc.geom
@@ -251,13 +231,13 @@ def beta_terms(disc, tables, samples):
     block = np.empty((m, ne, d + 3 * nfd, d))
     # b·∇u = Σ_r [b B^-T]_r ∂_r u in reference coordinates
     bt = np.matmul(b, geom.inv_t)
-    block[:, :, :d] = (bt.reshape(-1, 2 * nq) @ tables.conv).reshape(
+    block[:, :, :d] = (bt.reshape(-1, 2 * nq) @ disc.conv).reshape(
         m, ne, d, d) * geom.det[:, None, None]
     nrm = geom.normals
     bn = b_face[..., 0] * nrm[:, :, None, 0] + \
         b_face[..., 1] * nrm[:, :, None, 1]
     for lf in range(3):
-        misaligned, aligned = tables.face[lf]
+        misaligned, aligned = disc.face[lf]
         blk = np.where(disc.face_aligned[:, lf, None],
                        bn[..., lf, :] @ aligned,
                        bn[..., lf, :] @ misaligned)

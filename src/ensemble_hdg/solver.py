@@ -8,19 +8,20 @@ factorization.
 c and β enter as sums Σ_m θ_jm(t) φ_m(x) of shared spatial modes, scalar
 for c and vector for β (e_x ψ, e_y ψ, or a member's own samples), read
 through two `problems.FieldStack`s whose images are the modes' terms
-(`local.c_terms`, `local.beta_terms`).  The mean weights θ̄ build the
-blocks; the factorization is kept while θ̄ stays bitwise, and for a
-stack of plain callables, resampled at every level, while the members'
-mean samples stay.  The deviation weights θ̄ - θ_j build the RHS
-operators, whose c and velocity parts are each kept while their own
-images and weights stay.  So coefficients that do not change in time
-are factorized once, whatever the spec says about them.  Every state
-is of degree k, the initial one Π_k u0 (`local.projection`).
-The sources f enter as interior-row moments and the Dirichlet data g as
-the boundary traces P_M g through the coupling A_IT
-(`local.boundary_rows`), each through one more FieldStack, so no step
-samples separable data.  Every sample and weight the solver reads has
-passed its FieldStack's finiteness gate.
+(`local.c_terms`, `local.beta_terms`).  No tau or dt enters them: the
+solver builds them before tau and the `local.BlockTables`, and
+`check_admissibility` reads a `c_stack` without a solver.  The mean
+weights θ̄ build the blocks; the factorization is kept while θ̄ stays
+bitwise, and for a stack of plain callables, resampled at every level,
+while the members' mean samples stay.  The deviation weights θ̄ - θ_j
+build the RHS operators, whose c and velocity parts are each kept while
+their own images and weights stay.  So coefficients that do not change
+in time are factorized once, whatever the spec says about them.  Every
+state is of degree k, the initial one Π_k u0 (`local.projection`).  The
+sources f enter as interior-row moments and the Dirichlet data g as the
+boundary traces P_M g through the coupling A_IT (`local.boundary_rows`),
+each through one more FieldStack, so no step samples separable data.
+Every sample and weight the solver reads has passed a FieldStack's gate.
 
 States are immutable: step() returns a fresh state, the previous one is
 never written to, so observers may safely keep references.
@@ -41,7 +42,7 @@ from .trace_system import assemble_trace_matrix
 # which patches it here by name, and Member and ProblemSpec only for the
 # benchmark's workloads, which build specs through this module; nothing
 # in this module calls them
-__all__ = ["Member", "ProblemSpec", "AdmissibilityReport",
+__all__ = ["Member", "ProblemSpec", "AdmissibilityReport", "c_stack",
            "check_admissibility", "choose_tau", "EnsembleState", "initialize",
            "state_samples", "EnsembleSolver", "build_uniform_square_mesh"]
 
@@ -89,27 +90,34 @@ class AdmissibilityReport:
                 f"{self.c_min:.4g})")
 
 
-def check_admissibility(solver, times):
+def c_stack(disc, spec):
+    """The members' c as the blocks read it: a `FieldStack` at the
+    data-rule points whose images, `local.c_terms`, need no tau or dt."""
+    return FieldStack([m.c for m in spec.members], disc.x_data_flat,
+                      disc.y_data_flat, lambda c: local.c_terms(disc, c),
+                      None, "c")
+
+
+def check_admissibility(disc, c, times):
     """Sample the ensemble-mean condition over elements and time levels.
 
-    c is read as the scheme reads it: through the solver's c stack, at
-    the data-rule points where the blocks integrate it.  times are the
-    discrete levels t_0..t_N: level n is checked against the mean of
-    level n-1, and a single level t_0 against itself, as level 0.  A
+    c is the `c_stack` of disc: c is read as the scheme reads it, at the
+    data-rule points where the blocks integrate it.  times are the levels
+    t_0..t_N: level 0 is checked for c_j > 0, level n >= 1 also against
+    the mean of level n-1, and a single level t_0 against itself.  A
     level n >= 2 whose weights and mode samples (`FieldStack.modes`) are
     bitwise those of levels n-1 and n-2 has level n-1's check, and it is
-    skipped.  A separable c is thus compared by its weights before any
-    sample is formed; plain callables are sampled at every level.
-    Returns a report instead of raising; callers enforce strictness.
+    skipped: a separable c is compared by its weights before any sample
+    is formed, plain callables are sampled at every level.  Returns a
+    report instead of raising; callers enforce strictness.
     """
-    x, y = solver.disc.x_data_flat, solver.disc.y_data_flat
+    x, y = disc.x_data_flat, disc.y_data_flat
     report = AdmissibilityReport()
     times = list(times)
-    grid = [times[0]] + times if len(times) == 1 else times
     last, prev_cbar = [], None
-    for n, t in enumerate(grid):
+    for n, t in enumerate(times):
         # the images of the c stack hold the modes' samples first
-        W, (samples, _) = solver._c.modes(t)
+        W, (samples, _) = c.modes(t)
         repeated = len(last) == 2 and all(
             np.array_equal(W, w) and
             (samples is s or np.array_equal(samples, s)) for w, s in last)
@@ -119,12 +127,11 @@ def check_admissibility(solver, times):
         cvals = local.mode_sum(W, samples)
         cbar = cvals.mean(axis=0)
         report.c_min = min(report.c_min, float(cvals.min()))
-        if prev_cbar is None:
-            prev_cbar = cbar
-            continue
-        bound = np.minimum(cbar, prev_cbar)
-        bad = (np.abs(cbar[None] - cvals) >= bound[None]) | (cvals <= 0)
-        report.record(min(n, len(times) - 1), bad, x, y)
+        bad = cvals <= 0
+        if prev_cbar is not None or len(times) == 1:
+            bound = cbar if prev_cbar is None else np.minimum(cbar, prev_cbar)
+            bad |= np.abs(cbar[None] - cvals) >= bound[None]
+        report.record(n, bad, x, y)
         prev_cbar = cbar
     return report
 
@@ -159,9 +166,9 @@ def _tau_points(mesh):
     elements each, in element order: the run mesh's order-6 points, then
     those of its uniform 2n and 4n refinements when it is uniform
     (`mesh.uniform_n`), or else its order-4, 8 and 12 points.  The run
-    mesh's come from `mesh.element_points` block by block; the refinements' from their
-    grid coordinates (`mesh.uniform_grid_points`), a block of whole cell
-    rows at a time, so no refined mesh is built."""
+    mesh's come from `mesh.element_points` block by block; the
+    refinements' from their grid coordinates (`mesh.uniform_grid_points`),
+    a block of whole cell rows at a time, so no refined mesh is built."""
     n = uniform_n(mesh)
     for order in [4, 8, 12] if n is None else [6]:
         ref = triangle_quadrature(order).points
@@ -250,8 +257,9 @@ class EnsembleSolver:
         Time step; `run` rejects a final time T that is not a whole
         number of steps.
     tau : float, optional
-        Stabilization constant; chosen via choose_tau when omitted.  The
-        `local.BlockTables` are built for it once.
+        Stabilization constant; chosen via choose_tau when omitted.  It
+        enters only the `local.BlockTables`, built for it once after the
+        c and β stacks, which need no tau.
     strict_admissibility : bool
         Raise instead of warn when the sampled mean condition fails.
     check_residuals : bool
@@ -264,8 +272,6 @@ class EnsembleSolver:
         self.disc = disc
         self.spec = spec
         self.dt = float(dt)
-        self.tau = float(tau) if tau is not None else \
-            choose_tau(spec, disc.mesh)
         self.strict_admissibility = strict_admissibility
         self.check_residuals = check_residuals
         self.n_factorizations = 0
@@ -274,24 +280,22 @@ class EnsembleSolver:
         self.cond = None
         self._built_from = None
         self._ops = None
-        self._block_tables = local.BlockTables(disc, self.tau, self.dt)
-        # joint evaluators of the member data at fixed points
-        x, y = disc.x_data_flat, disc.y_data_flat
-        tables = self._block_tables
         # c and β enter the blocks as the terms of their modes: separable
-        # coefficients are projected here, once
-        self._c = FieldStack(
-            [m.c for m in spec.members], x, y,
-            lambda c: local.c_terms(disc, tables, c), None, "c")
+        # coefficients are projected here, once, before tau is known
+        self._c = c_stack(disc, spec)
         # β at the element data points, then the face data points
         self._beta = FieldStack(
             [m.beta for m in spec.members], *disc.data_points,
-            lambda b: local.beta_terms(disc, tables, b), None, "beta")
+            lambda b: local.beta_terms(disc, b), None, "beta")
+        self.tau = float(tau) if tau is not None else \
+            choose_tau(spec, disc.mesh)
+        tables = self._block_tables = local.BlockTables(
+            disc, self.tau, self.dt)
         # f and g enter the step as interior rows: separable data
         # are projected here, once, and a step adds T_i(t) times them
         Xb = disc.Xf_fdata[disc.boundary_face_sides()]
         self._f_rows = FieldStack(
-            [m.f for m in spec.members], x, y,
+            [m.f for m in spec.members], disc.x_data_flat, disc.y_data_flat,
             lambda f_vals: local.source_rows(disc, f_vals), None, "f")
         self._g_rows = FieldStack(
             [m.g for m in spec.members], Xb[..., 0].ravel(),
@@ -401,7 +405,7 @@ class EnsembleSolver:
             raise ValueError(
                 f"T/dt = {ratio} is not integral; snap dt first")
         report = check_admissibility(
-            self, [i * self.dt for i in range(N + 1)])
+            self.disc, self._c, [i * self.dt for i in range(N + 1)])
         if not report.ok:
             msg = f"ensemble-mean admissibility violated: {report!r}"
             if self.strict_admissibility:

@@ -12,21 +12,19 @@ from ensemble_hdg.local import (assemble_all_blocks, beta_terms, c_terms,
                                 rhs_operators)
 
 
-def images(disc, tables, c, b, b_face):
+def images(disc, c, b, b_face):
     """The `c_terms` and `beta_terms` images of samples c (m, ne, nq),
-    b (m, ne, nq, 2) and b_face (m, ne, 3, nqf, 2) against the
-    `BlockTables` tables."""
+    b (m, ne, nq, 2) and b_face (m, ne, 3, nqf, 2)."""
     m = len(c)
     vel = np.concatenate([b.reshape(m, -1, 2), b_face.reshape(m, -1, 2)],
                          axis=1)
-    return (c_terms(disc, tables, c.reshape(m, -1)),
-            beta_terms(disc, tables, vel))
+    return (c_terms(disc, c.reshape(m, -1)), beta_terms(disc, vel))
 
 
 def sampled_blocks(disc, tables, c, b, b_face):
     """`assemble_all_blocks` of the mean samples c (ne, nq), b (ne, nq, 2)
     and b_face (ne, 3, nqf, 2): the structured blocks (M, A, A_TI)."""
-    c_img, b_img = images(disc, tables, c[None], b[None], b_face[None])
+    c_img, b_img = images(disc, c[None], b[None], b_face[None])
     return assemble_all_blocks(disc, tables, (np.ones(1), c_img),
                                (np.ones(1), b_img))
 
@@ -50,5 +48,5 @@ def sampled_rhs_operators(disc, tables, c_dev, b_dev, b_dev_face):
     b_dev (J, ne, nq, 2) and b_dev_face (J, ne, 3, nqf, 2) against the
     `BlockTables` tables."""
     eye = np.eye(len(c_dev))
-    c_img, b_img = images(disc, tables, c_dev, b_dev, b_dev_face)
+    c_img, b_img = images(disc, c_dev, b_dev, b_dev_face)
     return rhs_operators(disc, tables, (eye, c_img), (eye, b_img), None)

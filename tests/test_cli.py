@@ -3,9 +3,13 @@ import math
 
 import pytest
 
+from ensemble_hdg import local, solver
 from ensemble_hdg.cli import _parse_levels, main
-from ensemble_hdg.io import read_convergence_csv
+from ensemble_hdg.discretization import Discretization
+from ensemble_hdg.io import load_config, problem_from_config, \
+    read_convergence_csv
 from ensemble_hdg.mesh import build_uniform_square_mesh, write_mesh_text
+from ensemble_hdg.problems import get_example
 from ensemble_hdg.study import resolve_dt_rule
 
 
@@ -96,6 +100,41 @@ def test_check_reads_c_at_the_data_points_of_its_degree(tmp_path, capsys):
                    "--dt-rule", "fixed=0.05", "--T", "0.1"] + extra)
         assert rc == 0
         assert f"FAIL ({points} points)" in capsys.readouterr().out
+
+
+def test_check_builds_no_solver(tmp_path, capsys, monkeypatch):
+    """`check` reads c through a c stack of its Discretization alone: with
+    tau, the scheme blocks and the solver constructor all failing, it
+    prints, for examples 1-3 and a custom ensemble, the report of the
+    check on a solver's own c stack."""
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[custom]\nc = 1, 3, 20\nbeta_x = 0, 0, 0\n"
+                   "beta_y = 0, 0, 0\nf = 1, 1, 1\n")
+    cases = [(["--example", str(k)], get_example(k)) for k in (1, 2, 3)]
+    cases.append((["--config", str(cfg)],
+                  problem_from_config(load_config(cfg))))
+    mesh = build_uniform_square_mesh(4)
+    dt = resolve_dt_rule("fixed=0.05", mesh.h_max, 0.1)
+    times = [i * dt for i in range(round(0.1 / dt) + 1)]
+    want = []
+    for _, problem in cases:
+        held = solver.EnsembleSolver(Discretization(mesh, 1), problem, dt)
+        report = solver.check_admissibility(held.disc, held._c, times)
+        want.append([repr(report)] + [
+            f"  member {j + 1} at t_{n}, point ({x:.4f}, {y:.4f})"
+            for j, n, x, y in report.violations[:10]])
+    assert any(len(lines) > 1 for lines in want)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("check built a part of a solver")
+
+    monkeypatch.setattr(solver, "choose_tau", fail)
+    monkeypatch.setattr(local, "BlockTables", fail)
+    monkeypatch.setattr(solver.EnsembleSolver, "__init__", fail)
+    for (args, _), lines in zip(cases, want):
+        assert main(["check", *args, "--levels", "2", "--dt-rule",
+                     "fixed=0.05", "--T", "0.1"]) == 0
+        assert capsys.readouterr().out.splitlines() == lines
 
 
 def test_config_file_drives_converge(tmp_path):

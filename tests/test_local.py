@@ -131,14 +131,13 @@ def test_batched_blocks_match_per_element(mesh4, rng, k):
 
 
 def test_block_tables_are_shared_read_only(mesh2, rng):
-    """The coefficient-free blocks are read by reference: they cannot be
-    written to, and calls with other coefficients leave the tables as a
-    fresh build has them."""
+    """The scheme blocks are read by reference: they cannot be written
+    to, and calls with other coefficients leave the tables as a fresh
+    build has them."""
     disc = Discretization(mesh2, 1)
     tables = BlockTables(disc, 2.0, 0.5)
     held = [tables.C, tables.A_uu, tables.A_IT, tables.A_TI, tables.A_TT,
-            tables.time_mass, tables.mass, tables.mass_q, tables.conv] + [
-                t for pair in tables.face for t in pair]
+            tables.time_mass]
     assert not any(t.flags.writeable for t in held)
     cbar, bbar, bbar_f = random_samples(disc, rng)
     first = sampled_blocks(disc, tables, cbar, bbar, bbar_f)
@@ -151,6 +150,26 @@ def test_block_tables_are_shared_read_only(mesh2, rng):
         want = sampled_blocks(disc, fresh, cval, bbar, bbar_f)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+def test_reference_product_tables_are_shared_read_only(mesh2, rng):
+    """The basis-product tables the coefficient terms are one GEMM
+    against live on the Discretization, with no tau or dt: they cannot be
+    written to, and coefficient terms of any samples leave them as a
+    fresh Discretization has them."""
+    disc = Discretization(mesh2, 1)
+    held = [disc.mass, disc.mass_q, disc.conv, disc.face, disc.V_fdata]
+    assert not any(t.flags.writeable for t in held)
+    cbar, bbar, bbar_f = random_samples(disc, rng)
+    for scale in (1.0, 2.0):
+        sampled_blocks(disc, BlockTables(disc, 2.0, 0.5), scale * cbar,
+                       scale * bbar, bbar_f)
+    with pytest.raises(ValueError, match="read-only"):
+        disc.face[0, 1, 0, 0] = 1.0
+    fresh = Discretization(mesh2, 1)
+    for got, want in zip(held, [fresh.mass, fresh.mass_q, fresh.conv,
+                                fresh.face, fresh.V_fdata]):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("k", [0, 1])

@@ -7,16 +7,16 @@ import pytest
 import sympy
 
 from ensemble_hdg.discretization import Discretization
-from ensemble_hdg.local import CoefficientError
+from ensemble_hdg.local import CoefficientError, beta_terms
 from ensemble_hdg.mesh import (build_uniform_square_mesh, read_mesh_text,
                                uniform_n, write_mesh_text)
 from ensemble_hdg.problems import (EXAMPLE1_BETA_SCALE, EXAMPLE1_C,
-                                   SeparableField, example1,
+                                   FieldStack, SeparableField, example1,
                                    example2, example3, manufactured_member)
 from ensemble_hdg.basis import triangle_quadrature
 from ensemble_hdg.mesh import BatchedGeometry, element_points
 from ensemble_hdg.solver import (EnsembleSolver, Member, ProblemSpec,
-                                 check_admissibility, choose_tau,
+                                 c_stack, check_admissibility, choose_tau,
                                  initialize, state_samples)
 
 from oracles import (dense_run, dense_step, lag_samples, stacked,
@@ -130,10 +130,10 @@ def test_ensemble_means_random_separable_fields(mesh2):
 
 
 def admissibility(spec, mesh, times):
-    """The check of a k = 1 solver on mesh, whose c stack reads the
-    order-6 data points."""
-    solver = EnsembleSolver(Discretization(mesh, 1), spec, dt=1.0, tau=1.0)
-    return check_admissibility(solver, times)
+    """The check on the k = 1 discretization of mesh, whose c stack reads
+    the order-6 data points; no solver is built."""
+    disc = Discretization(mesh, 1)
+    return check_admissibility(disc, c_stack(disc, spec), times)
 
 
 def test_admissibility_example1(mesh2):
@@ -196,7 +196,8 @@ def test_admissibility_reads_c_where_the_scheme_reads_it(k):
     spec = ProblemSpec(members, autonomous=True)
     solver = EnsembleSolver(disc, spec, dt=0.01, tau=2.0,
                             strict_admissibility=True)
-    report = check_admissibility(solver, [n * 0.01 for n in range(201)])
+    report = check_admissibility(disc, c_stack(disc, spec),
+                                 [n * 0.01 for n in range(201)])
     assert report.n_violations == len(x)
     assert {j for j, *_ in report.violations} == {2}
     with pytest.raises(RuntimeError, match="admissibility violated"):
@@ -207,7 +208,8 @@ def test_admissibility_reads_c_where_the_scheme_reads_it(k):
 def test_admissibility_report_counts_every_violation(mesh2):
     """More violations than the report keeps, over several levels, from
     both conditions: the counts and the kept records against a per-point
-    loop over the same sample points."""
+    loop over the same sample points.  Level 0 has only the c_j > 0
+    condition, as it has no mean before it."""
     members = constant_members([1.0, 3.0, 1.0], [(0, 0)] * 3)
     # member 3 dominates the mean where x is large and is negative near x=0
     members[2].c = lambda x, y, t: 20.0 * x * (1.0 + t) - 1.0
@@ -223,20 +225,62 @@ def test_admissibility_report_counts_every_violation(mesh2):
     c = [[np.broadcast_to(m.c(x, y, t), x.shape) for m in members]
          for t in times]
     records, count = [], 0
-    for n in range(1, len(times)):
+    for n in range(len(times)):
         for j in range(3):
             for p in range(len(x)):
                 now = sum(c[n][i][p] for i in range(3)) / 3
                 before = sum(c[n - 1][i][p] for i in range(3)) / 3
                 cj = c[n][j][p]
-                if abs(now - cj) >= min(now, before) or cj <= 0:
+                if (n and abs(now - cj) >= min(now, before)) or cj <= 0:
                     count += 1
                     records.append((j, n, float(x[p]), float(y[p])))
     assert count > report.max_records
     assert not report.ok
     assert report.n_violations == count
     assert report.violations == records[:report.max_records]
+    assert {n for _, n, *_ in report.violations} > {0}
     assert report.c_min == min(float(np.min(ct)) for ct in c)
+
+
+def test_admissibility_flags_a_c_not_positive_at_the_start(mesh2):
+    """c = (2, min(2, 8t)) is 0 at t_0 and 2 from t_1 on.  Level 0 only
+    seeded the mean, so the check read "pass, min sampled c = 0" and the
+    run then stopped in `initialize`.  Level 0's c <= 0 points are level-0
+    violations, and a strict run stops at the check."""
+    members = constant_members([2.0, 2.0], [(0, 0)] * 2)
+    members[1].c = lambda x, y, t: np.full_like(x, min(2.0, 8.0 * t))
+    spec = ProblemSpec(members, autonomous=False)
+    report = admissibility(spec, mesh2, [n * 0.25 for n in range(5)])
+    npts = mesh2.n_elements * len(triangle_quadrature(6).weights)
+    assert not report.ok and report.c_min == 0.0
+    assert report.n_violations == npts
+    assert {(j, n) for j, n, *_ in report.violations} == {(1, 0)}
+    solver = EnsembleSolver(Discretization(mesh2, 1), spec, dt=0.25,
+                            tau=1.0, strict_admissibility=True)
+    with pytest.raises(RuntimeError, match="admissibility violated"):
+        solver.run(1.0)
+
+
+@pytest.mark.parametrize("spec", ["example1", "refactor", "plain"])
+def test_coefficient_stacks_need_neither_tau_nor_dt(mesh4, spec):
+    """The c and β stacks built from (disc, spec) alone have the weights
+    and images, bitwise, of the stacks of solvers built with other tau
+    and dt."""
+    spec = {"example1": example1, "refactor": lambda: scaled_example1(1),
+            "plain": lambda: ProblemSpec(random_field_members("lambda"),
+                                         autonomous=False)}[spec]()
+    disc = Discretization(mesh4, 1)
+    stacks = (c_stack(disc, spec), FieldStack(
+        [m.beta for m in spec.members], *disc.data_points,
+        lambda b: beta_terms(disc, b), None, "beta"))
+    for tau, dt in ((1.0, 0.5), (3.0, 0.01)):
+        solver = EnsembleSolver(disc, spec, dt=dt, tau=tau)
+        for alone, held in zip(stacks, (solver._c, solver._beta)):
+            for t in (0.0, 0.3):
+                (Wa, ia), (Wh, ih) = alone.modes(t), held.modes(t)
+                assert Wa.tobytes() == Wh.tobytes()
+                assert [a.tobytes() for a in ia] == \
+                    [h.tobytes() for h in ih]
 
 
 def counted_factors(fields, fns, calls):
@@ -894,8 +938,7 @@ def test_lag_terms_skipped_for_single_member(mesh2):
     solver.step(initialize(spec, disc))
     ops = solver._ops
     assert not ops.mass_c.any() and not ops.u_op[..., d:, :].any()
-    time_mass = disc.geom.det[:, None, None] / 0.5 * \
-        solver._block_tables.mass
+    time_mass = disc.geom.det[:, None, None] / 0.5 * disc.mass
     assert np.array_equal(ops.u_op[0, :, :d], time_mass)
 
 
