@@ -6,11 +6,14 @@ points, gradient tables on the reference element only (callers apply
 B^-T), batched affine-map geometry, the basis-product tables `mass`,
 `mass_q`, `conv` and `face` that make a coefficient term one GEMM of its
 samples (`local.c_terms`, `local.beta_terms`), and the global trace DOF
-layout.  The layout is decided here alone: from one numbering,
-`trace_dof`, come the CSC pattern of the trace matrix, `trace_pattern`,
-the sparse scatter `trace_scatter` from element trace rows to global
-DOFs and its transpose, `trace_gather`.  Interior faces are numbered by
-nested dissection, so the LU needs no ordering.
+layout.  The layout is decided here alone: interior faces are numbered by
+nested dissection, and from that one numbering, `trace_dof`, come the
+sparse scatter `trace_scatter` from element trace rows to global DOFs,
+its transpose `trace_gather`, and `trace_leaves`, the dissection's leaves
+with the slot maps that sum element Schur blocks into one dense block a
+leaf and the leaves' separator blocks into the CSC separator matrix.  The
+separators keep their nested-dissection order, so their LU needs no
+ordering.
 
 One family of rules, the "data" rules of order 2k+4 on elements and faces,
 serves every integral: the mean-coefficient blocks, the lagged deviations,
@@ -40,7 +43,8 @@ _ND_LEAF = 8
 
 def _nested_dissection_positions(mesh):
     """The position of each interior face in a nested-dissection order of
-    the trace DOFs (George 1973), -1 on boundary faces.
+    the trace DOFs (George 1973), -1 on boundary faces, and the bisection
+    code of each element.
 
     Level by level, each part of more than `_ND_LEAF` elements is bisected
     at the median of its centroids along its longer extent; the halves
@@ -76,7 +80,137 @@ def _nested_dissection_positions(mesh):
     pos = np.full(mesh.n_faces, -1)
     pos[interior[np.lexsort((s, ((c0 >> s) + 1) << s))]] = \
         np.arange(len(interior))
-    return pos
+    return pos, code
+
+
+class TraceLeaves:
+    """The trace DOFs split at the leaves of the nested dissection: the
+    layout `trace_system` condenses the trace matrix with.
+
+    An interior face whose two elements share a bisection code lies inside
+    their leaf, every other one is a separator face.  Leaf l's block K_l
+    has P = nI + nB rows: the DOFs of its inside faces, ascending, padded
+    to the largest leaf's nI with unit diagonal entries, then the DOFs of
+    its elements' separator faces, ascending, padded to nB with zero rows
+    and columns.  Each element adds its Schur block into its leaf's, so
+    the trace matrix is the sum of the K_l scattered to their DOFs.  With
+    L leaves and ns separator DOFs:
+
+    leaf        (ne,) each element's leaf, the leaves in code order
+    assembly    (ne T²,) the flat slot of the blocks (L, P, P) each flat
+                Schur entry adds into; L P², one past them, on the rows
+                and columns of boundary faces
+    pad         the flat diagonal slots of the padded interior rows
+    interior    (L, nI) the DOF of each interior row, 0 on padding
+    separators  (ns,) the separator DOFs, ascending
+    order       (n,) each DOF's row in the interior rows (L nI) stacked
+                on the separators
+    boundary    (L, nB) each boundary row's place in `separators`, 0 on
+                padding
+    scatter     (ns, L nB) sums the boundary rows into the separators
+    pattern     (slot, indices, indptr): the CSC arrays of the separator
+                matrix, and slot (L nB²,) the nonzero each flat entry of
+                the leaves' separator blocks (L, nB, nB) adds into, one
+                past the last on padding
+
+    Both sums are built face by face: a face's nfd DOFs are consecutive
+    in every numbering, so each face pair is a dense nfd × nfd block.
+    """
+
+    def __init__(self, leaf, face, inside, nfd):
+        """leaf (ne,) each element's leaf; face (ne, 3) each local face's
+        place in the trace numbering, -1 on the boundary; inside (ne, 3)
+        whether the face lies inside the element's leaf."""
+        L, nf = leaf.max() + 1, face.max() + 1
+        modes = np.arange(nfd)
+        owner = np.broadcast_to(leaf[:, None], face.shape)
+
+        def leaf_faces(mask):
+            """Each leaf's faces among the entries at mask, ascending, -1
+            on padding (L, m), and the rank of each entry's face."""
+            keys, at = np.unique(owner[mask] * nf + face[mask],
+                                 return_inverse=True)
+            lf, faces = np.divmod(keys, max(nf, 1))
+            counts = np.bincount(lf, minlength=L)
+            rank = np.arange(len(keys)) - (np.cumsum(counts) - counts)[lf]
+            block = np.full((L, counts.max()), -1)
+            block[lf, rank] = faces
+            return block, rank[at]
+
+        def dofs(block):
+            """The DOF rows (L, m nfd) of the face rows block (L, m)."""
+            return np.where(block[..., None] >= 0,
+                            block[..., None] * nfd + modes, -1).reshape(L, -1)
+
+        live = face >= 0
+        inner, rank_i = leaf_faces(live & inside)
+        outer, rank_b = leaf_faces(live & ~inside)
+        row = np.full(face.shape, -1)
+        row[live & inside] = rank_i
+        row[live & ~inside] = inner.shape[1] + rank_b
+        P = (inner.shape[1] + outer.shape[1]) * nfd
+        rows = (row[..., None] * nfd + modes).reshape(len(leaf), -1)
+        # boundary rows and columns land at or past `end`, clipped onto it
+        dead, end = np.repeat(row < 0, nfd, axis=1), L * P * P
+        slot = np.where(dead, end, (leaf[:, None] * P + rows) * P)[
+            :, :, None] + np.where(dead, end, rows)[:, None, :]
+        self.leaf = leaf
+        self.assembly = np.minimum(slot, end, out=slot).ravel()
+
+        interior = dofs(inner)
+        pl, pi = np.nonzero(interior < 0)
+        self.pad = (pl * P + pi) * P + pi
+        self.interior = np.maximum(interior, 0)
+        sep = np.unique(outer[outer >= 0])
+        place = np.where(outer >= 0, np.searchsorted(sep, outer), -1)
+        self.separators = (sep[:, None] * nfd + modes).ravel()
+        ns = len(self.separators)
+        self.order = np.empty(nf * nfd, dtype=np.intp)
+        rows = np.flatnonzero(interior >= 0)
+        self.order[interior.ravel()[rows]] = rows
+        self.order[self.separators] = interior.size + np.arange(ns)
+        boundary = dofs(place)
+        self.boundary = np.maximum(boundary, 0)
+        rows = np.flatnonzero(boundary >= 0)
+        self.scatter = sp.csr_matrix(
+            (np.ones(len(rows)), (boundary.ravel()[rows], rows)),
+            shape=(ns, boundary.size))
+
+        # CSC pattern of the separator matrix from the pairs k of
+        # separator faces (fc, fr) that meet in a leaf: DOF column
+        # (fc, mj) holds the DOFs (fr, mi) of each of fc's face rows in
+        # turn, so the DOF pair of modes (mi, mj) sits at nfd (k - first
+        # pair of fc) + mi in that column
+        nsf, nbf = len(sep), place.shape[1]
+        fr = np.broadcast_to(place[:, :, None], (L, nbf, nbf))
+        fc = np.swapaxes(fr, 1, 2)
+        ok = (fr >= 0) & (fc >= 0)
+        keys, pair = np.unique(fc[ok] * nsf + fr[ok], return_inverse=True)
+        col, frow = np.divmod(keys, max(nsf, 1))
+        counts = np.bincount(col, minlength=nsf)
+        first = np.cumsum(counts) - counts
+        size = np.repeat(nfd * counts, nfd)
+        indptr = np.zeros(ns + 1, dtype=np.intc)  # SuperLU takes C ints
+        np.cumsum(size, out=indptr[1:])
+        nnz = indptr[-1]
+        indices = (frow[:, None] * nfd + modes).ravel()[
+            np.arange(nnz) - np.repeat(
+                indptr[:-1] - nfd * np.repeat(first, nfd), size)
+        ].astype(np.intc)
+        k = np.full((L, nbf, nbf), -1)
+        k[ok] = pair
+        face_row = np.repeat(np.arange(nbf), nfd)
+        k = k[:, face_row][:, :, face_row]
+        slot = (nfd * (np.arange(len(keys)) - first[col]))[k]
+        slot += indptr[self.boundary][:, None, :]
+        slot += np.tile(modes, nbf)[:, None]
+        slot[k < 0] = nnz
+        self.pattern = (slot.ravel(), indices, indptr)
+        # every trace system of the discretization reads them
+        for arr in (leaf, self.assembly, self.pad, self.interior,
+                    self.separators, self.order, self.boundary,
+                    *self.pattern):
+            arr.flags.writeable = False
 
 
 class Discretization:
@@ -188,28 +322,18 @@ class Discretization:
     def _build_trace_dofs(self):
         mesh = self.mesh
         ne, nfd = mesh.n_elements, self.ndof_face
-        pos = _nested_dissection_positions(mesh)
+        pos, code = _nested_dissection_positions(mesh)
         n = self.n_trace_dofs = mesh.n_interior_faces * nfd
         fpos = pos[mesh.elem_faces]  # (ne, 3)
         dof = fpos[..., None] * nfd + np.arange(nfd)
         dof[fpos < 0] = -1
         dof = self.trace_dof = dof.reshape(ne, 3 * nfd)
-        # CSC pattern: the flat schur entries at `take` couple two
-        # interior-face DOFs, and entry i of them adds into nonzero slot[i]
-        # of the sorted, duplicate-free CSC arrays
-        T = 3 * nfd
-        rows = np.broadcast_to(dof[:, :, None], (ne, T, T)).ravel()
-        cols = np.broadcast_to(dof[:, None, :], (ne, T, T)).ravel()
-        take = np.flatnonzero((rows >= 0) & (cols >= 0))
-        keys, slot = np.unique(cols[take].astype(np.int64) * n + rows[take],
-                               return_inverse=True)
-        # SuperLU takes C-int indices
-        indices = (keys % n).astype(np.intc)
-        indptr = np.zeros(n + 1, dtype=np.intc)
-        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-        self.trace_pattern = (take, slot, indices, indptr)
-        for arr in self.trace_pattern:
-            arr.flags.writeable = False
+        # a face is inside a leaf when its two elements share a code
+        e0, e1 = mesh.face_elements.T
+        inside = ~mesh.boundary & (code[e0] == code[e1])
+        self.trace_leaves = TraceLeaves(
+            np.unique(code, return_inverse=True)[1], fpos,
+            inside[mesh.elem_faces], nfd)
         # element trace rows -> global DOFs, boundary rows dropped; the
         # transpose gathers, built once as building it scans the indices
         flat = dof.ravel()

@@ -140,7 +140,7 @@ class BatchedCondensed:
 
     With B = I₂⊗M, BiC = B⁻¹C and Si = (A + Cᵀ BiC)⁻¹, the inverse of
     A_II = [[B, -C], [Cᵀ, A]] is W = [[B⁻¹ - BiC Si BiCᵀ, BiC Si],
-    [-Si BiCᵀ, Si]], refined once as in `condense_all`.
+    [-Si BiCᵀ, Si]], its u-rows refined once as in `condense_all`.
     """
 
     def __init__(self, schur, solve_int, reduce_rhs):
@@ -195,11 +195,12 @@ def condense_all(tables, M, A, A_TI):
         [-np.swapaxes(BiC, 1, 2), eye], axis=2)
     W[:, :d, :d] += Mi
     W[:, d:2 * d, d:2 * d] += Mi
-    # The q-rows of A_II W are I to rounding by construction, the u-rows
-    # carry the rounding of CᵀB⁻¹C in S, about 100 times A at h = 1/64,
-    # dt = 1/128: refine W += W (I - A_II W) by them.  Without it example
-    # 1 there ends 30 times further from a long-double run than with a
-    # LAPACK inverse of A_II, with it about as far.
+    # The u-rows of A_II W carry the rounding of CᵀB⁻¹C in S, about 100
+    # times A at h = 1/64, dt = 1/128: refine W += W (I - A_II W) by them.
+    # Without it example 1 there ends 30 times further from a long-double
+    # run than with a LAPACK inverse of A_II, with it about as far.  The
+    # q-rows stay unrefined: their componentwise residual is within 4 eps
+    # of |A_II||W| + I for k <= 2, but about 100 eps at k = 3.
     R = -(Ct @ W[:, :2 * d] + A @ W[:, 2 * d:])
     R[:, :, 2 * d:] += np.eye(d)
     W += W[:, :, 2 * d:] @ R

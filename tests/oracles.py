@@ -17,6 +17,7 @@ fields come from one `sympy.lambdify` call per time and spatial factor.
 import math
 
 import numpy as np
+import scipy.sparse as sp
 import sympy
 
 from ensemble_hdg.basis import (ElementBasis, monomial_exponents,
@@ -195,6 +196,21 @@ def dense_global_matrix(disc, cbar, bbar, bbar_face, tau, dt,
         keep = gidx >= 0
         A[np.ix_(gidx[keep], gidx[keep])] += loc[np.ix_(keep, keep)]
     return A
+
+
+def full_trace_matrix(disc, schur):
+    """The whole trace matrix (CSC, n_trace_dofs square) of element Schur
+    blocks schur (ne, T, T): each block scattered to its element's
+    `trace_dof`, rows and columns of boundary faces dropped, duplicates
+    summed."""
+    dof = disc.trace_dof
+    ne, T = dof.shape
+    n = disc.n_trace_dofs
+    rows = np.broadcast_to(dof[:, :, None], (ne, T, T)).ravel()
+    cols = np.broadcast_to(dof[:, None, :], (ne, T, T)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    return sp.csc_matrix((schur.reshape(-1)[keep], (rows[keep], cols[keep])),
+                         shape=(n, n))
 
 
 def degree_of(disc):
